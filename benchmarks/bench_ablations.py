@@ -12,12 +12,17 @@ speedup story is explainable rather than monolithic:
 * multi-input parallelism (Section III-D) vs serial pair processing.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.core import DecomposedFourier, MultiInputScheduler, make_tpu_chip
-from repro.core.backend import TpuBackend
-from repro.hw import (
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from repro.core import DecomposedFourier, MultiInputScheduler, make_tpu_chip  # noqa: E402
+from repro.core.backend import TpuBackend  # noqa: E402
+from repro.hw import (  # noqa: E402
     Instruction,
     MxuConfig,
     Opcode,
@@ -29,6 +34,7 @@ from repro.hw import (
     TpuCoreConfig,
     matmul_cycles,
 )
+from tests import reference  # noqa: E402
 
 
 class TestQuantizationAblation:
@@ -65,8 +71,8 @@ class TestQuantizedBatchAblation:
     """The precision axis of the batched/wave convolution stack: int8 and
     bf16 waves must be cheaper than fp32/fp64 waves with the *same*
     launch structure, quantization error must respect the documented
-    bound, and batched quantization must add no error over looped
-    quantization (bit-identical scores)."""
+    bound, and batched quantization must add no error over the looped
+    reference at the same precision (bit-identical scores)."""
 
     SHAPE = (16, 16)
     BLOCK = (4, 4)
@@ -105,8 +111,11 @@ class TestQuantizedBatchAblation:
 
     def test_batched_quantization_adds_no_error_over_loop(self):
         int8_wave = self._run("int8")
-        int8_loop = self._run("int8", method="loop")
-        for a, b in zip(int8_wave.explanations, int8_loop.explanations):
+        int8_loop = reference.explain_all(
+            self._pairs(), device=self._backend(), granularity="blocks",
+            block_shape=self.BLOCK, eps=1e-8, precision="int8",
+        )
+        for a, b in zip(int8_wave.explanations, int8_loop):
             np.testing.assert_array_equal(a.scores, b.scores)
 
     def test_int8_batched_error_within_documented_bound(self):
@@ -131,21 +140,17 @@ class TestQuantizedBatchAblation:
         bf16_err = err(self._run("bf16"))
         assert int8_err > bf16_err > 0.0
 
-    def test_modeled_quantized_fleet_speedup(self):
-        """The cost model agrees with the ablation's direction: at 100
-        pairs a quantized wave fleet is modeled strictly faster than an
-        fp64 one on the full-size chip."""
-        from repro.bench.workloads import (
-            fleet_interpretation_seconds,
-            vgg19_interpretation_workload,
-        )
+    def test_executed_quantized_fleet_speedup(self):
+        """At 100 pairs an executed quantized wave fleet is strictly
+        faster than an fp64 one on the full-size chip."""
+        from repro.core.pipeline import ExplanationPipeline
 
-        workload = vgg19_interpretation_workload(pairs=100)
+        pairs = self._pairs(count=100)
         seconds = {
-            name: fleet_interpretation_seconds(
-                TpuBackend(make_tpu_chip()), workload, fusion="wave",
-                precision=name,
-            )
+            name: ExplanationPipeline(
+                TpuBackend(make_tpu_chip()), granularity="blocks",
+                block_shape=self.BLOCK, eps=1e-8, precision=name,
+            ).run(pairs).simulated_seconds
             for name in ("int8", "bf16", "fp64")
         }
         assert seconds["int8"] < seconds["bf16"] < seconds["fp64"]
@@ -372,9 +377,9 @@ class TestLibraryFftThreat:
         from repro.hw import CpuConfig, CpuDevice
 
         workload = vgg19_interpretation_workload()
-        tpu_deployed = interpretation_seconds(TpuBackend(make_tpu_chip()), workload, method="loop")
+        tpu_deployed = interpretation_seconds(TpuBackend(make_tpu_chip()), workload)
         strong_cpu = interpretation_seconds(
-            CpuDevice(CpuConfig(use_library_fft=True)), workload, method="loop"
+            CpuDevice(CpuConfig(use_library_fft=True)), workload
         )
         assert strong_cpu < tpu_deployed  # the deployed path loses
 
@@ -385,7 +390,6 @@ class TestLibraryFftThreat:
                 )
             ),
             workload,
-            method="loop",
         )
         assert tpu_fused < strong_cpu  # silicon still wins when fused
 
@@ -410,8 +414,8 @@ class TestEnergyFootprint:
         cpu = CpuDevice()
         gpu = GpuDevice()
         # CPU/GPU are compute-bound here: elapsed ~ busy.
-        cpu_energy = cpu.energy_joules(interpretation_seconds(cpu, workload, method="loop"))
-        gpu_energy = gpu.energy_joules(interpretation_seconds(gpu, workload, method="loop"))
+        cpu_energy = cpu.energy_joules(interpretation_seconds(cpu, workload))
+        gpu_energy = gpu.energy_joules(interpretation_seconds(gpu, workload))
         # TPU active-compute seconds: the same workload on a chip with
         # host overheads zeroed out (what the silicon actually executes).
         tpu_active = TpuBackend(
@@ -420,7 +424,7 @@ class TestEnergyFootprint:
             )
         )
         tpu_energy = tpu_active.energy_joules(
-            interpretation_seconds(tpu_active, workload, method="loop")
+            interpretation_seconds(tpu_active, workload)
         )
         assert tpu_energy < gpu_energy < cpu_energy
 
@@ -436,7 +440,7 @@ class TestEnergyFootprint:
 
         workload = vgg19_interpretation_workload()
         gpu = GpuDevice()
-        gpu_energy = gpu.energy_joules(interpretation_seconds(gpu, workload, method="loop"))
+        gpu_energy = gpu.energy_joules(interpretation_seconds(gpu, workload))
         tpu = TpuBackend(make_tpu_chip())
-        tpu_energy = tpu.energy_joules(interpretation_seconds(tpu, workload, method="loop"))
+        tpu_energy = tpu.energy_joules(interpretation_seconds(tpu, workload))
         assert tpu_energy > gpu_energy

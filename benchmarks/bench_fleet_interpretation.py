@@ -1,35 +1,37 @@
 """Fleet-scale interpretation: wave-fused vs per-pair execution.
 
-Reports Table II-style numbers at fleet scale (1 / 10 / 100 pairs) for
-the paper's two interpretation workloads, in four execution modes:
+Reports executed, Table II-style ledgers at fleet scale (1 / 10 / 100
+planted 16x16 pairs) for block and column occlusion, in four execution
+modes, every one of them run on the simulated device:
 
-* ``loop``  -- the paper's measured per-feature execution (Table II;
-  unchanged by the fleet refactor, asserted below);
-* ``pair``  -- the PR-1 batched engine, one program per pair;
-* ``wave``  -- the fleet executor, one batched program per scheduler
-  wave (one dispatch per wave on the TPU), executed serially;
-* ``wave-pip`` -- the same waves double-buffered (``pipelined=True``):
+* ``loop``  -- the paper's measured per-feature execution: the literal
+  reference in ``tests/reference.py``, one program per pair and one
+  masked convolution per feature (what Table II's loop model prices);
+* ``pair``  -- the fleet executor with one-pair waves: one batched
+  program per pair;
+* ``wave``  -- the fleet executor, one batched program for the whole
+  fleet (one dispatch on the TPU);
+* ``wave-pip`` -- the fleet split into 10-pair waves, double-buffered:
   wave ``i+1``'s dispatch + infeed overlaps wave ``i``'s compute, the
-  hidden host-link time reported as the *overlap* column.  The fleet
-  is split into 10-pair waves for these two columns so there is
-  cross-wave overlap to measure (a single wave has nothing to hide).
+  hidden host-link time (the negative ``infeed_overlap`` ledger row)
+  reported as the *overlap* column.
 
 A second report covers the **precision axis**
 (``ExplanationPipeline(precision=...)``): for each fleet size it shows
-the modeled wave-pipelined seconds per precision, the simulated speedup
-over fp64 waves, and the *executed* quantization error of batched
-scores -- which is asserted equal to looped quantized scores bit for
-bit (batching adds no error) and within the documented
-``quantized_conv_error_bound``.
+the executed wave-pipelined seconds per precision on the full-size TPU,
+the simulated speedup over fp64 waves, and the executed quantization
+error of batched scores -- which is asserted equal to the looped
+reference's at the same precision bit for bit (batching adds no error)
+and within the documented ``quantized_conv_error_bound``.
 
 Shape contracts asserted (also run by CI via the ``--quick`` smoke
 mode, plus ``--pipelined`` for the overlap contract): wave-fused TPU
 dispatch count strictly below the per-pair count, wave simulated
-seconds below pair seconds on every backend, the wave gain growing
-with fleet size on the TPU, bit-identical scores across fusion *and*
-pipelining modes, pipelined elapsed strictly below serial at 100 pairs
-with dispatch counts unchanged, the wave cost model agreeing with the
-executed pipeline, and -- in the quantized smoke, part of ``--quick``
+seconds below pair seconds, the wave gain growing with fleet size on
+the TPU, scores bit-identical to the looped reference, the 100-pair
+multi-wave run carrying a negative ``infeed_overlap`` row with its
+elapsed equal to ``pipelined_elapsed_seconds`` of its stages and one
+dispatch per wave, and -- in the quantized smoke, part of ``--quick``
 -- int8 batched error within the documented bound with dispatch counts
 matching the exact run.
 
@@ -62,27 +64,27 @@ Runnable standalone::
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.bench.workloads import (
-    InterpretationWorkload,
-    fleet_interpretation_seconds,
-    interpretation_seconds,
-    planted_interpretation_pairs,
-    resnet50_interpretation_workload,
-    vgg19_interpretation_workload,
-)
-from repro.core.backend import TpuBackend, make_tpu_chip
-from repro.core.pipeline import ExplanationPipeline
-from repro.hw.cpu import CpuDevice
-from repro.hw.gpu import GpuDevice
-from repro.hw.pod import TpuPod
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from repro.bench.workloads import planted_interpretation_pairs  # noqa: E402
+from repro.core.backend import TpuBackend, make_tpu_chip  # noqa: E402
+from repro.core.pipeline import ExplanationPipeline  # noqa: E402
+from repro.hw.cpu import CpuDevice  # noqa: E402
+from repro.hw.device import PipelineStage, pipelined_elapsed_seconds  # noqa: E402
+from repro.hw.gpu import GpuDevice  # noqa: E402
+from repro.hw.pod import TpuPod  # noqa: E402
+from repro.obs.tracer import tracer  # noqa: E402
+from tests import reference  # noqa: E402
 
 FLEET_SIZES = (1, 10, 100)
 SHAPE = (16, 16)
 BLOCK = (4, 4)
+GRANULARITIES = (("blocks", BLOCK), ("columns", None))  # image / trace workloads
 PAIRS_PER_WAVE = 10  # wave width for the pipelined columns/contracts
 PRECISIONS = ("fp64", "bf16", "int8")  # the quantized-batch ladder
 
@@ -118,12 +120,37 @@ def planted_pairs(count, shape=SHAPE, seed=0):
     return planted_interpretation_pairs(count, shape=shape, seed=seed)
 
 
-def _run(fusion, pairs, device=None, **kwargs):
+def _run(pairs, device=None, granularity="blocks", block_shape=BLOCK, **kwargs):
+    """The fleet executor's run (``max_pairs_per_wave=1``: one-pair waves)."""
     pipeline = ExplanationPipeline(
-        device or small_backend(), granularity="blocks", block_shape=BLOCK,
-        eps=1e-8, fusion=fusion, **kwargs,
+        device or small_backend(), granularity=granularity,
+        block_shape=block_shape, eps=1e-8, **kwargs,
     )
     return pipeline.run(pairs)
+
+
+def _looped(pairs, device=None, granularity="blocks", block_shape=BLOCK, precision=None):
+    """The looped reference on ``device``: ``(explanations, ledger)``."""
+    device = device or small_backend()
+    explanations = reference.explain_all(
+        pairs, device=device, granularity=granularity, block_shape=block_shape,
+        eps=1e-8, precision=precision,
+    )
+    return explanations, device.take_stats()
+
+
+def _traced_stages(run_fleet):
+    """Run ``run_fleet()`` traced; returns its result and its program stages."""
+    tracer.clear()
+    with tracer.tracing():
+        result = run_fleet()
+    stages = [
+        PipelineStage(e.args["prologue"], e.args["body"], e.args["epilogue"])
+        for e in tracer.spans("device")
+        if e.name == "program" and e.args["depth"] == 0
+    ]
+    tracer.clear()
+    return result, stages
 
 
 # ----------------------------------------------------------------------
@@ -133,11 +160,10 @@ def _run(fusion, pairs, device=None, **kwargs):
 
 def test_wave_dispatch_count_below_pair_dispatch_count():
     """The acceptance contract: a fused fleet costs one dispatch per
-    wave where per-pair execution costs one program (plus one residual
-    round trip) per pair."""
+    wave where one-pair waves cost one program per pair."""
     pairs = planted_pairs(10)
-    wave = _run("wave", pairs)
-    pair = _run("pair", pairs)
+    wave = _run(pairs)
+    pair = _run(pairs, max_pairs_per_wave=1)
     assert wave.stats.op_counts["dispatch"] == 1
     assert pair.stats.op_counts["dispatch"] == 10
     assert wave.stats.op_counts["dispatch"] < pair.stats.op_counts["dispatch"]
@@ -147,49 +173,20 @@ def test_wave_dispatch_count_below_pair_dispatch_count():
 
 def test_scores_bit_identical_across_fusion():
     pairs = planted_pairs(6, seed=1)
-    wave = _run("wave", pairs)
-    pair = _run("pair", pairs)
-    for a, b in zip(pair.explanations, wave.explanations):
-        np.testing.assert_array_equal(a.scores, b.scores)
-        np.testing.assert_array_equal(a.kernel, b.kernel)
-        assert a.residual == b.residual
-
-
-@pytest.mark.parametrize(
-    "device_factory",
-    [CpuDevice, GpuDevice, small_backend],
-    ids=["cpu", "gpu", "tpu"],
-)
-def test_wave_cost_model_matches_executed_pipeline(device_factory):
-    """fleet_interpretation_seconds(fusion="wave") mirrors the executed
-    wave pipeline the way interpretation_seconds mirrors pair mode."""
-    pairs = planted_pairs(3, seed=2)
-    executed = _run("wave", pairs, device=device_factory()).simulated_seconds
-    workload = InterpretationWorkload(
-        name="mini", plane=SHAPE, num_features=16, pairs=3
-    )
-    modeled = fleet_interpretation_seconds(
-        device_factory(), workload, fusion="wave"
-    )
-    assert modeled == pytest.approx(executed, rel=0.05)
-
-
-def test_loop_mode_numbers_unchanged_by_fleet_refactor():
-    """Table II regenerates from the same per-pair loop arithmetic."""
-    workload = vgg19_interpretation_workload()
-    for device_factory in (CpuDevice, GpuDevice, lambda: TpuBackend(make_tpu_chip())):
-        assert fleet_interpretation_seconds(
-            device_factory(), workload, method="loop"
-        ) == interpretation_seconds(device_factory(), workload, method="loop")
+    looped, _ = _looped(pairs)
+    for run in (_run(pairs), _run(pairs, max_pairs_per_wave=1)):
+        for a, b in zip(looped, run.explanations):
+            np.testing.assert_array_equal(a.scores, b.scores)
+            np.testing.assert_array_equal(a.kernel, b.kernel)
+            assert a.residual == b.residual
 
 
 def test_tpu_wave_gain_grows_with_fleet_size():
     def gain(n):
-        device = TpuBackend(make_tpu_chip())
-        workload = vgg19_interpretation_workload(pairs=n)
-        pair = fleet_interpretation_seconds(device, workload, fusion="pair")
-        wave = fleet_interpretation_seconds(device, workload, fusion="wave")
-        return pair / wave
+        pairs = planted_pairs(n)
+        pair = _run(pairs, TpuBackend(make_tpu_chip()), max_pairs_per_wave=1)
+        wave = _run(pairs, TpuBackend(make_tpu_chip()))
+        return pair.simulated_seconds / wave.simulated_seconds
 
     gains = [gain(n) for n in FLEET_SIZES]
     assert gains == sorted(gains)
@@ -197,53 +194,26 @@ def test_tpu_wave_gain_grows_with_fleet_size():
 
 
 def test_pipelined_waves_beat_serial_waves():
-    """The PR-3 acceptance contract at executed scale: a multi-wave
-    fleet runs strictly faster double-buffered, with unchanged dispatch
-    counts and bit-identical per-pair results."""
+    """The overlap contract at executed scale: a multi-wave fleet runs
+    double-buffered -- elapsed equals ``pipelined_elapsed_seconds`` of
+    its program stages, strictly below their serial sum -- with one
+    dispatch per wave and scores bit-identical to the looped reference."""
     pairs = planted_pairs(100)
-    serial = _run("wave", pairs, pipelined=False, max_pairs_per_wave=PAIRS_PER_WAVE)
-    pipelined = _run("wave", pairs, pipelined=True, max_pairs_per_wave=PAIRS_PER_WAVE)
-    assert pipelined.simulated_seconds < serial.simulated_seconds
-    assert (
-        pipelined.stats.op_counts["dispatch"]
-        == serial.stats.op_counts["dispatch"]
-        == 100 // PAIRS_PER_WAVE
+    pipelined, stages = _traced_stages(
+        lambda: _run(pairs, max_pairs_per_wave=PAIRS_PER_WAVE)
     )
-    # Identical compute records: the credit row is the only ledger delta.
-    serial_ops = dict(serial.stats.op_counts)
-    pipelined_ops = dict(pipelined.stats.op_counts)
-    assert pipelined_ops.pop("infeed_overlap") == 1
-    assert pipelined_ops == serial_ops
-    for a, b in zip(serial.explanations, pipelined.explanations):
+    assert len(stages) == 100 // PAIRS_PER_WAVE
+    assert pipelined.stats.op_counts["dispatch"] == len(stages)
+    assert pipelined.stats.op_counts["infeed_overlap"] == 1
+    assert pipelined.stats.op_seconds["infeed_overlap"] < 0
+    assert pipelined.simulated_seconds == pytest.approx(
+        pipelined_elapsed_seconds(stages), rel=1e-12
+    )
+    assert pipelined.simulated_seconds < sum(stage.total for stage in stages)
+    looped, _ = _looped(pairs, device=CpuDevice())
+    for a, b in zip(looped, pipelined.explanations):
         np.testing.assert_array_equal(a.scores, b.scores)
         assert a.residual == b.residual
-
-
-def test_pipelined_cost_model_never_above_serial():
-    """The modeled overlap mirrors the executed credit: pipelined
-    elapsed <= serial on every backend, equal for a single wave,
-    strictly below once waves alternate infeed and compute."""
-    workload = vgg19_interpretation_workload(pairs=100)
-    for factory in (CpuDevice, GpuDevice, lambda: TpuBackend(make_tpu_chip())):
-        serial = fleet_interpretation_seconds(
-            factory(), workload, fusion="wave", pairs_per_wave=PAIRS_PER_WAVE,
-        )
-        pipelined = fleet_interpretation_seconds(
-            factory(), workload, fusion="wave", pairs_per_wave=PAIRS_PER_WAVE,
-            pipelined=True,
-        )
-        assert pipelined <= serial
-        one_wave_serial = fleet_interpretation_seconds(factory(), workload, fusion="wave")
-        one_wave_pipelined = fleet_interpretation_seconds(
-            factory(), workload, fusion="wave", pipelined=True
-        )
-        assert one_wave_pipelined == one_wave_serial
-    tpu = lambda: TpuBackend(make_tpu_chip())  # noqa: E731
-    assert fleet_interpretation_seconds(
-        tpu(), workload, fusion="wave", pairs_per_wave=PAIRS_PER_WAVE, pipelined=True
-    ) < fleet_interpretation_seconds(
-        tpu(), workload, fusion="wave", pairs_per_wave=PAIRS_PER_WAVE
-    )
 
 
 class TestQuantizedFleetContracts:
@@ -252,47 +222,44 @@ class TestQuantizedFleetContracts:
     def test_quantized_wave_matches_quantized_loop_bit_for_bit(self):
         pairs = planted_pairs(6, seed=5)
         for precision in ("int8", "bf16"):
-            wave = _run("wave", pairs, precision=precision)
-            loop = _run("wave", pairs, method="loop", precision=precision)
-            for a, b in zip(wave.explanations, loop.explanations):
+            wave = _run(pairs, precision=precision)
+            looped, _ = _looped(pairs, precision=precision)
+            for a, b in zip(wave.explanations, looped):
                 np.testing.assert_array_equal(a.scores, b.scores)
                 assert a.residual == b.residual
 
     def test_quantized_dispatch_structure_matches_fp64(self):
         pairs = planted_pairs(10, seed=6)
-        fp64 = _run("wave", pairs, precision="fp64")
-        int8 = _run("wave", pairs, precision="int8")
+        fp64 = _run(pairs, precision="fp64")
+        int8 = _run(pairs, precision="int8")
         assert int8.stats.op_counts == fp64.stats.op_counts
         assert int8.simulated_seconds < fp64.simulated_seconds
 
     def test_quantized_cost_model_ordering_matches_executed(self):
-        """Model and execution agree on the precision ladder's direction
-        at every fleet size."""
+        """The precision ladder's direction holds at every fleet size on
+        the full-size chip."""
         for pairs_count in (1, 10):
-            workload = vgg19_interpretation_workload(pairs=pairs_count)
-            modeled = {
-                name: fleet_interpretation_seconds(
-                    TpuBackend(make_tpu_chip()), workload, fusion="wave",
-                    precision=name,
-                )
+            pairs = planted_pairs(pairs_count)
+            executed = {
+                name: _run(pairs, TpuBackend(make_tpu_chip()), precision=name).simulated_seconds
                 for name in PRECISIONS
             }
-            assert modeled["int8"] < modeled["bf16"] < modeled["fp64"]
+            assert executed["int8"] < executed["bf16"] < executed["fp64"]
 
 
-def _max_score_error(run, reference):
+def _max_score_error(explanations, exact):
     """Executed error metric: max |score - reference score| over a fleet."""
     return max(
         float(np.max(np.abs(a.scores - b.scores)))
-        for a, b in zip(run.explanations, reference.explanations)
+        for a, b in zip(explanations, exact)
     )
 
 
 def _quantized_error(pairs, precision):
     """Max executed score error of a quantized wave fleet vs exact."""
-    exact = _run("wave", pairs)
-    quantized = _run("wave", pairs, precision=precision)
-    return _max_score_error(quantized, exact), quantized, exact
+    exact = _run(pairs)
+    quantized = _run(pairs, precision=precision)
+    return _max_score_error(quantized.explanations, exact.explanations), quantized, exact
 
 
 # ----------------------------------------------------------------------
@@ -692,37 +659,36 @@ def test_pod_chunk_placement_matches_data_placement():
 
 def _report(fleet_sizes=FLEET_SIZES) -> str:
     lines = [
-        "FLEET-SCALE INTERPRETATION (simulated seconds per fleet)",
-        f"(wave/wave-pip split into {PAIRS_PER_WAVE}-pair waves; "
-        "overlap = host-link time hidden by double-buffered infeed)",
+        "FLEET-SCALE INTERPRETATION (executed simulated seconds per fleet,",
+        f"planted {SHAPE[0]}x{SHAPE[1]} pairs; wave-pip split into "
+        f"{PAIRS_PER_WAVE}-pair waves; overlap = host-link time hidden by "
+        "double-buffered infeed)",
         f"{'workload':10s} {'pairs':>5s} {'device':6s} "
         f"{'loop':>12s} {'pair':>12s} {'wave':>12s} {'wave-pip':>12s} "
         f"{'overlap':>10s} {'gain':>7s}",
     ]
-    for make_workload in (vgg19_interpretation_workload, resnet50_interpretation_workload):
-        for pairs in fleet_sizes:
-            workload = make_workload(pairs=pairs)
+    for granularity, block_shape in GRANULARITIES:
+        options = dict(granularity=granularity, block_shape=block_shape)
+        for count in fleet_sizes:
+            pairs = planted_pairs(count)
             for name, factory in [
                 ("CPU", CpuDevice),
                 ("GPU", GpuDevice),
                 ("TPU", lambda: TpuBackend(make_tpu_chip())),
             ]:
-                loop = fleet_interpretation_seconds(
-                    factory(), workload, method="loop"
+                _, looped = _looped(pairs, factory(), **options)
+                pair = _run(pairs, factory(), max_pairs_per_wave=1, **options)
+                wave = _run(pairs, factory(), **options)
+                pipelined = _run(
+                    pairs, factory(), max_pairs_per_wave=PAIRS_PER_WAVE, **options
                 )
-                pair = fleet_interpretation_seconds(factory(), workload, fusion="pair")
-                wave = fleet_interpretation_seconds(
-                    factory(), workload, fusion="wave",
-                    pairs_per_wave=PAIRS_PER_WAVE,
-                )
-                pipelined = fleet_interpretation_seconds(
-                    factory(), workload, fusion="wave",
-                    pairs_per_wave=PAIRS_PER_WAVE, pipelined=True,
-                )
+                overlap = abs(pipelined.stats.op_seconds.get("infeed_overlap", 0.0))
                 lines.append(
-                    f"{workload.name:10s} {pairs:5d} {name:6s} "
-                    f"{loop:12.4f} {pair:12.4f} {wave:12.4f} {pipelined:12.4f} "
-                    f"{wave - pipelined:10.4f} {pair / pipelined:6.2f}x"
+                    f"{granularity:10s} {count:5d} {name:6s} "
+                    f"{looped.seconds:12.6f} {pair.simulated_seconds:12.6f} "
+                    f"{wave.simulated_seconds:12.6f} "
+                    f"{pipelined.simulated_seconds:12.6f} {overlap:10.6f} "
+                    f"{pair.simulated_seconds / pipelined.simulated_seconds:6.2f}x"
                 )
     return "\n".join(lines)
 
@@ -730,55 +696,43 @@ def _report(fleet_sizes=FLEET_SIZES) -> str:
 def _precision_report(fleet_sizes=FLEET_SIZES) -> str:
     """The quantized-batch ablation table.
 
-    Modeled columns use the full-size TPU at workload scale per
-    precision; the error columns come from an *executed* small-plane
-    fleet (batched vs loop quantization error -- equal by construction,
-    both reported so the equality is visible).
+    Seconds columns are executed wave-pipelined fleets on the full-size
+    TPU per precision; the error columns compare batched and looped
+    reference scores against fp64 (equal by construction, both reported
+    so the equality is visible).
     """
     lines = [
-        "QUANTIZED BATCHED INTERPRETATION (wave-pipelined, simulated seconds)",
+        "QUANTIZED BATCHED INTERPRETATION (executed wave-pipelined, simulated seconds)",
         "(speedup = fp64 wave seconds / this precision's wave seconds;",
-        " err columns: executed 16x16 fleet, max |score - fp64 score| --",
-        " shared by both workloads, since error depends on the plane data,",
-        " not the modeled workload; fp64 is exact by construction)",
+        " err columns: max |score - fp64 score| over the first 10 pairs;",
+        " fp64 is exact by construction)",
         f"{'workload':10s} {'pairs':>5s} {'precision':>9s} "
         f"{'wave-pip':>12s} {'speedup':>8s} {'batched-err':>12s} {'loop-err':>12s}",
     ]
-    # Executed quantization error depends only on the planted planes
-    # (keyed by fleet size), not on the modeled workload: compute each
-    # error fleet once and reuse it for every workload row.  Exact
-    # precisions skip execution -- their error is zero by construction.
-    errors: dict[tuple[int, str], tuple[float, float]] = {}
-    for pairs_count in fleet_sizes:
-        executed_pairs = planted_pairs(min(pairs_count, 10), seed=pairs_count)
-        exact = _run("wave", executed_pairs)
-        for name in PRECISIONS:
-            if name in ("fp64", "fp32"):
-                errors[pairs_count, name] = (0.0, 0.0)
-                continue
-            quantized = _run("wave", executed_pairs, precision=name)
-            looped = _run("wave", executed_pairs, method="loop", precision=name)
-            errors[pairs_count, name] = (
-                _max_score_error(quantized, exact),
-                _max_score_error(looped, exact),
-            )
-    for make_workload in (vgg19_interpretation_workload, resnet50_interpretation_workload):
-        for pairs_count in fleet_sizes:
-            workload = make_workload(pairs=pairs_count)
-            modeled = {
-                name: fleet_interpretation_seconds(
-                    TpuBackend(make_tpu_chip()), workload, fusion="wave",
-                    pairs_per_wave=min(PAIRS_PER_WAVE, pairs_count),
-                    pipelined=True, precision=name,
-                )
+    for granularity, block_shape in GRANULARITIES:
+        options = dict(granularity=granularity, block_shape=block_shape)
+        for count in fleet_sizes:
+            pairs = planted_pairs(count, seed=count)
+            seconds = {
+                name: _run(
+                    pairs, TpuBackend(make_tpu_chip()), precision=name,
+                    max_pairs_per_wave=min(PAIRS_PER_WAVE, count), **options,
+                ).simulated_seconds
                 for name in PRECISIONS
             }
+            error_pairs = pairs[:PAIRS_PER_WAVE]
+            exact = _run(error_pairs, **options).explanations
             for name in PRECISIONS:
-                batched_err, loop_err = errors[pairs_count, name]
+                batched_err = loop_err = 0.0
+                if name not in ("fp64", "fp32"):
+                    quantized = _run(error_pairs, precision=name, **options)
+                    looped, _ = _looped(error_pairs, precision=name, **options)
+                    batched_err = _max_score_error(quantized.explanations, exact)
+                    loop_err = _max_score_error(looped, exact)
                 lines.append(
-                    f"{workload.name:10s} {pairs_count:5d} {name:>9s} "
-                    f"{modeled[name]:12.4f} "
-                    f"{modeled['fp64'] / modeled[name]:7.2f}x "
+                    f"{granularity:10s} {count:5d} {name:>9s} "
+                    f"{seconds[name]:12.6f} "
+                    f"{seconds['fp64'] / seconds[name]:7.2f}x "
                     f"{batched_err:12.3e} {loop_err:12.3e}"
                 )
     return "\n".join(lines)
@@ -789,17 +743,15 @@ def _quantized_smoke() -> int:
 
     Executes a 10-pair fleet at int8 against the exact (unquantized
     legacy-priced) run and exits non-zero unless int8 batched scores
-    equal int8 looped scores bit for bit, the int8 batched error stays
-    within the documented ``quantized_conv_error_bound``, and the
-    dispatch/op structure matches the exact run exactly.  (Modeled
-    int8-vs-fp64 speedups live in the precision report, which prices
-    both ends with the MXU cycle model.)
+    equal the int8 looped reference bit for bit, the int8 batched error
+    stays within the documented ``quantized_conv_error_bound``, and the
+    dispatch/op structure matches the exact run exactly.
     """
     from repro.hw.quantize import quantized_score_error_bound
 
     pairs = planted_pairs(10, seed=3)
     error, int8, exact = _quantized_error(pairs, "int8")
-    loop = _run("wave", pairs, method="loop", precision="int8")
+    looped, _ = _looped(pairs, precision="int8")
     # The bound is per pair: each pair's error must respect *its own*
     # documented bound (a fleet-wide max-vs-max comparison could mask a
     # single pair's violation behind another pair's looser bound).
@@ -818,11 +770,11 @@ def _quantized_smoke() -> int:
         f"exact={exact.stats.op_counts['dispatch']}, seconds "
         f"int8={int8.simulated_seconds:.4f} exact={exact.simulated_seconds:.4f}"
     )
-    for a, b in zip(int8.explanations, loop.explanations):
+    for a, b in zip(int8.explanations, looped):
         if not np.array_equal(a.scores, b.scores):
             print(
-                "FAIL: int8 batched scores must equal int8 looped scores "
-                "bit for bit",
+                "FAIL: int8 batched scores must equal the int8 looped "
+                "reference bit for bit",
                 file=sys.stderr,
             )
             return 1
@@ -846,41 +798,38 @@ def _quantized_smoke() -> int:
 def _pipelined_smoke() -> int:
     """Executed overlap contract at 100 pairs (the CI pipelined smoke).
 
-    Runs the same 100-pair fleet serially and double-buffered
-    (10-pair waves both times) and exits non-zero unless pipelined
-    elapsed is strictly below serial, the wave dispatch count is
-    unchanged by pipelining, and per-pair results are bit-identical.
+    Runs the 100-pair fleet in 10-pair waves and exits non-zero unless
+    the run carries a negative ``infeed_overlap`` row, its elapsed
+    equals ``pipelined_elapsed_seconds`` of its traced program stages,
+    and it pays exactly one dispatch per wave.
     """
     pairs = planted_pairs(100)
-    serial = _run("wave", pairs, pipelined=False, max_pairs_per_wave=PAIRS_PER_WAVE)
-    pipelined = _run("wave", pairs, pipelined=True, max_pairs_per_wave=PAIRS_PER_WAVE)
-    overlap = -pipelined.stats.op_seconds.get("infeed_overlap", 0.0)
+    run, stages = _traced_stages(
+        lambda: _run(pairs, max_pairs_per_wave=PAIRS_PER_WAVE)
+    )
+    overlap = run.stats.op_seconds.get("infeed_overlap", 0.0)
+    modeled = pipelined_elapsed_seconds(stages)
+    dispatches = run.stats.op_counts["dispatch"]
     print(
         f"executed 100-pair fleet in {PAIRS_PER_WAVE}-pair waves: "
-        f"dispatches serial={serial.stats.op_counts['dispatch']} "
-        f"pipelined={pipelined.stats.op_counts['dispatch']}, "
-        f"seconds serial={serial.simulated_seconds:.4f} "
-        f"pipelined={pipelined.simulated_seconds:.4f} "
-        f"(overlap hidden: {overlap:.4f}s)"
+        f"dispatches={dispatches} for {run.num_programs} waves, "
+        f"seconds={run.simulated_seconds:.6f} (stage model {modeled:.6f}, "
+        f"serial {sum(stage.total for stage in stages):.6f}, "
+        f"infeed_overlap {overlap:.6f}s)"
     )
-    if pipelined.simulated_seconds >= serial.simulated_seconds:
+    if not overlap < 0:
+        print("FAIL: the multi-wave run must carry a negative infeed_overlap row",
+              file=sys.stderr)
+        return 1
+    if run.simulated_seconds != pytest.approx(modeled, rel=1e-12):
         print(
-            "FAIL: pipelined elapsed must be strictly below serial at 100 pairs",
+            "FAIL: elapsed must equal pipelined_elapsed_seconds of the run's stages",
             file=sys.stderr,
         )
         return 1
-    if pipelined.stats.op_counts["dispatch"] != serial.stats.op_counts["dispatch"]:
-        print(
-            "FAIL: pipelining must not change the wave dispatch count",
-            file=sys.stderr,
-        )
+    if not dispatches == run.num_programs == len(stages) == 100 // PAIRS_PER_WAVE:
+        print("FAIL: the run must pay exactly one dispatch per wave", file=sys.stderr)
         return 1
-    for a, b in zip(serial.explanations, pipelined.explanations):
-        if not np.array_equal(a.scores, b.scores):
-            print(
-                "FAIL: pipelined scores diverge from serial scores", file=sys.stderr
-            )
-            return 1
     return 0
 
 
@@ -894,8 +843,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--pipelined",
         action="store_true",
-        help="also run the executed 100-pair pipelined-vs-serial contract "
-        "(pipelined elapsed < serial, unchanged dispatch count)",
+        help="also run the executed 100-pair multi-wave overlap contract "
+        "(negative infeed_overlap row, elapsed = pipelined stage model, "
+        "one dispatch per wave)",
     )
     parser.add_argument(
         "--scaling",
@@ -926,8 +876,8 @@ def main(argv=None) -> int:
 
     fleet = 10 if args.quick else 100
     pairs = planted_pairs(fleet)
-    wave = _run("wave", pairs)
-    pair = _run("pair", pairs)
+    wave = _run(pairs)
+    pair = _run(pairs, max_pairs_per_wave=1)
     wave_dispatches = wave.stats.op_counts["dispatch"]
     pair_dispatches = pair.stats.op_counts["dispatch"]
     print(
@@ -943,9 +893,10 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    for a, b in zip(pair.explanations, wave.explanations):
+    looped, _ = _looped(pairs, device=CpuDevice())
+    for a, b in zip(looped, wave.explanations):
         if not np.array_equal(a.scores, b.scores):
-            print("FAIL: wave scores diverge from per-pair scores", file=sys.stderr)
+            print("FAIL: wave scores diverge from the looped reference", file=sys.stderr)
             return 1
     status = _quantized_smoke()
     if status:

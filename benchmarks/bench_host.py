@@ -3,35 +3,25 @@
 Every other benchmark in this directory reports *simulated* device
 seconds from the cost model.  This one times the host itself: real
 ``time.perf_counter`` wall-clock for the numpy hot path that every
-simulated backend ultimately runs.  Two configurations are compared:
-
-* **real**    -- the shipped path: real-input convolutions route
-  through half-spectrum ``rfft2``/``irfft2`` transforms and kernel
-  spectra come from the process-level content-addressed cache;
-* **complex** -- the pre-change path, kept reachable via
-  ``set_real_convolution_path(False)`` plus
-  ``set_kernel_spectrum_cache_enabled(False)``: full complex
-  transforms everywhere, kernel re-transformed per call.
+simulated backend ultimately runs -- real-input convolutions through
+half-spectrum ``rfft2``/``irfft2`` transforms, kernel spectra from the
+process-level content-addressed cache.
 
 Three workloads cover the stack: a single-pair ``score_plan`` (one
 mask plan, one kernel), a 100-pair :class:`FleetExecutor` fleet on
 64x64 planes (blocks granularity, so the chunked batched convolution
 dominates), and a serve replay driving Poisson traffic through
-:class:`ExplanationService` cold then warm.
+:class:`ExplanationService`.
 
 Contracts asserted (pytest, and by the ``--quick`` CI smoke):
 
-* the real path's fleet wall-clock beats the complex path -- by the
-  1.5x acceptance floor in the full run, strictly (>1x) in ``--quick``
-  (a loaded CI machine cannot flake the direction);
 * a warm kernel-spectrum cache records **zero** kernel re-transforms
   when the same fleet runs again (repeated-shape waves hit the cache);
-* dense, streamed and looped scoring stay **bit-identical** on the
-  real path -- dispatch parity is unchanged by how the answer is
-  computed.
+* streamed scoring at any chunk size stays **bit-identical** to the
+  looped reference (``tests/reference.py``), one masked convolution per
+  feature.
 
-The full run writes ``BENCH_host.json`` next to the repo root: the
-first entry of the host perf trajectory, uploaded by CI.
+The full run writes ``BENCH_host.json`` next to the repo root.
 
 Runnable standalone::
 
@@ -42,30 +32,26 @@ import argparse
 import json
 import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from repro.bench.workloads import planted_interpretation_pairs
-from repro.core.fleet import FleetExecutor
-from repro.core.masking import MaskPlan, score_plan
-from repro.fft import (
-    clear_kernel_spectrum_cache,
-    kernel_spectrum_cache_info,
-    set_kernel_spectrum_cache_enabled,
-)
-from repro.fft.convolution import set_real_convolution_path
-from repro.hw.cpu import CpuDevice
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from repro.bench.workloads import planted_interpretation_pairs  # noqa: E402
+from repro.core.fleet import FleetExecutor  # noqa: E402
+from repro.core.masking import MaskSpec, score_plan  # noqa: E402
+from repro.fft import clear_kernel_spectrum_cache, kernel_spectrum_cache_info  # noqa: E402
+from repro.hw.cpu import CpuDevice  # noqa: E402
+from tests import reference  # noqa: E402
 
 SHAPE = (64, 64)  # plane size: big enough that transforms dominate
 BLOCK = (4, 4)  # 256 masks per pair: the batched convolution dominates
 FLEET_PAIRS = 100  # the acceptance workload
 QUICK_PAIRS = 24  # CI smoke: same shape, smaller fleet
-CONTRACT_PAIRS = 12  # pytest contracts: direction only, keep them snappy
+CONTRACT_PAIRS = 12  # pytest contracts: keep them snappy
 SERVE_REQUESTS = 48
 REPEATS = 2  # best-of-N wall-clock (min filters scheduler noise)
-SPEEDUP_FLOOR = 1.5  # full-run acceptance: real >= 1.5x complex on the fleet
 
 
 # ----------------------------------------------------------------------
@@ -109,18 +95,6 @@ def serve_service():
     )
 
 
-@contextmanager
-def complex_path():
-    """The pre-change configuration: full complex FFTs, no spectrum cache."""
-    previous_path = set_real_convolution_path(False)
-    previous_cache = set_kernel_spectrum_cache_enabled(False)
-    try:
-        yield
-    finally:
-        set_kernel_spectrum_cache_enabled(previous_cache)
-        set_real_convolution_path(previous_path)
-
-
 def _best_of(fn, repeats=REPEATS):
     """Min-of-N wall-clock; the first (untimed) call warms plan caches."""
     fn()
@@ -133,9 +107,9 @@ def _best_of(fn, repeats=REPEATS):
 
 
 def _time_workloads(pairs, serve=True, repeats=REPEATS):
-    """Wall-clock each workload under the shipped and pre-change paths."""
+    """Best-of-N wall-clock seconds of each workload."""
     x, kernel, y = single_pair()
-    plan = MaskPlan.blocks(SHAPE, BLOCK)
+    plan = MaskSpec.blocks(SHAPE, BLOCK)
     timings = {}
 
     def run_single():
@@ -152,34 +126,13 @@ def _time_workloads(pairs, serve=True, repeats=REPEATS):
         workloads.append(("serve_replay", run_serve))
     for name, fn in workloads:
         clear_kernel_spectrum_cache()
-        real = _best_of(fn, repeats)
-        with complex_path():
-            legacy = _best_of(fn, repeats)
-        timings[name] = {
-            "real_seconds": real,
-            "complex_seconds": legacy,
-            "speedup": legacy / real,
-        }
+        timings[name] = {"real_seconds": _best_of(fn, repeats)}
     return timings
 
 
 # ----------------------------------------------------------------------
 # Contracts (collected by pytest; CI runs this file with the benches)
 # ----------------------------------------------------------------------
-
-
-def test_fleet_real_path_beats_complex_path_wall_clock():
-    """The tentpole direction contract: on the fleet workload the
-    shipped real path must be faster than the pre-change complex path
-    in actual host time.  The 1.5x acceptance floor is asserted by the
-    full (non-quick) run that generates BENCH_host.json; here only the
-    direction is asserted so a loaded CI box cannot flake it."""
-    pairs = fleet_pairs(CONTRACT_PAIRS)
-    clear_kernel_spectrum_cache()
-    real = _best_of(lambda: fleet_executor().run(pairs), repeats=1)
-    with complex_path():
-        legacy = _best_of(lambda: fleet_executor().run(pairs), repeats=1)
-    assert real < legacy
 
 
 def test_warm_cache_records_zero_kernel_retransforms():
@@ -195,33 +148,16 @@ def test_warm_cache_records_zero_kernel_retransforms():
     assert len(run.results) == CONTRACT_PAIRS
 
 
-def test_real_path_scores_match_complex_path():
-    """Switching the host algorithm must not change the answers beyond
-    float rounding: same fleet, both paths, scores element-close."""
-    pairs = fleet_pairs(CONTRACT_PAIRS)
-    clear_kernel_spectrum_cache()
-    real_run = fleet_executor().run(pairs)
-    with complex_path():
-        legacy_run = fleet_executor().run(pairs)
-    for ours, theirs in zip(real_run.results, legacy_run.results):
-        np.testing.assert_allclose(ours.scores, theirs.scores, atol=1e-9)
-        np.testing.assert_array_equal(ours.kernel, theirs.kernel)
-
-
-def test_dense_streamed_loop_parity_on_real_path():
-    """Dispatch parity: dense, streamed (any chunk size) and looped
-    scoring produce bit-identical scores on the shipped real path."""
+def test_streamed_loop_parity_on_real_path():
+    """Streamed scoring at any chunk size is bit-identical to the looped
+    reference: one masked convolution per feature."""
     x, kernel, y = single_pair(shape=(16, 16), seed=9)
-    plan = MaskPlan.blocks((16, 16), (4, 4))
+    plan = MaskSpec.blocks((16, 16), (4, 4))
     clear_kernel_spectrum_cache()
-    dense = score_plan(x, kernel, y, plan, method="batched")
-    looped = score_plan(x, kernel, y, plan, method="loop")
-    np.testing.assert_array_equal(dense, looped)
-    for chunk_rows in (1, 3, 7):
-        streamed = score_plan(
-            x, kernel, y, plan, method="batched", chunk_rows=chunk_rows
-        )
-        np.testing.assert_array_equal(streamed, dense)
+    looped = reference.occlusion_scores(x, kernel, y, "blocks", (4, 4))
+    for chunk_rows in (1, 3, 7, None):
+        streamed = score_plan(x, kernel, y, plan, chunk_rows=chunk_rows)
+        np.testing.assert_array_equal(streamed, looped)
 
 
 # ----------------------------------------------------------------------
@@ -231,15 +167,12 @@ def test_dense_streamed_loop_parity_on_real_path():
 
 def _report(timings, cache_info, warm_delta) -> str:
     lines = [
-        "HOST WALL-CLOCK HOT PATH (time.perf_counter seconds; "
-        "real = shipped rFFT + spectrum cache, complex = pre-change path)",
-        f"{'workload':>12s} {'real(s)':>9s} {'complex(s)':>11s} {'speedup':>8s}",
+        "HOST WALL-CLOCK HOT PATH (time.perf_counter seconds, best of N; "
+        "real = rFFT + spectrum cache)",
+        f"{'workload':>12s} {'real(s)':>9s}",
     ]
     for name, row in timings.items():
-        lines.append(
-            f"{name:>12s} {row['real_seconds']:9.4f} "
-            f"{row['complex_seconds']:11.4f} {row['speedup']:7.2f}x"
-        )
+        lines.append(f"{name:>12s} {row['real_seconds']:9.4f}")
     lines.append(
         f"kernel-spectrum cache: {cache_info['entries']} entries, "
         f"{cache_info['hits']} hits / {cache_info['misses']} misses, "
@@ -270,19 +203,10 @@ def _measure(quick: bool):
 
 
 def _smoke(quick: bool, json_path: Path | None) -> int:
-    floor = 1.0 if quick else SPEEDUP_FLOOR
     timings, cache_info, warm_delta = _measure(quick)
     print(_report(timings, cache_info, warm_delta))
 
     failures = 0
-    fleet_speedup = timings["fleet"]["speedup"]
-    if not fleet_speedup > floor:
-        print(
-            f"FAIL: fleet real-path wall-clock speedup {fleet_speedup:.2f}x "
-            f"must clear {floor}x over the pre-change complex path",
-            file=sys.stderr,
-        )
-        failures += 1
     if warm_delta != 0:
         print(
             f"FAIL: warm kernel-spectrum cache re-transformed {warm_delta} "
@@ -291,10 +215,10 @@ def _smoke(quick: bool, json_path: Path | None) -> int:
         )
         failures += 1
     try:
-        test_dense_streamed_loop_parity_on_real_path()
+        test_streamed_loop_parity_on_real_path()
     except AssertionError:
         print(
-            "FAIL: dense/streamed/loop scores diverged on the real path",
+            "FAIL: streamed scores diverged from the looped reference",
             file=sys.stderr,
         )
         failures += 1
@@ -309,10 +233,8 @@ def _smoke(quick: bool, json_path: Path | None) -> int:
             "kernel_spectrum_cache": cache_info,
             "warm_repeat_kernel_retransforms": warm_delta,
             "contracts": {
-                "fleet_speedup_floor": floor,
-                "fleet_speedup_measured": fleet_speedup,
                 "warm_retransforms_expected": 0,
-                "dispatch_parity": "dense == streamed == loop (bit-identical)",
+                "dispatch_parity": "streamed == looped reference (bit-identical)",
             },
         }
         json_path.write_text(json.dumps(payload, indent=2) + "\n")
@@ -325,7 +247,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke mode: smaller fleet, direction-only speedup floor, "
+        help="CI smoke mode: smaller fleet, no serve replay, "
         "no JSON artifact unless --json is given",
     )
     parser.add_argument(

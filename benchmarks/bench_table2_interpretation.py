@@ -8,19 +8,28 @@ contract:
 * ordering CPU > GPU > TPU;
 * TPU-vs-CPU improvement in the ~33-42x band (paper: 36.2x / 39.5x);
 * TPU-vs-GPU improvement in the ~10-15x band (paper: 11x / 13.6x);
-* the cost model agrees with the executable pipeline at small scale.
+* the cost model agrees with the executed looped reference
+  (``tests/reference.py``) at small scale.
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.bench.harness import format_table2, run_table2
-from repro.bench.workloads import InterpretationWorkload, interpretation_seconds
-from repro.core.backend import TpuBackend, make_tpu_chip
-from repro.core.pipeline import ExplanationPipeline
-from repro.fft import fft_circular_convolve2d
-from repro.hw.cpu import CpuDevice
-from repro.hw.gpu import GpuDevice
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from repro.bench.harness import format_table2, run_table2  # noqa: E402
+from repro.bench.workloads import (  # noqa: E402
+    InterpretationWorkload,
+    interpretation_seconds,
+)
+from repro.core.backend import TpuBackend, make_tpu_chip  # noqa: E402
+from repro.fft import fft_circular_convolve2d  # noqa: E402
+from repro.hw.cpu import CpuDevice  # noqa: E402
+from repro.hw.gpu import GpuDevice  # noqa: E402
+from tests import reference  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -72,10 +81,9 @@ def test_benchmark_table2(benchmark):
 
 
 class TestCostModelMatchesPipeline:
-    """The Table II cost arithmetic must mirror the executable pipeline
-    in both execution modes (looped and batched)."""
+    """The Table II cost arithmetic must mirror the paper's looped
+    execution: the literal reference run on the device."""
 
-    @pytest.mark.parametrize("method", ["loop", "batched"])
     @pytest.mark.parametrize(
         "device_factory",
         [
@@ -87,7 +95,7 @@ class TestCostModelMatchesPipeline:
         ],
         ids=["cpu", "gpu", "tpu"],
     )
-    def test_cost_only_equals_executed_pipeline(self, device_factory, method):
+    def test_cost_only_equals_executed_pipeline(self, device_factory):
         rng = np.random.default_rng(0)
         shape = (16, 16)
         pairs = []
@@ -98,17 +106,13 @@ class TestCostModelMatchesPipeline:
             pairs.append((x, fft_circular_convolve2d(x, kernel)))
 
         device = device_factory()
-        # Pin pair fusion: interpretation_seconds models the historical
-        # per-pair execution (wave fusion is modeled and asserted by
-        # bench_fleet_interpretation.py).
-        pipeline = ExplanationPipeline(
-            device, granularity="blocks", block_shape=(8, 8), eps=1e-8,
-            method=method, fusion="pair",
+        reference.explain_all(
+            pairs, device=device, granularity="blocks", block_shape=(8, 8), eps=1e-8
         )
-        executed = pipeline.run(pairs).simulated_seconds
+        executed = device.stats.seconds
 
         workload = InterpretationWorkload(
             name="mini", plane=shape, num_features=4, pairs=2
         )
-        modeled = interpretation_seconds(device_factory(), workload, method=method)
+        modeled = interpretation_seconds(device_factory(), workload)
         assert modeled == pytest.approx(executed, rel=0.05)

@@ -37,7 +37,6 @@ from repro.core import (
     ConvolutionDistiller,
     DecomposedFourier,
     ExplanationPipeline,
-    MaskPlan,
     MaskSpec,
     MultiInputScheduler,
     OutputEmbedding,
@@ -58,7 +57,6 @@ __all__ = [
     "ConvolutionDistiller",
     "DecomposedFourier",
     "ExplanationPipeline",
-    "MaskPlan",
     "MaskSpec",
     "MultiInputScheduler",
     "score_plan",

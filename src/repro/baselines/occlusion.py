@@ -7,8 +7,8 @@ output.  On inputs with planted evidence both explainers must agree on
 the top block -- a cross-check the test suite and EXPERIMENTS.md use.
 
 The masked variants come from the same
-:class:`~repro.core.masking.MaskPlan` abstraction the distilled engine
-batches on -- one mask generator for every explainer.  The model here
+:class:`~repro.core.masking.MaskSpec` the distilled engine batches on
+-- one mask generator for every explainer.  The model here
 is an opaque callable,
 so each variant still needs its own forward query (occlusion's
 structural cost: one full model forward per feature, whereas the
@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.masking import MaskPlan, reduce_batch
+from repro.core.masking import MaskSpec, reduce_batch
 
 ModelFn = Callable[[np.ndarray], np.ndarray]
 
@@ -30,7 +30,7 @@ ModelFn = Callable[[np.ndarray], np.ndarray]
 def occlusion_plan_saliency(
     model: ModelFn,
     x: np.ndarray,
-    plan: MaskPlan,
+    plan: MaskSpec,
     fill_value: float = 0.0,
     reduction: str = "l2",
 ) -> np.ndarray:
@@ -50,12 +50,10 @@ def occlusion_plan_saliency(
     baseline = np.asarray(model(x), dtype=np.float64)
     scores = np.zeros(plan.num_masks)
     # One plane at a time: the opaque model is queried sequentially, so
-    # materializing the whole plan.apply stack would buy nothing and
-    # costs O(num_masks * M * N) memory (quadratic for an element plan).
-    for index, mask in enumerate(plan.masks):
-        occluded = np.where(mask, fill_value, x)
-        delta = np.asarray(model(occluded), dtype=np.float64) - baseline
-        scores[index] = _norm(delta, reduction)
+    # generating more than one masked variant ahead would buy nothing.
+    for occluded, rows in plan.apply_chunks(x, fill_value=fill_value, chunk_rows=1):
+        delta = np.asarray(model(occluded[0]), dtype=np.float64) - baseline
+        scores[rows.start] = _norm(delta, reduction)
     return plan.reshape_scores(scores)
 
 
@@ -70,7 +68,7 @@ def occlusion_saliency(
     x = np.asarray(x)
     if x.ndim != 2:
         raise ValueError(f"expected a matrix input, got shape {x.shape}")
-    plan = MaskPlan.blocks(x.shape, block_shape)  # validates shape/tiling
+    plan = MaskSpec.blocks(x.shape, block_shape)  # validates shape/tiling
     return occlusion_plan_saliency(
         model, x, plan, fill_value=fill_value, reduction=reduction
     )
@@ -83,7 +81,7 @@ def occlusion_column_saliency(
     x = np.asarray(x)
     if x.ndim != 2:
         raise ValueError(f"expected a matrix input, got shape {x.shape}")
-    plan = MaskPlan.columns(x.shape)
+    plan = MaskSpec.columns(x.shape)
     return occlusion_plan_saliency(
         model, x, plan, fill_value=fill_value, reduction=reduction
     )

@@ -263,10 +263,9 @@ class Table2Result:
 def run_table2(pairs: int = 10) -> Table2Result:
     """Regenerate Table II: interpretation time per ``pairs`` pairs.
 
-    Models the paper's *measured* execution explicitly
-    (``method="loop"``: host-side masking, one launch per feature) --
-    the executable pipeline has since switched its default to the
-    batched engine, which `benchmarks/bench_batched_interpretation.py`
+    Models the paper's *measured* execution (host-side masking, one
+    launch per feature); the executable pipeline runs the batched
+    engine instead, which `benchmarks/bench_batched_interpretation.py`
     compares against this baseline.
     """
     devices = default_devices()
@@ -278,9 +277,9 @@ def run_table2(pairs: int = 10) -> Table2Result:
         rows.append(
             Table2Row(
                 model=workload.name,
-                cpu_seconds=interpretation_seconds(devices["CPU"], workload, method="loop"),
-                gpu_seconds=interpretation_seconds(devices["GPU"], workload, method="loop"),
-                tpu_seconds=interpretation_seconds(devices["TPU"], workload, method="loop"),
+                cpu_seconds=interpretation_seconds(devices["CPU"], workload),
+                gpu_seconds=interpretation_seconds(devices["GPU"], workload),
+                tpu_seconds=interpretation_seconds(devices["TPU"], workload),
             )
         )
     return Table2Result(rows=rows)

@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.core.backend import TpuBackend, make_tpu_chip
 from repro.hw.cpu import CpuDevice
-from repro.hw.device import PipelineStage, pipelined_elapsed_seconds
 from repro.hw.gpu import GpuDevice
 from repro.hw.quantize import infeed_bytes_per_element, resolve_precision
 from repro.nn.flops import ModelCensus, model_census
@@ -311,7 +310,8 @@ def _solve_seconds(device, m: int, n: int) -> float:
     Three 2-D transforms plus the Hadamard stages: conjugate, two
     complex multiplies, the eps regularizer add, and the Hadamard
     division.  Shared by every interpretation cost model so the solve
-    arithmetic cannot drift between the per-pair and fleet variants.
+    arithmetic cannot drift between the interpretation and Figure 4
+    cost models.
     """
     elements = m * n
     seconds = 3 * device.fft2_seconds(m, n)
@@ -322,187 +322,55 @@ def _solve_seconds(device, m: int, n: int) -> float:
 
 
 def interpretation_seconds(
-    device, workload: InterpretationWorkload, method: str = "loop",
-    precision=None,
+    device, workload: InterpretationWorkload, precision=None,
 ) -> float:
     """Cost of the full distill-and-interpret batch on one device.
 
-    Mirrors :class:`repro.core.pipeline.ExplanationPipeline` operation
-    for operation (asserted by an integration test), in either
-    execution mode, for the mask-plan granularities the workloads
+    Models the *paper's measured* execution -- host-side masking, one
+    launch per masked feature -- so Table II regenerates faithfully.  It
+    mirrors, operation for operation, the literal reference loop the
+    test suite keeps (one ``device.program`` per pair, one
+    ``device.conv2d_circular`` per masked feature; asserted by a
+    benchmark contract), for the mask-plan granularities the workloads
     describe -- ``num_features`` counts occlusion masks (image blocks,
-    trace columns/rows).  Per-element workloads are out of scope: the
-    pipeline's ``elements`` granularity uses the closed-form linearity
-    fast path (one convolution total), which this per-feature
-    arithmetic deliberately does not model.
-
-    The default, ``method="loop"``, deliberately models the *paper's
-    measured* execution so Table II regenerates faithfully; note the
-    executable :class:`~repro.core.pipeline.ExplanationPipeline`
-    defaults to the batched engine, so pass ``method`` explicitly
-    whenever comparing the model against an executed run.
-
-    ``method="loop"`` -- the paper's measured execution (host-side
-    masking, one launch per masked feature)::
+    trace columns/rows)::
 
         per pair = program overhead
                  + solve:   2 fft2 + 1 ifft2 + 1 conjugate + 4 hadamard
                  + residual + per-feature masked re-run:
                    (features + 1) x (2 fft2 + 1 ifft2 + 1 hadamard)
 
-    ``method="batched"`` -- the batched occlusion engine (the
-    pipeline's default): the residual convolution stays eager, then the
-    whole mask plan runs as one batched program whose kernel spectrum
-    is transformed once (``device.batch_conv_seconds``); on the TPU the
-    per-mask host round trips disappear because the plan executes
-    inside the pair's already-dispatched program.
-
-    ``precision`` mirrors the executable pipeline's axis: the batched
-    convolution (and on TPU each masked plane's infeed) is priced at
-    that numeric mode -- int8/bf16 at full MXU rate with 1-/2-byte
-    feeds, fp32/fp64 at reduced rate.  ``None`` (default) keeps the
+    ``precision`` prices each pair's x/y and every masked plane's infeed
+    at that numeric mode's storage width.  ``None`` (default) keeps the
     legacy arithmetic, so Table II regenerates unchanged.
     """
-    if method not in ("loop", "batched"):
-        raise ValueError(f"unknown method {method!r}; expected 'loop' or 'batched'")
     spec = resolve_precision(precision)
     m, n = workload.plane
     elements = m * n
     transform = device.fft2_seconds(m, n)
     solve = _solve_seconds(device, m, n)
     conv = 3 * transform + device.elementwise_seconds(elements, 4.0)
-
-    if method == "loop":
-        per_pair = solve + (workload.num_features + 1) * conv
-    else:
-        # residual conv stays eager; the plan batches: one kernel fft2
-        # plus the device's batched-convolution cost for all features.
-        per_pair = solve + conv + transform + device.batch_conv_seconds(
-            workload.num_features, m, n, precision=spec
-        )
+    per_pair = solve + (workload.num_features + 1) * conv
+    stream_width = infeed_bytes_per_element(spec)
 
     if isinstance(device, TpuBackend):
-        # One fused program per pair (dispatch; x/y stream in as fp32,
-        # the fp64 kernel streams back).  In loop mode, every masked
-        # convolution adds a host round trip: the feature mask is
-        # applied host-side, so the fp32 masked plane streams in and
+        # One fused program per pair (dispatch; x/y stream in at the
+        # precision's storage width, the fp64 kernel streams back), and
+        # every masked convolution adds a host round trip: the feature
+        # mask is applied host-side, so the masked plane streams in and
         # the fp64 Eq. 5 residual streams back on every feature -- see
-        # TpuBackend.conv2d_circular.  In batched mode only the eager
-        # residual convolution pays that round trip.
+        # TpuBackend.conv2d_circular.
         dispatch = device.chip.config.dispatch_latency_sec
-        # x/y and every masked plane stream at the precision's storage
-        # width (the executed feed_bytes / TpuBackend.conv2d_circular
-        # payloads); fp64 results stream back at full width either way.
-        stream_width = infeed_bytes_per_element(spec)
         program = dispatch + device.transfer_seconds(
             elements * (stream_width + stream_width + 8)
         )
         conv_round_trip = dispatch + device.transfer_seconds(
             elements * (stream_width + 8)
         )
-        eager_convs = (workload.num_features + 1) if method == "loop" else 1
-        overhead = program + eager_convs * conv_round_trip
+        overhead = program + (workload.num_features + 1) * conv_round_trip
     else:
-        stream_width = infeed_bytes_per_element(spec)
         overhead = device.transfer_seconds(elements * (stream_width + stream_width + 8))
     return workload.pairs * (per_pair + overhead)
-
-
-def fleet_interpretation_seconds(
-    device,
-    workload: InterpretationWorkload,
-    method: str = "batched",
-    fusion: str = "wave",
-    pairs_per_wave: int | None = None,
-    pipelined: bool = False,
-    precision=None,
-) -> float:
-    """Cost of the distill-and-interpret fleet under cross-pair fusion.
-
-    Mirrors :class:`repro.core.pipeline.ExplanationPipeline` with its
-    ``fusion`` axis.  ``fusion="pair"`` (and ``method="loop"``, which is
-    inherently pair-at-a-time) reduces exactly to
-    :func:`interpretation_seconds` -- the per-pair arithmetic is
-    unchanged, keeping the Table II numbers stable.  ``fusion="wave"``
-    models the wave-fused executor: the fleet's ``pairs`` fuse into
-    waves of ``pairs_per_wave`` (default: one wave for the whole
-    fleet), and each wave costs
-
-    * one per-pair Eq. 4 solve (unchanged),
-    * one kernel-spectrum batch for the wave's kernels
-      (``device.kernel_spectrum_batch_seconds``),
-    * **one** batched convolution over every pair's masks *plus* its
-      unmasked residual plane
-      (``device.batch_conv_seconds(P * (features + 1))``),
-    * and, on the TPU, **one** program round trip for the wave --
-      dispatch count drops from ~N per fleet to ~1 per wave.
-
-    Whatever ``pipelined`` says, each wave's feed is modeled as two
-    DMA calls -- a prologue (dispatch + fp32 infeed of the wave's x/y
-    pairs) and an epilogue (fp64 kernel outfeed) -- mirroring the
-    executed program scope's separate ``host_to_device`` /
-    ``device_to_host`` transfers.  (On links with a per-call latency,
-    e.g. the GPU's PCIe model, serial wave totals therefore carry one
-    extra transfer latency per wave relative to the historical
-    single-call feed; ``method="loop"`` and ``fusion="pair"`` numbers
-    are untouched.)  ``pipelined=True`` models the double-buffered
-    executor (``FleetExecutor.run(pipelined=True)``): stages combine
-    via :func:`repro.hw.device.pipelined_elapsed_seconds`, wave
-    ``i+1``'s prologue hiding under wave ``i``'s compute --
-    ``infeed_0 + sum(max(compute_i + outfeed_i, infeed_{i+1})) +
-    outfeed_last`` (intermediate outfeeds ride with their wave's
-    compute on the full-duplex link; the last wave's outfeed is charged
-    in full).  With a single wave (the default split) pipelining
-    changes nothing; ``False`` sums the stages serially.
-
-    ``precision`` models the quantized wave path
-    (``FleetExecutor(precision=...)``): the kernel-spectrum batch and
-    the fused batched convolution are priced with the MXU cycle hooks
-    at that numeric mode, and the wave's x/y infeed streams at the
-    spec's storage width (1 byte/element for int8) instead of the
-    legacy fp32 feed.  ``None`` keeps every number exactly as before.
-    """
-    if method not in ("loop", "batched"):
-        raise ValueError(f"unknown method {method!r}; expected 'loop' or 'batched'")
-    if fusion not in ("wave", "pair"):
-        raise ValueError(f"unknown fusion {fusion!r}; expected 'wave' or 'pair'")
-    spec = resolve_precision(precision)
-    if method == "loop" or fusion == "pair":
-        return interpretation_seconds(
-            device, workload, method=method, precision=spec
-        )
-    if pairs_per_wave is None:
-        pairs_per_wave = workload.pairs
-    if pairs_per_wave <= 0:
-        raise ValueError(f"pairs_per_wave must be positive, got {pairs_per_wave}")
-
-    m, n = workload.plane
-    elements = m * n
-    solve = _solve_seconds(device, m, n)
-    stream_width = infeed_bytes_per_element(spec)
-
-    stages: list[PipelineStage] = []
-    remaining = workload.pairs
-    while remaining > 0:
-        wave_pairs = min(pairs_per_wave, remaining)
-        remaining -= wave_pairs
-        rows = wave_pairs * (workload.num_features + 1)  # masks + residuals
-        body = wave_pairs * solve
-        body += device.kernel_spectrum_batch_seconds(wave_pairs, m, n, precision=spec)
-        body += device.batch_conv_seconds(rows, m, n, precision=spec)
-        # One program per wave: x/y stream in as fp32 (or the quantized
-        # storage width) per pair (the prologue a double-buffered
-        # pipeline can hide), the fp64 kernels stream back (the
-        # epilogue) -- the loop model's per-pair feed, amortized over
-        # one launch.
-        infeed = device.transfer_seconds(wave_pairs * elements * 2 * stream_width)
-        outfeed = device.transfer_seconds(wave_pairs * elements * 8)
-        if isinstance(device, TpuBackend):
-            infeed += device.chip.config.dispatch_latency_sec
-        stages.append(PipelineStage(prologue=infeed, body=body, epilogue=outfeed))
-    if pipelined:
-        return pipelined_elapsed_seconds(stages)
-    return sum(stage.total for stage in stages)
 
 
 # ----------------------------------------------------------------------

@@ -9,11 +9,11 @@ Layout mirrors Section III of the paper:
 * :mod:`repro.core.interpretation`  -- outcome interpretation (Eq. 5):
   contribution factors per feature, block, row or column;
 * :mod:`repro.core.masking`         -- the batched occlusion engine:
-  :class:`MaskPlan` mask stacks scored as one batched device program;
+  lazy :class:`MaskSpec` mask plans scored as one streamed batch;
 * :mod:`repro.core.decomposition`   -- Algorithm 1: sharding the 2-D
   Fourier transform across TPU cores with one reassembly per stage;
 * :mod:`repro.core.fleet`           -- fleet-scale wave fusion: many
-  pairs' mask plans and residual planes concatenated into one batched
+  pairs' mask plans and residual planes streamed through one batched
   program per scheduler wave (one dispatch per wave);
 * :mod:`repro.core.parallel`        -- Section III-D: concurrent
   processing of many inputs and block-partitioned matmuls;
@@ -40,7 +40,6 @@ from repro.core.fleet import (
     PairResult,
     WavePlan,
     feed_bytes,
-    streamed_chunk_nbytes,
 )
 from repro.core.interpretation import (
     block_contributions,
@@ -56,7 +55,6 @@ from repro.core.interpretation import (
 from repro.core.masking import (
     DEFAULT_CHUNK_ROWS,
     DEFAULT_STACK_BUDGET_BYTES,
-    MaskPlan,
     MaskSpec,
     MaskStackBudgetError,
     SliceRow,
@@ -115,7 +113,6 @@ __all__ = [
     "normalize_scores",
     "row_contributions",
     "top_k_features",
-    "MaskPlan",
     "MaskStackBudgetError",
     "SliceRow",
     "SliceTable",
@@ -130,7 +127,6 @@ __all__ = [
     "PairResult",
     "WavePlan",
     "feed_bytes",
-    "streamed_chunk_nbytes",
     "Assignment",
     "AssignmentTable",
     "BatchResult",

@@ -2,19 +2,17 @@
 
 The paper's second acceleration lever -- "parallel computation of
 multiple inputs" (Section III-D) -- concerns *many* input-output pairs
-at once.  The batched occlusion engine (:mod:`repro.core.masking`) made
-each pair's mask plan a single device batch, but a fleet of N pairs
-still paid one program dispatch, one infeed and one eager residual
-convolution *per pair*.  This module removes that last per-pair axis:
+at once.  This module scores a whole fleet with one program dispatch,
+one infeed and one batched convolution per *wave* of pairs:
 
 * :class:`FleetSchedule` -- wave planning: pairs of equal plane shape
-  are grouped into **waves**, each wave sized to a configurable stack
-  budget (with lazy streaming, a single over-budget pair gets a wave of
-  its own instead of erroring -- only a plane that cannot fit at all
-  still raises :class:`~repro.core.masking.MaskStackBudgetError`);
-* :class:`FleetExecutor` -- wave execution: a wave's **lazy** mask
-  plans (:class:`~repro.core.masking.MaskSpec`) stream, together with
-  each pair's *unmasked* residual plane, through one conceptual
+  are grouped into **waves**, split only by ``max_pairs_per_wave``;
+  bytes never close a wave, because execution streams a chunk clamped
+  to the stack budget -- only a plane too large for the budget to hold
+  one row raises :class:`~repro.core.masking.MaskStackBudgetError`;
+* :class:`FleetExecutor` -- wave execution: a wave's lazy mask plans
+  (:class:`~repro.core.masking.MaskSpec`) stream, together with each
+  pair's *unmasked* residual plane, through one conceptual
   ``(sum(num_masks_i) + P, M, N)`` cross-pair stack whose rows a
   :class:`~repro.core.masking.SliceTable` maps back to
   ``(pair, feature)``; the stack is **never materialized** -- masked
@@ -25,25 +23,19 @@ convolution *per pair*.  This module removes that last per-pair axis:
   wave, so peak host memory is ``O(chunk_rows * M * N)`` plus one
   residual plane per pair regardless of how many masks a wave fuses.
 
-Two cost levers stack on top of the PR-2 wave fusion:
+Waves run **double-buffered**: they execute inside a
+``device.pipeline()`` scope, so wave ``i+1``'s dispatch + infeed
+streams into the spare buffer while wave ``i`` computes -- elapsed is
+``infeed_0 + sum(max(compute_i + outfeed_i, infeed_{i+1})) +
+outfeed_last`` (intermediate outfeeds ride with their wave's compute on
+the full-duplex link; the last outfeed is charged in full) and the
+hidden host-link time is credited back as a negative ``infeed_overlap``
+ledger row.  A single-wave fleet pays exactly its serial cost.
 
-* one dispatch round trip per *wave* instead of one per pair plus one
-  per residual convolution (unchanged);
-* **wave-aware infeed pipelining** (``run(pipelined=True)``, the
-  default): waves execute inside a ``device.pipeline()`` scope, so wave
-  ``i+1``'s dispatch + infeed streams into the spare buffer while wave
-  ``i`` computes -- elapsed becomes ``infeed_0 + sum(max(compute_i +
-  outfeed_i, infeed_{i+1})) + outfeed_last`` (intermediate outfeeds
-  ride with their wave's compute on the full-duplex link; the last
-  outfeed is charged in full) and the hidden host-link time is
-  credited back as a negative ``infeed_overlap`` ledger row.
-  ``pipelined=False`` preserves the PR-2 serial timing exactly (and a
-  single-wave fleet times identically either way).
-
-Scores, kernels and residuals are bit-identical to per-pair *and* to
-dense non-pipelined execution: the batched FFT kernels are
-plane-independent and per-row reductions plane-local, so streaming and
-pipelining change only the cost ledger, never the numbers.
+Scores, kernels and residuals equal one masked convolution per feature
+bit for bit: the batched FFT kernels are plane-independent and per-row
+reductions plane-local, so fusion, streaming and pipelining change only
+the cost ledger, never the numbers.
 
 **Precision model.**  The executor's ``precision`` axis (default
 ``None`` = exact legacy execution) hands a
@@ -54,8 +46,8 @@ wave's kernel-spectrum batch quantizes per plane and complex component,
 before the Hadamard products accumulate in float64 (the MXU int8/bf16
 datapath; the per-pair Eq. 4 *solves* stay exact, so kernels are
 precision-independent).  Because the rounding is strictly per-plane,
-wave-fused scores and residuals remain bit-identical to per-pair and
-``method="loop"`` execution *at the same precision*; a quantized wave
+wave-fused scores and residuals remain bit-identical to one masked
+convolution per feature *at the same precision*; a quantized wave
 additionally streams its infeed at the spec's storage width (1
 byte/element for int8) and is priced by the MXU cycle hooks at the
 spec's rate -- the accuracy-vs-speed trade-off
@@ -98,8 +90,8 @@ sharding axis:
 
 Per wave the pod records the remaining true collectives (for ``chunk``,
 the streamed kernel-spectra broadcast) and the per-chip host-link
-columns, and ``pipelined=True`` overlaps wave ``i+1``'s prologue with
-wave ``i``'s compute exactly the way :meth:`~repro.hw.device
+columns, and wave ``i+1``'s prologue overlaps wave ``i``'s compute
+exactly the way :meth:`~repro.hw.device
 .Device.pipeline` overlaps infeed -- the hidden time comes back as the
 pod's negative ``collective_overlap`` ledger row, concurrency across
 chips as ``pod_compute_overlap``, and the launch round trips the
@@ -129,8 +121,8 @@ from repro.core.decomposition import shard_slices
 from repro.core.distillation import ConvolutionDistiller
 from repro.core.interpretation import element_scores_from_base
 from repro.core.masking import (
-    DEFAULT_CHUNK_ROWS,
     DEFAULT_STACK_BUDGET_BYTES,
+    GRANULARITIES,
     MaskSpec,
     REDUCTIONS,
     SliceTable,
@@ -149,11 +141,9 @@ from repro.obs.tracer import tracer
 #: process row -- clear of the device lanes (0) and pod lanes (< 64).
 _FLEET_TID = 50
 
-GRANULARITIES = ("blocks", "columns", "rows", "elements")
-
 PLACEMENTS = ("data", "chunk", "wave")
 
-FLOAT_BYTES = 8  # the fused stack is materialized in float64
+FLOAT_BYTES = 8  # masked planes are generated in float64
 
 COMPLEX_BYTES = 16  # kernel spectra broadcast as complex128 planes
 
@@ -175,34 +165,6 @@ def feed_bytes(arrays, spec) -> int:
         planes = 2 if np.iscomplexobj(a) else 1
         total += planes * a.size * spec.bytes_per_element
     return total
-
-
-def streamed_chunk_nbytes(
-    plane_shape,
-    chunk_rows: int | None = None,
-    itemsize: int = FLOAT_BYTES,
-    max_stack_bytes: int | None = None,
-) -> int:
-    """Bytes a streamed wave holds in flight: its chunk, not its stack.
-
-    The chunk-adaptive planning footprint: at most ``chunk_rows``
-    (default :data:`~repro.core.masking.DEFAULT_CHUNK_ROWS`) planes of
-    ``M * N`` elements at ``itemsize`` bytes each -- the precision's
-    storage width for a quantized infeed -- clamped so the chunk fits
-    ``max_stack_bytes`` (streaming needs at least one plane in flight).
-    Independent of how many pairs the wave fuses, which is exactly why
-    :meth:`FleetSchedule.plan` under streaming lets waves grow past the
-    conceptual dense-stack budget.
-    """
-    m, n = (int(v) for v in plane_shape)
-    rows = int(chunk_rows) if chunk_rows is not None else DEFAULT_CHUNK_ROWS
-    if rows <= 0:
-        raise ValueError(f"chunk_rows must be positive, got {rows}")
-    if itemsize <= 0:
-        raise ValueError(f"itemsize must be positive, got {itemsize}")
-    if max_stack_bytes is not None:
-        rows = max(1, min(rows, max_stack_bytes // (m * n * itemsize)))
-    return rows * m * n * itemsize
 
 
 def check_precision_granularity(spec, granularity: str) -> None:
@@ -235,12 +197,6 @@ class WavePlan:
     def num_pairs(self) -> int:
         return len(self.pair_indices)
 
-    @property
-    def stack_nbytes(self) -> int:
-        """Bytes of the wave's materialized float64 stack."""
-        m, n = self.plane_shape
-        return self.num_rows * m * n * FLOAT_BYTES
-
 
 @dataclass(frozen=True)
 class FleetSchedule:
@@ -269,42 +225,20 @@ class FleetSchedule:
         max_stack_bytes: int | None = DEFAULT_STACK_BUDGET_BYTES,
         max_pairs_per_wave: int | None = None,
         complex_flags=None,
-        streaming: bool = False,
-        chunk_rows: int | None = None,
-        itemsize: int = FLOAT_BYTES,
-        dense_budget: bool = False,
     ) -> "FleetSchedule":
-        """Group pairs into budgeted waves.
+        """Group pairs into waves.
 
         ``plane_shapes[i]`` is pair ``i``'s ``(M, N)`` plane;
         ``mask_counts[i]`` the number of masks its plan contributes (0
         for the ``elements`` fast path).  Every pair also contributes
-        one residual row.  A wave closes when its byte footprint would
-        pass ``max_stack_bytes`` (or its pair count
-        ``max_pairs_per_wave``).  An empty fleet plans to an empty
-        schedule -- the service layer's idle drain path.
-
-        ``streaming`` selects what the footprint *is*.  ``False``
-        (dense semantics, the PR-2 contract): the wave stack would be
-        materialized, so the footprint is the conceptual
-        ``(rows, M, N)`` float64 stack and a pair that alone exceeds
-        the budget raises
-        :class:`~repro.core.masking.MaskStackBudgetError` up front.
-        ``True`` (the lazy executor, **chunk-adaptive budgeting**):
-        execution streams at most ``chunk_rows`` planes at a time, so
-        the wave's working set is its streamed chunk --
-        ``chunk_rows * M * N * itemsize``, with ``itemsize`` the
-        precision's storage width -- however many pairs the wave fuses.
-        The chunk footprint is pair-independent, so bytes never close a
-        streamed wave; waves grow to whatever the infeed pipeline can
-        overlap, bounded only by ``max_pairs_per_wave`` and shape/dtype
-        group boundaries.  Only a plane too large for the budget to
-        hold even a single ``M x N`` float row still raises.
-        ``dense_budget=True`` is the escape hatch restoring the
-        historical streamed semantics: the conceptual dense stack still
-        prices the wave (an over-budget pair closes the current wave
-        and takes one of its own), for callers that key other host
-        allocations off wave width.
+        one residual row.  Execution streams at most one budget-clamped
+        chunk at a time, so a wave's working set does not grow with the
+        pairs it fuses and bytes never close a wave: waves split only on
+        shape group and ``max_pairs_per_wave``.  A plane too large for
+        ``max_stack_bytes`` to hold even a single ``M x N`` float row
+        raises :class:`~repro.core.masking.MaskStackBudgetError` up
+        front.  An empty fleet plans to an empty schedule -- the service
+        layer's idle drain path.
 
         ``complex_flags[i]`` marks a pair whose convolutions are
         complex-valued.  Real and complex pairs never share a wave:
@@ -319,8 +253,6 @@ class FleetSchedule:
             raise ValueError(
                 f"{len(plane_shapes)} plane shapes for {len(mask_counts)} mask counts"
             )
-        if itemsize <= 0:
-            raise ValueError(f"itemsize must be positive, got {itemsize}")
         if not plane_shapes:
             return cls(waves=())
         if max_pairs_per_wave is not None and max_pairs_per_wave <= 0:
@@ -342,61 +274,17 @@ class FleetSchedule:
         waves: list[WavePlan] = []
         for (shape, _), indices in groups.items():
             m, n = shape
-            plane_bytes = m * n * FLOAT_BYTES
-            chunk_nbytes = 0
-            if streaming and not dense_budget:
-                # Chunk-adaptive budgeting: what this shape group holds
-                # in flight per wave -- chunk_rows planes at the
-                # streamed storage width, clamped to the budget.
-                chunk_nbytes = streamed_chunk_nbytes(
-                    shape, chunk_rows, itemsize, max_stack_bytes
-                )
-            current: list[int] = []
-            current_rows = 0
-            for index in indices:
-                pair_rows = mask_counts[index] + 1  # masks + residual plane
-                if streaming:
-                    # Chunked execution bounds memory by the chunk, not
-                    # the pair; only a single plane must fit the budget.
-                    check_stack_budget(
-                        plane_bytes,
-                        max_stack_bytes,
-                        what=f"streamed wave chunk for pair {index} (a single plane)",
-                        bool_nbytes=m * n,
-                    )
-                else:
-                    check_stack_budget(
-                        pair_rows * plane_bytes,
-                        max_stack_bytes,
-                        what=f"wave stack for pair {index}",
-                        bool_nbytes=pair_rows * m * n,
-                    )
-                if streaming and not dense_budget:
-                    # The wave's working set is its streamed chunk, not
-                    # the conceptual dense stack -- and the chunk does
-                    # not grow with the pairs fused, so bytes close the
-                    # wave only in the degenerate case where even one
-                    # clamped chunk overflows the budget.
-                    over_budget = (
-                        max_stack_bytes is not None
-                        and chunk_nbytes > max_stack_bytes
-                    )
-                else:
-                    over_budget = (
-                        max_stack_bytes is not None
-                        and (current_rows + pair_rows) * plane_bytes > max_stack_bytes
-                    )
-                over_count = (
-                    max_pairs_per_wave is not None
-                    and len(current) >= max_pairs_per_wave
-                )
-                if current and (over_budget or over_count):
-                    waves.append(WavePlan(tuple(current), shape, current_rows))
-                    current, current_rows = [], 0
-                current.append(index)
-                current_rows += pair_rows
-            if current:
-                waves.append(WavePlan(tuple(current), shape, current_rows))
+            check_stack_budget(
+                m * n * FLOAT_BYTES,
+                max_stack_bytes,
+                what=f"streamed wave chunk for pair {indices[0]} (a single plane)",
+                bool_nbytes=m * n,
+            )
+            width = max_pairs_per_wave or len(indices)
+            for lo in range(0, len(indices), width):
+                members = tuple(indices[lo : lo + width])
+                rows = sum(mask_counts[i] + 1 for i in members)  # masks + residuals
+                waves.append(WavePlan(members, shape, rows))
         return cls(waves=tuple(waves))
 
 
@@ -431,25 +319,19 @@ class FleetExecutor:
     """Distill-then-interpret a fleet of pairs, one program per wave.
 
     Parameters mirror :class:`~repro.core.pipeline.ExplanationPipeline`
-    (which delegates its ``fusion="wave"`` axis here): ``granularity``
+    (which delegates its runs here): ``granularity``
     selects the mask family, ``block_shape`` the tile size for
     ``blocks``, ``eps``/``embedding`` configure the per-pair
     distillation solve, ``reduction``/``fill_value`` the Eq. 5 scoring.
-    ``max_stack_bytes`` still shapes wave splitting, but under streamed
-    execution it bounds the *chunk* (and must hold at least one plane;
-    ``None`` disables the guard); ``max_pairs_per_wave`` optionally caps
+    ``max_stack_bytes`` bounds the streamed *chunk* (and must hold at
+    least one plane; ``None`` disables the guard); ``max_pairs_per_wave`` optionally caps
     wave width, and ``chunk_rows`` sets how many masked planes stream
     per chunk (default
     :data:`~repro.core.masking.DEFAULT_CHUNK_ROWS`, clamped to the
     budget).  ``precision`` selects the numeric mode of each wave's
     batched convolution (see the module docstring); quantizing
     precisions reject the ``elements`` granularity, whose linearity
-    fast path quantization breaks.  Wave planning is chunk-adaptive by
-    default (the budget bounds the streamed chunk, so waves fuse as
-    many pairs as ``max_pairs_per_wave`` allows);
-    ``dense_budget=True`` restores the historical dense-stack wave
-    budgeting, under which an over-budget pair closes the wave and
-    takes one of its own.
+    fast path quantization breaks.
 
     Execution per wave: one ``device.program`` scope whose infeed is
     every fused pair's data and whose outfeed is their score planes;
@@ -460,8 +342,7 @@ class FleetExecutor:
     each convolved chunk is reduced to scores immediately, so neither
     the bool mask stack nor the masked float stack ever exists in
     full.  The ``elements`` granularity contributes only its residual
-    row and scores through the linearity fast path, exactly as in
-    per-pair execution.
+    row and scores through the linearity fast path.
     """
 
     def __init__(
@@ -477,7 +358,6 @@ class FleetExecutor:
         max_pairs_per_wave: int | None = None,
         chunk_rows: int | None = None,
         precision=None,
-        dense_budget: bool = False,
         num_chips: int | None = None,
         placement: str = "data",
         interconnect=None,
@@ -535,7 +415,6 @@ class FleetExecutor:
         self.max_stack_bytes = max_stack_bytes
         self.max_pairs_per_wave = max_pairs_per_wave
         self.chunk_rows = chunk_rows
-        self.dense_budget = dense_budget
 
     # ------------------------------------------------------------------
     # Planning
@@ -592,14 +471,6 @@ class FleetExecutor:
                 np.iscomplexobj(x) or np.iscomplexobj(y)
                 for x, y in zip(xs, ys)
             ],
-            streaming=True,  # waves execute chunk-streamed, never dense
-            chunk_rows=self.chunk_rows,
-            itemsize=(
-                FLOAT_BYTES
-                if self.precision is None
-                else self.precision.bytes_per_element
-            ),
-            dense_budget=self.dense_budget,
         )
 
     @staticmethod
@@ -637,20 +508,16 @@ class FleetExecutor:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, pairs, pipelined: bool = True, plans=None) -> FleetRun:
+    def run(self, pairs, plans=None) -> FleetRun:
         """Explain every pair; returns results in input order.
 
-        ``pipelined=True`` (the default) executes the waves inside a
-        ``device.pipeline()`` scope: wave ``i+1``'s dispatch + infeed
-        overlaps wave ``i``'s compute, and the hidden host-link time is
-        credited back to the ledger (``infeed_overlap``), so multi-wave
-        fleets finish in ``infeed_0 + sum(max(compute_i + outfeed_i,
-        infeed_{i+1})) + outfeed_last`` (intermediate outfeeds riding
-        with their wave's compute) instead of the serial sum.
-        ``pipelined=False``
-        preserves the serial PR-2 timing exactly; results, per-op
-        compute records and dispatch counts are identical either way
-        (a single-wave fleet also times identically).
+        The waves execute inside a ``device.pipeline()`` scope: wave
+        ``i+1``'s dispatch + infeed overlaps wave ``i``'s compute, and
+        the hidden host-link time is credited back to the ledger
+        (``infeed_overlap``), so multi-wave fleets finish in
+        ``infeed_0 + sum(max(compute_i + outfeed_i, infeed_{i+1})) +
+        outfeed_last`` (intermediate outfeeds riding with their wave's
+        compute) instead of the serial sum.
 
         ``plans`` optionally hands back pre-built lazy mask plans (one
         :class:`~repro.core.masking.MaskSpec` -- or ``None`` for the
@@ -678,23 +545,19 @@ class FleetExecutor:
                     "waves": schedule.num_waves,
                     "pairs": len(pairs),
                     "placement": self.placement if self.pod is not None else "single",
-                    "pipelined": pipelined,
                 },
             )
         results: list[PairResult | None] = [None] * len(pairs)
         if self.pod is not None:
             # Pod execution: the pod's stage model owns all cross-wave
-            # overlap (pipelined=True overlaps wave i+1's collectives
-            # with wave i's compute); chip-level pipeline scopes are not
-            # opened, so overlap is never double-counted.
-            self._run_pod(schedule, xs, ys, plans, results, pipelined)
-        elif pipelined:
+            # overlap (wave i+1's collectives overlap wave i's compute);
+            # chip-level pipeline scopes are not opened, so overlap is
+            # never double-counted.
+            self._run_pod(schedule, xs, ys, plans, results)
+        else:
             with self.device.pipeline():
                 for wave in schedule.waves:
                     self._run_wave(wave, xs, ys, plans, results)
-        else:
-            for wave in schedule.waves:
-                self._run_wave(wave, xs, ys, plans, results)
         return FleetRun(results=tuple(results), schedule=schedule)
 
     def _wave_chunks(self, wave: WavePlan, xs, plans, rows_per_chunk: int):
@@ -875,7 +738,7 @@ class FleetExecutor:
     # ------------------------------------------------------------------
     # Pod execution: one wave sharded across K chips
     # ------------------------------------------------------------------
-    def _run_pod(self, schedule, xs, ys, plans, results, pipelined: bool) -> None:
+    def _run_pod(self, schedule, xs, ys, plans, results) -> None:
         """Drive every wave across the pod's chips and commit the ledger."""
         pod = self.pod
         wave_stats: list[PodWaveStats] = []
@@ -903,7 +766,7 @@ class FleetExecutor:
                     **collectives,
                 )
             )
-        pod.commit_run(wave_stats, pipelined=pipelined)
+        pod.commit_run(wave_stats)
 
     def _run_wave_data(self, pod, wave, xs, ys, plans, results) -> dict:
         """Data placement: the wave's pairs split contiguously across chips.
@@ -1321,16 +1184,15 @@ class FleetExecutor:
     ) -> np.ndarray:
         """Elements granularity: the linearity fast path's base residual.
 
-        Per-pair execution (:func:`~repro.core.interpretation
-        .feature_contributions`) casts every operand to float64 *before*
-        the base convolution.  For real operands that cast is the
-        identity, so the wave's fused residual row ``pred`` -- computed
-        from the original operands -- doubles as the base convolution
-        bit-for-bit.  For complex operands the cast is lossy (numpy
-        discards the imaginary part, with a ComplexWarning), so reusing
-        the complex ``pred`` would diverge from per-pair scores; the
-        cast operands are re-convolved eagerly instead, exactly the
-        per-pair execution and cost.
+        :func:`~repro.core.interpretation.feature_contributions` casts
+        every operand to float64 *before* the base convolution.  For
+        real operands that cast is the identity, so the wave's fused
+        residual row ``pred`` -- computed from the original operands --
+        doubles as the base convolution bit-for-bit.  For complex
+        operands the cast is lossy (numpy discards the imaginary part,
+        with a ComplexWarning), so reusing the complex ``pred`` would
+        diverge from ``feature_contributions``; the cast operands are
+        re-convolved eagerly instead.
         """
         device = self.device if device is None else device
         if (

@@ -24,15 +24,11 @@ columns of a trace table).  This module provides:
 * :func:`top_k_features` -- ranked indices for report generation.
 
 Every occlusion entry point routes through the batched engine of
-:mod:`repro.core.masking`: the masks of one granularity form a *lazy*
+:mod:`repro.core.masking`: the masks of one granularity form a lazy
 :class:`~repro.core.masking.MaskSpec` scored as one conceptual
-``(num_masks, M, N)`` batch with the kernel spectrum computed once
-(``method="batched"``, the default) -- generated, convolved and reduced
-``chunk_rows`` planes at a time, so peak memory is
-``O(chunk_rows * M * N)`` on any plane size -- or one convolution per
-mask (``method="loop"``, the historical execution kept for equivalence
-tests and speedup benchmarks).  Scores are bit-identical across
-methods and chunk sizes.
+``(num_masks, M, N)`` batch with the kernel spectrum computed once --
+generated, convolved and reduced ``chunk_rows`` planes at a time, so
+peak memory is ``O(chunk_rows * M * N)`` on any plane size.
 
 All entry points accept an optional device so interpretation time can be
 accounted on CPU/GPU/TPU backends (Table II).
@@ -42,13 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.masking import (
-    REDUCTIONS,
-    MaskPlan,
-    MaskSpec,
-    reduce_batch,
-    score_plan,
-)
+from repro.core.masking import REDUCTIONS, MaskSpec, reduce_batch, score_plan
 from repro.fft.convolution import fft_circular_convolve2d
 from repro.hw.device import Device
 
@@ -96,55 +86,24 @@ def feature_contributions(
     kernel: np.ndarray,
     y: np.ndarray,
     reduction: str = "l2",
-    method: str = "fast",
     device: Device | None = None,
 ) -> np.ndarray:
     """Scalar contribution score for every input element.
 
-    ``method="fast"`` uses linearity of convolution: with base residual
+    Uses linearity of convolution: with base residual
     ``B = Y - X (*) K``, zeroing element ``(i, j)`` gives
     ``con(x_ij) = B + x_ij * roll(K, (i, j))`` -- one convolution total
-    instead of one per feature.  ``method="batched"`` scores the full
-    element :class:`~repro.core.masking.MaskPlan` as one batched
-    program; note the element plan's ``(M*N, M, N)`` stack is quadratic
-    in the plane size, so this mode suits device-accounting studies on
-    small planes, not large inputs (``"fast"`` dominates there).
-    ``method="naive"`` (alias ``"loop"``) re-convolves per feature (the
-    literal Eq. 5) in O(M*N) memory; tests assert all paths agree, and
-    the benchmark suite uses the naive path when mirroring the paper's
-    measured workload.
+    instead of one per feature (the literal per-feature Eq. 5 loop
+    agrees to rounding, asserted by tests).
     """
     x = np.asarray(x, dtype=np.float64)
     kernel = np.asarray(kernel, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_operands(x, kernel, y)
-    if method not in ("fast", "naive", "loop", "batched"):
-        raise ValueError(
-            f"unknown method {method!r}; expected 'fast', 'batched', 'naive' or 'loop'"
-        )
     if reduction not in REDUCTIONS:
         raise ValueError(
             f"unknown reduction {reduction!r}; expected one of {REDUCTIONS}"
         )
-
-    m, n = x.shape
-    if method == "batched":
-        # Lazy element spec: the quadratic (M*N, M, N) stack streams in
-        # bounded chunks instead of materializing.
-        return score_plan(
-            x, kernel, y, MaskSpec.elements(x.shape),
-            reduction=reduction, method="batched", device=device,
-        )
-    if method in ("naive", "loop"):
-        # One mask at a time, never materializing the element plan's
-        # quadratic stack -- the memory profile large planes need.
-        scores = np.zeros((m, n))
-        for i in range(m):
-            for j in range(n):
-                delta = contribution_matrix(x, kernel, y, (i, j), device=device)
-                scores[i, j] = _reduce(delta, reduction)
-        return scores
-
     base = y - _convolve(x, kernel, device)
     return element_scores_from_base(x, kernel, base, reduction=reduction, device=device)
 
@@ -195,36 +154,24 @@ def mask_contribution(
     reduction: str = "l2",
     device: Device | None = None,
     fill_value: float = 0.0,
-    method: str = "loop",
 ) -> float:
     """Contribution of an arbitrary feature set masked at once.
 
     ``fill_value`` is the baseline the masked features are replaced
     with: 0.0 reproduces Eq. 5 verbatim; the input's mean is the
     standard occlusion-literature baseline and removes the DC term that
-    otherwise dominates on non-centred data (bright images).
-
-    A single mask is a batch of one, so ``method`` only chooses the
-    accounting semantics (``"loop"``: one eager convolution, the
-    default; ``"batched"``: a one-element plan through the batched
-    device op).
+    otherwise dominates on non-centred data (bright images).  One mask
+    is one convolution, run directly.
     """
     x = np.asarray(x)
+    kernel = np.asarray(kernel)
+    y = np.asarray(y)
+    _check_operands(x, kernel, y)
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != x.shape:
         raise ValueError(f"mask shape {mask.shape} does not match input {x.shape}")
-    plan = MaskPlan.from_masks(mask)
-    scores = score_plan(
-        x,
-        kernel,
-        np.asarray(y),
-        plan,
-        reduction=reduction,
-        method=method,
-        device=device,
-        fill_value=fill_value,
-    )
-    return float(scores.reshape(-1)[0])
+    delta = y - _convolve(np.where(mask, fill_value, x), kernel, device)
+    return _reduce(delta, reduction)
 
 
 def block_contributions(
@@ -235,14 +182,13 @@ def block_contributions(
     reduction: str = "l2",
     device: Device | None = None,
     fill_value: float = 0.0,
-    method: str = "batched",
     chunk_rows: int | None = None,
 ) -> np.ndarray:
     """Figure 5: contribution of each square sub-block of an image.
 
     The input is segmented into a grid of ``block_shape`` tiles; each
     tile is zeroed and scored through the distilled model -- all tiles
-    in one batched program by default, streamed ``chunk_rows`` masked
+    in one batched program, streamed ``chunk_rows`` masked
     planes at a time from a lazy spec.  Returns the grid of scores with
     shape ``(M // bh, N // bw)`` (input dimensions must tile evenly).
     """
@@ -253,7 +199,7 @@ def block_contributions(
     plan = MaskSpec.blocks(x.shape, block_shape)
     return score_plan(
         x, kernel, y, plan,
-        reduction=reduction, method=method, device=device, fill_value=fill_value,
+        reduction=reduction, device=device, fill_value=fill_value,
         chunk_rows=chunk_rows,
     )
 
@@ -265,7 +211,6 @@ def column_contributions(
     reduction: str = "l2",
     device: Device | None = None,
     fill_value: float = 0.0,
-    method: str = "batched",
     chunk_rows: int | None = None,
 ) -> np.ndarray:
     """Figure 6: contribution of each column (clock cycle of a trace table)."""
@@ -274,7 +219,7 @@ def column_contributions(
     plan = MaskSpec.columns(x.shape)
     return score_plan(
         x, np.asarray(kernel), np.asarray(y), plan,
-        reduction=reduction, method=method, device=device, fill_value=fill_value,
+        reduction=reduction, device=device, fill_value=fill_value,
         chunk_rows=chunk_rows,
     )
 
@@ -286,7 +231,6 @@ def row_contributions(
     reduction: str = "l2",
     device: Device | None = None,
     fill_value: float = 0.0,
-    method: str = "batched",
     chunk_rows: int | None = None,
 ) -> np.ndarray:
     """Per-row contributions (registers of a trace table)."""
@@ -295,7 +239,7 @@ def row_contributions(
     plan = MaskSpec.rows(x.shape)
     return score_plan(
         x, np.asarray(kernel), np.asarray(y), plan,
-        reduction=reduction, method=method, device=device, fill_value=fill_value,
+        reduction=reduction, device=device, fill_value=fill_value,
         chunk_rows=chunk_rows,
     )
 

@@ -1,39 +1,27 @@
-"""Batched occlusion masking: the :class:`MaskPlan` abstraction.
+"""Batched occlusion masking: lazy mask plans scored as one stream.
 
 The paper's interpretation step (Eq. 5) scores a feature set by masking
 it and re-running the distilled model.  Element, block, column and row
-occlusion differ *only* in which features each mask covers -- yet the
-historical implementation ran four near-identical scalar loops, each
-re-transforming the same kernel on every masked convolution.  This
-module replaces those loops with one engine:
+occlusion differ *only* in which features each mask covers, so one
+engine serves all four:
 
-* :class:`MaskPlan` -- a named stack of boolean masks, shape
-  ``(num_masks, M, N)``, with per-mask labels and the output-grid shape
-  the flat score vector reshapes to.  Constructors cover the paper's
-  granularities (:meth:`MaskPlan.elements`, :meth:`MaskPlan.blocks`,
-  :meth:`MaskPlan.columns`, :meth:`MaskPlan.rows`) and arbitrary mask
-  stacks (:meth:`MaskPlan.from_masks`).
-* :class:`MaskSpec` -- the *lazy* form of the same four granularities:
-  a compact descriptor (granularity + plane + block shape, a few ints)
-  whose :meth:`MaskSpec.iter_chunks` generates ``(bool_chunk,
-  row_range)`` slices on demand, so neither the ``(num_masks, M, N)``
-  bool stack nor the masked float stack is ever materialized.
-* :func:`score_plan` -- Eq. 5 for every mask of a plan at once.
-  ``method="batched"`` convolves all masked variants through one
-  batched device program, computing the kernel spectrum exactly once;
-  ``method="loop"`` preserves the historical one-launch-per-mask
-  execution so tests can assert the two agree and benchmarks can report
-  the speedup.
+* :class:`MaskSpec` -- a mask plan as a compact descriptor
+  (granularity + plane + block shape, a few ints) whose
+  :meth:`MaskSpec.iter_chunks` generates ``(bool_chunk, row_range)``
+  slices on demand, so neither the ``(num_masks, M, N)`` bool stack nor
+  the masked float stack is ever materialized;
+* :func:`score_plan` -- Eq. 5 for every mask of a plan at once: masked
+  variants are generated, convolved against a kernel spectrum computed
+  exactly once, and reduced ``chunk_rows`` planes at a time, so peak
+  memory is ``O(chunk_rows * M * N)`` however many masks the plan
+  describes and the stack budget bounds only the chunk;
+* :class:`SliceTable` -- the row map of a cross-pair fleet wave, which
+  streams many pairs' plans through one batched convolution
+  (:mod:`repro.core.fleet`).
 
-Memory model: scoring a dense :class:`MaskPlan` materializes the
-``(num_masks, M, N)`` float64 masked stack (8x the bool masks) and is
-guarded by ``max_stack_bytes``; scoring a :class:`MaskSpec` -- or a
-dense plan with ``chunk_rows`` set -- *streams*: masked variants are
-generated, convolved and reduced ``chunk_rows`` planes at a time, so
-peak memory is ``O(chunk_rows * M * N)`` however many masks the plan
-describes, and the stack budget stops being a ceiling.  All three
-executions are bit-identical (the batched FFT kernels are
-plane-independent, and per-row reductions are plane-local).
+Chunk boundaries never change bits: the batched FFT kernels are
+plane-independent and per-row reductions plane-local, so scores equal
+one masked convolution per feature exactly.
 
 Occlusion is throughput work, not latency work: the masked variants are
 data-independent, so a whole plan can ship to an accelerator as one
@@ -44,41 +32,35 @@ mask -- the batching-for-efficiency argument of the TPU follow-up paper
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.fft.convolution import (
-    fft_circular_convolve2d,
-    fft_circular_convolve2d_batch,
-    fft_circular_convolve2d_chunks,
-)
+from repro.fft.convolution import fft_circular_convolve2d_chunks
 from repro.hw.device import Device
 
 REDUCTIONS = ("l2", "l1", "mean_abs", "max_abs")
-METHODS = ("batched", "loop")
 
-#: Default ceiling on the float64 stack a batched scoring call may
-#: materialize (4 GiB).  Dense plans past this must stream (a lazy
-#: :class:`MaskSpec`, ``chunk_rows``, or ``method="loop"``) or split;
-#: see :class:`MaskStackBudgetError`.
+#: Default ceiling on the float64 working set a streamed scoring call
+#: may hold (4 GiB); it clamps the chunk size, see
+#: :func:`effective_chunk_rows`.
 DEFAULT_STACK_BUDGET_BYTES = 4 * 1024**3
 
-#: Mask rows generated/convolved per chunk when streaming (lazy
-#: :class:`MaskSpec` scoring and streamed fleet waves).  Matches the
-#: dense batch path's internal FFT chunking, so streamed and dense
-#: execution share the same working-set profile.
+#: Mask rows generated/convolved per streamed chunk.
 DEFAULT_CHUNK_ROWS = 64
 
-FLOAT64_BYTES = 8  # masked variants materialize as float64 (8x the bools)
+FLOAT64_BYTES = 8  # masked variants are generated as float64 (8x the bools)
+
+GRANULARITIES = ("blocks", "columns", "rows", "elements")
 
 
 class MaskStackBudgetError(MemoryError):
-    """A mask stack would exceed the configured memory budget.
+    """A mask chunk would exceed the configured memory budget.
 
-    Raised *before* materializing the ``(num_masks, M, N)`` float stack,
-    instead of letting a huge allocation fail (or page) deep inside the
-    batched engine.
+    Raised *before* generating the chunk, instead of letting a huge
+    allocation fail (or page) deep inside the batched engine.
     """
 
 
@@ -90,11 +72,11 @@ def check_stack_budget(
 ) -> None:
     """Raise :class:`MaskStackBudgetError` when ``nbytes`` exceeds the budget.
 
-    ``nbytes`` must price the *float64* stack the batched path actually
-    materializes -- the bool masks are 1 byte/element, but ``apply``
-    blows each one up into an 8-byte float row, so budgeting the bools
-    would undercount real pressure 8x.  Pass the projected bool bytes
-    via ``bool_nbytes`` so the error reports both figures.
+    ``nbytes`` must price the *float64* planes the engine actually
+    generates -- the bool masks are 1 byte/element, but each masked
+    variant is an 8-byte float row, so budgeting the bools would
+    undercount real pressure 8x.  Pass the bool bytes via
+    ``bool_nbytes`` so the error reports both figures.
     ``max_stack_bytes=None`` disables the check (the caller opted out).
     """
     if max_stack_bytes is None or nbytes <= max_stack_bytes:
@@ -106,9 +88,8 @@ def check_stack_budget(
     )
     raise MaskStackBudgetError(
         f"{what} needs {nbytes} bytes of float64{bool_note}, over the "
-        f"{max_stack_bytes}-byte budget; stream it (a lazy MaskSpec or "
-        "chunk_rows=), use method='loop' (one mask at a time), raise "
-        "max_stack_bytes, or split the batch into smaller waves"
+        f"{max_stack_bytes}-byte budget; raise max_stack_bytes or "
+        "shrink the plane"
     )
 
 
@@ -124,45 +105,18 @@ def _check_window(start: int, stop: int | None, num_masks: int) -> tuple[int, in
     return start, stop
 
 
-def _apply_chunks(
-    plan,
-    x: np.ndarray,
-    fill_value: float,
-    chunk_rows: int,
-    start: int = 0,
-    stop: int | None = None,
-):
-    """Shared ``apply_chunks`` body of :class:`MaskPlan` / :class:`MaskSpec`.
-
-    Validates eagerly (a bad input shape raises at the call, not at
-    first iteration), then yields masked chunks lazily.  ``start`` /
-    ``stop`` restrict generation to a window of the plan's mask rows
-    (global row indices are preserved in the yielded ranges) -- the
-    chunk-parallel pod placement shards one plan's rows across chips
-    this way.
-    """
-    x = np.asarray(x)
-    if x.shape != plan.plane_shape:
-        raise ValueError(
-            f"input shape {x.shape} does not match plan plane {plan.plane_shape}"
-        )
-    start, stop = _check_window(start, stop, plan.num_masks)
-
-    def _generate():
-        for chunk, rows in plan.iter_chunks(chunk_rows, start=start, stop=stop):
-            yield np.where(chunk, fill_value, x[np.newaxis]), rows
-
-    return _generate()
+def _check_plane(shape: tuple[int, int]) -> tuple[int, int]:
+    m, n = shape
+    if m <= 0 or n <= 0:
+        raise ValueError(f"plane shape must be positive, got {shape}")
+    return int(m), int(n)
 
 
-def _reshape_scores(plan, flat_scores: np.ndarray) -> np.ndarray:
-    """Shared ``reshape_scores`` body of :class:`MaskPlan` / :class:`MaskSpec`."""
-    flat_scores = np.asarray(flat_scores)
-    if flat_scores.shape != (plan.num_masks,):
-        raise ValueError(
-            f"expected {plan.num_masks} flat scores, got shape {flat_scores.shape}"
-        )
-    return flat_scores.reshape(plan.output_shape)
+def _check_chunk_rows(chunk_rows: int) -> int:
+    chunk_rows = int(chunk_rows)
+    if chunk_rows <= 0:
+        raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
+    return chunk_rows
 
 
 def reduce_batch(deltas: np.ndarray, reduction: str) -> np.ndarray:
@@ -180,313 +134,20 @@ def reduce_batch(deltas: np.ndarray, reduction: str) -> np.ndarray:
     raise ValueError(f"unknown reduction {reduction!r}; expected one of {REDUCTIONS}")
 
 
-@dataclass(frozen=True, eq=False)
-class MaskPlan:
-    """A stack of occlusion masks scored together as one batch.
-
-    Compared and hashed by identity (``eq=False``): the mask stack is an
-    ndarray, so the generated field-tuple ``__eq__`` would raise on
-    truth-testing it.
-
-    Attributes
-    ----------
-    masks:
-        Boolean array of shape ``(num_masks, M, N)``; ``True`` marks the
-        features a mask occludes.
-    granularity:
-        Human-readable family name (``"elements"``, ``"blocks"``,
-        ``"columns"``, ``"rows"`` or ``"custom"``).
-    output_shape:
-        Shape the flat per-mask score vector reshapes to -- the score
-        grid of :func:`repro.core.interpretation.block_contributions`
-        et al.  Its product must equal ``num_masks``.
-    labels:
-        One index tuple per mask naming the occluded feature (element
-        coordinates, block-grid coordinates, column or row index).
-    """
-
-    masks: np.ndarray
-    granularity: str = "custom"
-    output_shape: tuple[int, ...] = ()
-    labels: tuple[tuple[int, ...], ...] = ()
-
-    def __post_init__(self) -> None:
-        masks = np.asarray(self.masks, dtype=bool)
-        if masks.ndim != 3:
-            raise ValueError(
-                f"masks must be a (num_masks, M, N) stack, got shape {masks.shape}"
-            )
-        if 0 in masks.shape:
-            raise ValueError("a mask plan needs at least one non-empty mask")
-        object.__setattr__(self, "masks", masks)
-        output_shape = tuple(self.output_shape) or (masks.shape[0],)
-        if int(np.prod(output_shape)) != masks.shape[0]:
-            raise ValueError(
-                f"output shape {output_shape} does not hold {masks.shape[0]} scores"
-            )
-        object.__setattr__(self, "output_shape", output_shape)
-        labels = tuple(tuple(int(v) for v in label) for label in self.labels)
-        if labels and len(labels) != masks.shape[0]:
-            raise ValueError(
-                f"{len(labels)} labels for {masks.shape[0]} masks"
-            )
-        object.__setattr__(self, "labels", labels)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def num_masks(self) -> int:
-        return self.masks.shape[0]
-
-    @property
-    def plane_shape(self) -> tuple[int, int]:
-        return self.masks.shape[1], self.masks.shape[2]
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes the batched path materializes for this plan's float stack.
-
-        The estimate prices the ``(num_masks, M, N)`` float64 stack of
-        masked input variants that :func:`score_plan`'s dense batched
-        method (and a fused wave containing this plan) allocates -- the
-        real memory pressure, 8x the bool storage
-        (:attr:`bool_nbytes`).  Compare against a budget via
-        :func:`check_stack_budget` before materializing; streamed
-        scoring (:class:`MaskSpec`, or ``chunk_rows``) never allocates
-        either stack.
-        """
-        return self.bool_nbytes * FLOAT64_BYTES
-
-    @property
-    def bool_nbytes(self) -> int:
-        """Bytes of the ``(num_masks, M, N)`` bool mask stack itself."""
-        return self.num_masks * self.masks.shape[1] * self.masks.shape[2]
-
-    def __len__(self) -> int:
-        return self.num_masks
-
-    # ------------------------------------------------------------------
-    # Constructors, one per paper granularity
-    # ------------------------------------------------------------------
-    @classmethod
-    def elements(cls, shape: tuple[int, int]) -> "MaskPlan":
-        """One mask per input element (Eq. 5 verbatim, all features)."""
-        m, n = _check_plane(shape)
-        masks = np.identity(m * n, dtype=bool).reshape(m * n, m, n)
-        labels = tuple((i, j) for i in range(m) for j in range(n))
-        return cls(masks, granularity="elements", output_shape=(m, n), labels=labels)
-
-    @classmethod
-    def blocks(cls, shape: tuple[int, int], block_shape: tuple[int, int]) -> "MaskPlan":
-        """One mask per tile of a ``block_shape`` grid (Figure 5)."""
-        m, n = _check_plane(shape)
-        bh, bw = block_shape
-        if bh <= 0 or bw <= 0:
-            raise ValueError(f"block shape must be positive, got {block_shape}")
-        if m % bh or n % bw:
-            raise ValueError(
-                f"block shape {block_shape} does not tile input of shape {(m, n)}"
-            )
-        grid = (m // bh, n // bw)
-        masks = np.zeros((grid[0] * grid[1], m, n), dtype=bool)
-        labels = []
-        for bi in range(grid[0]):
-            for bj in range(grid[1]):
-                masks[bi * grid[1] + bj, bi * bh : (bi + 1) * bh, bj * bw : (bj + 1) * bw] = True
-                labels.append((bi, bj))
-        return cls(masks, granularity="blocks", output_shape=grid, labels=tuple(labels))
-
-    @classmethod
-    def columns(cls, shape: tuple[int, int]) -> "MaskPlan":
-        """One mask per column (Figure 6's trace-table clock cycles)."""
-        m, n = _check_plane(shape)
-        masks = np.zeros((n, m, n), dtype=bool)
-        masks[np.arange(n), :, np.arange(n)] = True
-        labels = tuple((j,) for j in range(n))
-        return cls(masks, granularity="columns", output_shape=(n,), labels=labels)
-
-    @classmethod
-    def rows(cls, shape: tuple[int, int]) -> "MaskPlan":
-        """One mask per row (registers of a trace table)."""
-        m, n = _check_plane(shape)
-        masks = np.zeros((m, m, n), dtype=bool)
-        masks[np.arange(m), np.arange(m), :] = True
-        labels = tuple((i,) for i in range(m))
-        return cls(masks, granularity="rows", output_shape=(m,), labels=labels)
-
-    @classmethod
-    def from_masks(
-        cls,
-        masks: np.ndarray,
-        labels: tuple[tuple[int, ...], ...] | None = None,
-        output_shape: tuple[int, ...] | None = None,
-        granularity: str = "custom",
-    ) -> "MaskPlan":
-        """Wrap an arbitrary mask stack (a single 2-D mask is a batch of one)."""
-        masks = np.asarray(masks, dtype=bool)
-        if masks.ndim == 2:
-            masks = masks[np.newaxis]
-        return cls(
-            masks,
-            granularity=granularity,
-            output_shape=tuple(output_shape) if output_shape else (),
-            labels=tuple(labels) if labels else (),
-        )
-
-    @classmethod
-    def concat(cls, plans: "list[MaskPlan] | tuple[MaskPlan, ...]") -> "MaskPlan":
-        """Fuse several equal-plane plans into one cross-pair stack.
-
-        The result holds ``sum(num_masks_i)`` masks in plan order with a
-        flat output shape; each label is the source plan's label prefixed
-        with its plan index, so a fused row remains traceable to
-        ``(pair, feature)``.  Wave callers pair this with a
-        :class:`SliceTable` (see :meth:`SliceTable.for_plans`) to slice
-        the fused score vector back apart -- the paper's "internal table"
-        applied across pairs instead of across cores.
-        """
-        plans = list(plans)
-        if not plans:
-            raise ValueError("cannot concatenate zero mask plans")
-        plane = plans[0].plane_shape
-        for plan in plans:
-            if plan.plane_shape != plane:
-                raise ValueError(
-                    f"cannot concatenate plans of planes {plane} and {plan.plane_shape}"
-                )
-        masks = np.concatenate([plan.masks for plan in plans], axis=0)
-        labels = []
-        for index, plan in enumerate(plans):
-            plan_labels = plan.labels or tuple(
-                (i,) for i in range(plan.num_masks)
-            )
-            labels.extend((index, *label) for label in plan_labels)
-        return cls(
-            masks,
-            granularity="concat",
-            output_shape=(masks.shape[0],),
-            labels=tuple(labels),
-        )
-
-    @classmethod
-    def for_granularity(
-        cls,
-        granularity: str,
-        shape: tuple[int, int],
-        block_shape: tuple[int, int] | None = None,
-    ) -> "MaskPlan":
-        """Dispatch constructor used by the explanation pipeline."""
-        if granularity == "elements":
-            return cls.elements(shape)
-        if granularity == "blocks":
-            if block_shape is None:
-                raise ValueError("blocks granularity requires a block_shape")
-            return cls.blocks(shape, block_shape)
-        if granularity == "columns":
-            return cls.columns(shape)
-        if granularity == "rows":
-            return cls.rows(shape)
-        raise ValueError(
-            f"unknown granularity {granularity!r}; expected one of "
-            "('elements', 'blocks', 'columns', 'rows')"
-        )
-
-    # ------------------------------------------------------------------
-    # Application
-    # ------------------------------------------------------------------
-    def apply(self, x: np.ndarray, fill_value: float = 0.0) -> np.ndarray:
-        """Stack of masked input variants, shape ``(num_masks, M, N)``.
-
-        ``fill_value`` replaces the occluded features: 0.0 is Eq. 5
-        verbatim; the input mean is the occlusion-literature baseline.
-        """
-        x = np.asarray(x)
-        if x.shape != self.plane_shape:
-            raise ValueError(
-                f"input shape {x.shape} does not match plan plane {self.plane_shape}"
-            )
-        return np.where(self.masks, fill_value, x[np.newaxis])
-
-    def iter_chunks(
-        self,
-        chunk_rows: int = DEFAULT_CHUNK_ROWS,
-        start: int = 0,
-        stop: int | None = None,
-    ):
-        """Yield ``(bool_chunk, row_range)`` slices of the mask stack.
-
-        Chunks are *views* of the dense stack (no copies); the protocol
-        matches :meth:`MaskSpec.iter_chunks` so streaming consumers
-        (:func:`score_plan`, the fleet executor) treat dense and lazy
-        plans uniformly.  ``start``/``stop`` restrict iteration to a
-        window of mask rows; yielded ranges stay global.
-        """
-        chunk_rows = _check_chunk_rows(chunk_rows)
-        start, stop = _check_window(start, stop, self.num_masks)
-        for lo in range(start, stop, chunk_rows):
-            hi = min(lo + chunk_rows, stop)
-            yield self.masks[lo:hi], range(lo, hi)
-
-    def apply_chunks(
-        self,
-        x: np.ndarray,
-        fill_value: float = 0.0,
-        chunk_rows: int = DEFAULT_CHUNK_ROWS,
-        start: int = 0,
-        stop: int | None = None,
-    ):
-        """Yield ``(masked_chunk, row_range)`` without the full float stack.
-
-        The streamed form of :meth:`apply`: each chunk holds at most
-        ``chunk_rows`` masked input variants, so peak float memory is
-        ``O(chunk_rows * M * N)`` instead of ``O(num_masks * M * N)``.
-        Values are bit-identical to the corresponding :meth:`apply`
-        rows -- including under a ``[start, stop)`` row window, which
-        yields exactly the same chunks the full iteration produces for
-        those rows (chunk boundaries realign to the window).
-        """
-        return _apply_chunks(self, x, fill_value, chunk_rows, start=start, stop=stop)
-
-    def reshape_scores(self, flat_scores: np.ndarray) -> np.ndarray:
-        """Fold the flat per-mask score vector into the output grid."""
-        return _reshape_scores(self, flat_scores)
-
-
-def _check_plane(shape: tuple[int, int]) -> tuple[int, int]:
-    m, n = shape
-    if m <= 0 or n <= 0:
-        raise ValueError(f"plane shape must be positive, got {shape}")
-    return int(m), int(n)
-
-
-def _check_chunk_rows(chunk_rows: int) -> int:
-    chunk_rows = int(chunk_rows)
-    if chunk_rows <= 0:
-        raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
-    return chunk_rows
-
-
 @dataclass(frozen=True)
 class MaskSpec:
-    """A lazy mask plan: the four paper granularities as a descriptor.
+    """A mask plan: the four paper granularities as a descriptor.
 
-    Where :class:`MaskPlan` *stores* a ``(num_masks, M, N)`` bool stack,
-    a spec stores only ``(granularity, plane_shape, block_shape)`` -- a
-    few ints -- and *generates* mask rows on demand through
-    :meth:`iter_chunks`.  Element, block, column and row occlusion are
-    all structured (mask ``i`` is a deterministic function of ``i``), so
-    nothing about the stack needs to exist ahead of time; a plan whose
-    dense stack would blow the memory budget streams instead.
+    A spec stores only ``(granularity, plane_shape, block_shape)`` and
+    *generates* mask rows on demand through :meth:`iter_chunks`.
+    Element, block, column and row occlusion are all structured (mask
+    ``i`` is a deterministic function of ``i``), so nothing about the
+    stack needs to exist ahead of time.
 
-    The scoring-facing surface mirrors :class:`MaskPlan` exactly
-    (``num_masks``, ``plane_shape``, ``output_shape``, ``labels``,
-    ``nbytes``/``bool_nbytes`` -- *projected*, nothing allocated --
-    ``reshape_scores``, ``iter_chunks``, ``apply_chunks``), so
-    :func:`score_plan` and the fleet executor accept either; chunks are
-    bit-identical to the corresponding dense rows
-    (:meth:`materialize` returns the equivalent :class:`MaskPlan`,
-    asserted by tests).
+    Mask ``i`` occludes: element ``divmod(i, N)`` (row-major), block
+    ``divmod(i, N // bw)`` of the ``block_shape`` grid, column ``i`` or
+    row ``i``.  The flat per-mask score vector reshapes to
+    :attr:`output_shape`, and :attr:`labels` names each mask's feature.
     """
 
     granularity: str
@@ -496,10 +157,10 @@ class MaskSpec:
     def __post_init__(self) -> None:
         m, n = _check_plane(self.plane_shape)
         object.__setattr__(self, "plane_shape", (m, n))
-        if self.granularity not in ("elements", "blocks", "columns", "rows"):
+        if self.granularity not in GRANULARITIES:
             raise ValueError(
                 f"unknown granularity {self.granularity!r}; expected one of "
-                "('elements', 'blocks', 'columns', 'rows')"
+                f"{GRANULARITIES}"
             )
         if self.granularity == "blocks":
             if self.block_shape is None:
@@ -520,22 +181,26 @@ class MaskSpec:
             )
 
     # ------------------------------------------------------------------
-    # Constructors, mirroring MaskPlan's
+    # Constructors, one per paper granularity
     # ------------------------------------------------------------------
     @classmethod
     def elements(cls, shape: tuple[int, int]) -> "MaskSpec":
+        """One mask per input element (Eq. 5 verbatim, all features)."""
         return cls("elements", tuple(shape))
 
     @classmethod
     def blocks(cls, shape: tuple[int, int], block_shape: tuple[int, int]) -> "MaskSpec":
+        """One mask per tile of a ``block_shape`` grid (Figure 5)."""
         return cls("blocks", tuple(shape), tuple(block_shape))
 
     @classmethod
     def columns(cls, shape: tuple[int, int]) -> "MaskSpec":
+        """One mask per column (Figure 6's trace-table clock cycles)."""
         return cls("columns", tuple(shape))
 
     @classmethod
     def rows(cls, shape: tuple[int, int]) -> "MaskSpec":
+        """One mask per row (registers of a trace table)."""
         return cls("rows", tuple(shape))
 
     @classmethod
@@ -545,7 +210,7 @@ class MaskSpec:
         shape: tuple[int, int],
         block_shape: tuple[int, int] | None = None,
     ) -> "MaskSpec":
-        """Dispatch constructor used by the explanation pipeline."""
+        """Dispatch constructor used by the fleet executor."""
         if granularity == "blocks":
             if block_shape is None:
                 raise ValueError("blocks granularity requires a block_shape")
@@ -553,24 +218,12 @@ class MaskSpec:
         return cls(granularity, tuple(shape))
 
     # ------------------------------------------------------------------
-    # Introspection (projected -- nothing is allocated)
+    # Introspection
     # ------------------------------------------------------------------
     @property
     def _grid(self) -> tuple[int, int]:
         bh, bw = self.block_shape
         return self.plane_shape[0] // bh, self.plane_shape[1] // bw
-
-    @property
-    def num_masks(self) -> int:
-        m, n = self.plane_shape
-        if self.granularity == "elements":
-            return m * n
-        if self.granularity == "blocks":
-            grid = self._grid
-            return grid[0] * grid[1]
-        if self.granularity == "columns":
-            return n
-        return m
 
     @property
     def output_shape(self) -> tuple[int, ...]:
@@ -584,27 +237,12 @@ class MaskSpec:
         return (m,)
 
     @property
+    def num_masks(self) -> int:
+        return math.prod(self.output_shape)
+
+    @property
     def labels(self) -> tuple[tuple[int, ...], ...]:
-        m, n = self.plane_shape
-        if self.granularity == "elements":
-            return tuple((i, j) for i in range(m) for j in range(n))
-        if self.granularity == "blocks":
-            gh, gw = self._grid
-            return tuple((bi, bj) for bi in range(gh) for bj in range(gw))
-        if self.granularity == "columns":
-            return tuple((j,) for j in range(n))
-        return tuple((i,) for i in range(m))
-
-    @property
-    def nbytes(self) -> int:
-        """Projected float64 stack bytes, were this spec materialized."""
-        return self.bool_nbytes * FLOAT64_BYTES
-
-    @property
-    def bool_nbytes(self) -> int:
-        """Projected bool stack bytes, were this spec materialized."""
-        m, n = self.plane_shape
-        return self.num_masks * m * n
+        return tuple(itertools.product(*map(range, self.output_shape)))
 
     def __len__(self) -> int:
         return self.num_masks
@@ -621,13 +259,10 @@ class MaskSpec:
         """Yield ``(bool_chunk, row_range)`` slices, generated on demand.
 
         Each chunk is a freshly built ``(rows, M, N)`` bool array
-        covering masks ``row_range`` of the conceptual stack --
-        bit-identical to the same rows of the dense
-        :class:`MaskPlan` constructor -- so peak mask memory is
+        covering masks ``row_range``, so peak mask memory is
         ``O(chunk_rows * M * N)`` however many masks the spec
         describes.  ``start``/``stop`` generate only a window of rows
-        (mask ``i`` is a deterministic function of ``i``, so a window
-        costs only its own rows); yielded ranges stay global.
+        (a window costs only its own rows); yielded ranges stay global.
         """
         chunk_rows = _check_chunk_rows(chunk_rows)
         m, n = self.plane_shape
@@ -662,22 +297,36 @@ class MaskSpec:
         start: int = 0,
         stop: int | None = None,
     ):
-        """Yield ``(masked_chunk, row_range)``: the streamed :meth:`MaskPlan.apply`.
+        """Yield ``(masked_chunk, row_range)``: masked input variants.
 
-        ``start``/``stop`` window the generated mask rows exactly as in
-        :meth:`iter_chunks`.
+        ``fill_value`` replaces the occluded features: 0.0 is Eq. 5
+        verbatim; the input mean is the occlusion-literature baseline.
+        Validates eagerly (a bad input shape raises at the call, not at
+        first iteration); ``start``/``stop`` window the generated rows
+        exactly as in :meth:`iter_chunks` -- the chunk-parallel pod
+        placement shards one plan's rows across chips this way.
         """
-        return _apply_chunks(self, x, fill_value, chunk_rows, start=start, stop=stop)
+        x = np.asarray(x)
+        if x.shape != self.plane_shape:
+            raise ValueError(
+                f"input shape {x.shape} does not match plan plane {self.plane_shape}"
+            )
+        start, stop = _check_window(start, stop, self.num_masks)
+
+        def _generate():
+            for chunk, rows in self.iter_chunks(chunk_rows, start=start, stop=stop):
+                yield np.where(chunk, fill_value, x[np.newaxis]), rows
+
+        return _generate()
 
     def reshape_scores(self, flat_scores: np.ndarray) -> np.ndarray:
         """Fold the flat per-mask score vector into the output grid."""
-        return _reshape_scores(self, flat_scores)
-
-    def materialize(self) -> MaskPlan:
-        """The equivalent dense :class:`MaskPlan` (tests assert identity)."""
-        return MaskPlan.for_granularity(
-            self.granularity, self.plane_shape, block_shape=self.block_shape
-        )
+        flat_scores = np.asarray(flat_scores)
+        if flat_scores.shape != (self.num_masks,):
+            raise ValueError(
+                f"expected {self.num_masks} flat scores, got shape {flat_scores.shape}"
+            )
+        return flat_scores.reshape(self.output_shape)
 
 
 @dataclass(frozen=True)
@@ -694,13 +343,13 @@ class SliceRow:
 class SliceTable:
     """Row map of a cross-pair wave stack (the paper's "internal table").
 
-    A wave concatenates, for every pair it fuses, the pair's masked
-    variants followed by the pair's *unmasked* plane (the residual row,
-    which turns the last per-pair eager convolution into one more batch
-    row).  This table records, for each stack row, which pair it belongs
-    to, whether it is a mask or the residual, and the feature label --
-    the reassembly metadata that lets one batched convolution answer
-    every pair's Eq. 5 queries at once.
+    A wave streams, for every pair it fuses, the pair's masked variants
+    followed by the pair's *unmasked* plane (the residual row, which
+    turns the per-pair residual convolution into one more batch row).
+    This table records, for each stack row, which pair it belongs to,
+    whether it is a mask or the residual, and the feature label -- the
+    reassembly metadata that lets one batched convolution answer every
+    pair's Eq. 5 queries at once.
     """
 
     rows: tuple[SliceRow, ...]
@@ -713,7 +362,7 @@ class SliceTable:
     ) -> "SliceTable":
         """Build the row map for pairs whose mask plans are ``plans``.
 
-        ``plans[i]`` is pair ``i``'s :class:`MaskPlan`, or ``None`` for a
+        ``plans[i]`` is pair ``i``'s :class:`MaskSpec`, or ``None`` for a
         pair contributing no masks (the ``elements`` granularity scores
         via the linearity fast path and only needs the residual row).
         """
@@ -721,8 +370,7 @@ class SliceTable:
         row = 0
         for pair_index, plan in enumerate(plans):
             if plan is not None:
-                labels = plan.labels or tuple((i,) for i in range(plan.num_masks))
-                for label in labels:
+                for label in plan.labels:
                     rows.append(SliceRow(row, pair_index, "mask", label))
                     row += 1
             if include_residual:
@@ -770,8 +418,7 @@ def effective_chunk_rows(
     Defaults to :data:`DEFAULT_CHUNK_ROWS`, then clamps so one chunk's
     float64 planes fit ``max_stack_bytes``.  Streaming needs at least
     one whole plane in flight, so a budget below a single ``M x N``
-    float plane still raises :class:`MaskStackBudgetError` -- that
-    ceiling is the plane size now, not ``num_masks`` times it.
+    float plane raises :class:`MaskStackBudgetError`.
     """
     m, n = plane_shape
     plane_bytes = m * n * FLOAT64_BYTES
@@ -785,41 +432,12 @@ def effective_chunk_rows(
     return max(1, min(rows, max_stack_bytes // plane_bytes))
 
 
-def _stream_scores(
-    plan,
-    x: np.ndarray,
-    kernel: np.ndarray,
-    y: np.ndarray,
-    reduction: str,
-    device: Device | None,
-    fill_value: float,
-    chunk_rows: int,
-    precision=None,
-) -> np.ndarray:
-    """Chunk-streamed batched scoring: generate, convolve, reduce, drop."""
-    chunks = plan.apply_chunks(x, fill_value=fill_value, chunk_rows=chunk_rows)
-    if device is None:
-        convolved_chunks = fft_circular_convolve2d_chunks(
-            chunks, kernel, num_rows=plan.num_masks, precision=precision
-        )
-    else:
-        convolved_chunks = device.conv2d_circular_batch_chunks(
-            chunks, kernel, num_rows=plan.num_masks, precision=precision
-        )
-    scores = np.empty(plan.num_masks)
-    for convolved, rows in convolved_chunks:
-        deltas = y[np.newaxis] - convolved
-        scores[rows.start : rows.stop] = reduce_batch(deltas, reduction)
-    return plan.reshape_scores(scores)
-
-
 def score_plan(
     x: np.ndarray,
     kernel: np.ndarray,
     y: np.ndarray,
-    plan: "MaskPlan | MaskSpec",
+    plan: MaskSpec,
     reduction: str = "l2",
-    method: str = "batched",
     device: Device | None = None,
     fill_value: float = 0.0,
     max_stack_bytes: int | None = None,
@@ -828,32 +446,19 @@ def score_plan(
 ) -> np.ndarray:
     """Eq. 5 scores for every mask of ``plan``, in the plan's output grid.
 
-    ``method="batched"`` convolves every masked variant through one
-    batched program: the kernel spectrum is computed exactly once, and
-    on compiled backends the plan costs one dispatch instead of one
-    host round trip per mask.  ``method="loop"`` re-runs one masked
-    convolution per mask -- the historical execution, kept so
-    equivalence is testable and the speedup measurable.  All executions
-    produce bit-identical scores.
-
-    Memory: with a dense :class:`MaskPlan` (and ``chunk_rows=None``)
-    the batched path materializes the ``(num_masks, M, N)`` masked
-    float stack, guarded up front by ``max_stack_bytes`` against
-    :attr:`MaskPlan.nbytes` (:class:`MaskStackBudgetError`; ``None``
-    disables the check).  With a lazy :class:`MaskSpec` -- or a dense
-    plan plus an explicit ``chunk_rows`` -- scoring *streams*: masked
-    variants are generated, convolved and reduced ``chunk_rows`` planes
-    at a time, so peak memory is ``O(chunk_rows * M * N)`` regardless
-    of ``num_masks`` and the budget only bounds the chunk (it must
-    still hold one plane).  ``chunk_rows=None`` streams at
-    :data:`DEFAULT_CHUNK_ROWS`.
+    Masked variants are generated, convolved and reduced ``chunk_rows``
+    planes at a time (default :data:`DEFAULT_CHUNK_ROWS`, clamped so a
+    chunk fits ``max_stack_bytes``; ``None`` disables the budget): the
+    kernel spectrum is computed exactly once, and on compiled backends
+    the plan costs one dispatch instead of one host round trip per mask.
+    Peak memory is ``O(chunk_rows * M * N)`` regardless of
+    ``num_masks``.
 
     ``precision`` (a name or :class:`~repro.hw.quantize.PrecisionSpec`)
     quantizes each masked plane spatially and the kernel spectrum per
     component before the Hadamard product -- the MXU int8/bf16 datapath.
-    The rounding is strictly per-plane, so every execution mode above
-    (loop, dense batched, streamed at any chunk size) still produces
-    bit-identical scores at the same precision.
+    The rounding is strictly per-plane, so scores still equal one masked
+    convolution per feature bit for bit at the same precision.
     """
     from repro.hw.quantize import resolve_precision
 
@@ -874,37 +479,18 @@ def score_plan(
         raise ValueError(
             f"unknown reduction {reduction!r}; expected one of {REDUCTIONS}"
         )
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-
-    if method == "loop":
-        scores = np.empty(plan.num_masks)
-        for chunk, rows in plan.iter_chunks(1):
-            masked = np.where(chunk[0], fill_value, x)
-            if device is None:
-                convolved = fft_circular_convolve2d(masked, kernel, precision=spec)
-            else:
-                convolved = device.conv2d_circular(masked, kernel, precision=spec)
-            scores[rows.start] = reduce_batch((y - convolved)[np.newaxis], reduction)[0]
-        return plan.reshape_scores(scores)
-
-    if isinstance(plan, MaskSpec) or chunk_rows is not None:
-        rows_per_chunk = effective_chunk_rows(
-            plan.plane_shape, chunk_rows, max_stack_bytes
-        )
-        return _stream_scores(
-            plan, x, kernel, y, reduction, device, fill_value, rows_per_chunk,
-            precision=spec,
-        )
-
-    check_stack_budget(
-        plan.nbytes, max_stack_bytes, what="batched mask stack",
-        bool_nbytes=plan.bool_nbytes,
-    )
-    stacked = plan.apply(x, fill_value=fill_value)
+    rows_per_chunk = effective_chunk_rows(plan.plane_shape, chunk_rows, max_stack_bytes)
+    chunks = plan.apply_chunks(x, fill_value=fill_value, chunk_rows=rows_per_chunk)
     if device is None:
-        convolved = fft_circular_convolve2d_batch(stacked, kernel, precision=spec)
+        convolved_chunks = fft_circular_convolve2d_chunks(
+            chunks, kernel, num_rows=plan.num_masks, precision=spec
+        )
     else:
-        convolved = device.conv2d_circular_batch(stacked, kernel, precision=spec)
-    deltas = y[np.newaxis] - convolved
-    return plan.reshape_scores(reduce_batch(deltas, reduction))
+        convolved_chunks = device.conv2d_circular_batch_chunks(
+            chunks, kernel, num_rows=plan.num_masks, precision=spec
+        )
+    scores = np.empty(plan.num_masks)
+    for convolved, rows in convolved_chunks:
+        deltas = y[np.newaxis] - convolved
+        scores[rows.start : rows.stop] = reduce_batch(deltas, reduction)
+    return plan.reshape_scores(scores)

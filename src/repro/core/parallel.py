@@ -194,7 +194,8 @@ class MultiInputScheduler:
         """Wave-plan a fleet of pairs without executing it.
 
         Delegates to :class:`repro.core.fleet.FleetExecutor` planning:
-        equal-shape pairs group into waves bounded by the stack budget.
+        equal-shape pairs group into waves of at most
+        ``max_pairs_per_wave`` pairs.
         """
         return self._fleet_executor(
             granularity, block_shape, **executor_kwargs
@@ -205,7 +206,6 @@ class MultiInputScheduler:
         pairs,
         granularity: str = "blocks",
         block_shape: tuple[int, int] | None = None,
-        pipelined: bool = True,
         **executor_kwargs,
     ) -> FleetRun:
         """Explain a fleet of pairs on this chip, one program per wave.
@@ -216,15 +216,15 @@ class MultiInputScheduler:
         lazy mask plans and residual planes stream through a single
         cross-pair chunked batched convolution, so the fleet pays one
         dispatch per wave instead of one (plus a residual round trip)
-        per pair, in ``O(chunk_rows * M * N)`` host memory.
-        ``pipelined`` (default ``True``) double-buffers the waves --
-        wave ``i+1``'s infeed overlaps wave ``i``'s compute, the chip
-        ledger crediting the hidden time as an ``infeed_overlap`` event.
+        per pair, in ``O(chunk_rows * M * N)`` host memory.  The waves
+        run double-buffered -- wave ``i+1``'s infeed overlaps wave
+        ``i``'s compute, the chip ledger crediting the hidden time as an
+        ``infeed_overlap`` event.
         Executor options pass through ``executor_kwargs`` -- notably
         ``precision="int8"|"bf16"|"fp32"|"fp64"`` runs every wave's
         batched convolution in that numeric mode (quantized infeed and
         MXU-rate pricing, scores bit-identical to a quantized loop),
-        and ``num_chips=K`` / ``placement="data"|"chunk"`` shard every
+        and ``num_chips=K`` / ``placement="data"|"chunk"|"wave"`` shard every
         wave across a :class:`~repro.hw.pod.TpuPod` of K clones of this
         chip with interconnect-priced collectives (scores still
         bit-identical; the run's ``stats`` are then the pod roll-up).
@@ -237,7 +237,7 @@ class MultiInputScheduler:
             granularity, block_shape, **executor_kwargs
         )
         executor.device.reset_stats()
-        fleet = executor.run(pairs, pipelined=pipelined)
+        fleet = executor.run(pairs)
         return replace(fleet, stats=executor.device.take_stats())
 
     def _fleet_executor(

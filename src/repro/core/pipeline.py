@@ -10,51 +10,29 @@ For every input-output pair the paper's interpretation step is:
 
 :class:`ExplanationPipeline` executes exactly that against any
 :class:`~repro.hw.device.Device` and reports *simulated seconds*, the
-quantity Table II compares across CPU/GPU/TPU.  Two orthogonal axes
-control the execution structure:
+quantity Table II compares across CPU/GPU/TPU.  It hands the batch to
+the :class:`~repro.core.fleet.FleetExecutor`: pairs of equal plane
+shape fuse into scheduler waves, each wave scored -- mask rows *and*
+the per-pair unmasked residual planes -- by one cross-pair batched
+convolution inside one ``device.program`` scope, i.e. one dispatch per
+wave.  Each wave's mask stack is generated lazily and convolved in
+``chunk_rows``-bounded chunks (peak memory ``O(chunk_rows * M * N)``
+however many masks the fleet fuses), and waves run double-buffered:
+wave ``i+1``'s dispatch + infeed overlaps wave ``i``'s compute, the
+hidden host-link time credited back as a negative ``infeed_overlap``
+ledger row.
 
-* ``method`` -- how one pair's masks execute.  ``"batched"`` (default)
-  scores the pair's whole :class:`~repro.core.masking.MaskPlan` as one
-  batched program (kernel spectrum computed once, no per-mask host
-  round trips); ``"loop"`` preserves the paper's measured execution --
-  one launch per masked feature -- so eager backends pay their per-op
-  overheads and the TPU pays per-mask round trips.
-* ``fusion`` -- how *pairs* execute relative to each other.
-  ``"wave"`` (default) hands the batch to the
-  :class:`~repro.core.fleet.FleetExecutor`: pairs of equal plane shape
-  fuse into scheduler waves, each wave scored -- mask rows *and* the
-  per-pair unmasked residual planes -- by one cross-pair batched
-  convolution inside one ``device.program`` scope, i.e. one dispatch
-  per wave at fleet scale.  ``"pair"`` preserves the historical
-  one-program-scope-per-pair execution (with its eager residual
-  convolution) for equivalence tests and Table II regeneration.
-  Fusion only restructures the batched method; ``method="loop"`` is
-  inherently pair-at-a-time and always runs per pair.
-
-Wave fusion is additionally *streaming* and *pipelined*: each wave's
-mask stack is generated lazily and convolved in ``chunk_rows``-bounded
-chunks (peak memory ``O(chunk_rows * M * N)`` however many masks the
-fleet fuses), and with ``pipelined=True`` (default) wave ``i+1``'s
-dispatch + infeed overlaps wave ``i``'s compute, crediting the hidden
-host-link time back as a negative ``infeed_overlap`` ledger row.
-
-A third orthogonal axis, ``precision``, selects the numeric mode of the
-interpretation convolutions (``"fp64"``/``"fp32"`` exact, ``"bf16"``
-rounding, ``"int8"`` per-plane symmetric quantization -- parsed by the
-single :func:`repro.hw.quantize.precision_spec` entry point): masked
-planes and residual rows quantize spatially, kernel spectra per complex
+``precision`` selects the numeric mode of the interpretation
+convolutions (``"fp64"``/``"fp32"`` exact, ``"bf16"`` rounding,
+``"int8"`` per-plane symmetric quantization -- parsed by the single
+:func:`repro.hw.quantize.precision_spec` entry point): masked planes
+and residual rows quantize spatially, kernel spectra per complex
 component, the distillation solve stays exact.  Because the rounding is
-strictly per-plane, scores and residuals remain bit-identical along
-method/fusion/streaming/pipelining *at the same precision* -- a
-quantized wave matches a quantized loop exactly -- while the TPU cost
+strictly per-plane, scores and residuals equal one masked convolution
+per feature bit for bit *at the same precision*, while the TPU cost
 model prices the batched transforms with the MXU cycle hooks at the
-spec's rate and the infeed at its storage width, exposing the paper's
+spec's rate and the infeed at its storage width -- the paper's
 accuracy-vs-precision trade-off at fleet scale.
-
-Scores, kernels and residuals are bit-identical along every axis
-(method, fusion, streaming, pipelining); only simulated cost and the op
-ledger differ -- the paper's structural contrast, now measurable per
-pair *and* per fleet.
 """
 
 from __future__ import annotations
@@ -63,27 +41,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.distillation import ConvolutionDistiller
 from repro.core.fleet import (
     GRANULARITIES,
     PLACEMENTS,
     FleetExecutor,
     check_precision_granularity,
-    feed_bytes,
 )
-from repro.hw.pod import TpuPod
-from repro.core.interpretation import feature_contributions
-from repro.core.masking import (
-    DEFAULT_STACK_BUDGET_BYTES,
-    METHODS,
-    MaskPlan,
-    score_plan,
-)
+from repro.core.masking import DEFAULT_STACK_BUDGET_BYTES
 from repro.core.transform import OutputEmbedding
 from repro.hw.device import Device, DeviceStats
+from repro.hw.pod import TpuPod
 from repro.hw.quantize import resolve_precision
-
-FUSIONS = ("wave", "pair")
 
 
 @dataclass(frozen=True)
@@ -103,7 +71,7 @@ class InterpretationRun:
     explanations: list[PairExplanation]
     simulated_seconds: float
     stats: DeviceStats
-    num_programs: int = 0  # program scopes opened (waves or pairs)
+    num_programs: int = 0  # program scopes opened (one per wave)
 
     @property
     def seconds_per_pair(self) -> float:
@@ -123,57 +91,20 @@ class ExplanationPipeline:
     block_shape:
         Tile size for ``blocks`` granularity.
     eps, embedding:
-        Forwarded to :class:`ConvolutionDistiller`.
-    method:
-        ``"batched"`` (default) scores each pair's whole mask plan as
-        one batched device program; ``"loop"`` re-runs one masked
-        convolution per feature (the historical execution).  Scores are
-        identical; only simulated cost and op ledger differ.
-        For ``elements`` granularity, ``"loop"`` honors the literal
-        per-element Eq. 5 loop (one convolution and, on TPU, one host
-        round trip per element), while ``"batched"`` uses the linearity
-        fast path: one convolution total, which strictly dominates an
-        element plan whose ``(M*N, M, N)`` stack is quadratic in the
-        plane size.
-    fusion:
-        ``"wave"`` (default) fuses equal-shape pairs into scheduler
-        waves executed as one batched program each (see
-        :mod:`repro.core.fleet`); ``"pair"`` opens one program scope
-        per pair.  Only consulted for ``method="batched"``; the loop
-        method always executes per pair.
+        Forwarded to :class:`~repro.core.distillation.ConvolutionDistiller`.
     max_stack_bytes:
-        Memory budget for the batched method's float stacks.  Under
-        pair fusion (dense plans) exceeding it raises
-        :class:`~repro.core.masking.MaskStackBudgetError` pointing at
-        ``method="loop"``; under wave fusion execution *streams*
-        (lazy :class:`~repro.core.masking.MaskSpec` chunks), so the
-        budget bounds the per-chunk working set and wave splitting
-        instead of capping plan size -- only a plane too large for the
-        budget to hold one ``M x N`` float row still raises.  ``None``
+        Memory budget for the streamed float chunks: it bounds the
+        per-chunk working set, not the plan size -- only a plane too
+        large for the budget to hold one ``M x N`` float row raises
+        :class:`~repro.core.masking.MaskStackBudgetError`.  ``None``
         disables the guard.
-    pipelined:
-        Wave fusion only: ``True`` (default) double-buffers wave
-        execution -- wave ``i+1``'s dispatch + infeed overlaps wave
-        ``i``'s compute inside a ``device.pipeline()`` scope, the
-        hidden time credited back as a negative ``infeed_overlap``
-        ledger row.  ``False`` preserves serial wave timing (results
-        and per-op compute records are identical either way).
     chunk_rows:
-        Masked planes generated/convolved per streamed chunk under wave
-        fusion (default
+        Masked planes generated/convolved per streamed chunk (default
         :data:`~repro.core.masking.DEFAULT_CHUNK_ROWS`, clamped to the
         budget); peak streaming memory is ``O(chunk_rows * M * N)``.
     max_pairs_per_wave:
-        Optional cap on pairs fused per wave (wave fusion only) --
-        the lever benchmarks use to trade per-wave batch width against
-        cross-wave infeed overlap.
-    dense_budget:
-        Wave fusion only.  ``False`` (default) plans waves
-        chunk-adaptively: the byte budget bounds the streamed chunk --
-        which does not grow with the pairs fused -- so waves grow to
-        what the infeed pipeline can overlap.  ``True`` restores the
-        historical dense-stack budgeting (an over-budget pair closes
-        the wave and takes one of its own).
+        Optional cap on pairs fused per wave -- the lever benchmarks use
+        to trade per-wave batch width against cross-wave infeed overlap.
     precision:
         Numeric mode of the interpretation convolutions: ``"fp64"`` /
         ``"fp32"`` (exact), ``"bf16"`` or ``"int8"`` -- any name
@@ -181,12 +112,12 @@ class ExplanationPipeline:
         :class:`~repro.hw.quantize.PrecisionSpec`.  ``None`` (default)
         is the exact legacy execution with legacy cost accounting.
         Masked planes quantize per plane and kernel spectra per
-        component inside the batched convolution; scores match
-        ``method="loop"`` at the same precision bit for bit, streamed
-        and dense.  Quantizing precisions reject the ``elements``
+        component inside the batched convolution; scores match one
+        masked convolution per feature at the same precision bit for
+        bit.  Quantizing precisions reject the ``elements``
         granularity (its linearity fast path assumes exact arithmetic).
     num_chips, placement, interconnect, hbm_bytes:
-        Pod scaling (wave fusion only): ``num_chips=K > 1`` replicates
+        Pod scaling: ``num_chips=K > 1`` replicates
         ``device`` into a :class:`~repro.hw.pod.TpuPod` of K clones
         (handing a ``TpuPod`` in as ``device`` works too), each with
         its own sharded :class:`~repro.hw.pod.HostLink`, and shards
@@ -197,9 +128,7 @@ class ExplanationPipeline:
         collectives are priced on ``interconnect`` (default ring) and
         scores stay bit-identical to single-chip execution.
         ``hbm_bytes`` overrides each chip's modeled HBM capacity; wave
-        budgeting clamps to the capacity either way.  A pod requires
-        ``method="batched"`` + ``fusion="wave"``; the per-pair paths
-        have no sharded execution and raise.
+        budgeting clamps to the capacity either way.
     """
 
     def __init__(
@@ -209,14 +138,10 @@ class ExplanationPipeline:
         block_shape: tuple[int, int] | None = None,
         eps: float = 1e-6,
         embedding: OutputEmbedding | None = None,
-        method: str = "batched",
-        fusion: str = "wave",
         max_stack_bytes: int | None = DEFAULT_STACK_BUDGET_BYTES,
-        pipelined: bool = True,
         chunk_rows: int | None = None,
         max_pairs_per_wave: int | None = None,
         precision=None,
-        dense_budget: bool = False,
         num_chips: int | None = None,
         placement: str = "data",
         interconnect=None,
@@ -228,10 +153,6 @@ class ExplanationPipeline:
             )
         if granularity == "blocks" and block_shape is None:
             raise ValueError("blocks granularity requires a block_shape")
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-        if fusion not in FUSIONS:
-            raise ValueError(f"unknown fusion {fusion!r}; expected one of {FUSIONS}")
         if placement not in PLACEMENTS:
             raise ValueError(
                 f"unknown placement {placement!r}; expected one of {PLACEMENTS}"
@@ -252,63 +173,23 @@ class ExplanationPipeline:
                     f"num_chips={num_chips} disagrees with the supplied "
                     f"{device.num_chips}-chip pod"
                 )
-            if method != "batched" or fusion != "wave":
-                raise ValueError(
-                    "pod execution requires method='batched' and "
-                    "fusion='wave'; the per-pair paths have no sharded "
-                    f"execution (got method={method!r}, fusion={fusion!r})"
-                )
         self.placement = placement
         self.device = device
         self.granularity = granularity
         self.block_shape = block_shape
         self.eps = eps
         self.embedding = embedding or OutputEmbedding("identity")
-        self.method = method
-        self.fusion = fusion
         self.max_stack_bytes = max_stack_bytes
-        self.pipelined = pipelined
         self.chunk_rows = chunk_rows
         self.max_pairs_per_wave = max_pairs_per_wave
-        self.dense_budget = dense_budget
         self.hbm_bytes = None if hbm_bytes is None else int(hbm_bytes)
-
-    def explain_pair(self, x: np.ndarray, y: np.ndarray) -> PairExplanation:
-        """Distill and interpret one pair (no program scoping)."""
-        distiller = ConvolutionDistiller(
-            device=self.device, eps=self.eps, embedding=self.embedding,
-            precision=self.precision,
-        )
-        distiller.fit(x, y)
-        kernel = distiller.kernel_
-        y_plane = distiller.lift_outputs(y)[0]
-        scores = self._score(np.asarray(x), kernel, y_plane)
-        residual = distiller.residual(x, y)
-        return PairExplanation(kernel=kernel, scores=scores, residual=residual)
-
-    def _score(self, x: np.ndarray, kernel: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if self.granularity == "elements":
-            return feature_contributions(
-                x, kernel, y, device=self.device,
-                method="naive" if self.method == "loop" else "fast",
-            )
-        plan = MaskPlan.for_granularity(
-            self.granularity, x.shape, block_shape=self.block_shape
-        )
-        return score_plan(
-            x, kernel, y, plan, method=self.method, device=self.device,
-            max_stack_bytes=self.max_stack_bytes, precision=self.precision,
-        )
 
     def run(self, pairs) -> InterpretationRun:
         """Interpret a batch of ``(x, y)`` pairs; returns simulated timing.
 
-        Under the default wave fusion, equal-shape pairs fuse into
-        scheduler waves, each executing as one ``device.program`` scope
-        whose single batched convolution scores every fused pair's mask
-        plan and residual plane at once.  Under pair fusion (and always
-        under ``method="loop"``) each pair executes inside its own
-        program scope, exactly as the paper measures.
+        Equal-shape pairs fuse into scheduler waves, each executing as
+        one ``device.program`` scope whose single batched convolution
+        scores every fused pair's mask plan and residual plane at once.
         """
         pairs = list(pairs)
         self.device.reset_stats()
@@ -322,21 +203,33 @@ class ExplanationPipeline:
                 stats=self.device.take_stats(),
                 num_programs=0,
             )
-        if self.method == "batched" and self.fusion == "wave":
-            return self._run_wave(pairs)
-        explanations: list[PairExplanation] = []
-        for x, y in pairs:
-            x = np.asarray(x)
-            infeed = feed_bytes([x, np.asarray(y)], self.precision)
-            with self.device.program(infeed_bytes=infeed, outfeed_bytes=x.nbytes):
-                explanations.append(self.explain_pair(x, y))
+        executor = FleetExecutor(
+            self.device,
+            granularity=self.granularity,
+            block_shape=self.block_shape,
+            eps=self.eps,
+            embedding=self.embedding,
+            max_stack_bytes=self.max_stack_bytes,
+            max_pairs_per_wave=self.max_pairs_per_wave,
+            chunk_rows=self.chunk_rows,
+            precision=self.precision,
+            placement=self.placement,
+            hbm_bytes=self.hbm_bytes,
+        )
+        fleet = executor.run(pairs)
         stats = self.device.take_stats()
+        explanations = [
+            PairExplanation(
+                kernel=result.kernel, scores=result.scores, residual=result.residual
+            )
+            for result in fleet.results
+        ]
         return InterpretationRun(
             device_name=self.device.name,
             explanations=explanations,
             simulated_seconds=stats.seconds,
             stats=stats,
-            num_programs=len(pairs),
+            num_programs=fleet.num_waves,
         )
 
     def service(self, **service_kwargs):
@@ -369,40 +262,8 @@ class ExplanationPipeline:
             max_stack_bytes=self.max_stack_bytes,
             chunk_rows=self.chunk_rows,
             max_pairs_per_wave=self.max_pairs_per_wave,
-            dense_budget=self.dense_budget,
             placement=self.placement,
             hbm_bytes=self.hbm_bytes,
         )
         config.update(service_kwargs)
         return ExplanationService(self.device, **config)
-
-    def _run_wave(self, pairs) -> InterpretationRun:
-        executor = FleetExecutor(
-            self.device,
-            granularity=self.granularity,
-            block_shape=self.block_shape,
-            eps=self.eps,
-            embedding=self.embedding,
-            max_stack_bytes=self.max_stack_bytes,
-            max_pairs_per_wave=self.max_pairs_per_wave,
-            chunk_rows=self.chunk_rows,
-            precision=self.precision,
-            dense_budget=self.dense_budget,
-            placement=self.placement,
-            hbm_bytes=self.hbm_bytes,
-        )
-        fleet = executor.run(pairs, pipelined=self.pipelined)
-        stats = self.device.take_stats()
-        explanations = [
-            PairExplanation(
-                kernel=result.kernel, scores=result.scores, residual=result.residual
-            )
-            for result in fleet.results
-        ]
-        return InterpretationRun(
-            device_name=self.device.name,
-            explanations=explanations,
-            simulated_seconds=stats.seconds,
-            stats=stats,
-            num_programs=fleet.num_waves,
-        )

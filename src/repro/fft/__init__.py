@@ -66,12 +66,9 @@ from repro.fft.convolution import (
     circular_convolve2d,
     fft_circular_convolve,
     fft_circular_convolve2d,
-    fft_circular_convolve2d_batch,
     fft_circular_convolve2d_chunks,
     linear_convolve,
     linear_convolve2d,
-    real_convolution_path_enabled,
-    set_real_convolution_path,
 )
 
 __all__ = [
@@ -109,10 +106,7 @@ __all__ = [
     "circular_convolve2d",
     "fft_circular_convolve",
     "fft_circular_convolve2d",
-    "fft_circular_convolve2d_batch",
     "fft_circular_convolve2d_chunks",
     "linear_convolve",
     "linear_convolve2d",
-    "real_convolution_path_enabled",
-    "set_real_convolution_path",
 ]

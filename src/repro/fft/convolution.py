@@ -9,32 +9,26 @@ provides:
   definition, used by tests and small inputs;
 * FFT-based convolution -- the fast path whose agreement with the direct
   form *is* the convolution theorem, asserted by property tests;
-* batched FFT convolution -- a stack of inputs against one shared
-  kernel whose spectrum is computed exactly once, the hot path of the
-  batched occlusion engine (:mod:`repro.core.masking`);
-* chunk-streamed FFT convolution -- the same arithmetic driven by an
-  *iterator* of ``(chunk, row_range)`` slices instead of a materialized
-  ``(batch, M, N)`` stack, so peak memory is ``O(chunk_rows * M * N)``
-  regardless of batch size (the substrate of lazy
-  :class:`~repro.core.masking.MaskSpec` scoring and streamed fleet
-  waves); the dense batch form is a thin wrapper over it;
+* chunk-streamed batched FFT convolution -- a stack of inputs, driven
+  by an *iterator* of ``(chunk, row_range)`` slices, against kernels
+  whose spectra are computed exactly once, so peak memory is
+  ``O(chunk_rows * M * N)`` regardless of batch size (the hot path of
+  :class:`~repro.core.masking.MaskSpec` scoring and fleet waves);
 * linear convolution via zero-padding to a circular one, for callers who
   need aperiodic behaviour.
 
 Chunk boundaries never change bits: :func:`repro.fft.fft2d.fft2_batch`
 transforms each plane independently, and the per-row Hadamard products
-and reductions are plane-local, so streamed, dense-batched and
-one-plane-at-a-time execution agree exactly.
+are plane-local, so streamed and one-plane-at-a-time execution agree
+exactly.
 
 When input and kernel are both real -- the dominant case, since every
-occlusion mask and distilled kernel is real -- all three forms route
-through the **half-spectrum real path** (:func:`repro.fft.fft2d.rfft2_batch`
+occlusion mask and distilled kernel is real -- both forms route through
+the **half-spectrum real path** (:func:`repro.fft.fft2d.rfft2_batch`
 / :func:`~repro.fft.fft2d.irfft2_batch`): Hermitian symmetry means only
 ``N//2 + 1`` of the ``N`` spectrum columns are computed, stored and
-multiplied, roughly halving host transform work and memory.  The full
-complex path remains for complex operands and stays reachable for real
-ones via :func:`set_real_convolution_path` so the host benchmark can
-measure the difference.  Kernel spectra come from the process-level
+multiplied, roughly halving host transform work and memory.  Complex
+operands take the full complex path.  Kernel spectra come from the process-level
 content-addressed cache (:mod:`repro.fft.spectra`), so byte-equal
 kernels are transformed once per process, not once per call.
 
@@ -45,7 +39,7 @@ here so the FFT layer stays independent of the hardware layer) whose
 planes in the spatial domain and the kernel *spectra* in the frequency
 domain, then the transforms and Hadamard products accumulate in float64
 -- the MXU int8/bf16 datapath.  Because the rounding is strictly
-per-plane, the streamed/dense/loop agreement above holds unchanged at
+per-plane, the streamed/one-plane agreement above holds unchanged at
 every precision.
 """
 
@@ -142,25 +136,6 @@ def fft_circular_convolve(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     return result
 
 
-# Real operands route through the rFFT half-spectrum path by default;
-# the pre-change full-complex path stays reachable so the host benchmark
-# can measure exactly what the real path buys.
-_REAL_PATH_ENABLED = True
-
-
-def set_real_convolution_path(enabled: bool) -> bool:
-    """Toggle the real-input half-spectrum fast path; returns the previous setting."""
-    global _REAL_PATH_ENABLED
-    previous = _REAL_PATH_ENABLED
-    _REAL_PATH_ENABLED = bool(enabled)
-    return previous
-
-
-def real_convolution_path_enabled() -> bool:
-    """Whether real-operand convolutions use the half-spectrum fast path."""
-    return _REAL_PATH_ENABLED
-
-
 def fft_circular_convolve2d(
     x: np.ndarray, k: np.ndarray, precision=None
 ) -> np.ndarray:
@@ -168,8 +143,7 @@ def fft_circular_convolve2d(
 
     Real ``x`` and ``k`` (the occlusion hot path) take the half-spectrum
     real path -- input and cached kernel spectra hold only the
-    ``N//2 + 1`` non-redundant columns -- unless disabled via
-    :func:`set_real_convolution_path`; complex operands take the full
+    ``N//2 + 1`` non-redundant columns; complex operands take the full
     complex path.  Real-kernel spectra are fetched from the
     process-level cache either way.
 
@@ -185,7 +159,7 @@ def fft_circular_convolve2d(
         )
     x_in = x if precision is None else precision.apply(x)
     if np.isrealobj(k):
-        if _REAL_PATH_ENABLED and np.isrealobj(x_in):
+        if np.isrealobj(x_in):
             half = spectra.kernel_spectrum(k, real=True, precision=precision)
             return irfft2_batch(rfft2_batch(x_in) * half.array, n=k.shape[-1])
         kernel_spectrum = spectra.kernel_spectrum(
@@ -202,12 +176,6 @@ def fft_circular_convolve2d(
     return result
 
 
-# Planes transformed per slice of a batched convolution: bounds the
-# complex128 FFT intermediates (the largest allocations, ~4x the real
-# input stack) without changing any per-plane arithmetic.
-_CONV_BATCH_CHUNK = 64
-
-
 def _validate_batch_kernel(
     k: np.ndarray,
     row_kernel: np.ndarray | None,
@@ -215,7 +183,7 @@ def _validate_batch_kernel(
     num_rows: int | None,
     name: str,
 ) -> tuple[np.ndarray, bool, np.ndarray | None, np.ndarray | None]:
-    """Shared kernel/row-map validation for dense and streamed batches.
+    """Kernel/row-map validation for streamed batches.
 
     Returns ``(k, multi_kernel, row_kernel, kernel_spectrum)`` with the
     row map cast to ``intp`` and the spectrum shape-checked (``None``
@@ -326,15 +294,17 @@ def fft_circular_convolve2d_chunks(
 
     This is the lazy-mask-plan fast path: the conceptual batch is never
     materialized, so peak memory is ``O(chunk_rows * M * N)`` however
-    many masks a plan generates.  Kernel handling matches
-    :func:`fft_circular_convolve2d_batch` (single shared kernel, or a
-    ``(P, M, N)`` stack with a per-row map whose spectra are computed
-    exactly once up front); each output plane is bit-identical to the
-    dense batch form and to :func:`fft_circular_convolve2d` on the
-    corresponding planes.
+    many masks a plan generates.  ``k`` is either one ``(M, N)`` kernel
+    shared by every row or a ``(P, M, N)`` kernel stack, in which case
+    ``row_kernel`` maps each row to the kernel plane it convolves
+    against -- the cross-pair wave form, where the rows of many pairs
+    fuse into one batch but each pair keeps its own distilled kernel.
+    Kernel spectra are computed exactly once up front (or reused when
+    ``kernel_spectrum`` is supplied); each output plane is bit-identical
+    to :func:`fft_circular_convolve2d` on the corresponding planes.
 
-    Real kernels with the real path enabled use cached half spectra and
-    the rFFT chunk transform; a complex chunk arriving under a half
+    Real kernels use cached half spectra and the rFFT chunk transform;
+    a complex chunk arriving under a half
     spectrum falls back to the cached *full* spectrum for that chunk, so
     its planes stay bit-identical to the complex loop path.
 
@@ -342,8 +312,8 @@ def fft_circular_convolve2d_chunks(
     rounds every incoming data chunk plane-by-plane in the spatial
     domain and the kernel spectra per plane/component up front; since
     both roundings are per-plane, chunk boundaries still never change
-    bits and the quantized stream matches quantized dense and loop
-    execution exactly.  A supplied ``kernel_spectrum`` ndarray must be
+    bits and the quantized stream matches quantized one-plane execution
+    exactly.  A supplied ``kernel_spectrum`` ndarray must be
     the *raw* (unquantized) full spectrum -- the spec is applied here,
     exactly once; a supplied :class:`~repro.fft.spectra.KernelSpectrum`
     may be raw (quantized here the same way) or already quantized, in
@@ -373,11 +343,8 @@ def fft_circular_convolve2d_chunks(
         if precision is not None:
             spec_array = precision.apply(spec_array)
     elif real_kernel:
-        use_half = _REAL_PATH_ENABLED
-        spec_kind = "half" if use_half else "full"
-        spec_array = spectra.kernel_spectrum(
-            k, real=use_half, precision=precision
-        ).array
+        spec_kind = "half"
+        spec_array = spectra.kernel_spectrum(k, real=True, precision=precision).array
     else:
         spec_kind = "full"
         spec_array = fft2_batch(k) if multi_kernel else fft2(k)
@@ -444,73 +411,6 @@ def fft_circular_convolve2d_chunks(
         raise ValueError(
             f"chunk stream ended at row {next_row}, expected {num_rows} rows"
         )
-
-
-def fft_circular_convolve2d_batch(
-    x_batch: np.ndarray,
-    k: np.ndarray,
-    kernel_spectrum: np.ndarray | None = None,
-    row_kernel: np.ndarray | None = None,
-    precision=None,
-) -> np.ndarray:
-    """Circular convolution of a ``(batch, M, N)`` stack with shared kernels.
-
-    ``k`` is either one ``(M, N)`` kernel shared by every row (the
-    original single-pair form) or a ``(P, M, N)`` kernel stack, in which
-    case ``row_kernel`` maps each input row to the kernel plane it
-    convolves against -- the cross-pair wave form, where the rows of many
-    input-output pairs fuse into one batch but each pair keeps its own
-    distilled kernel.  The kernel spectra are computed once for the whole
-    batch (or reused verbatim when ``kernel_spectrum`` is supplied --
-    callers convolving several batches against the same kernels amortize
-    them further).  Each output plane is bit-identical to
-    :func:`fft_circular_convolve2d` on the corresponding (input, kernel)
-    planes; internally the stack is driven through
-    :func:`fft_circular_convolve2d_chunks` in bounded-size slices so
-    peak *intermediate* memory stays a small multiple of one chunk
-    (per-row spectra are staged run-by-run, never gathered for the full
-    batch).  Callers that cannot afford the dense input/output stacks
-    either should use the chunk iterator directly.
-
-    ``precision`` forwards to the chunk iterator: data planes quantize
-    spatially per plane, kernel spectra per plane/component, so a
-    quantized dense batch is bit-identical to the quantized stream and
-    to quantized per-plane :func:`fft_circular_convolve2d` calls.
-    """
-    x_batch = np.asarray(x_batch)
-    if x_batch.ndim != 3:
-        raise ValueError(
-            "fft_circular_convolve2d_batch expects a (batch, M, N) stack, "
-            f"got shape {x_batch.shape}"
-        )
-    if 0 in x_batch.shape:
-        raise ValueError("fft_circular_convolve2d_batch of an empty batch is undefined")
-    k = np.asarray(k)
-    if k.ndim not in (2, 3) or x_batch.shape[1:] != k.shape[-2:]:
-        raise ValueError(
-            "batched circular convolution needs matching plane shapes, got "
-            f"{x_batch.shape[1:]} and {k.shape[-2:]}"
-        )
-    num_rows = x_batch.shape[0]
-    # Validate eagerly so bad calls raise here, not at first iteration.
-    _validate_batch_kernel(
-        k, row_kernel, kernel_spectrum, num_rows, "fft_circular_convolve2d_batch"
-    )
-    real_output = np.isrealobj(x_batch) and np.isrealobj(k)
-    result = np.empty(
-        x_batch.shape, dtype=np.float64 if real_output else np.complex128
-    )
-    chunk_views = (
-        (x_batch[start : start + _CONV_BATCH_CHUNK],
-         range(start, min(start + _CONV_BATCH_CHUNK, num_rows)))
-        for start in range(0, num_rows, _CONV_BATCH_CHUNK)
-    )
-    for convolved, rows in fft_circular_convolve2d_chunks(
-        chunk_views, k, kernel_spectrum=kernel_spectrum,
-        row_kernel=row_kernel, num_rows=num_rows, precision=precision,
-    ):
-        result[rows.start : rows.stop] = convolved
-    return result
 
 
 def linear_convolve(x: np.ndarray, k: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ Every FFT-form convolution transforms its kernel before the Hadamard
 product.  The batched engine amortizes that transform *within* one call,
 and the serve-layer :class:`~repro.serve.cache.ExplanationCache` catches
 repeated *requests* -- but nothing below them caught repeated *kernels*:
-a ``score_plan(method="loop")`` sweep re-transforms the same kernel once
+a per-mask ``conv2d_circular`` sweep re-transforms the same kernel once
 per mask, and replayed fleet waves re-transform every kernel stack per
 run.  This module closes that gap with one process-wide cache of kernel
 spectra, keyed by **content digest + spectrum kind + precision**

@@ -40,7 +40,6 @@ import numpy as np
 from repro.fft.convolution import (
     _validate_batch_kernel,
     fft_circular_convolve2d,
-    fft_circular_convolve2d_batch,
     fft_circular_convolve2d_chunks,
 )
 from repro.fft.fft2d import fft2, ifft2
@@ -584,7 +583,7 @@ class Device(abc.ABC):
         ``kernel_launch_sec`` per CUDA kernel, inside the inherited
         per-op rooflines (and library-FFT pricing when configured).
         Only the kernel spectrum is amortized (its single ``fft2`` is
-        priced separately by :meth:`conv2d_circular_batch`); data is
+        priced separately by :meth:`conv2d_circular_batch_chunks`); data is
         assumed resident, staged by the caller's :meth:`program` scope.
         Accelerator backends override this to price one fused batched
         program instead.
@@ -603,89 +602,6 @@ class Device(abc.ABC):
         )
         return batch * per_plane
 
-    def conv2d_circular_batch(
-        self,
-        x_batch: np.ndarray,
-        kernel: np.ndarray,
-        row_kernel: np.ndarray | None = None,
-        precision=None,
-    ) -> np.ndarray:
-        """Circular convolution of a ``(batch, M, N)`` stack against shared kernels.
-
-        ``kernel`` is one ``(M, N)`` plane shared by every row (a single
-        pair's mask plan) or a ``(P, M, N)`` stack with ``row_kernel``
-        mapping each input row to its kernel plane (a cross-pair wave:
-        many pairs' mask plans fused into one batch, each keeping its own
-        distilled kernel).  Kernel spectra are computed (and accounted)
-        exactly **once** per call -- the batched engine's structural
-        saving over looping :meth:`conv2d_circular`, which re-transforms
-        the same kernel on every mask; a kernel stack is transformed as
-        one spectrum batch (:meth:`_record_kernel_spectra`), so
-        equal-shape pairs share one kernel-spectrum batch.  Functional
-        results use the vectorized batch-FFT kernels and are
-        bit-identical to the looped path; simulated cost is delegated to
-        :meth:`_record_batch_conv` so eager and compiled backends can
-        model their dispatch semantics.
-
-        ``precision`` (a name or :class:`~repro.hw.quantize
-        .PrecisionSpec`) quantizes the data stack spatially and the
-        kernel spectra per plane inside the batched convolution (see
-        :func:`repro.fft.convolution.fft_circular_convolve2d_batch`);
-        results stay bit-identical to quantized :meth:`conv2d_circular`
-        loops, and the cost hooks receive the spec so compiled backends
-        can price the quantized transforms.
-        """
-        x_batch = np.asarray(x_batch)
-        kernel = np.asarray(kernel)
-        spec = resolve_precision(precision)
-        if x_batch.ndim != 3:
-            raise ValueError(
-                f"conv2d_circular_batch expects a (batch, M, N) stack, got {x_batch.shape}"
-            )
-        if 0 in x_batch.shape:
-            raise ValueError("conv2d_circular_batch of an empty batch is undefined")
-        if kernel.ndim not in (2, 3) or x_batch.shape[1:] != kernel.shape[-2:]:
-            raise ValueError(
-                "batched convolution needs matching plane shapes, got "
-                f"{x_batch.shape[1:]} and {kernel.shape[-2:]}"
-            )
-        m, n = kernel.shape[-2], kernel.shape[-1]
-        # Validate the row->kernel mapping before anything is recorded,
-        # so an invalid call cannot leave phantom spectrum entries in
-        # the stats ledger.
-        if kernel.ndim == 3:
-            if 0 in kernel.shape:
-                raise ValueError("conv2d_circular_batch kernel stack is empty")
-            if row_kernel is None:
-                raise ValueError("a kernel stack needs a row_kernel mapping")
-            row_kernel = np.asarray(row_kernel, dtype=np.intp)
-            if row_kernel.shape != (x_batch.shape[0],):
-                raise ValueError(
-                    f"row_kernel must map all {x_batch.shape[0]} rows, "
-                    f"got shape {row_kernel.shape}"
-                )
-            if row_kernel.min() < 0 or row_kernel.max() >= kernel.shape[0]:
-                raise ValueError(
-                    f"row_kernel indices must lie in [0, {kernel.shape[0]}), "
-                    f"got range [{row_kernel.min()}, {row_kernel.max()}]"
-                )
-        elif row_kernel is not None:
-            raise ValueError("row_kernel requires a (P, M, N) kernel stack")
-        # The simulated ledger prices the kernel transforms here exactly
-        # as before (one spectrum batch per wave, or one "fft2" per
-        # plan); the *functional* spectra come from the process-level
-        # kernel-spectrum cache inside the batched convolution, so the
-        # host skips re-transforms the simulated device still accounts.
-        if kernel.ndim == 3:
-            self._record_kernel_spectra(kernel.shape[0], m, n, spec=spec)
-        else:
-            self._record_fft2_op(m, n)  # once per plan, recorded as "fft2"
-        result = fft_circular_convolve2d_batch(
-            x_batch, kernel, row_kernel=row_kernel, precision=spec,
-        )
-        self._record_batch_conv(x_batch.shape[0], m, n, spec=spec)
-        return result
-
     def conv2d_circular_batch_chunks(
         self,
         chunks,
@@ -694,23 +610,39 @@ class Device(abc.ABC):
         row_kernel: np.ndarray | None = None,
         precision=None,
     ):
-        """Streamed :meth:`conv2d_circular_batch`: chunk iterator in and out.
+        """Circular convolution of a streamed stack against shared kernels.
 
         ``chunks`` yields ``(chunk, row_range)`` slices of a conceptual
         ``(num_rows, M, N)`` stack that is never materialized -- the
-        lazy-mask-plan execution of streamed scoring and fleet waves;
-        convolved chunks are yielded back in order, so peak memory is
-        one chunk regardless of ``num_rows``.  Kernel semantics and
-        numeric results match the dense form exactly, and so does the
-        ledger: the kernel spectra are computed (and recorded) once up
-        front, and one batched-convolution record for all ``num_rows``
-        planes is committed when the stream is created -- a streamed
-        batch costs precisely what the dense batch costs, it just never
-        holds the stack (and, like a dispatched program, the cost
-        stands even if the consumer abandons the stream early).
-        ``precision`` behaves exactly as in :meth:`conv2d_circular_batch`
-        -- per-plane quantization keeps the stream bit-identical to the
-        quantized dense batch at every chunk size.
+        lazy-mask-plan execution of scoring and fleet waves; convolved
+        chunks are yielded back in order, so peak memory is one chunk
+        regardless of ``num_rows``.
+
+        ``kernel`` is one ``(M, N)`` plane shared by every row (a single
+        pair's mask plan) or a ``(P, M, N)`` stack with ``row_kernel``
+        mapping each row to its kernel plane (a cross-pair wave: many
+        pairs' mask plans fused into one batch, each keeping its own
+        distilled kernel).  Kernel spectra are computed (and recorded)
+        exactly **once** per call -- the batched engine's structural
+        saving over looping :meth:`conv2d_circular`, which re-transforms
+        the same kernel on every mask; a kernel stack is recorded as one
+        spectrum batch (:meth:`_record_kernel_spectra`).  One
+        batched-convolution record for all ``num_rows`` planes is
+        committed when the stream is created, delegated to
+        :meth:`_record_batch_conv` so eager and compiled backends can
+        model their dispatch semantics -- like a dispatched program, the
+        cost stands even if the consumer abandons the stream early.
+        Each output plane is bit-identical to :meth:`conv2d_circular` on
+        the corresponding (input, kernel) planes.
+
+        ``precision`` (a name or :class:`~repro.hw.quantize
+        .PrecisionSpec`) quantizes every chunk spatially per plane and
+        the kernel spectra per plane/component (see
+        :func:`repro.fft.convolution.fft_circular_convolve2d_chunks`);
+        the per-plane rounding keeps results bit-identical to quantized
+        :meth:`conv2d_circular` calls at every chunk size, and the cost
+        hooks receive the spec so compiled backends can price the
+        quantized transforms.
         """
         kernel = np.asarray(kernel)
         spec = resolve_precision(precision)

@@ -254,17 +254,16 @@ class WaveWindow:
     end: float
 
 
-def wave_timeline(wave_stats, pipelined: bool = True):
+def wave_timeline(wave_stats):
     """Per-wave :class:`WaveWindow` positions plus the run's elapsed.
 
     Walks the committed waves exactly the way :meth:`TpuPod.commit_run`
-    prices them -- shared waves chain (double-buffered when
-    ``pipelined``), chip-pinned waves partition into concurrent
-    per-chip chains starting after the shared segment -- and returns
-    ``(windows, elapsed)`` with ``windows`` aligned to the input order.
-    The ``elapsed`` float is **bit-identical** to the ledger's: the
-    accumulation order matches :func:`~repro.hw.device
-    .pipelined_elapsed_seconds` / the serial stage sum term for term,
+    prices them -- shared waves chain double-buffered, chip-pinned waves
+    partition into concurrent per-chip chains starting after the shared
+    segment -- and returns ``(windows, elapsed)`` with ``windows``
+    aligned to the input order.  The ``elapsed`` float is
+    **bit-identical** to the ledger's: the accumulation order matches
+    :func:`~repro.hw.device.pipelined_elapsed_seconds` term for term,
     so span positions derived from the windows reconcile with the pod
     ledger by ``==``, not by tolerance.
     """
@@ -275,44 +274,32 @@ def wave_timeline(wave_stats, pipelined: bool = True):
         if ws.chip_index is not None:
             pinned.setdefault(ws.chip_index, []).append(ws)
 
-    def chain_elapsed(waves) -> float:
-        stages = [ws.stage for ws in waves]
-        if pipelined:
-            return pipelined_elapsed_seconds(stages)
-        return sum(stage.total for stage in stages)
-
     def chain_windows(waves, base: float) -> dict:
+        # Mirror pipelined_elapsed_seconds' accumulator: stage i's body
+        # begins at the accumulated elapsed (its prologue has streamed
+        # under the previous stage's work).
         windows: dict[int, WaveWindow] = {}
         stages = [ws.stage for ws in waves]
         if not stages:
             return windows
-        if pipelined:
-            # Mirror pipelined_elapsed_seconds' accumulator: stage i's
-            # body begins at the accumulated elapsed (its prologue has
-            # streamed under the previous stage's work).
-            elapsed = stages[0].prologue
-            for index, (ws, stage) in enumerate(zip(waves, stages)):
-                last = index == len(stages) - 1
-                body_start = base + elapsed
-                body_end = body_start + stage.body
-                windows[id(ws)] = WaveWindow(
-                    prologue_start=body_start - stage.prologue,
-                    body_start=body_start,
-                    body_end=body_end,
-                    end=body_end + stage.epilogue,
-                )
-                work = stage.body + (0.0 if last else stage.epilogue)
-                next_prologue = 0.0 if last else stages[index + 1].prologue
-                elapsed += max(work, next_prologue)
-        else:
-            cursor = base
-            for ws, stage in zip(waves, stages):
-                body_start = cursor + stage.prologue
-                body_end = body_start + stage.body
-                end = body_end + stage.epilogue
-                windows[id(ws)] = WaveWindow(cursor, body_start, body_end, end)
-                cursor = end
+        elapsed = stages[0].prologue
+        for index, (ws, stage) in enumerate(zip(waves, stages)):
+            last = index == len(stages) - 1
+            body_start = base + elapsed
+            body_end = body_start + stage.body
+            windows[id(ws)] = WaveWindow(
+                prologue_start=body_start - stage.prologue,
+                body_start=body_start,
+                body_end=body_end,
+                end=body_end + stage.epilogue,
+            )
+            work = stage.body + (0.0 if last else stage.epilogue)
+            next_prologue = 0.0 if last else stages[index + 1].prologue
+            elapsed += max(work, next_prologue)
         return windows
+
+    def chain_elapsed(waves) -> float:
+        return pipelined_elapsed_seconds(ws.stage for ws in waves)
 
     shared_elapsed = chain_elapsed(shared) if shared else 0.0
     windows = chain_windows(shared, 0.0)
@@ -335,7 +322,6 @@ class PodCommit:
     """
 
     num_waves: int
-    pipelined: bool
     elapsed: float
     serial: float
     credits: tuple  # ((op, seconds) pairs actually credited)
@@ -467,7 +453,7 @@ class TpuPod(Device):
         self.collective_log.clear()
         self.commit_log.clear()
 
-    def commit_run(self, wave_stats, pipelined: bool = True) -> float:
+    def commit_run(self, wave_stats) -> float:
         """Fold one sharded fleet run into the pod ledger; returns elapsed.
 
         Harvests every chip's ledger delta (merging the rows into both
@@ -477,12 +463,8 @@ class TpuPod(Device):
         described in the module docstring.  Waves carrying a
         ``chip_index`` (the ``"wave"`` placement) run **concurrently
         across chips**: their stages group per chip, each chip's
-        sequence pipelines (or sums, under ``pipelined=False``), and
-        elapsed is the slowest chip's sequence plus the remaining
-        serial waves.  ``pipelined=False`` keeps the serial stage sum
-        (no ``collective_overlap`` credit beyond the per-chip launch
-        hiding, which is a property of the asynchronous host links, not
-        of cross-wave double-buffering).
+        sequence pipelines, and elapsed is the slowest chip's sequence
+        plus the remaining shared waves.
         """
         wave_stats = list(wave_stats)
         traced = tracer.enabled
@@ -513,7 +495,7 @@ class TpuPod(Device):
                 )
                 rows_total += ws.gather_seconds
         serial = sum(ws.stage.total for ws in wave_stats)
-        windows, elapsed = wave_timeline(wave_stats, pipelined)
+        windows, elapsed = wave_timeline(wave_stats)
         credits = []
         if launch_hidden > 0:
             self.stats.credit("host_link_overlap", launch_hidden)
@@ -535,7 +517,6 @@ class TpuPod(Device):
         self.commit_log.append(
             PodCommit(
                 num_waves=len(wave_stats),
-                pipelined=pipelined,
                 elapsed=elapsed,
                 serial=serial,
                 credits=tuple(credits),
@@ -549,20 +530,6 @@ class TpuPod(Device):
             # (post-credit) sits below the timeline extent.
             run_extent = max([elapsed] + [w.end for w in windows])
             self._trace_base = entry_trace + run_extent - self.stats.seconds
-        return elapsed
-
-    def _elapsed(self, wave_stats, pipelined: bool) -> float:
-        """Elapsed seconds of the committed waves.
-
-        Waves without a ``chip_index`` run one after another across the
-        whole pod (data / chunk placements): their stages chain, double
-        buffered when ``pipelined``.  Waves pinned to chips (``"wave"``
-        placement) partition round-robin: each chip chains its own
-        waves and the chips run concurrently, so that segment costs the
-        slowest chip's chain.  Delegates to :func:`wave_timeline`, the
-        shared walk that also positions the trace spans.
-        """
-        _, elapsed = wave_timeline(wave_stats, pipelined)
         return elapsed
 
     def _trace_commit(

@@ -29,9 +29,9 @@ operands of that convolution *together*, per plane:
 
 while the transforms, Hadamard products and reductions accumulate in
 float64 -- mirroring MXU int8 multipliers feeding 32-bit accumulators.
-Because both roundings are strictly per plane, streamed chunks, the
-dense batch, and one-mask-at-a-time ``method="loop"`` execution see the
-*same* quantized operands and therefore produce bit-identical scores at
+Because both roundings are strictly per plane, streamed chunks of any
+size and one-mask-at-a-time convolutions see the *same* quantized
+operands and therefore produce bit-identical scores at
 every precision; only the cost model changes
 (:meth:`repro.core.backend.TpuBackend.batch_conv_seconds` prices the
 fused transforms with the MXU cycle model at the spec's rate).

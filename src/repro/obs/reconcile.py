@@ -106,7 +106,7 @@ def reconcile_pod_trace(
         report.num_traced_commits += 1
         report.num_waves += len(waves)
         base = commit.trace_base
-        windows, elapsed = wave_timeline(waves, commit.pipelined)
+        windows, elapsed = wave_timeline(waves)
         report.check(
             elapsed == commit.elapsed,
             f"commit {index}: recomputed elapsed {elapsed!r} != "

@@ -22,11 +22,11 @@ throughput:
    max-wait/max-batch policy coalesces them per
    ``(granularity, block_shape, precision)`` key;
 4. a full or due batch dispatches through
-   :meth:`FleetExecutor.run(pipelined=True) <repro.core.fleet
-   .FleetExecutor.run>` -- one wave-fused, double-buffered program
+   :meth:`FleetExecutor.run <repro.core.fleet.FleetExecutor.run>`
+   -- one wave-fused, double-buffered program
    train -- with submit-time **plan reuse** (each plane shape's
-   :class:`~repro.core.masking.MaskSpec` is built once, ever) and
-   chunk-adaptive wave planning, and the clock advances by exactly the
+   :class:`~repro.core.masking.MaskSpec` is built once, ever), and the
+   clock advances by exactly the
    device's simulated seconds;
 5. every lifecycle event lands on the **latency ledger**
    (:mod:`repro.serve.metrics`), from which the report derives
@@ -94,10 +94,10 @@ class ExplanationService:
     eps, embedding, reduction, fill_value:
         The per-pair solve and Eq. 5 scoring configuration, shared by
         every dispatch (part of the cache digest).
-    max_stack_bytes, chunk_rows, max_pairs_per_wave, dense_budget:
+    max_stack_bytes, chunk_rows, max_pairs_per_wave:
         Forwarded to each key's :class:`~repro.core.fleet.FleetExecutor`
-        (chunk-adaptive wave planning by default, so a big batch fuses
-        into few waves).
+        (the budget bounds the streamed chunk, not the wave, so a big
+        batch fuses into few waves).
     max_wait_seconds, max_batch_pairs:
         The micro-batching policy: a batch dispatches when it holds
         ``max_batch_pairs`` requests or its oldest has waited
@@ -168,7 +168,6 @@ class ExplanationService:
         max_stack_bytes: int | None = DEFAULT_STACK_BUDGET_BYTES,
         chunk_rows: int | None = None,
         max_pairs_per_wave: int | None = None,
-        dense_budget: bool = False,
         max_wait_seconds: float = 0.05,
         max_batch_pairs: int = 32,
         cache: ExplanationCache | None = None,
@@ -231,7 +230,6 @@ class ExplanationService:
         self.max_stack_bytes = max_stack_bytes
         self.chunk_rows = chunk_rows
         self.max_pairs_per_wave = max_pairs_per_wave
-        self.dense_budget = dense_budget
         self.max_wait_seconds = max_wait_seconds
         self.max_batch_pairs = max_batch_pairs
         if cache is not None:
@@ -414,7 +412,6 @@ class ExplanationService:
                 max_pairs_per_wave=self.max_pairs_per_wave,
                 chunk_rows=self.chunk_rows,
                 precision=key.precision,
-                dense_budget=self.dense_budget,
                 placement=self.placement,
                 hbm_bytes=self.hbm_bytes,
             )
@@ -682,7 +679,6 @@ class ExplanationService:
             tracer.origin = dispatch_time - self.device.trace_seconds
         fleet = executor.run(
             [(q.request.x, q.request.y) for q in batch],
-            pipelined=True,
             plans=[q.plan for q in batch],
         )
         # Device time is the only non-arrival source of simulated time.
@@ -798,7 +794,7 @@ class ExplanationService:
             traced = tracer.enabled
             if traced:
                 tracer.origin = start - self.device.trace_seconds
-            fleet = executor.run([(x, y)], pipelined=True, plans=[plan])
+            fleet = executor.run([(x, y)], plans=[plan])
             cost = self.device.stats.seconds - before
             clock.advance(cost)
             self._warm_cost_estimate = max(self._warm_cost_estimate, cost)

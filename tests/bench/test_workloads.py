@@ -11,6 +11,7 @@ from repro.bench.workloads import (
     figure4_solve_seconds,
     gpu_classification_times,
     interpretation_seconds,
+    planted_interpretation_pairs,
     resnet50_interpretation_workload,
     resnet50_workload,
     tpu_classification_times,
@@ -18,7 +19,9 @@ from repro.bench.workloads import (
     vgg19_workload,
 )
 from repro.core.backend import TpuBackend, make_tpu_chip
+from repro.core.pipeline import ExplanationPipeline
 from repro.hw import CpuDevice, GpuDevice
+from tests import reference
 
 
 class TestWorkloadDefinitions:
@@ -149,62 +152,58 @@ class TestFigure4Solve:
 
 
 class TestFleetInterpretationSeconds:
+    """Executed fleet runs against the Table II loop model."""
+
+    BLOCK = (8, 4)  # 8 block features on the 16x16 plane
+
     def _mini(self, pairs=4):
         return InterpretationWorkload(
-            name="mini", plane=(64, 64), num_features=8, pairs=pairs
+            name="mini", plane=(16, 16), num_features=8, pairs=pairs
         )
 
-    def test_pair_fusion_reduces_to_table2_model(self):
-        from repro.bench.workloads import fleet_interpretation_seconds
+    def _wave_seconds(self, device, pairs, **options):
+        run = ExplanationPipeline(
+            device, granularity="blocks", block_shape=self.BLOCK, **options
+        ).run(planted_interpretation_pairs(pairs, shape=(16, 16)))
+        return run.simulated_seconds, run.stats.op_counts.get("dispatch", 0)
 
+    def test_pair_fusion_reduces_to_table2_model(self):
+        """The per-pair reference loop costs what the loop model prices
+        (to the feed width: the model streams x/y as fp32, the executed
+        loop as float64)."""
+        pairs = planted_interpretation_pairs(4, shape=(16, 16))
         for device in (CpuDevice(), GpuDevice(), TpuBackend(make_tpu_chip())):
-            assert fleet_interpretation_seconds(
-                device, self._mini(), fusion="pair"
-            ) == interpretation_seconds(device, self._mini(), method="batched")
-            assert fleet_interpretation_seconds(
-                device, self._mini(), method="loop"
-            ) == interpretation_seconds(device, self._mini(), method="loop")
+            reference.explain_all(
+                pairs, device=device, granularity="blocks", block_shape=self.BLOCK
+            )
+            assert device.stats.seconds == pytest.approx(
+                interpretation_seconds(device, self._mini()), rel=0.01
+            )
 
     def test_wave_fusion_cheaper_on_every_device(self):
-        from repro.bench.workloads import fleet_interpretation_seconds
-
-        workload = self._mini(pairs=10)
         for device in (CpuDevice(), GpuDevice(), TpuBackend(make_tpu_chip())):
-            wave = fleet_interpretation_seconds(device, workload, fusion="wave")
-            pair = fleet_interpretation_seconds(device, workload, fusion="pair")
-            assert wave < pair
+            wave, _ = self._wave_seconds(device, 10)
+            assert wave < interpretation_seconds(device, self._mini(pairs=10))
 
     def test_tpu_wave_gain_grows_with_fleet_size(self):
-        """Dispatch amortization: the wave-vs-pair factor at 100 pairs
+        """Dispatch amortization: the loop-vs-wave factor at 100 pairs
         must beat the factor at 1 pair on the TPU."""
-        from repro.bench.workloads import fleet_interpretation_seconds
 
         def factor(pairs):
             device = TpuBackend(make_tpu_chip())
-            w = fleet_interpretation_seconds(device, self._mini(pairs), fusion="wave")
-            p = fleet_interpretation_seconds(device, self._mini(pairs), fusion="pair")
-            return p / w
+            wave, _ = self._wave_seconds(device, pairs)
+            return interpretation_seconds(device, self._mini(pairs)) / wave
 
         assert factor(100) > factor(1)
 
     def test_wave_splitting_adds_dispatches(self):
-        from repro.bench.workloads import fleet_interpretation_seconds
-
-        device = TpuBackend(make_tpu_chip())
-        whole = fleet_interpretation_seconds(device, self._mini(8), fusion="wave")
-        split = fleet_interpretation_seconds(
-            device, self._mini(8), fusion="wave", pairs_per_wave=2
+        whole, whole_dispatches = self._wave_seconds(TpuBackend(make_tpu_chip()), 8)
+        split, split_dispatches = self._wave_seconds(
+            TpuBackend(make_tpu_chip()), 8, max_pairs_per_wave=2
         )
+        assert (whole_dispatches, split_dispatches) == (1, 4)
         assert split > whole
 
     def test_validation(self):
-        from repro.bench.workloads import fleet_interpretation_seconds
-
         with pytest.raises(ValueError):
-            fleet_interpretation_seconds(CpuDevice(), self._mini(), method="magic")
-        with pytest.raises(ValueError):
-            fleet_interpretation_seconds(CpuDevice(), self._mini(), fusion="galaxy")
-        with pytest.raises(ValueError):
-            fleet_interpretation_seconds(
-                CpuDevice(), self._mini(), pairs_per_wave=0
-            )
+            self._wave_seconds(CpuDevice(), 2, max_pairs_per_wave=0)

@@ -11,6 +11,7 @@ from repro.core import (
 )
 from repro.fft import fft_circular_convolve2d
 from repro.hw import CpuDevice, GpuDevice
+from tests import reference
 
 
 def small_backend(num_cores=4, precision="fp32"):
@@ -132,10 +133,11 @@ class TestExplanationPipeline:
         assert run.explanations[0].scores.shape == (2, 2)
 
     def test_tpu_pays_one_dispatch_per_pair_under_pair_fusion(self):
+        """One-pair waves: one program and one dispatch per pair."""
         backend = small_backend()
         pipeline = ExplanationPipeline(
             backend, granularity="blocks", block_shape=(4, 4), eps=1e-8,
-            fusion="pair",
+            max_pairs_per_wave=1,
         )
         run = pipeline.run([planted_pair(seed=s) for s in range(3)])
         assert run.stats.op_counts["dispatch"] == 3
@@ -155,14 +157,10 @@ class TestExplanationPipeline:
 
     def test_wave_and_pair_fusion_agree_bitwise(self):
         pairs = [planted_pair(seed=s) for s in range(3)]
-        runs = {}
-        for fusion in ("pair", "wave"):
-            pipeline = ExplanationPipeline(
-                small_backend(), granularity="blocks", block_shape=(4, 4),
-                eps=1e-8, fusion=fusion,
-            )
-            runs[fusion] = pipeline.run(pairs)
-        for a, b in zip(runs["pair"].explanations, runs["wave"].explanations):
+        options = dict(granularity="blocks", block_shape=(4, 4), eps=1e-8)
+        run = ExplanationPipeline(small_backend(), **options).run(pairs)
+        expected = reference.explain_all(pairs, device=small_backend(), **options)
+        for a, b in zip(expected, run.explanations):
             np.testing.assert_array_equal(a.scores, b.scores)
             np.testing.assert_array_equal(a.kernel, b.kernel)
             assert a.residual == b.residual
@@ -189,10 +187,8 @@ class TestExplanationPipeline:
     def test_empty_batch_returns_empty_run(self):
         """The serving layer's idle drain path: an empty batch is a
         zero-cost run, not an error."""
-        for method in ("batched", "loop"):
-            pipeline = ExplanationPipeline(
-                CpuDevice(), granularity="columns", method=method
-            )
+        for granularity in ("columns", "elements"):
+            pipeline = ExplanationPipeline(CpuDevice(), granularity=granularity)
             run = pipeline.run([])
             assert run.explanations == []
             assert run.simulated_seconds == 0.0

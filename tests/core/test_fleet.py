@@ -7,21 +7,30 @@ from repro.core import (
     ExplanationPipeline,
     FleetExecutor,
     FleetSchedule,
-    MaskPlan,
+    MaskSpec,
     MaskStackBudgetError,
     MultiInputScheduler,
     SliceTable,
     TpuBackend,
     make_tpu_chip,
 )
+from repro.core.interpretation import feature_contributions
 from repro.fft import fft_circular_convolve2d
 from repro.hw.cpu import CpuDevice
+from tests import reference
 
 
 def small_backend(num_cores=4, precision="fp32"):
     return TpuBackend(
         make_tpu_chip(num_cores=num_cores, precision=precision, mxu_rows=8, mxu_cols=8)
     )
+
+
+def assert_same_explanations(results, expected):
+    for a, b in zip(results, expected):
+        np.testing.assert_array_equal(a.scores, b.scores)
+        np.testing.assert_array_equal(a.kernel, b.kernel)
+        assert a.residual == b.residual
 
 
 def planted_pairs(count, shape=(8, 8), seed=0):
@@ -50,15 +59,6 @@ class TestFleetSchedule:
         assert schedule.waves[0].plane_shape == (8, 8)
         assert schedule.waves[1].pair_indices == (1, 3)
 
-    def test_budget_splits_waves(self):
-        # Each pair: (2 masks + 1 residual) * 4*4 * 8 = 384 bytes.
-        schedule = FleetSchedule.plan(
-            [(4, 4)] * 4, [2] * 4, max_stack_bytes=800
-        )
-        assert schedule.num_waves == 2
-        assert [w.pair_indices for w in schedule.waves] == [(0, 1), (2, 3)]
-        assert all(w.stack_nbytes <= 800 for w in schedule.waves)
-
     def test_max_pairs_per_wave(self):
         schedule = FleetSchedule.plan(
             [(4, 4)] * 5, [1] * 5, max_pairs_per_wave=2
@@ -66,8 +66,9 @@ class TestFleetSchedule:
         assert [w.pair_indices for w in schedule.waves] == [(0, 1), (2, 3), (4,)]
 
     def test_single_pair_over_budget_raises(self):
-        with pytest.raises(MaskStackBudgetError, match="loop"):
-            FleetSchedule.plan([(4, 4)], [100], max_stack_bytes=1000)
+        # One 4x4 float64 plane is 128 bytes: the budget cannot hold it.
+        with pytest.raises(MaskStackBudgetError, match="single plane"):
+            FleetSchedule.plan([(4, 4)], [100], max_stack_bytes=127)
 
     def test_none_budget_never_splits(self):
         schedule = FleetSchedule.plan([(4, 4)] * 10, [1000] * 10, max_stack_bytes=None)
@@ -79,7 +80,7 @@ class TestFleetSchedule:
         with pytest.raises(ValueError):
             FleetSchedule.plan([(4, 4)], [1], max_pairs_per_wave=0)
         with pytest.raises(ValueError):
-            FleetSchedule.plan([(4, 4)], [1], streaming=True, itemsize=0)
+            FleetSchedule.plan([(4, 4)], [1], complex_flags=[True, False])
 
     def test_empty_fleet_plans_empty_schedule(self):
         """The service's idle drain path: nothing to plan is not an error."""
@@ -88,40 +89,13 @@ class TestFleetSchedule:
         assert schedule.num_pairs == 0
 
     def test_streaming_chunk_budget_fuses_what_dense_budget_splits(self):
-        """Chunk-adaptive planning (the ROADMAP follow-on): under
-        streaming the budget bounds the chunk, which does not grow with
-        the fused pairs, so a budget that dense semantics split into
-        many waves fuses into one."""
-        shapes = [(4, 4)] * 8
-        counts = [2] * 8
-        budget = 800  # two (2+1)-row pairs of 4x4 float64 per dense wave
-        dense = FleetSchedule.plan(
-            shapes, counts, max_stack_bytes=budget, streaming=True,
-            dense_budget=True,
-        )
-        adaptive = FleetSchedule.plan(
-            shapes, counts, max_stack_bytes=budget, streaming=True
-        )
-        assert dense.num_waves == 4
-        assert adaptive.num_waves == 1
-        assert adaptive.waves[0].pair_indices == tuple(range(8))
-
-    def test_streamed_chunk_nbytes_formula_and_clamp(self):
-        from repro.core import streamed_chunk_nbytes
-
-        # Unclamped: chunk_rows * M * N * itemsize.
-        assert streamed_chunk_nbytes((4, 4), chunk_rows=10) == 10 * 16 * 8
-        # Quantized storage width shrinks the streamed footprint 8x.
-        assert streamed_chunk_nbytes((4, 4), chunk_rows=10, itemsize=1) == 160
-        # Clamped so the chunk fits the budget, never below one plane.
-        assert streamed_chunk_nbytes(
-            (4, 4), chunk_rows=10, max_stack_bytes=300
-        ) == 2 * 16 * 8
-        assert streamed_chunk_nbytes(
-            (4, 4), chunk_rows=10, max_stack_bytes=10
-        ) == 16 * 8
-        with pytest.raises(ValueError):
-            streamed_chunk_nbytes((4, 4), chunk_rows=0)
+        """Chunk-adaptive planning: the budget bounds the streamed
+        chunk, which does not grow with the fused pairs, so a budget
+        holding only two pairs' whole (2+1)-row 4x4 float64 stacks
+        still fuses all eight pairs into one wave."""
+        schedule = FleetSchedule.plan([(4, 4)] * 8, [2] * 8, max_stack_bytes=800)
+        assert schedule.num_waves == 1
+        assert schedule.waves[0].pair_indices == tuple(range(8))
 
     def test_num_pairs(self):
         schedule = FleetSchedule.plan([(4, 4), (8, 8)], [1, 1])
@@ -130,7 +104,7 @@ class TestFleetSchedule:
 
 class TestSliceTable:
     def test_rows_interleave_masks_and_residuals(self):
-        plans = [MaskPlan.columns((4, 4)), MaskPlan.rows((4, 4))]
+        plans = [MaskSpec.columns((4, 4)), MaskSpec.rows((4, 4))]
         table = SliceTable.for_plans(plans)
         assert len(table) == 4 + 1 + 4 + 1
         np.testing.assert_array_equal(table.mask_rows(0), [0, 1, 2, 3])
@@ -139,22 +113,22 @@ class TestSliceTable:
         assert table.residual_row(1) == 9
 
     def test_none_plan_contributes_only_residual(self):
-        table = SliceTable.for_plans([None, MaskPlan.columns((4, 4))])
+        table = SliceTable.for_plans([None, MaskSpec.columns((4, 4))])
         assert table.mask_rows(0).size == 0
         assert table.residual_row(0) == 0
         np.testing.assert_array_equal(table.mask_rows(1), [1, 2, 3, 4])
 
     def test_row_pair_indices_is_conv_kernel_map(self):
-        table = SliceTable.for_plans([MaskPlan.columns((2, 2)), None])
+        table = SliceTable.for_plans([MaskSpec.columns((2, 2)), None])
         np.testing.assert_array_equal(table.row_pair_indices(), [0, 0, 0, 1])
 
     def test_labels_survive_fusion(self):
-        table = SliceTable.for_plans([MaskPlan.blocks((4, 4), (2, 2))])
+        table = SliceTable.for_plans([MaskSpec.blocks((4, 4), (2, 2))])
         mask_rows = table.for_pair(0)[:-1]
         assert [r.label for r in mask_rows] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_missing_residual_raises(self):
-        table = SliceTable.for_plans([MaskPlan.columns((2, 2))], include_residual=False)
+        table = SliceTable.for_plans([MaskSpec.columns((2, 2))], include_residual=False)
         with pytest.raises(KeyError):
             table.residual_row(0)
 
@@ -170,42 +144,40 @@ class TestFleetExecutorEquivalence:
         "device_factory", [CpuDevice, small_backend], ids=["cpu", "tpu"]
     )
     def test_wave_bitwise_equals_pair(self, device_factory, granularity, kwargs, shape):
+        """One fused wave equals the per-pair reference loop."""
         pairs = planted_pairs(3, shape=shape)
-        runs = {}
-        for fusion in ("pair", "wave"):
-            pipeline = ExplanationPipeline(
-                device_factory(), granularity=granularity, eps=1e-8,
-                fusion=fusion, **kwargs,
-            )
-            runs[fusion] = pipeline.run(pairs)
-        for a, b in zip(runs["pair"].explanations, runs["wave"].explanations):
-            np.testing.assert_array_equal(a.scores, b.scores)
+        run = ExplanationPipeline(
+            device_factory(), granularity=granularity, eps=1e-8, **kwargs,
+        ).run(pairs)
+        expected = reference.explain_all(
+            pairs, device=device_factory(), granularity=granularity, eps=1e-8, **kwargs
+        )
+        for a, b in zip(run.explanations, expected):
             np.testing.assert_array_equal(a.kernel, b.kernel)
             assert a.residual == b.residual
+            if granularity == "elements":  # the linearity fast path
+                np.testing.assert_allclose(a.scores, b.scores, rtol=1e-9, atol=0)
+            else:
+                np.testing.assert_array_equal(a.scores, b.scores)
 
     def test_hundred_pair_fleet_one_dispatch_per_wave(self):
         """The acceptance scenario at test scale: a 100-pair fleet costs
         one dispatch and one batched-conv record per wave instead of one
-        program (plus a residual round trip) per pair."""
+        program plus a round trip per masked convolution per pair."""
         pairs = planted_pairs(100)
-        runs = {}
-        for fusion in ("pair", "wave"):
-            pipeline = ExplanationPipeline(
-                small_backend(), granularity="blocks", block_shape=(4, 4),
-                eps=1e-8, fusion=fusion,
-            )
-            runs[fusion] = pipeline.run(pairs)
-        for a, b in zip(runs["pair"].explanations, runs["wave"].explanations):
-            np.testing.assert_array_equal(a.scores, b.scores)
-            assert a.residual == b.residual
-        wave_stats = runs["wave"].stats
-        assert runs["wave"].num_programs == 1
+        options = dict(granularity="blocks", block_shape=(4, 4), eps=1e-8)
+        run = ExplanationPipeline(small_backend(), **options).run(pairs)
+        looped_device = small_backend()
+        expected = reference.explain_all(pairs, device=looped_device, **options)
+        assert_same_explanations(run.explanations, expected)
+        wave_stats = run.stats
+        assert run.num_programs == 1
         assert wave_stats.op_counts["dispatch"] == 1
         assert wave_stats.op_counts["conv2d_batch"] == 1
         assert "conv_round_trip" not in wave_stats.op_counts
-        assert runs["pair"].stats.op_counts["dispatch"] == 100
-        assert runs["pair"].stats.op_counts["conv_round_trip"] == 100
-        assert runs["wave"].simulated_seconds < runs["pair"].simulated_seconds
+        looped_stats = looped_device.take_stats()
+        assert looped_stats.op_counts["conv_round_trip"] == 100 * (4 + 1)
+        assert run.simulated_seconds < looped_stats.seconds
 
     def test_mixed_shape_fleet_runs_wave_per_shape(self):
         pairs = planted_pairs(2, shape=(8, 8)) + planted_pairs(2, shape=(4, 4), seed=1)
@@ -216,34 +188,25 @@ class TestFleetExecutorEquivalence:
         assert run.num_programs == 2
         assert run.stats.op_counts["dispatch"] == 2
         # Results stay in input order and match per-pair execution.
-        pair_run = ExplanationPipeline(
-            small_backend(), granularity="columns", eps=1e-8, fusion="pair"
-        ).run(pairs)
-        for a, b in zip(pair_run.explanations, run.explanations):
-            np.testing.assert_array_equal(a.scores, b.scores)
+        expected = reference.explain_all(
+            pairs, device=CpuDevice(), granularity="columns", eps=1e-8
+        )
+        assert_same_explanations(run.explanations, expected)
 
     def test_budget_split_waves_still_bitwise_identical(self):
         pairs = planted_pairs(4)
-        plan = MaskPlan.columns((8, 8))
-        per_pair_bytes = (plan.num_masks + 1) * 8 * 8 * 8
-        executor = FleetExecutor(
-            CpuDevice(), granularity="columns",
-            max_stack_bytes=2 * per_pair_bytes,
-            dense_budget=True,  # historical dense-stack wave budgeting
-        )
-        fleet = executor.run(pairs)
-        assert fleet.num_waves == 2
-        reference = ExplanationPipeline(
-            CpuDevice(), granularity="columns", eps=1e-6, fusion="pair"
+        fleet = FleetExecutor(
+            CpuDevice(), granularity="columns", max_pairs_per_wave=2
         ).run(pairs)
-        for a, b in zip(reference.explanations, fleet.results):
-            np.testing.assert_array_equal(a.scores, b.scores)
+        assert fleet.num_waves == 2
+        expected = reference.explain_all(pairs, device=CpuDevice(), granularity="columns")
+        assert_same_explanations(fleet.results, expected)
 
-    def test_over_budget_pair_raises_with_loop_hint(self):
+    def test_over_budget_plane_raises_with_budget_hint(self):
         executor = FleetExecutor(
             CpuDevice(), granularity="columns", max_stack_bytes=100
         )
-        with pytest.raises(MaskStackBudgetError, match="method='loop'"):
+        with pytest.raises(MaskStackBudgetError, match="max_stack_bytes"):
             executor.run(planted_pairs(1))
 
 
@@ -304,10 +267,6 @@ class TestFleetExecutorValidation:
         with pytest.raises(ValueError):
             FleetExecutor(CpuDevice(), granularity="columns", reduction="magic")
 
-    def test_pipeline_rejects_unknown_fusion(self):
-        with pytest.raises(ValueError):
-            ExplanationPipeline(CpuDevice(), granularity="columns", fusion="galaxy")
-
 
 class TestSchedulerExplainBatch:
     def test_explain_batch_matches_pipeline_wave_run(self):
@@ -318,12 +277,10 @@ class TestSchedulerExplainBatch:
         )
         assert fleet.stats is not None
         assert fleet.stats.op_counts["dispatch"] == 1
-        reference = ExplanationPipeline(
+        pipeline = ExplanationPipeline(
             small_backend(), granularity="blocks", block_shape=(4, 4), eps=1e-8
         ).run(pairs)
-        for a, b in zip(reference.explanations, fleet.results):
-            np.testing.assert_array_equal(a.scores, b.scores)
-            assert a.residual == b.residual
+        assert_same_explanations(fleet.results, pipeline.explanations)
 
     def test_plan_waves_exposes_schedule(self):
         chip = make_tpu_chip(num_cores=4, precision="fp32", mxu_rows=8, mxu_cols=8)
@@ -354,21 +311,28 @@ class TestComplexOperands:
         import warnings
 
         pairs = self._complex_pairs()
-        runs = {}
         with warnings.catch_warnings():
             # The elements fast path casts complex operands to float64
-            # in both fusion modes (numpy ComplexWarning); equivalence
-            # is what this test asserts.
+            # (numpy ComplexWarning), in the wave and in
+            # feature_contributions alike; equivalence is what this
+            # test asserts.
             warnings.simplefilter("ignore")
-            for fusion in ("pair", "wave"):
-                pipeline = ExplanationPipeline(
-                    CpuDevice(), granularity=granularity, eps=1e-8,
-                    fusion=fusion, **kwargs,
+            run = ExplanationPipeline(
+                CpuDevice(), granularity=granularity, eps=1e-8, **kwargs,
+            ).run(pairs)
+            if granularity == "elements":
+                expected = []
+                for x, y in pairs:
+                    (pair,) = reference.explain_all(
+                        [(x, y)], device=CpuDevice(), granularity="columns", eps=1e-8
+                    )
+                    scores = feature_contributions(x, pair.kernel, y, device=CpuDevice())
+                    expected.append(reference.Explanation(pair.kernel, scores, pair.residual))
+            else:
+                expected = reference.explain_all(
+                    pairs, device=CpuDevice(), granularity=granularity, eps=1e-8
                 )
-                runs[fusion] = pipeline.run(pairs)
-        for a, b in zip(runs["pair"].explanations, runs["wave"].explanations):
-            np.testing.assert_array_equal(a.scores, b.scores)
-            assert a.residual == b.residual
+        assert_same_explanations(run.explanations, expected)
 
     def test_real_and_complex_pairs_never_share_a_wave(self):
         """Mixing would upcast real rows to complex128 and keep inverse
@@ -386,12 +350,10 @@ class TestComplexOperands:
         run_wave = ExplanationPipeline(
             CpuDevice(), granularity="columns", eps=1e-8
         ).run(pairs)
-        run_pair = ExplanationPipeline(
-            CpuDevice(), granularity="columns", eps=1e-8, fusion="pair"
-        ).run(pairs)
-        for a, b in zip(run_pair.explanations, run_wave.explanations):
-            np.testing.assert_array_equal(a.scores, b.scores)
-            assert a.residual == b.residual
+        expected = reference.explain_all(
+            pairs, device=CpuDevice(), granularity="columns", eps=1e-8
+        )
+        assert_same_explanations(run_wave.explanations, expected)
 
 
 class TestLedgerHygiene:
@@ -399,11 +361,12 @@ class TestLedgerHygiene:
         """A rejected multi-kernel call must not record phantom
         kernel-spectrum entries (review finding)."""
         device = CpuDevice()
+        stack = [(np.ones((2, 4, 4)), range(2))]
         with pytest.raises(ValueError):
-            device.conv2d_circular_batch(np.ones((2, 4, 4)), np.ones((2, 4, 4)))
+            device.conv2d_circular_batch_chunks(stack, np.ones((2, 4, 4)), num_rows=2)
         with pytest.raises(ValueError):
-            device.conv2d_circular_batch(
-                np.ones((2, 4, 4)), np.ones((2, 4, 4)), row_kernel=np.array([0, 9])
+            device.conv2d_circular_batch_chunks(
+                stack, np.ones((2, 4, 4)), num_rows=2, row_kernel=np.array([0, 9])
             )
         assert device.stats.seconds == 0.0
         assert not device.stats.op_counts

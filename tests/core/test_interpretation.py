@@ -13,10 +13,13 @@ from repro.core import (
     mask_contribution,
     normalize_scores,
     row_contributions,
+    score_plan,
     top_k_features,
 )
+from repro.core.masking import MaskSpec
 from repro.fft import fft_circular_convolve2d
 from repro.hw import CpuDevice
+from tests import reference
 
 
 def fitted_setup(shape=(8, 8), seed=0):
@@ -59,8 +62,8 @@ class TestFeatureContributions:
     def test_fast_equals_naive(self):
         """The linearity shortcut must agree with literal Eq. 5."""
         x, kernel, y = fitted_setup(shape=(6, 6), seed=3)
-        fast = feature_contributions(x, kernel, y, method="fast")
-        naive = feature_contributions(x, kernel, y, method="naive")
+        fast = feature_contributions(x, kernel, y)
+        naive = reference.occlusion_scores(x, kernel, y, "elements")
         np.testing.assert_allclose(fast, naive, atol=1e-8)
 
     @pytest.mark.parametrize("reduction", ["l2", "l1", "mean_abs", "max_abs"])
@@ -81,11 +84,6 @@ class TestFeatureContributions:
         scores = feature_contributions(x, kernel, y)
         assert top_k_features(scores, 1)[0] == (3, 5)
 
-    def test_unknown_method_rejected(self):
-        x, kernel, y = fitted_setup(seed=6)
-        with pytest.raises(ValueError):
-            feature_contributions(x, kernel, y, method="magic")
-
     def test_unknown_reduction_rejected(self):
         x, kernel, y = fitted_setup(seed=7)
         with pytest.raises(ValueError):
@@ -94,9 +92,12 @@ class TestFeatureContributions:
     def test_device_timing_accounted(self):
         device = CpuDevice()
         x, kernel, y = fitted_setup(shape=(4, 4), seed=8)
-        feature_contributions(x, kernel, y, method="naive", device=device)
-        # naive path: one convolution per feature = 16 conv ops.
-        assert device.stats.op_counts["fft2"] >= 16
+        feature_contributions(x, kernel, y, device=device)
+        # One base convolution (input and kernel transforms), then the
+        # per-feature adds as accounted elementwise work.
+        assert device.stats.op_counts["fft2"] == 2
+        assert device.stats.op_counts["ifft2"] == 1
+        assert device.stats.op_counts["elementwise_accounted"] == 1
 
 
 class TestMaskAndAggregates:
@@ -192,8 +193,8 @@ class TestProperties:
         x = rng.standard_normal((n, n))
         kernel = rng.standard_normal((n, n))
         y = rng.standard_normal((n, n))
-        fast = feature_contributions(x, kernel, y, method="fast")
-        naive = feature_contributions(x, kernel, y, method="naive")
+        fast = feature_contributions(x, kernel, y)
+        naive = reference.occlusion_scores(x, kernel, y, "elements")
         np.testing.assert_allclose(fast, naive, atol=1e-7)
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
@@ -211,60 +212,47 @@ class TestProperties:
 
 
 class TestBatchedEntryPoints:
-    """Every occlusion entry point agrees between batched and loop modes."""
+    """Every occlusion entry point agrees with the literal reference loop."""
 
     def test_block_contributions_methods_agree(self):
         x, kernel, y = fitted_setup(seed=20)
-        np.testing.assert_allclose(
-            block_contributions(x, kernel, y, (2, 2), method="batched"),
-            block_contributions(x, kernel, y, (2, 2), method="loop"),
-            atol=1e-10,
+        np.testing.assert_array_equal(
+            block_contributions(x, kernel, y, (2, 2)),
+            reference.occlusion_scores(x, kernel, y, "blocks", (2, 2)),
         )
 
     def test_column_and_row_methods_agree(self):
         x, kernel, y = fitted_setup(seed=21)
-        np.testing.assert_allclose(
-            column_contributions(x, kernel, y, method="batched"),
-            column_contributions(x, kernel, y, method="loop"),
-            atol=1e-10,
+        np.testing.assert_array_equal(
+            column_contributions(x, kernel, y),
+            reference.occlusion_scores(x, kernel, y, "columns"),
         )
-        np.testing.assert_allclose(
-            row_contributions(x, kernel, y, method="batched"),
-            row_contributions(x, kernel, y, method="loop"),
-            atol=1e-10,
+        np.testing.assert_array_equal(
+            row_contributions(x, kernel, y),
+            reference.occlusion_scores(x, kernel, y, "rows"),
         )
 
     def test_feature_contributions_batched_matches_fast(self):
         x, kernel, y = fitted_setup(shape=(6, 6), seed=22)
         np.testing.assert_allclose(
-            feature_contributions(x, kernel, y, method="batched"),
-            feature_contributions(x, kernel, y, method="fast"),
+            score_plan(x, kernel, y, MaskSpec.elements(x.shape)),
+            feature_contributions(x, kernel, y),
             atol=1e-8,
-        )
-
-    def test_feature_contributions_loop_alias(self):
-        x, kernel, y = fitted_setup(shape=(4, 4), seed=23)
-        np.testing.assert_allclose(
-            feature_contributions(x, kernel, y, method="loop"),
-            feature_contributions(x, kernel, y, method="naive"),
-            atol=1e-12,
         )
 
     def test_mask_contribution_batched_with_fill(self):
         x, kernel, y = fitted_setup(seed=24)
         mask = np.zeros_like(x, dtype=bool)
-        mask[1:3, 2:5] = True
+        mask[2:4, 6:8] = True  # block (1, 3) of a 2x2 grid
         fill = float(x.mean())
-        batched = mask_contribution(
-            x, kernel, y, mask, fill_value=fill, method="batched"
-        )
-        looped = mask_contribution(x, kernel, y, mask, fill_value=fill, method="loop")
-        assert batched == pytest.approx(looped, abs=1e-10)
+        single = mask_contribution(x, kernel, y, mask, fill_value=fill)
+        batched = block_contributions(x, kernel, y, (2, 2), fill_value=fill)
+        assert single == batched[1, 3]
 
     def test_batched_amortizes_kernel_transform(self):
         device = CpuDevice()
         x, kernel, y = fitted_setup(seed=25)
-        block_contributions(x, kernel, y, (2, 2), device=device, method="batched")
+        block_contributions(x, kernel, y, (2, 2), device=device)
         # The kernel spectrum is transformed exactly once for the plan.
         assert device.stats.op_counts["fft2"] == 1
         assert device.stats.op_counts["fft2_batch"] == 16

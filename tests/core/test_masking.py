@@ -1,11 +1,13 @@
-"""Batched occlusion engine: MaskPlan semantics and batched==looped."""
+"""Batched occlusion engine: mask plan semantics and batched == the looped reference."""
 
 import numpy as np
 import pytest
 
 from repro.core import (
-    MaskPlan,
+    FleetExecutor,
+    MaskSpec,
     MaskStackBudgetError,
+    SliceTable,
     TpuBackend,
     check_stack_budget,
     make_tpu_chip,
@@ -14,6 +16,7 @@ from repro.core import (
 from repro.core.pipeline import ExplanationPipeline
 from repro.fft import fft_circular_convolve2d
 from repro.hw import CpuDevice, GpuDevice
+from tests import reference
 
 
 def fitted_setup(shape=(8, 8), seed=0):
@@ -32,83 +35,87 @@ def small_backend(num_cores=4):
 
 
 PLANS = [
-    ("elements", lambda shape: MaskPlan.elements(shape)),
-    ("blocks", lambda shape: MaskPlan.blocks(shape, (2, 2))),
-    ("columns", lambda shape: MaskPlan.columns(shape)),
-    ("rows", lambda shape: MaskPlan.rows(shape)),
+    ("elements", lambda shape: MaskSpec.elements(shape)),
+    ("blocks", lambda shape: MaskSpec.blocks(shape, (2, 2))),
+    ("columns", lambda shape: MaskSpec.columns(shape)),
+    ("rows", lambda shape: MaskSpec.rows(shape)),
 ]
+
+
+def all_masks(plan):
+    return np.concatenate([chunk for chunk, _ in plan.iter_chunks()])
+
+
+def looped(x, kernel, y, plan, device=None, **options):
+    """The reference loop: one masked re-convolution per feature."""
+    return reference.occlusion_scores(
+        x, kernel, y, plan.granularity, plan.block_shape, device=device, **options
+    )
 
 
 class TestMaskPlanConstruction:
     def test_elements_plan_shape_and_labels(self):
-        plan = MaskPlan.elements((3, 4))
+        plan = MaskSpec.elements((3, 4))
         assert plan.num_masks == 12
         assert plan.output_shape == (3, 4)
         assert plan.plane_shape == (3, 4)
         assert plan.labels[5] == (1, 1)  # row-major ordering
         # Each mask occludes exactly its one element.
-        assert plan.masks.sum() == 12
-        assert plan.masks[5, 1, 1]
+        masks = all_masks(plan)
+        assert masks.sum() == 12
+        assert masks[5, 1, 1]
 
     def test_blocks_plan_tiles_exactly_once(self):
-        plan = MaskPlan.blocks((8, 8), (2, 4))
+        plan = MaskSpec.blocks((8, 8), (2, 4))
         assert plan.output_shape == (4, 2)
         assert plan.granularity == "blocks"
         # The union of all masks covers the plane exactly once.
         np.testing.assert_array_equal(
-            plan.masks.sum(axis=0), np.ones((8, 8), dtype=int)
+            all_masks(plan).sum(axis=0), np.ones((8, 8), dtype=int)
         )
 
     def test_columns_and_rows_plans(self):
-        cols = MaskPlan.columns((3, 5))
-        assert cols.num_masks == 5
-        assert cols.masks[2, :, 2].all() and cols.masks[2].sum() == 3
-        rows = MaskPlan.rows((3, 5))
-        assert rows.num_masks == 3
-        assert rows.masks[1, 1, :].all() and rows.masks[1].sum() == 5
-
-    def test_from_masks_wraps_single_mask(self):
-        mask = np.zeros((4, 4), dtype=bool)
-        mask[1, 2] = True
-        plan = MaskPlan.from_masks(mask)
-        assert plan.num_masks == 1
-        assert plan.output_shape == (1,)
-        assert plan.granularity == "custom"
+        cols = all_masks(MaskSpec.columns((3, 5)))
+        assert len(cols) == 5
+        assert cols[2, :, 2].all() and cols[2].sum() == 3
+        rows = all_masks(MaskSpec.rows((3, 5)))
+        assert len(rows) == 3
+        assert rows[1, 1, :].all() and rows[1].sum() == 5
 
     def test_for_granularity_dispatch(self):
-        assert MaskPlan.for_granularity("columns", (4, 6)).num_masks == 6
-        assert MaskPlan.for_granularity("blocks", (4, 4), (2, 2)).num_masks == 4
+        assert MaskSpec.for_granularity("columns", (4, 6)).num_masks == 6
+        assert MaskSpec.for_granularity("blocks", (4, 4), (2, 2)).num_masks == 4
         with pytest.raises(ValueError):
-            MaskPlan.for_granularity("blocks", (4, 4))
+            MaskSpec.for_granularity("blocks", (4, 4))
         with pytest.raises(ValueError):
-            MaskPlan.for_granularity("pixels", (4, 4))
+            MaskSpec.for_granularity("pixels", (4, 4))
 
     def test_invalid_plans_rejected(self):
         with pytest.raises(ValueError):
-            MaskPlan.blocks((8, 8), (3, 3))  # does not tile
+            MaskSpec.blocks((8, 8), (3, 3))  # does not tile
         with pytest.raises(ValueError):
-            MaskPlan.blocks((8, 8), (0, 2))
+            MaskSpec.blocks((8, 8), (0, 2))
         with pytest.raises(ValueError):
-            MaskPlan(np.zeros((4, 4), dtype=bool))  # not a stack
+            MaskSpec.rows((0, 4))
         with pytest.raises(ValueError):
-            MaskPlan(np.zeros((2, 4, 4), dtype=bool), output_shape=(3,))
-        with pytest.raises(ValueError):
-            MaskPlan(np.zeros((2, 4, 4), dtype=bool), labels=((0,),))
+            list(MaskSpec.rows((4, 4)).iter_chunks(start=2, stop=9))
 
     def test_apply_fills_masked_features(self):
-        plan = MaskPlan.columns((2, 3))
+        plan = MaskSpec.columns((2, 3))
         x = np.arange(6.0).reshape(2, 3)
-        stacked = plan.apply(x, fill_value=-1.0)
+        stacked = np.concatenate(
+            [chunk for chunk, _ in plan.apply_chunks(x, fill_value=-1.0)]
+        )
         assert stacked.shape == (3, 2, 3)
         np.testing.assert_array_equal(stacked[1][:, 1], [-1.0, -1.0])
         np.testing.assert_array_equal(stacked[1][:, 0], x[:, 0])
 
     def test_apply_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            MaskPlan.rows((4, 4)).apply(np.ones((5, 5)))
+            MaskSpec.rows((4, 4)).apply_chunks(np.ones((5, 5)))
 
     def test_reshape_scores_round_trip(self):
-        plan = MaskPlan.blocks((4, 4), (2, 2))
+        plan = MaskSpec.blocks((4, 4), (2, 2))
         grid = plan.reshape_scores(np.arange(4.0))
         assert grid.shape == (2, 2)
         with pytest.raises(ValueError):
@@ -121,20 +128,22 @@ class TestBatchedEqualsLooped:
     def test_all_granularities_and_reductions(self, name, make_plan, reduction):
         x, kernel, y = fitted_setup(seed=3)
         plan = make_plan(x.shape)
-        batched = score_plan(x, kernel, y, plan, reduction=reduction, method="batched")
-        looped = score_plan(x, kernel, y, plan, reduction=reduction, method="loop")
-        np.testing.assert_allclose(batched, looped, atol=1e-10)
+        batched = score_plan(x, kernel, y, plan, reduction=reduction)
+        np.testing.assert_array_equal(
+            batched, looped(x, kernel, y, plan, reduction=reduction)
+        )
         assert batched.shape == plan.output_shape
 
     def test_non_zero_fill_value_under_batching(self):
         x, kernel, y = fitted_setup(seed=4)
-        plan = MaskPlan.blocks(x.shape, (4, 4))
+        plan = MaskSpec.blocks(x.shape, (4, 4))
         fill = float(x.mean())
-        batched = score_plan(x, kernel, y, plan, method="batched", fill_value=fill)
-        looped = score_plan(x, kernel, y, plan, method="loop", fill_value=fill)
-        np.testing.assert_allclose(batched, looped, atol=1e-10)
+        batched = score_plan(x, kernel, y, plan, fill_value=fill)
+        np.testing.assert_array_equal(
+            batched, looped(x, kernel, y, plan, fill_value=fill)
+        )
         # A non-zero baseline genuinely changes the scores.
-        zero_fill = score_plan(x, kernel, y, plan, method="batched")
+        zero_fill = score_plan(x, kernel, y, plan)
         assert not np.allclose(batched, zero_fill)
 
     def test_non_square_plane(self):
@@ -142,31 +151,37 @@ class TestBatchedEqualsLooped:
         x = rng.standard_normal((4, 8))
         kernel = rng.standard_normal((4, 8))
         y = fft_circular_convolve2d(x, kernel)
-        plan = MaskPlan.columns(x.shape)
-        np.testing.assert_allclose(
-            score_plan(x, kernel, y, plan, method="batched"),
-            score_plan(x, kernel, y, plan, method="loop"),
-            atol=1e-10,
+        plan = MaskSpec.columns(x.shape)
+        np.testing.assert_array_equal(
+            score_plan(x, kernel, y, plan), looped(x, kernel, y, plan)
         )
 
     def test_device_and_pure_numpy_agree(self):
         x, kernel, y = fitted_setup(seed=6)
-        plan = MaskPlan.rows(x.shape)
-        pure = score_plan(x, kernel, y, plan, method="batched")
-        on_cpu = score_plan(x, kernel, y, plan, method="batched", device=CpuDevice())
-        np.testing.assert_allclose(pure, on_cpu, atol=1e-10)
+        plan = MaskSpec.rows(x.shape)
+        pure = score_plan(x, kernel, y, plan)
+        on_cpu = score_plan(x, kernel, y, plan, device=CpuDevice())
+        np.testing.assert_array_equal(pure, on_cpu)
 
     def test_validation(self):
         x, kernel, y = fitted_setup(seed=7)
-        plan = MaskPlan.columns(x.shape)
-        with pytest.raises(ValueError):
-            score_plan(x, kernel, y, plan, method="magic")
+        plan = MaskSpec.columns(x.shape)
         with pytest.raises(ValueError):
             score_plan(x, kernel, y, plan, reduction="median")
         with pytest.raises(ValueError):
             score_plan(x, kernel, np.ones((4, 4)), plan)
         with pytest.raises(ValueError):
-            score_plan(x, kernel, y, MaskPlan.columns((4, 4)))
+            score_plan(x, kernel, y, MaskSpec.columns((4, 4)))
+
+
+def convolve_stack(device, stack, kernel, row_kernel=None):
+    """The whole stack as one chunk through the device's batched convolution."""
+    stack = np.asarray(stack)
+    (convolved, _), = device.conv2d_circular_batch_chunks(
+        [(stack, range(len(stack)))], kernel, num_rows=len(stack),
+        row_kernel=row_kernel,
+    )
+    return convolved
 
 
 class TestBatchedDeviceAccounting:
@@ -176,15 +191,15 @@ class TestBatchedDeviceAccounting:
     def test_kernel_spectrum_computed_once_per_plan(self):
         x, kernel, y = fitted_setup()
         for device in (CpuDevice(), GpuDevice(), small_backend()):
-            plan = MaskPlan.blocks(x.shape, (2, 2))
-            score_plan(x, kernel, y, plan, method="batched", device=device)
+            plan = MaskSpec.blocks(x.shape, (2, 2))
+            score_plan(x, kernel, y, plan, device=device)
             assert device.stats.op_counts["fft2"] == 1
 
     def test_cpu_and_gpu_record_per_op_batch_entries(self):
         x, kernel, y = fitted_setup(seed=1)
-        plan = MaskPlan.blocks(x.shape, (2, 2))
+        plan = MaskSpec.blocks(x.shape, (2, 2))
         for device in (CpuDevice(), GpuDevice()):
-            score_plan(x, kernel, y, plan, method="batched", device=device)
+            score_plan(x, kernel, y, plan, device=device)
             counts = device.stats.op_counts
             assert counts["fft2_batch"] == plan.num_masks
             assert counts["ifft2_batch"] == plan.num_masks
@@ -194,8 +209,8 @@ class TestBatchedDeviceAccounting:
     def test_tpu_standalone_plan_records_one_dispatch(self):
         x, kernel, y = fitted_setup(seed=2)
         backend = small_backend()
-        plan = MaskPlan.columns(x.shape)
-        score_plan(x, kernel, y, plan, method="batched", device=backend)
+        plan = MaskSpec.columns(x.shape)
+        score_plan(x, kernel, y, plan, device=backend)
         counts = backend.stats.op_counts
         assert counts["dispatch"] == 1
         assert counts["conv2d_batch"] == 1
@@ -205,9 +220,9 @@ class TestBatchedDeviceAccounting:
     def test_tpu_plan_inside_program_adds_no_dispatch(self):
         x, kernel, y = fitted_setup(seed=3)
         backend = small_backend()
-        plan = MaskPlan.columns(x.shape)
+        plan = MaskSpec.columns(x.shape)
         with backend.program(infeed_bytes=x.nbytes):
-            score_plan(x, kernel, y, plan, method="batched", device=backend)
+            score_plan(x, kernel, y, plan, device=backend)
         counts = backend.stats.op_counts
         assert counts["dispatch"] == 1  # the program's own dispatch only
         assert counts["conv2d_batch"] == 1
@@ -215,18 +230,18 @@ class TestBatchedDeviceAccounting:
     def test_loop_mode_still_pays_per_mask_round_trips(self):
         x, kernel, y = fitted_setup(seed=4)
         backend = small_backend()
-        plan = MaskPlan.columns(x.shape)
-        score_plan(x, kernel, y, plan, method="loop", device=backend)
+        plan = MaskSpec.columns(x.shape)
+        looped(x, kernel, y, plan, device=backend)
         assert backend.stats.op_counts["conv_round_trip"] == plan.num_masks
 
     def test_batched_cheaper_than_looped_on_every_backend(self):
         for device_factory in (CpuDevice, GpuDevice, small_backend):
             x, kernel, y = fitted_setup(seed=5)
-            plan = MaskPlan.elements(x.shape)
+            plan = MaskSpec.elements(x.shape)
             looped_device = device_factory()
-            score_plan(x, kernel, y, plan, method="loop", device=looped_device)
+            looped(x, kernel, y, plan, device=looped_device)
             batched_device = device_factory()
-            score_plan(x, kernel, y, plan, method="batched", device=batched_device)
+            score_plan(x, kernel, y, plan, device=batched_device)
             assert batched_device.stats.seconds < looped_device.stats.seconds
 
     def test_batch_conv_seconds_validation(self):
@@ -238,9 +253,9 @@ class TestBatchedDeviceAccounting:
     def test_conv2d_circular_batch_validation(self):
         device = CpuDevice()
         with pytest.raises(ValueError):
-            device.conv2d_circular_batch(np.ones((4, 4)), np.ones((4, 4)))
+            convolve_stack(device, np.ones((4, 4)), np.ones((4, 4)))
         with pytest.raises(ValueError):
-            device.conv2d_circular_batch(np.ones((2, 4, 4)), np.ones((5, 5)))
+            convolve_stack(device, np.ones((2, 4, 4)), np.ones((5, 5)))
 
     def test_conv2d_circular_batch_kernel_stack_matches_per_kernel(self):
         """The wave form: per-row kernels, bit-identical to convolving
@@ -249,8 +264,7 @@ class TestBatchedDeviceAccounting:
         stack = rng.standard_normal((5, 6, 6))
         kernels = rng.standard_normal((2, 6, 6))
         row_kernel = np.array([0, 1, 1, 0, 1])
-        device = CpuDevice()
-        fused = device.conv2d_circular_batch(stack, kernels, row_kernel=row_kernel)
+        fused = convolve_stack(CpuDevice(), stack, kernels, row_kernel=row_kernel)
         for row, (plane, which) in enumerate(zip(stack, row_kernel)):
             np.testing.assert_array_equal(
                 fused[row],
@@ -260,14 +274,14 @@ class TestBatchedDeviceAccounting:
     def test_kernel_stack_requires_row_map(self):
         device = CpuDevice()
         with pytest.raises(ValueError):
-            device.conv2d_circular_batch(np.ones((2, 4, 4)), np.ones((2, 4, 4)))
+            convolve_stack(device, np.ones((2, 4, 4)), np.ones((2, 4, 4)))
         with pytest.raises(ValueError):
-            device.conv2d_circular_batch(
-                np.ones((2, 4, 4)), np.ones((4, 4)), row_kernel=np.array([0, 0])
+            convolve_stack(
+                device, np.ones((2, 4, 4)), np.ones((4, 4)), row_kernel=np.array([0, 0])
             )
         with pytest.raises(ValueError):
-            device.conv2d_circular_batch(
-                np.ones((2, 4, 4)), np.ones((2, 4, 4)), row_kernel=np.array([0, 5])
+            convolve_stack(
+                device, np.ones((2, 4, 4)), np.ones((2, 4, 4)), row_kernel=np.array([0, 5])
             )
 
     def test_kernel_spectrum_batch_accounting(self):
@@ -277,10 +291,10 @@ class TestBatchedDeviceAccounting:
         kernels = np.ones((3, 4, 4))
         rows = np.arange(3)
         cpu = CpuDevice()
-        cpu.conv2d_circular_batch(stack, kernels, row_kernel=rows)
+        convolve_stack(cpu, stack, kernels, row_kernel=rows)
         assert cpu.stats.op_counts["fft2_kernel"] == 3
         tpu = small_backend()
-        tpu.conv2d_circular_batch(stack, kernels, row_kernel=rows)
+        convolve_stack(tpu, stack, kernels, row_kernel=rows)
         assert tpu.stats.op_counts["fft2_kernel_batch"] == 1
         assert tpu.stats.op_seconds["fft2_kernel_batch"] == pytest.approx(
             tpu.kernel_spectrum_batch_seconds(3, 4, 4)
@@ -296,12 +310,9 @@ class TestBatchedDeviceAccounting:
         rng = np.random.default_rng(8)
         stack = rng.standard_normal((5, 6, 6))
         kernel = rng.standard_normal((6, 6))
-        device = CpuDevice()
-        batched = device.conv2d_circular_batch(stack, kernel)
+        batched = convolve_stack(CpuDevice(), stack, kernel)
         for plane, expected in zip(stack, batched):
-            np.testing.assert_allclose(
-                fft_circular_convolve2d(plane, kernel), expected, atol=1e-10
-            )
+            np.testing.assert_array_equal(fft_circular_convolve2d(plane, kernel), expected)
 
 
 class TestPipelineMethods:
@@ -317,17 +328,14 @@ class TestPipelineMethods:
         x[0, 0] += 40.0
         kernel = rng.standard_normal((8, 8))
         y = fft_circular_convolve2d(x, kernel)
-        runs = {}
-        for method in ("batched", "loop"):
-            pipeline = ExplanationPipeline(
-                CpuDevice(), granularity=granularity, eps=1e-8,
-                method=method, **kwargs,
-            )
-            runs[method] = pipeline.run([(x, y)])
+        run = ExplanationPipeline(
+            CpuDevice(), granularity=granularity, eps=1e-8, **kwargs
+        ).run([(x, y)])
+        (expected,) = reference.explain_all(
+            [(x, y)], device=CpuDevice(), granularity=granularity, eps=1e-8, **kwargs
+        )
         np.testing.assert_allclose(
-            runs["batched"].explanations[0].scores,
-            runs["loop"].explanations[0].scores,
-            atol=1e-8,
+            run.explanations[0].scores, expected.scores, rtol=1e-9, atol=0
         )
 
     def test_batched_pipeline_simulated_faster(self):
@@ -336,14 +344,14 @@ class TestPipelineMethods:
         x[0, 0] += 80.0
         kernel = rng.standard_normal((16, 16))
         y = fft_circular_convolve2d(x, kernel)
-        seconds = {}
-        for method in ("batched", "loop"):
-            pipeline = ExplanationPipeline(
-                small_backend(), granularity="blocks", block_shape=(2, 2),
-                eps=1e-8, method=method,
-            )
-            seconds[method] = pipeline.run([(x, y)]).simulated_seconds
-        assert seconds["batched"] < seconds["loop"]
+        batched = ExplanationPipeline(
+            small_backend(), granularity="blocks", block_shape=(2, 2), eps=1e-8,
+        ).run([(x, y)]).simulated_seconds
+        backend = small_backend()
+        reference.explain_all(
+            [(x, y)], device=backend, granularity="blocks", block_shape=(2, 2), eps=1e-8
+        )
+        assert batched < backend.stats.seconds
 
     def test_tpu_batched_pipeline_one_dispatch_per_pair(self):
         rng = np.random.default_rng(11)
@@ -355,88 +363,50 @@ class TestPipelineMethods:
             pairs.append((x, fft_circular_convolve2d(x, kernel)))
         pipeline = ExplanationPipeline(
             small_backend(), granularity="blocks", block_shape=(4, 4), eps=1e-8,
-            fusion="pair",
+            max_pairs_per_wave=1,
         )
         run = pipeline.run(pairs)
-        # One program dispatch per pair; the batched plan adds none, and
-        # only the residual convolution still pays a host round trip.
-        # (Wave fusion collapses both to one per wave -- see test_fleet.)
+        # One program dispatch per one-pair wave; the batched plan and
+        # the residual row (fused into the wave) add none.
         assert run.stats.op_counts["dispatch"] == 2
-        assert run.stats.op_counts["conv_round_trip"] == 2
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            ExplanationPipeline(CpuDevice(), granularity="columns", method="magic")
+        assert "conv_round_trip" not in run.stats.op_counts
 
 
 class TestMaskPlanConcat:
-    def test_concat_stacks_masks_in_plan_order(self):
-        cols = MaskPlan.columns((4, 4))
-        rows = MaskPlan.rows((4, 4))
-        fused = MaskPlan.concat([cols, rows])
-        assert fused.num_masks == 8
-        assert fused.granularity == "concat"
-        assert fused.output_shape == (8,)
-        np.testing.assert_array_equal(fused.masks[:4], cols.masks)
-        np.testing.assert_array_equal(fused.masks[4:], rows.masks)
+    """Several pairs' plans fused into one wave stack."""
 
     def test_concat_prefixes_labels_with_plan_index(self):
-        fused = MaskPlan.concat([MaskPlan.columns((2, 3)), MaskPlan.columns((2, 3))])
-        assert fused.labels[0] == (0, 0)
-        assert fused.labels[3] == (1, 0)
-        assert fused.labels[5] == (1, 2)
-
-    def test_concat_rejects_mixed_planes(self):
-        with pytest.raises(ValueError):
-            MaskPlan.concat([MaskPlan.columns((2, 2)), MaskPlan.columns((4, 4))])
-
-    def test_concat_rejects_empty(self):
-        with pytest.raises(ValueError):
-            MaskPlan.concat([])
+        plans = [MaskSpec.columns((2, 3)), MaskSpec.columns((2, 3))]
+        table = SliceTable.for_plans(plans)
+        fused = [(r.pair_index, *r.label) for r in table.rows if r.kind == "mask"]
+        assert fused[0] == (0, 0)
+        assert fused[3] == (1, 0)
+        assert fused[5] == (1, 2)
 
     def test_concat_scores_equal_individual_plans(self):
-        x, kernel, y = fitted_setup()
-        cols = MaskPlan.columns(x.shape)
-        rows = MaskPlan.rows(x.shape)
-        fused_scores = score_plan(x, kernel, y, MaskPlan.concat([cols, rows]))
-        np.testing.assert_array_equal(
-            fused_scores[:8], score_plan(x, kernel, y, cols)
-        )
-        np.testing.assert_array_equal(
-            fused_scores[8:], score_plan(x, kernel, y, rows)
-        )
+        pairs = [fitted_setup(seed=seed)[::2] for seed in (0, 1)]
+        fleet = FleetExecutor(CpuDevice(), granularity="columns").run(pairs)
+        assert fleet.num_waves == 1
+        for (x, y), result in zip(pairs, fleet.results):
+            np.testing.assert_array_equal(
+                result.scores,
+                score_plan(x, result.kernel, y, MaskSpec.columns(x.shape)),
+            )
 
 
 class TestStackBudget:
-    def test_nbytes_prices_the_float_stack(self):
-        plan = MaskPlan.columns((4, 8))
-        assert plan.nbytes == 8 * 4 * 8 * 8  # num_masks * M * N * float64
-
     def test_check_stack_budget_passes_and_raises(self):
         check_stack_budget(100, 100)
         check_stack_budget(10**12, None)  # None disables the guard
-        with pytest.raises(MaskStackBudgetError, match="method='loop'"):
+        with pytest.raises(MaskStackBudgetError, match="max_stack_bytes"):
             check_stack_budget(101, 100)
 
     def test_score_plan_honors_budget(self):
         x, kernel, y = fitted_setup()
-        plan = MaskPlan.columns(x.shape)
-        with pytest.raises(MaskStackBudgetError):
-            score_plan(x, kernel, y, plan, max_stack_bytes=plan.nbytes - 1)
-        # Loop mode streams and never materializes the stack.
-        scores = score_plan(
-            x, kernel, y, plan, method="loop", max_stack_bytes=plan.nbytes - 1
-        )
-        assert scores.shape == (8,)
-
-    def test_pipeline_budget_points_at_loop(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((8, 8))
-        y = fft_circular_convolve2d(x, rng.standard_normal((8, 8)))
-        for fusion in ("pair", "wave"):
-            pipeline = ExplanationPipeline(
-                CpuDevice(), granularity="columns", fusion=fusion,
-                max_stack_bytes=64,
-            )
-            with pytest.raises(MaskStackBudgetError, match="loop"):
-                pipeline.run([(x, y)])
+        plan = MaskSpec.columns(x.shape)
+        plane_bytes = x.size * 8
+        with pytest.raises(MaskStackBudgetError, match="single plane"):
+            score_plan(x, kernel, y, plan, max_stack_bytes=plane_bytes - 1)
+        # A budget of one plane streams one mask at a time, unchanged.
+        scores = score_plan(x, kernel, y, plan, max_stack_bytes=plane_bytes)
+        np.testing.assert_array_equal(scores, looped(x, kernel, y, plan))

@@ -1,0 +1,90 @@
+"""Property test: the fleet executor against the literal reference.
+
+Hypothesis samples the configuration lattice -- plane shape (power of
+two, odd, prime, 1xN), granularity and block, precision, chip count,
+placement, wave cap and chunk size -- and every draw must reproduce
+:mod:`tests.reference`, the paper's per-pair loop: kernels, residuals
+and block/column/row scores bit for bit; element scores (the linearity
+fast path) within 1e-9 relative.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.bench.workloads import planted_interpretation_pairs
+from repro.core import FleetExecutor, TpuBackend, make_tpu_chip
+from repro.hw.cpu import CpuDevice
+from tests import reference
+
+SHAPES = {
+    "pow2": [(4, 4), (8, 8), (8, 4), (4, 16)],
+    "odd": [(5, 5), (9, 9), (3, 9)],
+    "prime": [(7, 7), (5, 11), (13, 13)],
+    "1xN": [(1, 8), (1, 7), (1, 13)],
+}
+ELEMENT_TOLERANCE = 1e-9
+
+
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@st.composite
+def configurations(draw):
+    kind = draw(st.sampled_from(sorted(SHAPES)))
+    shape = draw(st.sampled_from(SHAPES[kind]))
+    granularity = draw(st.sampled_from(["blocks", "columns", "rows", "elements"]))
+    block_shape = None
+    if granularity == "blocks":
+        block_shape = (
+            draw(st.sampled_from(divisors(shape[0]))),
+            draw(st.sampled_from(divisors(shape[1]))),
+        )
+    exact = [None, "fp64"]
+    precision = draw(st.sampled_from(exact if granularity == "elements" else exact + ["bf16", "int8"]))
+    return dict(
+        shape=shape,
+        granularity=granularity,
+        block_shape=block_shape,
+        precision=precision,
+        num_chips=draw(st.sampled_from([1, 2, 4, 8])),
+        placement=draw(st.sampled_from(["data", "chunk", "wave"])),
+        max_pairs_per_wave=draw(st.sampled_from([None, 1, 2, 3])),
+        chunk_rows=draw(st.sampled_from([None, 1, 2, 5, 64])),
+        num_pairs=draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+def relative_error(actual, expected):
+    scale = np.max(np.abs(expected))
+    return np.max(np.abs(actual - expected)) / scale if scale else np.max(np.abs(actual))
+
+
+@settings(max_examples=60, deadline=None)
+@given(configurations())
+def test_fleet_matches_reference(config):
+    pairs = planted_interpretation_pairs(
+        config["num_pairs"], shape=config["shape"], seed=config["seed"]
+    )
+    options = dict(
+        granularity=config["granularity"], block_shape=config["block_shape"],
+        eps=1e-6, precision=config["precision"],
+    )
+    chip = make_tpu_chip(num_cores=4, precision="fp32", mxu_rows=8, mxu_cols=8)
+    run = FleetExecutor(
+        TpuBackend(chip), num_chips=config["num_chips"], placement=config["placement"],
+        max_pairs_per_wave=config["max_pairs_per_wave"], chunk_rows=config["chunk_rows"],
+        **options,
+    ).run(pairs)
+    expected = reference.explain_all(pairs, device=CpuDevice(), **options)
+    assert len(run.results) == len(expected)
+    for result, want in zip(run.results, expected):
+        np.testing.assert_array_equal(result.kernel, want.kernel)
+        assert result.residual == want.residual
+        assert result.scores.shape == want.scores.shape
+        if config["granularity"] == "elements":
+            assert relative_error(result.scores, want.scores) <= ELEMENT_TOLERANCE
+        else:
+            np.testing.assert_array_equal(result.scores, want.scores)

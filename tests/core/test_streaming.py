@@ -1,16 +1,17 @@
 """Streaming fleet executor: lazy MaskSpec chunks + pipelined waves.
 
-The PR-3 contracts:
+The contracts:
 
-* lazy chunk generation is bit-identical to the dense ``MaskPlan``
-  constructors at every chunk size;
-* streamed chunked scoring == dense ``method="batched"`` ==
-  ``method="loop"`` bit-identically, for real and complex operands,
-  with identical device ledgers;
-* a plan whose dense stack exceeds ``max_stack_bytes`` streams to
-  completion (the budget stopped being a ceiling);
-* ``pipelined=True`` elapsed <= serial elapsed with identical per-device
-  compute stats and dispatch counts, strictly below once waves overlap.
+* lazy chunk generation is bit-identical to the masks' definition (the
+  literal reference) at every chunk size;
+* streamed chunked scoring equals the reference loop bit-identically,
+  for real and complex operands, with a ledger independent of chunk
+  size;
+* a plan whose whole stack exceeds ``max_stack_bytes`` streams to
+  completion (the budget bounds the chunk only);
+* double-buffered waves finish no later than the same waves run one
+  after another, with identical per-device compute stats and dispatch
+  counts, strictly earlier once waves overlap.
 """
 
 import numpy as np
@@ -21,7 +22,6 @@ from repro.core import (
     ExplanationPipeline,
     FleetExecutor,
     FleetSchedule,
-    MaskPlan,
     MaskSpec,
     MaskStackBudgetError,
     TpuBackend,
@@ -30,13 +30,11 @@ from repro.core import (
     score_plan,
 )
 from repro.fft import fft_circular_convolve2d
-from repro.fft.convolution import (
-    fft_circular_convolve2d_batch,
-    fft_circular_convolve2d_chunks,
-)
+from repro.fft.convolution import fft_circular_convolve2d_chunks
 from repro.hw.cpu import CpuDevice
 from repro.hw.device import PipelineStage, pipelined_elapsed_seconds
 from repro.hw.gpu import GpuDevice
+from tests import reference
 
 SPECS = [
     ("elements", lambda shape: MaskSpec.elements(shape)),
@@ -63,6 +61,29 @@ def fitted_setup(shape=(8, 8), seed=0, complex_input=False):
     return x, kernel, fft_circular_convolve2d(x, kernel)
 
 
+def looped(x, kernel, y, spec, **options):
+    """The reference loop: one masked re-convolution per feature."""
+    return reference.occlusion_scores(
+        x, kernel, y, spec.granularity, spec.block_shape, **options
+    )
+
+
+def convolve_stack(stack, kernel, row_kernel=None):
+    """The whole stack as one chunk (the unchunked batch)."""
+    (convolved, _), = fft_circular_convolve2d_chunks(
+        [(stack, range(len(stack)))], kernel, row_kernel=row_kernel,
+        num_rows=len(stack),
+    )
+    return convolved
+
+
+def assert_same_explanations(results, expected):
+    for a, b in zip(results, expected):
+        np.testing.assert_array_equal(a.scores, b.scores)
+        np.testing.assert_array_equal(a.kernel, b.kernel)
+        assert a.residual == b.residual
+
+
 def planted_pairs(count, shape=(8, 8), seed=0):
     rng = np.random.default_rng(seed)
     pairs = []
@@ -81,10 +102,12 @@ class TestMaskSpecGeneration:
         self, name, make_spec, chunk_rows
     ):
         spec = make_spec((6, 8))
-        dense = spec.materialize()
+        dense = np.stack(
+            [mask for _, mask in reference.masks(name, (6, 8), spec.block_shape)]
+        )
         chunks = list(spec.iter_chunks(chunk_rows))
         np.testing.assert_array_equal(
-            np.concatenate([chunk for chunk, _ in chunks]), dense.masks
+            np.concatenate([chunk for chunk, _ in chunks]), dense
         )
         # Row ranges tile [0, num_masks) in order, chunk sizes bounded.
         next_row = 0
@@ -97,19 +120,21 @@ class TestMaskSpecGeneration:
     @pytest.mark.parametrize("name,make_spec", SPECS)
     def test_spec_metadata_matches_dense_plan(self, name, make_spec):
         spec = make_spec((6, 8))
-        dense = spec.materialize()
-        assert spec.num_masks == dense.num_masks
-        assert spec.plane_shape == dense.plane_shape
-        assert spec.output_shape == dense.output_shape
-        assert spec.labels == dense.labels
-        assert spec.nbytes == dense.nbytes
-        assert spec.bool_nbytes == dense.bool_nbytes
-        assert len(spec) == len(dense)
+        labels = tuple(
+            label for label, _ in reference.masks(name, (6, 8), spec.block_shape)
+        )
+        assert spec.num_masks == len(labels) == len(spec)
+        assert spec.plane_shape == (6, 8)
+        assert spec.output_shape == reference.score_shape(name, (6, 8), spec.block_shape)
+        assert spec.labels == labels
 
     def test_apply_chunks_matches_dense_apply(self):
         spec = MaskSpec.blocks((8, 8), (2, 2))
         x = np.arange(64.0).reshape(8, 8)
-        dense = spec.materialize().apply(x, fill_value=-2.0)
+        dense = np.stack([
+            np.where(mask, -2.0, x)
+            for _, mask in reference.masks("blocks", (8, 8), (2, 2))
+        ])
         streamed = np.concatenate(
             [chunk for chunk, _ in spec.apply_chunks(x, fill_value=-2.0, chunk_rows=5)]
         )
@@ -138,28 +163,18 @@ class TestStreamedScoringEquivalence:
     def test_streamed_equals_dense_equals_loop(self, name, make_spec, complex_input):
         x, kernel, y = fitted_setup(seed=3, complex_input=complex_input)
         spec = make_spec(x.shape)
-        dense = score_plan(x, kernel, y, spec.materialize(), method="batched")
-        streamed = score_plan(x, kernel, y, spec, method="batched")
-        looped = score_plan(x, kernel, y, spec, method="loop")
-        np.testing.assert_array_equal(streamed, dense)
-        np.testing.assert_array_equal(streamed, looped)
+        streamed = score_plan(x, kernel, y, spec)
+        one_chunk = score_plan(x, kernel, y, spec, chunk_rows=spec.num_masks)
+        np.testing.assert_array_equal(streamed, one_chunk)
+        np.testing.assert_array_equal(streamed, looped(x, kernel, y, spec))
 
     @pytest.mark.parametrize("chunk_rows", [1, 2, 7, 64])
     def test_chunk_size_never_changes_bits(self, chunk_rows):
         x, kernel, y = fitted_setup(seed=4)
         spec = MaskSpec.elements(x.shape)
-        reference = score_plan(x, kernel, y, spec.materialize(), method="batched")
         np.testing.assert_array_equal(
-            score_plan(x, kernel, y, spec, method="batched", chunk_rows=chunk_rows),
-            reference,
-        )
-        # A dense plan with chunk_rows set streams too, identically.
-        np.testing.assert_array_equal(
-            score_plan(
-                x, kernel, y, spec.materialize(), method="batched",
-                chunk_rows=chunk_rows,
-            ),
-            reference,
+            score_plan(x, kernel, y, spec, chunk_rows=chunk_rows),
+            looped(x, kernel, y, spec),
         )
 
     @pytest.mark.parametrize(
@@ -167,43 +182,35 @@ class TestStreamedScoringEquivalence:
         ids=["cpu", "gpu", "tpu"],
     )
     def test_streamed_device_ledger_identical_to_dense(self, device_factory):
+        """Streaming in small chunks costs exactly what one chunk holding
+        the whole stack costs."""
         x, kernel, y = fitted_setup(seed=5)
         spec = MaskSpec.columns(x.shape)
         dense_device = device_factory()
         dense = score_plan(
-            x, kernel, y, spec.materialize(), method="batched", device=dense_device
+            x, kernel, y, spec, device=dense_device, chunk_rows=spec.num_masks
         )
         streamed_device = device_factory()
-        streamed = score_plan(
-            x, kernel, y, spec, method="batched", device=streamed_device
-        )
+        streamed = score_plan(x, kernel, y, spec, device=streamed_device, chunk_rows=3)
         np.testing.assert_array_equal(streamed, dense)
         assert streamed_device.stats.op_counts == dense_device.stats.op_counts
         assert streamed_device.stats.seconds == dense_device.stats.seconds
 
     def test_over_budget_plan_streams_to_completion(self):
         """The acceptance scenario: num_masks * M * N exceeds the budget
-        yet streaming succeeds, bit-identical to method='loop'."""
+        yet streaming succeeds, bit-identical to the reference loop."""
         x, kernel, y = fitted_setup(seed=6, shape=(16, 16))
-        spec = MaskSpec.elements(x.shape)  # 256 masks: 512 KiB dense stack
-        budget = spec.nbytes // 8
-        with pytest.raises(MaskStackBudgetError):
-            score_plan(
-                x, kernel, y, spec.materialize(), method="batched",
-                max_stack_bytes=budget,
-            )
-        streamed = score_plan(
-            x, kernel, y, spec, method="batched", max_stack_bytes=budget
-        )
-        looped = score_plan(x, kernel, y, spec, method="loop")
-        np.testing.assert_array_equal(streamed, looped)
+        spec = MaskSpec.elements(x.shape)  # 256 masks: 512 KiB whole stack
+        budget = spec.num_masks * x.size  # an eighth of it
+        streamed = score_plan(x, kernel, y, spec, max_stack_bytes=budget)
+        np.testing.assert_array_equal(streamed, looped(x, kernel, y, spec))
 
     def test_budget_below_one_plane_still_raises(self):
         x, kernel, y = fitted_setup(seed=7)
         plane_bytes = x.size * 8
-        with pytest.raises(MaskStackBudgetError, match="loop"):
+        with pytest.raises(MaskStackBudgetError, match="single plane"):
             score_plan(
-                x, kernel, y, MaskSpec.columns(x.shape), method="batched",
+                x, kernel, y, MaskSpec.columns(x.shape),
                 max_stack_bytes=plane_bytes - 1,
             )
 
@@ -224,7 +231,7 @@ class TestChunkedConvolution:
         stack = rng.standard_normal((9, 5, 6))
         kernels = rng.standard_normal((3, 5, 6))
         row_kernel = np.array([0, 0, 0, 1, 1, 2, 2, 2, 2])
-        dense = fft_circular_convolve2d_batch(stack, kernels, row_kernel=row_kernel)
+        dense = convolve_stack(stack, kernels, row_kernel=row_kernel)
         chunks = ((stack[s : s + 2], range(s, min(s + 2, 9))) for s in range(0, 9, 2))
         streamed = np.empty_like(dense)
         for convolved, rows in fft_circular_convolve2d_chunks(
@@ -241,12 +248,10 @@ class TestChunkedConvolution:
         kernels = rng.standard_normal((2, 4, 4))
         sorted_map = np.array([0, 0, 0, 1, 1, 1])
         permutation = np.array([3, 0, 4, 1, 5, 2])
-        shuffled = fft_circular_convolve2d_batch(
+        shuffled = convolve_stack(
             stack[permutation], kernels, row_kernel=sorted_map[permutation]
         )
-        ordered = fft_circular_convolve2d_batch(
-            stack, kernels, row_kernel=sorted_map
-        )
+        ordered = convolve_stack(stack, kernels, row_kernel=sorted_map)
         np.testing.assert_array_equal(shuffled[np.argsort(permutation)], ordered)
 
     def test_desynchronized_chunk_stream_raises(self):
@@ -317,63 +322,65 @@ class TestPipelinedElapsedFormula:
 
 class TestPipelinedExecution:
     def _runs(self, device_factory, count=12, wave_width=4):
+        """The fleet double-buffered, and its waves run one at a time."""
         pairs = planted_pairs(count)
-        runs = {}
-        for pipelined in (False, True):
-            pipeline = ExplanationPipeline(
-                device_factory(), granularity="columns", eps=1e-8,
-                pipelined=pipelined, max_pairs_per_wave=wave_width,
+        options = dict(granularity="columns", eps=1e-8)
+        pipelined = ExplanationPipeline(
+            device_factory(), max_pairs_per_wave=wave_width, **options
+        ).run(pairs)
+        waves = [
+            ExplanationPipeline(device_factory(), **options).run(
+                pairs[start : start + wave_width]
             )
-            runs[pipelined] = pipeline.run(pairs)
-        return runs
+            for start in range(0, count, wave_width)
+        ]
+        return pairs, pipelined, waves
 
     @pytest.mark.parametrize(
         "device_factory", [CpuDevice, GpuDevice, small_backend],
         ids=["cpu", "gpu", "tpu"],
     )
     def test_pipelined_at_most_serial_with_identical_compute(self, device_factory):
-        runs = self._runs(device_factory)
-        serial, pipelined = runs[False], runs[True]
-        assert pipelined.simulated_seconds <= serial.simulated_seconds
-        serial_ops = dict(serial.stats.op_counts)
+        pairs, pipelined, waves = self._runs(device_factory)
+        serial_seconds = sum(run.simulated_seconds for run in waves)
+        assert pipelined.simulated_seconds <= serial_seconds
+        serial_ops = {}
+        for run in waves:
+            for op, count in run.stats.op_counts.items():
+                serial_ops[op] = serial_ops.get(op, 0) + count
         pipelined_ops = dict(pipelined.stats.op_counts)
         pipelined_ops.pop("infeed_overlap", None)
         assert pipelined_ops == serial_ops
-        for a, b in zip(serial.explanations, pipelined.explanations):
-            np.testing.assert_array_equal(a.scores, b.scores)
-            np.testing.assert_array_equal(a.kernel, b.kernel)
-            assert a.residual == b.residual
+        expected = reference.explain_all(
+            pairs, device=device_factory(), granularity="columns", eps=1e-8
+        )
+        assert_same_explanations(pipelined.explanations, expected)
 
     def test_multi_wave_tpu_fleet_strictly_faster_pipelined(self):
-        runs = self._runs(small_backend)
-        assert runs[True].simulated_seconds < runs[False].simulated_seconds
-        assert (
-            runs[True].stats.op_counts["dispatch"]
-            == runs[False].stats.op_counts["dispatch"]
-            == 3
-        )
+        _, pipelined, waves = self._runs(small_backend)
+        assert pipelined.simulated_seconds < sum(run.simulated_seconds for run in waves)
+        assert pipelined.stats.op_counts["dispatch"] == len(waves) == 3
         # The credited time is exposed on the ledger, once per run.
-        assert runs[True].stats.op_counts["infeed_overlap"] == 1
-        assert runs[True].stats.op_seconds["infeed_overlap"] < 0
+        assert pipelined.stats.op_counts["infeed_overlap"] == 1
+        assert pipelined.stats.op_seconds["infeed_overlap"] < 0
 
     def test_single_wave_times_identically_either_way(self):
-        pairs = planted_pairs(4)
-        seconds = {}
-        for pipelined in (False, True):
-            run = ExplanationPipeline(
-                small_backend(), granularity="columns", eps=1e-8,
-                pipelined=pipelined,
-            ).run(pairs)
-            seconds[pipelined] = run.simulated_seconds
-            assert run.num_programs == 1
-        assert seconds[True] == seconds[False]
+        """One wave has nothing to overlap: no credit, serial cost."""
+        run = ExplanationPipeline(
+            small_backend(), granularity="columns", eps=1e-8,
+        ).run(planted_pairs(4))
+        assert run.num_programs == 1
+        assert "infeed_overlap" not in run.stats.op_counts
+        assert run.simulated_seconds == pytest.approx(
+            sum(run.stats.op_seconds.values()), rel=1e-12
+        )
 
     def test_tpu_chip_ledger_records_overlap_event(self):
         backend = small_backend()
         executor = FleetExecutor(
             backend, granularity="columns", max_pairs_per_wave=2
         )
-        executor.run(planted_pairs(6), pipelined=True)
+        executor.run(planted_pairs(6))
         assert backend.chip.event_count("infeed_overlap") == 1
 
     def test_pipeline_scopes_do_not_nest(self):
@@ -397,83 +404,52 @@ class TestPipelinedExecution:
 
 
 class TestStreamingFleet:
-    def test_over_budget_pair_gets_its_own_wave_and_streams(self):
-        """PR-2 raised MaskStackBudgetError here; streaming runs it.
-        Under the historical dense budgeting every pair takes a wave of
-        its own; the chunk-adaptive default fuses all three into one
-        wave -- both bit-identical to per-pair execution."""
+    def test_over_budget_pairs_fuse_into_one_wave_and_stream(self):
+        """A budget below one pair's whole stack bounds the streamed
+        chunk only: all three pairs fuse into one wave, matching the
+        reference bit for bit."""
         pairs = planted_pairs(3)
-        plan_bytes = MaskPlan.columns((8, 8)).nbytes + 8 * 8 * 8  # + residual
-        dense = FleetExecutor(
-            CpuDevice(), granularity="columns",
-            max_stack_bytes=plan_bytes - 1, dense_budget=True,
+        pair_bytes = (8 + 1) * 8 * 8 * 8  # 8 column masks + residual, float64
+        fleet = FleetExecutor(
+            CpuDevice(), granularity="columns", max_stack_bytes=pair_bytes - 1
         ).run(pairs)
-        assert dense.num_waves == 3  # every pair alone exceeds the budget
-        adaptive = FleetExecutor(
-            CpuDevice(), granularity="columns", max_stack_bytes=plan_bytes - 1
-        ).run(pairs)
-        assert adaptive.num_waves == 1  # the budget bounds the chunk only
-        reference = ExplanationPipeline(
-            CpuDevice(), granularity="columns", eps=1e-6, fusion="pair",
-            max_stack_bytes=None,
-        ).run(pairs)
-        for fleet in (dense, adaptive):
-            for a, b in zip(reference.explanations, fleet.results):
-                np.testing.assert_array_equal(a.scores, b.scores)
-                assert a.residual == b.residual
+        assert fleet.num_waves == 1
+        expected = reference.explain_all(pairs, device=CpuDevice(), granularity="columns")
+        assert_same_explanations(fleet.results, expected)
 
     def test_chunk_adaptive_planning_shrinks_dispatch_count_at_100_pairs(self):
         """The chunk-adaptive acceptance contract: at 100 pairs under a
-        budget that dense semantics fragment into many waves, the
-        adaptive default executes strictly fewer dispatches (fewer
-        program scopes) with bit-identical scores."""
+        budget of four pairs' whole stacks, the fleet still fuses into
+        one dispatch -- 25 if the budget capped waves at four pairs --
+        with bit-identical scores."""
         pairs = planted_pairs(100)
-        plan_bytes = (MaskPlan.columns((8, 8)).num_masks + 1) * 8 * 8 * 8
+        pair_bytes = (8 + 1) * 8 * 8 * 8
         runs = {}
-        for dense_budget in (True, False):
-            backend = small_backend()
-            run = ExplanationPipeline(
-                backend, granularity="columns", eps=1e-8,
-                max_stack_bytes=4 * plan_bytes, dense_budget=dense_budget,
+        for cap in (4, None):
+            runs[cap] = ExplanationPipeline(
+                small_backend(), granularity="columns", eps=1e-8,
+                max_stack_bytes=4 * pair_bytes, max_pairs_per_wave=cap,
             ).run(pairs)
-            runs[dense_budget] = run
-        assert runs[True].stats.op_counts["dispatch"] == 25  # 4-pair waves
-        assert runs[False].stats.op_counts["dispatch"] == 1  # one fused wave
-        assert (
-            runs[False].stats.op_counts["dispatch"]
-            < runs[True].stats.op_counts["dispatch"]
-        )
-        assert runs[False].simulated_seconds < runs[True].simulated_seconds
-        for a, b in zip(runs[True].explanations, runs[False].explanations):
-            np.testing.assert_array_equal(a.scores, b.scores)
-            assert a.residual == b.residual
-
-    def test_dense_schedule_semantics_still_raise(self):
-        with pytest.raises(MaskStackBudgetError, match="loop"):
-            FleetSchedule.plan([(4, 4)], [100], max_stack_bytes=1000)
-        # Streaming semantics: same fleet plans fine, one wave.
-        schedule = FleetSchedule.plan(
-            [(4, 4)], [100], max_stack_bytes=1000, streaming=True
-        )
-        assert schedule.num_waves == 1
+        assert runs[4].stats.op_counts["dispatch"] == 25  # 4-pair waves
+        assert runs[None].stats.op_counts["dispatch"] == 1  # one fused wave
+        assert runs[None].simulated_seconds < runs[4].simulated_seconds
+        assert_same_explanations(runs[None].explanations, runs[4].explanations)
 
     def test_streaming_plane_too_large_still_raises(self):
         with pytest.raises(MaskStackBudgetError, match="single plane"):
-            FleetSchedule.plan([(8, 8)], [4], max_stack_bytes=100, streaming=True)
+            FleetSchedule.plan([(8, 8)], [4], max_stack_bytes=100)
 
     def test_tiny_chunks_bit_identical_at_fleet_scale(self):
         pairs = planted_pairs(5)
-        reference = ExplanationPipeline(
-            small_backend(), granularity="blocks", block_shape=(2, 2), eps=1e-8,
-            fusion="pair",
-        ).run(pairs)
         chunked = ExplanationPipeline(
             small_backend(), granularity="blocks", block_shape=(2, 2), eps=1e-8,
             chunk_rows=1,
         ).run(pairs)
-        for a, b in zip(reference.explanations, chunked.explanations):
-            np.testing.assert_array_equal(a.scores, b.scores)
-            assert a.residual == b.residual
+        expected = reference.explain_all(
+            pairs, device=CpuDevice(), granularity="blocks", block_shape=(2, 2),
+            eps=1e-8,
+        )
+        assert_same_explanations(chunked.explanations, expected)
 
     def test_wave_ledger_unchanged_by_chunk_size(self):
         """Streaming is a memory optimization, not a cost change: the
@@ -491,9 +467,9 @@ class TestStreamingFleet:
 
 
 class TestQuantizedStreaming:
-    """PR-4 contracts: the precision axis quantizes per plane, so
-    streamed, dense and loop execution stay bit-identical at bf16 and
-    int8, with the documented error bound holding for batched runs."""
+    """The precision axis quantizes per plane, so streamed execution
+    stays bit-identical to the reference loop at bf16 and int8, with the
+    documented error bound holding for batched runs."""
 
     MASK_SPECS = [spec for spec in SPECS if spec[0] != "elements"]
 
@@ -504,27 +480,22 @@ class TestQuantizedStreaming:
     ):
         x, kernel, y = fitted_setup(seed=6)
         spec = make_spec(x.shape)
-        dense = score_plan(
-            x, kernel, y, spec.materialize(), method="batched", precision=precision
+        one_chunk = score_plan(
+            x, kernel, y, spec, precision=precision, chunk_rows=spec.num_masks
         )
-        streamed = score_plan(x, kernel, y, spec, method="batched", precision=precision)
-        looped = score_plan(x, kernel, y, spec, method="loop", precision=precision)
-        np.testing.assert_array_equal(streamed, dense)
-        np.testing.assert_array_equal(streamed, looped)
+        streamed = score_plan(x, kernel, y, spec, precision=precision)
+        np.testing.assert_array_equal(streamed, one_chunk)
+        np.testing.assert_array_equal(
+            streamed, looped(x, kernel, y, spec, precision=precision)
+        )
 
     @pytest.mark.parametrize("chunk_rows", [1, 3, 64])
     def test_quantized_chunk_size_never_changes_bits(self, chunk_rows):
         x, kernel, y = fitted_setup(seed=7)
         spec = MaskSpec.columns(x.shape)
-        reference = score_plan(
-            x, kernel, y, spec.materialize(), method="batched", precision="int8"
-        )
         np.testing.assert_array_equal(
-            score_plan(
-                x, kernel, y, spec, method="batched", precision="int8",
-                chunk_rows=chunk_rows,
-            ),
-            reference,
+            score_plan(x, kernel, y, spec, precision="int8", chunk_rows=chunk_rows),
+            looped(x, kernel, y, spec, precision="int8"),
         )
 
     @pytest.mark.parametrize(
@@ -534,55 +505,36 @@ class TestQuantizedStreaming:
     def test_quantized_device_paths_match_no_device_paths(self, device_factory):
         x, kernel, y = fitted_setup(seed=8)
         spec = MaskSpec.blocks(x.shape, (2, 2))
-        reference = score_plan(x, kernel, y, spec, method="batched", precision="int8")
-        device = device_factory()
+        no_device = score_plan(x, kernel, y, spec, precision="int8")
         np.testing.assert_array_equal(
-            score_plan(
-                x, kernel, y, spec, method="batched", device=device,
-                precision="int8",
-            ),
-            reference,
+            score_plan(x, kernel, y, spec, device=device_factory(), precision="int8"),
+            no_device,
         )
         np.testing.assert_array_equal(
-            score_plan(
-                x, kernel, y, spec, method="loop", device=device_factory(),
-                precision="int8",
-            ),
-            reference,
+            looped(x, kernel, y, spec, device=device_factory(), precision="int8"),
+            no_device,
         )
 
     def test_fp64_precision_matches_unquantized_execution(self):
         x, kernel, y = fitted_setup(seed=9)
         spec = MaskSpec.rows(x.shape)
         np.testing.assert_array_equal(
-            score_plan(x, kernel, y, spec, method="batched", precision="fp64"),
-            score_plan(x, kernel, y, spec, method="batched"),
+            score_plan(x, kernel, y, spec, precision="fp64"),
+            score_plan(x, kernel, y, spec),
         )
 
     def test_quantized_wave_fleet_matches_quantized_loop(self):
         """The acceptance contract: ExplanationPipeline(precision="int8")
-        scores match method="loop" at int8 bit for bit, streamed (wave)
-        and dense (pair)."""
+        scores match the reference loop at int8 bit for bit, in one
+        fused wave and in one-pair waves."""
         pairs = planted_pairs(5, seed=10)
-        runs = {
-            mode: ExplanationPipeline(
-                small_backend(), granularity="blocks", block_shape=(2, 2),
-                eps=1e-8, precision="int8", **kwargs,
+        options = dict(granularity="blocks", block_shape=(2, 2), eps=1e-8, precision="int8")
+        expected = reference.explain_all(pairs, device=small_backend(), **options)
+        for cap in (None, 1):
+            run = ExplanationPipeline(
+                small_backend(), max_pairs_per_wave=cap, **options
             ).run(pairs)
-            for mode, kwargs in {
-                "wave": dict(fusion="wave"),
-                "pair": dict(fusion="pair"),
-                "loop": dict(method="loop"),
-            }.items()
-        }
-        for a, b, c in zip(
-            runs["wave"].explanations,
-            runs["pair"].explanations,
-            runs["loop"].explanations,
-        ):
-            np.testing.assert_array_equal(a.scores, b.scores)
-            np.testing.assert_array_equal(a.scores, c.scores)
-            assert a.residual == b.residual == c.residual
+            assert_same_explanations(run.explanations, expected)
 
     def test_monotone_error_bound_holds_for_batched_execution(self):
         """quantization_error_bound's conv extension bounds executed
@@ -591,8 +543,8 @@ class TestQuantizedStreaming:
 
         x, kernel, y = fitted_setup(seed=11)
         spec = MaskSpec.blocks(x.shape, (2, 2))
-        exact = score_plan(x, kernel, y, spec, method="batched")
-        quantized = score_plan(x, kernel, y, spec, method="batched", precision="int8")
+        exact = score_plan(x, kernel, y, spec)
+        quantized = score_plan(x, kernel, y, spec, precision="int8")
         score_bound = quantized_score_error_bound(x, kernel, bits=8)
         assert np.max(np.abs(quantized - exact)) <= score_bound
         bounds = [quantized_score_error_bound(x, kernel, bits=b) for b in (4, 8, 16)]
@@ -601,10 +553,10 @@ class TestQuantizedStreaming:
     def test_precision_error_ladder_is_monotone(self):
         x, kernel, y = fitted_setup(seed=12)
         spec = MaskSpec.columns(x.shape)
-        exact = score_plan(x, kernel, y, spec, method="batched")
+        exact = score_plan(x, kernel, y, spec)
         errors = {
             name: np.max(np.abs(
-                score_plan(x, kernel, y, spec, method="batched", precision=name)
+                score_plan(x, kernel, y, spec, precision=name)
                 - exact
             ))
             for name in ("fp64", "bf16", "int8")

@@ -11,9 +11,11 @@ from repro.fft import (
     fft2,
     fft_circular_convolve,
     fft_circular_convolve2d,
+    fft_circular_convolve2d_chunks,
     linear_convolve,
     linear_convolve2d,
 )
+from repro.hw import CpuDevice
 
 
 class TestCircular1D:
@@ -175,80 +177,85 @@ class TestProperties:
         np.testing.assert_allclose(combined, separate, atol=1e-7)
 
 
+CHUNK = 64  # planes per streamed chunk in the batch helper below
+
+
+def convolve_batch(stack, kernel, **options):
+    """A ``(batch, M, N)`` stack convolved through the chunk stream."""
+    stack = np.asarray(stack)
+    chunks = (
+        (stack[start : start + CHUNK], range(start, min(start + CHUNK, len(stack))))
+        for start in range(0, len(stack), CHUNK)
+    )
+    parts = [
+        convolved
+        for convolved, _ in fft_circular_convolve2d_chunks(
+            chunks, kernel, num_rows=len(stack), **options
+        )
+    ]
+    return np.concatenate(parts)
+
+
 class TestBatchedCircular2D:
-    """fft_circular_convolve2d_batch: one kernel spectrum, many inputs."""
+    """The chunk stream as a batch: one kernel spectrum, many inputs."""
 
     @pytest.mark.parametrize("shape", [(4, 4), (3, 5), (8, 8), (4, 8)])
     def test_matches_per_plane_convolution(self, shape):
-        from repro.fft import fft_circular_convolve2d_batch
-
         rng = np.random.default_rng(shape[0] + shape[1])
         stack = rng.standard_normal((6,) + shape)
         kernel = rng.standard_normal(shape)
-        batched = fft_circular_convolve2d_batch(stack, kernel)
+        batched = convolve_batch(stack, kernel)
         for plane, result in zip(stack, batched):
             np.testing.assert_array_equal(result, fft_circular_convolve2d(plane, kernel))
 
     def test_precomputed_kernel_spectrum_reused(self):
-        from repro.fft import fft_circular_convolve2d_batch, kernel_spectrum
+        from repro.fft import kernel_spectrum
 
         rng = np.random.default_rng(3)
         stack = rng.standard_normal((4, 8, 8))
         kernel = rng.standard_normal((8, 8))
         spectrum = kernel_spectrum(kernel, real=True)
         np.testing.assert_array_equal(
-            fft_circular_convolve2d_batch(stack, kernel, kernel_spectrum=spectrum),
-            fft_circular_convolve2d_batch(stack, kernel),
+            convolve_batch(stack, kernel, kernel_spectrum=spectrum),
+            convolve_batch(stack, kernel),
         )
 
     def test_precomputed_raw_full_spectrum_matches_complex_path(self):
         """The legacy raw-ndarray spectrum form still runs the full
-        complex path and matches it bit for bit."""
-        from repro.fft import fft_circular_convolve2d_batch
-        from repro.fft.convolution import set_real_convolution_path
-
+        complex path and matches it bit for bit (complex-typed planes
+        take that path too)."""
         rng = np.random.default_rng(3)
         stack = rng.standard_normal((4, 8, 8))
         kernel = rng.standard_normal((8, 8))
-        with_raw = fft_circular_convolve2d_batch(
+        with_raw = convolve_batch(
             stack, kernel, kernel_spectrum=fft2(kernel)
         )
-        previous = set_real_convolution_path(False)
-        try:
-            complex_path = fft_circular_convolve2d_batch(stack, kernel)
-        finally:
-            set_real_convolution_path(previous)
-        np.testing.assert_array_equal(with_raw, complex_path)
+        complex_path = convolve_batch(stack.astype(np.complex128), kernel)
+        np.testing.assert_array_equal(with_raw, complex_path.real)
 
     def test_complex_inputs_stay_complex(self):
-        from repro.fft import fft_circular_convolve2d_batch
-
         rng = np.random.default_rng(4)
         stack = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
         kernel = rng.standard_normal((4, 4))
-        assert np.iscomplexobj(fft_circular_convolve2d_batch(stack, kernel))
+        assert np.iscomplexobj(convolve_batch(stack, kernel))
 
     def test_validation(self):
-        from repro.fft import fft_circular_convolve2d_batch
-
         with pytest.raises(ValueError):
-            fft_circular_convolve2d_batch(np.ones((4, 4)), np.ones((4, 4)))
+            convolve_batch(np.ones((4, 4)), np.ones((4, 4)))
         with pytest.raises(ValueError):
-            fft_circular_convolve2d_batch(np.ones((2, 4, 4)), np.ones((5, 5)))
+            convolve_batch(np.ones((2, 4, 4)), np.ones((5, 5)))
         with pytest.raises(ValueError):
-            fft_circular_convolve2d_batch(np.ones((0, 4, 4)), np.ones((4, 4)))
+            CpuDevice().conv2d_circular_batch_chunks([], np.ones((4, 4)), num_rows=0)
 
     def test_chunked_batches_bit_identical(self):
         """Batches larger than the internal chunk size must not change
         any per-plane result."""
-        from repro.fft import fft_circular_convolve2d_batch
-        from repro.fft.convolution import _CONV_BATCH_CHUNK
 
         rng = np.random.default_rng(5)
-        batch = _CONV_BATCH_CHUNK + 7
+        batch = CHUNK + 7
         stack = rng.standard_normal((batch, 8, 8))
         kernel = rng.standard_normal((8, 8))
-        batched = fft_circular_convolve2d_batch(stack, kernel)
+        batched = convolve_batch(stack, kernel)
         for plane, result in zip(stack, batched):
             np.testing.assert_array_equal(result, fft_circular_convolve2d(plane, kernel))
 
@@ -257,13 +264,11 @@ class TestMultiKernelBatch:
     """Per-row kernel stacks: the cross-pair wave convolution substrate."""
 
     def test_row_kernel_matches_per_row_convolution(self):
-        from repro.fft import fft_circular_convolve2d_batch
-
         rng = np.random.default_rng(6)
         stack = rng.standard_normal((7, 8, 8))
         kernels = rng.standard_normal((3, 8, 8))
         row_kernel = np.array([0, 1, 2, 0, 2, 1, 0])
-        fused = fft_circular_convolve2d_batch(stack, kernels, row_kernel=row_kernel)
+        fused = convolve_batch(stack, kernels, row_kernel=row_kernel)
         for row, (plane, which) in enumerate(zip(stack, row_kernel)):
             np.testing.assert_array_equal(
                 fused[row], fft_circular_convolve2d(plane, kernels[which])
@@ -272,36 +277,32 @@ class TestMultiKernelBatch:
     def test_row_kernel_spans_chunk_boundaries(self):
         """Rows mapping to different kernels must stay aligned when the
         stack is transformed in internal chunks."""
-        from repro.fft import fft_circular_convolve2d_batch
-        from repro.fft.convolution import _CONV_BATCH_CHUNK
 
         rng = np.random.default_rng(7)
-        batch = _CONV_BATCH_CHUNK + 5
+        batch = CHUNK + 5
         stack = rng.standard_normal((batch, 4, 4))
         kernels = rng.standard_normal((2, 4, 4))
         row_kernel = np.arange(batch) % 2
-        fused = fft_circular_convolve2d_batch(stack, kernels, row_kernel=row_kernel)
-        for row in (0, _CONV_BATCH_CHUNK - 1, _CONV_BATCH_CHUNK, batch - 1):
+        fused = convolve_batch(stack, kernels, row_kernel=row_kernel)
+        for row in (0, CHUNK - 1, CHUNK, batch - 1):
             np.testing.assert_array_equal(
                 fused[row],
                 fft_circular_convolve2d(stack[row], kernels[row_kernel[row]]),
             )
 
     def test_validation(self):
-        from repro.fft import fft_circular_convolve2d_batch
-
         stack = np.ones((3, 4, 4))
         kernels = np.ones((2, 4, 4))
         with pytest.raises(ValueError):  # stack without row map
-            fft_circular_convolve2d_batch(stack, kernels)
+            convolve_batch(stack, kernels)
         with pytest.raises(ValueError):  # row map without stack
-            fft_circular_convolve2d_batch(stack, np.ones((4, 4)), row_kernel=[0, 0, 0])
+            convolve_batch(stack, np.ones((4, 4)), row_kernel=[0, 0, 0])
         with pytest.raises(ValueError):  # wrong length
-            fft_circular_convolve2d_batch(stack, kernels, row_kernel=[0, 1])
+            convolve_batch(stack, kernels, row_kernel=[0, 1])
         with pytest.raises(ValueError):  # out of range
-            fft_circular_convolve2d_batch(stack, kernels, row_kernel=[0, 1, 2])
+            convolve_batch(stack, kernels, row_kernel=[0, 1, 2])
         with pytest.raises(ValueError):  # empty kernel stack
-            fft_circular_convolve2d_batch(stack, np.ones((0, 4, 4)), row_kernel=[0, 0, 0])
+            convolve_batch(stack, np.ones((0, 4, 4)), row_kernel=[0, 0, 0])
 
 
 class TestRealPathRouting:
@@ -309,44 +310,29 @@ class TestRealPathRouting:
 
     @pytest.mark.parametrize("shape", [(8, 8), (7, 5), (6, 9), (16, 16), (9, 9)])
     def test_real_path_agrees_with_complex_path(self, shape):
-        from repro.fft import set_real_convolution_path
-
+        """Complex-typed operands take the full complex path."""
         rng = np.random.default_rng(shape[0] * 17 + shape[1])
         x = rng.standard_normal(shape)
         k = rng.standard_normal(shape)
         real_path = fft_circular_convolve2d(x, k)
-        previous = set_real_convolution_path(False)
-        try:
-            complex_path = fft_circular_convolve2d(x, k)
-        finally:
-            set_real_convolution_path(previous)
-        assert real_path.dtype == complex_path.dtype == np.float64
-        np.testing.assert_allclose(real_path, complex_path, atol=1e-10)
+        complex_path = fft_circular_convolve2d(x.astype(np.complex128), k)
+        assert real_path.dtype == np.float64
+        assert complex_path.dtype == np.complex128
+        np.testing.assert_allclose(real_path, complex_path.real, atol=1e-10)
+        np.testing.assert_allclose(complex_path.imag, 0.0, atol=1e-10)
 
-    def test_flag_round_trips(self):
-        from repro.fft import real_convolution_path_enabled, set_real_convolution_path
-
-        assert real_convolution_path_enabled() is True
-        previous = set_real_convolution_path(False)
-        assert previous is True
-        assert real_convolution_path_enabled() is False
-        set_real_convolution_path(True)
-        assert real_convolution_path_enabled() is True
-
-    def test_flag_off_reproduces_legacy_complex_bits(self):
-        """With the real path disabled, results are bit-identical to the
-        pre-change full-complex implementation."""
-        from repro.fft import ifft2, set_real_convolution_path
+    def test_complex_typed_operands_keep_legacy_bits(self):
+        """Complex-typed operands are bit-identical to the full-complex
+        implementation."""
+        from repro.fft import ifft2
 
         rng = np.random.default_rng(11)
         x = rng.standard_normal((16, 16))
         k = rng.standard_normal((16, 16))
-        previous = set_real_convolution_path(False)
-        try:
-            legacy = fft_circular_convolve2d(x, k)
-        finally:
-            set_real_convolution_path(previous)
-        np.testing.assert_array_equal(legacy, np.real(ifft2(fft2(x) * fft2(k))))
+        result = fft_circular_convolve2d(
+            x.astype(np.complex128), k.astype(np.complex128)
+        )
+        np.testing.assert_array_equal(result.real, np.real(ifft2(fft2(x) * fft2(k))))
 
     def test_complex_operands_always_use_complex_path(self):
         rng = np.random.default_rng(12)
@@ -359,15 +345,10 @@ class TestRealPathRouting:
         np.testing.assert_array_equal(result, ifft2(fft2(x) * fft2(k)))
 
     def test_loop_dense_streamed_bit_identical_on_real_path(self):
-        from repro.fft import (
-            fft_circular_convolve2d_batch,
-            fft_circular_convolve2d_chunks,
-        )
-
         rng = np.random.default_rng(13)
         batch = rng.standard_normal((10, 12, 12))
         k = rng.standard_normal((12, 12))
-        dense = fft_circular_convolve2d_batch(batch, k)
+        dense = convolve_batch(batch, k)
         looped = np.stack([fft_circular_convolve2d(p, k) for p in batch])
         np.testing.assert_array_equal(dense, looped)
         for chunk_rows in (1, 3, 10):
@@ -383,7 +364,7 @@ class TestRealPathRouting:
             np.testing.assert_array_equal(streamed, dense)
 
     def test_quantized_spectrum_precision_mismatch_raises(self):
-        from repro.fft import fft_circular_convolve2d_batch, kernel_spectrum
+        from repro.fft import kernel_spectrum
         from repro.hw.quantize import resolve_precision
 
         rng = np.random.default_rng(14)
@@ -391,10 +372,10 @@ class TestRealPathRouting:
         k = rng.standard_normal((8, 8))
         quantized = kernel_spectrum(k, real=True, precision=resolve_precision("int8"))
         with pytest.raises(ValueError, match="quantized as"):
-            fft_circular_convolve2d_batch(stack, k, kernel_spectrum=quantized)
+            convolve_batch(stack, k, kernel_spectrum=quantized)
 
     def test_quantized_spectrum_matching_precision_reused(self):
-        from repro.fft import fft_circular_convolve2d_batch, kernel_spectrum
+        from repro.fft import kernel_spectrum
         from repro.hw.quantize import resolve_precision
 
         rng = np.random.default_rng(15)
@@ -403,8 +384,8 @@ class TestRealPathRouting:
         spec = resolve_precision("int8")
         quantized = kernel_spectrum(k, real=True, precision=spec)
         np.testing.assert_array_equal(
-            fft_circular_convolve2d_batch(
+            convolve_batch(
                 stack, k, kernel_spectrum=quantized, precision=spec
             ),
-            fft_circular_convolve2d_batch(stack, k, precision=spec),
+            convolve_batch(stack, k, precision=spec),
         )

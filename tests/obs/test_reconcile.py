@@ -32,18 +32,18 @@ def fleet_pairs(count=12, seed=0):
     ]
 
 
-def run_fleet(num_chips, placement, traced, pipelined=True, seed=0):
+def run_fleet(num_chips, placement, traced, max_pairs_per_wave=4, seed=0):
     # A real pod even at num_chips=1 (FleetExecutor's num_chips knob
     # keeps the single-device path there), so every chip count in the
     # matrix exercises the pod commit ledger.
     pod = make_tpu_pod(num_chips, num_cores=8)
     executor = FleetExecutor(
         pod, granularity="blocks", block_shape=BLOCK,
-        placement=placement, max_pairs_per_wave=4,
+        placement=placement, max_pairs_per_wave=max_pairs_per_wave,
     )
     if traced:
         tracer.enable()
-    run = executor.run(fleet_pairs(seed=seed), pipelined=pipelined)
+    run = executor.run(fleet_pairs(seed=seed))
     tracer.disable()
     return run, pod
 
@@ -68,9 +68,13 @@ class TestPodReconciliation:
         assert report.num_waves == len(pod.collective_log)
         assert report.checks > 0
 
-    @pytest.mark.parametrize("pipelined", [True, False])
-    def test_serial_and_pipelined_both_reconcile(self, pipelined):
-        run, pod = run_fleet(2, "data", traced=True, pipelined=pipelined)
+    @pytest.mark.parametrize("multi_wave", [True, False])
+    def test_serial_and_pipelined_both_reconcile(self, multi_wave):
+        """Double-buffered waves, and one wave with nothing to overlap."""
+        run, pod = run_fleet(
+            2, "data", traced=True, max_pairs_per_wave=4 if multi_wave else None
+        )
+        assert (run.num_waves > 1) == multi_wave
         assert assert_reconciles(pod, tracer).ok
 
     def test_credit_flows_match_committed_credits(self):

@@ -1,0 +1,130 @@
+"""The paper's interpretation step, written out literally.
+
+The one reference every equivalence test compares the library against:
+
+* per pair, ``ConvolutionDistiller.fit`` solves Eq. 4 for the kernel;
+* then, for every feature, the feature is masked and the distilled
+  model re-run -- one circular convolution per mask (Eq. 5) -- through
+  :func:`repro.fft.fft_circular_convolve2d`, or, given a device, through
+  ``device.conv2d_circular`` inside one ``device.program`` per pair.
+
+With a device this is exactly the execution
+:func:`repro.bench.workloads.interpretation_seconds` models (the
+paper's measured loop), so its ledger is what Table II prices.  Masks
+are built one at a time from their definition, independently of
+:class:`repro.core.masking.MaskSpec`.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from repro.core.distillation import ConvolutionDistiller
+from repro.core.fleet import feed_bytes
+from repro.core.transform import OutputEmbedding
+from repro.fft import fft_circular_convolve2d
+from repro.hw.quantize import resolve_precision
+
+
+@dataclass(frozen=True)
+class Explanation:
+    kernel: np.ndarray
+    scores: np.ndarray
+    residual: float
+
+
+def masks(granularity, shape, block_shape=None):
+    """Yield ``(label, mask)`` for every feature, in score order."""
+    m, n = shape
+    if granularity == "elements":
+        cells = [((i, j), (slice(i, i + 1), slice(j, j + 1))) for i in range(m) for j in range(n)]
+    elif granularity == "blocks":
+        bh, bw = block_shape
+        cells = [
+            ((bi, bj), (slice(bi * bh, (bi + 1) * bh), slice(bj * bw, (bj + 1) * bw)))
+            for bi in range(m // bh)
+            for bj in range(n // bw)
+        ]
+    elif granularity == "columns":
+        cells = [((j,), (slice(None), slice(j, j + 1))) for j in range(n)]
+    elif granularity == "rows":
+        cells = [((i,), (slice(i, i + 1), slice(None))) for i in range(m)]
+    else:
+        raise ValueError(f"unknown granularity {granularity!r}")
+    for label, window in cells:
+        mask = np.zeros(shape, dtype=bool)
+        mask[window] = True
+        yield label, mask
+
+
+def score_shape(granularity, shape, block_shape=None):
+    m, n = shape
+    if granularity == "elements":
+        return (m, n)
+    if granularity == "blocks":
+        return (m // block_shape[0], n // block_shape[1])
+    return (n,) if granularity == "columns" else (m,)
+
+
+def reduce(delta, reduction="l2"):
+    """Eq. 5's scalar score of one residual plane."""
+    magnitudes = np.abs(delta[np.newaxis])
+    if reduction == "l2":
+        return np.sqrt(np.sum(magnitudes**2, axis=(-2, -1)))[0]
+    if reduction == "l1":
+        return np.sum(magnitudes, axis=(-2, -1))[0]
+    if reduction == "mean_abs":
+        return np.mean(magnitudes, axis=(-2, -1))[0]
+    if reduction == "max_abs":
+        return np.max(magnitudes, axis=(-2, -1))[0]
+    raise ValueError(f"unknown reduction {reduction!r}")
+
+
+def occlusion_scores(
+    x, kernel, y, granularity, block_shape=None, reduction="l2", fill_value=0.0,
+    precision=None, device=None,
+):
+    """One masked re-convolution per feature, scored against ``y``."""
+    x, kernel, y = np.asarray(x), np.asarray(kernel), np.asarray(y)
+    spec = resolve_precision(precision)
+    scores = np.empty(score_shape(granularity, x.shape, block_shape))
+    for label, mask in masks(granularity, x.shape, block_shape):
+        masked = np.where(mask, fill_value, x)
+        if device is None:
+            convolved = fft_circular_convolve2d(masked, kernel, precision=spec)
+        else:
+            convolved = device.conv2d_circular(masked, kernel, precision=spec)
+        scores[label] = reduce(y - convolved, reduction)
+    return scores
+
+
+def explain(
+    x, y, granularity="blocks", block_shape=None, eps=1e-6, reduction="l2",
+    fill_value=0.0, precision=None, device=None,
+):
+    """Distill then interpret one pair (no program scoping)."""
+    x, y = np.asarray(x), np.asarray(y)
+    distiller = ConvolutionDistiller(
+        device=device, eps=eps, embedding=OutputEmbedding("identity"),
+        precision=precision,
+    )
+    distiller.fit(x, y)
+    scores = occlusion_scores(
+        x, distiller.kernel_, distiller.lift_outputs(y)[0], granularity,
+        block_shape, reduction, fill_value, precision, device,
+    )
+    return Explanation(distiller.kernel_, scores, distiller.residual(x, y))
+
+
+def explain_all(pairs, device=None, **options):
+    """:func:`explain` for every pair; one ``device.program`` per pair."""
+    explanations = []
+    for x, y in pairs:
+        x, y = np.asarray(x), np.asarray(y)
+        if device is None:
+            explanations.append(explain(x, y, **options))
+            continue
+        infeed = feed_bytes([x, y], resolve_precision(options.get("precision")))
+        with device.program(infeed_bytes=infeed, outfeed_bytes=x.nbytes):
+            explanations.append(explain(x, y, device=device, **options))
+    return explanations
