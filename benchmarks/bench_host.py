@@ -96,7 +96,10 @@ def serve_service():
 
 
 def _best_of(fn, repeats=REPEATS):
-    """Min-of-N wall-clock; the first (untimed) call warms plan caches."""
+    """Min-of-N wall-clock; the first (untimed) call warms the caches.
+
+    That is the kernel-spectrum cache and ``numpy.fft``'s own plan cache.
+    """
     fn()
     best = float("inf")
     for _ in range(repeats):

@@ -42,7 +42,7 @@ import numpy as np
 from repro.core.backend import TpuBackend, make_tpu_chip
 from repro.core.pipeline import ExplanationPipeline
 from repro.bench.workloads import planted_interpretation_pairs
-from repro.fft.fft import clear_fft_plan_cache, fft_plan_cache_info
+from repro.fft import clear_kernel_spectrum_cache, fft_plan_cache_info
 from repro.hw.pod import TpuPod
 from repro.obs import (
     format_trace_ascii,
@@ -321,7 +321,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    clear_fft_plan_cache()
+    clear_kernel_spectrum_cache()
     fleet_entry, fleet_failures = _fleet_section(args.quick, FLEET_TRACE)
     print()
     serve_entry, serve_failures = _serve_section(args.quick, SERVE_TRACE)

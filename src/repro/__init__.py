@@ -17,7 +17,7 @@ Quick start::
 Package map (see DESIGN.md for the full inventory):
 
 ==================  ====================================================
-``repro.fft``       from-scratch Fourier substrate (radix-2, Bluestein,
+``repro.fft``       Fourier substrate (numpy.fft host transforms,
                     matmul-form 2-D transforms, convolution theorem)
 ``repro.hw``        simulated hardware: cycle-level systolic TPU,
                     CPU/GPU comparator models, memories, interconnect

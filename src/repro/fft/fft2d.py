@@ -9,8 +9,9 @@ and that each stage is a matrix product with a DFT matrix (Eq. 10-13):
 
 Both evaluations are provided:
 
-* :func:`fft2` / :func:`ifft2` use the 1-D FFT kernels row-by-row and
-  column-by-column -- the software-reference path;
+* :func:`fft2` / :func:`ifft2` run the 1-D host transforms of
+  :mod:`repro.fft.fft` (``numpy.fft``) over every row, then every
+  column -- the host path;
 * :func:`fft2_matmul` / :func:`ifft2_matmul` multiply by explicit DFT
   matrices -- the exact computation a systolic MXU performs, and the
   form sharded across TPU cores by :mod:`repro.core.decomposition`;
@@ -22,7 +23,7 @@ Both evaluations are provided:
   **real** planes through the half-spectrum real path: rows through
   :func:`repro.fft.fft.rfft` (Hermitian symmetry halves the bins),
   then only the ``N//2 + 1`` surviving columns through the complex
-  kernels -- about half the transform work and memory of the full
+  transform -- about half the transform work and memory of the full
   complex path, the host hot path for real occlusion planes.
 
 Tests assert the two paths agree to floating-point tolerance for every
@@ -79,9 +80,10 @@ def fft2_batch(x: np.ndarray, norm: str = "backward") -> np.ndarray:
 
     Accepts any leading batch shape (``(..., M, N)``); a plain matrix is
     a zero-axis batch.  The stage order (rows, then columns) matches
-    :func:`fft2`, and the 1-D kernels are themselves batch-vectorized,
-    so each plane of the result is bit-identical to transforming it
-    alone -- the equivalence the batched occlusion engine relies on.
+    :func:`fft2`, and the 1-D transforms treat every line of a batch on
+    its own, so each plane of the result is bit-identical to
+    transforming it alone -- the equivalence the batched occlusion
+    engine relies on.
     """
     array = _check_batch_2d(x, "fft2_batch")
     rows_done = fft(array, axis=-1, norm=norm)
@@ -105,7 +107,7 @@ def rfft2_batch(x: np.ndarray, norm: str = "backward") -> np.ndarray:
     ``(..., M, N)`` real input maps to ``(..., M, N//2 + 1)`` complex
     output: rows go through the real transform (only the non-redundant
     bins survive), then the remaining columns through the complex
-    kernel.  Each plane is bit-identical to transforming it alone, and
+    transform.  Each plane is bit-identical to transforming it alone, and
     complex input is rejected (use :func:`fft2_batch`).
     """
     array = _check_batch_2d(x, "rfft2_batch")

@@ -23,7 +23,8 @@ evicts least-recently-used entries under a byte budget, and hands out
 read-only arrays so a caller mutating a cached spectrum fails loudly.
 It caches host-side work only: simulated-device ledgers are recorded by
 the :mod:`repro.hw.device` layer independently of cache hits, so cost
-models and dispatch audits are byte-identical with the cache on or off.
+models and dispatch audits are byte-identical whether a lookup hits or
+misses.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.fft.fft import register_aux_plan_cache
 from repro.fft.fft2d import fft2_batch, rfft2_batch
 
 #: Default budget: generous for benchmark fleets (a 64x64 half spectrum
@@ -107,7 +107,6 @@ class KernelSpectrumCache:
         self._lock = threading.Lock()
         self._entries: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
         self.current_bytes = 0
-        self.enabled = True
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -210,18 +209,6 @@ def clear_kernel_spectrum_cache() -> None:
     _PROCESS_CACHE.clear()
 
 
-def set_kernel_spectrum_cache_enabled(enabled: bool) -> bool:
-    """Toggle the process-level cache; returns the previous setting.
-
-    Disabled, :func:`kernel_spectrum` computes every spectrum fresh and
-    touches no counters -- the pre-cache behaviour, kept reachable so
-    the host benchmark can measure what the cache buys.
-    """
-    previous = _PROCESS_CACHE.enabled
-    _PROCESS_CACHE.enabled = bool(enabled)
-    return previous
-
-
 def _transform(kernel: np.ndarray, kind: str) -> np.ndarray:
     if kind == "half":
         return rfft2_batch(kernel)
@@ -245,11 +232,6 @@ def kernel_spectrum(kernel: np.ndarray, real: bool, precision=None) -> KernelSpe
     plane_shape = (int(kernel.shape[-2]), int(kernel.shape[-1]))
     precision_name = None if precision is None else str(precision.name)
     cache = _PROCESS_CACHE
-    if not cache.enabled:
-        array = _transform(kernel, kind)
-        if precision is not None:
-            array = precision.apply(array)
-        return KernelSpectrum(array, kind, plane_shape, precision_name)
     digest = kernel_digest(kernel)
     key = (digest, kind, precision_name)
     array = cache.get(key)
@@ -269,10 +251,15 @@ def kernel_spectrum(kernel: np.ndarray, real: bool, precision=None) -> KernelSpe
     return KernelSpectrum(array, kind, plane_shape, precision_name)
 
 
-def _aux_cache_info() -> dict[str, int]:
-    """The spectrum cache's slice of :func:`~repro.fft.fft
-    .fft_plan_cache_info`: entry count plus lifetime hit/miss/store/
-    eviction/transform counters, prefixed to avoid key collisions."""
+def fft_plan_cache_info() -> dict[str, int]:
+    """Entry count and lifetime counters of the host transforms' caches.
+
+    ``numpy.fft`` plans its transforms internally, so the kernel-spectrum
+    cache is the only cache behind the host transforms.  Its hits,
+    misses, stores and evictions carry a ``kernel_spectrum_`` prefix,
+    and ``kernel_transforms`` counts the whole transforms it performed.
+    :func:`clear_kernel_spectrum_cache` zeroes them.
+    """
     info = _PROCESS_CACHE.info()
     return {
         "kernel_spectra": info["entries"],
@@ -282,6 +269,3 @@ def _aux_cache_info() -> dict[str, int]:
         "kernel_spectrum_evictions": info["evictions"],
         "kernel_transforms": info["kernel_transforms"],
     }
-
-
-register_aux_plan_cache(_aux_cache_info, clear_kernel_spectrum_cache)

@@ -1,9 +1,9 @@
 """A process-wide metrics registry: every counter behind one snapshot.
 
-The simulator accumulates counters in scattered places -- FFT plan
-caches (:func:`repro.fft.fft.fft_plan_cache_info`), the kernel-spectrum
-cache, the explanation cache, the micro-batcher, the admission
-controller, the cache warmer.  This module unifies them: each *source*
+The simulator accumulates counters in scattered places -- the
+kernel-spectrum cache (:func:`repro.fft.kernel_spectrum_cache_info`),
+the explanation cache, the micro-batcher, the admission controller,
+the cache warmer.  This module unifies them: each *source*
 registers a supplier callable returning a flat ``{counter: value}``
 dict (and optionally a reset callable), and :func:`metrics_snapshot`
 returns the whole picture as ``{source: {counter: value}}``.
@@ -114,17 +114,15 @@ def reset_metrics() -> None:
 
 
 # ----------------------------------------------------------------------
-# Built-in sources: the FFT layer's process-wide caches.  Importing the
-# fft modules here is cycle-free (repro.fft does not import repro.obs);
+# Built-in source: the FFT layer's process-wide kernel-spectrum cache.
+# Importing it here is cycle-free (repro.fft does not import repro.obs);
 # the serving layer registers itself at construction instead.
 # ----------------------------------------------------------------------
-from repro.fft.fft import clear_fft_plan_cache, fft_plan_cache_info  # noqa: E402
 from repro.fft.spectra import (  # noqa: E402
     clear_kernel_spectrum_cache,
     kernel_spectrum_cache_info,
 )
 
-register_metrics_source("fft_plans", fft_plan_cache_info, clear_fft_plan_cache)
 register_metrics_source(
     "kernel_spectra", kernel_spectrum_cache_info, clear_kernel_spectrum_cache
 )

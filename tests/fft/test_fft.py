@@ -1,19 +1,24 @@
-"""Unit and property tests for the from-scratch 1-D FFT."""
+"""Unit and property tests for the 1-D host transforms.
+
+The oracle is the DFT definition (Eq. 10), ``x @ dft_matrix(n, norm)``
+(:mod:`tests.fft.dft_oracle`), which shares no code with ``numpy.fft``.
+Test names that mention numpy name the convention matched -- numpy's
+sign, scaling and bin layout.  ``TestPowersOfTwoPath`` and
+``TestBluesteinPath`` split the lengths into powers of two and the rest
+(odd, even and prime).
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fft import bit_reversal_permutation, fft, ifft, is_power_of_two, rfft
-from repro.fft.fft import (
-    clear_fft_plan_cache,
-    fft_plan_cache_info,
-    next_power_of_two,
-)
+from repro.fft import fft, ifft, irfft, rfft
+from tests.fft.dft_oracle import dft, idft
 
 POWER_OF_TWO_SIZES = [1, 2, 4, 8, 16, 32, 64, 128, 256]
 BLUESTEIN_SIZES = [3, 5, 6, 7, 9, 10, 12, 15, 17, 31, 33, 100]
+NORMS = ["backward", "ortho", "forward"]
 
 
 class TestPowersOfTwoPath:
@@ -21,23 +26,23 @@ class TestPowersOfTwoPath:
     def test_matches_numpy_real_input(self, n):
         rng = np.random.default_rng(n)
         x = rng.standard_normal(n)
-        np.testing.assert_allclose(fft(x), np.fft.fft(x), atol=1e-9)
+        np.testing.assert_allclose(fft(x), dft(x), atol=1e-9)
 
     @pytest.mark.parametrize("n", POWER_OF_TWO_SIZES)
     def test_matches_numpy_complex_input(self, n):
         rng = np.random.default_rng(n + 1)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        np.testing.assert_allclose(fft(x), np.fft.fft(x), atol=1e-9)
+        np.testing.assert_allclose(fft(x), dft(x), atol=1e-9)
 
     def test_batched_input_along_last_axis(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((5, 3, 16))
-        np.testing.assert_allclose(fft(x), np.fft.fft(x, axis=-1), atol=1e-9)
+        np.testing.assert_allclose(fft(x), dft(x), atol=1e-9)
 
     def test_axis_argument(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((8, 5))
-        np.testing.assert_allclose(fft(x, axis=0), np.fft.fft(x, axis=0), atol=1e-9)
+        np.testing.assert_allclose(fft(x, axis=0), dft(x, axis=0), atol=1e-9)
 
 
 class TestBluesteinPath:
@@ -45,18 +50,25 @@ class TestBluesteinPath:
     def test_matches_numpy_real_input(self, n):
         rng = np.random.default_rng(n)
         x = rng.standard_normal(n)
-        np.testing.assert_allclose(fft(x), np.fft.fft(x), atol=1e-8)
+        np.testing.assert_allclose(fft(x), dft(x), atol=1e-8)
 
     @pytest.mark.parametrize("n", BLUESTEIN_SIZES)
     def test_matches_numpy_complex_input(self, n):
         rng = np.random.default_rng(n + 7)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        np.testing.assert_allclose(fft(x), np.fft.fft(x), atol=1e-8)
+        np.testing.assert_allclose(fft(x), dft(x), atol=1e-8)
 
     def test_batched_bluestein(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((4, 12))
-        np.testing.assert_allclose(fft(x), np.fft.fft(x, axis=-1), atol=1e-8)
+        np.testing.assert_allclose(fft(x), dft(x), atol=1e-8)
+
+    @pytest.mark.parametrize("n", [7, 12, 31])
+    def test_batched_along_axis_zero(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, 3, 2)) + 1j * rng.standard_normal((n, 3, 2))
+        np.testing.assert_allclose(fft(x, axis=0), dft(x, axis=0), atol=1e-8)
+        np.testing.assert_allclose(ifft(x, axis=0), idft(x, axis=0), atol=1e-8)
 
 
 class TestInverse:
@@ -71,17 +83,23 @@ class TestInverse:
     def test_matches_numpy_ifft(self, n):
         rng = np.random.default_rng(n)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        np.testing.assert_allclose(ifft(x), np.fft.ifft(x), atol=1e-9)
+        np.testing.assert_allclose(ifft(x), idft(x), atol=1e-9)
 
 
 class TestNormalization:
-    @pytest.mark.parametrize("norm", ["backward", "ortho", "forward"])
+    @pytest.mark.parametrize("norm", NORMS)
     def test_matches_numpy_norm(self, norm):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(16)
-        np.testing.assert_allclose(
-            fft(x, norm=norm), np.fft.fft(x, norm=norm), atol=1e-9
-        )
+        np.testing.assert_allclose(fft(x, norm=norm), dft(x, norm=norm), atol=1e-9)
+
+    @pytest.mark.parametrize("n", [9, 16, 17])
+    @pytest.mark.parametrize("norm", NORMS)
+    def test_both_directions_match_definition(self, n, norm):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        np.testing.assert_allclose(fft(x, norm=norm), dft(x, norm=norm), atol=1e-9)
+        np.testing.assert_allclose(ifft(x, norm=norm), idft(x, norm=norm), atol=1e-9)
 
     def test_ortho_preserves_energy(self):
         rng = np.random.default_rng(4)
@@ -109,52 +127,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             ifft(np.ones(4), norm="unitary")
 
+    @pytest.mark.parametrize("transform", [fft, ifft, rfft, irfft])
+    def test_every_transform_checks_its_input(self, transform):
+        with pytest.raises(ValueError, match="at least a 1-D"):
+            transform(np.float64(3.0))
+        with pytest.raises(ValueError, match="empty axis"):
+            transform(np.ones((3, 0)))
+        with pytest.raises(ValueError, match="norm must be one of"):
+            transform(np.ones(4), norm=None)
 
-class TestHelpers:
-    def test_is_power_of_two(self):
-        assert is_power_of_two(1)
-        assert is_power_of_two(1024)
-        assert not is_power_of_two(0)
-        assert not is_power_of_two(12)
-        assert not is_power_of_two(-4)
-
-    def test_next_power_of_two(self):
-        assert next_power_of_two(1) == 1
-        assert next_power_of_two(5) == 8
-        assert next_power_of_two(16) == 16
-        with pytest.raises(ValueError):
-            next_power_of_two(0)
-
-    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
-    def test_bit_reversal_is_an_involution(self, n):
-        perm = bit_reversal_permutation(n)
-        np.testing.assert_array_equal(perm[perm], np.arange(n))
-
-    def test_bit_reversal_known_case(self):
-        np.testing.assert_array_equal(
-            bit_reversal_permutation(8), [0, 4, 2, 6, 1, 5, 3, 7]
-        )
-
-    def test_bit_reversal_requires_power_of_two(self):
-        with pytest.raises(ValueError):
-            bit_reversal_permutation(6)
-
-    def test_plan_cache_populates_and_clears(self):
-        clear_fft_plan_cache()
-        fft(np.ones(32))
-        rfft(np.ones(32))
-        info = fft_plan_cache_info()
-        assert info["twiddle_plans"] >= 1
-        assert info["bit_reversal_tables"] >= 1
-        assert info["rfft_plans"] >= 1
-        clear_fft_plan_cache()
-        info = fft_plan_cache_info()
-        assert info["twiddle_plans"] == 0
-        assert info["bit_reversal_tables"] == 0
-        assert info["rfft_plans"] == 0
-        # Registered sibling caches (the kernel-spectrum cache) are
-        # covered by the same entry points.
-        assert info["kernel_spectra"] == 0
+    def test_single_precision_input_returns_double(self):
+        x = np.random.default_rng(5).standard_normal(12).astype(np.float32)
+        assert fft(x).dtype == np.complex128
+        assert ifft(x.astype(np.complex64)).dtype == np.complex128
+        assert rfft(x).dtype == np.complex128
+        assert irfft(rfft(x).astype(np.complex64), n=12).dtype == np.float64
+        np.testing.assert_allclose(fft(x), dft(x.astype(np.float64)), atol=1e-9)
 
 
 class TestProperties:
@@ -166,7 +154,7 @@ class TestProperties:
     def test_agrees_with_numpy_for_any_length(self, n, seed):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        np.testing.assert_allclose(fft(x), np.fft.fft(x), atol=1e-7)
+        np.testing.assert_allclose(fft(x), dft(x), atol=1e-7)
 
     @given(
         n=st.integers(min_value=1, max_value=96),

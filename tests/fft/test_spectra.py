@@ -13,7 +13,6 @@ from repro.fft import (
     kernel_spectrum,
     kernel_spectrum_cache,
     kernel_spectrum_cache_info,
-    set_kernel_spectrum_cache_enabled,
 )
 from repro.fft.fft2d import fft2_batch, rfft2_batch
 
@@ -23,7 +22,6 @@ def fresh_cache():
     clear_kernel_spectrum_cache()
     yield
     clear_kernel_spectrum_cache()
-    set_kernel_spectrum_cache_enabled(True)
 
 
 class FakePrecision:
@@ -130,19 +128,17 @@ class TestProcessCache:
         with pytest.raises(ValueError):
             spectrum.array[0, 0] = 0
 
-    def test_disabled_cache_computes_fresh_identical(self):
+    def test_cached_spectra_equal_fresh_transforms(self):
         rng = np.random.default_rng(5)
         k = rng.standard_normal((8, 8))
-        cached = kernel_spectrum(k, real=True)
-        previous = set_kernel_spectrum_cache_enabled(False)
-        try:
-            assert previous is True
-            fresh = kernel_spectrum(k, real=True)
-        finally:
-            set_kernel_spectrum_cache_enabled(previous)
-        np.testing.assert_array_equal(cached.array, fresh.array)
-        # Disabled lookups touch no counters.
-        assert kernel_spectrum_cache_info()["kernel_transforms"] == 1
+        for _ in range(2):  # the miss that transforms, then the hit
+            half = kernel_spectrum(k, real=True)
+            full = kernel_spectrum(k, real=False)
+            np.testing.assert_array_equal(half.array, rfft2_batch(k))
+            np.testing.assert_array_equal(full.array, fft2_batch(k))
+        info = kernel_spectrum_cache_info()
+        assert info["kernel_transforms"] == 2
+        assert info["hits"] == 2
 
     def test_clear_resets_entries_and_counters(self):
         kernel_spectrum(np.ones((4, 4)), real=True)

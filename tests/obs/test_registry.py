@@ -1,8 +1,8 @@
 """Metrics registry + the counters every layer now exposes through it.
 
 Satellite coverage: the registry mechanics (register/snapshot/reset,
-weak sources dropping with their owners), FFT plan-cache hit/miss
-counters, the kernel-spectrum cache's registry surface, the serving
+weak sources dropping with their owners), ``fft_plan_cache_info`` and
+the kernel-spectrum cache's registry surface, the serving
 layer's weak self-registration, controller decision logs, admission
 shed counters and per-key batcher dispatch counts.
 """
@@ -12,7 +12,7 @@ import gc
 import numpy as np
 import pytest
 
-from repro.fft.fft import clear_fft_plan_cache, fft_plan_cache_info, rfft
+from repro.fft import fft, fft_plan_cache_info, rfft
 from repro.fft.spectra import (
     clear_kernel_spectrum_cache,
     kernel_spectrum,
@@ -84,53 +84,47 @@ class TestRegistryMechanics:
 
 
 class TestFftPlanCounters:
+    """``fft_plan_cache_info`` mirrors the kernel-spectrum cache: the
+    transforms themselves (``numpy.fft``) keep no counted plans."""
+
     def setup_method(self):
-        clear_fft_plan_cache()
+        clear_kernel_spectrum_cache()
 
     def teardown_method(self):
-        clear_fft_plan_cache()
+        clear_kernel_spectrum_cache()
 
-    def test_rfft_counts_misses_then_hits(self):
-        x = np.random.default_rng(0).standard_normal(16)
+    def test_mirrors_kernel_spectrum_counters(self):
+        x = np.random.default_rng(0).standard_normal(PLANE)
         rfft(x)
-        info = fft_plan_cache_info()
-        assert info["rfft_plan_misses"] == 1
-        assert info["rfft_plan_hits"] == 0
-        rfft(x)
-        info = fft_plan_cache_info()
-        assert info["rfft_plan_misses"] == 1
-        assert info["rfft_plan_hits"] == 1
-        assert info["twiddle_plan_hits"] >= 1
-        assert info["bit_reversal_hits"] >= 1
-
-    def test_workspace_counters(self):
-        x = np.random.default_rng(1).standard_normal(16)
-        rfft(x)
-        before = fft_plan_cache_info()["radix2_workspace_misses"]
-        rfft(x)
-        info = fft_plan_cache_info()
-        assert info["radix2_workspace_misses"] == before
-        assert info["radix2_workspace_hits"] >= 1
+        fft(x)
+        assert set(fft_plan_cache_info().values()) == {0}
+        kernel_spectrum(x, real=True)
+        kernel_spectrum(x, real=True)
+        assert fft_plan_cache_info() == {
+            "kernel_spectra": 1,
+            "kernel_spectrum_hits": 1,
+            "kernel_spectrum_misses": 1,
+            "kernel_spectrum_stores": 1,
+            "kernel_spectrum_evictions": 0,
+            "kernel_transforms": 1,
+        }
 
     def test_clear_resets_counters(self):
-        rfft(np.random.default_rng(2).standard_normal(16))
-        clear_fft_plan_cache()
-        info = fft_plan_cache_info()
-        for key, value in info.items():
-            if key.endswith(("_hits", "_misses")):
-                assert value == 0, key
+        kernel_spectrum(np.random.default_rng(2).standard_normal(PLANE), real=True)
+        clear_kernel_spectrum_cache()
+        assert set(fft_plan_cache_info().values()) == {0}
 
     def test_registered_in_default_registry(self):
         snapshot = metrics_snapshot()
-        assert "fft_plans" in snapshot
-        assert "rfft_plan_hits" in snapshot["fft_plans"]
-        assert "kernel_spectra" in snapshot
+        assert "fft_plans" not in snapshot
+        assert snapshot["kernel_spectra"] == kernel_spectrum_cache_info()
 
     def test_reset_metrics_clears_fft_counters(self):
-        rfft(np.random.default_rng(3).standard_normal(16))
-        assert metrics_snapshot()["fft_plans"]["rfft_plan_misses"] == 1
+        kernel_spectrum(np.random.default_rng(3).standard_normal(PLANE), real=True)
+        assert metrics_snapshot()["kernel_spectra"]["misses"] == 1
         reset_metrics()
-        assert metrics_snapshot()["fft_plans"]["rfft_plan_misses"] == 0
+        assert metrics_snapshot()["kernel_spectra"]["misses"] == 0
+        assert set(fft_plan_cache_info().values()) == {0}
 
 
 class TestSpectrumCacheCounters:
