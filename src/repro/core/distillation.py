@@ -33,7 +33,8 @@ class ConvolutionDistiller:
     eps:
         Wiener regularizer added to the input power spectrum.  ``0``
         reproduces the paper's Eq. 4 verbatim (and will amplify noise on
-        near-singular spectra -- see ``transform.spectrum_condition``).
+        near-singular spectra -- see ``transform.spectrum_condition``);
+        a negative or non-finite value raises ``ValueError``.
     embedding:
         :class:`OutputEmbedding` used to lift vector outputs onto the
         input plane; matrix outputs pass through unchanged.
@@ -56,9 +57,10 @@ class ConvolutionDistiller:
         embedding: OutputEmbedding | None = None,
         precision=None,
     ) -> None:
-        if eps < 0:
-            raise ValueError(f"eps must be non-negative, got {eps}")
+        from repro.core.fleet import check_eps
         from repro.hw.quantize import resolve_precision
+
+        check_eps(eps)
 
         self.device = device
         self.eps = eps

@@ -44,7 +44,7 @@ convolution: every streamed chunk of masked planes -- and each pair's
 residual row -- quantizes spatially with a per-plane scale, and the
 wave's kernel-spectrum batch quantizes per plane and complex component,
 before the Hadamard products accumulate in float64 (the MXU int8/bf16
-datapath; the per-pair Eq. 4 *solves* stay exact, so kernels are
+datapath; the Eq. 4 *solves* stay exact, so kernels are
 precision-independent).  Because the rounding is strictly per-plane,
 wave-fused scores and residuals remain bit-identical to one masked
 convolution per feature *at the same precision*; a quantized wave
@@ -113,7 +113,9 @@ device's modeled HBM (:attr:`~repro.hw.device
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -130,7 +132,7 @@ from repro.core.masking import (
     effective_chunk_rows,
     reduce_batch,
 )
-from repro.core.transform import OutputEmbedding
+from repro.core.transform import OutputEmbedding, frequency_solve
 from repro.fft.convolution import fft_circular_convolve2d_chunks
 from repro.hw.device import Device, DeviceStats
 from repro.hw.pod import PodWaveStats, TpuPod
@@ -185,6 +187,17 @@ def check_precision_granularity(spec, granularity: str) -> None:
         )
 
 
+def check_eps(eps) -> None:
+    """Reject a negative or non-finite Wiener regularizer ``eps``.
+
+    The single home of the rule every distillation entry point enforces
+    when it is built, so a bad value fails at construction instead of
+    mid-run.  ``eps = 0`` stays legal: it is the paper's Eq. 4 verbatim.
+    """
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be finite and non-negative, got {eps}")
+
+
 @dataclass(frozen=True)
 class WavePlan:
     """One wave: the pairs fused into a single batched program."""
@@ -224,7 +237,7 @@ class FleetSchedule:
         mask_counts,
         max_stack_bytes: int | None = DEFAULT_STACK_BUDGET_BYTES,
         max_pairs_per_wave: int | None = None,
-        complex_flags=None,
+        dtypes=None,
     ) -> "FleetSchedule":
         """Group pairs into waves.
 
@@ -240,12 +253,15 @@ class FleetSchedule:
         front.  An empty fleet plans to an empty schedule -- the service
         layer's idle drain path.
 
-        ``complex_flags[i]`` marks a pair whose convolutions are
-        complex-valued.  Real and complex pairs never share a wave:
-        concatenating them would upcast the real pairs' rows to
-        complex128 and keep inverse-transform roundoff imaginaries that
-        per-pair execution drops via ``.real`` -- breaking bit-identity
-        in the last ulp.
+        ``dtypes[i]`` is pair ``i``'s promoted dtype,
+        ``np.result_type(x, y, np.float64)`` (default: float64 for
+        every pair).  Pairs of different dtypes never share a wave: a
+        wave stacks its pairs' planes and kernels, so a longdouble pair
+        would widen its float64 co-pairs' solves and rows, and a complex
+        one would keep the inverse-transform roundoff imaginaries that
+        per-pair execution drops via ``.real`` -- either breaks
+        bit-identity in the last ulp.  float32, integer and float64
+        pairs all promote to float64 and share waves.
         """
         plane_shapes = [tuple(int(v) for v in shape) for shape in plane_shapes]
         mask_counts = [int(count) for count in mask_counts]
@@ -259,18 +275,17 @@ class FleetSchedule:
             raise ValueError(
                 f"max_pairs_per_wave must be positive, got {max_pairs_per_wave}"
             )
-        if complex_flags is None:
-            complex_flags = [False] * len(plane_shapes)
-        complex_flags = [bool(flag) for flag in complex_flags]
-        if len(complex_flags) != len(plane_shapes):
+        if dtypes is None:
+            dtypes = [np.float64] * len(plane_shapes)
+        dtypes = [np.dtype(dtype) for dtype in dtypes]
+        if len(dtypes) != len(plane_shapes):
             raise ValueError(
-                f"{len(plane_shapes)} plane shapes for "
-                f"{len(complex_flags)} complex flags"
+                f"{len(plane_shapes)} plane shapes for {len(dtypes)} dtypes"
             )
-        # Group pair indices by (plane shape, dtype class), first-seen order.
-        groups: dict[tuple[tuple[int, int], bool], list[int]] = {}
+        # Group pair indices by (plane shape, promoted dtype), first-seen order.
+        groups: dict[tuple[tuple[int, int], np.dtype], list[int]] = {}
         for index, shape in enumerate(plane_shapes):
-            groups.setdefault((shape, complex_flags[index]), []).append(index)
+            groups.setdefault((shape, dtypes[index]), []).append(index)
         waves: list[WavePlan] = []
         for (shape, _), indices in groups.items():
             m, n = shape
@@ -321,8 +336,9 @@ class FleetExecutor:
     Parameters mirror :class:`~repro.core.pipeline.ExplanationPipeline`
     (which delegates its runs here): ``granularity``
     selects the mask family, ``block_shape`` the tile size for
-    ``blocks``, ``eps``/``embedding`` configure the per-pair
-    distillation solve, ``reduction``/``fill_value`` the Eq. 5 scoring.
+    ``blocks``, ``eps``/``embedding`` configure the distillation solve
+    (a negative or non-finite ``eps`` raises here, see
+    :func:`check_eps`), ``reduction``/``fill_value`` the Eq. 5 scoring.
     ``max_stack_bytes`` bounds the streamed *chunk* (and must hold at
     least one plane; ``None`` disables the guard); ``max_pairs_per_wave`` optionally caps
     wave width, and ``chunk_rows`` sets how many masked planes stream
@@ -335,14 +351,15 @@ class FleetExecutor:
 
     Execution per wave: one ``device.program`` scope whose infeed is
     every fused pair's data and whose outfeed is their score planes;
-    inside it each pair's kernel is solved (Eq. 4), then all pairs'
-    masked variants and unmasked residual planes stream through a
-    single chunked batched convolution with per-row kernels -- masks
-    are generated lazily (:class:`~repro.core.masking.MaskSpec`) and
-    each convolved chunk is reduced to scores immediately, so neither
-    the bool mask stack nor the masked float stack ever exists in
-    full.  The ``elements`` granularity contributes only its residual
-    row and scores through the linearity fast path.
+    inside it one stacked Eq. 4 solve yields every pair's kernel, then
+    all pairs' masked variants and unmasked residual planes stream
+    through a single chunked batched convolution with per-row kernels,
+    in windows of the fused row space that may span several pairs --
+    masks are generated lazily (:class:`~repro.core.masking.MaskSpec`)
+    and each convolved chunk is reduced to scores immediately, so
+    neither the bool mask stack nor the masked float stack ever exists
+    in full.  The ``elements`` granularity contributes only its
+    residual row and scores through the linearity fast path.
     """
 
     def __init__(
@@ -379,6 +396,7 @@ class FleetExecutor:
             )
         self.precision = resolve_precision(precision)
         check_precision_granularity(self.precision, granularity)
+        check_eps(eps)
         # Pod resolution: an explicit TpuPod device wins; otherwise
         # num_chips > 1 replicates the given device into a fresh pod
         # (num_chips=1/None keeps the plain single-device path, which
@@ -467,10 +485,7 @@ class FleetExecutor:
             [0 if plan is None else plan.num_masks for plan in plans],
             max_stack_bytes=self.effective_stack_bytes,
             max_pairs_per_wave=self.max_pairs_per_wave,
-            complex_flags=[
-                np.iscomplexobj(x) or np.iscomplexobj(y)
-                for x, y in zip(xs, ys)
-            ],
+            dtypes=[np.result_type(x, y, np.float64) for x, y in zip(xs, ys)],
         )
 
     @staticmethod
@@ -560,41 +575,53 @@ class FleetExecutor:
                     self._run_wave(wave, xs, ys, plans, results)
         return FleetRun(results=tuple(results), schedule=schedule)
 
-    def _wave_chunks(self, wave: WavePlan, xs, plans, rows_per_chunk: int):
+    def _wave_chunks(self, wave: WavePlan, xs, plans, pair_base, rows_per_chunk: int):
         """Generate the wave's conceptual stack chunk by chunk.
 
-        Yields ``(chunk, row_range)`` covering, for each fused pair,
-        its lazily generated masked variants followed by its unmasked
-        residual plane -- the same row layout the
-        :class:`~repro.core.masking.SliceTable` records, without ever
-        concatenating (or even holding) the full stack.
+        Yields ``(chunk, row_range)`` for consecutive ``rows_per_chunk``
+        windows of the fused row space -- each pair's lazily generated
+        masked variants followed by its unmasked residual plane, the
+        row layout the :class:`~repro.core.masking.SliceTable` records.
+        Each window is filled from :meth:`_window_chunks`, so pairs
+        smaller than a chunk share one convolution step; the full stack
+        is never concatenated (or even held).
         """
-        row = 0
-        for i in wave.pair_indices:
-            plan = plans[i]
-            if plan is not None:
-                base = row
-                for masked, rows in plan.apply_chunks(
-                    xs[i], fill_value=self.fill_value, chunk_rows=rows_per_chunk
-                ):
-                    yield masked, range(base + rows.start, base + rows.stop)
-                row += plan.num_masks
-            yield np.asarray(xs[i])[np.newaxis], range(row, row + 1)
-            row += 1
+        for lo in range(0, wave.num_rows, rows_per_chunk):
+            hi = min(lo + rows_per_chunk, wave.num_rows)
+            pieces = [
+                chunk
+                for chunk, _ in self._window_chunks(
+                    wave, xs, plans, pair_base, lo, hi, rows_per_chunk
+                )
+            ]
+            yield (pieces[0] if len(pieces) == 1 else np.concatenate(pieces)), range(lo, hi)
+
+    @staticmethod
+    def _pair_rows(indices, plans) -> tuple[list[int], list[int]]:
+        """Each fused pair's first global row and row count (masks + residual)."""
+        counts = [(0 if plans[i] is None else plans[i].num_masks) + 1 for i in indices]
+        return [0, *accumulate(counts)][:-1], counts
 
     def _solve_kernels(self, device: Device, indices, xs, ys):
-        """Per-pair Eq. 4 solves on ``device`` (inside a program scope)."""
+        """The pairs' Eq. 4 solves on ``device``, as one stacked solve.
+
+        Each pair is one batch of the ``(P, 1, M, N)`` stack
+        :func:`~repro.core.transform.frequency_solve` transforms at once
+        (inside the caller's program scope); every kernel, and the
+        ledger rows written, equal the pair's own solve bit for bit.
+        Returns the ``(P, M, N)`` kernel stack and each pair's output
+        lifted onto its plane.
+        """
         traced = tracer.enabled
         start = device.trace_seconds if traced else 0.0
-        kernels: list[np.ndarray] = []
-        y_planes: list[np.ndarray] = []
-        for i in indices:
-            distiller = ConvolutionDistiller(
-                device=device, eps=self.eps, embedding=self.embedding
-            )
-            distiller.fit(xs[i], ys[i])
-            kernels.append(distiller.kernel_)
-            y_planes.append(distiller.lift_outputs(ys[i])[0])
+        lifter = ConvolutionDistiller(embedding=self.embedding)
+        y_planes = [lifter.lift_outputs(ys[i], 1, xs[i].shape)[0] for i in indices]
+        kernels = frequency_solve(
+            np.stack([xs[i] for i in indices])[:, np.newaxis],
+            np.stack(y_planes)[:, np.newaxis],
+            eps=self.eps,
+            device=device,
+        )
         if traced and tracer.enabled:
             pid = tracer.pid_for(device)
             tracer.set_thread_name(pid, _FLEET_TID, "fleet")
@@ -673,7 +700,8 @@ class FleetExecutor:
         traced = tracer.enabled
         wave_start = device.trace_seconds if traced else 0.0
         with device.program(infeed_bytes=infeed_bytes, outfeed_bytes=outfeed_bytes):
-            # Per-pair Eq. 4 solves (device ops inside the wave program).
+            # One stacked Eq. 4 solve for the wave's pairs (device ops
+            # inside the wave program).
             kernels, y_planes = self._solve_kernels(device, indices, xs, ys)
 
             # Stream the fused cross-pair stack: masked chunks and
@@ -683,9 +711,10 @@ class FleetExecutor:
             table = SliceTable.for_plans([plans[i] for i in indices])
             row_pair = table.row_pair_indices()
             row_is_mask = np.asarray([r.kind == "mask" for r in table.rows])
+            pair_base, _ = self._pair_rows(indices, plans)
             convolved_chunks = device.conv2d_circular_batch_chunks(
-                self._wave_chunks(wave, xs, plans, rows_per_chunk),
-                np.stack(kernels),
+                self._wave_chunks(wave, xs, plans, pair_base, rows_per_chunk),
+                kernels,
                 num_rows=len(table),
                 row_kernel=row_pair,
                 precision=self.precision,
@@ -788,10 +817,7 @@ class FleetExecutor:
         outfeed_seconds = [0.0] * pod.num_chips
         for chip, pair_slice in enumerate(shard_slices(wave.num_pairs, active)):
             sub_indices = indices[pair_slice]
-            sub_rows = sum(
-                (plans[i].num_masks if plans[i] is not None else 0) + 1
-                for i in sub_indices
-            )
+            sub_rows = sum(self._pair_rows(sub_indices, plans)[1])
             shard = WavePlan(tuple(sub_indices), wave.plane_shape, sub_rows)
             shard_feed = feed_bytes(
                 [a for i in sub_indices for a in (xs[i], ys[i])], self.precision
@@ -856,12 +882,12 @@ class FleetExecutor:
     def _window_chunks(self, wave, xs, plans, pair_base, lo, hi, rows_per_chunk):
         """Chunks of the wave stack restricted to global rows ``[lo, hi)``.
 
-        The windowed sibling of :meth:`_wave_chunks`: for every fused
-        pair whose rows intersect the window it yields the pair's masked
-        variants (via the windowed
-        :meth:`~repro.core.masking.MaskSpec.apply_chunks`) and -- when
-        the window covers it -- the pair's unmasked residual plane, with
-        *global* row ranges.
+        What :meth:`_wave_chunks` fills its windows from, and what the
+        chunk placement streams: for every fused pair whose rows
+        intersect the window it yields the pair's masked variants (via
+        the windowed :meth:`~repro.core.masking.MaskSpec.apply_chunks`)
+        and -- when the window covers it -- the pair's unmasked residual
+        plane, with *global* row ranges.
         """
         for local, i in enumerate(wave.pair_indices):
             base = pair_base[local]
@@ -1062,14 +1088,7 @@ class FleetExecutor:
             wave.plane_shape, self.chunk_rows, self.effective_stack_bytes,
             what="streamed wave chunk",
         )
-        pair_base: list[int] = []
-        pair_row_counts: list[int] = []
-        row = 0
-        for i in indices:
-            pair_base.append(row)
-            count = (plans[i].num_masks if plans[i] is not None else 0) + 1
-            pair_row_counts.append(count)
-            row += count
+        pair_base, pair_row_counts = self._pair_rows(indices, plans)
 
         # Root solve program: kernels plus the wave's one spectrum
         # batch, measured off the ledger so the row partition can
@@ -1078,9 +1097,8 @@ class FleetExecutor:
         launches = 1
         with root.program(infeed_bytes=full_infeed, outfeed_bytes=0):
             mark = root.stats.seconds
-            kernels, y_planes = self._solve_kernels(root, indices, xs, ys)
-            kernel_stack = np.stack(kernels)
-            root._record_kernel_spectra(len(kernels), m, n, spec=self.precision)
+            kernel_stack, y_planes = self._solve_kernels(root, indices, xs, ys)
+            root._record_kernel_spectra(len(kernel_stack), m, n, spec=self.precision)
             solve_seconds = root.stats.seconds - mark
         mask_scores = {
             local: np.empty(plans[i].num_masks)
@@ -1137,7 +1155,7 @@ class FleetExecutor:
         # Host-side reassembly on the root (complex elements pairs may
         # re-convolve eagerly there, as in single-chip execution).
         self._assemble_results(
-            root, indices, xs, plans, kernels, y_planes,
+            root, indices, xs, plans, kernel_stack, y_planes,
             mask_scores, residual_pred, results,
         )
         spectrum_bytes = m * n * COMPLEX_BYTES

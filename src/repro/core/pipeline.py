@@ -45,6 +45,7 @@ from repro.core.fleet import (
     GRANULARITIES,
     PLACEMENTS,
     FleetExecutor,
+    check_eps,
     check_precision_granularity,
 )
 from repro.core.masking import DEFAULT_STACK_BUDGET_BYTES
@@ -91,7 +92,8 @@ class ExplanationPipeline:
     block_shape:
         Tile size for ``blocks`` granularity.
     eps, embedding:
-        Forwarded to :class:`~repro.core.distillation.ConvolutionDistiller`.
+        Forwarded to the distillation solve; a negative or non-finite
+        ``eps`` raises here, not on the first run.
     max_stack_bytes:
         Memory budget for the streamed float chunks: it bounds the
         per-chunk working set, not the plan size -- only a plane too
@@ -159,6 +161,7 @@ class ExplanationPipeline:
             )
         self.precision = resolve_precision(precision)
         check_precision_granularity(self.precision, granularity)
+        check_eps(eps)
         # Pod resolution happens here (once) so self.device is the pod
         # and its ledger is the run's ledger; the fleet executor then
         # recognizes the pod and shards along self.placement.

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.fft.fft2d import fft2, ifft2
-from repro.hw.device import Device
+from repro.fft.fft2d import fft2, fft2_batch, ifft2_batch
+from repro.hw.device import _COMPLEX_HADAMARD_FLOPS, Device
 
 _STRATEGIES = ("identity", "spatial", "onehot-row", "tile")
 
@@ -153,6 +153,41 @@ def _normalize_batch(arrays, name: str) -> np.ndarray:
     return batch
 
 
+def _normalize_stack(arrays, name: str) -> np.ndarray:
+    """``arrays`` as a ``(P, B, M, N)`` stack; matrices and batches get P = 1."""
+    stack = np.asarray(arrays)
+    if stack.ndim == 4 and 0 not in stack.shape:
+        return stack
+    return _normalize_batch(stack, name)[np.newaxis]
+
+
+def _record_solve(device: Device, kernels: int, pairs: int, m: int, n: int) -> None:
+    """Ledger of ``kernels`` Eq. 4 solves from ``pairs`` pairs each, priced once.
+
+    The rows, in order, that ``device.fft2``/``conjugate``/``hadamard``/
+    ``ifft2`` write: per pair two transforms, a conjugate and two
+    products; per kernel the eps add, the division and the inverse.
+    """
+    transform = device.fft2_seconds(m, n)
+    macs = device.complex_matmul_real_products * (m * m * n + m * n * n)
+    conjugate = device.elementwise_seconds(m * n, flops_per_element=0.5)
+    mul, add, div = (
+        device.elementwise_seconds(m * n, flops_per_element=_COMPLEX_HADAMARD_FLOPS[op])
+        for op in ("mul", "add", "div")
+    )
+    record = device.stats.record
+    for _ in range(kernels):
+        for _ in range(pairs):
+            record("fft2", transform, macs=macs)
+            record("fft2", transform, macs=macs)
+            record("conjugate", conjugate)
+            record("hadamard_mul", mul)
+            record("hadamard_mul", mul)
+        record("hadamard_add", add)
+        record("hadamard_div", div)
+        record("ifft2", transform, macs=macs)
+
+
 def frequency_solve(
     inputs,
     outputs,
@@ -161,51 +196,63 @@ def frequency_solve(
 ) -> np.ndarray:
     """Solve ``X_i (*) K = Y_i`` for the shared kernel ``K`` (Eq. 4 / Wiener).
 
-    ``inputs`` and ``outputs`` are equal-shape matrices or batches of
-    matrices.  When ``device`` is given, every transform and Hadamard
-    operation executes on it (accumulating simulated time); otherwise a
-    pure-numpy fast path is used.
+    ``inputs`` and ``outputs`` are equal-shape matrices or ``(B, M, N)``
+    batches of matrices, returning one ``(M, N)`` kernel; or
+    ``(P, B, M, N)`` stacks of ``P`` independent batches, returning the
+    ``(P, M, N)`` stack of their kernels.  The whole stack goes through
+    each transform at once, and every step is per plane, so kernel ``p``
+    is bit-identical to solving batch ``p`` alone.  When ``device`` is
+    given, the solve is priced on it (accumulating simulated time) as
+    the per-op chain of transforms and Hadamard operations -- see
+    :func:`_record_solve`; otherwise the pure-numpy form (real
+    denominator) is used.
 
-    Returns the real kernel when all operands are real.
+    Returns real kernels when all operands are real.
     """
-    x_batch = _normalize_batch(inputs, "inputs")
-    y_batch = _normalize_batch(outputs, "outputs")
-    if x_batch.shape != y_batch.shape:
+    inputs = np.asarray(inputs)
+    x_stack = _normalize_stack(inputs, "inputs")
+    y_stack = _normalize_stack(outputs, "outputs")
+    if x_stack.shape != y_stack.shape:
         raise ValueError(
-            f"inputs and outputs must align, got {x_batch.shape} vs {y_batch.shape}"
+            f"inputs and outputs must align, got {x_stack.shape} vs {y_stack.shape}"
         )
     if eps < 0:
         raise ValueError(f"eps must be non-negative, got {eps}")
-    all_real = np.isrealobj(x_batch) and np.isrealobj(y_batch)
+    all_real = np.isrealobj(x_stack) and np.isrealobj(y_stack)
+    kernels, pairs, m, n = x_stack.shape
 
+    x_hat = fft2_batch(x_stack)
+    y_hat = fft2_batch(y_stack)
     if device is None:
-        numerator = np.zeros(x_batch.shape[1:], dtype=np.complex128)
-        denominator = np.zeros(x_batch.shape[1:], dtype=np.float64)
-        for x, y in zip(x_batch, y_batch):
-            x_hat = fft2(x)
-            y_hat = fft2(y)
-            numerator += y_hat * np.conj(x_hat)
-            denominator += np.abs(x_hat) ** 2
+        numerator = np.zeros((kernels, m, n), dtype=np.complex128)
+        denominator = np.zeros((kernels, m, n), dtype=np.float64)
+        for b in range(pairs):
+            numerator += y_hat[:, b] * np.conj(x_hat[:, b])
+            denominator += np.abs(x_hat[:, b]) ** 2
         kernel_hat = numerator / (denominator + eps)
-        kernel = ifft2(kernel_hat)
     else:
-        numerator = np.zeros(x_batch.shape[1:], dtype=np.complex128)
-        denominator = np.zeros(x_batch.shape[1:], dtype=np.complex128)
-        for x, y in zip(x_batch, y_batch):
-            x_hat = device.fft2(x)
-            y_hat = device.fft2(y)
-            x_conj = device.conjugate(x_hat)
-            numerator = numerator + device.hadamard(y_hat, x_conj, op="mul")
-            denominator = denominator + device.hadamard(x_hat, x_conj, op="mul")
-        regularized = device.hadamard(
-            denominator, np.full(denominator.shape, eps, dtype=np.complex128), op="add"
+        # The device's chain: complex denominator and eps plane, each sum
+        # in its promoted dtype and updated in place (zeros + product, in
+        # pair order), so only a few stacks are live at once.
+        numerator = np.zeros(
+            (kernels, m, n), dtype=np.result_type(np.complex128, x_hat.dtype, y_hat.dtype)
         )
-        kernel_hat = device.hadamard(numerator, regularized, op="div")
-        kernel = device.ifft2(kernel_hat)
+        denominator = np.zeros(
+            (kernels, m, n), dtype=np.result_type(np.complex128, x_hat.dtype)
+        )
+        for b in range(pairs):
+            x_conj = np.conj(x_hat[:, b])
+            numerator += y_hat[:, b] * x_conj
+            denominator += x_hat[:, b] * x_conj
+        del x_hat, y_hat, x_conj
+        denominator += np.full(denominator.shape, eps, dtype=np.complex128)
+        kernel_hat = np.divide(numerator, denominator, out=numerator)
+        _record_solve(device, kernels, pairs, m, n)
+    kernel = ifft2_batch(kernel_hat)
 
     if all_real:
-        return np.ascontiguousarray(kernel.real)
-    return kernel
+        kernel = np.ascontiguousarray(kernel.real)
+    return kernel if inputs.ndim == 4 else kernel[0]
 
 
 def spectrum_condition(inputs, eps: float = 0.0) -> float:

@@ -46,6 +46,7 @@ from repro.core.fleet import (
     GRANULARITIES,
     PLACEMENTS,
     FleetExecutor,
+    check_eps,
     check_precision_granularity,
     feed_bytes,
 )
@@ -92,8 +93,9 @@ class ExplanationService:
         Defaults applied to requests that leave theirs unset; a request
         naming its own values is routed to its own batch key.
     eps, embedding, reduction, fill_value:
-        The per-pair solve and Eq. 5 scoring configuration, shared by
-        every dispatch (part of the cache digest).
+        The distillation solve and Eq. 5 scoring configuration, shared
+        by every dispatch (part of the cache digest); a negative or
+        non-finite ``eps`` raises here, not at the first dispatch.
     max_stack_bytes, chunk_rows, max_pairs_per_wave:
         Forwarded to each key's :class:`~repro.core.fleet.FleetExecutor`
         (the budget bounds the streamed chunk, not the wave, so a big
@@ -202,6 +204,7 @@ class ExplanationService:
             )
         self.precision = resolve_precision(precision)
         check_precision_granularity(self.precision, granularity)
+        check_eps(eps)
         # Pod resolution once, up front: self.device is the pod, its
         # ledger is the service clock's time source, and every batch
         # key's executor shards through it.

@@ -14,9 +14,11 @@ from repro.core import (
     TpuBackend,
     make_tpu_chip,
 )
+from repro.core.distillation import ConvolutionDistiller
 from repro.core.interpretation import feature_contributions
 from repro.fft import fft_circular_convolve2d
 from repro.hw.cpu import CpuDevice
+from repro.serve import ExplanationService
 from tests import reference
 
 
@@ -80,7 +82,7 @@ class TestFleetSchedule:
         with pytest.raises(ValueError):
             FleetSchedule.plan([(4, 4)], [1], max_pairs_per_wave=0)
         with pytest.raises(ValueError):
-            FleetSchedule.plan([(4, 4)], [1], complex_flags=[True, False])
+            FleetSchedule.plan([(4, 4)], [1], dtypes=[np.float64, np.float64])
 
     def test_empty_fleet_plans_empty_schedule(self):
         """The service's idle drain path: nothing to plan is not an error."""
@@ -201,6 +203,27 @@ class TestFleetExecutorEquivalence:
         assert fleet.num_waves == 2
         expected = reference.explain_all(pairs, device=CpuDevice(), granularity="columns")
         assert_same_explanations(fleet.results, expected)
+
+    def test_chunk_windows_span_pairs(self):
+        """The wave's row space streams in ``rows_per_chunk`` windows, so
+        pairs smaller than a chunk share one convolution step; the rows
+        are each pair's masked variants, then its unmasked plane."""
+        executor = FleetExecutor(CpuDevice(), granularity="blocks", block_shape=(4, 4))
+        pairs = planted_pairs(4)
+        xs = [x for x, _ in pairs]
+        plans = [executor.plan_for(x) for x in xs]
+        (wave,) = executor.schedule(pairs).waves
+        pair_base, counts = executor._pair_rows(wave.pair_indices, plans)
+        assert pair_base == [0, 5, 10, 15] and counts == [5] * 4
+        chunks = list(executor._wave_chunks(wave, xs, plans, pair_base, 8))
+        assert [rows for _, rows in chunks] == [range(0, 8), range(8, 16), range(16, 20)]
+        per_pair = [
+            np.concatenate([*(masked for masked, _ in plan.apply_chunks(x)), x[np.newaxis]])
+            for x, plan in zip(xs, plans)
+        ]
+        np.testing.assert_array_equal(
+            np.concatenate([chunk for chunk, _ in chunks]), np.concatenate(per_pair)
+        )
 
     def test_over_budget_plane_raises_with_budget_hint(self):
         executor = FleetExecutor(
@@ -354,6 +377,67 @@ class TestComplexOperands:
             pairs, device=CpuDevice(), granularity="columns", eps=1e-8
         )
         assert_same_explanations(run_wave.explanations, expected)
+
+
+    @pytest.mark.parametrize("precision", [None, "int8"])
+    def test_real_input_rows_share_chunks_with_complex_rows(self, precision):
+        """A real ``x`` with a complex ``y`` promotes to complex128: its
+        real rows join complex pairs' rows in one chunk bit for bit."""
+        (x, y), = planted_pairs(1, shape=(6, 6), seed=33)
+        pairs = [(x, y + 0.5j * y), *self._complex_pairs(2)]
+        options = dict(granularity="columns", eps=1e-8, precision=precision)
+        executor = FleetExecutor(CpuDevice(), chunk_rows=64, **options)
+        assert executor.schedule(pairs).num_waves == 1
+        expected = reference.explain_all(pairs, device=CpuDevice(), **options)
+        assert_same_explanations(executor.run(pairs).results, expected)
+
+
+class TestPromotedDtypeWaves:
+    """Waves group pairs by ``np.result_type(x, y, np.float64)``."""
+
+    def test_longdouble_pairs_do_not_widen_float64_co_pairs(self):
+        pairs = planted_pairs(4)
+        for i in (1, 3):
+            pairs[i] = tuple(np.asarray(a, dtype=np.longdouble) for a in pairs[i])
+        options = dict(granularity="blocks", block_shape=(2, 2), eps=1e-6)
+        executor = FleetExecutor(CpuDevice(), **options)
+        expected = reference.explain_all(pairs, device=CpuDevice(), **options)
+        assert_same_explanations(executor.run(pairs).results, expected)
+        waves = executor.schedule(pairs).waves
+        assert [wave.pair_indices for wave in waves] == [(0, 2), (1, 3)]
+
+    def test_float32_integer_and_float64_pairs_share_a_wave(self):
+        pairs = planted_pairs(3)
+        pairs[0] = (pairs[0][0].astype(np.float32), pairs[0][1])
+        pairs[1] = (np.round(4 * pairs[1][0]).astype(np.int64), pairs[1][1])
+        options = dict(granularity="columns", eps=1e-8)
+        executor = FleetExecutor(CpuDevice(), **options)
+        assert executor.schedule(pairs).num_waves == 1
+        expected = reference.explain_all(pairs, device=CpuDevice(), **options)
+        assert_same_explanations(executor.run(pairs).results, expected)
+
+
+class TestEpsValidation:
+    """A bad ``eps`` fails when the object is built, not mid-run."""
+
+    BUILDERS = {
+        "executor": lambda eps: FleetExecutor(CpuDevice(), granularity="columns", eps=eps),
+        "pipeline": lambda eps: ExplanationPipeline(
+            CpuDevice(), granularity="columns", eps=eps
+        ),
+        "service": lambda eps: ExplanationService(CpuDevice(), granularity="columns", eps=eps),
+        "distiller": lambda eps: ConvolutionDistiller(eps=eps),
+    }
+
+    @pytest.mark.parametrize("eps", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_negative_or_non_finite_eps_rejected(self, builder, eps):
+        with pytest.raises(ValueError, match="eps must be finite and non-negative"):
+            self.BUILDERS[builder](eps)
+
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_zero_eps_is_eq4_verbatim(self, builder):
+        assert self.BUILDERS[builder](0.0).eps == 0.0
 
 
 class TestLedgerHygiene:

@@ -2,7 +2,8 @@
 
 Hypothesis samples the configuration lattice -- plane shape (power of
 two, odd, prime, 1xN), granularity and block, precision, chip count,
-placement, wave cap and chunk size -- and every draw must reproduce
+placement, wave cap, chunk size and each pair's dtype (float32 or
+float64, which share waves) -- and every draw must reproduce
 :mod:`tests.reference`, the paper's per-pair loop: kernels, residuals
 and block/column/row scores bit for bit; element scores (the linearity
 fast path) within 1e-9 relative.
@@ -53,6 +54,9 @@ def configurations(draw):
         max_pairs_per_wave=draw(st.sampled_from([None, 1, 2, 3])),
         chunk_rows=draw(st.sampled_from([None, 1, 2, 5, 64])),
         num_pairs=draw(st.integers(1, 4)),
+        pair_dtypes=draw(
+            st.lists(st.sampled_from(["float32", "float64"]), min_size=4, max_size=4)
+        ),
         seed=draw(st.integers(0, 2**16)),
     )
 
@@ -65,9 +69,15 @@ def relative_error(actual, expected):
 @settings(max_examples=60, deadline=None)
 @given(configurations())
 def test_fleet_matches_reference(config):
-    pairs = planted_interpretation_pairs(
-        config["num_pairs"], shape=config["shape"], seed=config["seed"]
-    )
+    pairs = [
+        (x.astype(dtype), y.astype(dtype))
+        for (x, y), dtype in zip(
+            planted_interpretation_pairs(
+                config["num_pairs"], shape=config["shape"], seed=config["seed"]
+            ),
+            config["pair_dtypes"],
+        )
+    ]
     options = dict(
         granularity=config["granularity"], block_shape=config["block_shape"],
         eps=1e-6, precision=config["precision"],

@@ -5,9 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import OutputEmbedding, frequency_solve, spectrum_condition
+from repro.core import (
+    OutputEmbedding,
+    TpuBackend,
+    frequency_solve,
+    make_tpu_chip,
+    spectrum_condition,
+)
 from repro.fft import circular_convolve2d, fft_circular_convolve2d
-from repro.hw import CpuDevice
+from repro.hw import CpuDevice, GpuDevice
+from tests import reference
 
 
 def well_conditioned_input(shape, seed):
@@ -94,6 +101,53 @@ class TestExactRecovery:
             frequency_solve(np.ones((2, 2)), np.ones((2, 2)), eps=-1.0)
         with pytest.raises(ValueError):
             frequency_solve(np.ones(4), np.ones(4))
+
+
+class TestStackedSolve:
+    """One solve over a ``(P, B, M, N)`` stack: ``P`` kernels from ``B`` pairs each."""
+
+    DEVICES = {
+        "cpu": CpuDevice,
+        "gpu": GpuDevice,
+        "tpu": lambda: TpuBackend(
+            make_tpu_chip(num_cores=4, precision="fp32", mxu_rows=8, mxu_cols=8)
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", [(8, 8), (5, 7)])
+    @pytest.mark.parametrize("kernels,pairs", [(3, 1), (1, 3)])
+    @pytest.mark.parametrize("device", sorted(DEVICES))
+    def test_matches_reference_loop(self, device, kernels, pairs, shape):
+        """Kernels bit for bit, and exactly the ledger of the per-op loop."""
+        rng = np.random.default_rng(10 * kernels + pairs)
+        xs = rng.standard_normal((kernels, pairs, *shape))
+        ys = rng.standard_normal((kernels, pairs, *shape))
+        stacked_device, looped_device = self.DEVICES[device](), self.DEVICES[device]()
+        stacked = frequency_solve(xs, ys, eps=1e-6, device=stacked_device)
+        looped = [reference.solve(x, y, 1e-6, looped_device) for x, y in zip(xs, ys)]
+        assert stacked.shape == (kernels, *shape)
+        np.testing.assert_array_equal(stacked, np.stack(looped))
+        got, want = stacked_device.stats, looped_device.stats
+        assert (got.seconds, got.macs, got.bytes_moved) == (
+            want.seconds, want.macs, want.bytes_moved
+        )
+        assert got.op_counts == want.op_counts
+        assert got.op_seconds == want.op_seconds
+
+    @pytest.mark.parametrize("complex_inputs", [False, True])
+    def test_each_kernel_equals_its_own_solve(self, complex_inputs):
+        rng = np.random.default_rng(4)
+        xs = rng.standard_normal((3, 2, 6, 5))
+        if complex_inputs:
+            xs = xs + 1j * rng.standard_normal(xs.shape)
+        ys = rng.standard_normal((3, 2, 6, 5))
+        for device in (None, CpuDevice()):
+            stacked = frequency_solve(xs, ys, eps=1e-6, device=device)
+            assert np.iscomplexobj(stacked) == complex_inputs
+            for kernel, x, y in zip(stacked, xs, ys):
+                np.testing.assert_array_equal(
+                    kernel, frequency_solve(x, y, eps=1e-6, device=device)
+                )
 
 
 class TestSpectrumCondition:

@@ -2,11 +2,16 @@
 
 The one reference every equivalence test compares the library against:
 
-* per pair, ``ConvolutionDistiller.fit`` solves Eq. 4 for the kernel;
+* per pair, :func:`solve` fits the kernel by Eq. 4, one device op at
+  a time (two transforms, a conjugate and two Hadamard products per
+  pair, then the regularizing add, the division and one inverse
+  transform);
 * then, for every feature, the feature is masked and the distilled
   model re-run -- one circular convolution per mask (Eq. 5) -- through
   :func:`repro.fft.fft_circular_convolve2d`, or, given a device, through
-  ``device.conv2d_circular`` inside one ``device.program`` per pair.
+  ``device.conv2d_circular`` inside one ``device.program`` per pair;
+* last, the pair's fit residual is one more convolution of the unmasked
+  plane.
 
 With a device this is exactly the execution
 :func:`repro.bench.workloads.interpretation_seconds` models (the
@@ -23,6 +28,7 @@ from repro.core.distillation import ConvolutionDistiller
 from repro.core.fleet import feed_bytes
 from repro.core.transform import OutputEmbedding
 from repro.fft import fft_circular_convolve2d
+from repro.hw.cpu import CpuDevice
 from repro.hw.quantize import resolve_precision
 
 
@@ -31,6 +37,24 @@ class Explanation:
     kernel: np.ndarray
     scores: np.ndarray
     residual: float
+
+
+def solve(xs, ys, eps, device):
+    """Eq. 4 (Wiener form) for the kernel shared by pairs ``(xs[b], ys[b])``."""
+    numerator = np.zeros(np.shape(xs)[-2:], dtype=np.complex128)
+    denominator = np.zeros(np.shape(xs)[-2:], dtype=np.complex128)
+    for x, y in zip(xs, ys):
+        x_hat = device.fft2(x)
+        y_hat = device.fft2(y)
+        x_conj = device.conjugate(x_hat)
+        numerator = numerator + device.hadamard(y_hat, x_conj, op="mul")
+        denominator = denominator + device.hadamard(x_hat, x_conj, op="mul")
+    eps_plane = np.full(denominator.shape, eps, dtype=np.complex128)
+    regularized = device.hadamard(denominator, eps_plane, op="add")
+    kernel = device.ifft2(device.hadamard(numerator, regularized, op="div"))
+    if np.isrealobj(xs) and np.isrealobj(ys):
+        return np.ascontiguousarray(kernel.real)
+    return kernel
 
 
 def masks(granularity, shape, block_shape=None):
@@ -102,18 +126,26 @@ def explain(
     x, y, granularity="blocks", block_shape=None, eps=1e-6, reduction="l2",
     fill_value=0.0, precision=None, device=None,
 ):
-    """Distill then interpret one pair (no program scoping)."""
+    """Distill then interpret one pair (no program scoping).
+
+    Without a device the solve runs on a throwaway :class:`CpuDevice`
+    (same numbers, ledger discarded).
+    """
     x, y = np.asarray(x), np.asarray(y)
-    distiller = ConvolutionDistiller(
-        device=device, eps=eps, embedding=OutputEmbedding("identity"),
-        precision=precision,
-    )
-    distiller.fit(x, y)
+    lifter = ConvolutionDistiller(embedding=OutputEmbedding("identity"))
+    y_plane = lifter.lift_outputs(y, 1, x.shape)[0]
+    kernel = solve([x], [y_plane], eps, device or CpuDevice())
     scores = occlusion_scores(
-        x, distiller.kernel_, distiller.lift_outputs(y)[0], granularity,
-        block_shape, reduction, fill_value, precision, device,
+        x, kernel, y_plane, granularity, block_shape, reduction, fill_value,
+        precision, device,
     )
-    return Explanation(distiller.kernel_, scores, distiller.residual(x, y))
+    spec = resolve_precision(precision)
+    if device is None:
+        predicted = fft_circular_convolve2d(x, kernel, precision=spec)
+    else:
+        predicted = device.conv2d_circular(x, kernel, precision=spec)
+    residual = float(np.sqrt(np.mean(np.abs(predicted - y_plane) ** 2)))
+    return Explanation(kernel, scores, residual)
 
 
 def explain_all(pairs, device=None, **options):
