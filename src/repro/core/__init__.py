@@ -57,8 +57,6 @@ from repro.core.masking import (
     DEFAULT_STACK_BUDGET_BYTES,
     MaskSpec,
     MaskStackBudgetError,
-    SliceRow,
-    SliceTable,
     check_stack_budget,
     effective_chunk_rows,
     reduce_batch,
@@ -114,8 +112,6 @@ __all__ = [
     "row_contributions",
     "top_k_features",
     "MaskStackBudgetError",
-    "SliceRow",
-    "SliceTable",
     "DEFAULT_STACK_BUDGET_BYTES",
     "check_stack_budget",
     "reduce_batch",

@@ -13,15 +13,21 @@ one infeed and one batched convolution per *wave* of pairs:
 * :class:`FleetExecutor` -- wave execution: a wave's lazy mask plans
   (:class:`~repro.core.masking.MaskSpec`) stream, together with each
   pair's *unmasked* residual plane, through one conceptual
-  ``(sum(num_masks_i) + P, M, N)`` cross-pair stack whose rows a
-  :class:`~repro.core.masking.SliceTable` maps back to
-  ``(pair, feature)``; the stack is **never materialized** -- masked
-  chunks of at most ``chunk_rows`` planes are generated, convolved
-  (``device.conv2d_circular_batch_chunks``, per-row kernels, one
-  kernel-spectrum batch shared by the wave's pairs) and reduced to
-  scores on the fly, all inside **one** ``device.program`` scope per
-  wave, so peak host memory is ``O(chunk_rows * M * N)`` plus one
+  ``(sum(num_masks_i) + P, M, N)`` cross-pair stack whose rows
+  :func:`wave_row_map` maps back to ``(pair, mask)`` as three integer
+  arrays (the paper's reassembly table); the stack is **never
+  materialized** -- each window of at most ``chunk_rows`` rows is
+  filled with one vectorized select, convolved (per-row kernels, one
+  kernel-spectrum batch for the wave) and scored with one reduction on
+  the fly, so peak host memory is ``O(chunk_rows * M * N)`` plus one
   residual plane per pair regardless of how many masks a wave fuses.
+
+Every wave is **computed once on the host, whatever its placement,
+and then priced**: each pricing target (the device itself on one chip;
+each chip of a pod placement, below) opens its ``device.program``
+scope and records the ledger rows of its share -- its pairs' Eq. 4
+solves, their kernel-spectrum batch, its rows' batched convolution --
+in the order the simulated chip executes them.
 
 Waves run **double-buffered**: they execute inside a
 ``device.pipeline()`` scope, so wave ``i+1``'s dispatch + infeed
@@ -65,16 +71,15 @@ it spans.  Data moved chip-to-chip is priced on the pod's
 sharding axis:
 
 * ``"data"`` (default) -- the wave's *pairs* split contiguously across
-  chips; each chip runs its sub-wave exactly like a single-chip wave
-  (own kernel solves, own spectra batch) and feeds/drains its own pair
-  shard over its own host link -- there are no fabric collectives left
-  on this path;
+  chips; each chip is priced for its pair shard exactly like a
+  single-chip wave (own kernel solves, own spectra batch, own rows)
+  and feeds/drains that shard over its own host link -- there are no
+  fabric collectives left on this path;
 * ``"chunk"`` -- the wave's cross-pair *row space* (every mask row plus
   every residual row) splits across chips, **overlapping the root
   solve**: chip 0 solves every pair's kernel and the wave's one
   spectrum batch while the peers -- planes already infed over their own
-  links -- stream per-pair row windows (windowed
-  :meth:`~repro.core.masking.MaskSpec.apply_chunks`) as each pair's
+  links -- stream per-pair row windows as each pair's
   spectrum arrives over a streamed ring broadcast
   (:meth:`~repro.hw.interconnect.Interconnect
   .broadcast_stream_seconds`); the root's own row share shrinks by
@@ -82,9 +87,9 @@ sharding axis:
   critical path of that solve/broadcast/stream timeline rather than a
   serial solve-then-stream sum -- the placement for a single over-wide
   plan that no pair split can balance;
-* ``"wave"`` -- *whole waves* round-robin across chips: wave ``w`` runs
-  on chip ``w % K`` exactly like a single-chip wave, and the chips'
-  wave sequences execute concurrently -- the placement for multi-wave
+* ``"wave"`` -- *whole waves* round-robin across chips: wave ``w`` is
+  priced on chip ``w % K`` exactly like a single-chip wave, and the
+  chips' wave sequences execute concurrently -- the placement for multi-wave
   schedules (many shape groups, or ``max_pairs_per_wave`` caps) whose
   waves would otherwise serialize even on an 8-chip pod.
 
@@ -127,12 +132,11 @@ from repro.core.masking import (
     GRANULARITIES,
     MaskSpec,
     REDUCTIONS,
-    SliceTable,
     check_stack_budget,
     effective_chunk_rows,
     reduce_batch,
 )
-from repro.core.transform import OutputEmbedding, frequency_solve
+from repro.core.transform import OutputEmbedding, _record_solve, _solve_stack
 from repro.fft.convolution import fft_circular_convolve2d_chunks
 from repro.hw.device import Device, DeviceStats
 from repro.hw.pod import PodWaveStats, TpuPod
@@ -196,6 +200,41 @@ def check_eps(eps) -> None:
     """
     if not (math.isfinite(eps) and eps >= 0):
         raise ValueError(f"eps must be finite and non-negative, got {eps}")
+
+
+def wave_row_map(mask_counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A wave's row map: the paper's reassembly table as three arrays.
+
+    A wave streams, for each of its pairs in order, the pair's masked
+    variants and then its unmasked plane (the residual row, which turns
+    the pair's residual convolution into one more batch row).  Given
+    each pair's mask count, returns per stack row: ``row_pair``, the
+    pair's position in the wave (also the row's kernel); ``row_slot``,
+    the mask index within the pair, or the pair's mask count on its
+    residual row; and ``is_mask``.
+    """
+    counts = np.asarray(mask_counts, dtype=np.intp)
+    sizes = counts + 1
+    row_pair = np.repeat(np.arange(counts.size), sizes)
+    row_slot = np.arange(row_pair.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return row_pair, row_slot, row_slot < counts[row_pair]
+
+
+def _span_start(device: Device) -> float | None:
+    """Where a fleet span on ``device`` starts, or ``None`` when untraced."""
+    return device.trace_seconds if tracer.enabled else None
+
+
+def _fleet_span(name: str, device: Device, start: float | None, args: dict) -> None:
+    """Close a fleet-stage span opened at ``start`` on ``device``'s fleet lane."""
+    if start is None or not tracer.enabled:
+        return
+    pid = tracer.pid_for(device)
+    tracer.set_thread_name(pid, _FLEET_TID, "fleet")
+    tracer.complete(
+        name, "fleet", tracer.origin + start, device.trace_seconds - start,
+        pid, _FLEET_TID, args,
+    )
 
 
 @dataclass(frozen=True)
@@ -313,6 +352,27 @@ class PairResult:
 
 
 @dataclass(frozen=True)
+class _WaveNumbers:
+    """One wave's host results, which every pricing target reads.
+
+    ``scores`` holds one score per row of the wave's row map (residual
+    rows included), ``preds`` each pair's residual prediction and
+    ``residuals`` its fit residual; ``pair_base`` and ``pair_rows`` are
+    each pair's first row and row count.
+    """
+
+    indices: tuple[int, ...]
+    plane_shape: tuple[int, int]
+    kernels: np.ndarray
+    y_planes: list
+    scores: np.ndarray
+    preds: np.ndarray
+    residuals: np.ndarray
+    pair_base: list
+    pair_rows: list
+
+
+@dataclass(frozen=True)
 class FleetRun:
     """Outcome of a wave-fused fleet execution (input pair order).
 
@@ -349,17 +409,18 @@ class FleetExecutor:
     precisions reject the ``elements`` granularity, whose linearity
     fast path quantization breaks.
 
-    Execution per wave: one ``device.program`` scope whose infeed is
-    every fused pair's data and whose outfeed is their score planes;
-    inside it one stacked Eq. 4 solve yields every pair's kernel, then
-    all pairs' masked variants and unmasked residual planes stream
-    through a single chunked batched convolution with per-row kernels,
-    in windows of the fused row space that may span several pairs --
-    masks are generated lazily (:class:`~repro.core.masking.MaskSpec`)
-    and each convolved chunk is reduced to scores immediately, so
+    Execution per wave: one host pass (:meth:`_compute_wave`) -- one
+    stacked Eq. 4 solve yields every pair's kernel, then all pairs'
+    masked variants and unmasked residual planes stream through a
+    single chunked batched convolution with per-row kernels, in
+    windows of the fused row space that may span several pairs, each
+    window built with one select and reduced to scores at once, so
     neither the bool mask stack nor the masked float stack ever exists
-    in full.  The ``elements`` granularity contributes only its
-    residual row and scores through the linearity fast path.
+    in full.  Then the wave is priced: one ``device.program`` scope per
+    pricing target, whose infeed is its pairs' data and whose outfeed
+    their score planes (:meth:`_price_share`).  The ``elements``
+    granularity contributes only its residual row and scores through
+    the linearity fast path, with ``fill_value`` as the occluded value.
     """
 
     def __init__(
@@ -572,215 +633,181 @@ class FleetExecutor:
         else:
             with self.device.pipeline():
                 for wave in schedule.waves:
-                    self._run_wave(wave, xs, ys, plans, results)
+                    self._price_share(
+                        self.device, self._compute_wave(wave, xs, ys, plans),
+                        slice(None), xs, ys, plans, results,
+                    )
         return FleetRun(results=tuple(results), schedule=schedule)
 
-    def _wave_chunks(self, wave: WavePlan, xs, plans, pair_base, rows_per_chunk: int):
-        """Generate the wave's conceptual stack chunk by chunk.
+    def _compute_wave(self, wave: WavePlan, xs, ys, plans) -> _WaveNumbers:
+        """Every number of one wave, computed once on the host.
 
-        Yields ``(chunk, row_range)`` for consecutive ``rows_per_chunk``
-        windows of the fused row space -- each pair's lazily generated
-        masked variants followed by its unmasked residual plane, the
-        row layout the :class:`~repro.core.masking.SliceTable` records.
-        Each window is filled from :meth:`_window_chunks`, so pairs
-        smaller than a chunk share one convolution step; the full stack
-        is never concatenated (or even held).
+        One stacked Eq. 4 solve gives every pair's kernel; then the
+        wave's whole row space -- each pair's masked variants followed
+        by its unmasked residual plane, as :func:`wave_row_map` lays it
+        out -- streams through one chunked convolution in
+        ``rows_per_chunk`` windows that may span pairs, and each
+        convolved window is scored with one reduction.  Nothing is
+        priced here: every row operation is per plane, so however a
+        placement splits the wave across chips, only the ledger changes.
         """
-        for lo in range(0, wave.num_rows, rows_per_chunk):
-            hi = min(lo + rows_per_chunk, wave.num_rows)
-            pieces = [
-                chunk
-                for chunk, _ in self._window_chunks(
-                    wave, xs, plans, pair_base, lo, hi, rows_per_chunk
-                )
-            ]
-            yield (pieces[0] if len(pieces) == 1 else np.concatenate(pieces)), range(lo, hi)
-
-    @staticmethod
-    def _pair_rows(indices, plans) -> tuple[list[int], list[int]]:
-        """Each fused pair's first global row and row count (masks + residual)."""
-        counts = [(0 if plans[i] is None else plans[i].num_masks) + 1 for i in indices]
-        return [0, *accumulate(counts)][:-1], counts
-
-    def _solve_kernels(self, device: Device, indices, xs, ys):
-        """The pairs' Eq. 4 solves on ``device``, as one stacked solve.
-
-        Each pair is one batch of the ``(P, 1, M, N)`` stack
-        :func:`~repro.core.transform.frequency_solve` transforms at once
-        (inside the caller's program scope); every kernel, and the
-        ledger rows written, equal the pair's own solve bit for bit.
-        Returns the ``(P, M, N)`` kernel stack and each pair's output
-        lifted onto its plane.
-        """
-        traced = tracer.enabled
-        start = device.trace_seconds if traced else 0.0
+        indices = wave.pair_indices
         lifter = ConvolutionDistiller(embedding=self.embedding)
         y_planes = [lifter.lift_outputs(ys[i], 1, xs[i].shape)[0] for i in indices]
-        kernels = frequency_solve(
-            np.stack([xs[i] for i in indices])[:, np.newaxis],
-            np.stack(y_planes)[:, np.newaxis],
-            eps=self.eps,
-            device=device,
+        x_stack = np.stack([xs[i] for i in indices])
+        y_stack = np.stack(y_planes)
+        kernels = _solve_stack(
+            x_stack[:, np.newaxis], y_stack[:, np.newaxis], self.eps, device_chain=True
         )
-        if traced and tracer.enabled:
-            pid = tracer.pid_for(device)
-            tracer.set_thread_name(pid, _FLEET_TID, "fleet")
-            tracer.complete(
-                "fleet.solve", "fleet", tracer.origin + start,
-                device.trace_seconds - start, pid, _FLEET_TID,
-                {"pairs": len(kernels)},
-            )
-        return kernels, y_planes
-
-    def _assemble_results(
-        self, device, indices, xs, plans, kernels, y_planes,
-        mask_scores, residual_pred, results,
-    ) -> None:
-        """Reassembly: fold each pair's streamed scores and residual."""
-        traced = tracer.enabled
-        start = device.trace_seconds if traced else 0.0
-        for local, i in enumerate(indices):
-            pred = residual_pred[local]
-            delta = pred - y_planes[local]
-            residual = float(np.sqrt(np.mean(np.abs(delta) ** 2)))
-            if plans[i] is None:
-                scores = self._element_scores(
-                    xs[i], kernels[local], y_planes[local], pred, device
-                )
-            else:
-                scores = plans[i].reshape_scores(mask_scores[local])
-            results[i] = PairResult(
-                kernel=kernels[local], scores=scores, residual=residual
-            )
-        if traced and tracer.enabled:
-            pid = tracer.pid_for(device)
-            tracer.set_thread_name(pid, _FLEET_TID, "fleet")
-            tracer.complete(
-                "fleet.assemble", "fleet", tracer.origin + start,
-                device.trace_seconds - start, pid, _FLEET_TID,
-                {"pairs": len(list(indices))},
-            )
-
-    def _run_wave(
-        self,
-        wave: WavePlan,
-        xs,
-        ys,
-        plans,
-        results,
-        device: Device | None = None,
-        infeed_bytes: int | None = None,
-        outfeed_bytes: int | None = None,
-    ) -> None:
-        """Execute one (sub-)wave as a single program on ``device``.
-
-        The single-chip hot path, also reused verbatim by the pod's
-        ``data`` placement for each chip's pair shard and by the
-        ``wave`` placement for each pinned wave -- ``device`` overrides
-        the executor's own device, and ``infeed_bytes`` /
-        ``outfeed_bytes`` override the program's host-link charges
-        (each pod chip streams exactly its own shard's bytes over its
-        own :class:`~repro.hw.pod.HostLink`).
-        """
-        device = self.device if device is None else device
-        indices = wave.pair_indices
-        # Quantized waves stream their pairs at the spec's storage width
-        # (fp64 reproduces the legacy float64 feed); scores stream back
-        # dequantized, at full width.
-        if infeed_bytes is None:
-            infeed_bytes = feed_bytes(
-                [a for i in indices for a in (xs[i], ys[i])], self.precision
-            )
-        if outfeed_bytes is None:
-            outfeed_bytes = sum(xs[i].nbytes for i in indices)
+        counts = [0 if plans[i] is None else plans[i].num_masks for i in indices]
+        row_pair, row_slot, is_mask = wave_row_map(counts)
         rows_per_chunk = effective_chunk_rows(
             wave.plane_shape, self.chunk_rows, self.effective_stack_bytes,
             what="streamed wave chunk",
         )
-        traced = tracer.enabled
-        wave_start = device.trace_seconds if traced else 0.0
-        with device.program(infeed_bytes=infeed_bytes, outfeed_bytes=outfeed_bytes):
-            # One stacked Eq. 4 solve for the wave's pairs (device ops
-            # inside the wave program).
-            kernels, y_planes = self._solve_kernels(device, indices, xs, ys)
+        chunks = self._masked_chunks(
+            x_stack, [xs[i] for i in indices], [plans[i] for i in indices],
+            row_pair, row_slot, is_mask, rows_per_chunk,
+        )
+        scores = np.empty(row_pair.size)
+        preds = []
+        for convolved, rows in fft_circular_convolve2d_chunks(
+            chunks, kernels, row_kernel=row_pair, num_rows=row_pair.size,
+            precision=self.precision,
+        ):
+            window = slice(rows.start, rows.stop)
+            scores[window] = reduce_batch(
+                y_stack[row_pair[window]] - convolved, self.reduction
+            )
+            preds.append(convolved[~is_mask[window]])
+        preds = np.concatenate(preds)
+        pair_rows = [count + 1 for count in counts]
+        return _WaveNumbers(
+            indices=indices,
+            plane_shape=wave.plane_shape,
+            kernels=kernels,
+            y_planes=y_planes,
+            scores=scores,
+            preds=preds,
+            residuals=np.sqrt(np.mean(np.abs(preds - y_stack) ** 2, axis=(-2, -1))),
+            pair_rows=pair_rows,
+            pair_base=[0, *accumulate(pair_rows)][:-1],
+        )
 
-            # Stream the fused cross-pair stack: masked chunks and
-            # residual planes flow through one chunked batched
-            # convolution; mask rows reduce to scores on the spot, and
-            # only the P residual predictions are retained as planes.
-            table = SliceTable.for_plans([plans[i] for i in indices])
-            row_pair = table.row_pair_indices()
-            row_is_mask = np.asarray([r.kind == "mask" for r in table.rows])
-            pair_base, _ = self._pair_rows(indices, plans)
-            convolved_chunks = device.conv2d_circular_batch_chunks(
-                self._wave_chunks(wave, xs, plans, pair_base, rows_per_chunk),
-                kernels,
-                num_rows=len(table),
-                row_kernel=row_pair,
-                precision=self.precision,
-            )
-            mask_scores = {
-                local: np.empty(plans[i].num_masks)
-                for local, i in enumerate(indices)
-                if plans[i] is not None
-            }
-            cursors = dict.fromkeys(mask_scores, 0)
-            residual_pred: dict[int, np.ndarray] = {}
-            for convolved, rows in convolved_chunks:
-                offset = 0
-                while offset < len(convolved):
-                    row = rows.start + offset
-                    if not row_is_mask[row]:
-                        residual_pred[row_pair[row]] = convolved[offset]
-                        offset += 1
-                        continue
-                    # Contiguous run of mask rows sharing one pair.
-                    stop = offset + 1
-                    while (
-                        rows.start + stop < rows.stop
-                        and row_is_mask[rows.start + stop]
-                        and row_pair[rows.start + stop] == row_pair[row]
-                    ):
-                        stop += 1
-                    local = int(row_pair[row])
-                    deltas = y_planes[local][np.newaxis] - convolved[offset:stop]
-                    cursor = cursors[local]
-                    mask_scores[local][cursor : cursor + stop - offset] = reduce_batch(
-                        deltas, self.reduction
-                    )
-                    cursors[local] = cursor + stop - offset
-                    offset = stop
+    def _masked_chunks(
+        self, x_stack, xs, plans, row_pair, row_slot, is_mask, rows_per_chunk
+    ):
+        """The wave's row stack, one ``rows_per_chunk`` window at a time.
 
-            self._assemble_results(
-                device, indices, xs, plans, kernels, y_planes,
-                mask_scores, residual_pred, results,
+        A window is the ``x`` planes of its rows' pairs (gathered by
+        ``row_pair``) with every mask row's occluded cells set to the
+        fill value in one select.  Each pair's fill is taken in the
+        dtype ``np.where(mask, fill_value, x)`` gives that pair, so a
+        float32 pair fills with the float32-rounded value.  The bool
+        masks come from the window's distinct plans (normally one), one
+        :meth:`~repro.core.masking.MaskSpec.masks_at` call each.
+        """
+        fills = np.array(
+            [np.result_type(x, self.fill_value).type(self.fill_value) for x in xs]
+        )
+        sources = x_stack.astype(np.result_type(x_stack, fills), copy=False)
+        distinct = list(dict.fromkeys(plan for plan in plans if plan is not None))
+        plan_of = np.array(
+            [-1 if plan is None else distinct.index(plan) for plan in plans]
+        )
+        row_plan = np.where(is_mask, plan_of[row_pair], -1)
+        for lo in range(0, row_pair.size, rows_per_chunk):
+            window = slice(lo, min(lo + rows_per_chunk, row_pair.size))
+            planes = sources[row_pair[window]]
+            occluded = np.zeros(planes.shape, dtype=bool)
+            for number, plan in enumerate(distinct):
+                rows = row_plan[window] == number
+                if rows.any():
+                    occluded[rows] = plan.masks_at(row_slot[window][rows])
+            np.copyto(
+                planes, fills[row_pair[window], np.newaxis, np.newaxis], where=occluded
             )
-        if traced and tracer.enabled:
-            pid = tracer.pid_for(device)
-            tracer.set_thread_name(pid, _FLEET_TID, "fleet")
-            tracer.complete(
-                "fleet.wave", "fleet", tracer.origin + wave_start,
-                device.trace_seconds - wave_start, pid, _FLEET_TID,
-                {"pairs": len(indices), "rows": wave.num_rows},
+            yield planes, range(window.start, window.stop)
+
+    def _price_solve(self, device: Device, num_pairs: int, m: int, n: int) -> None:
+        """Ledger rows of ``num_pairs`` Eq. 4 solves, in a ``fleet.solve`` span."""
+        start = _span_start(device)
+        _record_solve(device, num_pairs, 1, m, n)
+        _fleet_span("fleet.solve", device, start, {"pairs": num_pairs})
+
+    def _assemble_results(
+        self, device, numbers, share: slice, xs, plans, results
+    ) -> None:
+        """Reassembly of pairs ``share``: fold their scores and residuals.
+
+        Each pair's scores are its slice of the wave's flat score
+        vector; the ``elements`` granularity scores here instead,
+        through the linearity fast path, and records on ``device``.
+        """
+        start = _span_start(device)
+        positions = range(len(numbers.indices))[share]
+        for local in positions:
+            i = numbers.indices[local]
+            if plans[i] is None:
+                scores = self._element_scores(
+                    xs[i], numbers.kernels[local], numbers.y_planes[local],
+                    numbers.preds[local], device,
+                )
+            else:
+                base = numbers.pair_base[local]
+                scores = plans[i].reshape_scores(
+                    numbers.scores[base : base + numbers.pair_rows[local] - 1]
+                )
+            results[i] = PairResult(
+                kernel=numbers.kernels[local], scores=scores,
+                residual=float(numbers.residuals[local]),
             )
+        _fleet_span("fleet.assemble", device, start, {"pairs": len(positions)})
+
+    def _price_share(self, device, numbers, share: slice, xs, ys, plans, results):
+        """Price pairs ``share`` of a computed wave as one program on ``device``.
+
+        The program's infeed is the pairs' data (at the precision's
+        storage width; fp64 reproduces the legacy float64 feed) and its
+        outfeed their score planes, at full width.  Inside it: the rows
+        of their Eq. 4 solves, their kernel-spectrum batch and their
+        rows' batched convolution, then their assembly.  A single chip
+        prices a whole wave this way, the ``wave`` placement prices it
+        on chip ``w % K`` and the ``data`` placement prices each chip's
+        pair shard.  Returns the program's ``(infeed, outfeed)`` bytes.
+        """
+        indices = numbers.indices[share]
+        infeed = feed_bytes([a for i in indices for a in (xs[i], ys[i])], self.precision)
+        outfeed = sum(xs[i].nbytes for i in indices)
+        m, n = numbers.plane_shape
+        rows = sum(numbers.pair_rows[share])
+        start = _span_start(device)
+        with device.program(infeed_bytes=infeed, outfeed_bytes=outfeed):
+            self._price_solve(device, len(indices), m, n)
+            device._record_kernel_spectra(len(indices), m, n, spec=self.precision)
+            device._record_batch_conv(rows, m, n, spec=self.precision)
+            self._assemble_results(device, numbers, share, xs, plans, results)
+        _fleet_span("fleet.wave", device, start, {"pairs": len(indices), "rows": rows})
+        return infeed, outfeed
 
     # ------------------------------------------------------------------
-    # Pod execution: one wave sharded across K chips
+    # Pod execution: each wave computed once, priced across K chips
     # ------------------------------------------------------------------
     def _run_pod(self, schedule, xs, ys, plans, results) -> None:
         """Drive every wave across the pod's chips and commit the ledger."""
         pod = self.pod
         wave_stats: list[PodWaveStats] = []
         for wave_index, wave in enumerate(schedule.waves):
+            numbers = self._compute_wave(wave, xs, ys, plans)
             before = [d.stats.seconds for d in pod.devices]
             if self.placement == "chunk":
-                collectives = self._run_wave_chunked(pod, wave, xs, ys, plans, results)
+                collectives = self._price_chunked(pod, numbers, xs, ys, plans, results)
             elif self.placement == "wave":
-                collectives = self._run_wave_on_chip(
-                    pod, wave, wave_index, xs, ys, plans, results
+                collectives = self._price_on_chip(
+                    pod, numbers, wave_index, xs, ys, plans, results
                 )
             else:
-                collectives = self._run_wave_data(pod, wave, xs, ys, plans, results)
+                collectives = self._price_data(pod, numbers, xs, ys, plans, results)
             chip_seconds = tuple(
                 device.stats.seconds - start
                 for device, start in zip(pod.devices, before)
@@ -797,41 +824,28 @@ class FleetExecutor:
             )
         pod.commit_run(wave_stats)
 
-    def _run_wave_data(self, pod, wave, xs, ys, plans, results) -> dict:
+    def _price_data(self, pod, numbers, xs, ys, plans, results) -> dict:
         """Data placement: the wave's pairs split contiguously across chips.
 
-        Chip ``c`` runs an ordinary sub-wave over its pair shard
-        (:meth:`_run_wave`); per-pair kernels, scores and residuals are
-        plane-local, so the shard is bit-identical to the same pairs of
-        a single-chip wave.  Every chip feeds and drains *its own
-        shard* over its own :class:`~repro.hw.pod.HostLink` -- the
-        shards stream concurrently from the host, so the wave's host
-        cost is the slowest link rather than a serial chip-0 feed plus
-        a fabric scatter, and there are no collectives left on this
-        path (each chip's score rows return over its own link too).
-        Chips beyond the wave's pair count launch nothing.
+        Chip ``c`` prices its pair shard as an ordinary program
+        (:meth:`_price_share`): its own solves, its own spectra batch,
+        its own rows.  Every chip feeds and drains *its own shard* over
+        its own :class:`~repro.hw.pod.HostLink` -- the shards stream
+        concurrently from the host, so the wave's host cost is the
+        slowest link rather than a serial chip-0 feed plus a fabric
+        scatter, and there are no collectives on this path.  Chips
+        beyond the wave's pair count launch nothing.
         """
-        indices = wave.pair_indices
-        active = min(pod.num_chips, wave.num_pairs)
+        active = min(pod.num_chips, len(numbers.indices))
         infeed_seconds = [0.0] * pod.num_chips
         outfeed_seconds = [0.0] * pod.num_chips
-        for chip, pair_slice in enumerate(shard_slices(wave.num_pairs, active)):
-            sub_indices = indices[pair_slice]
-            sub_rows = sum(self._pair_rows(sub_indices, plans)[1])
-            shard = WavePlan(tuple(sub_indices), wave.plane_shape, sub_rows)
-            shard_feed = feed_bytes(
-                [a for i in sub_indices for a in (xs[i], ys[i])], self.precision
-            )
-            shard_out = sum(xs[i].nbytes for i in sub_indices)
-            self._run_wave(
-                shard, xs, ys, plans, results,
-                device=pod.devices[chip],
-                infeed_bytes=shard_feed,
-                outfeed_bytes=shard_out,
+        for chip, share in enumerate(shard_slices(len(numbers.indices), active)):
+            infeed, outfeed = self._price_share(
+                pod.devices[chip], numbers, share, xs, ys, plans, results
             )
             link = pod.host_links[chip]
-            infeed_seconds[chip] = link.feed_seconds(shard_feed)
-            outfeed_seconds[chip] = link.feed_seconds(shard_out)
+            infeed_seconds[chip] = link.feed_seconds(infeed)
+            outfeed_seconds[chip] = link.feed_seconds(outfeed)
         return dict(
             active_chips=active,
             dispatch_seconds=pod.launch_latency_seconds,
@@ -840,12 +854,12 @@ class FleetExecutor:
             outfeed_seconds=tuple(outfeed_seconds),
         )
 
-    def _run_wave_on_chip(
-        self, pod, wave, wave_index: int, xs, ys, plans, results
+    def _price_on_chip(
+        self, pod, numbers, wave_index: int, xs, ys, plans, results
     ) -> dict:
-        """Wave placement: the whole wave runs on chip ``w % K``.
+        """Wave placement: the whole wave is priced on chip ``w % K``.
 
-        Each wave is an ordinary single-chip wave -- own solves, own
+        Each wave is an ordinary single-chip program -- own solves, own
         spectra, own host link for its full infeed/outfeed -- pinned
         round-robin so a multi-wave schedule's waves execute
         *concurrently across chips* instead of serially on one
@@ -854,16 +868,8 @@ class FleetExecutor:
         at all: nothing is sharded, so nothing is exchanged.
         """
         chip = wave_index % pod.num_chips
-        indices = wave.pair_indices
-        infeed = feed_bytes(
-            [a for i in indices for a in (xs[i], ys[i])], self.precision
-        )
-        outfeed = sum(xs[i].nbytes for i in indices)
-        self._run_wave(
-            wave, xs, ys, plans, results,
-            device=pod.devices[chip],
-            infeed_bytes=infeed,
-            outfeed_bytes=outfeed,
+        infeed, outfeed = self._price_share(
+            pod.devices[chip], numbers, slice(None), xs, ys, plans, results
         )
         link = pod.host_links[chip]
         infeed_seconds = [0.0] * pod.num_chips
@@ -878,93 +884,6 @@ class FleetExecutor:
             outfeed_seconds=tuple(outfeed_seconds),
             chip_index=chip,
         )
-
-    def _window_chunks(self, wave, xs, plans, pair_base, lo, hi, rows_per_chunk):
-        """Chunks of the wave stack restricted to global rows ``[lo, hi)``.
-
-        What :meth:`_wave_chunks` fills its windows from, and what the
-        chunk placement streams: for every fused pair whose rows
-        intersect the window it yields the pair's masked variants (via
-        the windowed :meth:`~repro.core.masking.MaskSpec.apply_chunks`)
-        and -- when the window covers it -- the pair's unmasked residual
-        plane, with *global* row ranges.
-        """
-        for local, i in enumerate(wave.pair_indices):
-            base = pair_base[local]
-            plan = plans[i]
-            num_masks = plan.num_masks if plan is not None else 0
-            mask_lo = max(lo, base)
-            mask_hi = min(hi, base + num_masks)
-            if mask_lo < mask_hi:
-                for masked, rows in plan.apply_chunks(
-                    xs[i],
-                    fill_value=self.fill_value,
-                    chunk_rows=rows_per_chunk,
-                    start=mask_lo - base,
-                    stop=mask_hi - base,
-                ):
-                    yield masked, range(base + rows.start, base + rows.stop)
-            residual_row = base + num_masks
-            if lo <= residual_row < hi:
-                yield np.asarray(xs[i])[np.newaxis], range(residual_row, residual_row + 1)
-
-    def _stream_rows(
-        self, device, wave, xs, plans, kernel_stack, row_pair, row_is_mask,
-        pair_base, y_planes, mask_scores, residual_pred, lo, hi, rows_per_chunk,
-        record: bool = True,
-    ) -> None:
-        """Convolve + reduce global rows ``[lo, hi)`` of a wave on one chip.
-
-        The chunk-placement worker: kernels were solved (and their one
-        spectrum batch recorded) on chip 0 and broadcast, so this chip
-        records only its window's share of the batched convolution
-        (:meth:`~repro.hw.device.Device._record_batch_conv`) and runs
-        the functional stream directly.  Scores land at their absolute
-        positions in the per-pair score vectors, so any partition of the
-        row space reassembles the same arrays.  ``record=False`` skips
-        the ledger row -- the overlapped placement streams one window
-        per pair and prices the chip's whole row share as a single
-        batched record instead of one per window.
-        """
-        m, n = wave.plane_shape
-        local_chunks = (
-            (chunk, range(rows.start - lo, rows.stop - lo))
-            for chunk, rows in self._window_chunks(
-                wave, xs, plans, pair_base, lo, hi, rows_per_chunk
-            )
-        )
-        convolved_chunks = fft_circular_convolve2d_chunks(
-            local_chunks,
-            kernel_stack,
-            row_kernel=row_pair[lo:hi],
-            num_rows=hi - lo,
-            precision=self.precision,
-        )
-        if record:
-            device._record_batch_conv(hi - lo, m, n, spec=self.precision)
-        for convolved, local_rows in convolved_chunks:
-            offset = 0
-            while offset < len(convolved):
-                row = lo + local_rows.start + offset
-                if not row_is_mask[row]:
-                    residual_pred[int(row_pair[row])] = convolved[offset]
-                    offset += 1
-                    continue
-                # Contiguous run of mask rows sharing one pair.
-                stop = offset + 1
-                while (
-                    local_rows.start + stop < local_rows.stop
-                    and row_is_mask[lo + local_rows.start + stop]
-                    and row_pair[lo + local_rows.start + stop] == row_pair[row]
-                ):
-                    stop += 1
-                local = int(row_pair[row])
-                deltas = y_planes[local][np.newaxis] - convolved[offset:stop]
-                position = row - pair_base[local]
-                mask_scores[local][position : position + stop - offset] = reduce_batch(
-                    deltas, self.reduction
-                )
-                offset = stop
 
     @staticmethod
     def _overlap_windows(pair_row_counts, pair_base, active: int, root_rows: int):
@@ -1050,7 +969,7 @@ class FleetExecutor:
             ends.append(end)
         return max(ends)
 
-    def _run_wave_chunked(self, pod, wave, xs, ys, plans, results) -> dict:
+    def _price_chunked(self, pod, numbers, xs, ys, plans, results) -> dict:
         """Chunk placement: row sharding with the root solve overlapped.
 
         For a single over-wide plan (or any wave whose rows dwarf its
@@ -1066,46 +985,31 @@ class FleetExecutor:
         row windows (:meth:`_overlap_windows`), outfeeding its own
         score rows.  The root's measured solve span sets its shrunken
         row share, and the wave's body is the :meth:`_chunk_timeline`
-        critical path instead of solve + stream in series.  Row
-        operations are per-plane and scores land at absolute
-        positions, so the reassembled arrays stay bit-identical to the
-        single-chip wave.
+        critical path instead of solve + stream in series.  Rows are
+        scored once on the host (:meth:`_compute_wave`); each chip
+        records its row share's batched convolution, and the root
+        reassembles.
         """
-        indices = wave.pair_indices
-        traced = tracer.enabled
-        wave_start = pod.devices[0].trace_seconds if traced else 0.0
-        table = SliceTable.for_plans([plans[i] for i in indices])
-        row_pair = table.row_pair_indices()
-        row_is_mask = np.asarray([r.kind == "mask" for r in table.rows])
-        num_rows = len(table)
+        indices = numbers.indices
+        root = pod.devices[0]
+        wave_start = _span_start(root)
+        num_rows = sum(numbers.pair_rows)
         active = min(pod.num_chips, num_rows)
-        m, n = wave.plane_shape
+        m, n = numbers.plane_shape
         full_infeed = feed_bytes(
             [a for i in indices for a in (xs[i], ys[i])], self.precision
         )
         full_outfeed = sum(xs[i].nbytes for i in indices)
-        rows_per_chunk = effective_chunk_rows(
-            wave.plane_shape, self.chunk_rows, self.effective_stack_bytes,
-            what="streamed wave chunk",
-        )
-        pair_base, pair_row_counts = self._pair_rows(indices, plans)
 
         # Root solve program: kernels plus the wave's one spectrum
         # batch, measured off the ledger so the row partition can
         # charge the root exactly the solve time it spends.
-        root = pod.devices[0]
         launches = 1
         with root.program(infeed_bytes=full_infeed, outfeed_bytes=0):
             mark = root.stats.seconds
-            kernel_stack, y_planes = self._solve_kernels(root, indices, xs, ys)
-            root._record_kernel_spectra(len(kernel_stack), m, n, spec=self.precision)
+            self._price_solve(root, len(indices), m, n)
+            root._record_kernel_spectra(len(indices), m, n, spec=self.precision)
             solve_seconds = root.stats.seconds - mark
-        mask_scores = {
-            local: np.empty(plans[i].num_masks)
-            for local, i in enumerate(indices)
-            if plans[i] is not None
-        }
-        residual_pred: dict[int, np.ndarray] = {}
 
         # Solve-aware root share: the root streams fewer rows so it
         # finishes level with peers that start behind the spectrum
@@ -1122,7 +1026,7 @@ class FleetExecutor:
             )
             root_rows = min(num_rows, max(0, int(balanced)))
         windows, chip_rows = self._overlap_windows(
-            pair_row_counts, pair_base, active, root_rows
+            numbers.pair_rows, numbers.pair_base, active, root_rows
         )
         per_chip_out = [
             int(round(full_outfeed * rows / num_rows)) for rows in chip_rows
@@ -1139,25 +1043,14 @@ class FleetExecutor:
                 infeed_bytes=0 if chip == 0 else full_infeed,
                 outfeed_bytes=per_chip_out[chip],
             ):
-                for lo, hi in windows[chip]:
-                    if hi <= lo:
-                        continue
-                    self._stream_rows(
-                        device, wave, xs, plans, kernel_stack, row_pair,
-                        row_is_mask, pair_base, y_planes, mask_scores,
-                        residual_pred, lo, hi, rows_per_chunk, record=False,
-                    )
                 device._record_batch_conv(chip_rows[chip], m, n, spec=self.precision)
             launches += 1
             conv_seconds[chip] = device.batch_conv_seconds(
                 chip_rows[chip], m, n, precision=self.precision
             )
-        # Host-side reassembly on the root (complex elements pairs may
-        # re-convolve eagerly there, as in single-chip execution).
-        self._assemble_results(
-            root, indices, xs, plans, kernel_stack, y_planes,
-            mask_scores, residual_pred, results,
-        )
+        # Reassembly on the root (complex elements pairs may re-convolve
+        # eagerly there, as in single-chip execution).
+        self._assemble_results(root, numbers, slice(None), xs, plans, results)
         spectrum_bytes = m * n * COMPLEX_BYTES
         infeed_seconds = [0.0] * pod.num_chips
         outfeed_seconds = [0.0] * pod.num_chips
@@ -1170,14 +1063,10 @@ class FleetExecutor:
             infeed_seconds, outfeed_seconds, solve_seconds,
             len(indices), spectrum_bytes,
         )
-        if traced and tracer.enabled:
-            pid = tracer.pid_for(root)
-            tracer.set_thread_name(pid, _FLEET_TID, "fleet")
-            tracer.complete(
-                "fleet.wave", "fleet", tracer.origin + wave_start,
-                root.trace_seconds - wave_start, pid, _FLEET_TID,
-                {"pairs": len(indices), "rows": num_rows, "placement": "chunk"},
-            )
+        _fleet_span(
+            "fleet.wave", root, wave_start,
+            {"pairs": len(indices), "rows": num_rows, "placement": "chunk"},
+        )
         return dict(
             active_chips=active,
             broadcast_seconds=pod.interconnect.broadcast_stream_seconds(
@@ -1226,5 +1115,6 @@ class FleetExecutor:
             kernel64 = np.asarray(kernel, dtype=np.float64)
         base = np.asarray(y_plane, dtype=np.float64) - pred
         return element_scores_from_base(
-            x64, kernel64, base, reduction=self.reduction, device=device
+            x64, kernel64, base, reduction=self.reduction, device=device,
+            fill_value=self.fill_value,
         )

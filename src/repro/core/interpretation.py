@@ -114,16 +114,19 @@ def element_scores_from_base(
     base: np.ndarray,
     reduction: str = "l2",
     device: Device | None = None,
+    fill_value: float = 0.0,
 ) -> np.ndarray:
     """Per-element scores from a precomputed base residual ``Y - X (*) K``.
 
-    The linearity fast path's core: zeroing element ``(i, j)`` gives
-    ``con(x_ij) = base + x_ij * roll(K, (i, j))``, so every feature
-    shares the one convolution that produced ``base``.  Exposed
-    separately so callers that already hold the unmasked convolution --
-    the wave-fused fleet executor scores it as one more batch row --
-    reuse it without a second convolution.  When ``device`` is given,
-    the per-feature adds are accounted as elementwise VPU work.
+    The linearity fast path's core: replacing element ``(i, j)`` with
+    ``fill_value`` gives ``con(x_ij) = base + (x_ij - fill_value) *
+    roll(K, (i, j))`` (Eq. 5's zeroing at the default fill of 0), so
+    every feature shares the one convolution that produced ``base``.
+    Exposed separately so callers that already hold the unmasked
+    convolution -- the wave-fused fleet executor scores it as one more
+    batch row -- reuse it without a second convolution.  When
+    ``device`` is given, the per-feature adds are accounted as
+    elementwise VPU work.
     """
     x = np.asarray(x)
     kernel = np.asarray(kernel)
@@ -141,7 +144,7 @@ def element_scores_from_base(
     for i in range(m):
         rolled_rows = np.roll(kernel, i, axis=0)
         for j in range(n):
-            delta = base + x[i, j] * np.roll(rolled_rows, j, axis=1)
+            delta = base + (x[i, j] - fill_value) * np.roll(rolled_rows, j, axis=1)
             scores[i, j] = _reduce(delta, reduction)
     return scores
 

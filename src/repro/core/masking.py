@@ -15,9 +15,11 @@ engine serves all four:
   exactly once, and reduced ``chunk_rows`` planes at a time, so peak
   memory is ``O(chunk_rows * M * N)`` however many masks the plan
   describes and the stack budget bounds only the chunk;
-* :class:`SliceTable` -- the row map of a cross-pair fleet wave, which
-  streams many pairs' plans through one batched convolution
-  (:mod:`repro.core.fleet`).
+* :meth:`MaskSpec.masks_at` -- the vectorized generator behind both:
+  the bool masks of any mask indices in one broadcast, which is also
+  how a fleet wave fills the masked rows of many pairs at once
+  (:mod:`repro.core.fleet` keeps that wave's row map as integer
+  arrays).
 
 Chunk boundaries never change bits: the batched FFT kernels are
 plane-independent and per-row reductions plane-local, so scores equal
@@ -250,6 +252,43 @@ class MaskSpec:
     # ------------------------------------------------------------------
     # Generation
     # ------------------------------------------------------------------
+    def masks_at(self, index) -> np.ndarray:
+        """The ``(len(index), M, N)`` bool masks of mask numbers ``index``.
+
+        Any integer indices, in any order or repeated.  Every
+        granularity occludes the cells whose row key and column key
+        match the mask's -- element ``divmod(i, N)``, block
+        ``divmod(i, N // bw)`` of the block grid, column ``i``, row
+        ``i`` -- so each stack is one broadcast comparison.
+        """
+        index = np.asarray(index, dtype=np.intp).reshape(-1)
+        if index.size and (index.min() < 0 or index.max() >= self.num_masks):
+            raise ValueError(
+                f"mask indices must lie in [0, {self.num_masks}), got range "
+                f"[{index.min()}, {index.max()}]"
+            )
+        m, n = self.plane_shape
+        row_key, col_key = np.arange(m), np.arange(n)
+        if self.granularity == "elements":
+            row_hit, col_hit = np.divmod(index, n)
+        elif self.granularity == "blocks":
+            bh, bw = self.block_shape
+            row_key, col_key = row_key // bh, col_key // bw
+            row_hit, col_hit = np.divmod(index, self._grid[1])
+        elif self.granularity == "columns":
+            row_hit, col_hit = None, index
+        else:  # rows
+            row_hit, col_hit = index, None
+        rows = (
+            np.ones((1, m, 1), dtype=bool) if row_hit is None
+            else row_key[np.newaxis, :, np.newaxis] == row_hit[:, np.newaxis, np.newaxis]
+        )
+        cols = (
+            np.ones((1, 1, n), dtype=bool) if col_hit is None
+            else col_key[np.newaxis, np.newaxis, :] == col_hit[:, np.newaxis, np.newaxis]
+        )
+        return rows & cols
+
     def iter_chunks(
         self,
         chunk_rows: int = DEFAULT_CHUNK_ROWS,
@@ -259,35 +298,16 @@ class MaskSpec:
         """Yield ``(bool_chunk, row_range)`` slices, generated on demand.
 
         Each chunk is a freshly built ``(rows, M, N)`` bool array
-        covering masks ``row_range``, so peak mask memory is
-        ``O(chunk_rows * M * N)`` however many masks the spec
+        (:meth:`masks_at`) covering masks ``row_range``, so peak mask
+        memory is ``O(chunk_rows * M * N)`` however many masks the spec
         describes.  ``start``/``stop`` generate only a window of rows
         (a window costs only its own rows); yielded ranges stay global.
         """
         chunk_rows = _check_chunk_rows(chunk_rows)
-        m, n = self.plane_shape
         window_start, window_stop = _check_window(start, stop, self.num_masks)
         for lo in range(window_start, window_stop, chunk_rows):
             hi = min(lo + chunk_rows, window_stop)
-            count = hi - lo
-            chunk = np.zeros((count, m, n), dtype=bool)
-            local = np.arange(count)
-            index = np.arange(lo, hi)
-            if self.granularity == "elements":
-                chunk[local, index // n, index % n] = True
-            elif self.granularity == "blocks":
-                bh, bw = self.block_shape
-                gw = self._grid[1]
-                for offset, block in enumerate(index):
-                    bi, bj = divmod(int(block), gw)
-                    chunk[
-                        offset, bi * bh : (bi + 1) * bh, bj * bw : (bj + 1) * bw
-                    ] = True
-            elif self.granularity == "columns":
-                chunk[local, :, index] = True
-            else:  # rows
-                chunk[local, index, :] = True
-            yield chunk, range(lo, hi)
+            yield self.masks_at(np.arange(lo, hi)), range(lo, hi)
 
     def apply_chunks(
         self,
@@ -303,8 +323,7 @@ class MaskSpec:
         verbatim; the input mean is the occlusion-literature baseline.
         Validates eagerly (a bad input shape raises at the call, not at
         first iteration); ``start``/``stop`` window the generated rows
-        exactly as in :meth:`iter_chunks` -- the chunk-parallel pod
-        placement shards one plan's rows across chips this way.
+        exactly as in :meth:`iter_chunks`.
         """
         x = np.asarray(x)
         if x.shape != self.plane_shape:
@@ -327,84 +346,6 @@ class MaskSpec:
                 f"expected {self.num_masks} flat scores, got shape {flat_scores.shape}"
             )
         return flat_scores.reshape(self.output_shape)
-
-
-@dataclass(frozen=True)
-class SliceRow:
-    """One row of a fused wave stack, mapped back to its origin."""
-
-    row: int
-    pair_index: int
-    kind: str  # "mask" or "residual"
-    label: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class SliceTable:
-    """Row map of a cross-pair wave stack (the paper's "internal table").
-
-    A wave streams, for every pair it fuses, the pair's masked variants
-    followed by the pair's *unmasked* plane (the residual row, which
-    turns the per-pair residual convolution into one more batch row).
-    This table records, for each stack row, which pair it belongs to,
-    whether it is a mask or the residual, and the feature label -- the
-    reassembly metadata that lets one batched convolution answer every
-    pair's Eq. 5 queries at once.
-    """
-
-    rows: tuple[SliceRow, ...]
-
-    @classmethod
-    def for_plans(
-        cls,
-        plans,
-        include_residual: bool = True,
-    ) -> "SliceTable":
-        """Build the row map for pairs whose mask plans are ``plans``.
-
-        ``plans[i]`` is pair ``i``'s :class:`MaskSpec`, or ``None`` for a
-        pair contributing no masks (the ``elements`` granularity scores
-        via the linearity fast path and only needs the residual row).
-        """
-        rows: list[SliceRow] = []
-        row = 0
-        for pair_index, plan in enumerate(plans):
-            if plan is not None:
-                for label in plan.labels:
-                    rows.append(SliceRow(row, pair_index, "mask", label))
-                    row += 1
-            if include_residual:
-                rows.append(SliceRow(row, pair_index, "residual"))
-                row += 1
-        return cls(rows=tuple(rows))
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.rows)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def for_pair(self, pair_index: int) -> list[SliceRow]:
-        return [r for r in self.rows if r.pair_index == pair_index]
-
-    def mask_rows(self, pair_index: int) -> np.ndarray:
-        """Stack-row indices of ``pair_index``'s masks, in plan order."""
-        return np.asarray(
-            [r.row for r in self.rows if r.pair_index == pair_index and r.kind == "mask"],
-            dtype=np.intp,
-        )
-
-    def residual_row(self, pair_index: int) -> int:
-        """Stack-row index of ``pair_index``'s unmasked residual plane."""
-        for r in self.rows:
-            if r.pair_index == pair_index and r.kind == "residual":
-                return r.row
-        raise KeyError(f"pair {pair_index} has no residual row in this table")
-
-    def row_pair_indices(self) -> np.ndarray:
-        """Pair index of every stack row (the conv's row->kernel mapping)."""
-        return np.asarray([r.pair_index for r in self.rows], dtype=np.intp)
 
 
 def effective_chunk_rows(

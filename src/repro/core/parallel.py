@@ -15,8 +15,8 @@ work costs one dispatch per wave rather than one per pair:
   groups (round-robin sharing when inputs outnumber cores);
 * :class:`AssignmentTable` -- the paper's "internal table": which core
   holds which slice of which input, for reassembly and for audit (the
-  cross-pair analogue is :class:`repro.core.masking.SliceTable`, which
-  maps fused stack rows back to pairs);
+  cross-pair analogue is :func:`repro.core.fleet.wave_row_map`, whose
+  row arrays map fused stack rows back to pairs);
 * :class:`MultiInputScheduler` -- run a batch of 2-D transforms
   concurrently (elapsed time equal to the slowest core group, inputs
   side by side), plan scheduler waves (:meth:`~MultiInputScheduler
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.core.decomposition import DecomposedFourier, DecompositionReport, shard_slices
-from repro.core.fleet import FleetExecutor, FleetRun, FleetSchedule
+from repro.core.fleet import FleetExecutor, FleetRun, FleetSchedule, check_eps
 from repro.hw.tpu import TpuChip
 
 
@@ -317,8 +317,7 @@ def distill_batch(pairs, chip: TpuChip, eps: float = 1e-6) -> BatchDistillationR
     pairs = list(pairs)
     if not pairs:
         raise ValueError("no pairs to distill")
-    if eps < 0:
-        raise ValueError(f"eps must be non-negative, got {eps}")
+    check_eps(eps)
     xs = [np.asarray(x) for x, _ in pairs]
     ys = [np.asarray(y) for _, y in pairs]
     for x, y in zip(xs, ys):

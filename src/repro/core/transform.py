@@ -218,12 +218,25 @@ def frequency_solve(
         )
     if eps < 0:
         raise ValueError(f"eps must be non-negative, got {eps}")
+    kernel = _solve_stack(x_stack, y_stack, eps, device_chain=device is not None)
+    if device is not None:
+        _record_solve(device, *x_stack.shape)
+    return kernel if inputs.ndim == 4 else kernel[0]
+
+
+def _solve_stack(x_stack, y_stack, eps: float, device_chain: bool) -> np.ndarray:
+    """The ``(P, M, N)`` kernels of a ``(P, B, M, N)`` stack, computed unpriced.
+
+    ``device_chain`` selects a device's arithmetic (complex denominator
+    and eps plane) over the pure-numpy form.  The fleet calls this once
+    per wave and prices each chip's share with :func:`_record_solve`.
+    """
     all_real = np.isrealobj(x_stack) and np.isrealobj(y_stack)
     kernels, pairs, m, n = x_stack.shape
 
     x_hat = fft2_batch(x_stack)
     y_hat = fft2_batch(y_stack)
-    if device is None:
+    if not device_chain:
         numerator = np.zeros((kernels, m, n), dtype=np.complex128)
         denominator = np.zeros((kernels, m, n), dtype=np.float64)
         for b in range(pairs):
@@ -247,12 +260,11 @@ def frequency_solve(
         del x_hat, y_hat, x_conj
         denominator += np.full(denominator.shape, eps, dtype=np.complex128)
         kernel_hat = np.divide(numerator, denominator, out=numerator)
-        _record_solve(device, kernels, pairs, m, n)
     kernel = ifft2_batch(kernel_hat)
 
     if all_real:
         kernel = np.ascontiguousarray(kernel.real)
-    return kernel if inputs.ndim == 4 else kernel[0]
+    return kernel
 
 
 def spectrum_condition(inputs, eps: float = 0.0) -> float:

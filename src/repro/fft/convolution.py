@@ -249,8 +249,9 @@ def _hadamard_by_kernel_runs(
 ) -> np.ndarray:
     """Per-row kernel Hadamard product, exploiting sorted row maps.
 
-    :meth:`repro.core.masking.SliceTable.row_pair_indices` is always
-    non-decreasing (waves list pairs in order), so instead of the fancy
+    A fleet wave's ``row_pair`` map (:func:`repro.core.fleet
+    .wave_row_map`) is always non-decreasing (waves list pairs in
+    order), so instead of the fancy
     -index gather ``kernel_spectrum[row_kernel]`` -- which copies one
     ``(rows, M, N)`` complex128 plane per input row -- each contiguous
     run of rows sharing a kernel broadcasts directly against that

@@ -116,6 +116,10 @@ class MicroBatcher:
         self.dispatch_policy = dispatch_policy
         self.weights = dict(weights) if weights else {}
         self._queues: dict[BatchKey, list[QueuedRequest]] = {}
+        #: Running totals behind the pressure signals, kept by enqueue/pop.
+        self._pending_count = 0
+        self._pending_bytes = 0
+        self._key_bytes: dict[BatchKey, int] = {}
         self._order: dict[BatchKey, int] = {}  # first-seen key order
         self._served: dict[BatchKey, float] = {}  # weighted pairs dispatched
         #: Non-empty dispatches per key (the metrics-registry surface).
@@ -149,20 +153,19 @@ class MicroBatcher:
         if key not in self._order:
             self._order[key] = len(self._order)
         self._queues.setdefault(key, []).append(queued)
+        self._pending_count += 1
+        self._pending_bytes += queued.feed_nbytes
+        self._key_bytes[key] = self._key_bytes.get(key, 0) + queued.feed_nbytes
 
     @property
     def pending_count(self) -> int:
         """Requests waiting across every key (the admission depth signal)."""
-        return sum(len(queue) for queue in self._queues.values())
+        return self._pending_count
 
     @property
     def pending_bytes(self) -> int:
         """Host-link bytes queued across every key (the byte signal)."""
-        return sum(
-            queued.feed_nbytes
-            for queue in self._queues.values()
-            for queued in queue
-        )
+        return self._pending_bytes
 
     def pending_count_for(self, key: BatchKey) -> int:
         """Requests one key has waiting (the per-key admission signal)."""
@@ -170,7 +173,7 @@ class MicroBatcher:
 
     def pending_bytes_for(self, key: BatchKey) -> int:
         """Host-link bytes one key has queued."""
-        return sum(q.feed_nbytes for q in self._queues.get(key, ()))
+        return self._key_bytes.get(key, 0)
 
     # ------------------------------------------------------------------
     # Dispatch policy
@@ -235,6 +238,10 @@ class MicroBatcher:
         queue = self._queues.get(key, [])
         batch = queue[:max_pairs]
         self._queues[key] = queue[max_pairs:]
+        released = sum(queued.feed_nbytes for queued in batch)
+        self._pending_count -= len(batch)
+        self._pending_bytes -= released
+        self._key_bytes[key] = self._key_bytes.get(key, 0) - released
         if batch:
             self._served[key] = (
                 self._served.get(key, 0.0) + len(batch) / self.weight_for(key)

@@ -40,6 +40,7 @@ runs the same executor path), only when the work happens.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import weakref
 from collections import OrderedDict
@@ -53,6 +54,12 @@ from repro.core.fleet import PairResult
 DEFAULT_CACHE_BYTES = 64 * 1024**2
 
 _RESIDUAL_BYTES = 8  # the cached residual scalar (a python float)
+
+
+@functools.lru_cache(maxsize=256)
+def _plane_tag(dtype: np.dtype, shape: tuple) -> bytes:
+    """The dtype and shape text a digest hashes ahead of a plane's bytes."""
+    return str(dtype).encode() + str(shape).encode()
 
 
 def explanation_digest(
@@ -80,9 +87,8 @@ def explanation_digest(
     digest = hashlib.sha256()
     for plane in (x, y):
         plane = np.ascontiguousarray(np.asarray(plane))
-        digest.update(str(plane.dtype).encode())
-        digest.update(str(plane.shape).encode())
-        digest.update(plane.tobytes())
+        digest.update(_plane_tag(plane.dtype, plane.shape))
+        digest.update(plane)  # the contiguous buffer: the bytes tobytes() copies
     digest.update(
         repr(
             (

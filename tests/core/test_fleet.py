@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    BatchDistillationResult,
     ExplanationPipeline,
     FleetExecutor,
     FleetSchedule,
     MaskSpec,
     MaskStackBudgetError,
     MultiInputScheduler,
-    SliceTable,
     TpuBackend,
+    distill_batch,
     make_tpu_chip,
 )
 from repro.core.distillation import ConvolutionDistiller
+from repro.core.fleet import wave_row_map
 from repro.core.interpretation import feature_contributions
 from repro.fft import fft_circular_convolve2d
 from repro.hw.cpu import CpuDevice
@@ -105,34 +107,34 @@ class TestFleetSchedule:
 
 
 class TestSliceTable:
+    """The paper's reassembly table, as the wave row map's three arrays."""
+
     def test_rows_interleave_masks_and_residuals(self):
         plans = [MaskSpec.columns((4, 4)), MaskSpec.rows((4, 4))]
-        table = SliceTable.for_plans(plans)
-        assert len(table) == 4 + 1 + 4 + 1
-        np.testing.assert_array_equal(table.mask_rows(0), [0, 1, 2, 3])
-        assert table.residual_row(0) == 4
-        np.testing.assert_array_equal(table.mask_rows(1), [5, 6, 7, 8])
-        assert table.residual_row(1) == 9
+        row_pair, row_slot, is_mask = wave_row_map([plan.num_masks for plan in plans])
+        assert row_pair.size == 4 + 1 + 4 + 1
+        masks_of = [np.flatnonzero(is_mask & (row_pair == pair)) for pair in (0, 1)]
+        np.testing.assert_array_equal(masks_of[0], [0, 1, 2, 3])
+        np.testing.assert_array_equal(masks_of[1], [5, 6, 7, 8])
+        # One residual row per pair, after its masks, slotted at its mask count.
+        np.testing.assert_array_equal(np.flatnonzero(~is_mask), [4, 9])
+        np.testing.assert_array_equal(row_slot, [0, 1, 2, 3, 4, 0, 1, 2, 3, 4])
 
     def test_none_plan_contributes_only_residual(self):
-        table = SliceTable.for_plans([None, MaskSpec.columns((4, 4))])
-        assert table.mask_rows(0).size == 0
-        assert table.residual_row(0) == 0
-        np.testing.assert_array_equal(table.mask_rows(1), [1, 2, 3, 4])
+        row_pair, row_slot, is_mask = wave_row_map([0, 4])
+        np.testing.assert_array_equal(row_pair, [0, 1, 1, 1, 1, 1])
+        np.testing.assert_array_equal(is_mask, [False, True, True, True, True, False])
+        assert row_slot[0] == 0
 
     def test_row_pair_indices_is_conv_kernel_map(self):
-        table = SliceTable.for_plans([MaskSpec.columns((2, 2)), None])
-        np.testing.assert_array_equal(table.row_pair_indices(), [0, 0, 0, 1])
+        row_pair, _, _ = wave_row_map([MaskSpec.columns((2, 2)).num_masks, 0])
+        np.testing.assert_array_equal(row_pair, [0, 0, 0, 1])
 
     def test_labels_survive_fusion(self):
-        table = SliceTable.for_plans([MaskSpec.blocks((4, 4), (2, 2))])
-        mask_rows = table.for_pair(0)[:-1]
-        assert [r.label for r in mask_rows] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-    def test_missing_residual_raises(self):
-        table = SliceTable.for_plans([MaskSpec.columns((2, 2))], include_residual=False)
-        with pytest.raises(KeyError):
-            table.residual_row(0)
+        plan = MaskSpec.blocks((4, 4), (2, 2))
+        _, row_slot, is_mask = wave_row_map([plan.num_masks])
+        labels = [plan.labels[slot] for slot in row_slot[is_mask]]
+        assert labels == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 class TestFleetExecutorEquivalence:
@@ -207,23 +209,30 @@ class TestFleetExecutorEquivalence:
     def test_chunk_windows_span_pairs(self):
         """The wave's row space streams in ``rows_per_chunk`` windows, so
         pairs smaller than a chunk share one convolution step; the rows
-        are each pair's masked variants, then its unmasked plane."""
-        executor = FleetExecutor(CpuDevice(), granularity="blocks", block_shape=(4, 4))
-        pairs = planted_pairs(4)
-        xs = [x for x, _ in pairs]
+        are each pair's masked variants, then its unmasked plane, and a
+        float32 pair fills with the float32-rounded value."""
+        executor = FleetExecutor(
+            CpuDevice(), granularity="blocks", block_shape=(4, 4), fill_value=0.1
+        )
+        xs = [x for x, _ in planted_pairs(4)]
+        xs[1] = xs[1].astype(np.float32)
         plans = [executor.plan_for(x) for x in xs]
-        (wave,) = executor.schedule(pairs).waves
-        pair_base, counts = executor._pair_rows(wave.pair_indices, plans)
-        assert pair_base == [0, 5, 10, 15] and counts == [5] * 4
-        chunks = list(executor._wave_chunks(wave, xs, plans, pair_base, 8))
+        row_pair, row_slot, is_mask = wave_row_map([plan.num_masks for plan in plans])
+        chunks = list(executor._masked_chunks(
+            np.stack(xs), xs, plans, row_pair, row_slot, is_mask, rows_per_chunk=8
+        ))
         assert [rows for _, rows in chunks] == [range(0, 8), range(8, 16), range(16, 20)]
         per_pair = [
-            np.concatenate([*(masked for masked, _ in plan.apply_chunks(x)), x[np.newaxis]])
+            np.concatenate([
+                *(masked for masked, _ in plan.apply_chunks(x, fill_value=0.1)),
+                x[np.newaxis],
+            ])
             for x, plan in zip(xs, plans)
         ]
         np.testing.assert_array_equal(
             np.concatenate([chunk for chunk, _ in chunks]), np.concatenate(per_pair)
         )
+        assert np.float32(0.1) in chunks[0][0][5] and 0.1 not in chunks[0][0][5]
 
     def test_over_budget_plane_raises_with_budget_hint(self):
         executor = FleetExecutor(
@@ -392,6 +401,57 @@ class TestComplexOperands:
         assert_same_explanations(executor.run(pairs).results, expected)
 
 
+class TestMixedPlanWaves:
+    """One wave whose pairs carry different plans of one plane shape."""
+
+    PLANS = [
+        MaskSpec.blocks((8, 8), (2, 2)),
+        MaskSpec.blocks((8, 8), (4, 4)),
+        MaskSpec.columns((8, 8)),
+        MaskSpec.rows((8, 8)),
+    ]
+    OPTIONS = [
+        dict(granularity="blocks", block_shape=(2, 2)),
+        dict(granularity="blocks", block_shape=(4, 4)),
+        dict(granularity="columns"),
+        dict(granularity="rows"),
+    ]
+
+    @pytest.mark.parametrize(
+        "num_chips,placement", [(None, "data"), (2, "data"), (2, "chunk")]
+    )
+    def test_each_pair_matches_its_own_reference(self, num_chips, placement):
+        """Windows of 7 rows span pairs, so one chunk mixes plans."""
+        pairs = planted_pairs(4)
+        executor = FleetExecutor(
+            small_backend(), granularity="blocks", block_shape=(2, 2), eps=1e-8,
+            chunk_rows=7, num_chips=num_chips, placement=placement,
+        )
+        run = executor.run(pairs, plans=self.PLANS)
+        assert run.num_waves == 1
+        for pair, result, options in zip(pairs, run.results, self.OPTIONS):
+            (want,) = reference.explain_all(
+                [pair], device=CpuDevice(), eps=1e-8, **options
+            )
+            np.testing.assert_array_equal(result.kernel, want.kernel)
+            np.testing.assert_array_equal(result.scores, want.scores)
+            assert result.residual == want.residual
+
+
+class TestElementsFillValue:
+    """The ``elements`` fast path replaces each element with ``fill_value``."""
+
+    @pytest.mark.parametrize("fill_value", [0.5, -2.0])
+    def test_scores_match_reference(self, fill_value):
+        pairs = planted_pairs(2, shape=(6, 6), seed=4)
+        options = dict(granularity="elements", eps=1e-8, fill_value=fill_value)
+        run = FleetExecutor(CpuDevice(), **options).run(pairs)
+        expected = reference.explain_all(pairs, device=CpuDevice(), **options)
+        for result, want in zip(run.results, expected):
+            error = np.max(np.abs(result.scores - want.scores))
+            assert error <= 1e-9 * np.max(np.abs(want.scores))
+
+
 class TestPromotedDtypeWaves:
     """Waves group pairs by ``np.result_type(x, y, np.float64)``."""
 
@@ -427,6 +487,9 @@ class TestEpsValidation:
         ),
         "service": lambda eps: ExplanationService(CpuDevice(), granularity="columns", eps=eps),
         "distiller": lambda eps: ConvolutionDistiller(eps=eps),
+        "distill_batch": lambda eps: distill_batch(
+            planted_pairs(2, shape=(4, 4)), make_tpu_chip(num_cores=2), eps=eps
+        ),
     }
 
     @pytest.mark.parametrize("eps", [-1.0, float("nan"), float("inf")])
@@ -437,7 +500,11 @@ class TestEpsValidation:
 
     @pytest.mark.parametrize("builder", sorted(BUILDERS))
     def test_zero_eps_is_eq4_verbatim(self, builder):
-        assert self.BUILDERS[builder](0.0).eps == 0.0
+        built = self.BUILDERS[builder](0.0)
+        if isinstance(built, BatchDistillationResult):
+            assert all(np.isfinite(kernel).all() for kernel in built.kernels)
+        else:
+            assert built.eps == 0.0
 
 
 class TestLedgerHygiene:

@@ -7,12 +7,12 @@ from repro.core import (
     FleetExecutor,
     MaskSpec,
     MaskStackBudgetError,
-    SliceTable,
     TpuBackend,
     check_stack_budget,
     make_tpu_chip,
     score_plan,
 )
+from repro.core.fleet import wave_row_map
 from repro.core.pipeline import ExplanationPipeline
 from repro.fft import fft_circular_convolve2d
 from repro.hw import CpuDevice, GpuDevice
@@ -113,6 +113,31 @@ class TestMaskPlanConstruction:
     def test_apply_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             MaskSpec.rows((4, 4)).apply_chunks(np.ones((5, 5)))
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            MaskSpec.elements((5, 7)),
+            MaskSpec.blocks((6, 9), (3, 3)),
+            MaskSpec.blocks((8, 8), (1, 8)),
+            MaskSpec.columns((5, 7)),
+            MaskSpec.rows((5, 7)),
+        ],
+        ids=lambda plan: f"{plan.granularity}{plan.block_shape or ''}",
+    )
+    def test_masks_at_any_indices_match_the_definition(self, plan):
+        """The vectorized builder equals each mask built from its
+        definition, for indices in any order and with repeats."""
+        defined = [mask for _, mask in reference.masks(
+            plan.granularity, plan.plane_shape, plan.block_shape
+        )]
+        index = np.array([plan.num_masks - 1, 0, plan.num_masks // 2, 0])
+        built = plan.masks_at(index)
+        assert built.dtype == bool and built.shape == (4, *plan.plane_shape)
+        np.testing.assert_array_equal(built, np.stack([defined[i] for i in index]))
+        assert plan.masks_at([]).shape == (0, *plan.plane_shape)
+        with pytest.raises(ValueError, match="mask indices"):
+            plan.masks_at([plan.num_masks])
 
     def test_reshape_scores_round_trip(self):
         plan = MaskSpec.blocks((4, 4), (2, 2))
@@ -377,8 +402,11 @@ class TestMaskPlanConcat:
 
     def test_concat_prefixes_labels_with_plan_index(self):
         plans = [MaskSpec.columns((2, 3)), MaskSpec.columns((2, 3))]
-        table = SliceTable.for_plans(plans)
-        fused = [(r.pair_index, *r.label) for r in table.rows if r.kind == "mask"]
+        row_pair, row_slot, is_mask = wave_row_map([plan.num_masks for plan in plans])
+        fused = [
+            (int(pair), *plans[pair].labels[slot])
+            for pair, slot in zip(row_pair[is_mask], row_slot[is_mask])
+        ]
         assert fused[0] == (0, 0)
         assert fused[3] == (1, 0)
         assert fused[5] == (1, 2)

@@ -411,7 +411,7 @@ class TestServicePod:
 
 
 class TestWindowedChunks:
-    """The chunk placement's masking primitive: windowed iter_chunks."""
+    """Windowed mask generation: apply_chunks over a ``[start, stop)`` window."""
 
     def test_window_identity(self):
         spec = MaskSpec.for_granularity("rows", PLANE)

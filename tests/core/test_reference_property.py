@@ -2,9 +2,9 @@
 
 Hypothesis samples the configuration lattice -- plane shape (power of
 two, odd, prime, 1xN), granularity and block, precision, chip count,
-placement, wave cap, chunk size and each pair's dtype (float32 or
-float64, which share waves) -- and every draw must reproduce
-:mod:`tests.reference`, the paper's per-pair loop: kernels, residuals
+placement, wave cap, chunk size, fill value, reduction and each pair's
+dtype (float32 or float64, which share waves) -- and every draw must
+reproduce :mod:`tests.reference`, the paper's per-pair loop: kernels, residuals
 and block/column/row scores bit for bit; element scores (the linearity
 fast path) within 1e-9 relative.
 """
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.bench.workloads import planted_interpretation_pairs
 from repro.core import FleetExecutor, TpuBackend, make_tpu_chip
+from repro.core.masking import REDUCTIONS
 from repro.hw.cpu import CpuDevice
 from tests import reference
 
@@ -53,6 +54,8 @@ def configurations(draw):
         placement=draw(st.sampled_from(["data", "chunk", "wave"])),
         max_pairs_per_wave=draw(st.sampled_from([None, 1, 2, 3])),
         chunk_rows=draw(st.sampled_from([None, 1, 2, 5, 64])),
+        fill_value=draw(st.sampled_from([0.0, 0.1, -2.5])),
+        reduction=draw(st.sampled_from(REDUCTIONS)),
         num_pairs=draw(st.integers(1, 4)),
         pair_dtypes=draw(
             st.lists(st.sampled_from(["float32", "float64"]), min_size=4, max_size=4)
@@ -80,7 +83,8 @@ def test_fleet_matches_reference(config):
     ]
     options = dict(
         granularity=config["granularity"], block_shape=config["block_shape"],
-        eps=1e-6, precision=config["precision"],
+        eps=1e-6, precision=config["precision"], fill_value=config["fill_value"],
+        reduction=config["reduction"],
     )
     chip = make_tpu_chip(num_cores=4, precision="fp32", mxu_rows=8, mxu_cols=8)
     run = FleetExecutor(

@@ -339,11 +339,14 @@ class TestMicroBatcher:
         assert batcher.next_deadline() == 2.5  # the remainder's oldest
 
     def test_pending_bytes(self):
-        batcher = MicroBatcher()
+        batcher = MicroBatcher(max_batch_pairs=1)
         batcher.enqueue(KEY, _queued(0, 0.0, nbytes=300))
         batcher.enqueue(KEY, _queued(1, 0.0, nbytes=200))
         assert batcher.pending_bytes == 500
         assert batcher.pending_count == 2
+        batcher.pop(KEY)  # releases the oldest request's 300 bytes
+        assert batcher.pending_bytes == batcher.pending_bytes_for(KEY) == 200
+        assert batcher.pending_count == 1
 
     def test_zero_max_wait_is_due_immediately(self):
         """max_wait_seconds=0: every enqueued request is ripe the moment
