@@ -16,11 +16,17 @@ one infeed and one batched convolution per *wave* of pairs:
   ``(sum(num_masks_i) + P, M, N)`` cross-pair stack whose rows
   :func:`wave_row_map` maps back to ``(pair, mask)`` as three integer
   arrays (the paper's reassembly table); the stack is **never
-  materialized** -- each window of at most ``chunk_rows`` rows is
-  filled with one vectorized select, convolved (per-row kernels, one
-  kernel-spectrum batch for the wave) and scored with one reduction on
-  the fly, so peak host memory is ``O(chunk_rows * M * N)`` plus one
-  residual plane per pair regardless of how many masks a wave fuses.
+  materialized** -- it is convolved (per-row kernels, one
+  kernel-spectrum batch for the wave) and scored with one reduction in
+  windows of at most ``chunk_rows`` rows, so peak host memory is
+  ``O(chunk_rows * M * N)`` plus one residual plane per pair regardless
+  of how many masks a wave fuses.  A mask changes only a band of rows
+  (:meth:`~repro.core.masking.MaskSpec.bands_at`), and the 2-D
+  transform is row transforms then column transforms (Sec. III-C,
+  Eq. 7-8), so a real wave transforms each pair's rows once and
+  builds every window's row spectra from them, transforming only the
+  band rows each mask touches; int8 and complex waves patch the bands
+  into spatial windows and stream them whole.
 
 Every wave is **computed once on the host, whatever its placement,
 and then priced**: each pricing target (the device itself on one chip;
@@ -39,9 +45,11 @@ hidden host-link time is credited back as a negative ``infeed_overlap``
 ledger row.  A single-wave fleet pays exactly its serial cost.
 
 Scores, kernels and residuals equal one masked convolution per feature
-bit for bit: the batched FFT kernels are plane-independent and per-row
-reductions plane-local, so fusion, streaming and pipelining change only
-the cost ledger, never the numbers.
+bit for bit: the batched FFT kernels transform each line on its own
+(so a row's transform is the same whether it is computed alone or in a
+stack, and an unmasked row's is its pair's) and per-row reductions are
+plane-local, so fusion, row sharing, streaming and pipelining change
+only the cost ledger, never the numbers.
 
 **Precision model.**  The executor's ``precision`` axis (default
 ``None`` = exact legacy execution) hands a
@@ -53,7 +61,10 @@ before the Hadamard products accumulate in float64 (the MXU int8/bf16
 datapath; the Eq. 4 *solves* stay exact, so kernels are
 precision-independent).  Because the rounding is strictly per-plane,
 wave-fused scores and residuals remain bit-identical to one masked
-convolution per feature *at the same precision*; a quantized wave
+convolution per feature *at the same precision*.  bf16 also rounds
+element by element, so its real waves share row transforms like exact
+ones; int8 scales each plane by its maximum, which a mask can move, so
+its waves stream whole masked planes.  A quantized wave
 additionally streams its infeed at the spec's storage width (1
 byte/element for int8) and is priced by the MXU cycle hooks at the
 spec's rate -- the accuracy-vs-speed trade-off
@@ -137,7 +148,9 @@ from repro.core.masking import (
     reduce_batch,
 )
 from repro.core.transform import OutputEmbedding, _record_solve, _solve_stack
-from repro.fft.convolution import fft_circular_convolve2d_chunks
+from repro.fft.convolution import _convolve_row_spectra, fft_circular_convolve2d_chunks
+from repro.fft.fft import rfft
+from repro.fft.spectra import kernel_spectrum
 from repro.hw.device import Device, DeviceStats
 from repro.hw.pod import PodWaveStats, TpuPod
 from repro.hw.quantize import resolve_precision
@@ -200,6 +213,22 @@ def check_eps(eps) -> None:
     """
     if not (math.isfinite(eps) and eps >= 0):
         raise ValueError(f"eps must be finite and non-negative, got {eps}")
+
+
+def wave_dtype_key(x, y) -> tuple[np.dtype, np.dtype, np.dtype]:
+    """The dtypes that decide which pairs may share a wave.
+
+    ``(np.result_type(x, y, np.float64), width(x), width(y))``, where an
+    operand's float width is ``np.finfo(np.result_type(a,
+    np.float64)).dtype``: float32, integer and float64 operands have
+    float64 width, and a complex128 one too, so a real-``x`` pair with
+    a complex ``y`` keys like a complex pair and shares its wave.
+    """
+
+    def width(a):
+        return np.finfo(np.result_type(a, np.float64)).dtype
+
+    return np.result_type(x, y, np.float64), width(x), width(y)
 
 
 def wave_row_map(mask_counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -292,15 +321,19 @@ class FleetSchedule:
         front.  An empty fleet plans to an empty schedule -- the service
         layer's idle drain path.
 
-        ``dtypes[i]`` is pair ``i``'s promoted dtype,
-        ``np.result_type(x, y, np.float64)`` (default: float64 for
-        every pair).  Pairs of different dtypes never share a wave: a
-        wave stacks its pairs' planes and kernels, so a longdouble pair
-        would widen its float64 co-pairs' solves and rows, and a complex
-        one would keep the inverse-transform roundoff imaginaries that
-        per-pair execution drops via ``.real`` -- either breaks
-        bit-identity in the last ulp.  float32, integer and float64
-        pairs all promote to float64 and share waves.
+        ``dtypes[i]`` is pair ``i``'s dtype key, :func:`wave_dtype_key`
+        of its ``(x, y)`` (default: one key for every pair).  Pairs of
+        different keys never share a wave.  A wave stacks its pairs'
+        planes and kernels, so a longdouble pair would widen its float64
+        co-pairs' solves and rows, and a complex one would keep the
+        inverse-transform roundoff imaginaries that per-pair execution
+        drops via ``.real``; and a pair whose ``x`` or ``y`` alone is
+        narrower than its co-pairs' would be widened in the stacked
+        solve and its windows -- a float64-``x`` pair beside
+        longdouble-``x`` pairs, or a float32-``y`` pair beside
+        longdouble-``y`` pairs.  Each breaks bit-identity in the last
+        ulp.  float32, integer and float64 operands all have float64
+        width and share waves.
         """
         plane_shapes = [tuple(int(v) for v in shape) for shape in plane_shapes]
         mask_counts = [int(count) for count in mask_counts]
@@ -314,15 +347,13 @@ class FleetSchedule:
             raise ValueError(
                 f"max_pairs_per_wave must be positive, got {max_pairs_per_wave}"
             )
-        if dtypes is None:
-            dtypes = [np.float64] * len(plane_shapes)
-        dtypes = [np.dtype(dtype) for dtype in dtypes]
+        dtypes = [None] * len(plane_shapes) if dtypes is None else list(dtypes)
         if len(dtypes) != len(plane_shapes):
             raise ValueError(
                 f"{len(plane_shapes)} plane shapes for {len(dtypes)} dtypes"
             )
-        # Group pair indices by (plane shape, promoted dtype), first-seen order.
-        groups: dict[tuple[tuple[int, int], np.dtype], list[int]] = {}
+        # Group pair indices by (plane shape, dtype key), first-seen order.
+        groups: dict[tuple, list[int]] = {}
         for index, shape in enumerate(plane_shapes):
             groups.setdefault((shape, dtypes[index]), []).append(index)
         waves: list[WavePlan] = []
@@ -411,12 +442,14 @@ class FleetExecutor:
 
     Execution per wave: one host pass (:meth:`_compute_wave`) -- one
     stacked Eq. 4 solve yields every pair's kernel, then all pairs'
-    masked variants and unmasked residual planes stream through a
-    single chunked batched convolution with per-row kernels, in
-    windows of the fused row space that may span several pairs, each
-    window built with one select and reduced to scores at once, so
-    neither the bool mask stack nor the masked float stack ever exists
-    in full.  Then the wave is priced: one ``device.program`` scope per
+    masked variants and unmasked residual planes are convolved with
+    per-row kernels in windows of the fused row space that may span
+    several pairs, each window built from its masks' row bands and
+    reduced to scores at once, so neither the bool mask stack nor the
+    masked float stack ever exists in full.  A real wave at a precision
+    that rounds element by element reuses each pair's row transforms
+    and transforms only the rows its masks touch.  Then the wave is
+    priced: one ``device.program`` scope per
     pricing target, whose infeed is its pairs' data and whose outfeed
     their score planes (:meth:`_price_share`).  The ``elements``
     granularity contributes only its residual row and scores through
@@ -546,7 +579,7 @@ class FleetExecutor:
             [0 if plan is None else plan.num_masks for plan in plans],
             max_stack_bytes=self.effective_stack_bytes,
             max_pairs_per_wave=self.max_pairs_per_wave,
-            dtypes=[np.result_type(x, y, np.float64) for x, y in zip(xs, ys)],
+            dtypes=[wave_dtype_key(x, y) for x, y in zip(xs, ys)],
         )
 
     @staticmethod
@@ -645,11 +678,19 @@ class FleetExecutor:
         One stacked Eq. 4 solve gives every pair's kernel; then the
         wave's whole row space -- each pair's masked variants followed
         by its unmasked residual plane, as :func:`wave_row_map` lays it
-        out -- streams through one chunked convolution in
-        ``rows_per_chunk`` windows that may span pairs, and each
-        convolved window is scored with one reduction.  Nothing is
-        priced here: every row operation is per plane, so however a
-        placement splits the wave across chips, only the ledger changes.
+        out -- is convolved in ``rows_per_chunk`` windows that may span
+        pairs.  A real wave whose precision rounds element by element
+        (:attr:`~repro.hw.quantize.PrecisionSpec.rounds_elementwise`, or
+        none) transforms each pair's rows once and builds every window's
+        row spectra from them (:meth:`_row_shared_stream`); int8 and complex
+        waves stream spatial windows (:meth:`_masked_chunks`) through
+        :func:`~repro.fft.convolution.fft_circular_convolve2d_chunks`.
+        Both end in the same tail, which scores each window in place:
+        residual rows are kept, each pair's ``y`` plane is subtracted
+        from its run of rows, and one reduction scores the window.
+        Nothing is priced here: every row operation is per plane, so
+        however a placement splits the wave across chips, only the
+        ledger changes.
         """
         indices = wave.pair_indices
         lifter = ConvolutionDistiller(embedding=self.embedding)
@@ -665,21 +706,40 @@ class FleetExecutor:
             wave.plane_shape, self.chunk_rows, self.effective_stack_bytes,
             what="streamed wave chunk",
         )
-        chunks = self._masked_chunks(
-            x_stack, [xs[i] for i in indices], [plans[i] for i in indices],
-            row_pair, row_slot, is_mask, rows_per_chunk,
+        sources, fills = self._fill_sources(x_stack, [xs[i] for i in indices])
+        bands = self._band_windows(
+            sources, fills, [plans[i] for i in indices], row_pair, row_slot,
+            is_mask, rows_per_chunk,
         )
+        spec = self.precision
+        if (
+            np.isrealobj(sources) and np.isrealobj(kernels)
+            and (spec is None or spec.rounds_elementwise)
+        ):
+            stream = self._row_shared_stream(
+                sources, kernels, bands, row_pair, rows_per_chunk
+            )
+        else:
+            stream = fft_circular_convolve2d_chunks(
+                self._masked_chunks(sources, bands, row_pair), kernels,
+                row_kernel=row_pair, num_rows=row_pair.size, precision=spec,
+            )
         scores = np.empty(row_pair.size)
         preds = []
-        for convolved, rows in fft_circular_convolve2d_chunks(
-            chunks, kernels, row_kernel=row_pair, num_rows=row_pair.size,
-            precision=self.precision,
-        ):
+        for convolved, rows in stream:
             window = slice(rows.start, rows.stop)
-            scores[window] = reduce_batch(
-                y_stack[row_pair[window]] - convolved, self.reduction
-            )
             preds.append(convolved[~is_mask[window]])
+            # In place unless y is wider (a bf16-rounded kernel spectrum
+            # can leave a longdouble pair's convolution in float64).
+            wide = np.result_type(y_stack, convolved)
+            deltas = (
+                convolved if wide == convolved.dtype else np.empty_like(convolved, wide)
+            )
+            pairs = row_pair[window]
+            runs = [0, *(np.flatnonzero(np.diff(pairs)) + 1), pairs.size]
+            for lo, hi in zip(runs[:-1], runs[1:]):
+                np.subtract(y_stack[pairs[lo]], convolved[lo:hi], out=deltas[lo:hi])
+            scores[window] = reduce_batch(deltas, self.reduction)
         preds = np.concatenate(preds)
         pair_rows = [count + 1 for count in counts]
         return _WaveNumbers(
@@ -694,23 +754,33 @@ class FleetExecutor:
             pair_base=[0, *accumulate(pair_rows)][:-1],
         )
 
-    def _masked_chunks(
-        self, x_stack, xs, plans, row_pair, row_slot, is_mask, rows_per_chunk
-    ):
-        """The wave's row stack, one ``rows_per_chunk`` window at a time.
+    def _fill_sources(self, x_stack, xs) -> tuple[np.ndarray, np.ndarray]:
+        """The wave's ``x`` stack in the dtype its fills need, and the fills.
 
-        A window is the ``x`` planes of its rows' pairs (gathered by
-        ``row_pair``) with every mask row's occluded cells set to the
-        fill value in one select.  Each pair's fill is taken in the
-        dtype ``np.where(mask, fill_value, x)`` gives that pair, so a
-        float32 pair fills with the float32-rounded value.  The bool
-        masks come from the window's distinct plans (normally one), one
-        :meth:`~repro.core.masking.MaskSpec.masks_at` call each.
+        Each pair's fill is taken in the dtype ``np.where(mask,
+        fill_value, x)`` gives that pair, so a float32 pair fills with
+        the float32-rounded value.
         """
         fills = np.array(
             [np.result_type(x, self.fill_value).type(self.fill_value) for x in xs]
         )
-        sources = x_stack.astype(np.result_type(x_stack, fills), copy=False)
+        return x_stack.astype(np.result_type(x_stack, fills), copy=False), fills
+
+    @staticmethod
+    def _band_windows(
+        sources, fills, plans, row_pair, row_slot, is_mask, rows_per_chunk
+    ):
+        """The wave's row space as ``rows_per_chunk`` windows of row bands.
+
+        Yields ``(window, patches)``: ``window`` is the slice of rows,
+        and each patch ``(local, band_rows, values)`` covers the window's
+        mask rows of one distinct plan (normally one per window) --
+        their window positions, the ``(rows, height)`` plane rows each
+        mask occludes (:meth:`~repro.core.masking.MaskSpec.bands_at`)
+        and those rows of the pair's ``x`` with the masked columns set
+        to the pair's fill.  Rows outside a band, and residual rows,
+        are the pair's ``x`` unchanged.
+        """
         distinct = list(dict.fromkeys(plan for plan in plans if plan is not None))
         plan_of = np.array(
             [-1 if plan is None else distinct.index(plan) for plan in plans]
@@ -718,16 +788,81 @@ class FleetExecutor:
         row_plan = np.where(is_mask, plan_of[row_pair], -1)
         for lo in range(0, row_pair.size, rows_per_chunk):
             window = slice(lo, min(lo + rows_per_chunk, row_pair.size))
-            planes = sources[row_pair[window]]
-            occluded = np.zeros(planes.shape, dtype=bool)
+            patches = []
             for number, plan in enumerate(distinct):
-                rows = row_plan[window] == number
-                if rows.any():
-                    occluded[rows] = plan.masks_at(row_slot[window][rows])
-            np.copyto(
-                planes, fills[row_pair[window], np.newaxis, np.newaxis], where=occluded
-            )
+                local = np.flatnonzero(row_plan[window] == number)
+                if local.size:
+                    start, height, cols = plan.bands_at(row_slot[window][local])
+                    band_rows = start[:, np.newaxis] + np.arange(height)
+                    pairs = row_pair[window][local]
+                    values = sources[pairs[:, np.newaxis], band_rows]
+                    np.copyto(values, fills[pairs, np.newaxis, np.newaxis], where=cols)
+                    patches.append((local, band_rows, values))
+            yield window, patches
+
+    @staticmethod
+    def _masked_chunks(sources, bands, row_pair):
+        """Spatial windows: each row's ``x`` plane with its band patched in."""
+        for window, patches in bands:
+            planes = sources[row_pair[window]]
+            for local, band_rows, values in patches:
+                planes[local[:, np.newaxis], band_rows] = values
             yield planes, range(window.start, window.stop)
+
+    def _row_shared_stream(self, sources, kernels, bands, row_pair, rows_per_chunk):
+        """A row-sharing wave's convolved windows, as ``(convolved, rows)``.
+
+        Each pair's rows are transformed once, each window's row spectra
+        are built from them (:meth:`_row_spectra`), and the rest of the
+        convolution runs in place in buffers allocated once per wave;
+        ``convolved`` is overwritten by the next window.
+        """
+        spec = self.precision
+        base = rfft(sources if spec is None else spec.apply(sources), axis=-1)
+        half = kernel_spectrum(kernels, real=True, precision=spec).array
+        width = min(rows_per_chunk, row_pair.size)
+        out = np.empty(
+            (width, *sources.shape[1:]), np.finfo(np.result_type(base, half)).dtype
+        )
+        for spectra, window in self._row_spectra(base, bands, row_pair, width):
+            convolved = _convolve_row_spectra(
+                spectra, half, row_pair[window], sources.shape[-1],
+                out=out[: spectra.shape[0]],
+            )
+            yield convolved, range(window.start, window.stop)
+
+    def _row_spectra(self, base, bands, row_pair, width):
+        """Row-stage spectra of each window, built from shared row spectra.
+
+        ``base`` holds each pair's rows transformed once (``rfft`` over
+        the last axis, after the precision's elementwise rounding).  A
+        window gathers its rows' pair spectra into one ``width``-row
+        buffer reused across windows and overwrites only each mask's
+        band rows with the transform of its masked band; a full-height
+        band (``columns``) replaces its whole plane, so those rows skip
+        the gather.  Yields ``(spectra, window)``, with ``spectra``
+        overwritten by the next window.  Bit-identical to transforming
+        the masked planes' rows: a row's transform depends on that row
+        alone.
+        """
+        spec = self.precision
+        buffer = np.empty((width, *base.shape[1:]), base.dtype)
+        for window, patches in bands:
+            pairs = row_pair[window]
+            spectra = buffer[: pairs.size]
+            gather = np.ones(pairs.size, dtype=bool)
+            for local, band_rows, _ in patches:
+                gather[local] = band_rows.shape[1] < base.shape[1]
+            if gather.all():
+                # mode="clip" (the indices are valid) keeps take from
+                # buffering its output.
+                np.take(base, pairs, axis=0, out=spectra, mode="clip")
+            else:
+                spectra[gather] = base[pairs[gather]]
+            for local, band_rows, values in patches:
+                rounded = values if spec is None else spec.apply(values)
+                spectra[local[:, np.newaxis], band_rows] = rfft(rounded, axis=-1)
+            yield spectra, window
 
     def _price_solve(self, device: Device, num_pairs: int, m: int, n: int) -> None:
         """Ledger rows of ``num_pairs`` Eq. 4 solves, in a ``fleet.solve`` span."""

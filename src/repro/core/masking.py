@@ -15,11 +15,14 @@ engine serves all four:
   exactly once, and reduced ``chunk_rows`` planes at a time, so peak
   memory is ``O(chunk_rows * M * N)`` however many masks the plan
   describes and the stack budget bounds only the chunk;
-* :meth:`MaskSpec.masks_at` -- the vectorized generator behind both:
-  the bool masks of any mask indices in one broadcast, which is also
-  how a fleet wave fills the masked rows of many pairs at once
-  (:mod:`repro.core.fleet` keeps that wave's row map as integer
-  arrays).
+* :meth:`MaskSpec.bands_at` -- the one definition of a mask: mask
+  ``i`` of every granularity occludes a band of whole rows at a fixed
+  set of columns, returned for any mask indices as ``(start, height,
+  cols)``.  :meth:`MaskSpec.masks_at` expands bands into bool masks in
+  one broadcast (the generator behind both items above), and a fleet
+  wave (:mod:`repro.core.fleet`) patches only the band rows of its
+  pairs' planes, so its row transforms cover just the rows a mask
+  touches.
 
 Chunk boundaries never change bits: the batched FFT kernels are
 plane-independent and per-row reductions plane-local, so scores equal
@@ -124,6 +127,11 @@ def _check_chunk_rows(chunk_rows: int) -> int:
 def reduce_batch(deltas: np.ndarray, reduction: str) -> np.ndarray:
     """Per-plane scalar reduction of a ``(batch, M, N)`` residual stack."""
     deltas = np.asarray(deltas)
+    if reduction == "l2" and np.isrealobj(deltas):
+        # |d|**2 == d*d bit for bit for real d, so the magnitudes pass is
+        # skipped; abs of the per-plane sums only turns a NaN score
+        # positive, as the magnitudes path leaves it.
+        return np.sqrt(np.abs(np.sum(np.square(deltas), axis=(-2, -1))))
     magnitudes = np.abs(deltas)
     if reduction == "l2":
         return np.sqrt(np.sum(magnitudes**2, axis=(-2, -1)))
@@ -252,14 +260,18 @@ class MaskSpec:
     # ------------------------------------------------------------------
     # Generation
     # ------------------------------------------------------------------
-    def masks_at(self, index) -> np.ndarray:
-        """The ``(len(index), M, N)`` bool masks of mask numbers ``index``.
+    def bands_at(self, index) -> tuple[np.ndarray, int, np.ndarray]:
+        """Masks ``index`` in factored form: ``(start, height, cols)``.
 
-        Any integer indices, in any order or repeated.  Every
-        granularity occludes the cells whose row key and column key
-        match the mask's -- element ``divmod(i, N)``, block
-        ``divmod(i, N // bw)`` of the block grid, column ``i``, row
-        ``i`` -- so each stack is one broadcast comparison.
+        Every granularity's mask ``i`` occludes a band of whole rows,
+        ``start[i] : start[i] + height``, at a fixed set of columns,
+        ``cols[i, 0]`` (``cols`` is a ``(len(index), 1, N)`` bool
+        array): ``blocks`` give ``bh`` rows times a ``bw``-wide stripe,
+        ``rows`` one row times every column, ``columns`` all ``M`` rows
+        times one column, ``elements`` one row times one column.  Rows
+        outside the band are untouched, which is what lets a fleet wave
+        transform only the rows a mask changes.  Any integer indices, in
+        any order or repeated.
         """
         index = np.asarray(index, dtype=np.intp).reshape(-1)
         if index.size and (index.min() < 0 or index.max() >= self.num_masks):
@@ -268,26 +280,33 @@ class MaskSpec:
                 f"[{index.min()}, {index.max()}]"
             )
         m, n = self.plane_shape
-        row_key, col_key = np.arange(m), np.arange(n)
         if self.granularity == "elements":
-            row_hit, col_hit = np.divmod(index, n)
+            height, width = 1, 1
+            start, first = np.divmod(index, n)
         elif self.granularity == "blocks":
-            bh, bw = self.block_shape
-            row_key, col_key = row_key // bh, col_key // bw
-            row_hit, col_hit = np.divmod(index, self._grid[1])
+            height, width = self.block_shape
+            start, first = np.divmod(index, self._grid[1])
+            start, first = start * height, first * width
         elif self.granularity == "columns":
-            row_hit, col_hit = None, index
+            height, width = m, 1
+            start, first = np.zeros_like(index), index
         else:  # rows
-            row_hit, col_hit = index, None
-        rows = (
-            np.ones((1, m, 1), dtype=bool) if row_hit is None
-            else row_key[np.newaxis, :, np.newaxis] == row_hit[:, np.newaxis, np.newaxis]
-        )
-        cols = (
-            np.ones((1, 1, n), dtype=bool) if col_hit is None
-            else col_key[np.newaxis, np.newaxis, :] == col_hit[:, np.newaxis, np.newaxis]
-        )
-        return rows & cols
+            height, width = 1, n
+            start, first = index, np.zeros_like(index)
+        first = first[:, np.newaxis, np.newaxis]
+        column = np.arange(n)
+        return start, height, (column >= first) & (column < first + width)
+
+    def masks_at(self, index) -> np.ndarray:
+        """The ``(len(index), M, N)`` bool masks of mask numbers ``index``.
+
+        Each mask is its :meth:`bands_at` band of rows crossed with its
+        columns, built for the whole stack in one broadcast.
+        """
+        start, height, cols = self.bands_at(index)
+        row = np.arange(self.plane_shape[0])[:, np.newaxis]
+        first = start[:, np.newaxis, np.newaxis]
+        return (row >= first) & (row < first + height) & cols
 
     def iter_chunks(
         self,

@@ -12,8 +12,10 @@ provides:
 * chunk-streamed batched FFT convolution -- a stack of inputs, driven
   by an *iterator* of ``(chunk, row_range)`` slices, against kernels
   whose spectra are computed exactly once, so peak memory is
-  ``O(chunk_rows * M * N)`` regardless of batch size (the hot path of
-  :class:`~repro.core.masking.MaskSpec` scoring and fleet waves);
+  ``O(chunk_rows * M * N)`` regardless of batch size (the path of
+  :class:`~repro.core.masking.MaskSpec` scoring and of int8 and complex
+  fleet waves); its per-window tail after the row transforms is one
+  helper that the fleet's row-shared windows reuse;
 * linear convolution via zero-padding to a circular one, for callers who
   need aperiodic behaviour.
 
@@ -48,15 +50,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fft import spectra
-from repro.fft.fft import fft, ifft
-from repro.fft.fft2d import (
-    fft2,
-    fft2_batch,
-    ifft2,
-    ifft2_batch,
-    irfft2_batch,
-    rfft2_batch,
-)
+from repro.fft.fft import fft, ifft, irfft, rfft
+from repro.fft.fft2d import fft2, fft2_batch, ifft2, irfft2_batch, rfft2_batch
 from repro.fft.spectra import KernelSpectrum
 
 
@@ -246,6 +241,7 @@ def _hadamard_by_kernel_runs(
     chunk_spectrum: np.ndarray,
     kernel_spectrum: np.ndarray,
     row_kernel_chunk: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-row kernel Hadamard product, exploiting sorted row maps.
 
@@ -258,11 +254,20 @@ def _hadamard_by_kernel_runs(
     kernel's ``(M, N)`` spectrum *view*.  Falls back to the gather for
     unsorted maps.  Bit-identical either way: the same complex products
     are formed, only the operand staging changes.
+
+    The product lands in ``out`` (which may be ``chunk_spectrum``
+    itself) or in a new array of ``np.result_type(chunk_spectrum,
+    kernel_spectrum)`` -- the dtype ``chunk_spectrum * kernel_spectrum``
+    has, so a clongdouble kernel spectrum is never rounded to the
+    chunk's complex128.
     """
+    if out is None:
+        out = np.empty(
+            chunk_spectrum.shape, np.result_type(chunk_spectrum, kernel_spectrum)
+        )
     diffs = np.diff(row_kernel_chunk)
     if row_kernel_chunk.size and (diffs < 0).any():
-        return chunk_spectrum * kernel_spectrum[row_kernel_chunk]
-    product = np.empty_like(chunk_spectrum)
+        return np.multiply(chunk_spectrum, kernel_spectrum[row_kernel_chunk], out=out)
     boundaries = [0, *(np.flatnonzero(diffs) + 1), row_kernel_chunk.size]
     for start, stop in zip(boundaries[:-1], boundaries[1:]):
         if start == stop:
@@ -270,9 +275,51 @@ def _hadamard_by_kernel_runs(
         np.multiply(
             chunk_spectrum[start:stop],
             kernel_spectrum[row_kernel_chunk[start]],
-            out=product[start:stop],
+            out=out[start:stop],
         )
-    return product
+    return out
+
+
+def _convolve_row_spectra(
+    row_spectra: np.ndarray,
+    kernel_spectrum: np.ndarray,
+    row_kernel: np.ndarray | None,
+    n: int | None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Finish a batch of convolutions whose row transforms are done.
+
+    ``row_spectra`` holds each plane's rows already transformed
+    (``rfft`` over the last axis for the half path, ``fft`` for the full
+    one); this runs the column FFT, the Hadamard product with each row's
+    kernel spectrum (``row_kernel`` maps rows to planes of a kernel
+    stack; ``None`` broadcasts one kernel), the inverse column FFT and
+    the inverse row transform -- ``irfft`` to ``n`` columns, or ``ifft``
+    when ``n`` is ``None`` -- into ``out`` (a new array when ``None``).
+
+    The column stages run in place in ``row_spectra``, in the window's
+    own transform dtype; only the product may widen (a complex128 window
+    against a clongdouble kernel spectrum), and then it gets its own
+    array, since running the column stage in the wider dtype would
+    change bits.  Every stage transforms or multiplies each line or
+    element on its own, so each plane's bits equal convolving it alone.
+    """
+    fft(row_spectra, axis=-2, out=row_spectra)
+    product = (
+        row_spectra
+        if np.result_type(row_spectra, kernel_spectrum) == row_spectra.dtype
+        else None
+    )
+    if row_kernel is None:
+        product = np.multiply(row_spectra, kernel_spectrum, out=product)
+    else:
+        product = _hadamard_by_kernel_runs(
+            row_spectra, kernel_spectrum, row_kernel, out=product
+        )
+    ifft(product, axis=-2, out=product)
+    if n is None:
+        return ifft(product, axis=-1, out=out)
+    return irfft(product, n=n, axis=-1, out=out)
 
 
 def fft_circular_convolve2d_chunks(
@@ -308,6 +355,15 @@ def fft_circular_convolve2d_chunks(
     a complex chunk arriving under a half
     spectrum falls back to the cached *full* spectrum for that chunk, so
     its planes stay bit-identical to the complex loop path.
+
+    Each chunk's row stage (``rfft``, or ``fft`` on the full path) runs
+    here; :func:`_convolve_row_spectra` then runs the rest -- column
+    FFT, per-row Hadamard, inverse column FFT, inverse row transform --
+    into a fresh output per chunk, since callers keep the chunks they
+    receive.  The fleet's row-shared windows
+    (:meth:`repro.core.fleet.FleetExecutor._compute_wave`) build their
+    row stage from shared row spectra and end in the same helper, in
+    buffers reused across windows.
 
     ``precision`` (an optional :class:`~repro.hw.quantize.PrecisionSpec`)
     rounds every incoming data chunk plane-by-plane in the spatial
@@ -384,30 +440,21 @@ def fft_circular_convolve2d_chunks(
             chunk = precision.apply(chunk)
         real_chunk = real_kernel and np.isrealobj(chunk)
         half_path = spec_kind == "half" and real_chunk
-        if half_path:
-            chunk_spectrum = rfft2_batch(chunk)
-            spec = spec_array
-        else:
-            chunk_spectrum = fft2_batch(chunk)
-            spec = _full_spectrum()
+        row_map = None
         if multi_kernel:
             if rows.stop > row_kernel.shape[0]:
                 raise ValueError(
                     f"chunk rows {rows} overrun the {row_kernel.shape[0]}-row "
                     "row_kernel map"
                 )
-            product = _hadamard_by_kernel_runs(
-                chunk_spectrum, spec, row_kernel[rows.start : rows.stop]
-            )
-        else:
-            product = chunk_spectrum * spec
+            row_map = row_kernel[rows.start : rows.stop]
         if half_path:
-            convolved = irfft2_batch(product, n=plane_shape[1])
+            row_spectra, spec, n = rfft(chunk, axis=-1), spec_array, plane_shape[1]
         else:
-            convolved = ifft2_batch(product)
-            if real_chunk:
-                convolved = convolved.real
-        yield convolved, rows
+            row_spectra, spec, n = fft(chunk, axis=-1), _full_spectrum(), None
+        # A fresh output per chunk: callers keep the chunks they receive.
+        convolved = _convolve_row_spectra(row_spectra, spec, row_map, n)
+        yield (convolved.real if real_chunk and not half_path else convolved), rows
     if num_rows is not None and next_row != num_rows:
         raise ValueError(
             f"chunk stream ended at row {next_row}, expected {num_rows} rows"

@@ -11,6 +11,11 @@ Input is promoted to at least double precision first: ``numpy.fft``
 keeps single-precision input in single precision, while every transform
 here returns complex128 (or float64 from :func:`irfft`).
 
+Each function takes an optional ``out=`` array of the result's shape and
+dtype (``numpy.fft``'s own ``out``, numpy 2.0 and later), which may be
+the input itself: the convolution tail reuses its buffers across
+windows this way, with the same bits as a freshly allocated result.
+
 Real input gets :func:`rfft` / :func:`irfft`: the DFT of a real signal
 is Hermitian (``X[n-k] == conj(X[k])``), so only the ``n//2 + 1``
 leading bins are stored.  The half-spectrum path is the host hot path of
@@ -40,22 +45,37 @@ def _checked(x: np.ndarray, axis: int, norm: str, name: str) -> np.ndarray:
     return array.astype(np.result_type(array.dtype, np.float64), copy=False)
 
 
-def fft(x: np.ndarray, axis: int = -1, norm: str = "backward") -> np.ndarray:
+def fft(
+    x: np.ndarray,
+    axis: int = -1,
+    norm: str = "backward",
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Compute the 1-D DFT of ``x`` along ``axis``.
 
     Accepts real or complex input of any length and any batch shape.
     """
     array = _checked(x, axis, norm, "fft")
-    return np.fft.fft(array, axis=axis, norm=norm)
+    return np.fft.fft(array, axis=axis, norm=norm, out=out)
 
 
-def ifft(x: np.ndarray, axis: int = -1, norm: str = "backward") -> np.ndarray:
+def ifft(
+    x: np.ndarray,
+    axis: int = -1,
+    norm: str = "backward",
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Inverse 1-D DFT, the exact inverse of :func:`fft` for every norm."""
     array = _checked(x, axis, norm, "ifft")
-    return np.fft.ifft(array, axis=axis, norm=norm)
+    return np.fft.ifft(array, axis=axis, norm=norm, out=out)
 
 
-def rfft(x: np.ndarray, axis: int = -1, norm: str = "backward") -> np.ndarray:
+def rfft(
+    x: np.ndarray,
+    axis: int = -1,
+    norm: str = "backward",
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """1-D DFT of **real** input: the ``n//2 + 1`` non-redundant bins.
 
     For real signals the full spectrum is Hermitian
@@ -66,11 +86,15 @@ def rfft(x: np.ndarray, axis: int = -1, norm: str = "backward") -> np.ndarray:
     array = _checked(x, axis, norm, "rfft")
     if np.iscomplexobj(array):
         raise ValueError("rfft requires real input; use fft for complex signals")
-    return np.fft.rfft(array, axis=axis, norm=norm)
+    return np.fft.rfft(array, axis=axis, norm=norm, out=out)
 
 
 def irfft(
-    x: np.ndarray, n: int | None = None, axis: int = -1, norm: str = "backward"
+    x: np.ndarray,
+    n: int | None = None,
+    axis: int = -1,
+    norm: str = "backward",
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Real signal of length ``n`` from its ``n//2 + 1`` half-spectrum bins.
 
@@ -88,4 +112,4 @@ def irfft(
             f"irfft output length {n} is inconsistent with {bins} spectral "
             f"bins (need n // 2 + 1 == {bins})"
         )
-    return np.fft.irfft(array, n=n, axis=axis, norm=norm)
+    return np.fft.irfft(array, n=n, axis=axis, norm=norm, out=out)

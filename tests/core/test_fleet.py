@@ -15,10 +15,11 @@ from repro.core import (
     distill_batch,
     make_tpu_chip,
 )
+from repro.core import fleet
 from repro.core.distillation import ConvolutionDistiller
-from repro.core.fleet import wave_row_map
+from repro.core.fleet import wave_dtype_key, wave_row_map
 from repro.core.interpretation import feature_contributions
-from repro.fft import fft_circular_convolve2d
+from repro.fft import fft, fft_circular_convolve2d, rfft, rfft2_batch
 from repro.hw.cpu import CpuDevice
 from repro.serve import ExplanationService
 from tests import reference
@@ -218,9 +219,11 @@ class TestFleetExecutorEquivalence:
         xs[1] = xs[1].astype(np.float32)
         plans = [executor.plan_for(x) for x in xs]
         row_pair, row_slot, is_mask = wave_row_map([plan.num_masks for plan in plans])
-        chunks = list(executor._masked_chunks(
-            np.stack(xs), xs, plans, row_pair, row_slot, is_mask, rows_per_chunk=8
-        ))
+        sources, fills = executor._fill_sources(np.stack(xs), xs)
+        bands = executor._band_windows(
+            sources, fills, plans, row_pair, row_slot, is_mask, rows_per_chunk=8
+        )
+        chunks = list(executor._masked_chunks(sources, bands, row_pair))
         assert [rows for _, rows in chunks] == [range(0, 8), range(8, 16), range(16, 20)]
         per_pair = [
             np.concatenate([
@@ -438,6 +441,102 @@ class TestMixedPlanWaves:
             assert result.residual == want.residual
 
 
+class TestRowSharedWindows:
+    """A real wave's windows, built from each pair's row spectra plus the
+    transforms of only the rows a mask touches, equal the transforms of
+    the materialized masked planes bit for bit."""
+
+    PLAN_SETS = {
+        "blocks": [MaskSpec.blocks((8, 8), (2, 2))] * 3,
+        "rows": [MaskSpec.rows((8, 8))] * 3,
+        "columns": [MaskSpec.columns((8, 8))] * 3,
+        "mixed": TestMixedPlanWaves.PLANS,
+        "odd": [
+            MaskSpec.blocks((9, 7), (3, 7)), MaskSpec.columns((9, 7)),
+            MaskSpec.rows((9, 7)),
+        ],
+    }
+
+    @pytest.mark.parametrize("precision", [None, "bf16"])
+    @pytest.mark.parametrize("fill_value", [0.0, 0.1, -2.5])
+    @pytest.mark.parametrize("plans", list(PLAN_SETS), ids=str)
+    def test_window_equals_rfft2_of_masked_planes(self, plans, fill_value, precision):
+        plans = self.PLAN_SETS[plans]
+        executor = FleetExecutor(
+            CpuDevice(), granularity="rows", fill_value=fill_value, precision=precision
+        )
+        rounded = (lambda a: a) if executor.precision is None else executor.precision.apply
+        xs = [x for x, _ in planted_pairs(len(plans), shape=plans[0].plane_shape)]
+        xs[1] = xs[1].astype(np.float32)
+        row_pair, row_slot, is_mask = wave_row_map([plan.num_masks for plan in plans])
+        sources, fills = executor._fill_sources(np.stack(xs), xs)
+        bands = executor._band_windows(
+            sources, fills, plans, row_pair, row_slot, is_mask, rows_per_chunk=7
+        )
+        base = rfft(rounded(sources), axis=-1)
+        windows = [
+            spectra.copy()
+            for spectra, _ in executor._row_spectra(base, bands, row_pair, width=7)
+        ]
+        assert [len(window) for window in windows[:-1]] == [7] * (len(windows) - 1)
+        planes = np.concatenate([
+            np.stack([
+                *(rounded(np.where(mask, fill_value, x)) for _, mask in reference.masks(
+                    plan.granularity, plan.plane_shape, plan.block_shape
+                )),
+                rounded(x),
+            ])
+            for x, plan in zip(xs, plans)
+        ])
+        row_spectra = np.concatenate(windows)
+        assert row_spectra.tobytes() == rfft(planes, axis=-1).tobytes()
+        assert fft(row_spectra, axis=-2).tobytes() == rfft2_batch(planes).tobytes()
+
+
+class TestSpatialWaves:
+    """int8 and complex waves stream spatial windows; every other real
+    wave shares its pairs' row spectra.  Both match the reference."""
+
+    @pytest.mark.parametrize("precision,complex_pairs,streams", [
+        (None, False, False),
+        ("bf16", False, False),
+        ("fp32", False, False),
+        ("int8", False, True),
+        (None, True, True),
+        ("int8", True, True),
+    ])
+    def test_each_wave_takes_its_path_and_matches_the_reference(
+        self, monkeypatch, precision, complex_pairs, streams
+    ):
+        calls = []
+        stream = fleet.fft_circular_convolve2d_chunks
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return stream(*args, **kwargs)
+
+        monkeypatch.setattr(fleet, "fft_circular_convolve2d_chunks", counted)
+        pairs = planted_pairs(4)
+        if complex_pairs:
+            rng = np.random.default_rng(40)
+            xs = [x + 1j * rng.standard_normal(x.shape) for x, _ in pairs]
+            pairs = [
+                (x, fft_circular_convolve2d(x, rng.standard_normal(x.shape))) for x in xs
+            ]
+        run = FleetExecutor(
+            small_backend(), granularity="blocks", block_shape=(2, 2), eps=1e-8,
+            chunk_rows=7, precision=precision,
+        ).run(pairs, plans=TestMixedPlanWaves.PLANS)
+        assert bool(calls) == streams
+        for pair, result, options in zip(pairs, run.results, TestMixedPlanWaves.OPTIONS):
+            (want,) = reference.explain_all(
+                [pair], device=CpuDevice(), eps=1e-8, precision=precision, **options
+            )
+            np.testing.assert_array_equal(result.kernel, want.kernel)
+            np.testing.assert_array_equal(result.scores, want.scores)
+            assert result.residual == want.residual
+
+
 class TestElementsFillValue:
     """The ``elements`` fast path replaces each element with ``fill_value``."""
 
@@ -465,6 +564,34 @@ class TestPromotedDtypeWaves:
         assert_same_explanations(executor.run(pairs).results, expected)
         waves = executor.schedule(pairs).waves
         assert [wave.pair_indices for wave in waves] == [(0, 2), (1, 3)]
+
+    @pytest.mark.parametrize("num_chips", [None, 2])
+    @pytest.mark.parametrize("dtypes", [
+        [("float64", "longdouble")],
+        [("longdouble", "float32"), ("longdouble", "longdouble")],
+        [
+            ("float64", "longdouble"), ("longdouble", "longdouble"),
+            ("float32", "float64"), ("longdouble", "float32"),
+        ],
+    ], ids=["f64-x-ld-y-alone", "ld-x-f32-y-beside-ld", "four-widths"])
+    def test_pairs_with_different_float_widths_match_the_reference(
+        self, dtypes, num_chips
+    ):
+        """A float64-``x``/longdouble-``y`` pair gets a clongdouble
+        Hadamard product, and a pair whose ``x`` or ``y`` is narrower
+        than its co-pairs' gets its own wave."""
+        pairs = [
+            (x.astype(x_dtype), y.astype(y_dtype))
+            for (x, y), (x_dtype, y_dtype) in zip(planted_pairs(len(dtypes)), dtypes)
+        ]
+        options = dict(granularity="blocks", block_shape=(2, 2), eps=1e-6)
+        executor = FleetExecutor(small_backend(), num_chips=num_chips, **options)
+        expected = reference.explain_all(pairs, device=CpuDevice(), **options)
+        assert_same_explanations(executor.run(pairs).results, expected)
+        keys = [wave_dtype_key(x, y) for x, y in pairs]
+        for wave in executor.schedule(pairs).waves:
+            assert len({keys[i] for i in wave.pair_indices}) == 1
+        assert executor.schedule(pairs).num_waves == len(set(keys))
 
     def test_float32_integer_and_float64_pairs_share_a_wave(self):
         pairs = planted_pairs(3)

@@ -10,6 +10,7 @@ from repro.core import (
     TpuBackend,
     check_stack_budget,
     make_tpu_chip,
+    reduce_batch,
     score_plan,
 )
 from repro.core.fleet import wave_row_map
@@ -139,12 +140,93 @@ class TestMaskPlanConstruction:
         with pytest.raises(ValueError, match="mask indices"):
             plan.masks_at([plan.num_masks])
 
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            MaskSpec.elements((5, 7)),
+            MaskSpec.elements((7, 7)),
+            MaskSpec.blocks((6, 9), (3, 3)),
+            MaskSpec.blocks((8, 8), (1, 8)),
+            MaskSpec.blocks((13, 11), (13, 1)),
+            MaskSpec.columns((5, 7)),
+            MaskSpec.columns((11, 13)),
+            MaskSpec.rows((5, 7)),
+            MaskSpec.rows((13, 1)),
+        ],
+        ids=lambda plan: f"{plan.granularity}{plan.block_shape or ''}{plan.plane_shape}",
+    )
+    def test_bands_reproduce_masks_and_the_definition(self, plan):
+        """Each mask is its band of rows times its column set: expanding
+        the bands gives ``masks_at`` and the reference masks, for
+        indices in any order and with repeats, and no mask reaches a
+        row outside its band."""
+        defined = [mask for _, mask in reference.masks(
+            plan.granularity, plan.plane_shape, plan.block_shape
+        )]
+        rng = np.random.default_rng(plan.num_masks)
+        index = np.concatenate([
+            [plan.num_masks - 1, 0, plan.num_masks // 2, 0],
+            rng.integers(0, plan.num_masks, 6),
+        ])
+        start, height, cols = plan.bands_at(index)
+        m, n = plan.plane_shape
+        assert cols.dtype == bool and cols.shape == (index.size, 1, n)
+        assert 1 <= height <= m and ((start >= 0) & (start + height <= m)).all()
+        expanded = np.zeros((index.size, m, n), dtype=bool)
+        for i, row in enumerate(start):
+            expanded[i, row : row + height] = cols[i]
+        np.testing.assert_array_equal(expanded, np.stack([defined[i] for i in index]))
+        np.testing.assert_array_equal(plan.masks_at(index), expanded)
+        empty_start, _, empty_cols = plan.bands_at([])
+        assert empty_start.shape == (0,) and empty_cols.shape == (0, 1, n)
+        with pytest.raises(ValueError, match="mask indices"):
+            plan.bands_at([-1])
+
     def test_reshape_scores_round_trip(self):
         plan = MaskSpec.blocks((4, 4), (2, 2))
         grid = plan.reshape_scores(np.arange(4.0))
         assert grid.shape == (2, 2)
         with pytest.raises(ValueError):
             plan.reshape_scores(np.arange(5.0))
+
+
+class TestReduceBatch:
+    """``reduce_batch`` equals the reference's one-plane reduction bit for bit."""
+
+    @staticmethod
+    def special_planes(dtype):
+        info = np.finfo(dtype)
+        tiny = info.smallest_subnormal
+        near = np.sqrt(info.max)  # squares to just under the largest finite value
+        with np.errstate(invalid="ignore"):  # the hardware's default NaN
+            nan = np.array(np.inf, dtype) - np.array(np.inf, dtype)
+        planes = [
+            [[-0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]],
+            [[tiny, -tiny, 3 * tiny], [info.tiny, -info.tiny / 4, 1.0]],
+            [[0.999 * near, -0.7 * near, 1.0], [0.5 * near, -2.0, 0.25]],
+            [[near, near, -near], [near, -near, near]],
+            [[info.max, -info.max, 1.0], [0.0, 1.0, 2.0]],
+            [[np.inf, 1.0, -2.0], [3.0, -4.0, 5.0]],
+            [[-np.inf, np.inf, 0.0], [1.0, 1.0, 1.0]],
+            [[np.nan, 1.0, 2.0], [-3.0, np.inf, 0.0]],
+            [[nan, -1.0, 2.0], [0.0, -0.0, 1.5]],
+            [[-np.nan, nan, -np.inf], [info.eps, -1 / info.eps, 7.0]],
+        ]
+        return np.array(planes, dtype=dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.longdouble])
+    @pytest.mark.parametrize("reduction", ["l2", "l1", "mean_abs", "max_abs"])
+    def test_real_deltas_match_reference_bit_for_bit(self, dtype, reduction):
+        deltas = self.special_planes(dtype)
+        with np.errstate(over="ignore", invalid="ignore"):
+            batched = reduce_batch(deltas, reduction)
+            expected = np.array([reference.reduce(plane, reduction) for plane in deltas])
+        assert batched.dtype == expected.dtype
+        if dtype == np.longdouble:  # padding bytes carry no value
+            np.testing.assert_array_equal(batched, expected)
+            np.testing.assert_array_equal(np.signbit(batched), np.signbit(expected))
+        else:
+            assert batched.tobytes() == expected.tobytes()
 
 
 class TestBatchedEqualsLooped:

@@ -30,7 +30,7 @@ from repro.core import (
     score_plan,
 )
 from repro.fft import fft_circular_convolve2d
-from repro.fft.convolution import fft_circular_convolve2d_chunks
+from repro.fft.convolution import _hadamard_by_kernel_runs, fft_circular_convolve2d_chunks
 from repro.hw.cpu import CpuDevice
 from repro.hw.device import PipelineStage, pipelined_elapsed_seconds
 from repro.hw.gpu import GpuDevice
@@ -253,6 +253,22 @@ class TestChunkedConvolution:
         )
         ordered = convolve_stack(stack, kernels, row_kernel=sorted_map)
         np.testing.assert_array_equal(shuffled[np.argsort(permutation)], ordered)
+
+    def test_hadamard_product_keeps_the_wider_kernel_dtype(self):
+        """A complex128 chunk times a clongdouble kernel spectrum is a
+        clongdouble product, as ``chunk * spectrum`` is, and ``out=``
+        may be the chunk itself when the dtypes agree."""
+        rng = np.random.default_rng(10)
+        chunk = rng.standard_normal((5, 4, 3)) + 1j * rng.standard_normal((5, 4, 3))
+        spectra = (rng.standard_normal((2, 4, 3)) + 1j).astype(np.clongdouble)
+        row_map = np.array([0, 0, 1, 1, 1])
+        product = _hadamard_by_kernel_runs(chunk, spectra, row_map)
+        assert product.dtype == np.clongdouble
+        np.testing.assert_array_equal(product, chunk * spectra[row_map])
+        narrow = spectra.astype(np.complex128)
+        in_place = chunk.copy()
+        assert _hadamard_by_kernel_runs(in_place, narrow, row_map, out=in_place) is in_place
+        assert in_place.tobytes() == (chunk * narrow[row_map]).tobytes()
 
     def test_desynchronized_chunk_stream_raises(self):
         kernel = np.ones((4, 4))

@@ -136,6 +136,24 @@ class TestValidation:
         with pytest.raises(ValueError, match="norm must be one of"):
             transform(np.ones(4), norm=None)
 
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_out_and_in_place_give_the_same_bits(self, axis):
+        """``out=`` -- a separate array or the input itself -- changes
+        where a result lands, never its bits."""
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((3, 10, 12))
+        spectrum = x + 1j * rng.standard_normal(x.shape)
+        cases = [(rfft, x), (irfft, spectrum), (fft, spectrum), (ifft, spectrum)]
+        for transform, operand in cases:
+            expected = transform(operand, axis=axis)
+            out = np.empty_like(expected)
+            assert transform(operand, axis=axis, out=out) is out
+            assert out.tobytes() == expected.tobytes()
+            if operand.shape == expected.shape and operand.dtype == expected.dtype:
+                in_place = operand.copy()
+                assert transform(in_place, axis=axis, out=in_place) is in_place
+                assert in_place.tobytes() == expected.tobytes()
+
     def test_single_precision_input_returns_double(self):
         x = np.random.default_rng(5).standard_normal(12).astype(np.float32)
         assert fft(x).dtype == np.complex128
