@@ -23,10 +23,11 @@ one infeed and one batched convolution per *wave* of pairs:
   of how many masks a wave fuses.  A mask changes only a band of rows
   (:meth:`~repro.core.masking.MaskSpec.bands_at`), and the 2-D
   transform is row transforms then column transforms (Sec. III-C,
-  Eq. 7-8), so a real wave transforms each pair's rows once and
-  builds every window's row spectra from them, transforming only the
-  band rows each mask touches; int8 and complex waves patch the bands
-  into spatial windows and stream them whole.
+  Eq. 7-8), so a real wave at exact precision transforms each pair's
+  rows once and builds every window's row spectra from them,
+  transforming only the band rows each mask touches; quantized and
+  complex waves patch the bands into spatial windows and stream them
+  whole.
 
 Every wave is **computed once on the host, whatever its placement,
 and then priced**: each pricing target (the device itself on one chip;
@@ -61,11 +62,9 @@ before the Hadamard products accumulate in float64 (the MXU int8/bf16
 datapath; the Eq. 4 *solves* stay exact, so kernels are
 precision-independent).  Because the rounding is strictly per-plane,
 wave-fused scores and residuals remain bit-identical to one masked
-convolution per feature *at the same precision*.  bf16 also rounds
-element by element, so its real waves share row transforms like exact
-ones; int8 scales each plane by its maximum, which a mask can move, so
-its waves stream whole masked planes.  A quantized wave
-additionally streams its infeed at the spec's storage width (1
+convolution per feature *at the same precision*; a quantized wave
+streams whole masked planes (only exact real waves share row
+transforms), streams its infeed at the spec's storage width (1
 byte/element for int8) and is priced by the MXU cycle hooks at the
 spec's rate -- the accuracy-vs-speed trade-off
 ``benchmarks/bench_fleet_interpretation.py`` reports per precision.
@@ -322,10 +321,11 @@ class FleetSchedule:
         layer's idle drain path.
 
         ``dtypes[i]`` is pair ``i``'s dtype key, :func:`wave_dtype_key`
-        of its ``(x, y)`` (default: one key for every pair).  Pairs of
-        different keys never share a wave.  A wave stacks its pairs'
-        planes and kernels, so a longdouble pair would widen its float64
-        co-pairs' solves and rows, and a complex one would keep the
+        of its ``(x, y)``; a bare dtype ``d`` stands for
+        ``wave_dtype_key(d, d)`` (default: float64 for every pair).
+        Pairs of different keys never share a wave.  A wave stacks its
+        pairs' planes and kernels, so a longdouble pair would widen its
+        float64 co-pairs' solves and rows, and a complex one would keep the
         inverse-transform roundoff imaginaries that per-pair execution
         drops via ``.real``; and a pair whose ``x`` or ``y`` alone is
         narrower than its co-pairs' would be widened in the stacked
@@ -347,7 +347,15 @@ class FleetSchedule:
             raise ValueError(
                 f"max_pairs_per_wave must be positive, got {max_pairs_per_wave}"
             )
-        dtypes = [None] * len(plane_shapes) if dtypes is None else list(dtypes)
+        if dtypes is None:
+            dtypes = [np.float64] * len(plane_shapes)
+        # One spelling per key: np.float64, "float64" and np.dtype("f8")
+        # hash differently.  An invalid dtype raises here.
+        dtypes = [
+            tuple(np.dtype(part) for part in key) if isinstance(key, tuple)
+            else wave_dtype_key(key, key)
+            for key in dtypes
+        ]
         if len(dtypes) != len(plane_shapes):
             raise ValueError(
                 f"{len(plane_shapes)} plane shapes for {len(dtypes)} dtypes"
@@ -446,12 +454,11 @@ class FleetExecutor:
     per-row kernels in windows of the fused row space that may span
     several pairs, each window built from its masks' row bands and
     reduced to scores at once, so neither the bool mask stack nor the
-    masked float stack ever exists in full.  A real wave at a precision
-    that rounds element by element reuses each pair's row transforms
-    and transforms only the rows its masks touch.  Then the wave is
-    priced: one ``device.program`` scope per
-    pricing target, whose infeed is its pairs' data and whose outfeed
-    their score planes (:meth:`_price_share`).  The ``elements``
+    masked float stack ever exists in full.  A real wave at exact
+    precision reuses each pair's row transforms and transforms only the
+    rows its masks touch.  Then the wave is priced: one
+    ``device.program`` scope per pricing target, whose infeed is its
+    pairs' data and whose outfeed their score planes (:meth:`_price_share`).  The ``elements``
     granularity contributes only its residual row and scores through
     the linearity fast path, with ``fill_value`` as the occluded value.
     """
@@ -679,18 +686,15 @@ class FleetExecutor:
         wave's whole row space -- each pair's masked variants followed
         by its unmasked residual plane, as :func:`wave_row_map` lays it
         out -- is convolved in ``rows_per_chunk`` windows that may span
-        pairs.  A real wave whose precision rounds element by element
-        (:attr:`~repro.hw.quantize.PrecisionSpec.rounds_elementwise`, or
-        none) transforms each pair's rows once and builds every window's
-        row spectra from them (:meth:`_row_shared_stream`); int8 and complex
-        waves stream spatial windows (:meth:`_masked_chunks`) through
-        :func:`~repro.fft.convolution.fft_circular_convolve2d_chunks`.
-        Both end in the same tail, which scores each window in place:
-        residual rows are kept, each pair's ``y`` plane is subtracted
-        from its run of rows, and one reduction scores the window.
-        Nothing is priced here: every row operation is per plane, so
-        however a placement splits the wave across chips, only the
-        ledger changes.
+        pairs.  A real wave at exact precision (``None``, fp32 or fp64)
+        transforms each pair's rows once and builds every window's row
+        spectra from them (:meth:`_row_shared_stream`); quantized and
+        complex waves stream spatial windows (:meth:`_masked_chunks`)
+        through :func:`~repro.fft.convolution.fft_circular_convolve2d_chunks`.
+        Both end in the same convolution tail, and each convolved window
+        is scored with one reduction.  Nothing is priced here: every row
+        operation is per plane, so however a placement splits the wave
+        across chips, only the ledger changes.
         """
         indices = wave.pair_indices
         lifter = ConvolutionDistiller(embedding=self.embedding)
@@ -714,7 +718,7 @@ class FleetExecutor:
         spec = self.precision
         if (
             np.isrealobj(sources) and np.isrealobj(kernels)
-            and (spec is None or spec.rounds_elementwise)
+            and (spec is None or spec.is_exact)
         ):
             stream = self._row_shared_stream(
                 sources, kernels, bands, row_pair, rows_per_chunk
@@ -728,18 +732,10 @@ class FleetExecutor:
         preds = []
         for convolved, rows in stream:
             window = slice(rows.start, rows.stop)
-            preds.append(convolved[~is_mask[window]])
-            # In place unless y is wider (a bf16-rounded kernel spectrum
-            # can leave a longdouble pair's convolution in float64).
-            wide = np.result_type(y_stack, convolved)
-            deltas = (
-                convolved if wide == convolved.dtype else np.empty_like(convolved, wide)
+            scores[window] = reduce_batch(
+                y_stack[row_pair[window]] - convolved, self.reduction
             )
-            pairs = row_pair[window]
-            runs = [0, *(np.flatnonzero(np.diff(pairs)) + 1), pairs.size]
-            for lo, hi in zip(runs[:-1], runs[1:]):
-                np.subtract(y_stack[pairs[lo]], convolved[lo:hi], out=deltas[lo:hi])
-            scores[window] = reduce_batch(deltas, self.reduction)
+            preds.append(convolved[~is_mask[window]])
         preds = np.concatenate(preds)
         pair_rows = [count + 1 for count in counts]
         return _WaveNumbers(
@@ -817,9 +813,8 @@ class FleetExecutor:
         convolution runs in place in buffers allocated once per wave;
         ``convolved`` is overwritten by the next window.
         """
-        spec = self.precision
-        base = rfft(sources if spec is None else spec.apply(sources), axis=-1)
-        half = kernel_spectrum(kernels, real=True, precision=spec).array
+        base = rfft(sources, axis=-1)
+        half = kernel_spectrum(kernels, real=True, precision=self.precision).array
         width = min(rows_per_chunk, row_pair.size)
         out = np.empty(
             (width, *sources.shape[1:]), np.finfo(np.result_type(base, half)).dtype
@@ -831,37 +826,27 @@ class FleetExecutor:
             )
             yield convolved, range(window.start, window.stop)
 
-    def _row_spectra(self, base, bands, row_pair, width):
+    @staticmethod
+    def _row_spectra(base, bands, row_pair, width):
         """Row-stage spectra of each window, built from shared row spectra.
 
         ``base`` holds each pair's rows transformed once (``rfft`` over
-        the last axis, after the precision's elementwise rounding).  A
-        window gathers its rows' pair spectra into one ``width``-row
-        buffer reused across windows and overwrites only each mask's
-        band rows with the transform of its masked band; a full-height
-        band (``columns``) replaces its whole plane, so those rows skip
-        the gather.  Yields ``(spectra, window)``, with ``spectra``
-        overwritten by the next window.  Bit-identical to transforming
-        the masked planes' rows: a row's transform depends on that row
-        alone.
+        the last axis).  A window gathers its rows' pair spectra into
+        one ``width``-row buffer reused across windows and overwrites
+        only each mask's band rows with the transform of its masked
+        band.  Yields ``(spectra, window)``, with ``spectra`` overwritten
+        by the next window.  Bit-identical to transforming the masked
+        planes' rows: a row's transform depends on that row alone.
         """
-        spec = self.precision
         buffer = np.empty((width, *base.shape[1:]), base.dtype)
         for window, patches in bands:
             pairs = row_pair[window]
             spectra = buffer[: pairs.size]
-            gather = np.ones(pairs.size, dtype=bool)
-            for local, band_rows, _ in patches:
-                gather[local] = band_rows.shape[1] < base.shape[1]
-            if gather.all():
-                # mode="clip" (the indices are valid) keeps take from
-                # buffering its output.
-                np.take(base, pairs, axis=0, out=spectra, mode="clip")
-            else:
-                spectra[gather] = base[pairs[gather]]
+            # mode="clip" (the indices are valid) keeps take from
+            # buffering its output.
+            np.take(base, pairs, axis=0, out=spectra, mode="clip")
             for local, band_rows, values in patches:
-                rounded = values if spec is None else spec.apply(values)
-                spectra[local[:, np.newaxis], band_rows] = rfft(rounded, axis=-1)
+                spectra[local[:, np.newaxis], band_rows] = rfft(values, axis=-1)
             yield spectra, window
 
     def _price_solve(self, device: Device, num_pairs: int, m: int, n: int) -> None:

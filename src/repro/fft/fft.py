@@ -11,10 +11,11 @@ Input is promoted to at least double precision first: ``numpy.fft``
 keeps single-precision input in single precision, while every transform
 here returns complex128 (or float64 from :func:`irfft`).
 
-Each function takes an optional ``out=`` array of the result's shape and
-dtype (``numpy.fft``'s own ``out``, numpy 2.0 and later), which may be
-the input itself: the convolution tail reuses its buffers across
-windows this way, with the same bits as a freshly allocated result.
+:func:`fft`, :func:`ifft` and :func:`irfft` take an optional ``out=``
+array of the result's shape and dtype (``numpy.fft``'s own ``out``,
+numpy 2.0 and later), which may be the input itself: the convolution
+tail reuses its buffers across windows this way, with the same bits as
+a freshly allocated result.
 
 Real input gets :func:`rfft` / :func:`irfft`: the DFT of a real signal
 is Hermitian (``X[n-k] == conj(X[k])``), so only the ``n//2 + 1``
@@ -70,12 +71,7 @@ def ifft(
     return np.fft.ifft(array, axis=axis, norm=norm, out=out)
 
 
-def rfft(
-    x: np.ndarray,
-    axis: int = -1,
-    norm: str = "backward",
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def rfft(x: np.ndarray, axis: int = -1, norm: str = "backward") -> np.ndarray:
     """1-D DFT of **real** input: the ``n//2 + 1`` non-redundant bins.
 
     For real signals the full spectrum is Hermitian
@@ -86,7 +82,7 @@ def rfft(
     array = _checked(x, axis, norm, "rfft")
     if np.iscomplexobj(array):
         raise ValueError("rfft requires real input; use fft for complex signals")
-    return np.fft.rfft(array, axis=axis, norm=norm, out=out)
+    return np.fft.rfft(array, axis=axis, norm=norm)
 
 
 def irfft(

@@ -281,19 +281,6 @@ class PrecisionSpec:
         """True when :meth:`apply` is the identity (no rounding)."""
         return self.name in ("fp32", "fp64")
 
-    @property
-    def rounds_elementwise(self) -> bool:
-        """True when :meth:`apply` rounds each element on its own.
-
-        Then an unmasked row of a masked plane rounds exactly like the
-        same row of the unmasked plane, so a fleet wave may reuse that
-        row's transform (:meth:`repro.core.fleet.FleetExecutor
-        ._compute_wave`).  bf16 and the exact modes qualify; int8 does
-        not, because it scales each plane by the plane's maximum, which
-        masking can move.
-        """
-        return self.name in ("bf16", "fp32", "fp64")
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Round ``x`` to this precision, plane by plane (no-op for fp32/fp64).
 

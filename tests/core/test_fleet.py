@@ -86,6 +86,16 @@ class TestFleetSchedule:
             FleetSchedule.plan([(4, 4)], [1], max_pairs_per_wave=0)
         with pytest.raises(ValueError):
             FleetSchedule.plan([(4, 4)], [1], dtypes=[np.float64, np.float64])
+        with pytest.raises(TypeError):
+            FleetSchedule.plan([(4, 4)], [1], dtypes=["not a dtype"])
+        # Spellings of one key group together, bare dtypes or key tuples.
+        float64 = np.zeros(1)
+        spellings = [
+            np.float64, "float64", np.dtype("f8"), ("f8", np.float64, "float64"),
+            wave_dtype_key(float64, float64),
+        ]
+        schedule = FleetSchedule.plan([(4, 4)] * 5, [1] * 5, dtypes=spellings)
+        assert schedule.num_waves == 1
 
     def test_empty_fleet_plans_empty_schedule(self):
         """The service's idle drain path: nothing to plan is not an error."""
@@ -457,15 +467,11 @@ class TestRowSharedWindows:
         ],
     }
 
-    @pytest.mark.parametrize("precision", [None, "bf16"])
     @pytest.mark.parametrize("fill_value", [0.0, 0.1, -2.5])
     @pytest.mark.parametrize("plans", list(PLAN_SETS), ids=str)
-    def test_window_equals_rfft2_of_masked_planes(self, plans, fill_value, precision):
+    def test_window_equals_rfft2_of_masked_planes(self, plans, fill_value):
         plans = self.PLAN_SETS[plans]
-        executor = FleetExecutor(
-            CpuDevice(), granularity="rows", fill_value=fill_value, precision=precision
-        )
-        rounded = (lambda a: a) if executor.precision is None else executor.precision.apply
+        executor = FleetExecutor(CpuDevice(), granularity="rows", fill_value=fill_value)
         xs = [x for x, _ in planted_pairs(len(plans), shape=plans[0].plane_shape)]
         xs[1] = xs[1].astype(np.float32)
         row_pair, row_slot, is_mask = wave_row_map([plan.num_masks for plan in plans])
@@ -473,7 +479,7 @@ class TestRowSharedWindows:
         bands = executor._band_windows(
             sources, fills, plans, row_pair, row_slot, is_mask, rows_per_chunk=7
         )
-        base = rfft(rounded(sources), axis=-1)
+        base = rfft(sources, axis=-1)
         windows = [
             spectra.copy()
             for spectra, _ in executor._row_spectra(base, bands, row_pair, width=7)
@@ -481,10 +487,10 @@ class TestRowSharedWindows:
         assert [len(window) for window in windows[:-1]] == [7] * (len(windows) - 1)
         planes = np.concatenate([
             np.stack([
-                *(rounded(np.where(mask, fill_value, x)) for _, mask in reference.masks(
+                *(np.where(mask, fill_value, x) for _, mask in reference.masks(
                     plan.granularity, plan.plane_shape, plan.block_shape
                 )),
-                rounded(x),
+                x,
             ])
             for x, plan in zip(xs, plans)
         ])
@@ -494,13 +500,13 @@ class TestRowSharedWindows:
 
 
 class TestSpatialWaves:
-    """int8 and complex waves stream spatial windows; every other real
-    wave shares its pairs' row spectra.  Both match the reference."""
+    """Quantized and complex waves stream spatial windows; exact real
+    waves share their pairs' row spectra.  Both match the reference."""
 
     @pytest.mark.parametrize("precision,complex_pairs,streams", [
         (None, False, False),
-        ("bf16", False, False),
         ("fp32", False, False),
+        ("bf16", False, True),
         ("int8", False, True),
         (None, True, True),
         ("int8", True, True),

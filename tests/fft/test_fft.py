@@ -143,7 +143,7 @@ class TestValidation:
         rng = np.random.default_rng(6)
         x = rng.standard_normal((3, 10, 12))
         spectrum = x + 1j * rng.standard_normal(x.shape)
-        cases = [(rfft, x), (irfft, spectrum), (fft, spectrum), (ifft, spectrum)]
+        cases = [(irfft, spectrum), (fft, spectrum), (ifft, spectrum)]
         for transform, operand in cases:
             expected = transform(operand, axis=axis)
             out = np.empty_like(expected)
