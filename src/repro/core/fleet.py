@@ -27,7 +27,11 @@ one infeed and one batched convolution per *wave* of pairs:
   rows once and builds every window's row spectra from them,
   transforming only the band rows each mask touches; quantized and
   complex waves patch the bands into spatial windows and stream them
-  whole.
+  whole.  Either way a window's spectra are held **bin-major**
+  (``(bins, rows, M)``: for each bin of the row transform, every
+  plane's column contiguous), so its column transforms and Hadamard
+  product run as one call over contiguous lines, and the convolved
+  planes come back C-order.
 
 Every wave is **computed once on the host, whatever its placement,
 and then priced**: each pricing target (the device itself on one chip;
@@ -147,7 +151,12 @@ from repro.core.masking import (
     reduce_batch,
 )
 from repro.core.transform import OutputEmbedding, _record_solve, _solve_stack
-from repro.fft.convolution import _convolve_row_spectra, fft_circular_convolve2d_chunks
+from repro.fft.convolution import (
+    _bin_major,
+    _bin_major_rows,
+    _convolve_row_spectra,
+    fft_circular_convolve2d_chunks,
+)
 from repro.fft.fft import rfft
 from repro.fft.spectra import kernel_spectrum
 from repro.hw.device import Device, DeviceStats
@@ -456,7 +465,8 @@ class FleetExecutor:
     reduced to scores at once, so neither the bool mask stack nor the
     masked float stack ever exists in full.  A real wave at exact
     precision reuses each pair's row transforms and transforms only the
-    rows its masks touch.  Then the wave is priced: one
+    rows its masks touch; every window runs its column stage on
+    bin-major spectra.  Then the wave is priced: one
     ``device.program`` scope per pricing target, whose infeed is its
     pairs' data and whose outfeed their score planes (:meth:`_price_share`).  The ``elements``
     granularity contributes only its residual row and scores through
@@ -691,7 +701,9 @@ class FleetExecutor:
         spectra from them (:meth:`_row_shared_stream`); quantized and
         complex waves stream spatial windows (:meth:`_masked_chunks`)
         through :func:`~repro.fft.convolution.fft_circular_convolve2d_chunks`.
-        Both end in the same convolution tail, and each convolved window
+        Both end in the same convolution tail
+        (:func:`~repro.fft.convolution._convolve_row_spectra`: bin-major
+        row spectra in, C-order planes out), and each convolved window
         is scored with one reduction.  Nothing is priced here: every row
         operation is per plane, so however a placement splits the wave
         across chips, only the ledger changes.
@@ -811,42 +823,54 @@ class FleetExecutor:
         Each pair's rows are transformed once, each window's row spectra
         are built from them (:meth:`_row_spectra`), and the rest of the
         convolution runs in place in buffers allocated once per wave;
-        ``convolved`` is overwritten by the next window.
+        ``convolved`` is overwritten by the next window.  The wave's row
+        spectra, its half kernel spectra and the window buffers are
+        bin-major, ``(bins, rows, M)``, the layout
+        :func:`~repro.fft.convolution._convolve_row_spectra` takes; the
+        convolved windows are C-order ``(rows, M, N)`` planes.
         """
-        base = rfft(sources, axis=-1)
-        half = kernel_spectrum(kernels, real=True, precision=self.precision).array
-        width = min(rows_per_chunk, row_pair.size)
-        out = np.empty(
-            (width, *sources.shape[1:]), np.finfo(np.result_type(base, half)).dtype
+        base = _bin_major_rows(sources, real=True)
+        half = _bin_major(
+            kernel_spectrum(kernels, real=True, precision=self.precision).array
         )
-        for spectra, window in self._row_spectra(base, bands, row_pair, width):
+        _, m, n = sources.shape
+        width = min(rows_per_chunk, row_pair.size)
+        spectra = np.empty((base.shape[0], width, m), base.dtype)
+        kernel_rows = np.empty(spectra.shape, half.dtype)
+        out = np.empty((width, m, n), np.finfo(np.result_type(base, half)).dtype)
+        for window_spectra, window in self._row_spectra(base, bands, row_pair, spectra):
+            rows = window_spectra.shape[1]
             convolved = _convolve_row_spectra(
-                spectra, half, row_pair[window], sources.shape[-1],
-                out=out[: spectra.shape[0]],
+                window_spectra, half, row_pair[window], n, out=out[:rows],
+                kernel_rows=kernel_rows[:, :rows],
             )
             yield convolved, range(window.start, window.stop)
 
     @staticmethod
-    def _row_spectra(base, bands, row_pair, width):
-        """Row-stage spectra of each window, built from shared row spectra.
+    def _row_spectra(base, bands, row_pair, buffer):
+        """Bin-major row-stage spectra of each window, from shared ones.
 
-        ``base`` holds each pair's rows transformed once (``rfft`` over
-        the last axis).  A window gathers its rows' pair spectra into
-        one ``width``-row buffer reused across windows and overwrites
-        only each mask's band rows with the transform of its masked
-        band.  Yields ``(spectra, window)``, with ``spectra`` overwritten
-        by the next window.  Bit-identical to transforming the masked
-        planes' rows: a row's transform depends on that row alone.
+        ``base`` holds each pair's rows transformed once, bin-major
+        ``(bins, pairs, M)``.  A window gathers its rows' pair spectra
+        into the first columns of ``buffer`` (``(bins, width, M)``,
+        reused across windows) and overwrites only each mask's band rows
+        with the transform of its masked band.
+        Yields ``(spectra, window)``, with ``spectra`` the window's
+        ``(bins, rows, M)`` slice of ``buffer``, overwritten by the next
+        window.  Bit-identical to transforming the masked planes' rows:
+        a row's transform depends on that row alone.
         """
-        buffer = np.empty((width, *base.shape[1:]), base.dtype)
         for window, patches in bands:
             pairs = row_pair[window]
-            spectra = buffer[: pairs.size]
+            spectra = buffer[:, : pairs.size]
             # mode="clip" (the indices are valid) keeps take from
-            # buffering its output.
-            np.take(base, pairs, axis=0, out=spectra, mode="clip")
+            # buffering a contiguous output.
+            np.take(base, pairs, axis=1, out=spectra, mode="clip")
+            # Band rows land through the (rows, M, bins) view: numpy
+            # scatters faster with the indexed axes first.
+            rows_view = spectra.transpose(1, 2, 0)
             for local, band_rows, values in patches:
-                spectra[local[:, np.newaxis], band_rows] = rfft(values, axis=-1)
+                rows_view[local[:, np.newaxis], band_rows] = rfft(values, axis=-1)
             yield spectra, window
 
     def _price_solve(self, device: Device, num_pairs: int, m: int, n: int) -> None:

@@ -19,10 +19,14 @@ provides:
 * linear convolution via zero-padding to a circular one, for callers who
   need aperiodic behaviour.
 
-Chunk boundaries never change bits: :func:`repro.fft.fft2d.fft2_batch`
-transforms each plane independently, and the per-row Hadamard products
-are plane-local, so streamed and one-plane-at-a-time execution agree
-exactly.
+Chunk boundaries never change bits: ``numpy.fft`` transforms each line
+independently, and the per-row Hadamard products are plane-local, so
+streamed and one-plane-at-a-time execution agree exactly.  The streamed
+tail stores its spectra **bin-major**, ``(bins, rows, M)``: for each
+bin of the row transform, every plane's column is contiguous, so the
+column transforms and the products run as one call over contiguous
+lines rather than once per plane.  Memory order changes no bits, and
+the convolved planes come out C-order as before.
 
 When input and kernel are both real -- the dominant case, since every
 occlusion mask and distilled kernel is real -- both forms route through
@@ -237,47 +241,21 @@ def _validate_batch_kernel(
     return k, multi_kernel, row_kernel, kernel_spectrum
 
 
-def _hadamard_by_kernel_runs(
-    chunk_spectrum: np.ndarray,
-    kernel_spectrum: np.ndarray,
-    row_kernel_chunk: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-row kernel Hadamard product, exploiting sorted row maps.
+def _bin_major(planes: np.ndarray) -> np.ndarray:
+    """``(..., M, bins)`` spectra as one contiguous ``(bins, ..., M)`` array."""
+    return np.ascontiguousarray(np.moveaxis(planes, -1, 0))
 
-    A fleet wave's ``row_pair`` map (:func:`repro.core.fleet
-    .wave_row_map`) is always non-decreasing (waves list pairs in
-    order), so instead of the fancy
-    -index gather ``kernel_spectrum[row_kernel]`` -- which copies one
-    ``(rows, M, N)`` complex128 plane per input row -- each contiguous
-    run of rows sharing a kernel broadcasts directly against that
-    kernel's ``(M, N)`` spectrum *view*.  Falls back to the gather for
-    unsorted maps.  Bit-identical either way: the same complex products
-    are formed, only the operand staging changes.
 
-    The product lands in ``out`` (which may be ``chunk_spectrum``
-    itself) or in a new array of ``np.result_type(chunk_spectrum,
-    kernel_spectrum)`` -- the dtype ``chunk_spectrum * kernel_spectrum``
-    has, so a clongdouble kernel spectrum is never rounded to the
-    chunk's complex128.
-    """
-    if out is None:
-        out = np.empty(
-            chunk_spectrum.shape, np.result_type(chunk_spectrum, kernel_spectrum)
-        )
-    diffs = np.diff(row_kernel_chunk)
-    if row_kernel_chunk.size and (diffs < 0).any():
-        return np.multiply(chunk_spectrum, kernel_spectrum[row_kernel_chunk], out=out)
-    boundaries = [0, *(np.flatnonzero(diffs) + 1), row_kernel_chunk.size]
-    for start, stop in zip(boundaries[:-1], boundaries[1:]):
-        if start == stop:
-            continue
-        np.multiply(
-            chunk_spectrum[start:stop],
-            kernel_spectrum[row_kernel_chunk[start]],
-            out=out[start:stop],
-        )
-    return out
+def _bin_major_rows(planes: np.ndarray, real: bool) -> np.ndarray:
+    """The ``rfft`` (``real``) or ``fft`` of each row of ``(..., N)``
+    ``planes``, written straight into a bin-major ``(bins, ...)`` array."""
+    n = planes.shape[-1]
+    spectra = np.empty(
+        (n // 2 + 1 if real else n, *planes.shape[:-1]),
+        np.result_type(planes, np.complex128),
+    )
+    (rfft if real else fft)(planes, axis=-1, out=np.moveaxis(spectra, 0, -1))
+    return spectra
 
 
 def _convolve_row_spectra(
@@ -286,40 +264,66 @@ def _convolve_row_spectra(
     row_kernel: np.ndarray | None,
     n: int | None,
     out: np.ndarray | None = None,
+    kernel_rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """Finish a batch of convolutions whose row transforms are done.
 
-    ``row_spectra`` holds each plane's rows already transformed
-    (``rfft`` over the last axis for the half path, ``fft`` for the full
-    one); this runs the column FFT, the Hadamard product with each row's
-    kernel spectrum (``row_kernel`` maps rows to planes of a kernel
-    stack; ``None`` broadcasts one kernel), the inverse column FFT and
-    the inverse row transform -- ``irfft`` to ``n`` columns, or ``ifft``
-    when ``n`` is ``None`` -- into ``out`` (a new array when ``None``).
+    The spectra are **bin-major**: ``row_spectra`` is ``(bins, rows,
+    M)`` -- for each bin of the row transform (``rfft`` over each plane
+    row on the half path, ``fft`` on the full one), every plane's
+    ``M``-long column -- and ``kernel_spectrum`` is ``(bins, P, M)``,
+    with ``row_kernel`` mapping rows to its planes, or ``(bins, M)``
+    for one kernel.  So the column FFT, the Hadamard product and the
+    inverse column FFT each run as one call over contiguous lines.  The
+    inverse row transform -- ``irfft`` to ``n`` columns, or ``ifft``
+    when ``n`` is ``None`` -- reads the buffer through a ``(rows, M,
+    bins)`` view and writes C-order ``(rows, M, N)`` planes into
+    ``out`` (a new C-order array when ``None``).
 
     The column stages run in place in ``row_spectra``, in the window's
-    own transform dtype; only the product may widen (a complex128 window
-    against a clongdouble kernel spectrum), and then it gets its own
-    array, since running the column stage in the wider dtype would
-    change bits.  Every stage transforms or multiplies each line or
-    element on its own, so each plane's bits equal convolving it alone.
+    own transform dtype.  Each row's kernel spectrum is gathered into
+    ``kernel_rows`` (a ``(bins, rows, M)`` buffer of the kernel
+    spectrum's dtype, or a new array) -- or broadcast, when every row
+    maps to the same kernel -- and the product lands in
+    ``row_spectra`` unless it widens (a complex128 window against a
+    clongdouble kernel spectrum): then it gets its own array, since
+    running the column stage in the wider dtype would change bits.
+    Every stage transforms or multiplies each line or element on its
+    own, whatever its stride, so each plane's bits equal convolving it
+    alone.  The window stays the product's first operand: swapping two
+    complex operands can move the last bit.
     """
-    fft(row_spectra, axis=-2, out=row_spectra)
+    fft(row_spectra, axis=-1, out=row_spectra)
+    if row_kernel is None:
+        kernel = kernel_spectrum[:, np.newaxis]
+    elif row_kernel.size and (row_kernel == row_kernel[0]).all():
+        # One kernel for every row (a window inside one pair): broadcast
+        # it instead of copying it once per row.
+        kernel = kernel_spectrum[:, row_kernel[0], np.newaxis]
+    else:
+        # mode="clip" (the row map is valid) keeps take from buffering
+        # its output.
+        kernel = np.take(
+            kernel_spectrum, row_kernel, axis=1, out=kernel_rows, mode="clip"
+        )
     product = (
         row_spectra
         if np.result_type(row_spectra, kernel_spectrum) == row_spectra.dtype
         else None
     )
-    if row_kernel is None:
-        product = np.multiply(row_spectra, kernel_spectrum, out=product)
-    else:
-        product = _hadamard_by_kernel_runs(
-            row_spectra, kernel_spectrum, row_kernel, out=product
+    product = np.multiply(row_spectra, kernel, out=product)
+    ifft(product, axis=-1, out=product)
+    lines = product.transpose(1, 2, 0)
+    if out is None:
+        # C-order planes: numpy.fft would lay a new result out like its
+        # bin-major input.
+        out = np.empty(
+            (*lines.shape[:-1], lines.shape[-1] if n is None else n),
+            product.dtype if n is None else np.finfo(product.dtype).dtype,
         )
-    ifft(product, axis=-2, out=product)
     if n is None:
-        return ifft(product, axis=-1, out=out)
-    return irfft(product, n=n, axis=-1, out=out)
+        return ifft(lines, axis=-1, out=out)
+    return irfft(lines, n=n, axis=-1, out=out)
 
 
 def fft_circular_convolve2d_chunks(
@@ -357,13 +361,15 @@ def fft_circular_convolve2d_chunks(
     its planes stay bit-identical to the complex loop path.
 
     Each chunk's row stage (``rfft``, or ``fft`` on the full path) runs
-    here; :func:`_convolve_row_spectra` then runs the rest -- column
-    FFT, per-row Hadamard, inverse column FFT, inverse row transform --
-    into a fresh output per chunk, since callers keep the chunks they
-    receive.  The fleet's row-shared windows
-    (:meth:`repro.core.fleet.FleetExecutor._compute_wave`) build their
-    row stage from shared row spectra and end in the same helper, in
-    buffers reused across windows.
+    here, written straight into a bin-major ``(bins, rows, M)`` buffer
+    through a ``(rows, M, bins)`` view, against kernel spectra moved to
+    bin-major once per stream; :func:`_convolve_row_spectra` then runs
+    the rest -- column FFT, per-row Hadamard, inverse column FFT,
+    inverse row transform -- into a fresh C-order output per chunk,
+    since callers keep the chunks they receive.  The fleet's row-shared
+    windows (:meth:`repro.core.fleet.FleetExecutor._compute_wave`) build
+    their bin-major row stage from shared row spectra and end in the
+    same helper, in buffers reused across windows.
 
     ``precision`` (an optional :class:`~repro.hw.quantize.PrecisionSpec`)
     rounds every incoming data chunk plane-by-plane in the spatial
@@ -407,6 +413,9 @@ def fft_circular_convolve2d_chunks(
         spec_array = fft2_batch(k) if multi_kernel else fft2(k)
         if precision is not None:
             spec_array = precision.apply(spec_array)
+    # Quantized above while still plane-major: the per-plane scales
+    # reduce over the planes' own axes.
+    spec_array = _bin_major(spec_array)
     full_spec = spec_array if spec_kind == "full" else None
 
     def _full_spectrum() -> np.ndarray:
@@ -415,9 +424,9 @@ def fft_circular_convolve2d_chunks(
         # occlusion plan) never pays for it.
         nonlocal full_spec
         if full_spec is None:
-            full_spec = spectra.kernel_spectrum(
-                k, real=False, precision=precision
-            ).array
+            full_spec = _bin_major(
+                spectra.kernel_spectrum(k, real=False, precision=precision).array
+            )
         return full_spec
 
     plane_shape = k.shape[-2:]
@@ -449,11 +458,13 @@ def fft_circular_convolve2d_chunks(
                 )
             row_map = row_kernel[rows.start : rows.stop]
         if half_path:
-            row_spectra, spec, n = rfft(chunk, axis=-1), spec_array, plane_shape[1]
+            spec, n = spec_array, plane_shape[1]
         else:
-            row_spectra, spec, n = fft(chunk, axis=-1), _full_spectrum(), None
+            spec, n = _full_spectrum(), None
         # A fresh output per chunk: callers keep the chunks they receive.
-        convolved = _convolve_row_spectra(row_spectra, spec, row_map, n)
+        convolved = _convolve_row_spectra(
+            _bin_major_rows(chunk, real=half_path), spec, row_map, n
+        )
         yield (convolved.real if real_chunk and not half_path else convolved), rows
     if num_rows is not None and next_row != num_rows:
         raise ValueError(

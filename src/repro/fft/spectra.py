@@ -45,18 +45,48 @@ DEFAULT_SPECTRUM_CACHE_BYTES = 32 * 1024**2
 _KINDS = ("half", "full")
 
 
+#: How many leading bytes of an 80-bit extended ``longdouble`` slot
+#: (16 bytes on x86-64, 12 on x86) hold its value.
+_EXTENDED_VALUE_BYTES = 10
+
+
+def value_buffer(array: np.ndarray) -> np.ndarray:
+    """A C-contiguous array whose buffer is ``array``'s value bytes.
+
+    For every dtype but one that buffer is the array itself, the bytes
+    ``tobytes()`` copies.  The exception is the 80-bit extended
+    ``longdouble`` (x86), and ``clongdouble`` built from it: each value
+    fills only the first 10 bytes of its slot, and the rest is padding
+    whose content is arbitrary, so equal arrays can differ there.  Those
+    give a ``uint8`` array of each component's 10 value bytes.  Content
+    digests hash this buffer, so equal values always share a digest.
+    """
+    array = np.ascontiguousarray(array)
+    kind = array.dtype.kind
+    slot = array.dtype.itemsize // (2 if kind == "c" else 1)
+    if (
+        kind not in "fc"
+        or slot <= _EXTENDED_VALUE_BYTES
+        or np.finfo(array.dtype).nmant != 63
+    ):
+        return array
+    slots = array.view(np.uint8).reshape(-1, slot)
+    return np.ascontiguousarray(slots[:, :_EXTENDED_VALUE_BYTES])
+
+
 def kernel_digest(kernel: np.ndarray) -> str:
     """SHA-256 content digest of a kernel plane or stack.
 
-    Covers dtype, shape and raw bytes, so byte-equal kernels collide by
-    construction and anything else (one flipped bit, a reshaped stack)
-    lands elsewhere -- the same content addressing as the serve cache.
+    Covers dtype, shape and value bytes (:func:`value_buffer`), so
+    equal kernels collide by construction and anything else (one
+    flipped bit, a reshaped stack) lands elsewhere -- the same content
+    addressing as the serve cache.
     """
     kernel = np.ascontiguousarray(np.asarray(kernel))
     digest = hashlib.sha256()
     digest.update(str(kernel.dtype).encode())
     digest.update(str(kernel.shape).encode())
-    digest.update(kernel.tobytes())
+    digest.update(value_buffer(kernel))
     return digest.hexdigest()
 
 

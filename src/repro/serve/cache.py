@@ -10,9 +10,10 @@ exact arrays the fleet executor produced; nothing is recomputed or
 re-rounded on the hit path).
 
 Keys are content digests (:func:`explanation_digest`): SHA-256 over the
-*bytes* of both planes plus the scoring configuration.  Two requests
-hit the same entry iff their inputs are byte-equal under the same
-config -- content addressing, not object identity, so replayed traffic
+*value bytes* of both planes plus the scoring configuration.  Two
+requests hit the same entry iff their inputs are byte-equal (padding
+bytes of ``longdouble`` elements aside) under the same config --
+content addressing, not object identity, so replayed traffic
 (the common case for monitoring dashboards re-explaining the same
 flagged inputs) hits regardless of which array objects carry it.
 
@@ -48,6 +49,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.core.fleet import PairResult
+from repro.fft.spectra import value_buffer
 
 #: Default cache budget: plenty for benches, small enough that the
 #: eviction path is exercised by modest traffic at image-plane sizes.
@@ -75,7 +77,9 @@ def explanation_digest(
 ) -> str:
     """Content digest of one explanation request.
 
-    SHA-256 over both planes' dtype, shape and raw bytes plus the
+    SHA-256 over both planes' dtype, shape and value bytes
+    (:func:`~repro.fft.spectra.value_buffer`: a ``longdouble`` plane's
+    padding bytes are left out, so equal planes collide) plus the
     scoring configuration -- everything the explanation is a function
     of, including the output-embedding strategy (it changes how vector
     outputs lift onto the plane, so services sharing one cache with
@@ -88,7 +92,7 @@ def explanation_digest(
     for plane in (x, y):
         plane = np.ascontiguousarray(np.asarray(plane))
         digest.update(_plane_tag(plane.dtype, plane.shape))
-        digest.update(plane)  # the contiguous buffer: the bytes tobytes() copies
+        digest.update(value_buffer(plane))  # no copy unless longdouble padding
     digest.update(
         repr(
             (

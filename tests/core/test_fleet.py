@@ -452,9 +452,9 @@ class TestMixedPlanWaves:
 
 
 class TestRowSharedWindows:
-    """A real wave's windows, built from each pair's row spectra plus the
-    transforms of only the rows a mask touches, equal the transforms of
-    the materialized masked planes bit for bit."""
+    """A real wave's bin-major windows, built from each pair's row
+    spectra plus the transforms of only the rows a mask touches, equal
+    the transforms of the materialized masked planes bit for bit."""
 
     PLAN_SETS = {
         "blocks": [MaskSpec.blocks((8, 8), (2, 2))] * 3,
@@ -479,12 +479,16 @@ class TestRowSharedWindows:
         bands = executor._band_windows(
             sources, fills, plans, row_pair, row_slot, is_mask, rows_per_chunk=7
         )
-        base = rfft(sources, axis=-1)
+        m, n = plans[0].plane_shape
+        base = np.empty((n // 2 + 1, len(xs), m), complex)
+        rfft(sources, axis=-1, out=base.transpose(1, 2, 0))
+        buffer = np.empty((n // 2 + 1, 7, m), complex)
         windows = [
             spectra.copy()
-            for spectra, _ in executor._row_spectra(base, bands, row_pair, width=7)
+            for spectra, _ in executor._row_spectra(base, bands, row_pair, buffer)
         ]
-        assert [len(window) for window in windows[:-1]] == [7] * (len(windows) - 1)
+        widths = [window.shape[1] for window in windows]
+        assert widths[:-1] == [7] * (len(windows) - 1) and 0 < widths[-1] <= 7
         planes = np.concatenate([
             np.stack([
                 *(np.where(mask, fill_value, x) for _, mask in reference.masks(
@@ -494,9 +498,11 @@ class TestRowSharedWindows:
             ])
             for x, plan in zip(xs, plans)
         ])
-        row_spectra = np.concatenate(windows)
-        assert row_spectra.tobytes() == rfft(planes, axis=-1).tobytes()
-        assert fft(row_spectra, axis=-2).tobytes() == rfft2_batch(planes).tobytes()
+        row_spectra = np.concatenate(windows, axis=1)  # (bins, rows, M)
+        rows_last = np.moveaxis(row_spectra, 0, -1)
+        assert rows_last.tobytes() == rfft(planes, axis=-1).tobytes()
+        columns = np.moveaxis(fft(row_spectra, axis=-1), 0, -1)
+        assert columns.tobytes() == rfft2_batch(planes).tobytes()
 
 
 class TestSpatialWaves:

@@ -1,9 +1,11 @@
 """Property test: the fleet executor against the literal reference.
 
 Hypothesis samples the configuration lattice -- plane shape (power of
-two, odd, prime, 1xN), granularity and block, precision, chip count,
-placement, wave cap, chunk size, fill value, reduction and each pair's
-``x`` and ``y`` dtypes, drawn independently from float32, float64 and
+two, odd, prime, 1xN, and "wide": the 32 to 64 px planes the benchmark
+workloads run, where line lengths and strides differ, with row or
+column masks only so a pair has at most 64), granularity and block,
+precision, chip count, placement, wave cap, chunk size, fill value,
+reduction and each pair's ``x`` and ``y`` dtypes, drawn independently from float32, float64 and
 longdouble (pairs of different float widths land in different waves)
 -- and every draw must reproduce :mod:`tests.reference`, the paper's
 per-pair loop: kernels, residuals and block/column/row scores bit for
@@ -29,6 +31,7 @@ SHAPES = {
     "odd": [(5, 5), (9, 9), (3, 9)],
     "prime": [(7, 7), (5, 11), (13, 13)],
     "1xN": [(1, 8), (1, 7), (1, 13)],
+    "wide": [(32, 32), (36, 36), (48, 40), (64, 64)],
 }
 ELEMENT_TOLERANCE = 1e-9
 DTYPES = st.sampled_from(["float32", "float64", "longdouble"])
@@ -42,7 +45,9 @@ def divisors(n):
 def configurations(draw):
     kind = draw(st.sampled_from(sorted(SHAPES)))
     shape = draw(st.sampled_from(SHAPES[kind]))
-    granularity = draw(st.sampled_from(["blocks", "columns", "rows", "elements"]))
+    granularity = draw(st.sampled_from(
+        ["columns", "rows"] if kind == "wide" else ["blocks", "columns", "rows", "elements"]
+    ))
     block_shape = None
     if granularity == "blocks":
         block_shape = (

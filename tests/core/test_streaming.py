@@ -29,8 +29,13 @@ from repro.core import (
     make_tpu_chip,
     score_plan,
 )
-from repro.fft import fft_circular_convolve2d
-from repro.fft.convolution import _hadamard_by_kernel_runs, fft_circular_convolve2d_chunks
+from repro.fft import fft, fft_circular_convolve2d, ifft, irfft2_batch, rfft, rfft2_batch
+from repro.fft.convolution import (
+    _bin_major,
+    _convolve_row_spectra,
+    fft_circular_convolve2d_chunks,
+)
+from repro.fft.spectra import value_buffer
 from repro.hw.cpu import CpuDevice
 from repro.hw.device import PipelineStage, pipelined_elapsed_seconds
 from repro.hw.gpu import GpuDevice
@@ -240,9 +245,9 @@ class TestChunkedConvolution:
             streamed[rows.start : rows.stop] = convolved
         np.testing.assert_array_equal(streamed, dense)
 
-    def test_sorted_run_fast_path_matches_unsorted_gather(self):
-        """The run-length slice-view fast path (sorted row maps) is
-        bit-identical to the fancy-index gather (unsorted maps)."""
+    def test_row_map_order_never_changes_bits(self):
+        """A shuffled row map gives each row the bits of the sorted one:
+        the kernel gather serves any order."""
         rng = np.random.default_rng(9)
         stack = rng.standard_normal((6, 4, 4))
         kernels = rng.standard_normal((2, 4, 4))
@@ -255,20 +260,28 @@ class TestChunkedConvolution:
         np.testing.assert_array_equal(shuffled[np.argsort(permutation)], ordered)
 
     def test_hadamard_product_keeps_the_wider_kernel_dtype(self):
-        """A complex128 chunk times a clongdouble kernel spectrum is a
-        clongdouble product, as ``chunk * spectrum`` is, and ``out=``
-        may be the chunk itself when the dtypes agree."""
+        """A complex128 window times a clongdouble kernel spectrum is a
+        clongdouble product, as ``spectra * kernel`` is: the tail gives
+        it its own array and leaves the window at its column FFT.  With
+        a kernel spectrum of the window's dtype the product and the
+        inverse column FFT run in place in the window."""
         rng = np.random.default_rng(10)
-        chunk = rng.standard_normal((5, 4, 3)) + 1j * rng.standard_normal((5, 4, 3))
-        spectra = (rng.standard_normal((2, 4, 3)) + 1j).astype(np.clongdouble)
+        planes = rng.standard_normal((5, 4, 6))
+        half = rfft2_batch(rng.standard_normal((2, 4, 6)))
         row_map = np.array([0, 0, 1, 1, 1])
-        product = _hadamard_by_kernel_runs(chunk, spectra, row_map)
-        assert product.dtype == np.clongdouble
-        np.testing.assert_array_equal(product, chunk * spectra[row_map])
-        narrow = spectra.astype(np.complex128)
-        in_place = chunk.copy()
-        assert _hadamard_by_kernel_runs(in_place, narrow, row_map, out=in_place) is in_place
-        assert in_place.tobytes() == (chunk * narrow[row_map]).tobytes()
+        for kernel in (half.astype(np.clongdouble), half):
+            window = _bin_major(rfft(planes, axis=-1))
+            columns = fft(window, axis=-1)
+            convolved = _convolve_row_spectra(window, _bin_major(kernel), row_map, 6)
+            product = rfft2_batch(planes) * kernel[row_map]
+            expected = irfft2_batch(product, n=6)
+            assert convolved.dtype == expected.dtype == np.finfo(kernel.dtype).dtype
+            assert value_buffer(convolved).tobytes() == value_buffer(expected).tobytes()
+            if kernel.dtype == np.clongdouble:
+                assert window.tobytes() == columns.tobytes()
+            else:
+                in_place = np.moveaxis(window, 0, -1)
+                assert in_place.tobytes() == ifft(product, axis=-2).tobytes()
 
     def test_desynchronized_chunk_stream_raises(self):
         kernel = np.ones((4, 4))

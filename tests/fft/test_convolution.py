@@ -15,6 +15,9 @@ from repro.fft import (
     linear_convolve,
     linear_convolve2d,
 )
+from repro.fft.convolution import _bin_major, _convolve_row_spectra
+from repro.fft.fft import fft, rfft
+from repro.fft.fft2d import fft2_batch, ifft2_batch, irfft2_batch, rfft2_batch
 from repro.hw import CpuDevice
 
 
@@ -389,3 +392,64 @@ class TestRealPathRouting:
             ),
             convolve_batch(stack, k, precision=spec),
         )
+
+
+class TestBinMajorTail:
+    """The convolution tail on bin-major ``(bins, rows, M)`` row spectra
+    equals the C-order 2-D round trip byte for byte, and writes C-order
+    ``(rows, M, N)`` planes."""
+
+    @staticmethod
+    def window(row_spectra, width):
+        """``(rows, M, bins)`` row spectra moved into the first ``rows``
+        columns of a ``(bins, width, M)`` buffer: a strided slice when
+        ``rows < width``, as a wave's last window is."""
+        rows, m, bins = row_spectra.shape
+        buffer = np.empty((bins, width, m), row_spectra.dtype)
+        buffer[:, :rows] = np.moveaxis(row_spectra, -1, 0)
+        return buffer[:, :rows]
+
+    @pytest.mark.parametrize(
+        "case",
+        ["partial window", "unsorted map", "one pair", "one kernel", "odd N", "float32 pair"],
+    )
+    def test_half_path_equals_the_2d_round_trip(self, case):
+        rng = np.random.default_rng(11)
+        m, n = (6, 7) if case == "odd N" else (6, 8)
+        planes = rng.standard_normal((5, m, n))
+        kernels = rng.standard_normal((3, m, n))
+        if case == "float32 pair":
+            planes, kernels = planes.astype(np.float32), kernels.astype(np.float32)
+        row_map = np.array({"unsorted map": [2, 0, 1, 0, 2], "one pair": [1] * 5}.get(
+            case, [0, 0, 1, 2, 2]
+        ))
+        half = rfft2_batch(kernels)
+        if case == "one kernel":
+            half, row_map, rows_half = half[1], None, half[1]
+        else:
+            rows_half = half[row_map]
+        expected = irfft2_batch(rfft2_batch(planes) * rows_half, n=n)
+        width = 8 if case == "partial window" else 5
+        window = self.window(rfft(planes, axis=-1), width)
+        kernel_rows = np.empty((n // 2 + 1, width, m), complex)[:, :5]
+        out = np.empty((width, m, n))[:5]
+        convolved = _convolve_row_spectra(
+            window, _bin_major(half), row_map, n, out=out, kernel_rows=kernel_rows
+        )
+        assert convolved is out and convolved.flags.c_contiguous
+        assert convolved.tobytes() == expected.tobytes()
+        fresh = _convolve_row_spectra(
+            self.window(rfft(planes, axis=-1), width), _bin_major(half), row_map, n
+        )
+        assert fresh.flags.c_contiguous and fresh.tobytes() == expected.tobytes()
+
+    def test_full_path_equals_the_2d_round_trip(self):
+        rng = np.random.default_rng(12)
+        planes = rng.standard_normal((5, 6, 7)) + 1j * rng.standard_normal((5, 6, 7))
+        full = fft2_batch(rng.standard_normal((3, 6, 7)) + 1j)
+        row_map = np.array([1, 0, 0, 2, 1])
+        expected = ifft2_batch(fft2_batch(planes) * full[row_map])
+        window = self.window(fft(planes, axis=-1), 7)
+        convolved = _convolve_row_spectra(window, _bin_major(full), row_map, None)
+        assert convolved.flags.c_contiguous
+        assert convolved.tobytes() == expected.tobytes()

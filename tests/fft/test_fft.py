@@ -138,17 +138,22 @@ class TestValidation:
 
     @pytest.mark.parametrize("axis", [-1, -2])
     def test_out_and_in_place_give_the_same_bits(self, axis):
-        """``out=`` -- a separate array or the input itself -- changes
-        where a result lands, never its bits."""
+        """``out=`` -- a separate array, a transposed view of a bin-major
+        buffer or the input itself -- changes where a result lands,
+        never its bits."""
         rng = np.random.default_rng(6)
         x = rng.standard_normal((3, 10, 12))
         spectrum = x + 1j * rng.standard_normal(x.shape)
-        cases = [(irfft, spectrum), (fft, spectrum), (ifft, spectrum)]
+        cases = [(rfft, x), (irfft, spectrum), (fft, spectrum), (ifft, spectrum)]
         for transform, operand in cases:
             expected = transform(operand, axis=axis)
             out = np.empty_like(expected)
             assert transform(operand, axis=axis, out=out) is out
             assert out.tobytes() == expected.tobytes()
+            bin_major = np.empty(np.roll(expected.shape, 1), expected.dtype)
+            view = bin_major.transpose(1, 2, 0)
+            assert transform(operand, axis=axis, out=view) is view
+            assert view.tobytes() == expected.tobytes()
             if operand.shape == expected.shape and operand.dtype == expected.dtype:
                 in_place = operand.copy()
                 assert transform(in_place, axis=axis, out=in_place) is in_place

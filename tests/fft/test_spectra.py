@@ -52,6 +52,19 @@ class TestKernelDigest:
         view = a[:, ::2]
         assert kernel_digest(view) == kernel_digest(view.copy())
 
+    def test_float64_digest_is_pinned(self):
+        """Only padded dtypes changed how they hash."""
+        assert kernel_digest(np.arange(16.0).reshape(4, 4)) == (
+            "12cb3d0ee7d3fb4bfd5fbbebad94e61a7fecb3308d9a2ebf10aa0db2441044ff"
+        )
+
+    def test_longdouble_padding_bytes_do_not_split_a_digest(self, padded_twins):
+        a, b = padded_twins
+        assert kernel_digest(a) == kernel_digest(b)
+        changed = b.copy()
+        changed.flat[0] = np.nextafter(changed.real.flat[0], np.inf)
+        assert kernel_digest(changed) != kernel_digest(a)
+
 
 class TestKernelSpectrumRecord:
     def test_validates_kind(self):

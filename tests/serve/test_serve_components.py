@@ -191,6 +191,26 @@ class TestExplanationCache:
             != explanation_digest(x, y, **base, embedding_strategy="spatial")
         )
 
+    def test_float64_digest_is_pinned(self):
+        """Only padded dtypes changed how they hash: the serve trace
+        artifact records float64 request digests."""
+        x = np.arange(16.0).reshape(4, 4)
+        assert explanation_digest(
+            x, x[::-1], granularity="blocks", block_shape=(2, 2),
+            precision_name=None, eps=1e-6, reduction="l2", fill_value=0.0,
+        ) == "42a4e2eda198cac8613dfc2cb1af84af9ce7231d069dbdee1ae2a6b39325cbe3"
+
+    def test_longdouble_padding_bytes_do_not_split_a_digest(self, padded_twins):
+        a, b = padded_twins
+        config = dict(
+            granularity="rows", block_shape=None, precision_name=None,
+            eps=1e-6, reduction="l2", fill_value=0.0,
+        )
+        assert explanation_digest(a, b, **config) == explanation_digest(b, a, **config)
+        assert explanation_digest(a, a.real, **config) == explanation_digest(
+            b, b.real, **config
+        )
+
     def test_cached_arrays_are_frozen_read_only(self):
         """A client mutating its response must fail loudly instead of
         silently poisoning every later hit for that digest."""
