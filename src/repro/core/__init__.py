@@ -64,8 +64,6 @@ from repro.core.masking import (
 )
 from repro.core.parallel import (
     Assignment,
-    BatchDistillationResult,
-    distill_batch,
     AssignmentTable,
     BatchResult,
     BlockTask,
@@ -81,11 +79,7 @@ from repro.core.quality import (
     rank_agreement,
     top_k_recall,
 )
-from repro.core.pipeline import (
-    ExplanationPipeline,
-    InterpretationRun,
-    PairExplanation,
-)
+from repro.core.pipeline import ExplanationPipeline, InterpretationRun
 from repro.core.transform import (
     OutputEmbedding,
     frequency_solve,
@@ -128,8 +122,6 @@ __all__ = [
     "BatchResult",
     "BlockTask",
     "MultiInputScheduler",
-    "BatchDistillationResult",
-    "distill_batch",
     "deletion_auc",
     "deletion_curve",
     "dominance_margin",
@@ -140,7 +132,6 @@ __all__ = [
     "run_block_matmul",
     "ExplanationPipeline",
     "InterpretationRun",
-    "PairExplanation",
     "OutputEmbedding",
     "frequency_solve",
     "spectrum_condition",

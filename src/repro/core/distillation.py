@@ -14,7 +14,12 @@ import numpy as np
 from repro.fft.convolution import fft_circular_convolve2d
 from repro.fft.fft2d import fft2
 from repro.hw.device import Device
-from repro.core.transform import OutputEmbedding, _normalize_batch, frequency_solve
+from repro.core.transform import (
+    OutputEmbedding,
+    _normalize_batch,
+    check_eps,
+    frequency_solve,
+)
 
 
 class NotFittedError(RuntimeError):
@@ -57,7 +62,6 @@ class ConvolutionDistiller:
         embedding: OutputEmbedding | None = None,
         precision=None,
     ) -> None:
-        from repro.core.fleet import check_eps
         from repro.hw.quantize import resolve_precision
 
         check_eps(eps)

@@ -102,7 +102,8 @@ sharding axis:
   serial solve-then-stream sum -- the placement for a single over-wide
   plan that no pair split can balance;
 * ``"wave"`` -- *whole waves* round-robin across chips: wave ``w`` is
-  priced on chip ``w % K`` exactly like a single-chip wave, and the
+  priced on chip ``w % K`` exactly like a single-chip wave (the
+  ``data`` pricing, handed that one chip), and the
   chips' wave sequences execute concurrently -- the placement for multi-wave
   schedules (many shape groups, or ``max_pairs_per_wave`` caps) whose
   waves would otherwise serialize even on an 8-chip pod.
@@ -132,7 +133,6 @@ device's modeled HBM (:attr:`~repro.hw.device
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -150,7 +150,12 @@ from repro.core.masking import (
     effective_chunk_rows,
     reduce_batch,
 )
-from repro.core.transform import OutputEmbedding, _record_solve, _solve_stack
+from repro.core.transform import (
+    OutputEmbedding,
+    _record_solve,
+    _solve_stack,
+    check_eps,
+)
 from repro.fft.convolution import (
     _bin_major,
     _bin_major_rows,
@@ -159,7 +164,7 @@ from repro.fft.convolution import (
 )
 from repro.fft.fft import rfft
 from repro.fft.spectra import kernel_spectrum
-from repro.hw.device import Device, DeviceStats
+from repro.hw.device import Device
 from repro.hw.pod import PodWaveStats, TpuPod
 from repro.hw.quantize import resolve_precision
 from repro.obs.tracer import tracer
@@ -197,12 +202,12 @@ def feed_bytes(arrays, spec) -> int:
 def check_precision_granularity(spec, granularity: str) -> None:
     """Reject lossy precisions for the ``elements`` granularity.
 
-    The single home of the rule both interpretation entry points
-    (:class:`FleetExecutor` and
-    :class:`~repro.core.pipeline.ExplanationPipeline`) enforce: the
-    elements granularity scores through the linearity fast path, whose
-    closed form assumes exact convolution arithmetic -- per-plane
-    quantization breaks it, so only exact specs (or ``None``) pass.
+    The single home of the rule :class:`FleetExecutor` enforces when it
+    is built and the online service applies to each request's batch
+    key: the elements granularity scores through the linearity fast
+    path, whose closed form assumes exact convolution arithmetic --
+    per-plane quantization breaks it, so only exact specs (or ``None``)
+    pass.
     """
     if spec is not None and not spec.is_exact and granularity == "elements":
         raise ValueError(
@@ -210,17 +215,6 @@ def check_precision_granularity(spec, granularity: str) -> None:
             "path, which per-plane quantization breaks; use blocks/"
             "columns/rows or an exact precision ('fp64'/'fp32')"
         )
-
-
-def check_eps(eps) -> None:
-    """Reject a negative or non-finite Wiener regularizer ``eps``.
-
-    The single home of the rule every distillation entry point enforces
-    when it is built, so a bad value fails at construction instead of
-    mid-run.  ``eps = 0`` stays legal: it is the paper's Eq. 4 verbatim.
-    """
-    if not (math.isfinite(eps) and eps >= 0):
-        raise ValueError(f"eps must be finite and non-negative, got {eps}")
 
 
 def wave_dtype_key(x, y) -> tuple[np.dtype, np.dtype, np.dtype]:
@@ -424,14 +418,12 @@ class _WaveNumbers:
 class FleetRun:
     """Outcome of a wave-fused fleet execution (input pair order).
 
-    ``stats`` is populated by callers that own the device ledger for
-    the whole run (e.g. ``MultiInputScheduler.explain_batch``); the
-    executor itself leaves ledger harvesting to its caller.
+    The executor records onto its device's ledger and leaves harvesting
+    it to the caller that owns the ledger for the whole run.
     """
 
     results: tuple[PairResult, ...]
     schedule: FleetSchedule
-    stats: DeviceStats | None = None
 
     @property
     def num_waves(self) -> int:
@@ -441,8 +433,11 @@ class FleetRun:
 class FleetExecutor:
     """Distill-then-interpret a fleet of pairs, one program per wave.
 
-    Parameters mirror :class:`~repro.core.pipeline.ExplanationPipeline`
-    (which delegates its runs here): ``granularity``
+    The one place fleet options are checked and ``num_chips`` (or a
+    :class:`~repro.hw.pod.TpuPod` device) resolves to the executing
+    :attr:`device`: :class:`~repro.core.pipeline.ExplanationPipeline`
+    and :class:`~repro.serve.loop.ExplanationService` build an executor
+    and run on its device.  ``granularity``
     selects the mask family, ``block_shape`` the tile size for
     ``blocks``, ``eps``/``embedding`` configure the distillation solve
     (a negative or non-finite ``eps`` raises here, see
@@ -947,11 +942,16 @@ class FleetExecutor:
             if self.placement == "chunk":
                 collectives = self._price_chunked(pod, numbers, xs, ys, plans, results)
             elif self.placement == "wave":
-                collectives = self._price_on_chip(
-                    pod, numbers, wave_index, xs, ys, plans, results
+                chip = wave_index % pod.num_chips
+                collectives = dict(
+                    self._price_data(pod, numbers, [chip], xs, ys, plans, results),
+                    chip_index=chip,
                 )
             else:
-                collectives = self._price_data(pod, numbers, xs, ys, plans, results)
+                collectives = self._price_data(
+                    pod, numbers, range(min(pod.num_chips, wave.num_pairs)),
+                    xs, ys, plans, results,
+                )
             chip_seconds = tuple(
                 device.stats.seconds - start
                 for device, start in zip(pod.devices, before)
@@ -968,22 +968,26 @@ class FleetExecutor:
             )
         pod.commit_run(wave_stats)
 
-    def _price_data(self, pod, numbers, xs, ys, plans, results) -> dict:
-        """Data placement: the wave's pairs split contiguously across chips.
+    def _price_data(self, pod, numbers, chips, xs, ys, plans, results) -> dict:
+        """The wave's pairs split contiguously across ``chips``.
 
-        Chip ``c`` prices its pair shard as an ordinary program
+        Chip ``chips[s]`` prices pair shard ``s`` as an ordinary program
         (:meth:`_price_share`): its own solves, its own spectra batch,
         its own rows.  Every chip feeds and drains *its own shard* over
         its own :class:`~repro.hw.pod.HostLink` -- the shards stream
         concurrently from the host, so the wave's host cost is the
         slowest link rather than a serial chip-0 feed plus a fabric
-        scatter, and there are no collectives on this path.  Chips
-        beyond the wave's pair count launch nothing.
+        scatter, and there are no collectives.  The ``data`` placement
+        passes the first ``min(K, pairs)`` chips, so chips beyond the
+        wave's pair count launch nothing; the ``wave`` placement passes
+        chip ``w % K`` alone, which prices the whole wave, so a
+        multi-wave schedule's waves execute *concurrently across chips*
+        (:meth:`~repro.hw.pod.TpuPod.commit_run` groups the pinned
+        stages per chip and charges the slowest chain).
         """
-        active = min(pod.num_chips, len(numbers.indices))
         infeed_seconds = [0.0] * pod.num_chips
         outfeed_seconds = [0.0] * pod.num_chips
-        for chip, share in enumerate(shard_slices(len(numbers.indices), active)):
+        for chip, share in zip(chips, shard_slices(len(numbers.indices), len(chips))):
             infeed, outfeed = self._price_share(
                 pod.devices[chip], numbers, share, xs, ys, plans, results
             )
@@ -991,42 +995,11 @@ class FleetExecutor:
             infeed_seconds[chip] = link.feed_seconds(infeed)
             outfeed_seconds[chip] = link.feed_seconds(outfeed)
         return dict(
-            active_chips=active,
+            active_chips=len(chips),
             dispatch_seconds=pod.launch_latency_seconds,
-            launched_chips=active,
+            launched_chips=len(chips),
             infeed_seconds=tuple(infeed_seconds),
             outfeed_seconds=tuple(outfeed_seconds),
-        )
-
-    def _price_on_chip(
-        self, pod, numbers, wave_index: int, xs, ys, plans, results
-    ) -> dict:
-        """Wave placement: the whole wave is priced on chip ``w % K``.
-
-        Each wave is an ordinary single-chip program -- own solves, own
-        spectra, own host link for its full infeed/outfeed -- pinned
-        round-robin so a multi-wave schedule's waves execute
-        *concurrently across chips* instead of serially on one
-        (:meth:`~repro.hw.pod.TpuPod.commit_run` groups the pinned
-        stages per chip and charges the slowest chain).  No collectives
-        at all: nothing is sharded, so nothing is exchanged.
-        """
-        chip = wave_index % pod.num_chips
-        infeed, outfeed = self._price_share(
-            pod.devices[chip], numbers, slice(None), xs, ys, plans, results
-        )
-        link = pod.host_links[chip]
-        infeed_seconds = [0.0] * pod.num_chips
-        outfeed_seconds = [0.0] * pod.num_chips
-        infeed_seconds[chip] = link.feed_seconds(infeed)
-        outfeed_seconds[chip] = link.feed_seconds(outfeed)
-        return dict(
-            active_chips=1,
-            dispatch_seconds=pod.launch_latency_seconds,
-            launched_chips=1,
-            infeed_seconds=tuple(infeed_seconds),
-            outfeed_seconds=tuple(outfeed_seconds),
-            chip_index=chip,
         )
 
     @staticmethod

@@ -6,10 +6,7 @@ into pieces and each core obtains a slice of them... an internal table
 is utilized to keep track of the distribution to guide the process of
 reassembling."
 
-This module provides that layer, organized around **waves** since the
-fleet refactor: a wave is a group of equal-shape pairs fused into one
-batched program (:mod:`repro.core.fleet` plans them), so multi-input
-work costs one dispatch per wave rather than one per pair:
+This module provides that layer on one chip's cores:
 
 * :func:`partition_cores` -- divide the chip's cores into per-input
   groups (round-robin sharing when inputs outnumber cores);
@@ -19,25 +16,22 @@ work costs one dispatch per wave rather than one per pair:
   row arrays map fused stack rows back to pairs);
 * :class:`MultiInputScheduler` -- run a batch of 2-D transforms
   concurrently (elapsed time equal to the slowest core group, inputs
-  side by side), plan scheduler waves (:meth:`~MultiInputScheduler
-  .plan_waves`), and run whole wave-fused explanation fleets on the
-  chip (:meth:`~MultiInputScheduler.explain_batch`);
-* :func:`distill_batch` -- concurrent distillation of many pairs,
-  wave-grouped so equal-shape pairs share scheduler partitions, with
-  the per-group VPU (Hadamard) stage included in the elapsed/serial
-  accounting;
+  side by side);
 * :func:`block_matmul_tasks` -- the block-partitioned matrix
   multiplication the paper uses for the same trick on plain matmuls.
+
+Whole explanation fleets -- many pairs distilled and interpreted, one
+batched program per wave of equal-shape pairs -- run through
+:class:`repro.core.fleet.FleetExecutor`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.decomposition import DecomposedFourier, DecompositionReport, shard_slices
-from repro.core.fleet import FleetExecutor, FleetRun, FleetSchedule, check_eps
 from repro.hw.tpu import TpuChip
 
 
@@ -124,13 +118,6 @@ class MultiInputScheduler:
 
     def fft2_batch(self, inputs) -> BatchResult:
         """Forward-transform every input concurrently."""
-        return self._run_batch(inputs, inverse=False)
-
-    def ifft2_batch(self, inputs) -> BatchResult:
-        """Inverse-transform every input concurrently."""
-        return self._run_batch(inputs, inverse=True)
-
-    def _run_batch(self, inputs, inverse: bool) -> BatchResult:
         matrices = [np.asarray(x) for x in inputs]
         if not matrices:
             raise ValueError("batch is empty")
@@ -143,11 +130,7 @@ class MultiInputScheduler:
         reports: list[DecompositionReport] = []
         group_times: list[float] = []
         for index, (x, core_ids) in enumerate(zip(matrices, groups)):
-            executor = self._group_executor(core_ids)
-            if inverse:
-                result, report = executor.ifft2(x)
-            else:
-                result, report = executor.fft2(x)
+            result, report = self._group_executor(core_ids).fft2(x)
             outputs.append(result)
             reports.append(report)
             group_times.append(report.elapsed_seconds)
@@ -181,80 +164,6 @@ class MultiInputScheduler:
             busy[anchor] = busy.get(anchor, 0.0) + seconds
         return max(busy.values())
 
-    # ------------------------------------------------------------------
-    # Wave-fused fleet execution (the cross-pair batching layer)
-    # ------------------------------------------------------------------
-    def plan_waves(
-        self,
-        pairs,
-        granularity: str = "blocks",
-        block_shape: tuple[int, int] | None = None,
-        **executor_kwargs,
-    ) -> FleetSchedule:
-        """Wave-plan a fleet of pairs without executing it.
-
-        Delegates to :class:`repro.core.fleet.FleetExecutor` planning:
-        equal-shape pairs group into waves of at most
-        ``max_pairs_per_wave`` pairs.
-        """
-        return self._fleet_executor(
-            granularity, block_shape, **executor_kwargs
-        ).schedule(pairs)
-
-    def explain_batch(
-        self,
-        pairs,
-        granularity: str = "blocks",
-        block_shape: tuple[int, int] | None = None,
-        **executor_kwargs,
-    ) -> FleetRun:
-        """Explain a fleet of pairs on this chip, one program per wave.
-
-        The chip is presented through the device interface
-        (:class:`repro.core.backend.TpuBackend`) and handed to the
-        wave-fused :class:`~repro.core.fleet.FleetExecutor`: each wave's
-        lazy mask plans and residual planes stream through a single
-        cross-pair chunked batched convolution, so the fleet pays one
-        dispatch per wave instead of one (plus a residual round trip)
-        per pair, in ``O(chunk_rows * M * N)`` host memory.  The waves
-        run double-buffered -- wave ``i+1``'s infeed overlaps wave
-        ``i``'s compute, the chip ledger crediting the hidden time as an
-        ``infeed_overlap`` event.
-        Executor options pass through ``executor_kwargs`` -- notably
-        ``precision="int8"|"bf16"|"fp32"|"fp64"`` runs every wave's
-        batched convolution in that numeric mode (quantized infeed and
-        MXU-rate pricing, scores bit-identical to a quantized loop),
-        and ``num_chips=K`` / ``placement="data"|"chunk"|"wave"`` shard every
-        wave across a :class:`~repro.hw.pod.TpuPod` of K clones of this
-        chip with interconnect-priced collectives (scores still
-        bit-identical; the run's ``stats`` are then the pod roll-up).
-        The returned run carries the harvested device ledger in
-        ``stats``.  An empty batch returns an empty run -- zero waves,
-        zero simulated seconds, a zero ledger -- the serving layer's
-        idle drain path.
-        """
-        executor = self._fleet_executor(
-            granularity, block_shape, **executor_kwargs
-        )
-        executor.device.reset_stats()
-        fleet = executor.run(pairs)
-        return replace(fleet, stats=executor.device.take_stats())
-
-    def _fleet_executor(
-        self,
-        granularity: str,
-        block_shape: tuple[int, int] | None,
-        **executor_kwargs,
-    ) -> FleetExecutor:
-        from repro.core.backend import TpuBackend
-
-        return FleetExecutor(
-            TpuBackend(self.chip),
-            granularity=granularity,
-            block_shape=block_shape,
-            **executor_kwargs,
-        )
-
 
 class _ChipView:
     """A restricted view of a chip exposing a subset of its cores.
@@ -280,108 +189,6 @@ class _ChipView:
     def cross_replica_sum_seconds(self, nbytes: int, num_cores: int | None = None) -> float:
         cores = self.num_cores if num_cores is None else num_cores
         return self._chip.cross_replica_sum_seconds(nbytes, num_cores=cores)
-
-
-@dataclass(frozen=True)
-class BatchDistillationResult:
-    """Kernels and timing of a concurrently distilled pair batch."""
-
-    kernels: list[np.ndarray]
-    elapsed_seconds: float
-    serial_seconds: float
-    vpu_seconds: float = 0.0  # total Hadamard-stage time across pairs
-
-    @property
-    def parallel_speedup(self) -> float:
-        if self.elapsed_seconds == 0:
-            return 1.0
-        return self.serial_seconds / self.elapsed_seconds
-
-
-def distill_batch(pairs, chip: TpuChip, eps: float = 1e-6) -> BatchDistillationResult:
-    """Distill many (X, Y) pairs concurrently on one chip (Sec III-D).
-
-    Each pair's solve needs three 2-D transforms; the batch scheduler
-    runs them with core groups side by side, so the end-to-end elapsed
-    time is paced by the slowest group rather than the pair count --
-    the paper's "parallel computation of multiple inputs" applied to
-    the whole distillation pipeline.  Pairs are grouped into the same
-    equal-shape waves the fleet executor fuses
-    (:meth:`repro.core.fleet.FleetSchedule.plan`), so mixed-shape
-    batches process wave by wave while each wave's pairs run side by
-    side.  The Hadamard stages are elementwise (VPU) work charged to
-    the first core of each pair's group; those seconds count toward
-    both ``elapsed_seconds`` (anchor cores serialize their pairs' VPU
-    passes, groups run concurrently) and ``serial_seconds``.
-    """
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("no pairs to distill")
-    check_eps(eps)
-    xs = [np.asarray(x) for x, _ in pairs]
-    ys = [np.asarray(y) for _, y in pairs]
-    for x, y in zip(xs, ys):
-        if x.shape != y.shape or x.ndim != 2:
-            raise ValueError(
-                f"pairs must be equal-shape matrices, got {x.shape} and {y.shape}"
-            )
-    scheduler = MultiInputScheduler(chip)
-    # Equal-shape waves (no mask stacks here, hence no byte budget).
-    schedule = FleetSchedule.plan(
-        [x.shape for x in xs], [0] * len(xs), max_stack_bytes=None
-    )
-    kernels: list[np.ndarray | None] = [None] * len(pairs)
-    elapsed = serial = vpu_total = 0.0
-    for wave in schedule.waves:
-        indices = wave.pair_indices
-        x_batch = scheduler.fft2_batch([xs[i] for i in indices])
-        y_batch = scheduler.fft2_batch([ys[i] for i in indices])
-
-        groups = partition_cores(chip.num_cores, len(indices))
-        kernel_spectra = []
-        vpu_times: list[float] = []
-        for x_hat, y_hat, core_ids in zip(x_batch.outputs, y_batch.outputs, groups):
-            vpu_core = chip.cores[core_ids[0]]
-            before = vpu_core.stats.seconds
-            x_conj = vpu_core.conjugate(x_hat)
-            numerator = vpu_core.hadamard(y_hat, x_conj, op="mul")
-            denominator = vpu_core.hadamard(x_hat, x_conj, op="mul")
-            regularized = vpu_core.hadamard(
-                denominator,
-                np.full(denominator.shape, eps, dtype=np.complex128),
-                op="add",
-            )
-            kernel_spectra.append(vpu_core.hadamard(numerator, regularized, op="div"))
-            vpu_times.append(vpu_core.stats.seconds - before)
-
-        k_batch = scheduler.ifft2_batch(kernel_spectra)
-        for i, kernel in zip(indices, k_batch.outputs):
-            if np.isrealobj(xs[i]) and np.isrealobj(ys[i]):
-                kernels[i] = np.ascontiguousarray(kernel.real)
-            else:
-                kernels[i] = kernel
-        # VPU passes serialize on each group's anchor core; groups run
-        # concurrently -- the same sharing model as the transforms.
-        vpu_elapsed = MultiInputScheduler._elapsed_with_sharing(groups, vpu_times)
-        elapsed += (
-            x_batch.elapsed_seconds
-            + y_batch.elapsed_seconds
-            + k_batch.elapsed_seconds
-            + vpu_elapsed
-        )
-        serial += (
-            x_batch.serial_seconds
-            + y_batch.serial_seconds
-            + k_batch.serial_seconds
-            + sum(vpu_times)
-        )
-        vpu_total += sum(vpu_times)
-    return BatchDistillationResult(
-        kernels=kernels,
-        elapsed_seconds=elapsed,
-        serial_seconds=serial,
-        vpu_seconds=vpu_total,
-    )
 
 
 @dataclass(frozen=True)

@@ -10,17 +10,18 @@ For every input-output pair the paper's interpretation step is:
 
 :class:`ExplanationPipeline` executes exactly that against any
 :class:`~repro.hw.device.Device` and reports *simulated seconds*, the
-quantity Table II compares across CPU/GPU/TPU.  It hands the batch to
-the :class:`~repro.core.fleet.FleetExecutor`: pairs of equal plane
-shape fuse into scheduler waves, each wave scored -- mask rows *and*
-the per-pair unmasked residual planes -- by one cross-pair batched
-convolution inside one ``device.program`` scope, i.e. one dispatch per
-wave.  Each wave's mask stack is generated lazily and convolved in
-``chunk_rows``-bounded chunks (peak memory ``O(chunk_rows * M * N)``
-however many masks the fleet fuses), and waves run double-buffered:
-wave ``i+1``'s dispatch + infeed overlaps wave ``i``'s compute, the
-hidden host-link time credited back as a negative ``infeed_overlap``
-ledger row.
+quantity Table II compares across CPU/GPU/TPU.  It builds one
+:class:`~repro.core.fleet.FleetExecutor` -- which checks the options
+and resolves ``num_chips`` to a pod -- and hands it every batch: pairs
+of equal plane shape fuse into scheduler waves, each wave scored --
+mask rows *and* the per-pair unmasked residual planes -- by one
+cross-pair batched convolution inside one ``device.program`` scope,
+i.e. one dispatch per wave.  Each wave's mask stack is generated
+lazily and convolved in ``chunk_rows``-bounded chunks (peak memory
+``O(chunk_rows * M * N)`` however many masks the fleet fuses), and
+waves run double-buffered: wave ``i+1``'s dispatch + infeed overlaps
+wave ``i``'s compute, the hidden host-link time credited back as a
+negative ``infeed_overlap`` ledger row.
 
 ``precision`` selects the numeric mode of the interpretation
 convolutions (``"fp64"``/``"fp32"`` exact, ``"bf16"`` rounding,
@@ -39,29 +40,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.fleet import (
-    GRANULARITIES,
-    PLACEMENTS,
-    FleetExecutor,
-    check_eps,
-    check_precision_granularity,
-)
+from repro.core.fleet import FleetExecutor, PairResult
 from repro.core.masking import DEFAULT_STACK_BUDGET_BYTES
 from repro.core.transform import OutputEmbedding
 from repro.hw.device import Device, DeviceStats
-from repro.hw.pod import TpuPod
-from repro.hw.quantize import resolve_precision
-
-
-@dataclass(frozen=True)
-class PairExplanation:
-    """Explanation artifacts for one input-output pair."""
-
-    kernel: np.ndarray
-    scores: np.ndarray
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -69,7 +51,7 @@ class InterpretationRun:
     """Outcome of interpreting a batch of pairs on one device."""
 
     device_name: str
-    explanations: list[PairExplanation]
+    explanations: list[PairResult]
     simulated_seconds: float
     stats: DeviceStats
     num_programs: int = 0  # program scopes opened (one per wave)
@@ -81,6 +63,10 @@ class InterpretationRun:
 
 class ExplanationPipeline:
     """Distill-then-interpret, timed on a device.
+
+    The pipeline's :attr:`executor` is built once, at construction, so
+    a bad option raises here rather than at the first run, and
+    :attr:`device` is the executor's (the pod when ``num_chips > 1``).
 
     Parameters
     ----------
@@ -149,43 +135,22 @@ class ExplanationPipeline:
         interconnect=None,
         hbm_bytes: int | None = None,
     ) -> None:
-        if granularity not in GRANULARITIES:
-            raise ValueError(
-                f"unknown granularity {granularity!r}; expected one of {GRANULARITIES}"
-            )
-        if granularity == "blocks" and block_shape is None:
-            raise ValueError("blocks granularity requires a block_shape")
-        if placement not in PLACEMENTS:
-            raise ValueError(
-                f"unknown placement {placement!r}; expected one of {PLACEMENTS}"
-            )
-        self.precision = resolve_precision(precision)
-        check_precision_granularity(self.precision, granularity)
-        check_eps(eps)
-        # Pod resolution happens here (once) so self.device is the pod
-        # and its ledger is the run's ledger; the fleet executor then
-        # recognizes the pod and shards along self.placement.
-        if num_chips is not None and int(num_chips) > 1 and not isinstance(device, TpuPod):
-            device = TpuPod.like(
-                device, int(num_chips), interconnect=interconnect,
-                hbm_bytes=hbm_bytes,
-            )
-        if isinstance(device, TpuPod):
-            if num_chips is not None and int(num_chips) != device.num_chips:
-                raise ValueError(
-                    f"num_chips={num_chips} disagrees with the supplied "
-                    f"{device.num_chips}-chip pod"
-                )
-        self.placement = placement
-        self.device = device
-        self.granularity = granularity
-        self.block_shape = block_shape
-        self.eps = eps
-        self.embedding = embedding or OutputEmbedding("identity")
-        self.max_stack_bytes = max_stack_bytes
-        self.chunk_rows = chunk_rows
-        self.max_pairs_per_wave = max_pairs_per_wave
-        self.hbm_bytes = None if hbm_bytes is None else int(hbm_bytes)
+        self.executor = FleetExecutor(
+            device,
+            granularity=granularity,
+            block_shape=block_shape,
+            eps=eps,
+            embedding=embedding,
+            max_stack_bytes=max_stack_bytes,
+            max_pairs_per_wave=max_pairs_per_wave,
+            chunk_rows=chunk_rows,
+            precision=precision,
+            num_chips=num_chips,
+            placement=placement,
+            interconnect=interconnect,
+            hbm_bytes=hbm_bytes,
+        )
+        self.device = self.executor.device
 
     def run(self, pairs) -> InterpretationRun:
         """Interpret a batch of ``(x, y)`` pairs; returns simulated timing.
@@ -193,43 +158,15 @@ class ExplanationPipeline:
         Equal-shape pairs fuse into scheduler waves, each executing as
         one ``device.program`` scope whose single batched convolution
         scores every fused pair's mask plan and residual plane at once.
+        An empty batch is a zero-cost run -- the serving layer's idle
+        drain path.
         """
-        pairs = list(pairs)
         self.device.reset_stats()
-        if not pairs:
-            # Empty runs cost nothing: zero programs, zero simulated
-            # seconds -- the serving layer's idle drain path.
-            return InterpretationRun(
-                device_name=self.device.name,
-                explanations=[],
-                simulated_seconds=0.0,
-                stats=self.device.take_stats(),
-                num_programs=0,
-            )
-        executor = FleetExecutor(
-            self.device,
-            granularity=self.granularity,
-            block_shape=self.block_shape,
-            eps=self.eps,
-            embedding=self.embedding,
-            max_stack_bytes=self.max_stack_bytes,
-            max_pairs_per_wave=self.max_pairs_per_wave,
-            chunk_rows=self.chunk_rows,
-            precision=self.precision,
-            placement=self.placement,
-            hbm_bytes=self.hbm_bytes,
-        )
-        fleet = executor.run(pairs)
+        fleet = self.executor.run(pairs)
         stats = self.device.take_stats()
-        explanations = [
-            PairExplanation(
-                kernel=result.kernel, scores=result.scores, residual=result.residual
-            )
-            for result in fleet.results
-        ]
         return InterpretationRun(
             device_name=self.device.name,
-            explanations=explanations,
+            explanations=list(fleet.results),
             simulated_seconds=stats.seconds,
             stats=stats,
             num_programs=fleet.num_waves,
@@ -247,8 +184,8 @@ class ExplanationPipeline:
         inputs.  ``service_kwargs`` override any of those and add the
         serving-only knobs: the static micro-batching pair
         (``max_wait_seconds``, ``max_batch_pairs``), the autopilot that
-        replaces it (``controller=BatchController(...)``), dispatch
-        fairness (``dispatch_policy``, ``key_weights``), caching
+        replaces it (``controller=BatchController(...)``), per-key
+        dispatch weights (``key_weights``), caching
         (``cache_max_bytes``) and speculative warming (``warm_cache``,
         ``warm_min_gap_seconds``, ``warm_max_per_gap``), and admission
         control (``admission``, with global and per-key budgets) -- see
@@ -256,17 +193,18 @@ class ExplanationPipeline:
         """
         from repro.serve.loop import ExplanationService
 
+        executor = self.executor
         config = dict(
-            granularity=self.granularity,
-            block_shape=self.block_shape,
-            precision=self.precision,
-            eps=self.eps,
-            embedding=self.embedding,
-            max_stack_bytes=self.max_stack_bytes,
-            chunk_rows=self.chunk_rows,
-            max_pairs_per_wave=self.max_pairs_per_wave,
-            placement=self.placement,
-            hbm_bytes=self.hbm_bytes,
+            granularity=executor.granularity,
+            block_shape=executor.block_shape,
+            precision=executor.precision,
+            eps=executor.eps,
+            embedding=executor.embedding,
+            max_stack_bytes=executor.max_stack_bytes,
+            chunk_rows=executor.chunk_rows,
+            max_pairs_per_wave=executor.max_pairs_per_wave,
+            placement=executor.placement,
+            hbm_bytes=executor.hbm_bytes,
         )
         config.update(service_kwargs)
         return ExplanationService(self.device, **config)

@@ -30,6 +30,7 @@ Two practical extensions (documented in DESIGN.md section 5):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,18 @@ from repro.fft.fft2d import fft2, fft2_batch, ifft2_batch
 from repro.hw.device import _COMPLEX_HADAMARD_FLOPS, Device
 
 _STRATEGIES = ("identity", "spatial", "onehot-row", "tile")
+
+
+def check_eps(eps) -> None:
+    """Reject a negative or non-finite Wiener regularizer ``eps``.
+
+    The single home of the rule: :func:`frequency_solve` enforces it on
+    every call, and every distillation entry point when it is built, so
+    a bad value fails at construction instead of mid-run.  ``eps = 0``
+    stays legal: it is the paper's Eq. 4 verbatim.
+    """
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be finite and non-negative, got {eps}")
 
 
 @dataclass(frozen=True)
@@ -216,8 +229,7 @@ def frequency_solve(
         raise ValueError(
             f"inputs and outputs must align, got {x_stack.shape} vs {y_stack.shape}"
         )
-    if eps < 0:
-        raise ValueError(f"eps must be non-negative, got {eps}")
+    check_eps(eps)
     kernel = _solve_stack(x_stack, y_stack, eps, device_chain=device is not None)
     if device is not None:
         _record_solve(device, *x_stack.shape)

@@ -40,12 +40,7 @@ from repro.serve.admission import (
     AdmissionController,
     AdmissionDecision,
 )
-from repro.serve.batcher import (
-    DISPATCH_POLICIES,
-    BatchKey,
-    MicroBatcher,
-    QueuedRequest,
-)
+from repro.serve.batcher import BatchKey, MicroBatcher, QueuedRequest
 from repro.serve.cache import (
     DEFAULT_CACHE_BYTES,
     ExplanationCache,
@@ -79,7 +74,6 @@ __all__ = [
     "ADMITTED",
     "AdmissionController",
     "AdmissionDecision",
-    "DISPATCH_POLICIES",
     "BatchKey",
     "MicroBatcher",
     "QueuedRequest",

@@ -24,18 +24,15 @@ so AIMD updates take effect on the very next dispatch.
 
 **Dispatch fairness.**  When several keys are ripe in the same event-
 loop iteration (typically after a long dispatch advanced the clock
-past many deadlines), ``dispatch_policy`` orders them:
-
-* ``"fair"`` (weighted fair queueing, the default) -- keys dispatch in
-  ascending order of *served credit*, the pairs a key has already had
-  dispatched divided by its weight (``weights``, default 1.0).  A hot
-  key that constantly fills batches accumulates credit and yields the
-  head of each contended round to starved keys, bounding how long a
-  sparse key can sit behind a saturating one; a weight > 1 entitles a
-  key to proportionally more service before yielding.
-* ``"fifo"`` -- first-seen key order (the pre-autopilot behaviour,
-  kept as the comparison baseline: a hot key inserted first dispatches
-  first in every contended round).
+past many deadlines), they dispatch in weighted fair order: ascending
+*served credit*, the pairs a key has already had dispatched divided by
+its weight (``weights``, default 1.0), with first-seen key order
+breaking ties.  A hot key that constantly fills batches accumulates
+credit and yields the head of each contended round to starved keys,
+bounding how long a sparse key can sit behind a saturating one -- pure
+first-seen order would let a hot key inserted first dispatch first in
+every contended round; a weight > 1 entitles a key to proportionally
+more service before yielding.
 
 Keys are the compatibility contract: requests of different
 granularities, block shapes or precisions never share a dispatch, so
@@ -52,9 +49,6 @@ from dataclasses import dataclass
 
 from repro.core.masking import MaskSpec
 from repro.serve.workload import Request
-
-#: Orders for draining several simultaneously-ripe keys.
-DISPATCH_POLICIES = ("fair", "fifo")
 
 
 @dataclass(frozen=True)
@@ -88,7 +82,6 @@ class MicroBatcher:
         max_wait_seconds: float = 0.05,
         max_batch_pairs: int = 32,
         controller=None,
-        dispatch_policy: str = "fair",
         weights: dict | None = None,
     ) -> None:
         if max_wait_seconds < 0:
@@ -99,11 +92,6 @@ class MicroBatcher:
             raise ValueError(
                 f"max_batch_pairs must be positive, got {max_batch_pairs}"
             )
-        if dispatch_policy not in DISPATCH_POLICIES:
-            raise ValueError(
-                f"unknown dispatch_policy {dispatch_policy!r}; "
-                f"expected one of {DISPATCH_POLICIES}"
-            )
         if weights is not None:
             for key, weight in weights.items():
                 if weight <= 0:
@@ -113,7 +101,6 @@ class MicroBatcher:
         self.max_wait_seconds = float(max_wait_seconds)
         self.max_batch_pairs = int(max_batch_pairs)
         self.controller = controller
-        self.dispatch_policy = dispatch_policy
         self.weights = dict(weights) if weights else {}
         self._queues: dict[BatchKey, list[QueuedRequest]] = {}
         #: Running totals behind the pressure signals, kept by enqueue/pop.
@@ -188,9 +175,7 @@ class MicroBatcher:
         return min(deadlines) if deadlines else math.inf
 
     def _dispatch_order(self, keys: list[BatchKey]) -> list[BatchKey]:
-        """Order simultaneously-ripe keys per the dispatch policy."""
-        if self.dispatch_policy == "fifo":
-            return sorted(keys, key=lambda key: self._order[key])
+        """Least served credit first, first-seen order breaking ties."""
         return sorted(
             keys,
             key=lambda key: (self._served.get(key, 0.0), self._order[key]),
@@ -199,9 +184,9 @@ class MicroBatcher:
     def ripe_keys(self, now: float) -> list[BatchKey]:
         """Keys that should dispatch at ``now``: full or past max-wait.
 
-        Ordered by the dispatch policy (weighted fair queueing by
-        default, first-seen under ``"fifo"``) and duplicate-free, so
-        the event loop's dispatch order is deterministic.
+        In weighted fair order (least served credit first, first-seen
+        order breaking ties) and duplicate-free, so the event loop's
+        dispatch order is deterministic.
         """
         ripe = []
         for key, queue in self._queues.items():
@@ -215,7 +200,7 @@ class MicroBatcher:
         return self._dispatch_order(ripe)
 
     def drain_keys(self) -> list[BatchKey]:
-        """Every key with pending requests, in dispatch-policy order.
+        """Every key with pending requests, in weighted fair order.
 
         The trace-exhausted flush: once no further arrival can join a
         batch, waiting out the max-wait window buys width that will
@@ -232,7 +217,7 @@ class MicroBatcher:
         enqueue time (its max-wait deadline keeps running), so a
         saturating key drains as a train of full batches.  The key's
         served credit grows by the weighted batch size -- the fairness
-        bookkeeping behind ``dispatch_policy="fair"``.
+        bookkeeping behind :meth:`ripe_keys`' order.
         """
         _, max_pairs = self.policy_for(key)
         queue = self._queues.get(key, [])

@@ -40,34 +40,20 @@ any wave, or answered from cache -- batching and caching change only
 
 from __future__ import annotations
 
-import math
-
 from repro.core.fleet import (
     GRANULARITIES,
-    PLACEMENTS,
     FleetExecutor,
-    check_eps,
     check_precision_granularity,
     feed_bytes,
 )
-from repro.core.masking import (
-    DEFAULT_STACK_BUDGET_BYTES,
-    REDUCTIONS,
-    MaskSpec,
-)
+from repro.core.masking import DEFAULT_STACK_BUDGET_BYTES, MaskSpec
 from repro.core.transform import OutputEmbedding
 from repro.hw.device import Device
-from repro.hw.pod import TpuPod
 from repro.hw.quantize import resolve_precision
 from repro.obs.registry import register_metrics_source
 from repro.obs.tracer import tracer
 from repro.serve.admission import ADMITTED, AdmissionController
-from repro.serve.batcher import (
-    DISPATCH_POLICIES,
-    BatchKey,
-    MicroBatcher,
-    QueuedRequest,
-)
+from repro.serve.batcher import BatchKey, MicroBatcher, QueuedRequest
 from repro.serve.cache import (
     DEFAULT_CACHE_BYTES,
     DigestMemo,
@@ -84,6 +70,14 @@ from repro.serve.workload import Request
 class ExplanationService:
     """Serve explanation requests by micro-batching them into fleet waves.
 
+    Every option is checked at construction, not at the first request:
+    the fleet options by building the default key's
+    :class:`~repro.core.fleet.FleetExecutor`, whose device -- the pod
+    when ``num_chips > 1`` -- becomes :attr:`device`, and the batching
+    options (``max_wait_seconds``, ``max_batch_pairs``,
+    ``key_weights``) by building a
+    :class:`~repro.serve.batcher.MicroBatcher`.
+
     Parameters
     ----------
     device:
@@ -94,8 +88,7 @@ class ExplanationService:
         naming its own values is routed to its own batch key.
     eps, embedding, reduction, fill_value:
         The distillation solve and Eq. 5 scoring configuration, shared
-        by every dispatch (part of the cache digest); a negative or
-        non-finite ``eps`` raises here, not at the first dispatch.
+        by every dispatch (part of the cache digest).
     max_stack_bytes, chunk_rows, max_pairs_per_wave:
         Forwarded to each key's :class:`~repro.core.fleet.FleetExecutor`
         (the budget bounds the streamed chunk, not the wave, so a big
@@ -125,13 +118,13 @@ class ExplanationService:
         back through :meth:`~repro.serve.controller.BatchController
         .observe`.  Controller state persists across :meth:`process`
         calls, like the cache.
-    dispatch_policy, key_weights:
-        How simultaneously-ripe batch keys are ordered: ``"fair"``
-        (weighted fair queueing on served pairs -- the default; a hot
-        key yields contended rounds to starved ones) or ``"fifo"``
-        (first-seen key order, the pre-autopilot baseline).
-        ``key_weights`` maps :class:`~repro.serve.batcher.BatchKey`\\ s
-        (or their ``as_tuple()`` forms) to relative service weights.
+    key_weights:
+        Simultaneously-ripe batch keys dispatch in weighted fair order:
+        fewest served pairs per unit weight first, first-seen key order
+        breaking ties, so a hot key yields contended rounds to starved
+        ones.  ``key_weights`` maps
+        :class:`~repro.serve.batcher.BatchKey`\\ s (or their
+        ``as_tuple()`` forms) to relative service weights (default 1.0).
     warm_cache, warm_min_gap_seconds, warm_max_per_gap, warm_tracked:
         Speculative cache warming: with ``warm_cache=True`` (requires a
         cache) the service re-distills recurring evicted explanations
@@ -180,7 +173,6 @@ class ExplanationService:
         interconnect=None,
         hbm_bytes: int | None = None,
         controller: BatchController | None = None,
-        dispatch_policy: str = "fair",
         key_weights: dict | None = None,
         warm_cache: bool = False,
         warm_min_gap_seconds: float = 0.25,
@@ -188,53 +180,43 @@ class ExplanationService:
         warm_tracked: int = 64,
         metrics_name: str | None = "serve",
     ) -> None:
-        if granularity not in GRANULARITIES:
-            raise ValueError(
-                f"unknown granularity {granularity!r}; expected one of {GRANULARITIES}"
-            )
-        if granularity == "blocks" and block_shape is None:
-            raise ValueError("blocks granularity requires a block_shape")
-        if reduction not in REDUCTIONS:
-            raise ValueError(
-                f"unknown reduction {reduction!r}; expected one of {REDUCTIONS}"
-            )
-        if placement not in PLACEMENTS:
-            raise ValueError(
-                f"unknown placement {placement!r}; expected one of {PLACEMENTS}"
-            )
-        self.precision = resolve_precision(precision)
-        check_precision_granularity(self.precision, granularity)
-        check_eps(eps)
-        # Pod resolution once, up front: self.device is the pod, its
-        # ledger is the service clock's time source, and every batch
-        # key's executor shards through it.
-        if num_chips is not None and int(num_chips) > 1 and not isinstance(device, TpuPod):
-            device = TpuPod.like(
-                device, int(num_chips), interconnect=interconnect,
-                hbm_bytes=hbm_bytes,
-            )
-        if (
-            isinstance(device, TpuPod)
-            and num_chips is not None
-            and int(num_chips) != device.num_chips
-        ):
-            raise ValueError(
-                f"num_chips={num_chips} disagrees with the supplied "
-                f"{device.num_chips}-chip pod"
-            )
+        defaults = FleetExecutor(
+            device,
+            granularity=granularity,
+            block_shape=block_shape,
+            eps=eps,
+            embedding=embedding,
+            reduction=reduction,
+            fill_value=fill_value,
+            max_stack_bytes=max_stack_bytes,
+            max_pairs_per_wave=max_pairs_per_wave,
+            chunk_rows=chunk_rows,
+            precision=precision,
+            num_chips=num_chips,
+            placement=placement,
+            interconnect=interconnect,
+            hbm_bytes=hbm_bytes,
+        )
+        # Every batch key's executor runs on this device: the pod, when
+        # num_chips resolved to one, whose ledger is the clock's source.
+        self.device = defaults.device
         self.placement = placement
-        self.device = device
         self.granularity = granularity
         self.block_shape = block_shape
+        self.precision = defaults.precision
         self.eps = eps
-        self.embedding = embedding or OutputEmbedding("identity")
+        self.embedding = defaults.embedding
         self.reduction = reduction
         self.fill_value = fill_value
         self.max_stack_bytes = max_stack_bytes
         self.chunk_rows = chunk_rows
         self.max_pairs_per_wave = max_pairs_per_wave
+        self.hbm_bytes = defaults.hbm_bytes
         self.max_wait_seconds = max_wait_seconds
         self.max_batch_pairs = max_batch_pairs
+        self.controller = controller
+        self.key_weights = dict(key_weights) if key_weights else {}
+        self._new_batcher()  # rejects bad batching options now
         if cache is not None:
             self.cache: ExplanationCache | None = cache
         elif cache_max_bytes is None:
@@ -242,14 +224,6 @@ class ExplanationService:
         else:
             self.cache = ExplanationCache(max_bytes=cache_max_bytes)
         self.admission = admission
-        if dispatch_policy not in DISPATCH_POLICIES:
-            raise ValueError(
-                f"unknown dispatch_policy {dispatch_policy!r}; "
-                f"expected one of {DISPATCH_POLICIES}"
-            )
-        self.controller = controller
-        self.dispatch_policy = dispatch_policy
-        self.key_weights = dict(key_weights) if key_weights else {}
         if warm_min_gap_seconds <= 0:
             raise ValueError(
                 f"warm_min_gap_seconds must be positive, got "
@@ -274,7 +248,6 @@ class ExplanationService:
         # learned from actual warm dispatches so a gap never overruns
         # into the next arrival after the first warm of a session.
         self._warm_cost_estimate = 0.0
-        self.hbm_bytes = None if hbm_bytes is None else int(hbm_bytes)
         # One executor per batch key and one lazy mask plan per
         # (granularity, block_shape, plane shape): built on first use,
         # reused for every later request and every later process() call.
@@ -421,6 +394,15 @@ class ExplanationService:
             self._executors[key] = executor
         return executor
 
+    def _new_batcher(self) -> MicroBatcher:
+        """A fresh micro-batcher under the service's batching options."""
+        return MicroBatcher(
+            max_wait_seconds=self.max_wait_seconds,
+            max_batch_pairs=self.max_batch_pairs,
+            controller=self.controller,
+            weights=self.key_weights,
+        )
+
     def _spec(self, precision_name: str | None):
         """Per-key precision spec, resolved once per distinct name."""
         if precision_name not in self._spec_memo:
@@ -481,13 +463,7 @@ class ExplanationService:
             requests, key=lambda r: (r.arrival_time, r.request_id)
         )
         clock = clock if clock is not None else SimulatedClock()
-        batcher = MicroBatcher(
-            max_wait_seconds=self.max_wait_seconds,
-            max_batch_pairs=self.max_batch_pairs,
-            controller=self.controller,
-            dispatch_policy=self.dispatch_policy,
-            weights=self.key_weights,
-        )
+        batcher = self._new_batcher()
         ledger = LatencyLedger()
         if tracer.enabled:
             # The serve host owns pid 0; device/pod lanes are aligned

@@ -184,6 +184,9 @@ class TestExplanationPipeline:
             ExplanationPipeline(CpuDevice(), granularity="pixels")
         with pytest.raises(ValueError):
             ExplanationPipeline(CpuDevice(), granularity="blocks")  # no block_shape
+        with pytest.raises(ValueError, match="hbm_bytes"):
+            ExplanationPipeline(CpuDevice(), granularity="columns", hbm_bytes=0)
+
     def test_empty_batch_returns_empty_run(self):
         """The serving layer's idle drain path: an empty batch is a
         zero-cost run, not an error."""

@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    BatchDistillationResult,
     ExplanationPipeline,
     FleetExecutor,
     FleetSchedule,
     MaskSpec,
     MaskStackBudgetError,
-    MultiInputScheduler,
     TpuBackend,
-    distill_batch,
     make_tpu_chip,
 )
 from repro.core import fleet
@@ -313,29 +310,6 @@ class TestFleetExecutorValidation:
             FleetExecutor(CpuDevice(), granularity="columns", reduction="magic")
 
 
-class TestSchedulerExplainBatch:
-    def test_explain_batch_matches_pipeline_wave_run(self):
-        pairs = planted_pairs(3)
-        chip = make_tpu_chip(num_cores=4, precision="fp32", mxu_rows=8, mxu_cols=8)
-        fleet = MultiInputScheduler(chip).explain_batch(
-            pairs, granularity="blocks", block_shape=(4, 4), eps=1e-8
-        )
-        assert fleet.stats is not None
-        assert fleet.stats.op_counts["dispatch"] == 1
-        pipeline = ExplanationPipeline(
-            small_backend(), granularity="blocks", block_shape=(4, 4), eps=1e-8
-        ).run(pairs)
-        assert_same_explanations(fleet.results, pipeline.explanations)
-
-    def test_plan_waves_exposes_schedule(self):
-        chip = make_tpu_chip(num_cores=4, precision="fp32", mxu_rows=8, mxu_cols=8)
-        schedule = MultiInputScheduler(chip).plan_waves(
-            planted_pairs(4), granularity="columns"
-        )
-        assert schedule.num_waves == 1
-        assert schedule.num_pairs == 4
-
-
 class TestComplexOperands:
     """Bit-identity must survive complex-valued pairs (review findings)."""
 
@@ -623,12 +597,9 @@ class TestEpsValidation:
         "executor": lambda eps: FleetExecutor(CpuDevice(), granularity="columns", eps=eps),
         "pipeline": lambda eps: ExplanationPipeline(
             CpuDevice(), granularity="columns", eps=eps
-        ),
+        ).executor,
         "service": lambda eps: ExplanationService(CpuDevice(), granularity="columns", eps=eps),
         "distiller": lambda eps: ConvolutionDistiller(eps=eps),
-        "distill_batch": lambda eps: distill_batch(
-            planted_pairs(2, shape=(4, 4)), make_tpu_chip(num_cores=2), eps=eps
-        ),
     }
 
     @pytest.mark.parametrize("eps", [-1.0, float("nan"), float("inf")])
@@ -639,11 +610,7 @@ class TestEpsValidation:
 
     @pytest.mark.parametrize("builder", sorted(BUILDERS))
     def test_zero_eps_is_eq4_verbatim(self, builder):
-        built = self.BUILDERS[builder](0.0)
-        if isinstance(built, BatchDistillationResult):
-            assert all(np.isfinite(kernel).all() for kernel in built.kernels)
-        else:
-            assert built.eps == 0.0
+        assert self.BUILDERS[builder](0.0).eps == 0.0
 
 
 class TestLedgerHygiene:

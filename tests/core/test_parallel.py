@@ -50,16 +50,6 @@ class TestMultiInputScheduler:
         for x, out in zip(inputs, batch.outputs):
             np.testing.assert_allclose(out, fft2(x), atol=1e-6)
 
-    def test_inverse_batch(self):
-        chip = small_chip()
-        rng = np.random.default_rng(1)
-        inputs = [rng.standard_normal((8, 8)) + 0j for _ in range(2)]
-        spectra = MultiInputScheduler(chip).fft2_batch(inputs)
-        chip.reset()
-        back = MultiInputScheduler(chip).ifft2_batch(spectra.outputs)
-        for x, out in zip(inputs, back.outputs):
-            np.testing.assert_allclose(out, x, atol=1e-6)
-
     def test_parallel_elapsed_below_serial(self):
         """Inputs run side by side: elapsed < sum of individual times."""
         chip = small_chip(num_cores=4)

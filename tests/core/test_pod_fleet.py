@@ -15,7 +15,6 @@ import pytest
 from repro.core import (
     ExplanationPipeline,
     FleetExecutor,
-    MultiInputScheduler,
     TpuBackend,
     make_tpu_chip,
     make_tpu_pod,
@@ -351,19 +350,6 @@ class TestPipelineAndSchedulerKnobs:
             ExplanationPipeline(
                 TpuPod.like(backend(), 2), granularity="rows", num_chips=4
             )
-
-    def test_scheduler_explain_batch_num_chips(self):
-        pairs = fleet_pairs(count=5, seed=5)
-        chip = make_tpu_chip(num_cores=8)
-        reference = MultiInputScheduler(chip).explain_batch(
-            pairs, granularity="rows"
-        )
-        sharded = MultiInputScheduler(chip).explain_batch(
-            pairs, granularity="rows", num_chips=4, placement="data"
-        )
-        assert_identical(reference, sharded)
-        assert sharded.stats is not None
-        assert sharded.stats.op_seconds["host_link_overlap"] < 0.0
 
 
 class TestServicePod:

@@ -97,8 +97,9 @@ class TestExactRecovery:
     def test_validation(self):
         with pytest.raises(ValueError):
             frequency_solve(np.ones((2, 2)), np.ones((3, 3)))
-        with pytest.raises(ValueError):
-            frequency_solve(np.ones((2, 2)), np.ones((2, 2)), eps=-1.0)
+        for eps in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                frequency_solve(np.ones((2, 2)), np.ones((2, 2)), eps=eps)
         with pytest.raises(ValueError):
             frequency_solve(np.ones(4), np.ones(4))
 

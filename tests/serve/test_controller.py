@@ -26,6 +26,7 @@ from repro.serve import (
     AdmissionController,
     BatchController,
     ExplanationService,
+    MicroBatcher,
     Request,
     RequestRecord,
     bursty_requests,
@@ -297,14 +298,21 @@ def hot_key_trace():
 
 
 class TestFairness:
-    def test_fair_dispatch_improves_every_starved_keys_p99(self):
+    def test_fair_dispatch_improves_every_starved_keys_p99(self, monkeypatch):
         trace = hot_key_trace()
-        reports = {}
-        for policy in ("fifo", "fair"):
-            reports[policy] = make_service(
-                max_wait_seconds=0.02, max_batch_pairs=16,
-                dispatch_policy=policy,
-            ).process(trace)
+
+        def serve():
+            return make_service(max_wait_seconds=0.02, max_batch_pairs=16).process(trace)
+
+        # The baseline is plain first-seen key order, under which the
+        # hot key, seen first, heads every contended round.
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                MicroBatcher, "_dispatch_order",
+                lambda self, keys: sorted(keys, key=self._order.__getitem__),
+            )
+            reports = {"fifo": serve()}
+        reports["fair"] = serve()
         hot_key = ("blocks", BLOCK, None)
         starved = [
             key for key in reports["fifo"].ledger.batch_keys()
@@ -327,10 +335,10 @@ class TestFairness:
         trace = hot_key_trace()
         rows_key = ("rows", None, None)
         unweighted = make_service(
-            max_wait_seconds=0.02, max_batch_pairs=16, dispatch_policy="fair",
+            max_wait_seconds=0.02, max_batch_pairs=16
         ).process(trace)
         weighted = make_service(
-            max_wait_seconds=0.02, max_batch_pairs=16, dispatch_policy="fair",
+            max_wait_seconds=0.02, max_batch_pairs=16,
             key_weights={("blocks", BLOCK, None): 100.0},
         ).process(trace)
         # Weighting the hot key ~infinitely keeps its credit near zero,

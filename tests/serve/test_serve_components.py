@@ -428,21 +428,9 @@ class TestMicroBatcher:
         assert batcher.pending_count_for(missing) == 0
         assert batcher.pending_bytes_for(missing) == 0
 
-    def test_fifo_dispatch_orders_by_first_seen(self):
-        other = BatchKey(granularity="rows", block_shape=None, precision=None)
-        batcher = MicroBatcher(max_wait_seconds=0.0, dispatch_policy="fifo")
-        batcher.enqueue(KEY, _queued(0, 0.0))
-        batcher.enqueue(other, _queued(1, 0.0))
-        assert batcher.ripe_keys(0.0) == [KEY, other]
-        # The hot first-seen key keeps the head no matter how much it
-        # has already been served.
-        batcher.pop(KEY)
-        batcher.enqueue(KEY, _queued(2, 0.0))
-        assert batcher.ripe_keys(0.0) == [KEY, other]
-
     def test_fair_dispatch_yields_to_the_least_served_key(self):
         other = BatchKey(granularity="rows", block_shape=None, precision=None)
-        batcher = MicroBatcher(max_wait_seconds=0.0, dispatch_policy="fair")
+        batcher = MicroBatcher(max_wait_seconds=0.0)
         batcher.enqueue(KEY, _queued(0, 0.0))
         batcher.enqueue(other, _queued(1, 0.0))
         assert batcher.ripe_keys(0.0) == [KEY, other]  # credit tie: first seen
@@ -452,10 +440,7 @@ class TestMicroBatcher:
 
     def test_fair_dispatch_weights_scale_served_credit(self):
         other = BatchKey(granularity="rows", block_shape=None, precision=None)
-        batcher = MicroBatcher(
-            max_wait_seconds=0.0, dispatch_policy="fair",
-            weights={KEY: 4.0},
-        )
+        batcher = MicroBatcher(max_wait_seconds=0.0, weights={KEY: 4.0})
         for i in range(4):
             batcher.enqueue(KEY, _queued(i, 0.0))
         batcher.pop(KEY)  # 4 pairs / weight 4 = 1 credit
@@ -476,8 +461,6 @@ class TestMicroBatcher:
             MicroBatcher(max_wait_seconds=-1.0)
         with pytest.raises(ValueError):
             MicroBatcher(max_batch_pairs=0)
-        with pytest.raises(ValueError):
-            MicroBatcher(dispatch_policy="random")
         with pytest.raises(ValueError):
             MicroBatcher(weights={KEY: 0.0})
 

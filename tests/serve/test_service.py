@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.backend import TpuBackend, make_tpu_chip
-from repro.core.parallel import MultiInputScheduler
+from repro.core.fleet import FleetExecutor
 from repro.core.pipeline import ExplanationPipeline
 from repro.hw.cpu import CpuDevice
 from repro.serve import (
@@ -90,7 +90,7 @@ class TestBitIdentity:
         assert service.device is pipeline.device
         assert service.granularity == "blocks"
         assert service.block_shape == BLOCK
-        assert service.precision is pipeline.precision
+        assert service.precision is pipeline.executor.precision
         requests = trace(count=10, seed=2)
         served = service.process(requests).results_by_id()
         offline = pipeline.run([(r.x, r.y) for r in requests])
@@ -265,11 +265,11 @@ class TestIdleAndEmptyPaths:
         assert len(report.ledger) == 0
 
     def test_scheduler_empty_batch_returns_empty_run(self):
-        scheduler = MultiInputScheduler(make_tpu_chip(num_cores=4, mxu_rows=8, mxu_cols=8))
-        run = scheduler.explain_batch([], granularity="columns")
+        device = TpuBackend(make_tpu_chip(num_cores=4, mxu_rows=8, mxu_cols=8))
+        run = FleetExecutor(device, granularity="columns").run([])
         assert run.results == ()
         assert run.num_waves == 0
-        assert run.stats.seconds == 0.0
+        assert device.take_stats().seconds == 0.0
 
     def test_idle_drain_after_traffic_is_free(self):
         """After the trace drains, flushing the known batch keys runs
@@ -346,3 +346,13 @@ class TestRequestValidation:
             ExplanationService(CpuDevice(), granularity="blocks")
         with pytest.raises(ValueError):
             make_service(reduction="magic")
+        # Bad fleet and batching options raise at construction, not at
+        # the first request or process() call.
+        with pytest.raises(ValueError, match="hbm_bytes"):
+            ExplanationService(CpuDevice(), granularity="columns", hbm_bytes=0)
+        with pytest.raises(ValueError, match="max_batch_pairs"):
+            make_service(max_batch_pairs=0)
+        with pytest.raises(ValueError, match="max_wait_seconds"):
+            make_service(max_wait_seconds=-1)
+        with pytest.raises(ValueError, match="weight"):
+            make_service(key_weights={("blocks", BLOCK, None): 0.0})
