@@ -16,6 +16,7 @@ from repro.core import fleet
 from repro.core.distillation import ConvolutionDistiller
 from repro.core.fleet import wave_dtype_key, wave_row_map
 from repro.core.interpretation import feature_contributions
+from repro.core.transform import frequency_solve
 from repro.fft import fft, fft_circular_convolve2d, rfft, rfft2_batch
 from repro.hw.cpu import CpuDevice
 from repro.serve import ExplanationService
@@ -310,6 +311,34 @@ class TestFleetExecutorValidation:
             FleetExecutor(CpuDevice(), granularity="columns", reduction="magic")
 
 
+class TestOneEntryPoint:
+    """The pipeline runs the executor it builds; planning needs no run."""
+
+    def test_pipeline_runs_its_executor(self):
+        pairs = planted_pairs(3)
+        options = dict(granularity="blocks", block_shape=(4, 4), eps=1e-8)
+        pipeline = ExplanationPipeline(small_backend(), **options)
+        assert pipeline.device is pipeline.executor.device
+        run = pipeline.run(pairs)
+        assert run.stats.op_counts["dispatch"] == 1
+        assert all(isinstance(e, fleet.PairResult) for e in run.explanations)
+        # The run harvested the ledger it recorded.
+        assert pipeline.device.stats.seconds == 0.0
+        direct = FleetExecutor(small_backend(), **options).run(pairs)
+        assert_same_explanations(run.explanations, direct.results)
+
+    def test_schedule_plans_without_running(self):
+        pairs = planted_pairs(4)
+        device = small_backend()
+        executor = FleetExecutor(device, granularity="columns")
+        schedule = executor.schedule(pairs)
+        assert schedule.num_waves == 1
+        assert schedule.num_pairs == 4
+        assert device.stats.seconds == 0.0
+        assert not device.stats.op_counts
+        assert executor.run(pairs).schedule == schedule
+
+
 class TestComplexOperands:
     """Bit-identity must survive complex-valued pairs (review findings)."""
 
@@ -591,7 +620,8 @@ class TestPromotedDtypeWaves:
 
 
 class TestEpsValidation:
-    """A bad ``eps`` fails when the object is built, not mid-run."""
+    """A bad ``eps`` fails when the object is built (or the solve is
+    called), not mid-run."""
 
     BUILDERS = {
         "executor": lambda eps: FleetExecutor(CpuDevice(), granularity="columns", eps=eps),
@@ -600,6 +630,9 @@ class TestEpsValidation:
         ).executor,
         "service": lambda eps: ExplanationService(CpuDevice(), granularity="columns", eps=eps),
         "distiller": lambda eps: ConvolutionDistiller(eps=eps),
+        "frequency_solve": lambda eps: frequency_solve(
+            *planted_pairs(1, shape=(4, 4))[0], eps=eps
+        ),
     }
 
     @pytest.mark.parametrize("eps", [-1.0, float("nan"), float("inf")])
@@ -610,7 +643,11 @@ class TestEpsValidation:
 
     @pytest.mark.parametrize("builder", sorted(BUILDERS))
     def test_zero_eps_is_eq4_verbatim(self, builder):
-        assert self.BUILDERS[builder](0.0).eps == 0.0
+        built = self.BUILDERS[builder](0.0)
+        if isinstance(built, np.ndarray):  # frequency_solve's kernel
+            assert np.isfinite(built).all()
+        else:
+            assert built.eps == 0.0
 
 
 class TestLedgerHygiene:

@@ -351,6 +351,15 @@ class TestPipelineAndSchedulerKnobs:
                 TpuPod.like(backend(), 2), granularity="rows", num_chips=4
             )
 
+    def test_pipeline_device_is_its_executors_pod(self):
+        pipeline = ExplanationPipeline(backend(), granularity="rows", num_chips=4)
+        assert isinstance(pipeline.device, TpuPod)
+        assert pipeline.device.num_chips == 4
+        assert pipeline.device is pipeline.executor.pod
+        single = ExplanationPipeline(backend(), granularity="rows", num_chips=1)
+        assert single.executor.pod is None
+        assert not isinstance(single.device, TpuPod)
+
 
 class TestServicePod:
     def test_service_pod_results_bit_identical(self):
@@ -385,6 +394,42 @@ class TestServicePod:
         for a, b in zip(results(single), results(pod)):
             assert np.array_equal(a.scores, b.scores)
             assert a.residual == b.residual
+
+    def test_service_resolves_num_chips_at_construction(self):
+        from repro.serve.loop import ExplanationService
+
+        service = ExplanationService(backend(), granularity="rows", num_chips=4)
+        assert isinstance(service.device, TpuPod)
+        assert service.device.num_chips == 4
+        with pytest.raises(ValueError, match="disagrees"):
+            ExplanationService(
+                TpuPod.like(backend(), 2), granularity="rows", num_chips=4
+            )
+
+    def test_every_batch_keys_executor_runs_on_the_service_pod(self):
+        from repro.serve.loop import ExplanationService
+        from repro.serve.workload import Request
+
+        rng = np.random.default_rng(7)
+        requests = [
+            Request(
+                request_id=i,
+                arrival_time=0.001 * i,
+                x=rng.standard_normal(PLANE),
+                y=rng.standard_normal(PLANE),
+                granularity=granularity,
+            )
+            for i, granularity in enumerate(["rows", "columns"] * 2)
+        ]
+        service = ExplanationService(
+            backend(), granularity="rows", cache_max_bytes=None, num_chips=2
+        )
+        report = service.process(requests)
+        assert report.completed_count == 4
+        executors = list(service._executors.values())
+        assert sorted(e.granularity for e in executors) == ["columns", "rows"]
+        for executor in executors:
+            assert executor.pod is service.device
 
     def test_pipeline_service_inherits_pod(self):
         pipeline = ExplanationPipeline(

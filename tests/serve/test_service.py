@@ -14,6 +14,7 @@ import pytest
 from repro.core.backend import TpuBackend, make_tpu_chip
 from repro.core.fleet import FleetExecutor
 from repro.core.pipeline import ExplanationPipeline
+from repro.core.transform import OutputEmbedding
 from repro.hw.cpu import CpuDevice
 from repro.serve import (
     AdmissionController,
@@ -98,6 +99,26 @@ class TestBitIdentity:
             np.testing.assert_array_equal(
                 served[request.request_id].scores, explanation.scores
             )
+
+    def test_pipeline_service_reads_every_default_from_the_executor(self):
+        pipeline = ExplanationPipeline(
+            small_backend(), granularity="columns", eps=1e-4,
+            embedding=OutputEmbedding("tile"), max_stack_bytes=1 << 20,
+            chunk_rows=3, max_pairs_per_wave=2, precision="fp32",
+            hbm_bytes=1 << 22,
+        )
+        executor = pipeline.executor
+        service = pipeline.service()
+        assert service.device is pipeline.device
+        for name in (
+            "granularity", "block_shape", "precision", "eps", "embedding",
+            "max_stack_bytes", "chunk_rows", "max_pairs_per_wave",
+            "placement", "hbm_bytes",
+        ):
+            assert getattr(service, name) == getattr(executor, name), name
+        overridden = pipeline.service(eps=1e-2, chunk_rows=5)
+        assert (overridden.eps, overridden.chunk_rows) == (1e-2, 5)
+        assert overridden.max_pairs_per_wave == 2
 
 
 class TestCache:
