@@ -28,7 +28,10 @@ Shape contracts asserted (also run by CI via the ``--quick`` smoke
 mode, plus ``--pipelined`` for the overlap contract): wave-fused TPU
 dispatch count strictly below the per-pair count, wave simulated
 seconds below pair seconds, the wave gain growing with fleet size on
-the TPU, scores bit-identical to the looped reference, the 100-pair
+the TPU, wave scores bit-identical to one-pair waves and within
+``tests.reference.SCORE_TOLERANCE`` (1e-9 of a pair's largest score) of
+the looped reference, from which the fleet's l2 scorer departs only in
+the last bits, the 100-pair
 multi-wave run carrying a negative ``infeed_overlap`` row with its
 elapsed equal to ``pipelined_elapsed_seconds`` of its stages and one
 dispatch per wave, and -- in the quantized smoke, part of ``--quick``
@@ -173,12 +176,15 @@ def test_wave_dispatch_count_below_pair_dispatch_count():
 
 def test_scores_bit_identical_across_fusion():
     pairs = planted_pairs(6, seed=1)
+    wave, pair = _run(pairs), _run(pairs, max_pairs_per_wave=1)
+    for a, b in zip(wave.explanations, pair.explanations):
+        np.testing.assert_array_equal(a.scores, b.scores)
+        np.testing.assert_array_equal(a.kernel, b.kernel)
+        assert a.residual == b.residual
     looped, _ = _looped(pairs)
-    for run in (_run(pairs), _run(pairs, max_pairs_per_wave=1)):
-        for a, b in zip(looped, run.explanations):
-            np.testing.assert_array_equal(a.scores, b.scores)
-            np.testing.assert_array_equal(a.kernel, b.kernel)
-            assert a.residual == b.residual
+    reference.assert_matches(
+        wave.explanations, looped, pairs, granularity="blocks", block_shape=BLOCK
+    )
 
 
 def test_tpu_wave_gain_grows_with_fleet_size():
@@ -197,7 +203,8 @@ def test_pipelined_waves_beat_serial_waves():
     """The overlap contract at executed scale: a multi-wave fleet runs
     double-buffered -- elapsed equals ``pipelined_elapsed_seconds`` of
     its program stages, strictly below their serial sum -- with one
-    dispatch per wave and scores bit-identical to the looped reference."""
+    dispatch per wave, scores bit-identical to one unpipelined wave and
+    within the linearity bound of the looped reference."""
     pairs = planted_pairs(100)
     pipelined, stages = _traced_stages(
         lambda: _run(pairs, max_pairs_per_wave=PAIRS_PER_WAVE)
@@ -210,10 +217,14 @@ def test_pipelined_waves_beat_serial_waves():
         pipelined_elapsed_seconds(stages), rel=1e-12
     )
     assert pipelined.simulated_seconds < sum(stage.total for stage in stages)
-    looped, _ = _looped(pairs, device=CpuDevice())
-    for a, b in zip(looped, pipelined.explanations):
+    single = _run(pairs)
+    for a, b in zip(single.explanations, pipelined.explanations):
         np.testing.assert_array_equal(a.scores, b.scores)
         assert a.residual == b.residual
+    looped, _ = _looped(pairs, device=CpuDevice())
+    reference.assert_matches(
+        pipelined.explanations, looped, pairs, granularity="blocks", block_shape=BLOCK
+    )
 
 
 class TestQuantizedFleetContracts:
@@ -893,9 +904,13 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
+    for a, b in zip(pair.explanations, wave.explanations):
+        if not np.array_equal(a.scores, b.scores):
+            print("FAIL: wave scores diverge from one-pair waves", file=sys.stderr)
+            return 1
     looped, _ = _looped(pairs, device=CpuDevice())
     for a, b in zip(looped, wave.explanations):
-        if not np.array_equal(a.scores, b.scores):
+        if not reference.relative_error(b.scores, a.scores) <= reference.SCORE_TOLERANCE:
             print("FAIL: wave scores diverge from the looped reference", file=sys.stderr)
             return 1
     status = _quantized_smoke()

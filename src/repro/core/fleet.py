@@ -19,8 +19,9 @@ one infeed and one batched convolution per *wave* of pairs:
   materialized** -- it is convolved (per-row kernels, one
   kernel-spectrum batch for the wave) and scored with one reduction in
   windows of at most ``chunk_rows`` rows, so peak host memory is
-  ``O(chunk_rows * M * N)`` plus one residual plane per pair regardless
-  of how many masks a wave fuses.  A mask changes only a band of rows
+  ``O(chunk_rows * M * N)`` plus a few planes per pair (its residual;
+  on the ``l2`` path below, its correlation and autocorrelation too)
+  regardless of how many masks a wave fuses.  A mask changes only a band of rows
   (:meth:`~repro.core.masking.MaskSpec.bands_at`), and the 2-D
   transform is row transforms then column transforms (Sec. III-C,
   Eq. 7-8), so a real wave at exact precision transforms each pair's
@@ -49,12 +50,21 @@ the full-duplex link; the last outfeed is charged in full) and the
 hidden host-link time is credited back as a negative ``infeed_overlap``
 ledger row.  A single-wave fleet pays exactly its serial cost.
 
-Scores, kernels and residuals equal one masked convolution per feature
-bit for bit: the batched FFT kernels transform each line on its own
-(so a row's transform is the same whether it is computed alone or in a
-stack, and an unmasked row's is its pair's) and per-row reductions are
-plane-local, so fusion, row sharing, streaming and pipelining change
-only the cost ledger, never the numbers.
+Kernels and residuals equal the per-pair loop bit for bit, and so do
+scores off the ``l2`` path below: the batched FFT kernels transform
+each line on its own (so a row's transform is the same whether it is
+computed alone or in a stack, and an unmasked row's is its pair's) and
+per-row reductions are plane-local.  **l2 by linearity.**  An ``l2``
+wave of real float64 pairs at exact precision convolves only its
+residual rows and scores every mask in closed form
+(:func:`~repro.core.interpretation.l2_scores_by_linearity`: two planes
+per pair, ``O(s^2)`` per mask of ``s`` cells); a mask whose terms
+cancel goes back to one exact convolution.  Those scores match the
+loop within 1e-9 of the pair's largest score instead of bit for bit.
+Either way a score depends only on its own pair, so fusion, row
+sharing, streaming, pipelining, placement and tracing change only the
+cost ledger, never the numbers -- and the ledger still prices one
+convolution per mask, whichever way the host computed the scores.
 
 **Precision model.**  The executor's ``precision`` axis (default
 ``None`` = exact legacy execution) hands a
@@ -140,7 +150,7 @@ import numpy as np
 
 from repro.core.decomposition import shard_slices
 from repro.core.distillation import ConvolutionDistiller
-from repro.core.interpretation import element_scores_from_base
+from repro.core.interpretation import element_scores_from_base, l2_scores_by_linearity
 from repro.core.masking import (
     DEFAULT_STACK_BUDGET_BYTES,
     GRANULARITIES,
@@ -204,10 +214,13 @@ def check_precision_granularity(spec, granularity: str) -> None:
 
     The single home of the rule :class:`FleetExecutor` enforces when it
     is built and the online service applies to each request's batch
-    key: the elements granularity scores through the linearity fast
-    path, whose closed form assumes exact convolution arithmetic --
-    per-plane quantization breaks it, so only exact specs (or ``None``)
-    pass.
+    key: the elements granularity never convolves a masked plane -- it
+    scores by linearity, through
+    :func:`~repro.core.interpretation.l2_scores_by_linearity` at ``l2``
+    and :func:`~repro.core.interpretation.element_scores_from_base`
+    otherwise -- and both closed forms assume exact convolution
+    arithmetic, which per-plane quantization breaks, so only exact
+    specs (or ``None``) pass.
     """
     if spec is not None and not spec.is_exact and granularity == "elements":
         raise ValueError(
@@ -398,9 +411,11 @@ class _WaveNumbers:
     """One wave's host results, which every pricing target reads.
 
     ``scores`` holds one score per row of the wave's row map (residual
-    rows included), ``preds`` each pair's residual prediction and
-    ``residuals`` its fit residual; ``pair_base`` and ``pair_rows`` are
-    each pair's first row and row count.
+    rows included), ``element_scores`` the score grid of each
+    ``elements`` pair scored by linearity (``None`` for the others),
+    ``preds`` each pair's residual prediction and ``residuals`` its fit
+    residual; ``pair_base`` and ``pair_rows`` are each pair's first row
+    and row count.
     """
 
     indices: tuple[int, ...]
@@ -408,6 +423,7 @@ class _WaveNumbers:
     kernels: np.ndarray
     y_planes: list
     scores: np.ndarray
+    element_scores: list
     preds: np.ndarray
     residuals: np.ndarray
     pair_base: list
@@ -461,11 +477,15 @@ class FleetExecutor:
     masked float stack ever exists in full.  A real wave at exact
     precision reuses each pair's row transforms and transforms only the
     rows its masks touch; every window runs its column stage on
-    bin-major spectra.  Then the wave is priced: one
+    bin-major spectra.  An ``l2`` wave of float64 pairs at exact
+    precision convolves only its residual rows and scores its masks by
+    linearity (see the module docstring).  Then the wave is priced: one
     ``device.program`` scope per pricing target, whose infeed is its
-    pairs' data and whose outfeed their score planes (:meth:`_price_share`).  The ``elements``
-    granularity contributes only its residual row and scores through
-    the linearity fast path, with ``fill_value`` as the occluded value.
+    pairs' data and whose outfeed their score planes
+    (:meth:`_price_share`); the ledger prices one convolution per mask
+    row however the host scored it.  The ``elements`` granularity
+    contributes only its residual row and scores by linearity, with
+    ``fill_value`` as the occluded value.
     """
 
     def __init__(
@@ -600,6 +620,18 @@ class FleetExecutor:
             raise ValueError(f"fleet pairs must be matrices, got shape {x.shape}")
         return x
 
+    @staticmethod
+    def _check_finite(xs, ys) -> None:
+        """Reject the first pair whose ``x`` or ``y`` holds a NaN or an inf.
+
+        Such a pair would score NaN everywhere without an error, and
+        its NaNs would slip past every comparison on the way.
+        """
+        for index, (x, y) in enumerate(zip(xs, ys)):
+            for name, plane in (("x", x), ("y", y)):
+                if not np.isfinite(plane).all():
+                    raise ValueError(f"pair {index}: {name} holds non-finite values")
+
     def _check_plans(self, xs, plans) -> list:
         """Validate caller-supplied plans (or build them) for ``xs``."""
         if plans is None:
@@ -647,13 +679,15 @@ class FleetExecutor:
         many same-shape requests builds each shape's spec once instead
         of once per dispatch.  An empty fleet returns an empty run
         (zero waves, zero simulated seconds) -- the service's idle
-        drain path.
+        drain path.  A pair whose ``x`` or ``y`` is not finite raises
+        ``ValueError`` naming the first such pair, before any work.
         """
         pairs = list(pairs)
         if not pairs:
             return FleetRun(results=(), schedule=FleetSchedule(waves=()))
         xs = [self._check_plane(np.asarray(x)) for x, _ in pairs]
         ys = [np.asarray(y) for _, y in pairs]
+        self._check_finite(xs, ys)
         plans = self._check_plans(xs, plans)
         schedule = self._schedule(xs, ys, plans)
         if tracer.enabled:
@@ -699,9 +733,18 @@ class FleetExecutor:
         Both end in the same convolution tail
         (:func:`~repro.fft.convolution._convolve_row_spectra`: bin-major
         row spectra in, C-order planes out), and each convolved window
-        is scored with one reduction.  Nothing is priced here: every row
-        operation is per plane, so however a placement splits the wave
-        across chips, only the ledger changes.
+        is scored with one reduction.
+
+        An ``l2`` wave at exact precision whose pairs key as
+        ``(float64, float64, float64)`` (:meth:`_linearity_plans`)
+        convolves only its residual rows that way; its masks, and the
+        cells of an ``elements`` pair, are scored by
+        :func:`~repro.core.interpretation.l2_scores_by_linearity` from
+        those residuals, and the masks its guard flags are convolved
+        exactly after all (:meth:`_linearity_scores`).  Nothing is
+        priced here: every score depends on its own pair alone, so
+        however a placement splits the wave across chips, only the
+        ledger changes.
         """
         indices = wave.pair_indices
         lifter = ConvolutionDistiller(embedding=self.embedding)
@@ -711,51 +754,165 @@ class FleetExecutor:
         kernels = _solve_stack(
             x_stack[:, np.newaxis], y_stack[:, np.newaxis], self.eps, device_chain=True
         )
-        counts = [0 if plans[i] is None else plans[i].num_masks for i in indices]
+        wave_plans = [plans[i] for i in indices]
+        counts = [0 if plan is None else plan.num_masks for plan in wave_plans]
         row_pair, row_slot, is_mask = wave_row_map(counts)
         rows_per_chunk = effective_chunk_rows(
             wave.plane_shape, self.chunk_rows, self.effective_stack_bytes,
             what="streamed wave chunk",
         )
         sources, fills = self._fill_sources(x_stack, [xs[i] for i in indices])
-        bands = self._band_windows(
-            sources, fills, [plans[i] for i in indices], row_pair, row_slot,
-            is_mask, rows_per_chunk,
-        )
         spec = self.precision
+        shared = None
         if (
             np.isrealobj(sources) and np.isrealobj(kernels)
             and (spec is None or spec.is_exact)
         ):
-            stream = self._row_shared_stream(
-                sources, kernels, bands, row_pair, rows_per_chunk
-            )
-        else:
-            stream = fft_circular_convolve2d_chunks(
-                self._masked_chunks(sources, bands, row_pair), kernels,
-                row_kernel=row_pair, num_rows=row_pair.size, precision=spec,
-            )
+            half = kernel_spectrum(kernels, real=True, precision=spec).array
+            shared = _bin_major_rows(sources, real=True), half
+        score_plans = self._linearity_plans(wave, xs, ys, wave_plans, shared)
+        # With the masks scored by linearity only the residual rows are
+        # convolved; otherwise every row of the wave is.
+        convolved_rows = (
+            np.arange(row_pair.size) if score_plans is None
+            else np.flatnonzero(~is_mask)
+        )
         scores = np.empty(row_pair.size)
         preds = []
-        for convolved, rows in stream:
-            window = slice(rows.start, rows.stop)
-            scores[window] = reduce_batch(
-                y_stack[row_pair[window]] - convolved, self.reduction
+        for convolved, rows in self._convolve_rows(
+            sources, fills, kernels, wave_plans, shared, row_pair[convolved_rows],
+            row_slot[convolved_rows], is_mask[convolved_rows], rows_per_chunk,
+        ):
+            rows = convolved_rows[rows]
+            scores[rows] = reduce_batch(
+                y_stack[row_pair[rows]] - convolved, self.reduction
             )
-            preds.append(convolved[~is_mask[window]])
+            preds.append(convolved[~is_mask[rows]])
         preds = np.concatenate(preds)
         pair_rows = [count + 1 for count in counts]
+        pair_base = [0, *accumulate(pair_rows)][:-1]
+        element_scores = [None] * len(indices)
+        if score_plans is not None:
+            flat = self._linearity_scores(
+                wave, sources, fills, kernels, y_stack, preds, score_plans, shared,
+                rows_per_chunk,
+            )
+            for local, (plan, pair_scores) in enumerate(zip(wave_plans, flat)):
+                if plan is None:
+                    element_scores[local] = score_plans[local].reshape_scores(pair_scores)
+                else:
+                    base = pair_base[local]
+                    scores[base : base + plan.num_masks] = pair_scores
         return _WaveNumbers(
             indices=indices,
             plane_shape=wave.plane_shape,
             kernels=kernels,
             y_planes=y_planes,
             scores=scores,
+            element_scores=element_scores,
             preds=preds,
             residuals=np.sqrt(np.mean(np.abs(preds - y_stack) ** 2, axis=(-2, -1))),
             pair_rows=pair_rows,
-            pair_base=[0, *accumulate(pair_rows)][:-1],
+            pair_base=pair_base,
         )
+
+    def _linearity_plans(self, wave, xs, ys, wave_plans, shared) -> list | None:
+        """The plans a wave's masks score by linearity with, or ``None``.
+
+        :func:`~repro.core.interpretation.l2_scores_by_linearity` scores
+        ``l2`` waves at exact precision whose pairs key as ``(float64,
+        float64, float64)`` (:func:`wave_dtype_key`); an ``elements`` pair
+        scores its one-cell masks there too.  A plan whose ``s x s``
+        cell matrix would not fit the window memory of the default chunk
+        (``rows_per_chunk * M * N`` floats at
+        :data:`~repro.core.masking.DEFAULT_CHUNK_ROWS`, clamped to the
+        budget) keeps the whole wave on the exact path; the default
+        chunk, not ``chunk_rows``, so that scores never depend on the
+        chunk size.
+        """
+        first = wave.pair_indices[0]
+        if (
+            self.reduction != "l2" or shared is None
+            or wave_dtype_key(xs[first], ys[first]) != (np.dtype(np.float64),) * 3
+        ):
+            return None
+        shape = wave.plane_shape
+        plans = [MaskSpec.elements(shape) if plan is None else plan for plan in wave_plans]
+        window = self._default_window_floats(shape)
+        if any(plan.cells_per_mask ** 2 > window for plan in plans):
+            return None
+        return plans
+
+    def _default_window_floats(self, shape) -> int:
+        """Floats in a window of the default chunk, clamped to the budget."""
+        rows = effective_chunk_rows(shape, None, self.effective_stack_bytes)
+        return rows * shape[0] * shape[1]
+
+    def _linearity_scores(
+        self, wave, sources, fills, kernels, y_stack, preds, score_plans, shared,
+        rows_per_chunk,
+    ) -> list:
+        """Each pair's flat l2 mask scores, by linearity, guard applied.
+
+        Masks the guard of
+        :func:`~repro.core.interpretation.l2_scores_by_linearity` flags
+        are convolved exactly here, as their rows would be on the exact
+        path, and a ``fleet.rescore`` instant records how many there were.
+        """
+        scores, rescore = l2_scores_by_linearity(
+            sources, fills, y_stack - preds, shared[1], score_plans,
+            self._default_window_floats(wave.plane_shape),
+        )
+        row_pair = np.repeat(
+            np.arange(len(rescore)), [np.count_nonzero(flags) for flags in rescore]
+        )
+        if not row_pair.size:
+            return scores
+        row_slot = np.concatenate([np.flatnonzero(flags) for flags in rescore])
+        for convolved, rows in self._convolve_rows(
+            sources, fills, kernels, score_plans, shared, row_pair, row_slot,
+            np.ones(row_pair.size, bool), rows_per_chunk,
+        ):
+            exact = reduce_batch(y_stack[row_pair[rows]] - convolved, "l2")
+            for local, slot, score in zip(row_pair[rows], row_slot[rows], exact):
+                scores[local][slot] = score
+        if tracer.enabled:
+            pid = tracer.pid_for(self.device)
+            tracer.set_thread_name(pid, _FLEET_TID, "fleet")
+            tracer.instant(
+                "fleet.rescore", "fleet",
+                tracer.origin + self.device.trace_seconds, pid, _FLEET_TID,
+                {"masks": int(row_pair.size), "pairs": len(wave.pair_indices)},
+            )
+        return scores
+
+    def _convolve_rows(
+        self, sources, fills, kernels, plans, shared, row_pair, row_slot, is_mask,
+        rows_per_chunk,
+    ):
+        """Convolve the rows a row map names, in windows: ``(convolved, rows)``.
+
+        ``row_pair``, ``row_slot`` and ``is_mask`` describe the rows as
+        :func:`wave_row_map` does (any subset of a wave's rows, in any
+        order), and ``rows`` is the slice of them a window covers.  A
+        row-sharing wave (``shared`` holds its bin-major row spectra and
+        its kernels' half spectra) finishes the windows in reused
+        buffers; any other streams spatial windows through
+        :func:`~repro.fft.convolution.fft_circular_convolve2d_chunks`.
+        """
+        bands = self._band_windows(
+            sources, fills, plans, row_pair, row_slot, is_mask, rows_per_chunk
+        )
+        if shared is not None:
+            yield from self._row_shared_stream(
+                *shared, sources.shape[-1], bands, row_pair, rows_per_chunk
+            )
+            return
+        for convolved, rows in fft_circular_convolve2d_chunks(
+            self._masked_chunks(sources, bands, row_pair), kernels,
+            row_kernel=row_pair, num_rows=row_pair.size, precision=self.precision,
+        ):
+            yield convolved, slice(rows.start, rows.stop)
 
     def _fill_sources(self, x_stack, xs) -> tuple[np.ndarray, np.ndarray]:
         """The wave's ``x`` stack in the dtype its fills need, and the fills.
@@ -812,34 +969,33 @@ class FleetExecutor:
                 planes[local[:, np.newaxis], band_rows] = values
             yield planes, range(window.start, window.stop)
 
-    def _row_shared_stream(self, sources, kernels, bands, row_pair, rows_per_chunk):
+    @classmethod
+    def _row_shared_stream(cls, base, half, n, bands, row_pair, rows_per_chunk):
         """A row-sharing wave's convolved windows, as ``(convolved, rows)``.
 
-        Each pair's rows are transformed once, each window's row spectra
-        are built from them (:meth:`_row_spectra`), and the rest of the
-        convolution runs in place in buffers allocated once per wave;
-        ``convolved`` is overwritten by the next window.  The wave's row
-        spectra, its half kernel spectra and the window buffers are
-        bin-major, ``(bins, rows, M)``, the layout
+        ``base`` holds each pair's rows transformed once and ``half`` its
+        kernel's half spectrum (``(pairs, M, N // 2 + 1)``); each
+        window's row spectra are built from ``base`` (:meth:`_row_spectra`),
+        and the rest of the convolution runs in place in buffers
+        allocated once per call; ``convolved`` is overwritten by the next
+        window.  The row spectra, the kernel spectra and the window
+        buffers are bin-major, ``(bins, rows, M)``, the layout
         :func:`~repro.fft.convolution._convolve_row_spectra` takes; the
-        convolved windows are C-order ``(rows, M, N)`` planes.
+        convolved windows are C-order ``(rows, M, n)`` planes.
         """
-        base = _bin_major_rows(sources, real=True)
-        half = _bin_major(
-            kernel_spectrum(kernels, real=True, precision=self.precision).array
-        )
-        _, m, n = sources.shape
+        half = _bin_major(half)
+        m = base.shape[-1]
         width = min(rows_per_chunk, row_pair.size)
         spectra = np.empty((base.shape[0], width, m), base.dtype)
         kernel_rows = np.empty(spectra.shape, half.dtype)
         out = np.empty((width, m, n), np.finfo(np.result_type(base, half)).dtype)
-        for window_spectra, window in self._row_spectra(base, bands, row_pair, spectra):
+        for window_spectra, window in cls._row_spectra(base, bands, row_pair, spectra):
             rows = window_spectra.shape[1]
             convolved = _convolve_row_spectra(
                 window_spectra, half, row_pair[window], n, out=out[:rows],
                 kernel_rows=kernel_rows[:, :rows],
             )
-            yield convolved, range(window.start, window.stop)
+            yield convolved, window
 
     @staticmethod
     def _row_spectra(base, bands, row_pair, buffer):
@@ -880,14 +1036,20 @@ class FleetExecutor:
         """Reassembly of pairs ``share``: fold their scores and residuals.
 
         Each pair's scores are its slice of the wave's flat score
-        vector; the ``elements`` granularity scores here instead,
-        through the linearity fast path, and records on ``device``.
+        vector.  The ``elements`` granularity records its linearity fast
+        path on ``device``: as elementwise work when the wave already
+        scored it (at ``l2``), else by scoring it here.
         """
         start = _span_start(device)
         positions = range(len(numbers.indices))[share]
+        m, n = numbers.plane_shape
         for local in positions:
             i = numbers.indices[local]
-            if plans[i] is None:
+            scores = numbers.element_scores[local]
+            if scores is not None:
+                # The ledger row element_scores_from_base records.
+                device.account_elementwise(m * n, flops_per_element=2.0, count=m * n)
+            elif plans[i] is None:
                 scores = self._element_scores(
                     xs[i], numbers.kernels[local], numbers.y_planes[local],
                     numbers.preds[local], device,

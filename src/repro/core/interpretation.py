@@ -18,6 +18,11 @@ columns of a trace table).  This module provides:
 * :func:`element_scores_from_base` -- that fast path's core, exposed
   for callers that already hold the unmasked convolution (the
   wave-fused fleet executor scores it as one more batch row);
+* :func:`l2_scores_by_linearity` -- the same linearity for the l2 score
+  of *any* mask plan, in closed form: each pair needs one correlation
+  plane and one autocorrelation plane, and a mask of ``s`` cells
+  ``O(s^2)`` arithmetic, with a guard that hands back every mask whose
+  sum cancels (the fleet executor's l2 path);
 * :func:`block_contributions` -- Figure 5's block occlusion on images;
 * :func:`column_contributions` / :func:`row_contributions` -- Figure 6's
   per-clock-cycle weights on trace tables;
@@ -40,7 +45,14 @@ import numpy as np
 
 from repro.core.masking import REDUCTIONS, MaskSpec, reduce_batch, score_plan
 from repro.fft.convolution import fft_circular_convolve2d
+from repro.fft.fft2d import irfft2_batch, rfft2_batch
 from repro.hw.device import Device
+
+#: Relative error :func:`l2_scores_by_linearity` allows in a score's
+#: square (so about half of it in the score) before it hands the mask
+#: back to an exact convolution: a tenth of the 1e-9 relative bound its
+#: scores are held to against the per-mask loop.
+L2_SQUARE_TOLERANCE = 1e-10
 
 
 def _reduce(matrix: np.ndarray, reduction: str) -> float:
@@ -147,6 +159,106 @@ def element_scores_from_base(
             delta = base + (x[i, j] - fill_value) * np.roll(rolled_rows, j, axis=1)
             scores[i, j] = _reduce(delta, reduction)
     return scores
+
+
+def l2_scores_by_linearity(
+    sources: np.ndarray,
+    fills: np.ndarray,
+    residuals: np.ndarray,
+    kernel_spectra: np.ndarray,
+    plans,
+    max_floats: int,
+) -> tuple[list, list]:
+    """Eq. 5's l2 score of every mask of a wave of pairs, by linearity.
+
+    Pair ``p`` has the real input plane ``X = sources[p]``, the fill
+    ``fills[p]``, the half spectrum ``kernel_spectra[p]`` of its real
+    kernel ``K`` and the residual ``r = residuals[p] = Y - X (*) K``; its
+    masks are those of ``plans[p]``.  Masking ``s`` cells subtracts
+    ``D = X - fill`` on them (0 elsewhere), and convolution is linear,
+    so the masked residual is ``r + D (*) K`` and its squared norm is
+
+        score^2 = ||r||^2 + 2 c . d + d^T G d,
+
+    with ``d`` the mask's ``s`` values of ``D``, ``c`` its values of the
+    correlation plane ``r (*) K`` (``sum_t r[t] K[t - q]`` at cell
+    ``q``), and ``G[a, b] = A[q_b - q_a]`` read from the autocorrelation
+    ``A = K (*) K`` (``sum_t K[t] K[t + q]``) once per plan, since every
+    mask of a plan is the first one moved
+    (:meth:`~repro.core.masking.MaskSpec.cells_at`).  The wave pays one
+    batched rFFT round trip for every pair's ``c``
+    (``irfft2(rfft2(r) conj(F(K)))``) and one inverse transform for its
+    ``A`` (``irfft2(|F(K)|^2)``); a mask then costs ``O(s^2)`` operations
+    instead of a convolution.
+
+    **The guard.**  With ``u = 2**-53``, ``L = log2(M N)``, ``kappa =
+    max |F(K)|`` (the norm of convolving by ``K``), ``||d||_1 = sum |d_a|``
+    and ``S = (||r|| + kappa ||d||_1)^2``, the three terms are bounded by
+    three parts of ``S``: ``||r||^2``; ``2 |c . d| <= 2 kappa ||r||
+    ||d||_1`` (as ``|c_a| <= ||c|| <= kappa ||r||``); and ``|d|^T |G| |d|
+    <= kappa^2 ||d||_1^2`` (as ``|A[q]| <= A[0] <= kappa^2``).  Their
+    rounding, to first order: ``(L + 20) u`` on the pairwise sum
+    ``||r||^2``; ``(s + 1) u`` on the dot product and ``2 s u`` on the
+    quadratic form; ``u`` per value of ``d``; at most ``(10 L + 3) u`` of
+    ``kappa ||r||`` in ``c`` and of ``kappa^2`` in ``A``, the normwise
+    error of an FFT round trip; and ``2 u`` for the two final adds.  So
+    the computed square is off by at most ``eps S`` with ``eps = u (2 s +
+    10 L + 24)``.  Where the square is at least ``eps S /``
+    :data:`L2_SQUARE_TOLERANCE`, that error is at most the tolerance
+    times the square, and the score's relative error at most half of it.
+    A mask below that threshold -- its terms cancelled -- is flagged in
+    ``rescore`` for an exact convolution.  A NaN square never compares
+    below it and is kept.  ``r`` carries its own convolution's rounding,
+    as every exact masked residual does; that error is not amplified.
+
+    Every plan needs ``s * s <= max_floats``: the ``s x s`` matrices
+    are gathered for batches of pairs holding at most ``max_floats``
+    values.  A mask's score depends only on its own pair's planes (one
+    matrix product per pair, elementwise products, sums along
+    contiguous rows), so its bits do not depend on the other pairs of
+    the wave or on ``max_floats``.
+
+    Returns ``(scores, rescore)``: for each pair, its flat float64
+    scores and bool flags in mask order.
+    """
+    residuals = np.asarray(residuals, dtype=np.float64)
+    num_pairs, m, n = residuals.shape
+    sources = np.asarray(sources, dtype=np.float64).reshape(num_pairs, -1)
+    fills = np.asarray(fills, dtype=np.float64)
+    correlations = irfft2_batch(
+        rfft2_batch(residuals) * np.conj(kernel_spectra), n=n
+    ).reshape(num_pairs, -1)
+    autocorrelations = irfft2_batch(np.abs(kernel_spectra) ** 2, n=n).reshape(
+        num_pairs, -1
+    )
+    energies = np.sum(np.square(residuals), axis=(-2, -1))
+    norms = np.sqrt(energies)
+    gains = np.max(np.abs(kernel_spectra), axis=(-2, -1))
+    scores = [None] * num_pairs
+    rescore = [None] * num_pairs
+    for plan in dict.fromkeys(plans):
+        cells = plan.cells_at(np.arange(plan.num_masks))
+        size = cells.shape[1]
+        row, col = np.divmod(cells[0], n)
+        offsets = (row - row[:, np.newaxis]) % m * n + (col - col[:, np.newaxis]) % n
+        eps = np.finfo(np.float64).eps / 2 * (2 * size + 10 * np.log2(m * n) + 24)
+        group = [p for p, other in enumerate(plans) if other == plan]
+        step = max(1, max_floats // (size * size))
+        for lo in range(0, len(group), step):
+            pairs = np.array(group[lo : lo + step])[:, np.newaxis, np.newaxis]
+            d = sources[pairs, cells] - fills[pairs]
+            cross = np.sum(correlations[pairs, cells] * d, axis=-1)
+            quadratic = np.sum(
+                np.matmul(d, autocorrelations[pairs, offsets]) * d, axis=-1
+            )
+            pair = pairs[:, 0]
+            squares = energies[pair] + 2.0 * cross + quadratic
+            scale = (norms[pair] + gains[pair] * np.sum(np.abs(d), axis=-1)) ** 2
+            flagged = squares < eps / L2_SQUARE_TOLERANCE * scale
+            values = np.sqrt(np.maximum(squares, 0.0))
+            for k, p in enumerate(pair[:, 0]):
+                scores[p], rescore[p] = values[k], flagged[k]
+    return scores, rescore
 
 
 def mask_contribution(

@@ -251,6 +251,19 @@ class MaskSpec:
         return math.prod(self.output_shape)
 
     @property
+    def _band_shape(self) -> tuple[int, int]:
+        """``(height, width)`` of the rectangle every mask occludes."""
+        m, n = self.plane_shape
+        if self.granularity == "blocks":
+            return self.block_shape
+        return {"elements": (1, 1), "columns": (m, 1), "rows": (1, n)}[self.granularity]
+
+    @property
+    def cells_per_mask(self) -> int:
+        """Cells every mask occludes: ``bh * bw``, ``M``, ``N`` or 1."""
+        return math.prod(self._band_shape)
+
+    @property
     def labels(self) -> tuple[tuple[int, ...], ...]:
         return tuple(itertools.product(*map(range, self.output_shape)))
 
@@ -273,29 +286,44 @@ class MaskSpec:
         transform only the rows a mask changes.  Any integer indices, in
         any order or repeated.
         """
+        start, first = self._band_origins(index)
+        height, width = self._band_shape
+        first = first[:, np.newaxis, np.newaxis]
+        column = np.arange(self.plane_shape[1])
+        return start, height, (column >= first) & (column < first + width)
+
+    def cells_at(self, index) -> np.ndarray:
+        """Flat plane indices of the cells masks ``index`` occlude.
+
+        A ``(len(index), cells_per_mask)`` array: each mask's
+        :meth:`bands_at` rectangle, row by row.  Every mask is the same
+        rectangle moved, so the offsets between its cells are the same
+        for all of them.
+        """
+        start, first = self._band_origins(index)
+        height, width = self._band_shape
+        rows = start[:, np.newaxis, np.newaxis] + np.arange(height)[:, np.newaxis]
+        cols = first[:, np.newaxis, np.newaxis] + np.arange(width)
+        cells = rows * self.plane_shape[1] + cols
+        return cells.reshape(start.size, height * width)
+
+    def _band_origins(self, index) -> tuple[np.ndarray, np.ndarray]:
+        """Masks ``index``'s top-left cells as ``(row, column)`` arrays."""
         index = np.asarray(index, dtype=np.intp).reshape(-1)
         if index.size and (index.min() < 0 or index.max() >= self.num_masks):
             raise ValueError(
                 f"mask indices must lie in [0, {self.num_masks}), got range "
                 f"[{index.min()}, {index.max()}]"
             )
-        m, n = self.plane_shape
         if self.granularity == "elements":
-            height, width = 1, 1
-            start, first = np.divmod(index, n)
-        elif self.granularity == "blocks":
+            return np.divmod(index, self.plane_shape[1])
+        if self.granularity == "blocks":
             height, width = self.block_shape
             start, first = np.divmod(index, self._grid[1])
-            start, first = start * height, first * width
-        elif self.granularity == "columns":
-            height, width = m, 1
-            start, first = np.zeros_like(index), index
-        else:  # rows
-            height, width = 1, n
-            start, first = index, np.zeros_like(index)
-        first = first[:, np.newaxis, np.newaxis]
-        column = np.arange(n)
-        return start, height, (column >= first) & (column < first + width)
+            return start * height, first * width
+        if self.granularity == "columns":
+            return np.zeros_like(index), index
+        return index, np.zeros_like(index)  # rows
 
     def masks_at(self, index) -> np.ndarray:
         """The ``(len(index), M, N)`` bool masks of mask numbers ``index``.

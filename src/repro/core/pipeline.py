@@ -30,10 +30,12 @@ convolutions (``"fp64"``/``"fp32"`` exact, ``"bf16"`` rounding,
 and residual rows quantize spatially, kernel spectra per complex
 component, the distillation solve stays exact.  Because the rounding is
 strictly per-plane, scores and residuals equal one masked convolution
-per feature bit for bit *at the same precision*, while the TPU cost
-model prices the batched transforms with the MXU cycle hooks at the
-spec's rate and the infeed at its storage width -- the paper's
-accuracy-vs-precision trade-off at fleet scale.
+per feature bit for bit *at the same precision* (at an exact precision
+the host scores ``l2`` masks of float64 pairs by linearity instead,
+within 1e-9 of a pair's largest score; see :mod:`repro.core.fleet`),
+while the TPU cost model prices the batched transforms with the MXU
+cycle hooks at the spec's rate and the infeed at its storage width --
+the paper's accuracy-vs-precision trade-off at fleet scale.
 """
 
 from __future__ import annotations

@@ -40,6 +40,8 @@ any wave, or answered from cache -- batching and caching change only
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.fleet import (
     GRANULARITIES,
     FleetExecutor,
@@ -542,12 +544,16 @@ class ExplanationService:
         ledger: LatencyLedger,
         clock: SimulatedClock,
     ) -> None:
-        """One arrival: admission first, then cache, then the batch queue.
+        """One arrival: validation, admission, then cache, then the batch queue.
 
-        Backpressure precedes everything else so a rejected request is
-        genuinely cheap -- no digest hashing, no cache traffic, no
-        skewed miss counters; only admitted arrivals get the cache
-        lookup (a hit then completes without queueing).
+        A request the fleet cannot explain -- its ``x`` is not a matrix,
+        its block shape does not tile that plane, or its ``x`` or ``y``
+        holds a NaN or an inf -- is rejected here with the reason, so
+        it never reaches (and never fails) a dispatch shared with other
+        requests.  Backpressure precedes everything else so a rejected
+        request is genuinely cheap -- no digest hashing, no cache
+        traffic, no skewed miss counters; only admitted arrivals get the
+        cache lookup (a hit then completes without queueing).
         """
         key = self.batch_key(request)
         spec = self._spec(key.precision)
@@ -558,6 +564,10 @@ class ExplanationService:
                 {"id": request.request_id, "key": list(key.as_tuple())},
             )
 
+        problem = self._request_problem(request, key)
+        if problem is not None:
+            self._reject(request, key, problem, "invalid_request", ledger, clock)
+            return
         feed_nbytes = feed_bytes([request.x, request.y], spec)
         decision = ADMITTED
         if self.admission is not None:
@@ -569,21 +579,7 @@ class ExplanationService:
                 key_bytes=batcher.pending_bytes_for(key),
             )
         if not decision.admitted:
-            self._lifetime["rejected"] += 1
-            if tracer.enabled:
-                tracer.instant(
-                    "admission_shed", "serve", clock.now, 0, 0,
-                    {"id": request.request_id, "reason": decision.reason},
-                )
-            ledger.add(
-                RequestRecord(
-                    request_id=request.request_id,
-                    arrival_time=request.arrival_time,
-                    status="rejected",
-                    batch_key=key.as_tuple(),
-                    reject_reason=decision.reason,
-                )
-            )
+            self._reject(request, key, decision.reason, "admission_shed", ledger, clock)
             return
 
         digest = None
@@ -635,6 +631,37 @@ class ExplanationService:
                 plan=plan,
                 digest=digest,
             ),
+        )
+
+    def _request_problem(self, request: Request, key: BatchKey) -> str | None:
+        """Why the fleet could not explain ``request``, or ``None``."""
+        if request.x.ndim != 2:
+            return f"x must be a matrix, got shape {request.x.shape}"
+        try:
+            self._plan(key, request.x.shape)
+        except ValueError as error:  # e.g. a block shape that does not tile x
+            return str(error)
+        for name, plane in (("x", request.x), ("y", request.y)):
+            if not np.isfinite(plane).all():
+                return f"{name} holds non-finite values"
+        return None
+
+    def _reject(self, request, key, reason, event, ledger, clock) -> None:
+        """Record ``request`` as rejected for ``reason`` (trace ``event``)."""
+        self._lifetime["rejected"] += 1
+        if tracer.enabled:
+            tracer.instant(
+                event, "serve", clock.now, 0, 0,
+                {"id": request.request_id, "reason": reason},
+            )
+        ledger.add(
+            RequestRecord(
+                request_id=request.request_id,
+                arrival_time=request.arrival_time,
+                status="rejected",
+                batch_key=key.as_tuple(),
+                reject_reason=reason,
+            )
         )
 
     def _dispatch(

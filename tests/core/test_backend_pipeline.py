@@ -159,11 +159,15 @@ class TestExplanationPipeline:
         pairs = [planted_pair(seed=s) for s in range(3)]
         options = dict(granularity="blocks", block_shape=(4, 4), eps=1e-8)
         run = ExplanationPipeline(small_backend(), **options).run(pairs)
-        expected = reference.explain_all(pairs, device=small_backend(), **options)
-        for a, b in zip(expected, run.explanations):
+        per_pair = ExplanationPipeline(
+            small_backend(), max_pairs_per_wave=1, **options
+        ).run(pairs)
+        for a, b in zip(per_pair.explanations, run.explanations):
             np.testing.assert_array_equal(a.scores, b.scores)
             np.testing.assert_array_equal(a.kernel, b.kernel)
             assert a.residual == b.residual
+        expected = reference.explain_all(pairs, device=small_backend(), **options)
+        reference.assert_matches(run.explanations, expected, pairs, **options)
 
     def test_speedup_ordering_cpu_slowest_tpu_fastest(self):
         """The structural Table II property, asserted at the workload

@@ -15,10 +15,12 @@ from repro.core import (
 from repro.core import fleet
 from repro.core.distillation import ConvolutionDistiller
 from repro.core.fleet import wave_dtype_key, wave_row_map
-from repro.core.interpretation import feature_contributions
+from repro.core.interpretation import feature_contributions, l2_scores_by_linearity
+from repro.core.masking import DEFAULT_CHUNK_ROWS
 from repro.core.transform import frequency_solve
 from repro.fft import fft, fft_circular_convolve2d, rfft, rfft2_batch
 from repro.hw.cpu import CpuDevice
+from repro.obs.tracer import tracer
 from repro.serve import ExplanationService
 from tests import reference
 
@@ -157,21 +159,21 @@ class TestFleetExecutorEquivalence:
         "device_factory", [CpuDevice, small_backend], ids=["cpu", "tpu"]
     )
     def test_wave_bitwise_equals_pair(self, device_factory, granularity, kwargs, shape):
-        """One fused wave equals the per-pair reference loop."""
+        """One fused wave equals one-pair waves bit for bit, and the
+        per-pair reference loop (within the linearity bound)."""
         pairs = planted_pairs(3, shape=shape)
-        run = ExplanationPipeline(
-            device_factory(), granularity=granularity, eps=1e-8, **kwargs,
+        options = dict(granularity=granularity, eps=1e-8, **kwargs)
+        run = ExplanationPipeline(device_factory(), **options).run(pairs)
+        single = ExplanationPipeline(
+            device_factory(), max_pairs_per_wave=1, **options
         ).run(pairs)
-        expected = reference.explain_all(
-            pairs, device=device_factory(), granularity=granularity, eps=1e-8, **kwargs
-        )
-        for a, b in zip(run.explanations, expected):
-            np.testing.assert_array_equal(a.kernel, b.kernel)
-            assert a.residual == b.residual
-            if granularity == "elements":  # the linearity fast path
+        assert run.num_programs == 1 and single.num_programs == 3
+        assert_same_explanations(run.explanations, single.explanations)
+        expected = reference.explain_all(pairs, device=device_factory(), **options)
+        reference.assert_matches(run.explanations, expected, pairs, **options)
+        if granularity == "elements":  # each element to 1e-9 of itself, too
+            for a, b in zip(run.explanations, expected):
                 np.testing.assert_allclose(a.scores, b.scores, rtol=1e-9, atol=0)
-            else:
-                np.testing.assert_array_equal(a.scores, b.scores)
 
     def test_hundred_pair_fleet_one_dispatch_per_wave(self):
         """The acceptance scenario at test scale: a 100-pair fleet costs
@@ -182,7 +184,7 @@ class TestFleetExecutorEquivalence:
         run = ExplanationPipeline(small_backend(), **options).run(pairs)
         looped_device = small_backend()
         expected = reference.explain_all(pairs, device=looped_device, **options)
-        assert_same_explanations(run.explanations, expected)
+        reference.assert_matches(run.explanations, expected, pairs, **options)
         wave_stats = run.stats
         assert run.num_programs == 1
         assert wave_stats.op_counts["dispatch"] == 1
@@ -201,10 +203,9 @@ class TestFleetExecutorEquivalence:
         assert run.num_programs == 2
         assert run.stats.op_counts["dispatch"] == 2
         # Results stay in input order and match per-pair execution.
-        expected = reference.explain_all(
-            pairs, device=CpuDevice(), granularity="columns", eps=1e-8
-        )
-        assert_same_explanations(run.explanations, expected)
+        options = dict(granularity="columns", eps=1e-8)
+        expected = reference.explain_all(pairs, device=CpuDevice(), **options)
+        reference.assert_matches(run.explanations, expected, pairs, **options)
 
     def test_budget_split_waves_still_bitwise_identical(self):
         pairs = planted_pairs(4)
@@ -212,8 +213,11 @@ class TestFleetExecutorEquivalence:
             CpuDevice(), granularity="columns", max_pairs_per_wave=2
         ).run(pairs)
         assert fleet.num_waves == 2
+        whole = FleetExecutor(CpuDevice(), granularity="columns").run(pairs)
+        assert whole.num_waves == 1
+        assert_same_explanations(fleet.results, whole.results)
         expected = reference.explain_all(pairs, device=CpuDevice(), granularity="columns")
-        assert_same_explanations(fleet.results, expected)
+        reference.assert_matches(fleet.results, expected, pairs, granularity="columns")
 
     def test_chunk_windows_span_pairs(self):
         """The wave's row space streams in ``rows_per_chunk`` windows, so
@@ -291,6 +295,19 @@ class TestFleetExecutorValidation:
         elements = FleetExecutor(CpuDevice(), granularity="elements")
         with pytest.raises(ValueError, match="no mask plan"):
             elements.run(pairs, plans=[executor.plan_for(pairs[0][0])] * 2)
+
+    @pytest.mark.parametrize("name", ["x", "y"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pair_raises_naming_it(self, name, value):
+        """A NaN or inf would score its pair NaN everywhere, silently."""
+        pairs = planted_pairs(3)
+        x, y = (plane.copy() for plane in pairs[1])
+        (x if name == "x" else y)[2, 3] = value
+        pairs[1] = (x, y)
+        device = CpuDevice()
+        with pytest.raises(ValueError, match=f"pair 1: {name} holds non-finite values"):
+            FleetExecutor(device, granularity="columns").run(pairs)
+        assert not device.stats.op_counts
 
     def test_non_matrix_pair(self):
         with pytest.raises(ValueError):
@@ -394,14 +411,12 @@ class TestComplexOperands:
         assert schedule.num_waves == 2
         assert schedule.waves[0].pair_indices == (0, 2)
         assert schedule.waves[1].pair_indices == (1, 3)
-        # And the fused results still match per-pair execution exactly.
-        run_wave = ExplanationPipeline(
-            CpuDevice(), granularity="columns", eps=1e-8
-        ).run(pairs)
-        expected = reference.explain_all(
-            pairs, device=CpuDevice(), granularity="columns", eps=1e-8
-        )
-        assert_same_explanations(run_wave.explanations, expected)
+        # And the fused results still match per-pair execution: the
+        # complex pairs bit for bit, the real ones within the l2 bound.
+        options = dict(granularity="columns", eps=1e-8)
+        run_wave = ExplanationPipeline(CpuDevice(), **options).run(pairs)
+        expected = reference.explain_all(pairs, device=CpuDevice(), **options)
+        reference.assert_matches(run_wave.explanations, expected, pairs, **options)
 
 
     @pytest.mark.parametrize("precision", [None, "int8"])
@@ -437,7 +452,8 @@ class TestMixedPlanWaves:
         "num_chips,placement", [(None, "data"), (2, "data"), (2, "chunk")]
     )
     def test_each_pair_matches_its_own_reference(self, num_chips, placement):
-        """Windows of 7 rows span pairs, so one chunk mixes plans."""
+        """Windows of 7 rows span pairs, so one chunk mixes plans; each
+        pair's scores equal those of a fleet of that pair alone."""
         pairs = planted_pairs(4)
         executor = FleetExecutor(
             small_backend(), granularity="blocks", block_shape=(2, 2), eps=1e-8,
@@ -445,13 +461,16 @@ class TestMixedPlanWaves:
         )
         run = executor.run(pairs, plans=self.PLANS)
         assert run.num_waves == 1
-        for pair, result, options in zip(pairs, run.results, self.OPTIONS):
+        cases = zip(pairs, self.PLANS, run.results, self.OPTIONS)
+        for pair, plan, result, options in cases:
+            (alone,) = FleetExecutor(CpuDevice(), eps=1e-8, **options).run(
+                [pair], plans=[plan]
+            ).results
+            assert_same_explanations([result], [alone])
             (want,) = reference.explain_all(
                 [pair], device=CpuDevice(), eps=1e-8, **options
             )
-            np.testing.assert_array_equal(result.kernel, want.kernel)
-            np.testing.assert_array_equal(result.scores, want.scores)
-            assert result.residual == want.residual
+            reference.assert_matches([result], [want], [pair], **options)
 
 
 class TestRowSharedWindows:
@@ -547,9 +566,9 @@ class TestSpatialWaves:
             (want,) = reference.explain_all(
                 [pair], device=CpuDevice(), eps=1e-8, precision=precision, **options
             )
-            np.testing.assert_array_equal(result.kernel, want.kernel)
-            np.testing.assert_array_equal(result.scores, want.scores)
-            assert result.residual == want.residual
+            reference.assert_matches(
+                [result], [want], [pair], precision=precision, **options
+            )
 
 
 class TestElementsFillValue:
@@ -576,7 +595,11 @@ class TestPromotedDtypeWaves:
         options = dict(granularity="blocks", block_shape=(2, 2), eps=1e-6)
         executor = FleetExecutor(CpuDevice(), **options)
         expected = reference.explain_all(pairs, device=CpuDevice(), **options)
-        assert_same_explanations(executor.run(pairs).results, expected)
+        run = executor.run(pairs)
+        reference.assert_matches(run.results, expected, pairs, **options)
+        # The float64 pairs score as they do without longdouble co-pairs.
+        alone = executor.run([pairs[0], pairs[2]])
+        assert_same_explanations([run.results[0], run.results[2]], alone.results)
         waves = executor.schedule(pairs).waves
         assert [wave.pair_indices for wave in waves] == [(0, 2), (1, 3)]
 
@@ -602,7 +625,7 @@ class TestPromotedDtypeWaves:
         options = dict(granularity="blocks", block_shape=(2, 2), eps=1e-6)
         executor = FleetExecutor(small_backend(), num_chips=num_chips, **options)
         expected = reference.explain_all(pairs, device=CpuDevice(), **options)
-        assert_same_explanations(executor.run(pairs).results, expected)
+        reference.assert_matches(executor.run(pairs).results, expected, pairs, **options)
         keys = [wave_dtype_key(x, y) for x, y in pairs]
         for wave in executor.schedule(pairs).waves:
             assert len({keys[i] for i in wave.pair_indices}) == 1
@@ -616,7 +639,126 @@ class TestPromotedDtypeWaves:
         executor = FleetExecutor(CpuDevice(), **options)
         assert executor.schedule(pairs).num_waves == 1
         expected = reference.explain_all(pairs, device=CpuDevice(), **options)
-        assert_same_explanations(executor.run(pairs).results, expected)
+        run = executor.run(pairs)
+        reference.assert_matches(run.results, expected, pairs, **options)
+        # Sharing the wave changes no pair's bits.
+        for pair, result in zip(pairs, run.results):
+            assert_same_explanations([result], executor.run([pair]).results)
+
+
+class TestL2ByLinearity:
+    """Real float64 l2 waves at exact precision score masks by linearity."""
+
+    def _spy(self, monkeypatch):
+        calls = []
+
+        def spied(*args, **kwargs):
+            calls.append(args)
+            return l2_scores_by_linearity(*args, **kwargs)
+
+        monkeypatch.setattr(fleet, "l2_scores_by_linearity", spied)
+        return calls
+
+    def test_planted_cancellation_is_rescored_exactly(self, monkeypatch):
+        """``y = x_masked (*) K`` for block (1, 2): that block's three
+        terms cancel (unguarded it reads 9.5e-7, 3.3e-9 of the largest
+        score), so the guard hands it to one masked convolution, which
+        reads 0.0, and a ``fleet.rescore`` instant counts it."""
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((16, 16))
+        x[0, 0] += 20.0
+        kernel = rng.standard_normal((16, 16))
+        masked = x.copy()
+        masked[4:8, 8:12] = 0.0
+        y = fft_circular_convolve2d(masked, kernel)
+        residual = y - fft_circular_convolve2d(x, kernel)
+        _, rescore = l2_scores_by_linearity(
+            x[np.newaxis], np.zeros(1), residual[np.newaxis],
+            rfft2_batch(kernel[np.newaxis]), [MaskSpec.blocks((16, 16), (4, 4))],
+            DEFAULT_CHUNK_ROWS * 16 * 16,
+        )
+        assert np.flatnonzero(rescore[0]).tolist() == [6]
+        # Plant the kernel the wave scores with (Eq. 4 would fit its own).
+        monkeypatch.setattr(
+            fleet, "_solve_stack", lambda *args, **kwargs: kernel[np.newaxis]
+        )
+        tracer.clear()
+        with tracer.tracing():
+            run = FleetExecutor(CpuDevice(), granularity="blocks", block_shape=(4, 4)).run(
+                [(x, y)]
+            )
+        rescores = [event.args for event in tracer.events if event.name == "fleet.rescore"]
+        tracer.clear()
+        scores = run.results[0].scores
+        assert scores[1, 2] == 0.0
+        assert rescores == [{"masks": 1, "pairs": 1}]
+        looped = reference.occlusion_scores(x, kernel, y, "blocks", (4, 4))
+        assert reference.relative_error(scores, looped) <= reference.SCORE_TOLERANCE
+
+    @pytest.mark.parametrize("block_shape,planes,chunk_rows,linear", [
+        ((8, 8), None, None, True),  # s * s = 4096 <= 64 planes of 256 floats
+        ((8, 8), None, 1, True),  # chunk_rows does not choose the path
+        ((8, 8), 8, None, False),  # a budget of 8 planes: 2048 floats
+        ((16, 16), None, None, False),  # s * s = 65536
+    ])
+    def test_plan_wider_than_window_memory_takes_exact_path(
+        self, monkeypatch, block_shape, planes, chunk_rows, linear
+    ):
+        calls = self._spy(monkeypatch)
+        pairs = planted_pairs(2, shape=(16, 16))
+        options = dict(granularity="blocks", block_shape=block_shape)
+        budget = None if planes is None else planes * 16 * 16 * 8
+        run = FleetExecutor(
+            CpuDevice(), max_stack_bytes=budget, chunk_rows=chunk_rows, **options
+        ).run(pairs)
+        assert bool(calls) == linear
+        expected = reference.explain_all(pairs, device=CpuDevice(), **options)
+        if linear:
+            reference.assert_matches(run.results, expected, pairs, **options)
+        else:
+            assert_same_explanations(run.results, expected)
+
+    @pytest.mark.parametrize("reduction,precision,dtype", [
+        ("l1", None, np.float64),
+        ("l2", "int8", np.float64),
+        ("l2", None, np.longdouble),
+    ])
+    def test_other_waves_stay_on_the_exact_path(
+        self, monkeypatch, reduction, precision, dtype
+    ):
+        calls = self._spy(monkeypatch)
+        pairs = [(x.astype(dtype), y.astype(dtype)) for x, y in planted_pairs(2)]
+        options = dict(
+            granularity="blocks", block_shape=(2, 2), reduction=reduction,
+            precision=precision,
+        )
+        run = FleetExecutor(CpuDevice(), **options).run(pairs)
+        assert not calls
+        expected = reference.explain_all(pairs, device=CpuDevice(), **options)
+        assert_same_explanations(run.results, expected)
+
+    def test_elements_score_through_the_l2_scorer(self, monkeypatch):
+        """``elements`` at l2 takes the scorer instead of the per-element
+        loop, and keeps that loop's elementwise ledger row."""
+        calls = self._spy(monkeypatch)
+        looped = []
+        element_scores = fleet.FleetExecutor._element_scores
+
+        def spied(self, *args):
+            looped.append(args)
+            return element_scores(self, *args)
+
+        monkeypatch.setattr(fleet.FleetExecutor, "_element_scores", spied)
+        pairs = planted_pairs(2)
+        stats = {}
+        for reduction in ("l2", "l1"):
+            device = small_backend()
+            FleetExecutor(device, granularity="elements", reduction=reduction).run(pairs)
+            stats[reduction] = device.take_stats()
+        assert len(calls) == 1 and len(looped) == 2  # the l1 run's pairs
+        assert stats["l2"].op_counts == stats["l1"].op_counts
+        assert stats["l2"].op_seconds == stats["l1"].op_seconds
+        assert stats["l2"].op_counts["elementwise_accounted"] == 2
 
 
 class TestEpsValidation:

@@ -495,13 +495,14 @@ class TestMaskPlanConcat:
 
     def test_concat_scores_equal_individual_plans(self):
         pairs = [fitted_setup(seed=seed)[::2] for seed in (0, 1)]
-        fleet = FleetExecutor(CpuDevice(), granularity="columns").run(pairs)
+        executor = FleetExecutor(CpuDevice(), granularity="columns")
+        fleet = executor.run(pairs)
         assert fleet.num_waves == 1
         for (x, y), result in zip(pairs, fleet.results):
-            np.testing.assert_array_equal(
-                result.scores,
-                score_plan(x, result.kernel, y, MaskSpec.columns(x.shape)),
-            )
+            (alone,) = executor.run([(x, y)]).results
+            np.testing.assert_array_equal(result.scores, alone.scores)
+            exact = score_plan(x, result.kernel, y, MaskSpec.columns(x.shape))
+            assert reference.relative_error(result.scores, exact) <= reference.SCORE_TOLERANCE
 
 
 class TestStackBudget:

@@ -6,7 +6,8 @@ The contracts:
   literal reference) at every chunk size;
 * streamed chunked scoring equals the reference loop bit-identically,
   for real and complex operands, with a ledger independent of chunk
-  size;
+  size; fleet scores are bit-identical at every chunk size and match
+  the loop as :func:`tests.reference.assert_matches` requires;
 * a plan whose whole stack exceeds ``max_stack_bytes`` streams to
   completion (the budget bounds the chunk only);
 * double-buffered waves finish no later than the same waves run one
@@ -380,10 +381,12 @@ class TestPipelinedExecution:
         pipelined_ops = dict(pipelined.stats.op_counts)
         pipelined_ops.pop("infeed_overlap", None)
         assert pipelined_ops == serial_ops
-        expected = reference.explain_all(
-            pairs, device=device_factory(), granularity="columns", eps=1e-8
+        assert_same_explanations(
+            pipelined.explanations, [e for run in waves for e in run.explanations]
         )
-        assert_same_explanations(pipelined.explanations, expected)
+        options = dict(granularity="columns", eps=1e-8)
+        expected = reference.explain_all(pairs, device=device_factory(), **options)
+        reference.assert_matches(pipelined.explanations, expected, pairs, **options)
 
     def test_multi_wave_tpu_fleet_strictly_faster_pipelined(self):
         _, pipelined, waves = self._runs(small_backend)
@@ -436,15 +439,17 @@ class TestStreamingFleet:
     def test_over_budget_pairs_fuse_into_one_wave_and_stream(self):
         """A budget below one pair's whole stack bounds the streamed
         chunk only: all three pairs fuse into one wave, matching the
-        reference bit for bit."""
+        unbudgeted fleet bit for bit and the reference."""
         pairs = planted_pairs(3)
         pair_bytes = (8 + 1) * 8 * 8 * 8  # 8 column masks + residual, float64
         fleet = FleetExecutor(
             CpuDevice(), granularity="columns", max_stack_bytes=pair_bytes - 1
         ).run(pairs)
         assert fleet.num_waves == 1
+        unbudgeted = FleetExecutor(CpuDevice(), granularity="columns").run(pairs)
+        assert_same_explanations(fleet.results, unbudgeted.results)
         expected = reference.explain_all(pairs, device=CpuDevice(), granularity="columns")
-        assert_same_explanations(fleet.results, expected)
+        reference.assert_matches(fleet.results, expected, pairs, granularity="columns")
 
     def test_chunk_adaptive_planning_shrinks_dispatch_count_at_100_pairs(self):
         """The chunk-adaptive acceptance contract: at 100 pairs under a
@@ -470,15 +475,12 @@ class TestStreamingFleet:
 
     def test_tiny_chunks_bit_identical_at_fleet_scale(self):
         pairs = planted_pairs(5)
-        chunked = ExplanationPipeline(
-            small_backend(), granularity="blocks", block_shape=(2, 2), eps=1e-8,
-            chunk_rows=1,
-        ).run(pairs)
-        expected = reference.explain_all(
-            pairs, device=CpuDevice(), granularity="blocks", block_shape=(2, 2),
-            eps=1e-8,
-        )
-        assert_same_explanations(chunked.explanations, expected)
+        options = dict(granularity="blocks", block_shape=(2, 2), eps=1e-8)
+        chunked = ExplanationPipeline(small_backend(), chunk_rows=1, **options).run(pairs)
+        default = ExplanationPipeline(small_backend(), **options).run(pairs)
+        assert_same_explanations(chunked.explanations, default.explanations)
+        expected = reference.explain_all(pairs, device=CpuDevice(), **options)
+        reference.assert_matches(chunked.explanations, expected, pairs, **options)
 
     def test_wave_ledger_unchanged_by_chunk_size(self):
         """Streaming is a memory optimization, not a cost change: the

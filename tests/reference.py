@@ -13,6 +13,12 @@ The one reference every equivalence test compares the library against:
 * last, the pair's fit residual is one more convolution of the unmasked
   plane.
 
+Kernels and residuals must match this loop bit for bit, and so must
+scores, except where the fleet scores by linearity instead of one
+convolution per mask (:func:`by_linearity`): there they must match
+within :data:`SCORE_TOLERANCE` of the pair's largest score
+(:func:`assert_matches`).
+
 With a device this is exactly the execution
 :func:`repro.bench.workloads.interpretation_seconds` models (the
 paper's measured loop), so its ledger is what Table II prices.  Masks
@@ -25,11 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.distillation import ConvolutionDistiller
-from repro.core.fleet import feed_bytes
+from repro.core.fleet import feed_bytes, wave_dtype_key
 from repro.core.transform import OutputEmbedding
 from repro.fft import fft_circular_convolve2d
 from repro.hw.cpu import CpuDevice
 from repro.hw.quantize import resolve_precision
+
+#: Largest difference from this loop, as a share of the pair's largest
+#: score, of scores the fleet computes by linearity.
+SCORE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -160,3 +170,47 @@ def explain_all(pairs, device=None, **options):
         with device.program(infeed_bytes=infeed, outfeed_bytes=x.nbytes):
             explanations.append(explain(x, y, device=device, **options))
     return explanations
+
+
+def by_linearity(x, y, granularity, reduction="l2", precision=None):
+    """Whether the fleet scores ``(x, y)`` by linearity, not one convolution per mask.
+
+    ``elements`` plans always are; other plans are at the ``l2``
+    reduction and an exact precision when the pair keys as ``(float64,
+    float64, float64)`` (:func:`repro.core.fleet.wave_dtype_key`).  (A
+    plan too wide for the fleet's window memory is convolved anyway,
+    which meets the tolerance trivially.)
+    """
+    if granularity == "elements":
+        return True
+    spec = resolve_precision(precision)
+    return (
+        reduction == "l2" and (spec is None or spec.is_exact)
+        and wave_dtype_key(x, y) == (np.dtype(np.float64),) * 3
+    )
+
+
+def relative_error(actual, expected):
+    """Largest difference as a share of the largest expected magnitude."""
+    scale = np.max(np.abs(expected))
+    return np.max(np.abs(actual - expected)) / scale if scale else np.max(np.abs(actual))
+
+
+def assert_matches(
+    results, expected, pairs, granularity, reduction="l2", precision=None, **_
+):
+    """Fleet ``results`` for ``pairs`` match this loop's ``expected``.
+
+    Kernels and residuals bit for bit; scores bit for bit, or within
+    :data:`SCORE_TOLERANCE` where :func:`by_linearity` holds.  Takes the
+    options :func:`explain_all` took.
+    """
+    assert len(results) == len(expected) == len(pairs)
+    for (x, y), result, want in zip(pairs, results, expected):
+        np.testing.assert_array_equal(result.kernel, want.kernel)
+        assert result.residual == want.residual
+        assert result.scores.shape == want.scores.shape
+        if by_linearity(np.asarray(x), np.asarray(y), granularity, reduction, precision):
+            assert relative_error(result.scores, want.scores) <= SCORE_TOLERANCE
+        else:
+            np.testing.assert_array_equal(result.scores, want.scores)

@@ -360,6 +360,47 @@ class TestRequestValidation:
         with pytest.raises(ValueError, match="linearity"):
             make_service().process([bad])
 
+    @staticmethod
+    def _replaced(requests, index, x, y):
+        """``requests`` with request ``index``'s planes swapped for ``x``, ``y``."""
+        old = requests[index]
+        requests = list(requests)
+        requests[index] = type(old)(
+            request_id=old.request_id, arrival_time=old.arrival_time, x=x, y=y
+        )
+        return requests, old.request_id
+
+    def _check_one_rejected(self, report, request_id, reason):
+        records = {record.request_id: record for record in report.ledger.records}
+        assert len(records) == 6
+        assert records[request_id].status == "rejected"
+        assert reason in records[request_id].reject_reason
+        assert report.rejected_count == 1
+        completed = report.ledger.completed
+        assert len(completed) == 5
+        assert all(np.isfinite(record.result.scores).all() for record in completed)
+
+    def test_untiled_plane_is_rejected_at_arrival(self):
+        """One 8x9 request under 2x2 blocks is rejected with its reason;
+        the other five requests complete."""
+        rng = np.random.default_rng(18)
+        requests, bad = self._replaced(
+            trace(count=6, seed=18), 2, rng.standard_normal((8, 9)),
+            rng.standard_normal((8, 9)),
+        )
+        report = make_service(block_shape=(2, 2)).process(requests)
+        self._check_one_rejected(report, bad, "does not tile")
+
+    @pytest.mark.parametrize("plane", ["x", "y"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_request_is_rejected_at_arrival(self, plane, value):
+        requests = trace(count=6, seed=19)
+        x, y = requests[3].x.copy(), requests[3].y.copy()
+        (x if plane == "x" else y)[1, 2] = value
+        requests, bad = self._replaced(requests, 3, x, y)
+        report = make_service().process(requests)
+        self._check_one_rejected(report, bad, f"{plane} holds non-finite values")
+
     def test_service_validation(self):
         with pytest.raises(ValueError):
             make_service(granularity="pixels")
