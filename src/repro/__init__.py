@@ -31,47 +31,69 @@ Package map (see DESIGN.md for the full inventory):
 ``repro.baselines`` occlusion, gradient x input, iterative surrogate
 ``repro.bench``     harness regenerating every table and figure
 ==================  ====================================================
+
+Public names resolve on first use: a package imports the submodule
+that defines a name when the name is first asked for (PEP 562), so a
+run loads only the modules it uses.  ``repro.fft`` and ``repro.obs``,
+which every run loads in full, import eagerly.
 """
 
-from repro.core import (
-    ConvolutionDistiller,
-    DecomposedFourier,
-    ExplanationPipeline,
-    MaskSpec,
-    MultiInputScheduler,
-    OutputEmbedding,
-    TpuBackend,
-    block_contributions,
-    column_contributions,
-    feature_contributions,
-    frequency_solve,
-    make_tpu_chip,
-    score_plan,
-    top_k_features,
-)
-from repro.hw import CpuDevice, GpuDevice, TpuChip, TpuCore, speedup
+import importlib
+import sys
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ConvolutionDistiller",
-    "DecomposedFourier",
-    "ExplanationPipeline",
-    "MaskSpec",
-    "MultiInputScheduler",
-    "score_plan",
-    "OutputEmbedding",
-    "TpuBackend",
-    "block_contributions",
-    "column_contributions",
-    "feature_contributions",
-    "frequency_solve",
-    "make_tpu_chip",
-    "top_k_features",
-    "CpuDevice",
-    "GpuDevice",
-    "TpuChip",
-    "TpuCore",
-    "speedup",
-    "__version__",
-]
+
+def lazy_exports(package: str, exports: dict) -> tuple:
+    """``(__getattr__, __dir__, __all__)`` of a package whose names load lazily.
+
+    ``exports`` maps each defining submodule, relative to ``package``,
+    to the public names it holds.  A name is imported from its module
+    the first time it is asked for and then stored on the package, so
+    later reads are plain attribute lookups.  Any other name falls back
+    to the submodule of that name (``repro.core.fleet`` after a bare
+    ``import repro``), and failing that raises ``AttributeError``.
+    """
+    owners = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name):
+        owner = owners.get(name)
+        if owner is None:
+            try:
+                return importlib.import_module(f"{package}.{name}")
+            except ModuleNotFoundError as error:
+                if error.name != f"{package}.{name}":
+                    raise
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f"{package}.{owner}"), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__():
+        return sorted({*vars(sys.modules[package]), *owners})
+
+    return __getattr__, __dir__, list(owners)
+
+
+EXPORTS = {
+    "core.backend": ("TpuBackend", "make_tpu_chip"),
+    "core.decomposition": ("DecomposedFourier",),
+    "core.distillation": ("ConvolutionDistiller",),
+    "core.interpretation": (
+        "block_contributions",
+        "column_contributions",
+        "feature_contributions",
+        "top_k_features",
+    ),
+    "core.masking": ("MaskSpec", "score_plan"),
+    "core.parallel": ("MultiInputScheduler",),
+    "core.pipeline": ("ExplanationPipeline",),
+    "core.transform": ("OutputEmbedding", "frequency_solve"),
+    "hw.cpu": ("CpuDevice",),
+    "hw.gpu": ("GpuDevice",),
+    "hw.perf": ("speedup",),
+    "hw.tpu": ("TpuChip", "TpuCore"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, EXPORTS)
+__all__.append("__version__")

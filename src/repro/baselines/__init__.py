@@ -6,25 +6,16 @@
   surrogate the paper's closed-form solve is measured against.
 """
 
-from repro.baselines.gradient import gradient_input_saliency, saliency_block_grid
-from repro.baselines.occlusion import (
-    occlusion_column_saliency,
-    occlusion_plan_saliency,
-    occlusion_saliency,
-)
-from repro.baselines.surrogate import (
-    LinearSurrogateExplainer,
-    SurrogateConfig,
-    SurrogateResult,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "gradient_input_saliency",
-    "saliency_block_grid",
-    "occlusion_column_saliency",
-    "occlusion_plan_saliency",
-    "occlusion_saliency",
-    "LinearSurrogateExplainer",
-    "SurrogateConfig",
-    "SurrogateResult",
-]
+EXPORTS = {
+    "gradient": ("gradient_input_saliency", "saliency_block_grid"),
+    "occlusion": (
+        "occlusion_column_saliency",
+        "occlusion_plan_saliency",
+        "occlusion_saliency",
+    ),
+    "surrogate": ("LinearSurrogateExplainer", "SurrogateConfig", "SurrogateResult"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, EXPORTS)

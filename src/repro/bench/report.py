@@ -9,14 +9,18 @@ from __future__ import annotations
 
 import csv
 import io
+from typing import TYPE_CHECKING
 
-from repro.bench.harness import (
-    Figure4Result,
-    Figure5Result,
-    Figure6Result,
-    Table1Result,
-    Table2Result,
-)
+# Annotations only: `python -m repro.bench.harness --csv` imports this
+# module from the harness it runs, which must not load a second copy.
+if TYPE_CHECKING:
+    from repro.bench.harness import (
+        Figure4Result,
+        Figure5Result,
+        Figure6Result,
+        Table1Result,
+        Table2Result,
+    )
 
 
 def table1_csv(result: Table1Result) -> str:

@@ -26,17 +26,21 @@ Execution-model assumptions, mirroring the paper's setup:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.backend import TpuBackend, make_tpu_chip
-from repro.hw.cpu import CpuDevice
-from repro.hw.gpu import GpuDevice
 from repro.hw.quantize import infeed_bytes_per_element, resolve_precision
-from repro.nn.flops import ModelCensus, model_census
-from repro.nn.resnet import resnet50
-from repro.nn.vgg import vgg19
+
+# The Table I model builders and the CPU/GPU comparators are imported by
+# the functions that use them, so the planted-pair generators below load
+# no neural-network code.
+if TYPE_CHECKING:
+    from repro.hw.cpu import CpuDevice
+    from repro.hw.gpu import GpuDevice
+    from repro.nn.flops import ModelCensus
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,9 @@ class ClassificationWorkload:
 
 def vgg19_workload() -> ClassificationWorkload:
     """Benchmark 1: VGG19 on CIFAR-100 (50k train / 10k test images)."""
+    from repro.nn.flops import model_census
+    from repro.nn.vgg import vgg19
+
     census = model_census(vgg19(num_classes=100), (3, 32, 32), name="VGG19")
     return ClassificationWorkload(
         name="VGG19", census=census, train_samples=50_000, test_samples=10_000
@@ -76,6 +83,9 @@ def vgg19_workload() -> ClassificationWorkload:
 
 def resnet50_workload() -> ClassificationWorkload:
     """Benchmark 2: ResNet50 on MIRAI trace tables (32x32 windows)."""
+    from repro.nn.flops import model_census
+    from repro.nn.resnet import resnet50
+
     census = model_census(
         resnet50(num_classes=2, in_channels=1), (1, 32, 32), name="ResNet50"
     )
@@ -109,6 +119,8 @@ def cpu_classification_times(
     workload: ClassificationWorkload, device: CpuDevice | None = None
 ) -> TrainTestSeconds:
     """Table I baseline column: host-resident eager execution."""
+    from repro.hw.cpu import CpuDevice
+
     device = device or CpuDevice()
     passes_train = 1.0 + workload.backward_multiplier
     step = _eager_step_seconds(device, workload.census, workload.batch_size, passes_train)
@@ -122,6 +134,8 @@ def gpu_classification_times(
     workload: ClassificationWorkload, device: GpuDevice | None = None
 ) -> TrainTestSeconds:
     """Table I GPU column: eager kernels plus per-batch PCIe transfers."""
+    from repro.hw.gpu import GpuDevice
+
     device = device or GpuDevice()
     passes_train = 1.0 + workload.backward_multiplier
     batch_bytes = workload.batch_size * workload.sample_bytes
@@ -405,6 +419,9 @@ def figure4_solve_seconds(device, size: int) -> float:
 
 def default_devices() -> dict[str, object]:
     """The paper's three hardware configurations with default calibration."""
+    from repro.hw.cpu import CpuDevice
+    from repro.hw.gpu import GpuDevice
+
     return {
         "CPU": CpuDevice(),
         "GPU": GpuDevice(),

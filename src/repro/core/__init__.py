@@ -24,115 +24,66 @@ Layout mirrors Section III of the paper:
   workload that Table II times end to end.
 """
 
-from repro.core.backend import TpuBackend, make_tpu_chip, make_tpu_pod
-from repro.core.decomposition import (
-    DecomposedFourier,
-    DecompositionReport,
-    StageTiming,
-    shard_slices,
-)
-from repro.core.distillation import ConvolutionDistiller, NotFittedError
-from repro.core.fleet import (
-    FleetExecutor,
-    FleetRun,
-    FleetSchedule,
-    PLACEMENTS,
-    PairResult,
-    WavePlan,
-    feed_bytes,
-)
-from repro.core.interpretation import (
-    block_contributions,
-    column_contributions,
-    contribution_matrix,
-    element_scores_from_base,
-    feature_contributions,
-    mask_contribution,
-    normalize_scores,
-    row_contributions,
-    top_k_features,
-)
-from repro.core.masking import (
-    DEFAULT_CHUNK_ROWS,
-    DEFAULT_STACK_BUDGET_BYTES,
-    MaskSpec,
-    MaskStackBudgetError,
-    check_stack_budget,
-    effective_chunk_rows,
-    reduce_batch,
-    score_plan,
-)
-from repro.core.parallel import (
-    Assignment,
-    AssignmentTable,
-    BatchResult,
-    BlockTask,
-    MultiInputScheduler,
-    block_matmul_tasks,
-    partition_cores,
-    run_block_matmul,
-)
-from repro.core.quality import (
-    deletion_auc,
-    deletion_curve,
-    dominance_margin,
-    rank_agreement,
-    top_k_recall,
-)
-from repro.core.pipeline import ExplanationPipeline, InterpretationRun
-from repro.core.transform import (
-    OutputEmbedding,
-    frequency_solve,
-    spectrum_condition,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "TpuBackend",
-    "make_tpu_chip",
-    "make_tpu_pod",
-    "PLACEMENTS",
-    "DecomposedFourier",
-    "DecompositionReport",
-    "StageTiming",
-    "shard_slices",
-    "ConvolutionDistiller",
-    "NotFittedError",
-    "block_contributions",
-    "column_contributions",
-    "contribution_matrix",
-    "feature_contributions",
-    "mask_contribution",
-    "normalize_scores",
-    "row_contributions",
-    "top_k_features",
-    "MaskStackBudgetError",
-    "DEFAULT_STACK_BUDGET_BYTES",
-    "check_stack_budget",
-    "reduce_batch",
-    "score_plan",
-    "element_scores_from_base",
-    "FleetExecutor",
-    "FleetRun",
-    "FleetSchedule",
-    "PairResult",
-    "WavePlan",
-    "feed_bytes",
-    "Assignment",
-    "AssignmentTable",
-    "BatchResult",
-    "BlockTask",
-    "MultiInputScheduler",
-    "deletion_auc",
-    "deletion_curve",
-    "dominance_margin",
-    "rank_agreement",
-    "top_k_recall",
-    "block_matmul_tasks",
-    "partition_cores",
-    "run_block_matmul",
-    "ExplanationPipeline",
-    "InterpretationRun",
-    "OutputEmbedding",
-    "frequency_solve",
-    "spectrum_condition",
-]
+EXPORTS = {
+    "backend": ("TpuBackend", "make_tpu_chip", "make_tpu_pod"),
+    "decomposition": (
+        "DecomposedFourier",
+        "DecompositionReport",
+        "StageTiming",
+        "shard_slices",
+    ),
+    "distillation": ("ConvolutionDistiller", "NotFittedError"),
+    "fleet": (
+        "FleetExecutor",
+        "FleetRun",
+        "FleetSchedule",
+        "PLACEMENTS",
+        "PairResult",
+        "WavePlan",
+        "feed_bytes",
+    ),
+    "interpretation": (
+        "block_contributions",
+        "column_contributions",
+        "contribution_matrix",
+        "element_scores_from_base",
+        "feature_contributions",
+        "mask_contribution",
+        "normalize_scores",
+        "row_contributions",
+        "top_k_features",
+    ),
+    "masking": (
+        "DEFAULT_CHUNK_ROWS",
+        "DEFAULT_STACK_BUDGET_BYTES",
+        "MaskSpec",
+        "MaskStackBudgetError",
+        "check_stack_budget",
+        "effective_chunk_rows",
+        "reduce_batch",
+        "score_plan",
+    ),
+    "parallel": (
+        "Assignment",
+        "AssignmentTable",
+        "BatchResult",
+        "BlockTask",
+        "MultiInputScheduler",
+        "block_matmul_tasks",
+        "partition_cores",
+        "run_block_matmul",
+    ),
+    "pipeline": ("ExplanationPipeline", "InterpretationRun"),
+    "quality": (
+        "deletion_auc",
+        "deletion_curve",
+        "dominance_margin",
+        "rank_agreement",
+        "top_k_recall",
+    ),
+    "transform": ("OutputEmbedding", "frequency_solve", "spectrum_condition"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, EXPORTS)

@@ -165,6 +165,7 @@ from repro.core.transform import (
     _record_solve,
     _solve_stack,
     check_eps,
+    spectrum_problem,
 )
 from repro.fft.convolution import (
     _bin_major,
@@ -620,17 +621,21 @@ class FleetExecutor:
             raise ValueError(f"fleet pairs must be matrices, got shape {x.shape}")
         return x
 
-    @staticmethod
-    def _check_finite(xs, ys) -> None:
-        """Reject the first pair whose ``x`` or ``y`` holds a NaN or an inf.
+    def _check_pairs(self, xs, ys) -> None:
+        """Reject the first pair whose planes the solve cannot explain.
 
-        Such a pair would score NaN everywhere without an error, and
-        its NaNs would slip past every comparison on the way.
+        A NaN or an inf in ``x`` or ``y``, or at ``eps = 0`` a zero bin
+        in the spectrum of ``x`` (:func:`spectrum_problem`), would score
+        NaN everywhere without an error, and its NaNs would slip past
+        every comparison on the way.
         """
         for index, (x, y) in enumerate(zip(xs, ys)):
             for name, plane in (("x", x), ("y", y)):
                 if not np.isfinite(plane).all():
                     raise ValueError(f"pair {index}: {name} holds non-finite values")
+            problem = spectrum_problem(x, self.eps)
+            if problem is not None:
+                raise ValueError(f"pair {index}: {problem}")
 
     def _check_plans(self, xs, plans) -> list:
         """Validate caller-supplied plans (or build them) for ``xs``."""
@@ -679,7 +684,8 @@ class FleetExecutor:
         many same-shape requests builds each shape's spec once instead
         of once per dispatch.  An empty fleet returns an empty run
         (zero waves, zero simulated seconds) -- the service's idle
-        drain path.  A pair whose ``x`` or ``y`` is not finite raises
+        drain path.  A pair whose ``x`` or ``y`` is not finite, or at
+        ``eps = 0`` whose ``x`` has a zero spectrum bin, raises
         ``ValueError`` naming the first such pair, before any work.
         """
         pairs = list(pairs)
@@ -687,7 +693,7 @@ class FleetExecutor:
             return FleetRun(results=(), schedule=FleetSchedule(waves=()))
         xs = [self._check_plane(np.asarray(x)) for x, _ in pairs]
         ys = [np.asarray(y) for _, y in pairs]
-        self._check_finite(xs, ys)
+        self._check_pairs(xs, ys)
         plans = self._check_plans(xs, plans)
         schedule = self._schedule(xs, ys, plans)
         if tracer.enabled:

@@ -53,6 +53,31 @@ def check_eps(eps) -> None:
         raise ValueError(f"eps must be finite and non-negative, got {eps}")
 
 
+_ZERO_BIN = "the spectrum of x has a zero bin, where Eq. 4 divides by zero at eps=0"
+
+
+def spectrum_problem(x, eps: float) -> str | None:
+    """Why Eq. 4 cannot solve for the plane ``x`` at ``eps``, or ``None``.
+
+    The solve divides by ``X conj(X) + eps``, ``X`` the 2-D spectrum of
+    ``x``; at ``eps = 0`` a bin where that product is exactly 0 gives a
+    NaN or infinite kernel with only a ``RuntimeWarning``.  An all-zero
+    or a constant ``x`` has such bins.  The fleet and the service ask
+    before any work, and only at ``eps = 0`` does this transform ``x``.
+    """
+    if eps != 0:
+        return None
+    x_hat = fft2_batch(x)
+    return None if (x_hat * np.conj(x_hat)).all() else _ZERO_BIN
+
+
+def _check_zero_bins(denominator) -> None:
+    """Reject a ``(P, M, N)`` Eq. 4 denominator with an exact zero bin."""
+    singular = np.flatnonzero(~denominator.reshape(len(denominator), -1).all(axis=1))
+    if singular.size:
+        raise ValueError(f"kernel {singular[0]}: {_ZERO_BIN}")
+
+
 @dataclass(frozen=True)
 class OutputEmbedding:
     """Lifts classifier outputs ``y in R^C`` onto the input plane.
@@ -218,7 +243,9 @@ def frequency_solve(
     given, the solve is priced on it (accumulating simulated time) as
     the per-op chain of transforms and Hadamard operations -- see
     :func:`_record_solve`; otherwise the pure-numpy form (real
-    denominator) is used.
+    denominator) is used.  At ``eps = 0`` a denominator with an exact
+    zero bin raises ``ValueError`` naming the first such kernel (see
+    :func:`spectrum_problem`).
 
     Returns real kernels when all operands are real.
     """
@@ -254,6 +281,8 @@ def _solve_stack(x_stack, y_stack, eps: float, device_chain: bool) -> np.ndarray
         for b in range(pairs):
             numerator += y_hat[:, b] * np.conj(x_hat[:, b])
             denominator += np.abs(x_hat[:, b]) ** 2
+        if eps == 0:
+            _check_zero_bins(denominator)
         kernel_hat = numerator / (denominator + eps)
     else:
         # The device's chain: complex denominator and eps plane, each sum
@@ -270,6 +299,8 @@ def _solve_stack(x_stack, y_stack, eps: float, device_chain: bool) -> np.ndarray
             numerator += y_hat[:, b] * x_conj
             denominator += x_hat[:, b] * x_conj
         del x_hat, y_hat, x_conj
+        if eps == 0:
+            _check_zero_bins(denominator)
         denominator += np.full(denominator.shape, eps, dtype=np.complex128)
         kernel_hat = np.divide(numerator, denominator, out=numerator)
     kernel = ifft2_batch(kernel_hat)

@@ -11,38 +11,13 @@ See DESIGN.md section 2 for why these substitutions preserve the
 behaviour the experiments measure.
 """
 
-from repro.data.cifar import CifarLikeSpec, SyntheticCifar100, make_cat_image
-from repro.data.loader import (
-    normalize_images,
-    one_hot,
-    to_grayscale,
-    train_test_indices,
-)
-from repro.data.windows import (
-    TraceWindow,
-    locate_cycle,
-    pad_trace,
-    sliding_windows,
-)
-from repro.data.mirai import (
-    ATTACK_MODES,
-    MiraiTraceDataset,
-    MiraiTraceSpec,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "CifarLikeSpec",
-    "SyntheticCifar100",
-    "make_cat_image",
-    "normalize_images",
-    "one_hot",
-    "to_grayscale",
-    "train_test_indices",
-    "TraceWindow",
-    "locate_cycle",
-    "pad_trace",
-    "sliding_windows",
-    "ATTACK_MODES",
-    "MiraiTraceDataset",
-    "MiraiTraceSpec",
-]
+EXPORTS = {
+    "cifar": ("CifarLikeSpec", "SyntheticCifar100", "make_cat_image"),
+    "loader": ("normalize_images", "one_hot", "to_grayscale", "train_test_indices"),
+    "mirai": ("ATTACK_MODES", "MiraiTraceDataset", "MiraiTraceSpec"),
+    "windows": ("TraceWindow", "locate_cycle", "pad_trace", "sliding_windows"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, EXPORTS)

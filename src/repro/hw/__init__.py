@@ -18,147 +18,76 @@ functional numpy execution plus *simulated seconds*, which is what every
 table and figure in the paper reports.
 """
 
-from repro.hw.cpu import CpuConfig, CpuDevice
-from repro.hw.device import (
-    Device,
-    DeviceStats,
-    PipelineStage,
-    pipelined_elapsed_seconds,
-)
-from repro.hw.gpu import GpuConfig, GpuDevice
-from repro.hw.compiler import (
-    Op,
-    OpGraph,
-    compiled_seconds,
-    eager_seconds,
-    lower,
-    solve_graph,
-)
-from repro.hw.interconnect import Interconnect, InterconnectConfig
-from repro.hw.isa import Instruction, Opcode, Program, ScheduleResult, Scheduler
-from repro.hw.memory import (
-    Allocation,
-    MemoryCapacityError,
-    MemoryRegion,
-    MemorySpec,
-    accumulator_spec,
-    hbm_spec,
-    host_link_spec,
-    unified_buffer_spec,
-)
-from repro.hw.mxu import Mxu, MxuConfig, MxuStats, matmul_cycles
-from repro.hw.pod import PodWaveStats, TpuPod, clone_device
-from repro.hw.perf import (
-    AmdahlBreakdown,
-    format_stats,
-    matmul_operational_intensity,
-    operational_intensity,
-    roofline_attainable_flops,
-    speedup,
-)
-from repro.hw.quantize import (
-    BF16,
-    FP32,
-    FP64,
-    INT8,
-    PrecisionSpec,
-    QuantizedTensor,
-    dequantize,
-    infeed_bytes_per_element,
-    precision_spec,
-    quantization_error_bound,
-    quantization_scale,
-    quantize,
-    quantize_dequantize,
-    quantized_complex_matmul,
-    quantized_conv_error_bound,
-    quantized_matmul,
-    quantized_score_error_bound,
-    resolve_precision,
-    to_bfloat16,
-)
-from repro.hw.systolic import SystolicArray, SystolicResult, streaming_cycles
-from repro.hw.trace import (
-    SystolicTrace,
-    trace_matmul,
-    trace_pass,
-    utilization_ascii,
-    write_vcd,
-)
-from repro.hw.tpu import TpuChip, TpuChipConfig, TpuCore, TpuCoreConfig
+from repro import lazy_exports
 
-__all__ = [
-    "CpuConfig",
-    "CpuDevice",
-    "Device",
-    "DeviceStats",
-    "PipelineStage",
-    "pipelined_elapsed_seconds",
-    "PodWaveStats",
-    "TpuPod",
-    "clone_device",
-    "GpuConfig",
-    "GpuDevice",
-    "Op",
-    "OpGraph",
-    "compiled_seconds",
-    "eager_seconds",
-    "lower",
-    "solve_graph",
-    "SystolicTrace",
-    "trace_matmul",
-    "trace_pass",
-    "utilization_ascii",
-    "write_vcd",
-    "Interconnect",
-    "InterconnectConfig",
-    "Instruction",
-    "Opcode",
-    "Program",
-    "ScheduleResult",
-    "Scheduler",
-    "Allocation",
-    "MemoryCapacityError",
-    "MemoryRegion",
-    "MemorySpec",
-    "accumulator_spec",
-    "hbm_spec",
-    "host_link_spec",
-    "unified_buffer_spec",
-    "Mxu",
-    "MxuConfig",
-    "MxuStats",
-    "matmul_cycles",
-    "AmdahlBreakdown",
-    "format_stats",
-    "matmul_operational_intensity",
-    "operational_intensity",
-    "roofline_attainable_flops",
-    "speedup",
-    "BF16",
-    "FP32",
-    "FP64",
-    "INT8",
-    "PrecisionSpec",
-    "QuantizedTensor",
-    "dequantize",
-    "infeed_bytes_per_element",
-    "precision_spec",
-    "quantization_error_bound",
-    "quantization_scale",
-    "quantize",
-    "quantize_dequantize",
-    "quantized_complex_matmul",
-    "quantized_conv_error_bound",
-    "quantized_matmul",
-    "quantized_score_error_bound",
-    "resolve_precision",
-    "to_bfloat16",
-    "SystolicArray",
-    "SystolicResult",
-    "streaming_cycles",
-    "TpuChip",
-    "TpuChipConfig",
-    "TpuCore",
-    "TpuCoreConfig",
-]
+# Bound eagerly: the function shares its name with its submodule, which
+# the first import of repro.hw.quantize would otherwise set here.
+from repro.hw.quantize import quantize  # noqa: F401
+
+EXPORTS = {
+    "compiler": (
+        "Op",
+        "OpGraph",
+        "compiled_seconds",
+        "eager_seconds",
+        "lower",
+        "solve_graph",
+    ),
+    "cpu": ("CpuConfig", "CpuDevice"),
+    "device": ("Device", "DeviceStats", "PipelineStage", "pipelined_elapsed_seconds"),
+    "gpu": ("GpuConfig", "GpuDevice"),
+    "interconnect": ("Interconnect", "InterconnectConfig"),
+    "isa": ("Instruction", "Opcode", "Program", "ScheduleResult", "Scheduler"),
+    "memory": (
+        "Allocation",
+        "MemoryCapacityError",
+        "MemoryRegion",
+        "MemorySpec",
+        "accumulator_spec",
+        "hbm_spec",
+        "host_link_spec",
+        "unified_buffer_spec",
+    ),
+    "mxu": ("Mxu", "MxuConfig", "MxuStats", "matmul_cycles"),
+    "perf": (
+        "AmdahlBreakdown",
+        "format_stats",
+        "matmul_operational_intensity",
+        "operational_intensity",
+        "roofline_attainable_flops",
+        "speedup",
+    ),
+    "pod": ("PodWaveStats", "TpuPod", "clone_device"),
+    "quantize": (
+        "BF16",
+        "FP32",
+        "FP64",
+        "INT8",
+        "PrecisionSpec",
+        "QuantizedTensor",
+        "dequantize",
+        "infeed_bytes_per_element",
+        "precision_spec",
+        "quantization_error_bound",
+        "quantization_scale",
+        "quantize",
+        "quantize_dequantize",
+        "quantized_complex_matmul",
+        "quantized_conv_error_bound",
+        "quantized_matmul",
+        "quantized_score_error_bound",
+        "resolve_precision",
+        "to_bfloat16",
+    ),
+    "systolic": ("SystolicArray", "SystolicResult", "streaming_cycles"),
+    "tpu": ("TpuChip", "TpuChipConfig", "TpuCore", "TpuCoreConfig"),
+    "trace": (
+        "SystolicTrace",
+        "trace_matmul",
+        "trace_pass",
+        "utilization_ascii",
+        "write_vcd",
+    ),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, EXPORTS)

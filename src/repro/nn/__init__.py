@@ -8,84 +8,34 @@ CI-scale variants, and the FLOP census (:mod:`repro.nn.flops`) that
 feeds the hardware cost models for the full-size architectures.
 """
 
-from repro.nn.flops import (
-    MatmulShape,
-    ModelCensus,
-    input_bytes_per_sample,
-    model_census,
-)
-from repro.nn.layers import (
-    BatchNorm2d,
-    Conv2d,
-    Dense,
-    Dropout,
-    Flatten,
-    GlobalAvgPool,
-    Layer,
-    MaxPool2d,
-    ReLU,
-)
-from repro.nn.losses import accuracy, cross_entropy, mse, softmax
-from repro.nn.model import ResidualBlock, Sequential, conv_bn_relu
-from repro.nn.optim import Adam, Optimizer, SGD
-from repro.nn.quantized import (
-    ActivationQuantizer,
-    quantize_model_weights,
-    quantized_accuracy,
-    weight_quantization_error,
-)
-from repro.nn.schedules import CosineDecay, Schedule, StepDecay, WarmupWrapper
-from repro.nn.resnet import RESNET50_BLOCKS, build_resnet, resnet50, resnet_scaled
-from repro.nn.train import (
-    EpochMetrics,
-    Trainer,
-    TrainingHistory,
-    minibatches,
-)
-from repro.nn.vgg import VGG19_CONFIG, build_vgg, vgg19, vgg19_scaled
+from repro import lazy_exports
 
-__all__ = [
-    "MatmulShape",
-    "ModelCensus",
-    "input_bytes_per_sample",
-    "model_census",
-    "BatchNorm2d",
-    "Conv2d",
-    "Dense",
-    "Dropout",
-    "Flatten",
-    "GlobalAvgPool",
-    "Layer",
-    "MaxPool2d",
-    "ReLU",
-    "accuracy",
-    "cross_entropy",
-    "mse",
-    "softmax",
-    "ResidualBlock",
-    "Sequential",
-    "conv_bn_relu",
-    "Adam",
-    "Optimizer",
-    "SGD",
-    "ActivationQuantizer",
-    "quantize_model_weights",
-    "quantized_accuracy",
-    "weight_quantization_error",
-    "CosineDecay",
-    "Schedule",
-    "StepDecay",
-    "WarmupWrapper",
-    "RESNET50_BLOCKS",
-    "build_resnet",
-    "resnet50",
-    "resnet_scaled",
-    "EpochMetrics",
-    "Trainer",
-    "TrainingHistory",
-    "minibatches",
-    "VGG19_CONFIG",
-    "build_vgg",
-    "vgg19",
-    "vgg19_scaled",
-]
+EXPORTS = {
+    "flops": ("MatmulShape", "ModelCensus", "input_bytes_per_sample", "model_census"),
+    "layers": (
+        "BatchNorm2d",
+        "Conv2d",
+        "Dense",
+        "Dropout",
+        "Flatten",
+        "GlobalAvgPool",
+        "Layer",
+        "MaxPool2d",
+        "ReLU",
+    ),
+    "losses": ("accuracy", "cross_entropy", "mse", "softmax"),
+    "model": ("ResidualBlock", "Sequential", "conv_bn_relu"),
+    "optim": ("Adam", "Optimizer", "SGD"),
+    "quantized": (
+        "ActivationQuantizer",
+        "quantize_model_weights",
+        "quantized_accuracy",
+        "weight_quantization_error",
+    ),
+    "resnet": ("RESNET50_BLOCKS", "build_resnet", "resnet50", "resnet_scaled"),
+    "schedules": ("CosineDecay", "Schedule", "StepDecay", "WarmupWrapper"),
+    "train": ("EpochMetrics", "Trainer", "TrainingHistory", "minibatches"),
+    "vgg": ("VGG19_CONFIG", "build_vgg", "vgg19", "vgg19_scaled"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, EXPORTS)

@@ -35,67 +35,30 @@ the batched service against the per-request serial baseline and the
 autopilot against the best static policy.
 """
 
-from repro.serve.admission import (
-    ADMITTED,
-    AdmissionController,
-    AdmissionDecision,
-)
-from repro.serve.batcher import BatchKey, MicroBatcher, QueuedRequest
-from repro.serve.cache import (
-    DEFAULT_CACHE_BYTES,
-    ExplanationCache,
-    SpeculativeWarmer,
-    explanation_digest,
-    result_nbytes,
-)
-from repro.serve.capacity import (
-    DEFAULT_CHIP_COST_PER_HOUR,
-    CapacityPlan,
-    capacity_table,
-    format_capacity_table,
-    plan_capacity,
-)
-from repro.serve.clock import SimulatedClock
-from repro.serve.controller import BatchController, nearest_rank_percentile
-from repro.serve.loop import ExplanationService
-from repro.serve.metrics import (
-    LatencyLedger,
-    RequestRecord,
-    ServiceReport,
-)
-from repro.serve.workload import (
-    Request,
-    bursty_requests,
-    merge_traces,
-    poisson_requests,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ADMITTED",
-    "AdmissionController",
-    "AdmissionDecision",
-    "BatchKey",
-    "MicroBatcher",
-    "QueuedRequest",
-    "DEFAULT_CACHE_BYTES",
-    "ExplanationCache",
-    "SpeculativeWarmer",
-    "explanation_digest",
-    "result_nbytes",
-    "DEFAULT_CHIP_COST_PER_HOUR",
-    "CapacityPlan",
-    "capacity_table",
-    "format_capacity_table",
-    "plan_capacity",
-    "SimulatedClock",
-    "BatchController",
-    "nearest_rank_percentile",
-    "ExplanationService",
-    "LatencyLedger",
-    "RequestRecord",
-    "ServiceReport",
-    "Request",
-    "bursty_requests",
-    "merge_traces",
-    "poisson_requests",
-]
+EXPORTS = {
+    "admission": ("ADMITTED", "AdmissionController", "AdmissionDecision"),
+    "batcher": ("BatchKey", "MicroBatcher", "QueuedRequest"),
+    "cache": (
+        "DEFAULT_CACHE_BYTES",
+        "ExplanationCache",
+        "SpeculativeWarmer",
+        "explanation_digest",
+        "result_nbytes",
+    ),
+    "capacity": (
+        "DEFAULT_CHIP_COST_PER_HOUR",
+        "CapacityPlan",
+        "capacity_table",
+        "format_capacity_table",
+        "plan_capacity",
+    ),
+    "clock": ("SimulatedClock",),
+    "controller": ("BatchController", "nearest_rank_percentile"),
+    "loop": ("ExplanationService",),
+    "metrics": ("LatencyLedger", "RequestRecord", "ServiceReport"),
+    "workload": ("Request", "bursty_requests", "merge_traces", "poisson_requests"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, EXPORTS)

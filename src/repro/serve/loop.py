@@ -49,7 +49,7 @@ from repro.core.fleet import (
     feed_bytes,
 )
 from repro.core.masking import DEFAULT_STACK_BUDGET_BYTES, MaskSpec
-from repro.core.transform import OutputEmbedding
+from repro.core.transform import OutputEmbedding, spectrum_problem
 from repro.hw.device import Device
 from repro.hw.quantize import resolve_precision
 from repro.obs.registry import register_metrics_source
@@ -324,7 +324,11 @@ class ExplanationService:
         Memoized on the request's raw ``(granularity, block_shape,
         precision)`` override triple -- replay traffic resolves and
         validates each distinct triple once, not once per request (an
-        unhashable override simply skips the memo).
+        unhashable override simply skips the memo).  Raises
+        ``ValueError`` when the overrides cannot resolve: an unknown
+        granularity or precision, ``blocks`` without a block shape of
+        integers, or ``elements`` at a lossy precision; :meth:`process`
+        rejects such a request at arrival.
         """
         token: tuple | None
         try:
@@ -362,7 +366,13 @@ class ExplanationService:
                     f"request {request.request_id}: blocks granularity "
                     "requires a block_shape"
                 )
-            block_shape = tuple(int(v) for v in block_shape)
+            try:
+                block_shape = tuple(int(v) for v in block_shape)
+            except TypeError:
+                raise ValueError(
+                    f"request {request.request_id}: block_shape must be a pair "
+                    f"of integers, got {block_shape!r}"
+                ) from None
         else:
             block_shape = None  # irrelevant to (and rejected by) the plan
         spec = resolve_precision(
@@ -546,28 +556,38 @@ class ExplanationService:
     ) -> None:
         """One arrival: validation, admission, then cache, then the batch queue.
 
-        A request the fleet cannot explain -- its ``x`` is not a matrix,
-        its block shape does not tile that plane, or its ``x`` or ``y``
-        holds a NaN or an inf -- is rejected here with the reason, so
-        it never reaches (and never fails) a dispatch shared with other
-        requests.  Backpressure precedes everything else so a rejected
+        A request the fleet cannot explain -- its overrides resolve to
+        no batch key (see :meth:`batch_key`), its ``x`` is not a
+        matrix, its block shape does not tile that plane, its ``x`` or
+        ``y`` holds a NaN or an inf, or at ``eps = 0`` its ``x`` has a
+        zero spectrum bin -- is rejected here with the reason, so it
+        never reaches (and never fails) a dispatch shared with other
+        requests; a request without a key is recorded with an empty
+        one.  Backpressure precedes everything else so a rejected
         request is genuinely cheap -- no digest hashing, no cache
         traffic, no skewed miss counters; only admitted arrivals get the
         cache lookup (a hit then completes without queueing).
         """
-        key = self.batch_key(request)
-        spec = self._spec(key.precision)
+        try:
+            key = self.batch_key(request)
+        except ValueError as error:
+            key, problem = None, str(error)
+        else:
+            problem = self._request_problem(request, key)
         self._lifetime["requests"] += 1
         if tracer.enabled:
             tracer.instant(
                 "arrival", "serve", clock.now, 0, 0,
-                {"id": request.request_id, "key": list(key.as_tuple())},
+                {
+                    "id": request.request_id,
+                    "key": [] if key is None else list(key.as_tuple()),
+                },
             )
 
-        problem = self._request_problem(request, key)
         if problem is not None:
             self._reject(request, key, problem, "invalid_request", ledger, clock)
             return
+        spec = self._spec(key.precision)
         feed_nbytes = feed_bytes([request.x, request.y], spec)
         decision = ADMITTED
         if self.admission is not None:
@@ -644,7 +664,7 @@ class ExplanationService:
         for name, plane in (("x", request.x), ("y", request.y)):
             if not np.isfinite(plane).all():
                 return f"{name} holds non-finite values"
-        return None
+        return spectrum_problem(request.x, self.eps)
 
     def _reject(self, request, key, reason, event, ledger, clock) -> None:
         """Record ``request`` as rejected for ``reason`` (trace ``event``)."""
@@ -659,7 +679,7 @@ class ExplanationService:
                 request_id=request.request_id,
                 arrival_time=request.arrival_time,
                 status="rejected",
-                batch_key=key.as_tuple(),
+                batch_key=() if key is None else key.as_tuple(),
                 reject_reason=reason,
             )
         )

@@ -309,6 +309,21 @@ class TestFleetExecutorValidation:
             FleetExecutor(device, granularity="columns").run(pairs)
         assert not device.stats.op_counts
 
+    @pytest.mark.parametrize("fill", [0.0, 2.0], ids=["zero", "constant"])
+    def test_zero_bin_at_eps_zero_raises_naming_the_pair(self, fill):
+        """At eps=0 a zero spectrum bin of x scored the pair NaN everywhere,
+        with only a RuntimeWarning."""
+        pairs = planted_pairs(3)
+        pairs[2] = (np.full((8, 8), fill), pairs[2][1])
+        device = CpuDevice()
+        executor = FleetExecutor(device, granularity="columns", eps=0.0)
+        with pytest.raises(ValueError, match="pair 2: the spectrum of x has a zero bin"):
+            executor.run(pairs)
+        assert not device.stats.op_counts
+        # Any positive eps regularizes the same pair.
+        run = FleetExecutor(device, granularity="columns", eps=1e-6).run(pairs)
+        assert all(np.isfinite(result.scores).all() for result in run.results)
+
     def test_non_matrix_pair(self):
         with pytest.raises(ValueError):
             FleetExecutor(CpuDevice(), granularity="columns").run(

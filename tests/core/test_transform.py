@@ -85,6 +85,25 @@ class TestExactRecovery:
         assert np.all(np.isfinite(kernel))
         assert np.max(np.abs(kernel)) < 1e4
 
+    @pytest.mark.parametrize("priced", [False, True], ids=["numpy", "device"])
+    @pytest.mark.parametrize("fill", [0.0, 1.0], ids=["zero", "constant"])
+    def test_zero_bin_at_eps_zero_raises(self, fill, priced):
+        """Eq. 4 divides by the zero bins; the result used to be NaN or inf
+        with only a RuntimeWarning."""
+        device = CpuDevice() if priced else None
+        y = np.random.default_rng(8).standard_normal((4, 4))
+        with pytest.raises(ValueError, match="kernel 0: the spectrum of x has a zero bin"):
+            frequency_solve(np.full((4, 4), fill), y, eps=0.0, device=device)
+        assert device is None or not device.stats.op_counts
+
+    def test_zero_bin_names_its_kernel_in_a_stack(self):
+        rng = np.random.default_rng(11)
+        xs = np.stack([well_conditioned_input((4, 4), seed=12), np.ones((4, 4))])
+        ys = rng.standard_normal((2, 4, 4))
+        with pytest.raises(ValueError, match="kernel 1:"):
+            frequency_solve(xs[:, np.newaxis], ys[:, np.newaxis], eps=0.0)
+        assert np.isfinite(frequency_solve(xs[:, np.newaxis], ys[:, np.newaxis], eps=1e-3)).all()
+
     def test_device_path_matches_numpy_path(self):
         device = CpuDevice()
         x = well_conditioned_input((8, 8), seed=9)

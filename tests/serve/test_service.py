@@ -8,6 +8,8 @@ requests never sharing a wave -- plus the empty/idle-drain guards the
 request loop hits constantly.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -342,35 +344,15 @@ class TestLatencyAccounting:
 
 
 class TestRequestValidation:
-    def test_unknown_granularity_raises(self):
-        requests = trace(count=1, seed=15)
-        bad = type(requests[0])(
-            request_id=0, arrival_time=0.0, x=requests[0].x, y=requests[0].y,
-            granularity="pixels",
-        )
-        with pytest.raises(ValueError, match="granularity"):
-            make_service().process([bad])
-
-    def test_lossy_precision_rejects_elements_granularity(self):
-        requests = trace(count=1, seed=16)
-        bad = type(requests[0])(
-            request_id=0, arrival_time=0.0, x=requests[0].x, y=requests[0].y,
-            granularity="elements", precision="int8",
-        )
-        with pytest.raises(ValueError, match="linearity"):
-            make_service().process([bad])
-
     @staticmethod
-    def _replaced(requests, index, x, y):
-        """``requests`` with request ``index``'s planes swapped for ``x``, ``y``."""
-        old = requests[index]
+    def _replaced(requests, index, **changes):
+        """``requests`` with request ``index``'s fields replaced by ``changes``."""
         requests = list(requests)
-        requests[index] = type(old)(
-            request_id=old.request_id, arrival_time=old.arrival_time, x=x, y=y
-        )
-        return requests, old.request_id
+        requests[index] = dataclasses.replace(requests[index], **changes)
+        return requests, requests[index].request_id
 
     def _check_one_rejected(self, report, request_id, reason):
+        """The rejected record of ``request_id``; the other five completed."""
         records = {record.request_id: record for record in report.ledger.records}
         assert len(records) == 6
         assert records[request_id].status == "rejected"
@@ -379,14 +361,50 @@ class TestRequestValidation:
         completed = report.ledger.completed
         assert len(completed) == 5
         assert all(np.isfinite(record.result.scores).all() for record in completed)
+        return records[request_id]
+
+    def test_unknown_granularity_is_rejected_at_arrival(self):
+        """One request whose batch key cannot resolve is rejected with its
+        reason and no key; process() used to raise and lose the other five."""
+        requests, bad = self._replaced(trace(count=6, seed=15), 2, granularity="pixels")
+        report = make_service().process(requests)
+        record = self._check_one_rejected(report, bad, "unknown granularity 'pixels'")
+        assert record.batch_key == ()
+        assert report.ledger.batch_keys() == [("blocks", BLOCK, None)]
+
+    def test_lossy_precision_rejects_elements_granularity(self):
+        requests, bad = self._replaced(
+            trace(count=6, seed=16), 4, granularity="elements", precision="int8"
+        )
+        report = make_service().process(requests)
+        assert self._check_one_rejected(report, bad, "linearity").batch_key == ()
+
+    @pytest.mark.parametrize(
+        "overrides, reason",
+        [
+            ({"granularity": "blocks"}, "requires a block_shape"),
+            ({"granularity": "blocks", "block_shape": 4}, "a pair of integers"),
+            ({"precision": "fp16"}, "unknown precision"),
+        ],
+        ids=["no-block-shape", "scalar-block-shape", "unknown-precision"],
+    )
+    def test_other_unresolvable_keys_are_rejected_at_arrival(self, overrides, reason):
+        requests, bad = self._replaced(trace(count=6, seed=17), 1, **overrides)
+        report = make_service(granularity="columns", block_shape=None).process(requests)
+        assert self._check_one_rejected(report, bad, reason).batch_key == ()
+
+    def test_batch_key_still_raises(self):
+        request = dataclasses.replace(trace(count=1, seed=15)[0], granularity="pixels")
+        with pytest.raises(ValueError, match="granularity"):
+            make_service().batch_key(request)
 
     def test_untiled_plane_is_rejected_at_arrival(self):
         """One 8x9 request under 2x2 blocks is rejected with its reason;
         the other five requests complete."""
         rng = np.random.default_rng(18)
         requests, bad = self._replaced(
-            trace(count=6, seed=18), 2, rng.standard_normal((8, 9)),
-            rng.standard_normal((8, 9)),
+            trace(count=6, seed=18), 2, x=rng.standard_normal((8, 9)),
+            y=rng.standard_normal((8, 9)),
         )
         report = make_service(block_shape=(2, 2)).process(requests)
         self._check_one_rejected(report, bad, "does not tile")
@@ -397,9 +415,17 @@ class TestRequestValidation:
         requests = trace(count=6, seed=19)
         x, y = requests[3].x.copy(), requests[3].y.copy()
         (x if plane == "x" else y)[1, 2] = value
-        requests, bad = self._replaced(requests, 3, x, y)
+        requests, bad = self._replaced(requests, 3, x=x, y=y)
         report = make_service().process(requests)
         self._check_one_rejected(report, bad, f"{plane} holds non-finite values")
+
+    def test_zero_bin_request_is_rejected_at_eps_zero(self):
+        """At eps=0 a constant x used to complete with NaN scores."""
+        requests, bad = self._replaced(trace(count=6, seed=20), 3, x=np.full(SHAPE, 3.0))
+        report = make_service(eps=0.0).process(requests)
+        self._check_one_rejected(report, bad, "the spectrum of x has a zero bin")
+        # Any positive eps regularizes it, and the request completes.
+        assert make_service(eps=1e-8).process(requests).rejected_count == 0
 
     def test_service_validation(self):
         with pytest.raises(ValueError):
