@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.backend import TpuBackend, make_tpu_chip
+from repro.fft.fft2d import irfft2_batch, rfft2_batch
 from repro.hw.quantize import infeed_bytes_per_element, resolve_precision
 
 # The Table I model builders and the CPU/GPU comparators are imported by
@@ -252,6 +253,59 @@ def resnet50_interpretation_workload(pairs: int = 10) -> InterpretationWorkload:
     )
 
 
+#: Plane elements one batched transform convolves when planting pairs:
+#: a chunk holds ``max(1, SYNTHESIS_CHUNK_ELEMENTS // (M * N))`` pairs
+#: (256 of 16x16), so synthesis holds a few MB of stacks whatever the
+#: count.  Chunk boundaries move no bits.
+SYNTHESIS_CHUNK_ELEMENTS = 1 << 16
+
+
+def _planted_pairs(count, shape, seed, spike, repeat_fraction=None):
+    """Both generators' recipe; ``repeat_fraction=None`` never draws ``random()``.
+
+    New pairs are drawn into chunk stacks in stream order and each full
+    chunk is convolved at once (:func:`_convolve_planted`); a repeat
+    reuses the tuple of the entry it repeats.
+    """
+    if count <= 0:
+        return []
+    rng = np.random.default_rng(seed)
+    m, n = shape
+    spike_term = spike * float(np.prod(shape)) ** 0.5
+    width = min(count, max(1, SYNTHESIS_CHUNK_ELEMENTS // (m * n)))
+    xs = np.empty((width, m, n))
+    kernels = np.empty((width, m, n))
+    pairs = []  # the new pairs, in draw order
+    sources = []  # each entry's index into ``pairs``
+    drawn = 0
+    for index in range(count):
+        if (
+            repeat_fraction is not None and index
+            and rng.random() < repeat_fraction
+        ):
+            sources.append(sources[int(rng.integers(index))])
+            continue
+        rng.standard_normal(out=xs[drawn])
+        rng.standard_normal(out=kernels[drawn])
+        sources.append(len(pairs) + drawn)
+        drawn += 1
+        if drawn == width:
+            pairs += _convolve_planted(xs, kernels, spike_term)
+            drawn = 0
+    if drawn:
+        pairs += _convolve_planted(xs[:drawn], kernels[:drawn], spike_term)
+    return [pairs[source] for source in sources]
+
+
+def _convolve_planted(xs, kernels, spike_term):
+    """Spike ``xs`` and return each ``(x, x (*) kernel)`` as fresh arrays."""
+    xs[:, 0, 0] += spike_term
+    spectra = rfft2_batch(xs)
+    np.multiply(spectra, rfft2_batch(kernels), out=spectra)
+    ys = irfft2_batch(spectra, n=xs.shape[-1])
+    return [(x.copy(), y.copy()) for x, y in zip(xs, ys)]
+
+
 def planted_interpretation_pairs(
     count: int,
     shape: tuple[int, int] = (16, 16),
@@ -267,17 +321,15 @@ def planted_interpretation_pairs(
     kernel for the exact target.  The single recipe shared by the fleet
     benchmark and the quantized-batch ablation, so their contracts
     exercise the same data distribution.
-    """
-    from repro.fft.convolution import fft_circular_convolve2d
 
-    rng = np.random.default_rng(seed)
-    pairs = []
-    for _ in range(count):
-        x = rng.standard_normal(shape)
-        x[0, 0] += spike * float(np.prod(shape)) ** 0.5
-        kernel = rng.standard_normal(shape)
-        pairs.append((x, fft_circular_convolve2d(x, kernel)))
-    return pairs
+    ``numpy.random.default_rng(seed)`` draws each pair's ``x`` and then
+    its kernel, pair by pair.  The pairs are convolved in chunks of
+    :data:`SYNTHESIS_CHUNK_ELEMENTS` plane elements, one batched
+    half-spectrum transform each, and every ``y`` is bit-identical to
+    ``fft_circular_convolve2d(x, kernel)`` of its own pair.  Every
+    ``x`` and ``y`` is its own C-contiguous float64 array.
+    """
+    return _planted_pairs(count, shape, seed, spike)
 
 
 def planted_request_pairs(
@@ -297,25 +349,20 @@ def planted_request_pairs(
     degenerates to all-unique pairs; the repeats are drawn from the
     same seeded generator, so a trace is fully determined by
     ``(count, shape, seed, repeat_fraction)``.
-    """
-    from repro.fft.convolution import fft_circular_convolve2d
 
+    The stream, entry by entry: every entry after the first draws
+    ``random()`` (at ``repeat_fraction=0`` too); a repeat then draws
+    ``integers(index)`` and reuses that entry's tuple, so its arrays
+    are the same objects; a new pair draws its ``x``, then its kernel.
+    New pairs are convolved in batched chunks as in
+    :func:`planted_interpretation_pairs`, bit-identical to convolving
+    each pair alone.
+    """
     if not 0.0 <= repeat_fraction <= 1.0:
         raise ValueError(
             f"repeat_fraction must lie in [0, 1], got {repeat_fraction}"
         )
-    rng = np.random.default_rng(seed)
-    pairs = []
-    for index in range(count):
-        if index and rng.random() < repeat_fraction:
-            source = int(rng.integers(index))
-            pairs.append(pairs[source])  # same arrays => same digest
-            continue
-        x = rng.standard_normal(shape)
-        x[0, 0] += spike * float(np.prod(shape)) ** 0.5
-        kernel = rng.standard_normal(shape)
-        pairs.append((x, fft_circular_convolve2d(x, kernel)))
-    return pairs
+    return _planted_pairs(count, shape, seed, spike, repeat_fraction)
 
 
 def _solve_seconds(device, m: int, n: int) -> float:

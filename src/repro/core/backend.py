@@ -24,7 +24,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.core.decomposition import shard_slices
 from repro.hw.device import Device
 from repro.hw.interconnect import Interconnect, InterconnectConfig
 from repro.hw.mxu import MxuConfig
@@ -167,21 +166,19 @@ class TpuBackend(Device):
         Each complex product costs ``complex_matmul_real_products`` real
         MXU passes.
         """
+        if m <= 0 or n <= 0:
+            raise ValueError(f"cannot transform an empty {m}x{n} plane")
         factor = self.complex_matmul_real_products
         payload = m * n * COMPLEX128_BYTES
 
+        # Each stage is priced by its first shard, the longest of the
+        # balanced split (``shard_slices``): ``ceil(extent / cores)``.
         cores_rows = min(self.chip.num_cores, m)
-        shard_m = shard_slices(m, cores_rows)[0]
-        stage_one = factor * self._core.matmul_seconds(
-            shard_m.stop - shard_m.start, n, n
-        )
+        stage_one = factor * self._core.matmul_seconds(-(-m // cores_rows), n, n)
         stage_one += self.chip.interconnect.all_reduce_seconds(payload, cores_rows)
 
         cores_cols = min(self.chip.num_cores, n)
-        shard_n = shard_slices(n, cores_cols)[0]
-        stage_two = factor * self._core.matmul_seconds(
-            m, m, shard_n.stop - shard_n.start
-        )
+        stage_two = factor * self._core.matmul_seconds(m, m, -(-n // cores_cols))
         stage_two += self.chip.interconnect.all_reduce_seconds(payload, cores_cols)
         return stage_one + stage_two
 

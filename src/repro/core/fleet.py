@@ -555,6 +555,7 @@ class FleetExecutor:
         self.block_shape = block_shape
         self.eps = eps
         self.embedding = embedding or OutputEmbedding("identity")
+        self._lifter = ConvolutionDistiller(embedding=self.embedding)
         self.reduction = reduction
         self.fill_value = fill_value
         self.max_stack_bytes = max_stack_bytes
@@ -621,21 +622,44 @@ class FleetExecutor:
             raise ValueError(f"fleet pairs must be matrices, got shape {x.shape}")
         return x
 
-    def _check_pairs(self, xs, ys) -> None:
-        """Reject the first pair whose planes the solve cannot explain.
+    def lift_output(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``y`` lifted onto ``x``'s plane: the plane Eq. 5 compares against.
+
+        A matrix ``y`` of ``x``'s shape passes through; anything else is
+        embedded by the executor's :class:`OutputEmbedding`.  Raises
+        ``ValueError`` when ``y`` cannot lift (an 8x8 ``y`` under a
+        16x16 ``x`` with the identity embedding, say).
+        """
+        try:
+            return self._lifter.lift_outputs(y, 1, x.shape)[0]
+        except ValueError as error:
+            raise ValueError(
+                f"y of shape {np.shape(y)} cannot lift onto x's {x.shape} "
+                f"plane: {error}"
+            ) from None
+
+    def _check_pairs(self, xs, ys) -> list:
+        """Each pair's lifted ``y``, after rejecting the first bad pair.
 
         A NaN or an inf in ``x`` or ``y``, or at ``eps = 0`` a zero bin
         in the spectrum of ``x`` (:func:`spectrum_problem`), would score
         NaN everywhere without an error, and its NaNs would slip past
-        every comparison on the way.
+        every comparison on the way.  A ``y`` that cannot lift onto its
+        ``x``'s plane (:meth:`lift_output`) would fail its wave midway.
         """
+        lifted = []
         for index, (x, y) in enumerate(zip(xs, ys)):
             for name, plane in (("x", x), ("y", y)):
                 if not np.isfinite(plane).all():
                     raise ValueError(f"pair {index}: {name} holds non-finite values")
+            try:
+                lifted.append(self.lift_output(x, y))
+            except ValueError as error:
+                raise ValueError(f"pair {index}: {error}") from None
             problem = spectrum_problem(x, self.eps)
             if problem is not None:
                 raise ValueError(f"pair {index}: {problem}")
+        return lifted
 
     def _check_plans(self, xs, plans) -> list:
         """Validate caller-supplied plans (or build them) for ``xs``."""
@@ -684,16 +708,17 @@ class FleetExecutor:
         many same-shape requests builds each shape's spec once instead
         of once per dispatch.  An empty fleet returns an empty run
         (zero waves, zero simulated seconds) -- the service's idle
-        drain path.  A pair whose ``x`` or ``y`` is not finite, or at
-        ``eps = 0`` whose ``x`` has a zero spectrum bin, raises
-        ``ValueError`` naming the first such pair, before any work.
+        drain path.  A pair whose ``x`` or ``y`` is not finite, whose
+        ``y`` cannot lift onto its ``x``'s plane, or at ``eps = 0`` whose
+        ``x`` has a zero spectrum bin, raises ``ValueError`` naming the
+        first such pair, before any work.
         """
         pairs = list(pairs)
         if not pairs:
             return FleetRun(results=(), schedule=FleetSchedule(waves=()))
         xs = [self._check_plane(np.asarray(x)) for x, _ in pairs]
         ys = [np.asarray(y) for _, y in pairs]
-        self._check_pairs(xs, ys)
+        lifted = self._check_pairs(xs, ys)
         plans = self._check_plans(xs, plans)
         schedule = self._schedule(xs, ys, plans)
         if tracer.enabled:
@@ -714,17 +739,17 @@ class FleetExecutor:
             # overlap (wave i+1's collectives overlap wave i's compute);
             # chip-level pipeline scopes are not opened, so overlap is
             # never double-counted.
-            self._run_pod(schedule, xs, ys, plans, results)
+            self._run_pod(schedule, xs, ys, lifted, plans, results)
         else:
             with self.device.pipeline():
                 for wave in schedule.waves:
                     self._price_share(
-                        self.device, self._compute_wave(wave, xs, ys, plans),
+                        self.device, self._compute_wave(wave, xs, ys, lifted, plans),
                         slice(None), xs, ys, plans, results,
                     )
         return FleetRun(results=tuple(results), schedule=schedule)
 
-    def _compute_wave(self, wave: WavePlan, xs, ys, plans) -> _WaveNumbers:
+    def _compute_wave(self, wave: WavePlan, xs, ys, lifted, plans) -> _WaveNumbers:
         """Every number of one wave, computed once on the host.
 
         One stacked Eq. 4 solve gives every pair's kernel; then the
@@ -753,8 +778,7 @@ class FleetExecutor:
         ledger changes.
         """
         indices = wave.pair_indices
-        lifter = ConvolutionDistiller(embedding=self.embedding)
-        y_planes = [lifter.lift_outputs(ys[i], 1, xs[i].shape)[0] for i in indices]
+        y_planes = [lifted[i] for i in indices]
         x_stack = np.stack([xs[i] for i in indices])
         y_stack = np.stack(y_planes)
         kernels = _solve_stack(
@@ -1100,12 +1124,12 @@ class FleetExecutor:
     # ------------------------------------------------------------------
     # Pod execution: each wave computed once, priced across K chips
     # ------------------------------------------------------------------
-    def _run_pod(self, schedule, xs, ys, plans, results) -> None:
+    def _run_pod(self, schedule, xs, ys, lifted, plans, results) -> None:
         """Drive every wave across the pod's chips and commit the ledger."""
         pod = self.pod
         wave_stats: list[PodWaveStats] = []
         for wave_index, wave in enumerate(schedule.waves):
-            numbers = self._compute_wave(wave, xs, ys, plans)
+            numbers = self._compute_wave(wave, xs, ys, lifted, plans)
             before = [d.stats.seconds for d in pod.devices]
             if self.placement == "chunk":
                 collectives = self._price_chunked(pod, numbers, xs, ys, plans, results)

@@ -208,6 +208,8 @@ class ExplanationService:
         self.precision = defaults.precision
         self.eps = eps
         self.embedding = defaults.embedding
+        # Batch keys never change the embedding, so this lift is every key's.
+        self._lift_output = defaults.lift_output
         self.reduction = reduction
         self.fill_value = fill_value
         self.max_stack_bytes = max_stack_bytes
@@ -559,11 +561,12 @@ class ExplanationService:
         A request the fleet cannot explain -- its overrides resolve to
         no batch key (see :meth:`batch_key`), its ``x`` is not a
         matrix, its block shape does not tile that plane, its ``x`` or
-        ``y`` holds a NaN or an inf, or at ``eps = 0`` its ``x`` has a
-        zero spectrum bin -- is rejected here with the reason, so it
-        never reaches (and never fails) a dispatch shared with other
-        requests; a request without a key is recorded with an empty
-        one.  Backpressure precedes everything else so a rejected
+        ``y`` holds a NaN or an inf, its ``y`` cannot lift onto that
+        plane (:meth:`FleetExecutor.lift_output`), or at ``eps = 0`` its
+        ``x`` has a zero spectrum bin -- is rejected here with the
+        reason, so it never reaches (and never fails) a dispatch shared
+        with other requests; a request without a key is recorded with an
+        empty one.  Backpressure precedes everything else so a rejected
         request is genuinely cheap -- no digest hashing, no cache
         traffic, no skewed miss counters; only admitted arrivals get the
         cache lookup (a hit then completes without queueing).
@@ -664,6 +667,10 @@ class ExplanationService:
         for name, plane in (("x", request.x), ("y", request.y)):
             if not np.isfinite(plane).all():
                 return f"{name} holds non-finite values"
+        try:
+            self._lift_output(request.x, request.y)
+        except ValueError as error:
+            return str(error)
         return spectrum_problem(request.x, self.eps)
 
     def _reject(self, request, key, reason, event, ledger, clock) -> None:

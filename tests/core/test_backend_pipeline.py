@@ -9,6 +9,7 @@ from repro.core import (
     TpuBackend,
     make_tpu_chip,
 )
+from repro.core.decomposition import shard_slices
 from repro.fft import fft2_matmul, fft_circular_convolve2d
 from repro.hw import CpuDevice, GpuDevice
 from tests import reference
@@ -51,6 +52,33 @@ class TestTpuBackend:
         many = small_backend(num_cores=8)
         one = small_backend(num_cores=1)
         assert many.fft2_seconds(256, 256) < one.fft2_seconds(256, 256)
+
+    @pytest.mark.parametrize("num_cores", [1, 4, 7, 128])
+    def test_fft2_seconds_prices_each_stage_by_its_first_shard(self, num_cores):
+        """Algorithm 1 per stage: the first balanced shard's matmul plus
+        the stage's all-reduce, bit for bit, on square and odd planes."""
+        backend = TpuBackend(make_tpu_chip(num_cores=num_cores))
+        core = backend._core
+        interconnect = backend.chip.interconnect
+        factor = backend.complex_matmul_real_products
+        for m in (1, 2, 3, 7, 8, 31, 64, 127, 129, 300):
+            for n in (1, 5, 16, 33, 130):
+                payload = m * n * 16
+                rows = shard_slices(m, min(num_cores, m))[0]
+                cols = shard_slices(n, min(num_cores, n))[0]
+                expected = (
+                    factor * core.matmul_seconds(rows.stop - rows.start, n, n)
+                    + interconnect.all_reduce_seconds(payload, min(num_cores, m))
+                ) + (
+                    factor * core.matmul_seconds(m, m, cols.stop - cols.start)
+                    + interconnect.all_reduce_seconds(payload, min(num_cores, n))
+                )
+                assert backend.fft2_seconds(m, n) == expected
+
+    @pytest.mark.parametrize("m, n", [(0, 8), (8, 0), (-1, 8)])
+    def test_fft2_seconds_rejects_an_empty_plane(self, m, n):
+        with pytest.raises(ValueError):
+            small_backend().fft2_seconds(m, n)
 
     def test_program_scope_charges_dispatch_and_feeds(self):
         backend = small_backend()

@@ -17,7 +17,7 @@ from repro.core.distillation import ConvolutionDistiller
 from repro.core.fleet import wave_dtype_key, wave_row_map
 from repro.core.interpretation import feature_contributions, l2_scores_by_linearity
 from repro.core.masking import DEFAULT_CHUNK_ROWS
-from repro.core.transform import frequency_solve
+from repro.core.transform import OutputEmbedding, frequency_solve
 from repro.fft import fft, fft_circular_convolve2d, rfft, rfft2_batch
 from repro.hw.cpu import CpuDevice
 from repro.obs.tracer import tracer
@@ -323,6 +323,39 @@ class TestFleetExecutorValidation:
         # Any positive eps regularizes the same pair.
         run = FleetExecutor(device, granularity="columns", eps=1e-6).run(pairs)
         assert all(np.isfinite(result.scores).all() for result in run.results)
+
+    def test_unliftable_y_raises_naming_the_pair_before_any_work(self):
+        """An 8x8 y under a 16x16 x used to raise from the middle of the
+        run, after earlier waves were priced, without naming the pair."""
+        pairs = planted_pairs(5, shape=(16, 16))
+        pairs[3] = (pairs[3][0], pairs[3][1][:8, :8].copy())
+        device = small_backend()
+        executor = FleetExecutor(device, granularity="columns", max_pairs_per_wave=2)
+        with pytest.raises(
+            ValueError, match=r"pair 3: y of shape \(8, 8\) cannot lift onto x's \(16, 16\)"
+        ):
+            executor.run(pairs)
+        assert device.stats.seconds == 0.0
+        assert not device.stats.op_counts
+
+    def test_lift_output_is_the_plane_the_waves_score_against(self):
+        """Vector outputs lift once, before the waves, to the plane the
+        distiller's embedding gives them."""
+        pairs = planted_pairs(3)
+        embedding = OutputEmbedding("spatial")
+        vectors = [(x, np.arange(1.0, 5.0) * (index + 1)) for index, (x, _) in enumerate(pairs)]
+        executor = FleetExecutor(CpuDevice(), granularity="columns", embedding=embedding)
+        lifter = ConvolutionDistiller(embedding=embedding)
+        planes = []
+        for x, vector in vectors:
+            plane = executor.lift_output(x, vector)
+            np.testing.assert_array_equal(plane, lifter.lift_outputs(vector, 1, x.shape)[0])
+            planes.append((x, plane))
+        assert_same_explanations(
+            executor.run(vectors).results,
+            FleetExecutor(CpuDevice(), granularity="columns", embedding=embedding)
+            .run(planes).results,
+        )
 
     def test_non_matrix_pair(self):
         with pytest.raises(ValueError):

@@ -24,6 +24,10 @@ With a device this is exactly the execution
 paper's measured loop), so its ledger is what Table II prices.  Masks
 are built one at a time from their definition, independently of
 :class:`repro.core.masking.MaskSpec`.
+
+:func:`planted_pairs` writes the planted-pair recipe out the same way,
+one convolution per pair, for the generators in
+:mod:`repro.bench.workloads` that batch it.
 """
 
 from dataclasses import dataclass
@@ -214,3 +218,28 @@ def assert_matches(
             assert relative_error(result.scores, want.scores) <= SCORE_TOLERANCE
         else:
             np.testing.assert_array_equal(result.scores, want.scores)
+
+
+def planted_pairs(count, shape, seed, repeat_fraction=None, spike=5.0):
+    """The planted ``(x, y)`` recipe, one pair and one convolution at a time.
+
+    With ``repeat_fraction=None`` this is the stream of
+    :func:`repro.bench.workloads.planted_interpretation_pairs`: per
+    pair, ``x`` and then its kernel.  With a fraction it is that of
+    :func:`~repro.bench.workloads.planted_request_pairs`: every entry
+    after the first draws ``random()``, and below the fraction it draws
+    ``integers(index)`` and repeats that entry's tuple.  Each ``y`` is
+    ``fft_circular_convolve2d(x, kernel)`` of its own pair; the
+    generators batch those convolutions and must match this bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for index in range(count):
+        if repeat_fraction is not None and index and rng.random() < repeat_fraction:
+            pairs.append(pairs[int(rng.integers(index))])
+            continue
+        x = rng.standard_normal(shape)
+        x[0, 0] += spike * float(np.prod(shape)) ** 0.5
+        kernel = rng.standard_normal(shape)
+        pairs.append((x, fft_circular_convolve2d(x, kernel)))
+    return pairs

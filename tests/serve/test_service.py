@@ -419,6 +419,24 @@ class TestRequestValidation:
         report = make_service().process(requests)
         self._check_one_rejected(report, bad, f"{plane} holds non-finite values")
 
+    def test_unliftable_y_is_rejected_at_arrival(self):
+        """An 8x8 y under a 16x16 x cannot lift onto the plane with the
+        identity embedding; process() used to raise from the shared
+        dispatch and lose the other five requests."""
+        requests = trace(count=6, seed=21)
+        bad_trace, bad = self._replaced(requests, 3, y=requests[3].y[:8, :8].copy())
+        report = make_service().process(bad_trace)
+        self._check_one_rejected(
+            report, bad, "y of shape (8, 8) cannot lift onto x's (16, 16) plane"
+        )
+        clean = make_service().process([r for r in requests if r.request_id != bad])
+        served, expected = report.results_by_id(), clean.results_by_id()
+        assert served.keys() == expected.keys()
+        for request_id, result in expected.items():
+            np.testing.assert_array_equal(served[request_id].scores, result.scores)
+            np.testing.assert_array_equal(served[request_id].kernel, result.kernel)
+            assert served[request_id].residual == result.residual
+
     def test_zero_bin_request_is_rejected_at_eps_zero(self):
         """At eps=0 a constant x used to complete with NaN scores."""
         requests, bad = self._replaced(trace(count=6, seed=20), 3, x=np.full(SHAPE, 3.0))
