@@ -92,7 +92,8 @@ EXPORTS = {
     "hw.cpu": ("CpuDevice",),
     "hw.gpu": ("GpuDevice",),
     "hw.perf": ("speedup",),
-    "hw.tpu": ("TpuChip", "TpuCore"),
+    "hw.tpu": ("TpuChip",),
+    "hw.tpu_core": ("TpuCore",),
 }
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, EXPORTS)

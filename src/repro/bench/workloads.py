@@ -165,7 +165,7 @@ def tpu_classification_times(
     """
     backend = backend or TpuBackend(make_tpu_chip(precision="int8"))
     chip = backend.chip
-    core = chip.cores[0]
+    core = chip.config.core
     cores = chip.num_cores
 
     per_core_batch = max(1, math.ceil(workload.batch_size / cores))

@@ -13,6 +13,12 @@ the common device interface, with
   baselines, and the reason the interpretation step becomes "a simple
   computation equivalent to one forward pass".
 
+Every price is a function of the chip's configuration: the cost hooks
+read the closed-form core formulas on
+:class:`~repro.hw.tpu.TpuCoreConfig` (MXU geometry, precision, clock)
+with the core count and interconnect, so pricing builds none of the
+chip's cycle-level cores.
+
 Functionally, results carry the configured MXU precision (int8
 quantization or bf16 rounding) through the numeric hooks.
 """
@@ -26,7 +32,7 @@ import numpy as np
 
 from repro.hw.device import Device
 from repro.hw.interconnect import Interconnect, InterconnectConfig
-from repro.hw.mxu import MxuConfig
+from repro.hw.mxu import Mxu, MxuConfig
 from repro.hw.pod import TpuPod
 from repro.hw.quantize import infeed_bytes_per_element, resolve_precision
 from repro.hw.tpu import TpuChip, TpuChipConfig, TpuCoreConfig
@@ -95,12 +101,12 @@ class TpuBackend(Device):
 
         Pod replication (:func:`repro.hw.pod.clone_device`) calls this:
         the clone shares the immutable chip config but nothing mutable
-        -- its ledger, cores and event counters start clean.
-        ``hbm_bytes`` overrides the clone's aggregate HBM capacity
-        (split evenly across its cores), the per-chip capacity knob of
-        heterogeneous pod construction.
+        -- its ledger, cores and event counters start clean, and it
+        builds no cores.  ``hbm_bytes`` overrides the clone's aggregate
+        HBM capacity (split evenly across its cores), the per-chip
+        capacity knob of heterogeneous pod construction.
         """
-        trace = self.chip.cores[0].trace_enabled
+        trace = self.chip.trace
         config = self.chip.config
         if hbm_bytes is not None:
             hbm_bytes = int(hbm_bytes)
@@ -126,12 +132,8 @@ class TpuBackend(Device):
         return self.chip.num_cores * self.chip.config.core.hbm_capacity_bytes
 
     # ------------------------------------------------------------------
-    # Cost hooks
+    # Cost hooks: the core formulas of the chip's configuration
     # ------------------------------------------------------------------
-    @property
-    def _core(self):
-        return self.chip.cores[0]
-
     def matmul_seconds(self, m: int, k: int, n: int, precision=None) -> float:
         """Row-sharded matmul: slowest core plus the merge collective.
 
@@ -142,7 +144,9 @@ class TpuBackend(Device):
         """
         cores = min(self.chip.num_cores, m)
         shard_rows = math.ceil(m / cores)
-        compute = self._core.matmul_seconds(shard_rows, k, n, precision=precision)
+        compute = self.chip.config.core.matmul_seconds(
+            shard_rows, k, n, precision=precision
+        )
         merge = self.chip.interconnect.all_gather_seconds(
             (m * n * 8) // cores, cores
         )
@@ -151,7 +155,7 @@ class TpuBackend(Device):
     def elementwise_seconds(self, elements: int, flops_per_element: float = 1.0) -> float:
         cores = self.chip.num_cores
         shard = math.ceil(elements / cores)
-        return self._core.elementwise_seconds(shard, flops_per_element)
+        return self.chip.config.core.elementwise_seconds(shard, flops_per_element)
 
     def transfer_seconds(self, nbytes: int) -> float:
         if nbytes == 0:
@@ -173,12 +177,13 @@ class TpuBackend(Device):
 
         # Each stage is priced by its first shard, the longest of the
         # balanced split (``shard_slices``): ``ceil(extent / cores)``.
+        core = self.chip.config.core
         cores_rows = min(self.chip.num_cores, m)
-        stage_one = factor * self._core.matmul_seconds(-(-m // cores_rows), n, n)
+        stage_one = factor * core.matmul_seconds(-(-m // cores_rows), n, n)
         stage_one += self.chip.interconnect.all_reduce_seconds(payload, cores_rows)
 
         cores_cols = min(self.chip.num_cores, n)
-        stage_two = factor * self._core.matmul_seconds(m, m, -(-n // cores_cols))
+        stage_two = factor * core.matmul_seconds(m, m, -(-n // cores_cols))
         stage_two += self.chip.interconnect.all_reduce_seconds(payload, cores_cols)
         return stage_one + stage_two
 
@@ -186,7 +191,8 @@ class TpuBackend(Device):
     # Numeric hooks: route through the MXU's precision mode
     # ------------------------------------------------------------------
     def _matmul_compute(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        product, _ = self._core.mxu.matmul(np.asarray(a), np.asarray(b))
+        mxu = Mxu(self.chip.config.core.mxu)
+        product, _ = mxu.matmul(np.asarray(a), np.asarray(b))
         return product
 
     # ------------------------------------------------------------------

@@ -143,12 +143,12 @@ device's modeled HBM (:attr:`~repro.hw.device
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
-from repro.core.decomposition import shard_slices
 from repro.core.distillation import ConvolutionDistiller
 from repro.core.interpretation import element_scores_from_base, l2_scores_by_linearity
 from repro.core.masking import (
@@ -175,7 +175,7 @@ from repro.fft.convolution import (
 )
 from repro.fft.fft import rfft
 from repro.fft.spectra import kernel_spectrum
-from repro.hw.device import Device
+from repro.hw.device import Device, shard_slices
 from repro.hw.pod import PodWaveStats, TpuPod
 from repro.hw.quantize import resolve_precision
 from repro.obs.tracer import tracer
@@ -467,7 +467,10 @@ class FleetExecutor:
     budget).  ``precision`` selects the numeric mode of each wave's
     batched convolution (see the module docstring); quantizing
     precisions reject the ``elements`` granularity, whose linearity
-    fast path quantization breaks.
+    fast path quantization breaks.  ``num_chips`` must be an integer of
+    at least 1, and ``max_pairs_per_wave``, ``chunk_rows`` and
+    ``max_stack_bytes`` at least 1 when given; any other value raises
+    ``ValueError`` here rather than at the first dispatch.
 
     Execution per wave: one host pass (:meth:`_compute_wave`) -- one
     stacked Eq. 4 solve yields every pair's kernel, then all pairs'
@@ -521,6 +524,17 @@ class FleetExecutor:
             raise ValueError(
                 f"unknown placement {placement!r}; expected one of {PLACEMENTS}"
             )
+        if num_chips is not None and not (
+            isinstance(num_chips, numbers.Integral) and num_chips >= 1
+        ):
+            raise ValueError(f"num_chips must be an integer >= 1, got {num_chips!r}")
+        for name, value in (
+            ("max_pairs_per_wave", max_pairs_per_wave),
+            ("chunk_rows", chunk_rows),
+            ("max_stack_bytes", max_stack_bytes),
+        ):
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
         self.precision = resolve_precision(precision)
         check_precision_granularity(self.precision, granularity)
         check_eps(eps)

@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.decomposition import DecomposedFourier, DecompositionReport, shard_slices
+from repro.core.decomposition import DecomposedFourier, DecompositionReport
+from repro.hw.device import shard_slices
 from repro.hw.tpu import TpuChip
 
 

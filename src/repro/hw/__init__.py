@@ -3,13 +3,16 @@
 The paper's evaluation compares three hardware configurations running
 the same algorithm (Section IV-A).  This package provides all three:
 
-* :class:`~repro.hw.tpu.TpuCore` / :class:`~repro.hw.tpu.TpuChip` -- a
-  cycle-level TPU built from a weight-stationary systolic array
-  (:mod:`repro.hw.systolic`), int8/bf16 quantization
-  (:mod:`repro.hw.quantize`), an MXU tiler (:mod:`repro.hw.mxu`), a
-  small ISA with an overlap-aware scheduler (:mod:`repro.hw.isa`),
-  explicit memory regions (:mod:`repro.hw.memory`) and a ring
-  interconnect (:mod:`repro.hw.interconnect`);
+* :class:`~repro.hw.tpu.TpuChip` -- the TPU chip, priced from its
+  configuration: the closed-form MXU cycle model of
+  :mod:`repro.hw.mxu` on :class:`~repro.hw.tpu.TpuCoreConfig`, int8/bf16
+  quantization (:mod:`repro.hw.quantize`) and a ring interconnect
+  (:mod:`repro.hw.interconnect`);
+* :class:`~repro.hw.tpu_core.TpuCore` -- one cycle-level core, built
+  when a caller reads :attr:`TpuChip.cores <repro.hw.tpu.TpuChip.cores>`:
+  a weight-stationary systolic array (:mod:`repro.hw.systolic`), a
+  small ISA with an overlap-aware scheduler (:mod:`repro.hw.isa`) and
+  explicit memory regions (:mod:`repro.hw.memory`);
 * :class:`~repro.hw.cpu.CpuDevice` -- the paper's baseline host CPU;
 * :class:`~repro.hw.gpu.GpuDevice` -- the paper's GTX 1080 comparator.
 
@@ -48,7 +51,7 @@ EXPORTS = {
         "host_link_spec",
         "unified_buffer_spec",
     ),
-    "mxu": ("Mxu", "MxuConfig", "MxuStats", "matmul_cycles"),
+    "mxu": ("Mxu", "MxuConfig", "MxuStats", "matmul_cycles", "streaming_cycles"),
     "perf": (
         "AmdahlBreakdown",
         "format_stats",
@@ -79,8 +82,9 @@ EXPORTS = {
         "resolve_precision",
         "to_bfloat16",
     ),
-    "systolic": ("SystolicArray", "SystolicResult", "streaming_cycles"),
-    "tpu": ("TpuChip", "TpuChipConfig", "TpuCore", "TpuCoreConfig"),
+    "systolic": ("SystolicArray", "SystolicResult"),
+    "tpu": ("TpuChip", "TpuChipConfig", "TpuCoreConfig"),
+    "tpu_core": ("TpuCore",),
     "trace": (
         "SystolicTrace",
         "trace_matmul",

@@ -53,6 +53,28 @@ from repro.obs.tracer import tracer
 _COMPLEX_HADAMARD_FLOPS = {"mul": 4.0, "div": 4.0, "add": 2.0, "sub": 2.0}
 
 
+def shard_slices(total: int, shards: int) -> list[slice]:
+    """Balanced contiguous shards: the paper's "at most max{M,N}/p" rule.
+
+    The first ``total % shards`` shards take one extra element; shards
+    beyond ``total`` come back empty (``slice(t, t)``) so callers can zip
+    shards against cores uniformly.
+    """
+    if total <= 0:
+        raise ValueError(f"cannot shard a non-positive extent ({total})")
+    if shards <= 0:
+        raise ValueError(f"shard count must be positive, got {shards}")
+    base = total // shards
+    remainder = total % shards
+    slices = []
+    start = 0
+    for index in range(shards):
+        length = base + (1 if index < remainder else 0)
+        slices.append(slice(start, start + length))
+        start += length
+    return slices
+
+
 @dataclass(frozen=True)
 class PipelineStage:
     """One program's cost split, as a double-buffering pipeline sees it.

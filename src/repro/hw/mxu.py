@@ -11,7 +11,8 @@ Two execution paths share one cycle model:
 
 * ``exact=True`` drives :class:`repro.hw.systolic.SystolicArray` tile by
   tile -- the ground truth, quadratic in array size, used for small
-  shapes and for validating the analytic path;
+  shapes and for validating the analytic path (the simulator module
+  loads only when that path runs);
 * ``exact=False`` (default) computes the product numerically (with the
   configured precision's rounding) and prices it with the closed-form
   tile count -- what the benchmarks use for 1024x1024 sweeps.
@@ -25,7 +26,7 @@ the streaming phase of :func:`matmul_cycles`).  The same cycle model
 prices the *quantized batched-convolution axis*: when a wave of the
 fleet executor runs at ``precision="int8"``,
 :meth:`repro.core.backend.TpuBackend.batch_conv_seconds` reprices its
-wide fused transforms through :meth:`repro.hw.tpu.TpuCore
+wide fused transforms through :meth:`repro.hw.tpu.TpuCoreConfig
 .matmul_seconds` with the MXU config swapped to that precision -- so
 the speed side of the accuracy-vs-precision trade-off comes from this
 one model, whether the MXU mode is fixed chip-wide or chosen per wave.
@@ -46,7 +47,6 @@ from repro.hw.quantize import (
     precision_spec,
     quantized_matmul,
 )
-from repro.hw.systolic import SystolicArray, streaming_cycles
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,13 @@ class MxuStats:
         if self.cycles == 0:
             return 0.0
         return self.macs / (self.cycles * config.macs_per_cycle)
+
+
+def streaming_cycles(m: int, rows: int, cols: int) -> int:
+    """Closed-form cycle count for streaming ``m`` activation rows."""
+    if m <= 0:
+        raise ValueError(f"need at least one activation row, got {m}")
+    return m + rows + cols - 2
 
 
 def _tile_count(total: int, tile: int) -> int:
@@ -160,7 +167,7 @@ class Mxu:
         if np.iscomplexobj(a) or np.iscomplexobj(b):
             raise TypeError(
                 "MXU operands are real; decompose complex products first "
-                "(see TpuCore.complex_matmul)"
+                "(Device.matmul runs one as four real products)"
             )
         m, k = a.shape
         n = b.shape[1]
@@ -199,6 +206,8 @@ class Mxu:
             a_vals = np.asarray(spec.apply(a), dtype=np.float64)
             b_vals = np.asarray(spec.apply(b), dtype=np.float64)
             rescale = 1.0
+
+        from repro.hw.systolic import SystolicArray
 
         array = SystolicArray(rows=rows, cols=cols)
         out = np.zeros((m, n), dtype=np.float64)

@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.hw.mxu import streaming_cycles
+
 
 @dataclass(frozen=True)
 class SystolicResult:
@@ -52,13 +54,6 @@ class SystolicResult:
         if self.total_pe_cycles == 0:
             return 0.0
         return self.active_pe_cycles / self.total_pe_cycles
-
-
-def streaming_cycles(m: int, rows: int, cols: int) -> int:
-    """Closed-form cycle count for streaming ``m`` activation rows."""
-    if m <= 0:
-        raise ValueError(f"need at least one activation row, got {m}")
-    return m + rows + cols - 2
 
 
 @dataclass

@@ -1,16 +1,21 @@
-"""The simulated TPU: cores built around the MXU, and the multi-core chip.
+"""The simulated TPU chip, priced from its configuration.
 
-:class:`TpuCore` is one TPU core as the paper describes it: a Matrix
-Multiply Unit (systolic array, Section II-A / Figure 1) fed from a
-unified buffer, with a vector unit for elementwise work and an HBM
-slice.  Every tensor operation is *lowered* to the small ISA of
-:mod:`repro.hw.isa` and priced by the scheduler, so instruction mixes
-are inspectable and overlap policies are ablatable.
+:class:`TpuCoreConfig` is one TPU core as the paper describes it: a
+Matrix Multiply Unit (systolic array, Section II-A / Figure 1) fed from
+a unified buffer, with a vector unit for elementwise work and an HBM
+slice.  Its :meth:`~TpuCoreConfig.matmul_seconds` and
+:meth:`~TpuCoreConfig.elementwise_seconds` are the closed-form core
+prices the chip-level backend reads: they depend on the MXU geometry
+and precision, the vector unit and the clock alone.
 
 :class:`TpuChip` aggregates ``num_cores`` cores (the paper's experiments
 use a 128-core TPUv2 slice) behind a host link with a per-launch
 dispatch latency, plus a ring interconnect implementing
-``cross_replica_sum`` for the reassembly steps of Algorithm 1.
+``cross_replica_sum`` for the reassembly steps of Algorithm 1.  Pricing
+reads only the chip's configuration; the cycle-level cores
+(:class:`repro.hw.tpu_core.TpuCore`, each with its own MXU, memories and
+ISA scheduler) are built on the first read of :attr:`TpuChip.cores`,
+by callers that execute on them.
 
 The chip intentionally does **not** implement the sharded 2-D FFT --
 that *is* the paper's contribution and lives in
@@ -24,16 +29,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.hw.device import Device
 from repro.hw.interconnect import Interconnect, InterconnectConfig
-from repro.hw.isa import Instruction, Opcode, Program, Scheduler
-from repro.hw.memory import (
-    GIB,
-    MemoryRegion,
-    hbm_spec,
-    unified_buffer_spec,
-)
-from repro.hw.mxu import Mxu, MxuConfig, matmul_cycles
+from repro.hw.mxu import MxuConfig, matmul_cycles
+from repro.hw.quantize import precision_spec
 
 
 @dataclass(frozen=True)
@@ -44,7 +42,7 @@ class TpuCoreConfig:
     mxu: MxuConfig = field(default_factory=MxuConfig)
     vpu_lanes: int = 128
     vpu_ops_per_lane_per_cycle: float = 2.0
-    hbm_capacity_bytes: int = 8 * GIB
+    hbm_capacity_bytes: int = 8 * 1024**3  # 8 GiB
     hbm_bandwidth_bytes_per_sec: float = 300e9
     unified_buffer_bytes: int = 24 * 1024 * 1024
     overlap_dma: bool = True
@@ -56,64 +54,15 @@ class TpuCoreConfig:
             raise ValueError("clock must be positive")
         if self.vpu_lanes <= 0 or self.vpu_ops_per_lane_per_cycle <= 0:
             raise ValueError("VPU geometry must be positive")
+        # The same checks the cores' memory specs make, so a bad memory
+        # geometry fails here rather than when the cores are first built.
+        if self.hbm_capacity_bytes <= 0:
+            raise ValueError("hbm: capacity must be positive")
+        if self.hbm_bandwidth_bytes_per_sec <= 0:
+            raise ValueError("hbm: bandwidth must be positive")
+        if self.unified_buffer_bytes <= 0:
+            raise ValueError("unified_buffer: capacity must be positive")
 
-
-class TpuCore(Device):
-    """One TPU core: MXU + VPU + unified buffer + HBM slice.
-
-    Cost flows through the ISA: each public op lowers to instructions,
-    the scheduler prices them, and (when ``trace`` is enabled) the
-    lowered program is retained for inspection.
-    """
-
-    def __init__(self, config: TpuCoreConfig | None = None, core_id: int = 0,
-                 trace: bool = False) -> None:
-        self.config = config or TpuCoreConfig()
-        super().__init__(name=f"tpu-core-{core_id}")
-        self.core_id = core_id
-        self.mxu = Mxu(self.config.mxu)
-        self.hbm = MemoryRegion(
-            hbm_spec(
-                capacity_bytes=self.config.hbm_capacity_bytes,
-                bandwidth=self.config.hbm_bandwidth_bytes_per_sec,
-            )
-        )
-        self.unified_buffer = MemoryRegion(
-            unified_buffer_spec(self.config.unified_buffer_bytes)
-        )
-        self.scheduler = Scheduler(
-            clock_hz=self.config.clock_hz,
-            overlap_dma=self.config.overlap_dma,
-            overlap_weight_load=self.config.overlap_weight_load,
-        )
-        self.trace_enabled = trace
-        self.trace_program = Program()
-
-    # ------------------------------------------------------------------
-    # Lowering helpers
-    # ------------------------------------------------------------------
-    def _price(self, program: Program) -> float:
-        result = self.scheduler.run(program)
-        if self.trace_enabled:
-            self.trace_program.extend(program)
-        return result.seconds
-
-    def _matmul_program(self, m: int, k: int, n: int) -> Program:
-        stats = matmul_cycles(m, k, n, self.config.mxu)
-        program = Program()
-        load_per_tile = self.config.mxu.rows
-        stream_cycles = max(0, stats.cycles - stats.weight_load_cycles + stats.hidden_weight_load_cycles)
-        per_tile_stream = max(1, stream_cycles // stats.tiles)
-        for tile in range(stats.tiles):
-            program.emit(Instruction(Opcode.LOAD_WEIGHTS, cycles=load_per_tile,
-                                     label=f"w{tile}"))
-            program.emit(Instruction(Opcode.MATMUL, cycles=per_tile_stream,
-                                     label=f"mm{tile}"))
-        return program
-
-    # ------------------------------------------------------------------
-    # Device cost hooks
-    # ------------------------------------------------------------------
     def matmul_seconds(self, m: int, k: int, n: int, precision=None) -> float:
         """Cycle-model matmul time, optionally at an overridden precision.
 
@@ -123,88 +72,17 @@ class TpuCore(Device):
         translate int8/bf16 execution into cycles; ``None`` uses the
         core's configured :class:`~repro.hw.mxu.MxuConfig` precision.
         """
-        mxu = self.config.mxu
+        mxu = self.mxu
         if precision is not None:
-            from repro.hw.quantize import precision_spec
-
             mxu = replace(mxu, precision=precision_spec(precision).name)
         stats = matmul_cycles(m, k, n, mxu)
-        return stats.cycles / self.config.clock_hz
+        return stats.cycles / self.clock_hz
 
     def elementwise_seconds(self, elements: int, flops_per_element: float = 1.0) -> float:
-        lanes = self.config.vpu_lanes * self.config.vpu_ops_per_lane_per_cycle
+        """Vector-unit time for ``elements`` values of ``flops_per_element``."""
+        lanes = self.vpu_lanes * self.vpu_ops_per_lane_per_cycle
         cycles = np.ceil(elements * flops_per_element / lanes)
-        return float(cycles) / self.config.clock_hz
-
-    def transfer_seconds(self, nbytes: int) -> float:
-        # Core-local transfer between HBM and the unified buffer.
-        return self.hbm.transfer_seconds(nbytes)
-
-    # ------------------------------------------------------------------
-    # Numeric hooks: int8 quantization / bf16 rounding via the MXU
-    # ------------------------------------------------------------------
-    def _matmul_compute(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        product, _ = self.mxu.matmul(a, b)
-        return product
-
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Matrix product on the MXU, priced via the lowered ISA program."""
-        a = np.asarray(a)
-        b = np.asarray(b)
-        if a.ndim != 2 or b.ndim != 2:
-            raise ValueError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-        if a.shape[1] != b.shape[0]:
-            raise ValueError(f"inner dimensions disagree: {a.shape} @ {b.shape}")
-        m, k = a.shape
-        n = b.shape[1]
-        self._check_hbm_working_set(m, k, n, complex_values=np.iscomplexobj(a) or np.iscomplexobj(b))
-        if np.iscomplexobj(a) or np.iscomplexobj(b):
-            factor = self.complex_matmul_real_products
-            program = Program()
-            for _ in range(factor):
-                program.extend(self._matmul_program(m, k, n))
-            seconds = self._price(program)
-            result = self._complex_matmul_compute(a, b)
-            self.stats.record("matmul_complex", seconds, macs=factor * m * k * n)
-            return result
-        program = self._matmul_program(m, k, n)
-        seconds = self._price(program)
-        result = self._matmul_compute(a, b)
-        self.stats.record("matmul", seconds, macs=m * k * n)
-        return result
-
-    def _check_hbm_working_set(
-        self, m: int, k: int, n: int, complex_values: bool = False
-    ) -> None:
-        """Reject working sets the core's HBM slice cannot hold.
-
-        Operands and the result must be resident; complex operands store
-        separate real/imaginary planes.  A violation raises
-        :class:`repro.hw.memory.MemoryCapacityError` instead of silently
-        producing optimistic timing.
-        """
-        bytes_per_element = self.config.mxu.spec.bytes_per_element
-        planes = 2 if complex_values else 1
-        working_set = planes * bytes_per_element * (m * k + k * n + m * n)
-        if working_set > self.hbm.spec.capacity_bytes:
-            from repro.hw.memory import MemoryCapacityError
-
-            raise MemoryCapacityError(
-                f"{self.name}: matmul working set {working_set} B exceeds the "
-                f"core's HBM slice of {self.hbm.spec.capacity_bytes} B "
-                f"({m}x{k} @ {k}x{n}, {self.config.mxu.precision})"
-            )
-
-    def utilization(self) -> float:
-        """Achieved-vs-peak MAC utilization over the accumulated stats."""
-        peak = self.config.mxu.macs_per_cycle * self.config.clock_hz
-        if self.stats.seconds == 0:
-            return 0.0
-        return self.stats.macs / (self.stats.seconds * peak)
-
-    def energy_joules(self, seconds: float) -> float:
-        """Crude energy estimate at core TDP."""
-        return seconds * self.config.tdp_watts
+        return float(cycles) / self.clock_hz
 
 
 @dataclass(frozen=True)
@@ -246,15 +124,14 @@ class TpuChip:
     block-matmul parallelism) is the paper's contribution and lives in
     ``repro.core``.  The chip supplies the mechanisms those policies
     need: per-core execution, dispatch/infeed/outfeed accounting, and
-    cross-replica reductions.
+    cross-replica reductions.  Prices come from :attr:`config`; the
+    cores exist only once :attr:`cores` is read.
     """
 
     def __init__(self, config: TpuChipConfig | None = None, trace: bool = False) -> None:
         self.config = config or TpuChipConfig()
-        self.cores = [
-            TpuCore(self.config.core, core_id=i, trace=trace)
-            for i in range(self.config.num_cores)
-        ]
+        self.trace = trace
+        self._cores: list | None = None
         self.interconnect = Interconnect(self.config.interconnect)
         self.stats_seconds = 0.0
         self.event_log: list[tuple[str, float]] = []
@@ -262,6 +139,22 @@ class TpuChip:
     @property
     def num_cores(self) -> int:
         return self.config.num_cores
+
+    @property
+    def cores(self) -> list:
+        """The ``num_cores`` cycle-level cores, built on first read.
+
+        Core ``i`` is a :class:`repro.hw.tpu_core.TpuCore` with id ``i``
+        and the chip's ``trace`` flag; later reads return the same list.
+        """
+        if self._cores is None:
+            from repro.hw.tpu_core import TpuCore
+
+            self._cores = [
+                TpuCore(self.config.core, core_id=i, trace=self.trace)
+                for i in range(self.config.num_cores)
+            ]
+        return self._cores
 
     def _record(self, event: str, seconds: float) -> float:
         self.stats_seconds += seconds
@@ -335,15 +228,17 @@ class TpuChip:
         """Clear chip-level and per-core ledgers."""
         self.stats_seconds = 0.0
         self.event_log.clear()
-        for core in self.cores:
+        for core in self._cores or ():
             core.reset_stats()
 
     def total_core_seconds(self) -> float:
         """Sum of busy time across cores (not elapsed time)."""
-        return sum(core.stats.seconds for core in self.cores)
+        if self._cores is None:
+            return 0.0
+        return sum(core.stats.seconds for core in self._cores)
 
     def max_core_seconds(self) -> float:
         """Elapsed compute time of the slowest core (the parallel critical path)."""
-        if not self.cores:
+        if not self._cores:
             return 0.0
-        return max(core.stats.seconds for core in self.cores)
+        return max(core.stats.seconds for core in self._cores)

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hw.systolic import SystolicArray, streaming_cycles
+from repro.hw.mxu import streaming_cycles
+from repro.hw.systolic import SystolicArray
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from repro.core.masking import DEFAULT_CHUNK_ROWS
 from repro.core.transform import OutputEmbedding, frequency_solve
 from repro.fft import fft, fft_circular_convolve2d, rfft, rfft2_batch
 from repro.hw.cpu import CpuDevice
+from repro.hw.pod import TpuPod
 from repro.obs.tracer import tracer
 from repro.serve import ExplanationService
 from tests import reference
@@ -838,6 +839,47 @@ class TestEpsValidation:
             assert np.isfinite(built).all()
         else:
             assert built.eps == 0.0
+
+
+class TestOptionValidation:
+    """Bad pod and wave options fail when the executor is built; the
+    pipeline and the service inherit the check through theirs."""
+
+    BUILDERS = {
+        "executor": lambda **options: FleetExecutor(
+            CpuDevice(), granularity="columns", **options
+        ),
+        "pipeline": lambda **options: ExplanationPipeline(
+            CpuDevice(), granularity="columns", **options
+        ),
+        "service": lambda **options: ExplanationService(
+            CpuDevice(), granularity="columns", **options
+        ),
+    }
+
+    @pytest.mark.parametrize("options, message", [
+        ({"num_chips": 0}, "num_chips must be an integer >= 1"),
+        ({"num_chips": -3}, "num_chips must be an integer >= 1"),
+        ({"num_chips": 2.7}, "num_chips must be an integer >= 1"),
+        ({"max_pairs_per_wave": 0}, "max_pairs_per_wave must be positive"),
+        ({"chunk_rows": 0}, "chunk_rows must be positive"),
+        ({"max_stack_bytes": -5}, "max_stack_bytes must be positive"),
+    ])
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_bad_option_rejected_at_construction(self, builder, options, message):
+        with pytest.raises(ValueError, match=message):
+            self.BUILDERS[builder](**options)
+
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_none_and_integer_options_build(self, builder):
+        defaults = self.BUILDERS[builder](
+            num_chips=None, max_pairs_per_wave=None, chunk_rows=None, max_stack_bytes=None
+        )
+        assert not isinstance(defaults.device, TpuPod)
+        pod = self.BUILDERS[builder](
+            num_chips=np.int64(2), max_pairs_per_wave=1, chunk_rows=1, max_stack_bytes=1
+        )
+        assert isinstance(pod.device, TpuPod) and pod.device.num_chips == 2
 
 
 class TestLedgerHygiene:

@@ -257,6 +257,18 @@ class TestTpuChip:
         with pytest.raises(ValueError):
             TpuChipConfig(dispatch_latency_sec=-1.0)
 
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("field, message", [
+        ("hbm_capacity_bytes", "hbm: capacity must be positive"),
+        ("hbm_bandwidth_bytes_per_sec", "hbm: bandwidth must be positive"),
+        ("unified_buffer_bytes", "unified_buffer: capacity must be positive"),
+    ])
+    def test_invalid_core_memory_fails_in_the_config(self, field, message, value):
+        """The chip builds its cores on first read, so the core config
+        itself rejects a memory its cores could not hold."""
+        with pytest.raises(ValueError, match=message):
+            TpuCoreConfig(**{field: value})
+
 
 class TestHadamardCostModel:
     """Complex point-wise flops are op-dependent: mul/div cost 4 real

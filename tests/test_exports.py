@@ -36,20 +36,27 @@ LAZY = (
 )
 EAGER = ("repro.fft", "repro.obs")
 
-#: Modules no benchmark workload runs: the benchmark's imports must not
-#: load them (a name is a module or a package prefix).
+#: Modules no benchmark workload runs: the benchmark's imports, builds
+#: and reps must not load them (a name is a module or a package prefix).
+#: The TPU is priced from its configuration, so the cycle-level core
+#: (``repro.hw.tpu_core``) and what only it uses stay unloaded too.
 UNUSED_BY_BENCHMARK = (
     "repro.nn",
     "repro.data",
     "repro.bench.harness",
     "repro.bench.report",
+    "repro.core.decomposition",
     "repro.core.quality",
     "repro.core.parallel",
     "repro.core.pipeline",
     "repro.hw.compiler",
     "repro.hw.cpu",
     "repro.hw.gpu",
+    "repro.hw.isa",
+    "repro.hw.memory",
     "repro.hw.perf",
+    "repro.hw.systolic",
+    "repro.hw.tpu_core",
     "repro.hw.trace",
     "repro.serve.capacity",
 )
@@ -153,23 +160,55 @@ def benchmark_imports():
     return statements
 
 
-@pytest.mark.skipif(not PERF.is_dir(), reason="needs the benchmark's sources")
-def test_benchmark_imports_load_no_unused_module():
-    statements = benchmark_imports()
-    assert any("repro.serve" in statement for statement in statements)
+def unused_by_benchmark(loaded):
+    """The modules of ``loaded`` that :data:`UNUSED_BY_BENCHMARK` names."""
+    return [
+        module for module in loaded
+        if any(module == name or module.startswith(name + ".") for name in UNUSED_BY_BENCHMARK)
+    ]
+
+
+def loaded_after(*lines):
+    """The ``repro`` modules a fresh interpreter has loaded after ``lines``."""
     completed = fresh_python(code="\n".join([
-        *statements,
+        *lines,
         "import json, sys",
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'repro')))",
     ]))
     assert completed.returncode == 0, completed.stderr
-    loaded = json.loads(completed.stdout)
+    return json.loads(completed.stdout.splitlines()[-1])
+
+
+@pytest.mark.skipif(not PERF.is_dir(), reason="needs the benchmark's sources")
+def test_benchmark_imports_load_no_unused_module():
+    statements = benchmark_imports()
+    assert any("repro.serve" in statement for statement in statements)
+    loaded = loaded_after(*statements)
     assert "repro.core.fleet" in loaded and "repro.serve.loop" in loaded
-    unused = [
-        module for module in loaded
-        if any(module == name or module.startswith(name + ".") for name in UNUSED_BY_BENCHMARK)
-    ]
-    assert unused == []
+    assert unused_by_benchmark(loaded) == []
+
+
+@pytest.mark.skipif(not PERF.is_dir(), reason="needs the benchmark's sources")
+def test_benchmark_builds_and_reps_load_no_unused_module():
+    """Building every full workload and running a smoke rep of each, after
+    the benchmark's imports, loads no unused module: so no rep builds a
+    ``TpuCore``."""
+    loaded = loaded_after(
+        *benchmark_imports(),
+        "import sys",
+        f"sys.path.insert(0, {str(PERF)!r})",
+        "import workloads",
+        "for workload in workloads.WORKLOADS:",
+        "    workload.build()",
+        "for workload in workloads.SMOKE_WORKLOADS:",
+        "    inputs = workload.inputs(0)",
+        "    built = workload.build()",
+        "    outcome = workload.outcome(built, inputs, workload.execute(built, inputs), 0)",
+        "    assert outcome.failed == 0 and outcome.fingerprint, outcome.problems",
+    )
+    assert "repro.core.backend" in loaded and "repro.hw.pod" in loaded
+    assert "repro.hw.tpu_core" not in loaded
+    assert unused_by_benchmark(loaded) == []
 
 
 def test_harness_runs_as_main_without_runpy_warning():
