@@ -16,7 +16,7 @@ Layout mirrors Section III of the paper:
   pairs' mask plans and residual planes streamed through one batched
   program per scheduler wave (one dispatch per wave);
 * :mod:`repro.core.parallel`        -- Section III-D: concurrent
-  processing of many inputs and block-partitioned matmuls;
+  processing of many inputs, each on its own group of cores;
 * :mod:`repro.core.backend`         -- the multi-core TPU chip exposed
   through the common device interface (the "proposed approach" rows of
   the paper's tables);
@@ -69,11 +69,8 @@ EXPORTS = {
         "Assignment",
         "AssignmentTable",
         "BatchResult",
-        "BlockTask",
         "MultiInputScheduler",
-        "block_matmul_tasks",
         "partition_cores",
-        "run_block_matmul",
     ),
     "pipeline": ("ExplanationPipeline", "InterpretationRun"),
     "quality": (

@@ -33,7 +33,7 @@ import numpy as np
 from repro.hw.device import Device
 from repro.hw.interconnect import Interconnect, InterconnectConfig
 from repro.hw.mxu import Mxu, MxuConfig
-from repro.hw.pod import TpuPod
+from repro.hw.pod import TpuPod, check_num_chips
 from repro.hw.quantize import infeed_bytes_per_element, resolve_precision
 from repro.hw.tpu import TpuChip, TpuChipConfig, TpuCoreConfig
 
@@ -75,9 +75,7 @@ def make_tpu_pod(
     budget :meth:`repro.core.fleet.FleetSchedule.plan` constrains
     placement against.
     """
-    num_chips = int(num_chips)
-    if num_chips < 1:
-        raise ValueError(f"a pod needs at least one chip, got {num_chips}")
+    num_chips = check_num_chips(num_chips)
     return TpuPod(
         [
             TpuBackend(make_tpu_chip(**chip_kwargs)).clone(hbm_bytes=hbm_bytes)

@@ -143,7 +143,6 @@ device's modeled HBM (:attr:`~repro.hw.device
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -176,7 +175,7 @@ from repro.fft.convolution import (
 from repro.fft.fft import rfft
 from repro.fft.spectra import kernel_spectrum
 from repro.hw.device import Device, shard_slices
-from repro.hw.pod import PodWaveStats, TpuPod
+from repro.hw.pod import PodWaveStats, TpuPod, check_num_chips
 from repro.hw.quantize import resolve_precision
 from repro.obs.tracer import tracer
 
@@ -524,10 +523,8 @@ class FleetExecutor:
             raise ValueError(
                 f"unknown placement {placement!r}; expected one of {PLACEMENTS}"
             )
-        if num_chips is not None and not (
-            isinstance(num_chips, numbers.Integral) and num_chips >= 1
-        ):
-            raise ValueError(f"num_chips must be an integer >= 1, got {num_chips!r}")
+        if num_chips is not None:
+            num_chips = check_num_chips(num_chips)
         for name, value in (
             ("max_pairs_per_wave", max_pairs_per_wave),
             ("chunk_rows", chunk_rows),
@@ -543,15 +540,15 @@ class FleetExecutor:
         # (num_chips=1/None keeps the plain single-device path, which
         # retains chip-level infeed pipelining).
         if isinstance(device, TpuPod):
-            if num_chips is not None and int(num_chips) != device.num_chips:
+            if num_chips is not None and num_chips != device.num_chips:
                 raise ValueError(
                     f"num_chips={num_chips} disagrees with the supplied "
                     f"{device.num_chips}-chip pod"
                 )
             self.pod: TpuPod | None = device
-        elif num_chips is not None and int(num_chips) > 1:
+        elif num_chips is not None and num_chips > 1:
             self.pod = TpuPod.like(
-                device, int(num_chips), interconnect=interconnect,
+                device, num_chips, interconnect=interconnect,
                 hbm_bytes=hbm_bytes,
             )
         else:

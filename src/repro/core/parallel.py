@@ -16,9 +16,7 @@ This module provides that layer on one chip's cores:
   row arrays map fused stack rows back to pairs);
 * :class:`MultiInputScheduler` -- run a batch of 2-D transforms
   concurrently (elapsed time equal to the slowest core group, inputs
-  side by side);
-* :func:`block_matmul_tasks` -- the block-partitioned matrix
-  multiplication the paper uses for the same trick on plain matmuls.
+  side by side).
 
 Whole explanation fleets -- many pairs distilled and interpreted, one
 batched program per wave of equal-shape pairs -- run through
@@ -190,71 +188,3 @@ class _ChipView:
     def cross_replica_sum_seconds(self, nbytes: int, num_cores: int | None = None) -> float:
         cores = self.num_cores if num_cores is None else num_cores
         return self._chip.cross_replica_sum_seconds(nbytes, num_cores=cores)
-
-
-@dataclass(frozen=True)
-class BlockTask:
-    """One block-product task in a partitioned matmul."""
-
-    row_block: slice
-    inner_block: slice
-    col_block: slice
-    core_id: int
-
-
-def block_matmul_tasks(
-    m: int, k: int, n: int, grid: tuple[int, int], num_cores: int
-) -> list[BlockTask]:
-    """Partition ``(m x k) @ (k x n)`` into a grid of block products.
-
-    The paper: "Original matrices are partitioned into small blocks,
-    then by performing multiplication between blocks and merging
-    afterwards, we achieve same-level of parallel computing efficiency."
-    Tasks are dealt to cores round-robin; summation over the inner
-    dimension happens at merge (cross-replica sum).
-    """
-    gm, gn = grid
-    if gm <= 0 or gn <= 0:
-        raise ValueError(f"grid must be positive, got {grid}")
-    if num_cores <= 0:
-        raise ValueError(f"core count must be positive, got {num_cores}")
-    row_slices = shard_slices(m, min(gm, m))
-    col_slices = shard_slices(n, min(gn, n))
-    inner = slice(0, k)
-    tasks = []
-    core = 0
-    for row_block in row_slices:
-        for col_block in col_slices:
-            tasks.append(BlockTask(row_block, inner, col_block, core % num_cores))
-            core += 1
-    return tasks
-
-
-def run_block_matmul(
-    a: np.ndarray, b: np.ndarray, chip: TpuChip, grid: tuple[int, int]
-) -> tuple[np.ndarray, float]:
-    """Execute a block-partitioned matmul across the chip's cores.
-
-    Returns the product and the elapsed seconds (slowest core plus the
-    merge collective).
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"invalid operands: {a.shape} @ {b.shape}")
-    m, k = a.shape
-    n = b.shape[1]
-    tasks = block_matmul_tasks(m, k, n, grid, chip.num_cores)
-    out = np.zeros((m, n), dtype=np.result_type(a.dtype, b.dtype, np.float64))
-    per_core: dict[int, float] = {}
-    for task in tasks:
-        core = chip.cores[task.core_id]
-        before = core.stats.seconds
-        out[task.row_block, task.col_block] = core.matmul(
-            a[task.row_block, task.inner_block], b[task.inner_block, task.col_block]
-        )
-        per_core[task.core_id] = per_core.get(task.core_id, 0.0) + (
-            core.stats.seconds - before
-        )
-    merge = chip.cross_replica_sum_seconds(out.size * out.itemsize)
-    return out, max(per_core.values()) + merge

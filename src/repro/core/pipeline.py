@@ -188,9 +188,8 @@ class ExplanationPipeline:
         (``max_wait_seconds``, ``max_batch_pairs``), the autopilot that
         replaces it (``controller=BatchController(...)``), per-key
         dispatch weights (``key_weights``), caching
-        (``cache_max_bytes``) and speculative warming (``warm_cache``,
-        ``warm_min_gap_seconds``, ``warm_max_per_gap``), and admission
-        control (``admission``, with global and per-key budgets) -- see
+        (``cache_max_bytes``) and admission control (``admission``,
+        with global and per-key budgets) -- see
         :class:`repro.serve.loop.ExplanationService`.
         """
         from repro.serve.loop import ExplanationService

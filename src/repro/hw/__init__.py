@@ -12,7 +12,8 @@ the same algorithm (Section IV-A).  This package provides all three:
   when a caller reads :attr:`TpuChip.cores <repro.hw.tpu.TpuChip.cores>`:
   a weight-stationary systolic array (:mod:`repro.hw.systolic`), a
   small ISA with an overlap-aware scheduler (:mod:`repro.hw.isa`) and
-  explicit memory regions (:mod:`repro.hw.memory`);
+  the capacity and bandwidth specs of its memories
+  (:mod:`repro.hw.memory`);
 * :class:`~repro.hw.cpu.CpuDevice` -- the paper's baseline host CPU;
 * :class:`~repro.hw.gpu.GpuDevice` -- the paper's GTX 1080 comparator.
 
@@ -42,9 +43,7 @@ EXPORTS = {
     "interconnect": ("Interconnect", "InterconnectConfig"),
     "isa": ("Instruction", "Opcode", "Program", "ScheduleResult", "Scheduler"),
     "memory": (
-        "Allocation",
         "MemoryCapacityError",
-        "MemoryRegion",
         "MemorySpec",
         "accumulator_spec",
         "hbm_spec",

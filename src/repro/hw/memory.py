@@ -2,19 +2,19 @@
 
 The TPU timing model needs three things from a memory: *capacity* (does
 the working set fit -- the paper's 64 GB HBM), *bandwidth* (how many
-cycles a transfer occupies) and *latency*.  This module provides a small
-explicit allocator with peak tracking so capacity violations surface as
-:class:`MemoryCapacityError` rather than silently optimistic timing.
+cycles a transfer occupies) and *latency*.  Each region is one
+:class:`MemorySpec`; a core whose matmul working set exceeds its HBM
+slice raises :class:`MemoryCapacityError` rather than pricing
+optimistic timing.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class MemoryCapacityError(Exception):
-    """Raised when an allocation exceeds a memory region's capacity."""
+    """Raised when a working set exceeds a memory region's capacity."""
 
 
 @dataclass(frozen=True)
@@ -41,76 +41,6 @@ class MemorySpec:
         if nbytes == 0:
             return 0.0
         return self.latency_sec + nbytes / self.bandwidth_bytes_per_sec
-
-
-@dataclass(frozen=True)
-class Allocation:
-    """Handle returned by :meth:`MemoryRegion.alloc`."""
-
-    region: str
-    label: str
-    nbytes: int
-    serial: int
-
-
-@dataclass
-class MemoryRegion:
-    """A memory region with explicit allocation accounting.
-
-    Not a data store -- numeric payloads live in numpy; this tracks the
-    *footprint* so the simulator can reject working sets that would not
-    fit the modelled hardware.
-    """
-
-    spec: MemorySpec
-    allocated_bytes: int = 0
-    peak_bytes: int = 0
-    _live: dict[int, Allocation] = field(default_factory=dict, repr=False)
-    _serial: itertools.count = field(default_factory=itertools.count, repr=False)
-
-    def alloc(self, nbytes: int, label: str = "") -> Allocation:
-        """Reserve ``nbytes``; raises :class:`MemoryCapacityError` on overflow."""
-        if nbytes < 0:
-            raise ValueError(f"allocation size cannot be negative ({nbytes})")
-        if self.allocated_bytes + nbytes > self.spec.capacity_bytes:
-            raise MemoryCapacityError(
-                f"{self.spec.name}: allocating {nbytes} B would exceed capacity "
-                f"({self.allocated_bytes}/{self.spec.capacity_bytes} B in use, "
-                f"label={label!r})"
-            )
-        handle = Allocation(
-            region=self.spec.name,
-            label=label,
-            nbytes=nbytes,
-            serial=next(self._serial),
-        )
-        self._live[handle.serial] = handle
-        self.allocated_bytes += nbytes
-        self.peak_bytes = max(self.peak_bytes, self.allocated_bytes)
-        return handle
-
-    def free(self, handle: Allocation) -> None:
-        """Release a previous allocation; double-free raises ``KeyError``."""
-        stored = self._live.pop(handle.serial, None)
-        if stored is None:
-            raise KeyError(
-                f"{self.spec.name}: allocation {handle.serial} ({handle.label!r}) "
-                "is not live (double free?)"
-            )
-        self.allocated_bytes -= stored.nbytes
-
-    def free_all(self) -> None:
-        """Release every live allocation (end-of-program cleanup)."""
-        self._live.clear()
-        self.allocated_bytes = 0
-
-    @property
-    def live_allocations(self) -> tuple[Allocation, ...]:
-        return tuple(self._live.values())
-
-    def transfer_seconds(self, nbytes: int) -> float:
-        """Delegate to the spec's bandwidth/latency model."""
-        return self.spec.transfer_seconds(nbytes)
 
 
 GIB = 1024**3

@@ -59,6 +59,7 @@ its root for unsharded work.
 from __future__ import annotations
 
 import inspect
+import numbers
 from dataclasses import dataclass, field
 
 from repro.hw.device import (
@@ -69,6 +70,17 @@ from repro.hw.device import (
 )
 from repro.hw.interconnect import Interconnect, InterconnectConfig
 from repro.obs.tracer import tracer
+
+
+def check_num_chips(num_chips) -> int:
+    """``num_chips`` as an ``int``; ``ValueError`` unless an integer >= 1.
+
+    The one chip-count check of every pod constructor: ``int()`` alone
+    would turn 2.7 chips into a 2-chip pod without an error.
+    """
+    if not (isinstance(num_chips, numbers.Integral) and num_chips >= 1):
+        raise ValueError(f"num_chips must be an integer >= 1, got {num_chips!r}")
+    return int(num_chips)
 
 
 def clone_device(device: Device, hbm_bytes: int | None = None) -> Device:
@@ -396,9 +408,7 @@ class TpuPod(Device):
         """
         if isinstance(device, TpuPod):
             raise TypeError("cannot build a pod from a pod; pass the chip device")
-        num_chips = int(num_chips)
-        if num_chips < 1:
-            raise ValueError(f"a pod needs at least one chip, got {num_chips}")
+        num_chips = check_num_chips(num_chips)
         return cls(
             [clone_device(device, hbm_bytes=hbm_bytes) for _ in range(num_chips)],
             interconnect=interconnect,

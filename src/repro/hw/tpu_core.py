@@ -3,7 +3,7 @@
 :class:`TpuCore` lowers every tensor operation to the small ISA of
 :mod:`repro.hw.isa` and prices the program with the scheduler, so
 instruction mixes are inspectable and overlap policies are ablatable.
-It holds its own MXU, HBM slice and unified buffer
+It holds its own MXU and the specs of its HBM slice and unified buffer
 (:mod:`repro.hw.memory`).  Its closed-form prices are its
 configuration's (:meth:`repro.hw.tpu.TpuCoreConfig.matmul_seconds`,
 :meth:`~repro.hw.tpu.TpuCoreConfig.elementwise_seconds`), which is all
@@ -17,12 +17,7 @@ import numpy as np
 
 from repro.hw.device import Device
 from repro.hw.isa import Instruction, Opcode, Program, Scheduler
-from repro.hw.memory import (
-    MemoryCapacityError,
-    MemoryRegion,
-    hbm_spec,
-    unified_buffer_spec,
-)
+from repro.hw.memory import MemoryCapacityError, hbm_spec, unified_buffer_spec
 from repro.hw.mxu import Mxu, matmul_cycles
 from repro.hw.tpu import TpuCoreConfig
 
@@ -41,15 +36,11 @@ class TpuCore(Device):
         super().__init__(name=f"tpu-core-{core_id}")
         self.core_id = core_id
         self.mxu = Mxu(self.config.mxu)
-        self.hbm = MemoryRegion(
-            hbm_spec(
-                capacity_bytes=self.config.hbm_capacity_bytes,
-                bandwidth=self.config.hbm_bandwidth_bytes_per_sec,
-            )
+        self.hbm = hbm_spec(
+            capacity_bytes=self.config.hbm_capacity_bytes,
+            bandwidth=self.config.hbm_bandwidth_bytes_per_sec,
         )
-        self.unified_buffer = MemoryRegion(
-            unified_buffer_spec(self.config.unified_buffer_bytes)
-        )
+        self.unified_buffer = unified_buffer_spec(self.config.unified_buffer_bytes)
         self.scheduler = Scheduler(
             clock_hz=self.config.clock_hz,
             overlap_dma=self.config.overlap_dma,
@@ -140,10 +131,10 @@ class TpuCore(Device):
         bytes_per_element = self.config.mxu.spec.bytes_per_element
         planes = 2 if complex_values else 1
         working_set = planes * bytes_per_element * (m * k + k * n + m * n)
-        if working_set > self.hbm.spec.capacity_bytes:
+        if working_set > self.hbm.capacity_bytes:
             raise MemoryCapacityError(
                 f"{self.name}: matmul working set {working_set} B exceeds the "
-                f"core's HBM slice of {self.hbm.spec.capacity_bytes} B "
+                f"core's HBM slice of {self.hbm.capacity_bytes} B "
                 f"({m}x{k} @ {k}x{n}, {self.config.mxu.precision})"
             )
 

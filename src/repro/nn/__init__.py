@@ -33,7 +33,6 @@ EXPORTS = {
         "weight_quantization_error",
     ),
     "resnet": ("RESNET50_BLOCKS", "build_resnet", "resnet50", "resnet_scaled"),
-    "schedules": ("CosineDecay", "Schedule", "StepDecay", "WarmupWrapper"),
     "train": ("EpochMetrics", "Trainer", "TrainingHistory", "minibatches"),
     "vgg": ("VGG19_CONFIG", "build_vgg", "vgg19", "vgg19_scaled"),
 }

@@ -120,17 +120,13 @@ class Trainer:
         epochs: int,
         test_inputs: np.ndarray | None = None,
         test_labels: np.ndarray | None = None,
-        schedule=None,
     ) -> TrainingHistory:
         """Train for ``epochs`` passes, evaluating after each when a test
-        set is provided.  ``schedule`` (a :class:`repro.nn.schedules.Schedule`)
-        sets the optimizer's learning rate before every epoch."""
+        set is provided."""
         if epochs <= 0:
             raise ValueError(f"epoch count must be positive, got {epochs}")
         history = TrainingHistory()
         for epoch in range(epochs):
-            if schedule is not None:
-                self.optimizer.lr = schedule.lr(epoch)
             loss, train_acc = self.train_epoch(train_inputs, train_labels)
             test_acc = None
             if test_inputs is not None and test_labels is not None:

@@ -2,8 +2,8 @@
 
 The simulator accumulates counters in scattered places -- the
 kernel-spectrum cache (:func:`repro.fft.kernel_spectrum_cache_info`),
-the explanation cache, the micro-batcher, the admission controller,
-the cache warmer.  This module unifies them: each *source*
+the explanation cache, the micro-batcher, the admission controller.
+This module unifies them: each *source*
 registers a supplier callable returning a flat ``{counter: value}``
 dict (and optionally a reset callable), and :func:`metrics_snapshot`
 returns the whole picture as ``{source: {counter: value}}``.

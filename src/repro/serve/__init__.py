@@ -16,9 +16,7 @@ that turns batch economics into goodput under live load:
   :class:`BatchController` steering each key's policy toward a p95
   target;
 * :mod:`repro.serve.cache`      -- content-addressed, byte-budgeted LRU
-  of finished explanations (hits are bit-identical and device-free),
-  plus the :class:`SpeculativeWarmer` that re-distills recurring
-  evicted entries during idle gaps;
+  of finished explanations (hits are bit-identical and device-free);
 * :mod:`repro.serve.admission`  -- queue-depth/byte backpressure,
   global and per key;
 * :mod:`repro.serve.metrics`    -- the latency ledger, p50/p95/p99 and
@@ -43,7 +41,6 @@ EXPORTS = {
     "cache": (
         "DEFAULT_CACHE_BYTES",
         "ExplanationCache",
-        "SpeculativeWarmer",
         "explanation_digest",
         "result_nbytes",
     ),

@@ -27,16 +27,6 @@ bytes per request dominates the served-from-memory path -- the memo
 short-circuits :func:`explanation_digest` by object identity (weakly
 referenced, so recycled ids never alias) while content addressing stays
 authoritative for distinct objects.
-
-:class:`SpeculativeWarmer` closes the loop between eviction and idle
-time: it tracks how often each digest recurs, and when the LRU evicts a
-*recurring* entry (one the trace has asked for at least twice) it keeps
-that request's planes as a warming candidate.  During idle drain gaps
--- the event loop waiting on a distant next arrival with empty queues
--- the service re-distills queued candidates and re-inserts them,
-converting drain time into cache hits instead of wasted simulated
-seconds.  Warming never changes *what* an explanation is (the recompute
-runs the same executor path), only when the work happens.
 """
 
 from __future__ import annotations
@@ -170,9 +160,6 @@ class ExplanationCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: Optional ``callable(digest)`` invoked on every LRU eviction
-        #: (the :class:`SpeculativeWarmer` wiring point).
-        self.on_evict = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -210,11 +197,9 @@ class ExplanationCache:
             self._entries.move_to_end(digest)
             return True
         while self.current_bytes + nbytes > self.max_bytes:
-            evicted_digest, evicted = self._entries.popitem(last=False)
+            _, evicted = self._entries.popitem(last=False)
             self.current_bytes -= result_nbytes(evicted)
             self.evictions += 1
-            if self.on_evict is not None:
-                self.on_evict(evicted_digest)
         self._entries[digest] = result
         self.current_bytes += nbytes
         return True
@@ -225,95 +210,4 @@ class ExplanationCache:
             f"{self.current_bytes}/{self.max_bytes} bytes, "
             f"{self.hits} hits / {self.misses} misses / "
             f"{self.evictions} evictions>"
-        )
-
-
-class SpeculativeWarmer:
-    """Track recurring evicted digests and stage them for idle warming.
-
-    The warmer is pure bookkeeping -- the service decides *when* to
-    warm (idle drain gaps) and does the recompute itself; the warmer
-    decides *what* is worth warming:
-
-    * :meth:`note_request` counts how often each digest arrives and
-      remembers the most recent request planes/plan for it (a bounded
-      LRU of ``max_tracked`` digests -- warming needs the inputs to
-      recompute from);
-    * :meth:`note_eviction` (wired to :attr:`ExplanationCache
-      .on_evict`) stages an evicted digest as a warming candidate iff
-      it has recurred at least ``min_recurrences`` times -- a
-      one-shot digest will likely never be asked again, so re-warming
-      it would waste idle device time;
-    * :meth:`pop_candidates` hands back up to ``limit`` staged
-      candidates that are still absent from the cache, oldest eviction
-      first, each at most once.
-
-    Everything is insertion-ordered plain dicts: given the same trace,
-    the same candidates stage in the same order -- warming is as
-    replayable as the rest of the event loop.
-    """
-
-    def __init__(
-        self, max_tracked: int = 64, min_recurrences: int = 2
-    ) -> None:
-        if max_tracked <= 0:
-            raise ValueError(
-                f"max_tracked must be positive, got {max_tracked}"
-            )
-        if min_recurrences < 2:
-            raise ValueError(
-                "min_recurrences below 2 would warm one-shot digests, "
-                f"got {min_recurrences}"
-            )
-        self.max_tracked = int(max_tracked)
-        self.min_recurrences = int(min_recurrences)
-        self._counts: dict[str, int] = {}
-        #: digest -> (x, y, batch key, plan): the inputs a recompute needs.
-        self._planes: "OrderedDict[str, tuple]" = OrderedDict()
-        self._staged: "OrderedDict[str, None]" = OrderedDict()
-        self.warmed = 0  # incremented by the service per warmed entry
-
-    def note_request(self, digest: str, x, y, key, plan) -> None:
-        """Record one arrival of ``digest`` (hit or miss alike)."""
-        self._counts[digest] = self._counts.get(digest, 0) + 1
-        if digest in self._planes:
-            self._planes.move_to_end(digest)
-        self._planes[digest] = (x, y, key, plan)
-        while len(self._planes) > self.max_tracked:
-            dropped, _ = self._planes.popitem(last=False)
-            self._staged.pop(dropped, None)
-
-    def note_eviction(self, digest: str) -> None:
-        """Stage an evicted digest for warming if it recurs."""
-        if (
-            self._counts.get(digest, 0) >= self.min_recurrences
-            and digest in self._planes
-        ):
-            self._staged[digest] = None
-
-    @property
-    def staged_count(self) -> int:
-        return len(self._staged)
-
-    def pop_candidates(self, cache: ExplanationCache, limit: int) -> list:
-        """Up to ``limit`` staged ``(digest, x, y, key, plan)`` tuples.
-
-        Skips digests the cache re-acquired since staging (a later
-        miss already refilled them); popped candidates are consumed --
-        re-staging requires another eviction.
-        """
-        candidates = []
-        while self._staged and len(candidates) < limit:
-            digest, _ = self._staged.popitem(last=False)
-            if digest in cache:
-                continue
-            planes = self._planes.get(digest)
-            if planes is not None:
-                candidates.append((digest, *planes))
-        return candidates
-
-    def __repr__(self) -> str:
-        return (
-            f"<SpeculativeWarmer {len(self._counts)} digests tracked, "
-            f"{len(self._staged)} staged, {self.warmed} warmed>"
         )

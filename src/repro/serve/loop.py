@@ -60,7 +60,6 @@ from repro.serve.cache import (
     DEFAULT_CACHE_BYTES,
     DigestMemo,
     ExplanationCache,
-    SpeculativeWarmer,
     explanation_digest,
 )
 from repro.serve.clock import SimulatedClock
@@ -127,17 +126,6 @@ class ExplanationService:
         ones.  ``key_weights`` maps
         :class:`~repro.serve.batcher.BatchKey`\\ s (or their
         ``as_tuple()`` forms) to relative service weights (default 1.0).
-    warm_cache, warm_min_gap_seconds, warm_max_per_gap, warm_tracked:
-        Speculative cache warming: with ``warm_cache=True`` (requires a
-        cache) the service re-distills recurring evicted explanations
-        during idle drain gaps -- when the queues are empty and the
-        next arrival is at least ``warm_min_gap_seconds`` away, up to
-        ``warm_max_per_gap`` staged candidates recompute through the
-        normal executor path (honest simulated time, never past the
-        next arrival) and re-enter the cache.  ``warm_tracked`` bounds
-        how many recent digests the warmer remembers planes for.
-        Warming converts drain time into hit rate and never changes
-        what any explanation is.
     num_chips, placement, interconnect, hbm_bytes:
         Pod scaling: ``num_chips=K > 1`` replicates ``device`` into a
         :class:`~repro.hw.pod.TpuPod` of K clones (handing a pod in as
@@ -176,10 +164,6 @@ class ExplanationService:
         hbm_bytes: int | None = None,
         controller: BatchController | None = None,
         key_weights: dict | None = None,
-        warm_cache: bool = False,
-        warm_min_gap_seconds: float = 0.25,
-        warm_max_per_gap: int = 4,
-        warm_tracked: int = 64,
         metrics_name: str | None = "serve",
     ) -> None:
         defaults = FleetExecutor(
@@ -228,30 +212,6 @@ class ExplanationService:
         else:
             self.cache = ExplanationCache(max_bytes=cache_max_bytes)
         self.admission = admission
-        if warm_min_gap_seconds <= 0:
-            raise ValueError(
-                f"warm_min_gap_seconds must be positive, got "
-                f"{warm_min_gap_seconds}"
-            )
-        if warm_max_per_gap <= 0:
-            raise ValueError(
-                f"warm_max_per_gap must be positive, got {warm_max_per_gap}"
-            )
-        self.warm_min_gap_seconds = float(warm_min_gap_seconds)
-        self.warm_max_per_gap = int(warm_max_per_gap)
-        self.warmer: SpeculativeWarmer | None = None
-        if warm_cache:
-            if self.cache is None:
-                raise ValueError(
-                    "warm_cache=True requires a cache (cache_max_bytes "
-                    "must not be None)"
-                )
-            self.warmer = SpeculativeWarmer(max_tracked=warm_tracked)
-            self.cache.on_evict = self.warmer.note_eviction
-        # Conservative per-warm cost estimate (simulated seconds),
-        # learned from actual warm dispatches so a gap never overruns
-        # into the next arrival after the first warm of a session.
-        self._warm_cost_estimate = 0.0
         # One executor per batch key and one lazy mask plan per
         # (granularity, block_shape, plane shape): built on first use,
         # reused for every later request and every later process() call.
@@ -275,7 +235,6 @@ class ExplanationService:
             "cache_hit_completions": 0,
             "dispatches": 0,
             "waves": 0,
-            "warm_recomputes": 0,
         }
         self.dispatch_counts: dict[tuple, int] = {}
         if metrics_name is not None:
@@ -291,8 +250,8 @@ class ExplanationService:
         """Flat labeled counters for the metrics registry.
 
         Lifetime lifecycle counters, cache hit/miss/eviction totals,
-        admission admit/shed totals (per bound), warmer recomputes, and
-        per-key dispatch counts (labeled by the key tuple).
+        admission admit/shed totals (per bound), and per-key dispatch
+        counts (labeled by the key tuple).
         """
         out = dict(self._lifetime)
         if self.cache is not None:
@@ -304,8 +263,6 @@ class ExplanationService:
             out["shed"] = self.admission.shed
             for bound, count in sorted(self.admission.sheds_by_reason.items()):
                 out[f"shed_{bound}"] = count
-        if self.warmer is not None:
-            out["warmed"] = self.warmer.warmed
         for key_tuple, count in sorted(self.dispatch_counts.items(), key=repr):
             label = ":".join(str(part) for part in key_tuple)
             out[f"dispatches[{label}]"] = count
@@ -463,11 +420,10 @@ class ExplanationService:
         Deterministic discrete-event execution: requests are taken in
         ``(arrival_time, request_id)`` order; between arrivals the only
         events are batch deadlines, and the clock advances by device
-        simulated seconds whenever a batch dispatches (or, with
-        warming on, whenever an idle gap re-distills an evicted
-        explanation).  Once the trace is exhausted pending batches
-        flush immediately -- no future arrival can widen them, so the
-        clock never advances past the last completion.  The loop ends
+        simulated seconds whenever a batch dispatches.  Once the trace
+        is exhausted pending batches flush immediately -- no future
+        arrival can widen them, so the clock never advances past the
+        last completion.  The loop ends
         with an idle drain that flushes every known batch key --
         including empty ones, the path that exercises the empty-fleet
         guards.  The device ledger is reset on entry and harvested into
@@ -486,14 +442,13 @@ class ExplanationService:
             tracer.set_thread_name(0, 0, "requests")
             tracer.set_thread_name(0, 1, "dispatch")
             tracer.set_thread_name(0, 2, "controller")
-            tracer.set_thread_name(0, 3, "warmer")
         self.device.reset_stats()
         cache_before = (
             (self.cache.hits, self.cache.misses, self.cache.evictions)
             if self.cache is not None
             else (0, 0, 0)
         )
-        counters = {"dispatches": 0, "waves": 0, "warmed": 0}
+        counters = {"dispatches": 0, "waves": 0}
 
         index = 0
         while index < len(requests) or batcher.pending_count:
@@ -510,10 +465,6 @@ class ExplanationService:
             next_arrival = requests[index].arrival_time
             deadline = batcher.next_deadline()
             if next_arrival <= deadline:
-                if batcher.pending_count == 0:
-                    # An idle gap mid-trace: the only place speculative
-                    # warming may spend device time.
-                    self._warm(next_arrival, clock, counters)
                 clock.advance_to(next_arrival)
                 self._accept(requests[index], batcher, ledger, clock)
                 index += 1
@@ -543,7 +494,6 @@ class ExplanationService:
             cache_hits=cache_after[0] - cache_before[0],
             cache_misses=cache_after[1] - cache_before[1],
             cache_evictions=cache_after[2] - cache_before[2],
-            num_warmed=counters["warmed"],
         )
 
     # ------------------------------------------------------------------
@@ -608,11 +558,6 @@ class ExplanationService:
         digest = None
         if self.cache is not None:
             digest = self._digest(request, key)
-            if self.warmer is not None:
-                self.warmer.note_request(
-                    digest, request.x, request.y, key,
-                    self._plan(key, request.x.shape),
-                )
             hit = self.cache.get(digest)
             if hit is not None:
                 # Served from memory: bit-identical to the cold result,
@@ -794,49 +739,3 @@ class ExplanationService:
                             "p95_estimate": decision.p95_estimate,
                         },
                     )
-
-    def _warm(
-        self,
-        next_arrival: float,
-        clock: SimulatedClock,
-        counters: dict,
-    ) -> None:
-        """Spend an idle drain gap re-distilling evicted explanations.
-
-        Runs only mid-trace with empty queues.  Each staged recurring
-        candidate recomputes through the key's normal executor path --
-        honest simulated device time, bit-identical artifacts -- and
-        re-enters the cache.  A learned per-warm cost estimate keeps
-        the gap from overrunning into the next arrival.
-        """
-        if self.warmer is None or self.cache is None:
-            return
-        gap = next_arrival - clock.now
-        if gap < self.warm_min_gap_seconds:
-            return
-        for _ in range(self.warm_max_per_gap):
-            if next_arrival - clock.now < self._warm_cost_estimate:
-                break
-            candidates = self.warmer.pop_candidates(self.cache, 1)
-            if not candidates:
-                break
-            digest, x, y, key, plan = candidates[0]
-            executor = self._executor(key)
-            before = self.device.stats.seconds
-            start = clock.now
-            traced = tracer.enabled
-            if traced:
-                tracer.origin = start - self.device.trace_seconds
-            fleet = executor.run([(x, y)], plans=[plan])
-            cost = self.device.stats.seconds - before
-            clock.advance(cost)
-            self._warm_cost_estimate = max(self._warm_cost_estimate, cost)
-            self.cache.put(digest, fleet.results[0])
-            self.warmer.warmed += 1
-            counters["warmed"] += 1
-            self._lifetime["warm_recomputes"] += 1
-            if traced and tracer.enabled:
-                tracer.complete(
-                    "warm", "serve", start, cost, 0, 3,
-                    {"digest": digest, "key": list(key.as_tuple())},
-                )

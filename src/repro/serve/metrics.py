@@ -173,8 +173,7 @@ class ServiceReport:
     the whole run; ``num_dispatches`` how many non-empty batches went to
     the fleet executor and ``num_waves`` the scheduler waves they
     resolved to; the cache counters snapshot the service cache's
-    activity during this run; ``num_warmed`` counts explanations the
-    speculative warmer re-distilled during idle drain gaps.
+    activity during this run.
     """
 
     ledger: LatencyLedger
@@ -185,7 +184,6 @@ class ServiceReport:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_evictions: int = 0
-    num_warmed: int = 0
 
     # ------------------------------------------------------------------
     # Headline serving metrics
@@ -234,7 +232,7 @@ class ServiceReport:
         Extends :meth:`LatencyLedger.signature` with the run-level
         counters, so two replays of the same seeded trace must agree
         not just record by record but also on the makespan, dispatch
-        structure, cache activity and warming work.
+        structure and cache activity.
         """
         return (
             self.ledger.signature(),
@@ -244,5 +242,4 @@ class ServiceReport:
             self.cache_hits,
             self.cache_misses,
             self.cache_evictions,
-            self.num_warmed,
         )

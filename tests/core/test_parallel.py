@@ -1,4 +1,4 @@
-"""Section III-D: multi-input parallelism and block matmuls."""
+"""Section III-D: multi-input parallelism."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,8 @@ from repro.core import (
     Assignment,
     AssignmentTable,
     MultiInputScheduler,
-    block_matmul_tasks,
     make_tpu_chip,
     partition_cores,
-    run_block_matmul,
 )
 from repro.fft import fft2
 
@@ -93,51 +91,6 @@ class TestMultiInputScheduler:
     def test_non_matrix_entry_rejected(self):
         with pytest.raises(ValueError):
             MultiInputScheduler(small_chip()).fft2_batch([np.ones(4)])
-
-
-class TestBlockMatmul:
-    def test_tasks_cover_output_grid(self):
-        tasks = block_matmul_tasks(8, 4, 8, grid=(2, 2), num_cores=4)
-        assert len(tasks) == 4
-        covered = np.zeros((8, 8), dtype=int)
-        for task in tasks:
-            covered[task.row_block, task.col_block] += 1
-        np.testing.assert_array_equal(covered, np.ones((8, 8), dtype=int))
-
-    def test_round_robin_core_assignment(self):
-        tasks = block_matmul_tasks(8, 4, 8, grid=(2, 2), num_cores=2)
-        assert [t.core_id for t in tasks] == [0, 1, 0, 1]
-
-    def test_run_block_matmul_matches_numpy(self):
-        chip = small_chip(num_cores=4)
-        rng = np.random.default_rng(6)
-        a = rng.standard_normal((16, 8))
-        b = rng.standard_normal((8, 12))
-        product, elapsed = run_block_matmul(a, b, chip, grid=(2, 2))
-        np.testing.assert_allclose(product, a @ b, atol=1e-6)
-        assert elapsed > 0
-
-    def test_block_parallelism_beats_single_core(self):
-        """At sizes large enough to amortize the merge collective, block
-        partitioning over four cores beats one core (tiny matmuls are
-        interconnect-dominated and rightly do not benefit)."""
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((256, 64))
-        b = rng.standard_normal((64, 256))
-        chip4 = small_chip(num_cores=4)
-        _, elapsed_parallel = run_block_matmul(a, b, chip4, grid=(2, 2))
-        chip1 = small_chip(num_cores=1)
-        _, elapsed_serial = run_block_matmul(a, b, chip1, grid=(1, 1))
-        assert elapsed_parallel < elapsed_serial
-
-    def test_invalid_inputs(self):
-        chip = small_chip()
-        with pytest.raises(ValueError):
-            run_block_matmul(np.ones((2, 3)), np.ones((4, 2)), chip, grid=(1, 1))
-        with pytest.raises(ValueError):
-            block_matmul_tasks(4, 4, 4, grid=(0, 1), num_cores=2)
-        with pytest.raises(ValueError):
-            block_matmul_tasks(4, 4, 4, grid=(1, 1), num_cores=0)
 
 
 class TestElapsedWithSharing:

@@ -1,27 +1,14 @@
-"""Memory region accounting: capacity, bandwidth, allocation lifecycle."""
+"""Memory region specs: capacity, bandwidth and latency."""
 
 import pytest
 
 from repro.hw import (
-    MemoryCapacityError,
-    MemoryRegion,
     MemorySpec,
     accumulator_spec,
     hbm_spec,
     host_link_spec,
     unified_buffer_spec,
 )
-
-
-def small_region(capacity=1000, bandwidth=100.0, latency=0.5):
-    return MemoryRegion(
-        MemorySpec(
-            name="test",
-            capacity_bytes=capacity,
-            bandwidth_bytes_per_sec=bandwidth,
-            latency_sec=latency,
-        )
-    )
 
 
 class TestSpec:
@@ -49,63 +36,3 @@ class TestSpec:
         assert unified_buffer_spec().capacity_bytes == 24 * 1024**2
         assert accumulator_spec().capacity_bytes > 0
         assert host_link_spec().bandwidth_bytes_per_sec < hbm_spec().bandwidth_bytes_per_sec
-
-
-class TestAllocation:
-    def test_alloc_free_cycle(self):
-        region = small_region()
-        handle = region.alloc(400, label="activations")
-        assert region.allocated_bytes == 400
-        region.free(handle)
-        assert region.allocated_bytes == 0
-
-    def test_capacity_exceeded_raises(self):
-        region = small_region(capacity=100)
-        region.alloc(80)
-        with pytest.raises(MemoryCapacityError):
-            region.alloc(30)
-
-    def test_error_message_names_region_and_label(self):
-        region = small_region(capacity=10)
-        with pytest.raises(MemoryCapacityError, match="test.*weights"):
-            region.alloc(11, label="weights")
-
-    def test_peak_tracking(self):
-        region = small_region()
-        a = region.alloc(300)
-        b = region.alloc(500)
-        region.free(a)
-        region.alloc(100)
-        assert region.peak_bytes == 800
-        region.free(b)
-        assert region.peak_bytes == 800  # peak is sticky
-
-    def test_double_free_raises(self):
-        region = small_region()
-        handle = region.alloc(10)
-        region.free(handle)
-        with pytest.raises(KeyError):
-            region.free(handle)
-
-    def test_free_all(self):
-        region = small_region()
-        region.alloc(10)
-        region.alloc(20)
-        region.free_all()
-        assert region.allocated_bytes == 0
-        assert region.live_allocations == ()
-
-    def test_negative_alloc_rejected(self):
-        with pytest.raises(ValueError):
-            small_region().alloc(-5)
-
-    def test_live_allocations_visible(self):
-        region = small_region()
-        region.alloc(10, label="x")
-        labels = [a.label for a in region.live_allocations]
-        assert labels == ["x"]
-
-    def test_exact_fit_allowed(self):
-        region = small_region(capacity=100)
-        region.alloc(100)  # must not raise
-        assert region.allocated_bytes == 100

@@ -55,6 +55,28 @@ class TestCloneDevice:
             clone_device(Bare())
 
 
+#: The pod constructors that take a chip count (``FleetExecutor``, the
+#: third, is checked with the other fleet options in tests/core/test_fleet.py).
+POD_BUILDERS = {
+    "make_tpu_pod": lambda num_chips: make_tpu_pod(num_chips, num_cores=4),
+    "TpuPod.like": lambda num_chips: TpuPod.like(small_backend(), num_chips),
+}
+
+
+class TestChipCount:
+    @pytest.mark.parametrize("num_chips", (2.7, 3.9, 2.0, 0, -1, "2"))
+    @pytest.mark.parametrize("builder", sorted(POD_BUILDERS))
+    def test_anything_but_an_integer_of_at_least_one_raises(self, builder, num_chips):
+        with pytest.raises(ValueError, match="num_chips must be an integer >= 1"):
+            POD_BUILDERS[builder](num_chips)
+
+    @pytest.mark.parametrize("builder", sorted(POD_BUILDERS))
+    def test_numpy_integers_build_that_many_chips(self, builder):
+        pod = POD_BUILDERS[builder](np.int64(3))
+        assert isinstance(pod, TpuPod)
+        assert pod.num_chips == 3
+
+
 class TestPodConstruction:
     def test_like_builds_fresh_clones(self):
         template = small_backend()

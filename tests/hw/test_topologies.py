@@ -10,6 +10,8 @@ from repro.hw import (
     MxuConfig,
     TpuCore,
     TpuCoreConfig,
+    hbm_spec,
+    unified_buffer_spec,
 )
 from repro.hw.interconnect import _near_square_side
 
@@ -112,3 +114,29 @@ class TestHbmCapacityInjection:
         fp32_core = self.tiny_core(capacity=capacity, precision="fp32")
         with pytest.raises(MemoryCapacityError):
             fp32_core.matmul(np.ones((32, 32)), np.ones((32, 32)))
+
+    @pytest.mark.parametrize("complex_values", (False, True))
+    @pytest.mark.parametrize("precision, bytes_per_element", (
+        ("int8", 1), ("bf16", 2), ("fp32", 4),
+    ))
+    def test_exact_fit_passes_and_one_byte_over_raises(
+        self, precision, bytes_per_element, complex_values
+    ):
+        m, k, n = 12, 8, 10
+        a = np.ones((m, k)) + (1j if complex_values else 0)
+        b = np.ones((k, n))
+        planes = 2 if complex_values else 1
+        working_set = planes * bytes_per_element * (m * k + k * n + m * n)
+        self.tiny_core(capacity=working_set, precision=precision).matmul(a, b)
+        over = self.tiny_core(capacity=working_set - 1, precision=precision)
+        with pytest.raises(MemoryCapacityError, match=f"working set {working_set} B"):
+            over.matmul(a, b)
+
+    def test_core_memories_are_their_configured_specs(self):
+        config = TpuCoreConfig(hbm_capacity_bytes=1 << 20, unified_buffer_bytes=1 << 16)
+        core = TpuCore(config)
+        assert core.hbm == hbm_spec(
+            capacity_bytes=1 << 20, bandwidth=config.hbm_bandwidth_bytes_per_sec
+        )
+        assert core.unified_buffer == unified_buffer_spec(1 << 16)
+        assert core.transfer_seconds(4096) == core.hbm.transfer_seconds(4096)

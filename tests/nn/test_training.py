@@ -194,3 +194,20 @@ class TestTrainer:
         trainer = Trainer(model, SGD(model.parameters(), lr=0.01))
         with pytest.raises(ValueError):
             trainer.fit(np.ones((4, 2)), np.zeros(4, dtype=int), epochs=0)
+
+    @pytest.mark.parametrize("optimizer_class", (SGD, Adam))
+    def test_fit_keeps_the_learning_rate_across_epochs(self, optimizer_class):
+        x, y = self.make_blobs(count=32)
+        model = Sequential([Dense(2, 2)])
+        optimizer = optimizer_class(model.parameters(), lr=0.05)
+        rates = []
+        step = optimizer.step
+
+        def recording_step(gradients):
+            rates.append(optimizer.lr)
+            step(gradients)
+
+        optimizer.step = recording_step
+        Trainer(model, optimizer, batch_size=8).fit(x, y, epochs=3)
+        assert rates == [0.05] * 12  # 4 minibatches in each of 3 epochs
+        assert optimizer.lr == 0.05

@@ -158,3 +158,26 @@ class TestTracingOffBitIdentity:
         tracer.clear()
         off, _ = run(False)
         assert on.signature() == off.signature()
+
+
+class TestServeTraceLanes:
+    def test_traced_service_uses_exactly_its_three_lanes(self):
+        service = ExplanationService(
+            TpuBackend(make_tpu_chip(num_cores=8)),
+            granularity="blocks", block_shape=BLOCK,
+            controller=BatchController(target_p95_seconds=0.05),
+            metrics_name=None,
+        )
+        trace = bursty_requests(
+            count=24, burst_size=8, burst_gap=0.5, seed=3,
+            shape=PLANE, repeat_fraction=0.3,
+        )
+        tracer.enable()
+        service.process(trace)
+        tracer.disable()
+        lanes = {
+            tid: name for (pid, tid), name in tracer.thread_names.items()
+            if pid == 0
+        }
+        assert lanes == {0: "requests", 1: "dispatch", 2: "controller"}
+        assert {event.tid for event in tracer.events if event.pid == 0} <= set(lanes)

@@ -187,6 +187,21 @@ class TestServeCounters:
         gc.collect()
         assert "serve-gone" not in metrics_snapshot()
 
+    def test_counters_are_lifecycle_cache_and_admission_totals(self):
+        service = self.make_service(metrics_name=None)
+        report = self.run_trace(service)
+        counters = service.metrics_counters()
+        assert {
+            name for name in counters if not name.startswith(("dispatches[", "shed_"))
+        } == {
+            "requests", "completed", "rejected", "cache_hit_completions",
+            "dispatches", "waves", "cache_hits", "cache_misses",
+            "cache_evictions", "admitted", "shed",
+        }
+        assert counters["cache_hits"] == report.cache_hits
+        assert counters["cache_hit_completions"] == len(report.ledger.cache_hits)
+        assert counters["waves"] == report.num_waves
+
     def test_reset_metrics_counters(self):
         service = self.make_service(metrics_name=None)
         self.run_trace(service)

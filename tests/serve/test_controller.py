@@ -1,4 +1,4 @@
-"""The serving autopilot: controller law, SLO sweep, fairness, warming.
+"""The serving autopilot: controller law, SLO sweep, fairness.
 
 The PR-9 tentpole contracts:
 
@@ -9,11 +9,9 @@ The PR-9 tentpole contracts:
   setting misses at one rate or more, with goodput no worse than the
   best static at the seeded 400 req/s trace;
 * weighted-fair dispatch improves every starved key's p99 against the
-  FIFO baseline on a hot-key trace;
-* speculative cache warming strictly increases the warm-cache hit
-  rate; and
-* all of it bit-identically: controller on/off, fair/fifo, warming
-  on/off never change a single explanation score -- and identical
+  FIFO baseline on a hot-key trace; and
+* all of it bit-identically: controller on/off and fair/fifo never
+  change a single explanation score -- and identical
   seeded traces replay identical :meth:`ServiceReport.signature`\\ s
   across repeat-fraction and burstiness settings.
 """
@@ -33,7 +31,6 @@ from repro.serve import (
     merge_traces,
     poisson_requests,
 )
-from repro.serve.cache import result_nbytes
 
 SHAPE = (16, 16)
 BLOCK = (4, 4)
@@ -371,85 +368,6 @@ class TestFairness:
 
 
 # ----------------------------------------------------------------------
-# Speculative cache warming
-# ----------------------------------------------------------------------
-
-
-def dashboard_trace(
-    num_bursts=12, churn=8, pool=6, recurring_per_burst=2, gap=0.5, seed=0
-):
-    """Monitoring-dashboard traffic: each burst carries one-shot churn
-    plus a rotating slice of a small recurring pool, separated by idle
-    gaps long enough to warm in."""
-    rng = np.random.default_rng(seed)
-    recurring = [
-        (rng.standard_normal(SHAPE), rng.standard_normal(SHAPE))
-        for _ in range(pool)
-    ]
-    requests, request_id, slot = [], 0, 0
-    for burst in range(num_bursts):
-        t = burst * gap
-        for _ in range(churn):
-            requests.append(
-                Request(
-                    request_id, t,
-                    rng.standard_normal(SHAPE), rng.standard_normal(SHAPE),
-                )
-            )
-            request_id += 1
-        for _ in range(recurring_per_burst):
-            x, y = recurring[slot % pool]
-            slot += 1
-            requests.append(Request(request_id, t, x, y))
-            request_id += 1
-    return requests
-
-
-class TestSpeculativeWarming:
-    def _budget(self, entries=8):
-        probe = make_service(cache_max_bytes=1 << 20)
-        report = probe.process(dashboard_trace(num_bursts=1, churn=1, pool=1))
-        return entries * result_nbytes(report.ledger.completed[0].result)
-
-    def test_warming_strictly_increases_the_hit_rate_bit_identically(self):
-        trace = dashboard_trace()
-        budget = self._budget()
-        cold = make_service(cache_max_bytes=budget).process(trace)
-        warm = make_service(cache_max_bytes=budget, warm_cache=True).process(trace)
-        assert cold.cache_evictions > 0  # the scenario actually churns
-        assert warm.num_warmed > 0
-        assert warm.cache_hits > cold.cache_hits  # strictly more hits
-        assert cold.num_warmed == 0
-        # Warming re-runs the same executor path: every response equal.
-        assert_scores_equal(cold, warm)
-
-    def test_warming_never_runs_without_idle_gaps(self):
-        # Back-to-back bursts leave no gap >= warm_min_gap_seconds.
-        trace = dashboard_trace(gap=0.05)
-        budget = self._budget()
-        report = make_service(
-            cache_max_bytes=budget, warm_cache=True,
-            warm_min_gap_seconds=0.25,
-        ).process(trace)
-        assert report.num_warmed == 0
-
-    def test_warming_is_deterministic(self):
-        budget = self._budget()
-        first = make_service(
-            cache_max_bytes=budget, warm_cache=True
-        ).process(dashboard_trace())
-        second = make_service(
-            cache_max_bytes=budget, warm_cache=True
-        ).process(dashboard_trace())
-        assert first.signature() == second.signature()
-        assert first.num_warmed == second.num_warmed > 0
-
-    def test_warm_cache_requires_a_cache(self):
-        with pytest.raises(ValueError, match="cache"):
-            make_service(cache_max_bytes=None, warm_cache=True)
-
-
-# ----------------------------------------------------------------------
 # Determinism and the idle-drain clock contract
 # ----------------------------------------------------------------------
 
@@ -535,3 +453,24 @@ class TestIdleDrainClock:
         # The final flush happened at trace exhaustion, not after the
         # 500ms window expired.
         assert last_completion < last_arrival + 0.5
+
+    def test_an_idle_gap_spends_no_clock_before_the_next_arrival(self):
+        # Nothing runs while the queues are empty: a request arriving
+        # after a long gap is enqueued at its own arrival time, whether
+        # the cache answers it or it waits for a dispatch.
+        rng = np.random.default_rng(8)
+        x, y = rng.standard_normal(SHAPE), rng.standard_normal(SHAPE)
+        fresh = rng.standard_normal(SHAPE), rng.standard_normal(SHAPE)
+        trace = [
+            Request(0, 0.0, x, y),
+            Request(1, 2.0, x, y),
+            Request(2, 2.0, *fresh),
+        ]
+        report = make_service(cache_max_bytes=1 << 20).process(trace)
+        records = {r.request_id: r for r in report.ledger.completed}
+        assert records[0].completion_time < 1.0  # the gap really is idle
+        assert records[1].cache_hit and not records[2].cache_hit
+        for request_id in (1, 2):
+            record = records[request_id]
+            assert record.enqueue_time == record.arrival_time == 2.0
+        assert records[2].dispatch_time == 2.0

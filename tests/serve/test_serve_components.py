@@ -13,7 +13,6 @@ from repro.serve import (
     QueuedRequest,
     Request,
     SimulatedClock,
-    SpeculativeWarmer,
     bursty_requests,
     explanation_digest,
     merge_traces,
@@ -463,76 +462,3 @@ class TestMicroBatcher:
             MicroBatcher(max_batch_pairs=0)
         with pytest.raises(ValueError):
             MicroBatcher(weights={KEY: 0.0})
-
-
-class TestSpeculativeWarmerBookkeeping:
-    def _cache_with(self, *digests):
-        cache = ExplanationCache(max_bytes=1 << 20)
-        for digest in digests:
-            cache.put(digest, _result())
-        return cache
-
-    def test_one_shot_evictions_are_never_staged(self):
-        warmer = SpeculativeWarmer()
-        warmer.note_request("d", None, None, KEY, None)
-        warmer.note_eviction("d")  # seen once: not worth warming
-        assert warmer.staged_count == 0
-
-    def test_recurring_evictions_stage_and_pop_in_eviction_order(self):
-        warmer = SpeculativeWarmer()
-        for digest in ("a", "b"):
-            warmer.note_request(digest, 1, 2, KEY, None)
-            warmer.note_request(digest, 1, 2, KEY, None)
-        warmer.note_eviction("b")
-        warmer.note_eviction("a")
-        cache = self._cache_with()
-        candidates = warmer.pop_candidates(cache, limit=10)
-        assert [c[0] for c in candidates] == ["b", "a"]
-        assert candidates[0][1:] == (1, 2, KEY, None)
-        # Popped candidates are consumed.
-        assert warmer.pop_candidates(cache, limit=10) == []
-
-    def test_pop_skips_digests_the_cache_reacquired(self):
-        warmer = SpeculativeWarmer()
-        for _ in range(2):
-            warmer.note_request("a", 1, 2, KEY, None)
-        warmer.note_eviction("a")
-        cache = self._cache_with("a")  # refilled by a later miss
-        assert warmer.pop_candidates(cache, limit=10) == []
-
-    def test_limit_caps_the_candidates(self):
-        warmer = SpeculativeWarmer()
-        for digest in ("a", "b", "c"):
-            warmer.note_request(digest, 1, 2, KEY, None)
-            warmer.note_request(digest, 1, 2, KEY, None)
-            warmer.note_eviction(digest)
-        cache = self._cache_with()
-        assert len(warmer.pop_candidates(cache, limit=2)) == 2
-        assert len(warmer.pop_candidates(cache, limit=2)) == 1
-
-    def test_max_tracked_bounds_the_plane_memory(self):
-        warmer = SpeculativeWarmer(max_tracked=2)
-        for digest in ("a", "b", "c"):  # "a" falls off the tracked LRU
-            warmer.note_request(digest, 1, 2, KEY, None)
-            warmer.note_request(digest, 1, 2, KEY, None)
-        warmer.note_eviction("a")  # planes are gone: cannot stage
-        warmer.note_eviction("c")
-        cache = self._cache_with()
-        assert [c[0] for c in warmer.pop_candidates(cache, 10)] == ["c"]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SpeculativeWarmer(max_tracked=0)
-        with pytest.raises(ValueError):
-            SpeculativeWarmer(min_recurrences=1)
-
-
-class TestCacheEvictionHook:
-    def test_on_evict_fires_with_the_evicted_digest(self):
-        entry = _result()
-        cache = ExplanationCache(max_bytes=2 * result_nbytes(entry))
-        evicted = []
-        cache.on_evict = evicted.append
-        for name in ("a", "b", "c", "d"):
-            cache.put(name, _result())
-        assert evicted == ["a", "b"]
