@@ -36,6 +36,7 @@ EXPORTS = {
     ),
     "distillation": ("ConvolutionDistiller", "NotFittedError"),
     "fleet": (
+        "CheckedPair",
         "FleetExecutor",
         "FleetRun",
         "FleetSchedule",

@@ -33,7 +33,7 @@ import numpy as np
 from repro.hw.device import Device
 from repro.hw.interconnect import Interconnect, InterconnectConfig
 from repro.hw.mxu import Mxu, MxuConfig
-from repro.hw.pod import TpuPod, check_num_chips
+from repro.hw.pod import TpuPod, check_hbm_bytes, check_num_chips
 from repro.hw.quantize import infeed_bytes_per_element, resolve_precision
 from repro.hw.tpu import TpuChip, TpuChipConfig, TpuCoreConfig
 
@@ -106,10 +106,8 @@ class TpuBackend(Device):
         """
         trace = self.chip.trace
         config = self.chip.config
+        hbm_bytes = check_hbm_bytes(hbm_bytes)
         if hbm_bytes is not None:
-            hbm_bytes = int(hbm_bytes)
-            if hbm_bytes <= 0:
-                raise ValueError(f"hbm_bytes must be positive, got {hbm_bytes}")
             config = replace(
                 config,
                 core=replace(

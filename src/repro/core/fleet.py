@@ -143,7 +143,7 @@ device's modeled HBM (:attr:`~repro.hw.device
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -175,7 +175,7 @@ from repro.fft.convolution import (
 from repro.fft.fft import rfft
 from repro.fft.spectra import kernel_spectrum
 from repro.hw.device import Device, shard_slices
-from repro.hw.pod import PodWaveStats, TpuPod, check_num_chips
+from repro.hw.pod import PodWaveStats, TpuPod, check_hbm_bytes, check_num_chips
 from repro.hw.quantize import resolve_precision
 from repro.obs.tracer import tracer
 
@@ -406,6 +406,25 @@ class PairResult:
     residual: float
 
 
+@dataclass(frozen=True, eq=False)
+class CheckedPair:
+    """A pair :meth:`FleetExecutor.check_pair` accepted; unpacks as ``(x, y)``.
+
+    ``y_plane`` is ``y`` lifted onto ``x``'s plane (the plane Eq. 5
+    compares against) and ``plan`` the ``executor``'s mask plan for
+    ``x``'s shape; any other executor checks the pair again.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    y_plane: np.ndarray
+    plan: MaskSpec | None
+    executor: FleetExecutor = field(repr=False)
+
+    def __iter__(self):
+        return iter((self.x, self.y))
+
+
 @dataclass(frozen=True)
 class _WaveNumbers:
     """One wave's host results, which every pricing target reads.
@@ -421,7 +440,6 @@ class _WaveNumbers:
     indices: tuple[int, ...]
     plane_shape: tuple[int, int]
     kernels: np.ndarray
-    y_planes: list
     scores: np.ndarray
     element_scores: list
     preds: np.ndarray
@@ -436,10 +454,13 @@ class FleetRun:
 
     The executor records onto its device's ledger and leaves harvesting
     it to the caller that owns the ledger for the whole run.
+    ``problems`` maps each pair whose explanation is not finite, in pair
+    order, to the reason; its result stays in ``results``.
     """
 
     results: tuple[PairResult, ...]
     schedule: FleetSchedule
+    problems: dict[int, str] = field(default_factory=dict)
 
     @property
     def num_waves(self) -> int:
@@ -466,10 +487,10 @@ class FleetExecutor:
     budget).  ``precision`` selects the numeric mode of each wave's
     batched convolution (see the module docstring); quantizing
     precisions reject the ``elements`` granularity, whose linearity
-    fast path quantization breaks.  ``num_chips`` must be an integer of
-    at least 1, and ``max_pairs_per_wave``, ``chunk_rows`` and
-    ``max_stack_bytes`` at least 1 when given; any other value raises
-    ``ValueError`` here rather than at the first dispatch.
+    fast path quantization breaks.  ``num_chips``, ``hbm_bytes``,
+    ``max_pairs_per_wave``, ``chunk_rows`` and ``max_stack_bytes`` must
+    be at least 1 when given (the first two integers); any other value
+    raises ``ValueError`` here rather than at the first dispatch.
 
     Execution per wave: one host pass (:meth:`_compute_wave`) -- one
     stacked Eq. 4 solve yields every pair's kernel, then all pairs'
@@ -525,6 +546,7 @@ class FleetExecutor:
             )
         if num_chips is not None:
             num_chips = check_num_chips(num_chips)
+        hbm_bytes = check_hbm_bytes(hbm_bytes)
         for name, value in (
             ("max_pairs_per_wave", max_pairs_per_wave),
             ("chunk_rows", chunk_rows),
@@ -555,13 +577,11 @@ class FleetExecutor:
             self.pod = None
         self.placement = placement
         self.device = self.pod if self.pod is not None else device
-        if hbm_bytes is not None and int(hbm_bytes) <= 0:
-            raise ValueError(f"hbm_bytes must be positive, got {hbm_bytes}")
         # The capacity knob: an explicit override, else whatever the
         # device models (a pod reports its smallest member chip).  Kept
         # separately from max_stack_bytes so schedule-time budgeting can
         # clamp to it (see effective_stack_bytes).
-        self.hbm_bytes = None if hbm_bytes is None else int(hbm_bytes)
+        self.hbm_bytes = hbm_bytes
         self.granularity = granularity
         self.block_shape = block_shape
         self.eps = eps
@@ -572,6 +592,7 @@ class FleetExecutor:
         self.max_stack_bytes = max_stack_bytes
         self.max_pairs_per_wave = max_pairs_per_wave
         self.chunk_rows = chunk_rows
+        self._plans: dict[tuple, MaskSpec | None] = {}  # plan_for's memo
 
     # ------------------------------------------------------------------
     # Planning
@@ -599,110 +620,97 @@ class FleetExecutor:
         """The lazy mask plan this executor scores ``x`` with.
 
         ``None`` for the ``elements`` granularity (linearity fast path:
-        only the residual row).  Public so submit-time callers -- the
-        online service's micro-batcher -- can build each plane shape's
-        :class:`~repro.core.masking.MaskSpec` once and hand it back to
-        :meth:`run` via ``plans=`` for every request that reuses it.
+        only the residual row).  Built once per plane shape and kept, so
+        every later pair of that shape gets the same
+        :class:`~repro.core.masking.MaskSpec` object.  Raises
+        ``ValueError`` when the plan cannot build, e.g. a block shape
+        that does not tile ``x``.
         """
-        if self.granularity == "elements":
-            return None  # linearity fast path: only the residual row
-        return MaskSpec.for_granularity(
-            self.granularity, np.asarray(x).shape, block_shape=self.block_shape
-        )
+        shape = np.shape(x)
+        if shape not in self._plans:
+            self._plans[shape] = (
+                None if self.granularity == "elements"
+                else MaskSpec.for_granularity(
+                    self.granularity, shape, block_shape=self.block_shape
+                )
+            )
+        return self._plans[shape]
 
     def schedule(self, pairs) -> FleetSchedule:
-        """Wave-plan a fleet without executing it (empty fleets plan empty)."""
-        pairs = list(pairs)
-        xs = [np.asarray(x) for x, _ in pairs]
-        ys = [np.asarray(y) for _, y in pairs]
-        plans = [self.plan_for(self._check_plane(x)) for x in xs]
-        return self._schedule(xs, ys, plans)
-
-    def _schedule(self, xs, ys, plans) -> FleetSchedule:
+        """Wave-plan a fleet without executing it, checking its pairs as
+        :meth:`run` does (empty fleets plan empty)."""
+        pairs = self._checked_pairs(pairs)
         return FleetSchedule.plan(
-            [x.shape for x in xs],
-            [0 if plan is None else plan.num_masks for plan in plans],
+            [pair.x.shape for pair in pairs],
+            [0 if pair.plan is None else pair.plan.num_masks for pair in pairs],
             max_stack_bytes=self.effective_stack_bytes,
             max_pairs_per_wave=self.max_pairs_per_wave,
-            dtypes=[wave_dtype_key(x, y) for x, y in zip(xs, ys)],
+            dtypes=[wave_dtype_key(pair.x, pair.y) for pair in pairs],
         )
 
-    @staticmethod
-    def _check_plane(x: np.ndarray) -> np.ndarray:
-        if x.ndim != 2:
-            raise ValueError(f"fleet pairs must be matrices, got shape {x.shape}")
-        return x
+    def check_pair(self, x, y) -> CheckedPair:
+        """``(x, y)`` checked against the input contract, ready to run.
 
-    def lift_output(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """``y`` lifted onto ``x``'s plane: the plane Eq. 5 compares against.
-
-        A matrix ``y`` of ``x``'s shape passes through; anything else is
-        embedded by the executor's :class:`OutputEmbedding`.  Raises
-        ``ValueError`` when ``y`` cannot lift (an 8x8 ``y`` under a
-        16x16 ``x`` with the identity embedding, say).
+        The one home of the rules a pair must meet before any work, in
+        order: ``x`` is a matrix; its plan builds (:meth:`plan_for`);
+        ``x`` and ``y`` have a bool, integer, floating or complex dtype;
+        both are finite (a NaN or an inf would score the pair NaN
+        everywhere without an error); ``y`` lifts onto ``x``'s plane,
+        as a matrix of ``x``'s shape or through the executor's
+        :class:`OutputEmbedding`; and at ``eps = 0`` the spectrum of
+        ``x`` has no zero bin (:func:`spectrum_problem`).  Raises
+        ``ValueError`` with the reason of the first rule it breaks.
         """
+        x, y = np.asarray(x), np.asarray(y)
+        if x.ndim != 2:
+            raise ValueError(f"x must be a matrix, got shape {x.shape}")
+        plan = self.plan_for(x)
+        for name, plane in (("x", x), ("y", y)):
+            if plane.dtype.kind not in "biufc":
+                raise ValueError(
+                    f"{name} has dtype {plane.dtype}, not bool, integer, floating or complex"
+                )
+        for name, plane in (("x", x), ("y", y)):
+            if not np.isfinite(plane).all():
+                raise ValueError(f"{name} holds non-finite values")
         try:
-            return self._lifter.lift_outputs(y, 1, x.shape)[0]
+            y_plane = self._lifter.lift_outputs(y, 1, x.shape)[0]
         except ValueError as error:
             raise ValueError(
-                f"y of shape {np.shape(y)} cannot lift onto x's {x.shape} "
-                f"plane: {error}"
+                f"y of shape {y.shape} cannot lift onto x's {x.shape} plane: {error}"
             ) from None
+        problem = spectrum_problem(x, self.eps)
+        if problem is not None:
+            raise ValueError(problem)
+        return CheckedPair(x, y, y_plane, plan, self)
 
-    def _check_pairs(self, xs, ys) -> list:
-        """Each pair's lifted ``y``, after rejecting the first bad pair.
-
-        A NaN or an inf in ``x`` or ``y``, or at ``eps = 0`` a zero bin
-        in the spectrum of ``x`` (:func:`spectrum_problem`), would score
-        NaN everywhere without an error, and its NaNs would slip past
-        every comparison on the way.  A ``y`` that cannot lift onto its
-        ``x``'s plane (:meth:`lift_output`) would fail its wave midway.
-        """
-        lifted = []
-        for index, (x, y) in enumerate(zip(xs, ys)):
-            for name, plane in (("x", x), ("y", y)):
-                if not np.isfinite(plane).all():
-                    raise ValueError(f"pair {index}: {name} holds non-finite values")
+    def _checked_pairs(self, pairs) -> list[CheckedPair]:
+        """``pairs`` through :meth:`check_pair`, but for this executor's own."""
+        checked = []
+        for index, pair in enumerate(pairs):
+            if isinstance(pair, CheckedPair) and pair.executor is self:
+                checked.append(pair)
+                continue
             try:
-                lifted.append(self.lift_output(x, y))
+                x, y = pair
+                checked.append(self.check_pair(x, y))
             except ValueError as error:
                 raise ValueError(f"pair {index}: {error}") from None
-            problem = spectrum_problem(x, self.eps)
-            if problem is not None:
-                raise ValueError(f"pair {index}: {problem}")
-        return lifted
-
-    def _check_plans(self, xs, plans) -> list:
-        """Validate caller-supplied plans (or build them) for ``xs``."""
-        if plans is None:
-            return [self.plan_for(x) for x in xs]
-        plans = list(plans)
-        if len(plans) != len(xs):
-            raise ValueError(f"{len(plans)} plans for {len(xs)} pairs")
-        for x, plan in zip(xs, plans):
-            if self.granularity == "elements":
-                if plan is not None:
-                    raise ValueError(
-                        "elements granularity takes no mask plan (the "
-                        "linearity fast path scores without masks)"
-                    )
-                continue
-            if plan is None:
-                raise ValueError(
-                    f"{self.granularity} granularity needs a mask plan per pair"
-                )
-            if tuple(plan.plane_shape) != tuple(x.shape):
-                raise ValueError(
-                    f"plan plane {plan.plane_shape} does not match "
-                    f"pair of shape {x.shape}"
-                )
-        return plans
+        return checked
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, pairs, plans=None) -> FleetRun:
+    def run(self, pairs) -> FleetRun:
         """Explain every pair; returns results in input order.
+
+        ``pairs`` holds ``(x, y)`` pairs or :class:`CheckedPair`\\ s: a
+        :class:`CheckedPair` this executor made runs as it is, and every
+        other pair goes through :meth:`check_pair` first, so a pair that
+        breaks the input contract raises ``ValueError`` naming the first
+        such pair (``pair i: <reason>``), before any work.  An empty
+        fleet returns an empty run (zero waves, zero simulated seconds)
+        -- the service's idle drain path.
 
         The waves execute inside a ``device.pipeline()`` scope: wave
         ``i+1``'s dispatch + infeed overlaps wave ``i``'s compute, and
@@ -712,26 +720,16 @@ class FleetExecutor:
         outfeed_last`` (intermediate outfeeds riding with their wave's
         compute) instead of the serial sum.
 
-        ``plans`` optionally hands back pre-built lazy mask plans (one
-        :class:`~repro.core.masking.MaskSpec` -- or ``None`` for the
-        ``elements`` fast path -- per pair, as :meth:`plan_for`
-        returns): submit-time plan reuse, so a serving layer batching
-        many same-shape requests builds each shape's spec once instead
-        of once per dispatch.  An empty fleet returns an empty run
-        (zero waves, zero simulated seconds) -- the service's idle
-        drain path.  A pair whose ``x`` or ``y`` is not finite, whose
-        ``y`` cannot lift onto its ``x``'s plane, or at ``eps = 0`` whose
-        ``x`` has a zero spectrum bin, raises ``ValueError`` naming the
-        first such pair, before any work.
+        Once a wave is assembled, its pairs' kernels, scores and
+        residuals are checked for non-finite values in one pass
+        (:meth:`_check_wave`): a finite pair whose Eq. 4 solve or
+        reduction overflows is named in :attr:`FleetRun.problems`, and
+        its wave mates are unaffected.
         """
-        pairs = list(pairs)
+        pairs = self._checked_pairs(pairs)
         if not pairs:
             return FleetRun(results=(), schedule=FleetSchedule(waves=()))
-        xs = [self._check_plane(np.asarray(x)) for x, _ in pairs]
-        ys = [np.asarray(y) for _, y in pairs]
-        lifted = self._check_pairs(xs, ys)
-        plans = self._check_plans(xs, plans)
-        schedule = self._schedule(xs, ys, plans)
+        schedule = self.schedule(pairs)
         if tracer.enabled:
             pid = tracer.pid_for(self.device)
             tracer.set_thread_name(pid, _FLEET_TID, "fleet")
@@ -745,22 +743,46 @@ class FleetExecutor:
                 },
             )
         results: list[PairResult | None] = [None] * len(pairs)
+        problems: dict[int, str] = {}
         if self.pod is not None:
             # Pod execution: the pod's stage model owns all cross-wave
             # overlap (wave i+1's collectives overlap wave i's compute);
             # chip-level pipeline scopes are not opened, so overlap is
             # never double-counted.
-            self._run_pod(schedule, xs, ys, lifted, plans, results)
+            self._run_pod(schedule, pairs, results, problems)
         else:
             with self.device.pipeline():
                 for wave in schedule.waves:
-                    self._price_share(
-                        self.device, self._compute_wave(wave, xs, ys, lifted, plans),
-                        slice(None), xs, ys, plans, results,
-                    )
-        return FleetRun(results=tuple(results), schedule=schedule)
+                    numbers = self._compute_wave(wave, pairs)
+                    self._price_share(self.device, numbers, slice(None), pairs, results)
+                    self._check_wave(numbers, results, problems)
+        return FleetRun(
+            results=tuple(results), schedule=schedule,
+            problems=dict(sorted(problems.items())),
+        )
 
-    def _compute_wave(self, wave: WavePlan, xs, ys, lifted, plans) -> _WaveNumbers:
+    @staticmethod
+    def _check_wave(numbers, results, problems: dict) -> None:
+        """Name each pair of an assembled wave whose explanation is not finite.
+
+        One pass over the wave's kernels, scores (``elements`` scores made
+        at assembly included) and residuals: an Eq. 4 solve or reduction
+        that overflows leaves only numpy's ``RuntimeWarning``.
+        """
+        indices = numbers.indices
+        finite = {
+            name: np.isfinite(part).reshape(len(indices), -1).all(axis=1)
+            for name, part in (
+                ("kernel", numbers.kernels),
+                ("scores", np.stack([results[i].scores for i in indices])),
+                ("residual", numbers.residuals),
+            )
+        }
+        for local in np.flatnonzero(~np.logical_and.reduce(list(finite.values()))):
+            names = ", ".join(name for name, ok in finite.items() if not ok[local])
+            problems[indices[local]] = f"the explanation holds non-finite values ({names})"
+
+    def _compute_wave(self, wave: WavePlan, pairs) -> _WaveNumbers:
         """Every number of one wave, computed once on the host.
 
         One stacked Eq. 4 solve gives every pair's kernel; then the
@@ -789,20 +811,20 @@ class FleetExecutor:
         ledger changes.
         """
         indices = wave.pair_indices
-        y_planes = [lifted[i] for i in indices]
-        x_stack = np.stack([xs[i] for i in indices])
-        y_stack = np.stack(y_planes)
+        members = [pairs[i] for i in indices]
+        x_stack = np.stack([pair.x for pair in members])
+        y_stack = np.stack([pair.y_plane for pair in members])
         kernels = _solve_stack(
             x_stack[:, np.newaxis], y_stack[:, np.newaxis], self.eps, device_chain=True
         )
-        wave_plans = [plans[i] for i in indices]
+        wave_plans = [pair.plan for pair in members]
         counts = [0 if plan is None else plan.num_masks for plan in wave_plans]
         row_pair, row_slot, is_mask = wave_row_map(counts)
         rows_per_chunk = effective_chunk_rows(
             wave.plane_shape, self.chunk_rows, self.effective_stack_bytes,
             what="streamed wave chunk",
         )
-        sources, fills = self._fill_sources(x_stack, [xs[i] for i in indices])
+        sources, fills = self._fill_sources(x_stack, [pair.x for pair in members])
         spec = self.precision
         shared = None
         if (
@@ -811,7 +833,7 @@ class FleetExecutor:
         ):
             half = kernel_spectrum(kernels, real=True, precision=spec).array
             shared = _bin_major_rows(sources, real=True), half
-        score_plans = self._linearity_plans(wave, xs, ys, wave_plans, shared)
+        score_plans = self._linearity_plans(wave, pairs, wave_plans, shared)
         # With the masks scored by linearity only the residual rows are
         # convolved; otherwise every row of the wave is.
         convolved_rows = (
@@ -848,7 +870,6 @@ class FleetExecutor:
             indices=indices,
             plane_shape=wave.plane_shape,
             kernels=kernels,
-            y_planes=y_planes,
             scores=scores,
             element_scores=element_scores,
             preds=preds,
@@ -857,7 +878,7 @@ class FleetExecutor:
             pair_base=pair_base,
         )
 
-    def _linearity_plans(self, wave, xs, ys, wave_plans, shared) -> list | None:
+    def _linearity_plans(self, wave, pairs, wave_plans, shared) -> list | None:
         """The plans a wave's masks score by linearity with, or ``None``.
 
         :func:`~repro.core.interpretation.l2_scores_by_linearity` scores
@@ -871,10 +892,10 @@ class FleetExecutor:
         chunk, not ``chunk_rows``, so that scores never depend on the
         chunk size.
         """
-        first = wave.pair_indices[0]
+        first = pairs[wave.pair_indices[0]]
         if (
             self.reduction != "l2" or shared is None
-            or wave_dtype_key(xs[first], ys[first]) != (np.dtype(np.float64),) * 3
+            or wave_dtype_key(first.x, first.y) != (np.dtype(np.float64),) * 3
         ):
             return None
         shape = wave.plane_shape
@@ -1071,9 +1092,7 @@ class FleetExecutor:
         _record_solve(device, num_pairs, 1, m, n)
         _fleet_span("fleet.solve", device, start, {"pairs": num_pairs})
 
-    def _assemble_results(
-        self, device, numbers, share: slice, xs, plans, results
-    ) -> None:
+    def _assemble_results(self, device, numbers, share: slice, pairs, results) -> None:
         """Reassembly of pairs ``share``: fold their scores and residuals.
 
         Each pair's scores are its slice of the wave's flat score
@@ -1085,28 +1104,28 @@ class FleetExecutor:
         positions = range(len(numbers.indices))[share]
         m, n = numbers.plane_shape
         for local in positions:
-            i = numbers.indices[local]
+            pair = pairs[numbers.indices[local]]
             scores = numbers.element_scores[local]
             if scores is not None:
                 # The ledger row element_scores_from_base records.
                 device.account_elementwise(m * n, flops_per_element=2.0, count=m * n)
-            elif plans[i] is None:
+            elif pair.plan is None:
                 scores = self._element_scores(
-                    xs[i], numbers.kernels[local], numbers.y_planes[local],
-                    numbers.preds[local], device,
+                    pair.x, numbers.kernels[local], pair.y_plane, numbers.preds[local],
+                    device,
                 )
             else:
                 base = numbers.pair_base[local]
-                scores = plans[i].reshape_scores(
+                scores = pair.plan.reshape_scores(
                     numbers.scores[base : base + numbers.pair_rows[local] - 1]
                 )
-            results[i] = PairResult(
+            results[numbers.indices[local]] = PairResult(
                 kernel=numbers.kernels[local], scores=scores,
                 residual=float(numbers.residuals[local]),
             )
         _fleet_span("fleet.assemble", device, start, {"pairs": len(positions)})
 
-    def _price_share(self, device, numbers, share: slice, xs, ys, plans, results):
+    def _price_share(self, device, numbers, share: slice, pairs, results):
         """Price pairs ``share`` of a computed wave as one program on ``device``.
 
         The program's infeed is the pairs' data (at the precision's
@@ -1119,8 +1138,8 @@ class FleetExecutor:
         pair shard.  Returns the program's ``(infeed, outfeed)`` bytes.
         """
         indices = numbers.indices[share]
-        infeed = feed_bytes([a for i in indices for a in (xs[i], ys[i])], self.precision)
-        outfeed = sum(xs[i].nbytes for i in indices)
+        infeed = feed_bytes([a for i in indices for a in pairs[i]], self.precision)
+        outfeed = sum(pairs[i].x.nbytes for i in indices)
         m, n = numbers.plane_shape
         rows = sum(numbers.pair_rows[share])
         start = _span_start(device)
@@ -1128,32 +1147,31 @@ class FleetExecutor:
             self._price_solve(device, len(indices), m, n)
             device._record_kernel_spectra(len(indices), m, n, spec=self.precision)
             device._record_batch_conv(rows, m, n, spec=self.precision)
-            self._assemble_results(device, numbers, share, xs, plans, results)
+            self._assemble_results(device, numbers, share, pairs, results)
         _fleet_span("fleet.wave", device, start, {"pairs": len(indices), "rows": rows})
         return infeed, outfeed
 
     # ------------------------------------------------------------------
     # Pod execution: each wave computed once, priced across K chips
     # ------------------------------------------------------------------
-    def _run_pod(self, schedule, xs, ys, lifted, plans, results) -> None:
+    def _run_pod(self, schedule, pairs, results, problems) -> None:
         """Drive every wave across the pod's chips and commit the ledger."""
         pod = self.pod
         wave_stats: list[PodWaveStats] = []
         for wave_index, wave in enumerate(schedule.waves):
-            numbers = self._compute_wave(wave, xs, ys, lifted, plans)
+            numbers = self._compute_wave(wave, pairs)
             before = [d.stats.seconds for d in pod.devices]
             if self.placement == "chunk":
-                collectives = self._price_chunked(pod, numbers, xs, ys, plans, results)
+                collectives = self._price_chunked(pod, numbers, pairs, results)
             elif self.placement == "wave":
                 chip = wave_index % pod.num_chips
                 collectives = dict(
-                    self._price_data(pod, numbers, [chip], xs, ys, plans, results),
+                    self._price_data(pod, numbers, [chip], pairs, results),
                     chip_index=chip,
                 )
             else:
                 collectives = self._price_data(
-                    pod, numbers, range(min(pod.num_chips, wave.num_pairs)),
-                    xs, ys, plans, results,
+                    pod, numbers, range(min(pod.num_chips, wave.num_pairs)), pairs, results
                 )
             chip_seconds = tuple(
                 device.stats.seconds - start
@@ -1169,9 +1187,10 @@ class FleetExecutor:
                     **collectives,
                 )
             )
+            self._check_wave(numbers, results, problems)
         pod.commit_run(wave_stats)
 
-    def _price_data(self, pod, numbers, chips, xs, ys, plans, results) -> dict:
+    def _price_data(self, pod, numbers, chips, pairs, results) -> dict:
         """The wave's pairs split contiguously across ``chips``.
 
         Chip ``chips[s]`` prices pair shard ``s`` as an ordinary program
@@ -1192,7 +1211,7 @@ class FleetExecutor:
         outfeed_seconds = [0.0] * pod.num_chips
         for chip, share in zip(chips, shard_slices(len(numbers.indices), len(chips))):
             infeed, outfeed = self._price_share(
-                pod.devices[chip], numbers, share, xs, ys, plans, results
+                pod.devices[chip], numbers, share, pairs, results
             )
             link = pod.host_links[chip]
             infeed_seconds[chip] = link.feed_seconds(infeed)
@@ -1289,7 +1308,7 @@ class FleetExecutor:
             ends.append(end)
         return max(ends)
 
-    def _price_chunked(self, pod, numbers, xs, ys, plans, results) -> dict:
+    def _price_chunked(self, pod, numbers, pairs, results) -> dict:
         """Chunk placement: row sharding with the root solve overlapped.
 
         For a single over-wide plan (or any wave whose rows dwarf its
@@ -1316,10 +1335,8 @@ class FleetExecutor:
         num_rows = sum(numbers.pair_rows)
         active = min(pod.num_chips, num_rows)
         m, n = numbers.plane_shape
-        full_infeed = feed_bytes(
-            [a for i in indices for a in (xs[i], ys[i])], self.precision
-        )
-        full_outfeed = sum(xs[i].nbytes for i in indices)
+        full_infeed = feed_bytes([a for i in indices for a in pairs[i]], self.precision)
+        full_outfeed = sum(pairs[i].x.nbytes for i in indices)
 
         # Root solve program: kernels plus the wave's one spectrum
         # batch, measured off the ledger so the row partition can
@@ -1370,7 +1387,7 @@ class FleetExecutor:
             )
         # Reassembly on the root (complex elements pairs may re-convolve
         # eagerly there, as in single-chip execution).
-        self._assemble_results(root, numbers, slice(None), xs, plans, results)
+        self._assemble_results(root, numbers, slice(None), pairs, results)
         spectrum_bytes = m * n * COMPLEX_BYTES
         infeed_seconds = [0.0] * pod.num_chips
         outfeed_seconds = [0.0] * pod.num_chips
@@ -1401,14 +1418,7 @@ class FleetExecutor:
             gated_body_seconds=gated_body,
         )
 
-    def _element_scores(
-        self,
-        x: np.ndarray,
-        kernel: np.ndarray,
-        y_plane: np.ndarray,
-        pred: np.ndarray,
-        device: Device | None = None,
-    ) -> np.ndarray:
+    def _element_scores(self, x, kernel, y_plane, pred, device: Device) -> np.ndarray:
         """Elements granularity: the linearity fast path's base residual.
 
         :func:`~repro.core.interpretation.feature_contributions` casts
@@ -1421,18 +1431,10 @@ class FleetExecutor:
         diverge from ``feature_contributions``; the cast operands are
         re-convolved eagerly instead.
         """
-        device = self.device if device is None else device
-        if (
-            np.iscomplexobj(x)
-            or np.iscomplexobj(kernel)
-            or np.iscomplexobj(y_plane)
-        ):
-            x64 = np.asarray(x, dtype=np.float64)
-            kernel64 = np.asarray(kernel, dtype=np.float64)
+        x64 = np.asarray(x, dtype=np.float64)
+        kernel64 = np.asarray(kernel, dtype=np.float64)
+        if np.iscomplexobj(x) or np.iscomplexobj(kernel) or np.iscomplexobj(y_plane):
             pred = device.conv2d_circular(x64, kernel64)
-        else:
-            x64 = np.asarray(x, dtype=np.float64)
-            kernel64 = np.asarray(kernel, dtype=np.float64)
         base = np.asarray(y_plane, dtype=np.float64) - pred
         return element_scores_from_base(
             x64, kernel64, base, reduction=self.reduction, device=device,

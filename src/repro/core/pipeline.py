@@ -161,11 +161,15 @@ class ExplanationPipeline:
         one ``device.program`` scope whose single batched convolution
         scores every fused pair's mask plan and residual plane at once.
         An empty batch is a zero-cost run -- the serving layer's idle
-        drain path.
+        drain path.  A pair the executor refuses, or whose explanation
+        is not finite, raises ``ValueError`` naming the first such pair.
         """
         self.device.reset_stats()
         fleet = self.executor.run(pairs)
         stats = self.device.take_stats()
+        if fleet.problems:
+            index, problem = next(iter(fleet.problems.items()))
+            raise ValueError(f"pair {index}: {problem}")
         return InterpretationRun(
             device_name=self.device.name,
             explanations=list(fleet.results),

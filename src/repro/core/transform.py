@@ -62,7 +62,7 @@ def spectrum_problem(x, eps: float) -> str | None:
     The solve divides by ``X conj(X) + eps``, ``X`` the 2-D spectrum of
     ``x``; at ``eps = 0`` a bin where that product is exactly 0 gives a
     NaN or infinite kernel with only a ``RuntimeWarning``.  An all-zero
-    or a constant ``x`` has such bins.  The fleet and the service ask
+    or a constant ``x`` has such bins.  ``FleetExecutor.check_pair`` asks
     before any work, and only at ``eps = 0`` does this transform ``x``.
     """
     if eps != 0:

@@ -83,6 +83,19 @@ def check_num_chips(num_chips) -> int:
     return int(num_chips)
 
 
+def check_hbm_bytes(hbm_bytes) -> int | None:
+    """``hbm_bytes`` as an ``int``; ``ValueError`` unless ``None`` or an
+    integer >= 1.  The one HBM-budget check: ``int()`` alone would turn
+    2.7 bytes into 2, and an error would name the truncated value."""
+    if hbm_bytes is None:
+        return None
+    if not (isinstance(hbm_bytes, numbers.Integral) and hbm_bytes >= 1):
+        raise ValueError(
+            f"hbm_bytes must be None or an integer >= 1, got {hbm_bytes!r}"
+        )
+    return int(hbm_bytes)
+
+
 def clone_device(device: Device, hbm_bytes: int | None = None) -> Device:
     """A fresh device of the same configuration (for pod replication).
 
@@ -370,19 +383,14 @@ class TpuPod(Device):
             interconnect = Interconnect(interconnect)
         self.devices = devices
         self.interconnect = interconnect if interconnect is not None else Interconnect()
-        if hbm_bytes is None:
-            overrides = [None] * len(devices)
-        elif isinstance(hbm_bytes, (int, float)):
-            overrides = [int(hbm_bytes)] * len(devices)
+        if hbm_bytes is None or isinstance(hbm_bytes, (numbers.Number, str)):
+            overrides = [check_hbm_bytes(hbm_bytes)] * len(devices)
         else:
-            overrides = [None if v is None else int(v) for v in hbm_bytes]
+            overrides = [check_hbm_bytes(value) for value in hbm_bytes]
             if len(overrides) != len(devices):
                 raise ValueError(
                     f"{len(overrides)} hbm_bytes entries for {len(devices)} chips"
                 )
-        for value in overrides:
-            if value is not None and value <= 0:
-                raise ValueError(f"hbm_bytes must be positive, got {value}")
         self._hbm_overrides = tuple(overrides)
         super().__init__(name=name or f"pod-{len(devices)}x[{devices[0].name}]")
         self.host_links = [HostLink(device) for device in devices]

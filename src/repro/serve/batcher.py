@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.core.masking import MaskSpec
+from repro.core.fleet import CheckedPair
 from repro.serve.workload import Request
 
 
@@ -65,12 +65,13 @@ class BatchKey:
 
 @dataclass(frozen=True)
 class QueuedRequest:
-    """A pending request plus everything resolved at admission time."""
+    """A pending request plus everything resolved at arrival, including
+    the :class:`~repro.core.fleet.CheckedPair` its dispatch runs as is."""
 
     request: Request
     enqueue_time: float
     feed_nbytes: int  # host-link bytes of (x, y) at the key's precision
-    plan: MaskSpec | None  # prebuilt lazy mask plan (submit-time reuse)
+    pair: CheckedPair
     digest: str | None  # content digest, for cache fill after dispatch
 
 

@@ -24,9 +24,10 @@ throughput:
 4. a full or due batch dispatches through
    :meth:`FleetExecutor.run <repro.core.fleet.FleetExecutor.run>`
    -- one wave-fused, double-buffered program
-   train -- with submit-time **plan reuse** (each plane shape's
-   :class:`~repro.core.masking.MaskSpec` is built once, ever), and the
-   clock advances by exactly the
+   train -- on the pairs its requests were checked into at arrival
+   (:class:`~repro.core.fleet.CheckedPair`), so no pair is checked
+   twice and each plane shape's :class:`~repro.core.masking.MaskSpec`
+   is built once per key, ever; the clock advances by exactly the
    device's simulated seconds;
 5. every lifecycle event lands on the **latency ledger**
    (:mod:`repro.serve.metrics`), from which the report derives
@@ -40,16 +41,14 @@ any wave, or answered from cache -- batching and caching change only
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.fleet import (
     GRANULARITIES,
     FleetExecutor,
     check_precision_granularity,
     feed_bytes,
 )
-from repro.core.masking import DEFAULT_STACK_BUDGET_BYTES, MaskSpec
-from repro.core.transform import OutputEmbedding, spectrum_problem
+from repro.core.masking import DEFAULT_STACK_BUDGET_BYTES
+from repro.core.transform import OutputEmbedding
 from repro.hw.device import Device
 from repro.hw.quantize import resolve_precision
 from repro.obs.registry import register_metrics_source
@@ -192,8 +191,6 @@ class ExplanationService:
         self.precision = defaults.precision
         self.eps = eps
         self.embedding = defaults.embedding
-        # Batch keys never change the embedding, so this lift is every key's.
-        self._lift_output = defaults.lift_output
         self.reduction = reduction
         self.fill_value = fill_value
         self.max_stack_bytes = max_stack_bytes
@@ -212,11 +209,12 @@ class ExplanationService:
         else:
             self.cache = ExplanationCache(max_bytes=cache_max_bytes)
         self.admission = admission
-        # One executor per batch key and one lazy mask plan per
-        # (granularity, block_shape, plane shape): built on first use,
-        # reused for every later request and every later process() call.
+        # One executor per batch key, built on first use and reused for
+        # every later request and every later process() call; each keeps
+        # its own plan per plane shape.  A key joins the idle drain once
+        # a request of it is enqueued.
         self._executors: dict[BatchKey, FleetExecutor] = {}
-        self._plans: dict[tuple, MaskSpec | None] = {}
+        self._drain_keys: dict[BatchKey, None] = {}
         # Replay hot-path memos: per-request Python bookkeeping (key
         # resolution, precision specs, content digests) dominates warm
         # replay once explanations come from cache, so each resolves
@@ -380,18 +378,6 @@ class ExplanationService:
             self._spec_memo[precision_name] = resolve_precision(precision_name)
         return self._spec_memo[precision_name]
 
-    def _plan(self, key: BatchKey, plane_shape: tuple[int, int]) -> MaskSpec | None:
-        """Submit-time plan reuse: one MaskSpec per (key, plane shape)."""
-        plan_key = (key.granularity, key.block_shape, tuple(plane_shape))
-        if plan_key not in self._plans:
-            if key.granularity == "elements":
-                self._plans[plan_key] = None
-            else:
-                self._plans[plan_key] = MaskSpec.for_granularity(
-                    key.granularity, plane_shape, block_shape=key.block_shape
-                )
-        return self._plans[plan_key]
-
     def _digest(self, request: Request, key: BatchKey) -> str:
         """Content digest, memoized by plane identity for warm replay."""
         return self._digest_memo.lookup(
@@ -473,11 +459,11 @@ class ExplanationService:
                 # jump there and let the next iteration dispatch it.
                 clock.advance_to(deadline)
 
-        # Idle drain: flush every key the service has ever built an
-        # executor for.  Drained-empty keys run FleetExecutor.run([]),
+        # Idle drain: flush every key the service has ever enqueued a
+        # request of.  Drained-empty keys run FleetExecutor.run([]),
         # which must cost nothing -- the empty-input guard the service
         # hits constantly between traffic spells.
-        for key in list(self._executors):
+        for key in list(self._drain_keys):
             self._dispatch(key, batcher, ledger, clock, counters)
 
         cache_after = (
@@ -509,24 +495,24 @@ class ExplanationService:
         """One arrival: validation, admission, then cache, then the batch queue.
 
         A request the fleet cannot explain -- its overrides resolve to
-        no batch key (see :meth:`batch_key`), its ``x`` is not a
-        matrix, its block shape does not tile that plane, its ``x`` or
-        ``y`` holds a NaN or an inf, its ``y`` cannot lift onto that
-        plane (:meth:`FleetExecutor.lift_output`), or at ``eps = 0`` its
-        ``x`` has a zero spectrum bin -- is rejected here with the
-        reason, so it never reaches (and never fails) a dispatch shared
-        with other requests; a request without a key is recorded with an
-        empty one.  Backpressure precedes everything else so a rejected
-        request is genuinely cheap -- no digest hashing, no cache
+        no batch key (see :meth:`batch_key`), or its key's executor's
+        :meth:`~repro.core.fleet.FleetExecutor.check_pair` refuses its
+        ``(x, y)`` -- is rejected here with the reason, so it never
+        reaches (and never fails) a dispatch shared with other requests;
+        a request without a key is recorded with an empty one.  An
+        accepted request queues the :class:`~repro.core.fleet.CheckedPair`
+        it was checked into, which the dispatch runs as it is.
+        Backpressure follows validation and precedes everything else, so
+        a shed request is genuinely cheap -- no digest hashing, no cache
         traffic, no skewed miss counters; only admitted arrivals get the
         cache lookup (a hit then completes without queueing).
         """
+        key = problem = None
         try:
             key = self.batch_key(request)
+            pair = self._executor(key).check_pair(request.x, request.y)
         except ValueError as error:
-            key, problem = None, str(error)
-        else:
-            problem = self._request_problem(request, key)
+            problem = str(error)
         self._lifetime["requests"] += 1
         if tracer.enabled:
             tracer.instant(
@@ -583,8 +569,7 @@ class ExplanationService:
                 )
                 return
 
-        plan = self._plan(key, request.x.shape)
-        self._executor(key)  # ensure the drain path knows this key
+        self._drain_keys[key] = None
         if tracer.enabled:
             tracer.instant(
                 "enqueue", "serve", clock.now, 0, 0,
@@ -596,27 +581,10 @@ class ExplanationService:
                 request=request,
                 enqueue_time=clock.now,
                 feed_nbytes=feed_nbytes,
-                plan=plan,
+                pair=pair,
                 digest=digest,
             ),
         )
-
-    def _request_problem(self, request: Request, key: BatchKey) -> str | None:
-        """Why the fleet could not explain ``request``, or ``None``."""
-        if request.x.ndim != 2:
-            return f"x must be a matrix, got shape {request.x.shape}"
-        try:
-            self._plan(key, request.x.shape)
-        except ValueError as error:  # e.g. a block shape that does not tile x
-            return str(error)
-        for name, plane in (("x", request.x), ("y", request.y)):
-            if not np.isfinite(plane).all():
-                return f"{name} holds non-finite values"
-        try:
-            self._lift_output(request.x, request.y)
-        except ValueError as error:
-            return str(error)
-        return spectrum_problem(request.x, self.eps)
 
     def _reject(self, request, key, reason, event, ledger, clock) -> None:
         """Record ``request`` as rejected for ``reason`` (trace ``event``)."""
@@ -644,7 +612,12 @@ class ExplanationService:
         clock: SimulatedClock,
         counters: dict,
     ) -> None:
-        """Run one key's coalesced batch through the fleet executor."""
+        """Run one key's coalesced batch through the fleet executor.
+
+        A request whose explanation came out non-finite (its entry in
+        :attr:`~repro.core.fleet.FleetRun.problems`) is recorded as
+        rejected with the reason, and nothing is cached for it.
+        """
         batch = batcher.pop(key)
         executor = self._executor(key)
         dispatch_time = clock.now
@@ -655,10 +628,7 @@ class ExplanationService:
             # emitters add the origin to their run-local positions, so
             # this dispatch's device spans start at dispatch_time.
             tracer.origin = dispatch_time - self.device.trace_seconds
-        fleet = executor.run(
-            [(q.request.x, q.request.y) for q in batch],
-            plans=[q.plan for q in batch],
-        )
+        fleet = executor.run([queued.pair for queued in batch])
         # Device time is the only non-arrival source of simulated time.
         clock.advance(self.device.stats.seconds - before)
         if not batch:
@@ -694,7 +664,13 @@ class ExplanationService:
                     },
                 )
         records = []
-        for queued, result in zip(batch, fleet.results):
+        for index, (queued, result) in enumerate(zip(batch, fleet.results)):
+            if index in fleet.problems:
+                self._reject(
+                    queued.request, key, fleet.problems[index], "invalid_result",
+                    ledger, clock,
+                )
+                continue
             if self.cache is not None and queued.digest is not None:
                 self.cache.put(queued.digest, result)
             record = RequestRecord(

@@ -5,7 +5,8 @@ sub-directory import the shared literal reference as
 ``tests.reference``, and registers the ``deep`` Hypothesis profile
 (1000 examples per property, no deadline) without loading it: select it
 with ``--hypothesis-profile=deep``.  The ``padded_twins`` fixture is
-shared by the digest tests.
+shared by the digest tests, and ``check_pair_calls`` by the fleet and
+service tests of the pair contract.
 """
 
 import sys
@@ -20,6 +21,22 @@ settings.register_profile("deep", max_examples=1000, deadline=None)
 ROOT = str(Path(__file__).resolve().parent.parent)
 if ROOT not in sys.path:
     sys.path.insert(0, ROOT)
+
+
+@pytest.fixture
+def check_pair_calls(monkeypatch):
+    """The executor of every ``FleetExecutor.check_pair`` call, in order."""
+    from repro.core.fleet import FleetExecutor
+
+    calls = []
+    check_pair = FleetExecutor.check_pair
+
+    def counted(self, x, y):
+        calls.append(self)
+        return check_pair(self, x, y)
+
+    monkeypatch.setattr(FleetExecutor, "check_pair", counted)
+    return calls
 
 
 @pytest.fixture(params=[np.longdouble, np.clongdouble], ids=lambda d: d.__name__)

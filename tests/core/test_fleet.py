@@ -1,5 +1,7 @@
 """Fleet-scale wave fusion: schedule planning, slice tables, execution."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -269,34 +271,6 @@ class TestFleetExecutorValidation:
         assert device.stats.seconds == 0.0
         assert not device.stats.op_counts
 
-    def test_plan_reuse_matches_fresh_plans(self):
-        """Submit-time plan reuse: handing plan_for() specs back via
-        plans= is bit-identical to letting run() rebuild them."""
-        pairs = planted_pairs(3)
-        executor = FleetExecutor(CpuDevice(), granularity="columns")
-        plans = [executor.plan_for(x) for x, _ in pairs]
-        reused = executor.run(pairs, plans=plans)
-        fresh = FleetExecutor(CpuDevice(), granularity="columns").run(pairs)
-        for a, b in zip(reused.results, fresh.results):
-            np.testing.assert_array_equal(a.scores, b.scores)
-            np.testing.assert_array_equal(a.kernel, b.kernel)
-            assert a.residual == b.residual
-
-    def test_plans_validation(self):
-        pairs = planted_pairs(2)
-        executor = FleetExecutor(CpuDevice(), granularity="columns")
-        with pytest.raises(ValueError, match="plans"):
-            executor.run(pairs, plans=[executor.plan_for(pairs[0][0])])
-        with pytest.raises(ValueError, match="does not match"):
-            executor.run(
-                pairs, plans=[executor.plan_for(np.ones((4, 4)))] * 2
-            )
-        with pytest.raises(ValueError, match="needs a mask plan"):
-            executor.run(pairs, plans=[None, None])
-        elements = FleetExecutor(CpuDevice(), granularity="elements")
-        with pytest.raises(ValueError, match="no mask plan"):
-            elements.run(pairs, plans=[executor.plan_for(pairs[0][0])] * 2)
-
     @pytest.mark.parametrize("name", ["x", "y"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_pair_raises_naming_it(self, name, value):
@@ -349,7 +323,7 @@ class TestFleetExecutorValidation:
         lifter = ConvolutionDistiller(embedding=embedding)
         planes = []
         for x, vector in vectors:
-            plane = executor.lift_output(x, vector)
+            plane = executor.check_pair(x, vector).y_plane
             np.testing.assert_array_equal(plane, lifter.lift_outputs(vector, 1, x.shape)[0])
             planes.append((x, plane))
         assert_same_explanations(
@@ -375,6 +349,121 @@ class TestFleetExecutorValidation:
     def test_unknown_reduction(self):
         with pytest.raises(ValueError):
             FleetExecutor(CpuDevice(), granularity="columns", reduction="magic")
+
+
+class TestPairContract:
+    """``check_pair`` is the one input check: once per pair, anywhere."""
+
+    def test_plan_for_builds_one_spec_per_shape(self):
+        executor = FleetExecutor(CpuDevice(), granularity="blocks", block_shape=(2, 2))
+        plan = executor.plan_for(np.ones((8, 8)))
+        assert executor.plan_for(np.zeros((8, 8))) is plan
+        assert executor.plan_for(np.ones((4, 4))) is not plan
+        assert executor.check_pair(*planted_pairs(1)[0]).plan is plan
+        assert FleetExecutor(CpuDevice(), granularity="elements").plan_for(np.ones((8, 8))) is None
+
+    def test_own_checked_pairs_run_without_a_second_check(self, check_pair_calls):
+        pairs = planted_pairs(3)
+        executor = FleetExecutor(CpuDevice(), granularity="columns")
+        run = executor.run([executor.check_pair(x, y) for x, y in pairs])
+        assert check_pair_calls == [executor] * 3
+        fresh = FleetExecutor(CpuDevice(), granularity="columns").run(pairs)
+        assert len(check_pair_calls) == 6
+        assert_same_explanations(run.results, fresh.results)
+
+    def test_checked_pair_of_another_executor_is_checked_again(self, check_pair_calls):
+        """At eps=1e-6 a constant x passes; an eps=0 executor refuses it."""
+        (pair,) = planted_pairs(1)
+        other = FleetExecutor(CpuDevice(), granularity="columns")
+        foreign = other.check_pair(np.full((8, 8), 2.0), pair[1])
+        device = CpuDevice()
+        executor = FleetExecutor(device, granularity="columns", eps=0.0)
+        with pytest.raises(ValueError, match="pair 1: the spectrum of x has a zero bin"):
+            executor.run([executor.check_pair(*pair), foreign])
+        assert check_pair_calls == [other, executor, executor]
+        assert not device.stats.op_counts
+
+    @pytest.mark.parametrize("dtype", [str, object])
+    def test_non_numeric_x_raises_naming_the_pair_before_any_work(self, dtype):
+        """np.isfinite used to raise TypeError on such a plane."""
+        pairs = planted_pairs(3)
+        pairs[2] = (pairs[2][0].astype(dtype), pairs[2][1])
+        device = small_backend()
+        reason = "pair 2: x has dtype .*, not bool, integer, floating or complex"
+        with pytest.raises(ValueError, match=reason):
+            FleetExecutor(device, granularity="columns").run(pairs)
+        assert device.stats.seconds == 0.0
+        assert not device.stats.op_counts
+
+
+class TestNonFiniteExplanations:
+    """A finite pair whose solve or reduction overflows is named, not served."""
+
+    PROBES = {"x1e200": (1e200, 1.0), "x1e150-y1e200": (1e150, 1e200), "y1e154": (1.0, 1e154)}
+
+    @pytest.mark.parametrize(
+        "num_chips,placement", [(None, "data"), (2, "data"), (2, "chunk"), (2, "wave")]
+    )
+    @pytest.mark.parametrize("probe", sorted(PROBES))
+    def test_overflowing_pair_is_named_and_its_wave_mates_are_unmoved(
+        self, probe, num_chips, placement
+    ):
+        pairs = planted_pairs(4)
+        x_scale, y_scale = self.PROBES[probe]
+        bad = (pairs[1][0] * x_scale, pairs[1][1] * y_scale)
+        options = dict(
+            granularity="blocks", block_shape=(4, 4), eps=1e-8, num_chips=num_chips,
+            placement=placement,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            run = FleetExecutor(small_backend(), **options).run([pairs[0], bad, *pairs[2:]])
+        assert list(run.problems) == [1]
+        assert run.problems[1].startswith("the explanation holds non-finite values (")
+        assert not np.isfinite(run.results[1].scores).all()  # kept in place
+        clean = FleetExecutor(small_backend(), **options).run([pairs[0], *pairs[2:]])
+        assert clean.problems == {}
+        assert_same_explanations([run.results[0], *run.results[2:]], clean.results)
+
+    def test_an_overflowing_residual_alone_is_caught(self):
+        """At l1 the scores of y*1e200 stay finite, but the residual's
+        squares overflow."""
+        pairs = planted_pairs(3)
+        pairs[1] = (pairs[1][0], pairs[1][1] * 1e200)
+        with np.errstate(over="ignore"):
+            run = FleetExecutor(CpuDevice(), granularity="columns", reduction="l1").run(pairs)
+        assert run.problems == {1: "the explanation holds non-finite values (residual)"}
+
+    def test_elements_scores_made_at_assembly_are_checked(self, monkeypatch):
+        """A complex y keeps elements off the l2 scorer: its scores are
+        made at assembly, and only they overflow."""
+        assembled = []
+        element_scores = fleet.FleetExecutor._element_scores
+
+        def spied(self, x, *args):
+            assembled.append(x)
+            return element_scores(self, x, *args)
+
+        monkeypatch.setattr(fleet.FleetExecutor, "_element_scores", spied)
+        pairs = planted_pairs(3)
+        pairs[1] = (pairs[1][0], pairs[1][1] * 1e154 + 0j)
+        with warnings.catch_warnings():
+            # The fast path casts complex operands to float64 (numpy's
+            # ComplexWarning), and the cast pair overflows.
+            warnings.simplefilter("ignore")
+            run = FleetExecutor(CpuDevice(), granularity="elements").run(pairs)
+        assert [x is pairs[1][0] for x in assembled] == [True]
+        assert run.problems == {1: "the explanation holds non-finite values (scores)"}
+
+    def test_pipeline_raises_naming_the_first_such_pair(self):
+        pairs = planted_pairs(4)
+        for index in (3, 1):
+            pairs[index] = (pairs[index][0] * 1e200, pairs[index][1])
+        pipeline = ExplanationPipeline(small_backend(), granularity="columns")
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match=r"pair 1: the explanation holds non-finite values \(kernel"
+        ):
+            pipeline.run(pairs)
+        assert pipeline.device.stats.seconds == 0.0
 
 
 class TestOneEntryPoint:
@@ -422,8 +511,6 @@ class TestComplexOperands:
         ("elements", {}),
     ])
     def test_complex_pairs_wave_equals_pair(self, granularity, kwargs):
-        import warnings
-
         pairs = self._complex_pairs()
         with warnings.catch_warnings():
             # The elements fast path casts complex operands to float64
@@ -481,47 +568,6 @@ class TestComplexOperands:
         assert_same_explanations(executor.run(pairs).results, expected)
 
 
-class TestMixedPlanWaves:
-    """One wave whose pairs carry different plans of one plane shape."""
-
-    PLANS = [
-        MaskSpec.blocks((8, 8), (2, 2)),
-        MaskSpec.blocks((8, 8), (4, 4)),
-        MaskSpec.columns((8, 8)),
-        MaskSpec.rows((8, 8)),
-    ]
-    OPTIONS = [
-        dict(granularity="blocks", block_shape=(2, 2)),
-        dict(granularity="blocks", block_shape=(4, 4)),
-        dict(granularity="columns"),
-        dict(granularity="rows"),
-    ]
-
-    @pytest.mark.parametrize(
-        "num_chips,placement", [(None, "data"), (2, "data"), (2, "chunk")]
-    )
-    def test_each_pair_matches_its_own_reference(self, num_chips, placement):
-        """Windows of 7 rows span pairs, so one chunk mixes plans; each
-        pair's scores equal those of a fleet of that pair alone."""
-        pairs = planted_pairs(4)
-        executor = FleetExecutor(
-            small_backend(), granularity="blocks", block_shape=(2, 2), eps=1e-8,
-            chunk_rows=7, num_chips=num_chips, placement=placement,
-        )
-        run = executor.run(pairs, plans=self.PLANS)
-        assert run.num_waves == 1
-        cases = zip(pairs, self.PLANS, run.results, self.OPTIONS)
-        for pair, plan, result, options in cases:
-            (alone,) = FleetExecutor(CpuDevice(), eps=1e-8, **options).run(
-                [pair], plans=[plan]
-            ).results
-            assert_same_explanations([result], [alone])
-            (want,) = reference.explain_all(
-                [pair], device=CpuDevice(), eps=1e-8, **options
-            )
-            reference.assert_matches([result], [want], [pair], **options)
-
-
 class TestRowSharedWindows:
     """A real wave's bin-major windows, built from each pair's row
     spectra plus the transforms of only the rows a mask touches, equal
@@ -531,7 +577,10 @@ class TestRowSharedWindows:
         "blocks": [MaskSpec.blocks((8, 8), (2, 2))] * 3,
         "rows": [MaskSpec.rows((8, 8))] * 3,
         "columns": [MaskSpec.columns((8, 8))] * 3,
-        "mixed": TestMixedPlanWaves.PLANS,
+        "mixed": [
+            MaskSpec.blocks((8, 8), (2, 2)), MaskSpec.blocks((8, 8), (4, 4)),
+            MaskSpec.columns((8, 8)), MaskSpec.rows((8, 8)),
+        ],
         "odd": [
             MaskSpec.blocks((9, 7), (3, 7)), MaskSpec.columns((9, 7)),
             MaskSpec.rows((9, 7)),
@@ -606,18 +655,12 @@ class TestSpatialWaves:
             pairs = [
                 (x, fft_circular_convolve2d(x, rng.standard_normal(x.shape))) for x in xs
             ]
-        run = FleetExecutor(
-            small_backend(), granularity="blocks", block_shape=(2, 2), eps=1e-8,
-            chunk_rows=7, precision=precision,
-        ).run(pairs, plans=TestMixedPlanWaves.PLANS)
+        options = dict(granularity="blocks", block_shape=(2, 2), eps=1e-8, precision=precision)
+        run = FleetExecutor(small_backend(), chunk_rows=7, **options).run(pairs)
+        assert run.num_waves == 1
         assert bool(calls) == streams
-        for pair, result, options in zip(pairs, run.results, TestMixedPlanWaves.OPTIONS):
-            (want,) = reference.explain_all(
-                [pair], device=CpuDevice(), eps=1e-8, precision=precision, **options
-            )
-            reference.assert_matches(
-                [result], [want], [pair], precision=precision, **options
-            )
+        expected = reference.explain_all(pairs, device=CpuDevice(), **options)
+        reference.assert_matches(run.results, expected, pairs, **options)
 
 
 class TestElementsFillValue:

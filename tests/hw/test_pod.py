@@ -1,9 +1,11 @@
 """TpuPod: device cloning, ledger roll-up, and commit reconciliation."""
 
+import re
+
 import numpy as np
 import pytest
 
-from repro.core import TpuBackend, make_tpu_chip, make_tpu_pod
+from repro.core import FleetExecutor, TpuBackend, make_tpu_chip, make_tpu_pod
 from repro.hw import CpuConfig, CpuDevice, Interconnect, InterconnectConfig
 from repro.hw.device import pipelined_elapsed_seconds
 from repro.hw.pod import PodWaveStats, TpuPod, clone_device
@@ -75,6 +77,43 @@ class TestChipCount:
         pod = POD_BUILDERS[builder](np.int64(3))
         assert isinstance(pod, TpuPod)
         assert pod.num_chips == 3
+
+
+#: Every constructor that takes an HBM budget, with the budget it kept.
+HBM_BUILDERS = {
+    "FleetExecutor": lambda hbm: FleetExecutor(
+        CpuDevice(), granularity="columns", hbm_bytes=hbm
+    ).hbm_bytes,
+    "FleetExecutor-pod": lambda hbm: FleetExecutor(
+        small_backend(), granularity="columns", num_chips=2, hbm_bytes=hbm
+    ).pod.chip_hbm_bytes[1],
+    "TpuPod": lambda hbm: TpuPod(
+        [small_backend(), small_backend()], hbm_bytes=hbm
+    ).chip_hbm_bytes[1],
+    "TpuPod-per-chip": lambda hbm: TpuPod(
+        [small_backend(), small_backend()], hbm_bytes=[1 << 20, hbm]
+    ).chip_hbm_bytes[1],
+    "TpuBackend.clone": lambda hbm: small_backend().clone(hbm_bytes=hbm).hbm_capacity_bytes,
+}
+
+
+class TestHbmBudget:
+    @pytest.mark.parametrize("hbm_bytes", (2.7, 0.5, 0, -1, "2"))
+    @pytest.mark.parametrize("builder", sorted(HBM_BUILDERS))
+    def test_anything_but_none_or_an_integer_of_at_least_one_raises(
+        self, builder, hbm_bytes
+    ):
+        """The error names the value passed: 2.7 used to run as 2, and
+        0.5 on a pod to raise "got 0"."""
+        message = f"hbm_bytes must be None or an integer >= 1, got {hbm_bytes!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            HBM_BUILDERS[builder](hbm_bytes)
+
+    @pytest.mark.parametrize("builder", sorted(HBM_BUILDERS))
+    def test_numpy_integers_are_kept_whole(self, builder):
+        # A 4-core clone splits its budget across cores, so use a multiple.
+        kept = HBM_BUILDERS[builder](np.int64(4096))
+        assert kept == 4096 and type(kept) is int
 
 
 class TestPodConstruction:

@@ -272,7 +272,7 @@ class TestBatcherDispatchCounts:
                 request=Request(
                     request_id=i, arrival_time=0.0, x=x, y=x,
                 ),
-                enqueue_time=0.0, feed_nbytes=0, plan=None, digest=None,
+                enqueue_time=0.0, feed_nbytes=0, pair=None, digest=None,
             ))
         assert len(batcher.pop(key)) == 2
         assert len(batcher.pop(key)) == 1

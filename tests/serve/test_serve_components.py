@@ -325,7 +325,7 @@ def _queued(request_id, enqueue_time, nbytes=100):
     )
     return QueuedRequest(
         request=request, enqueue_time=enqueue_time,
-        feed_nbytes=nbytes, plan=None, digest=None,
+        feed_nbytes=nbytes, pair=None, digest=None,
     )
 
 

@@ -20,6 +20,7 @@ from repro.core.transform import OutputEmbedding
 from repro.hw.cpu import CpuDevice
 from repro.serve import (
     AdmissionController,
+    BatchController,
     ExplanationService,
     bursty_requests,
     poisson_requests,
@@ -351,6 +352,19 @@ class TestRequestValidation:
         requests[index] = dataclasses.replace(requests[index], **changes)
         return requests, requests[index].request_id
 
+    @staticmethod
+    def _assert_others_unmoved(report, requests, bad, **options):
+        """Every other request's explanation equals a run without ``bad``."""
+        clean = make_service(**options).process(
+            [r for r in requests if r.request_id != bad]
+        )
+        served, expected = report.results_by_id(), clean.results_by_id()
+        assert served.keys() == expected.keys()
+        for request_id, result in expected.items():
+            np.testing.assert_array_equal(served[request_id].scores, result.scores)
+            np.testing.assert_array_equal(served[request_id].kernel, result.kernel)
+            assert served[request_id].residual == result.residual
+
     def _check_one_rejected(self, report, request_id, reason):
         """The rejected record of ``request_id``; the other five completed."""
         records = {record.request_id: record for record in report.ledger.records}
@@ -429,13 +443,80 @@ class TestRequestValidation:
         self._check_one_rejected(
             report, bad, "y of shape (8, 8) cannot lift onto x's (16, 16) plane"
         )
-        clean = make_service().process([r for r in requests if r.request_id != bad])
-        served, expected = report.results_by_id(), clean.results_by_id()
-        assert served.keys() == expected.keys()
-        for request_id, result in expected.items():
-            np.testing.assert_array_equal(served[request_id].scores, result.scores)
-            np.testing.assert_array_equal(served[request_id].kernel, result.kernel)
-            assert served[request_id].residual == result.residual
+        self._assert_others_unmoved(report, bad_trace, bad)
+
+    @pytest.mark.parametrize(
+        "plane, convert",
+        [("x", lambda a: a.astype(str)), ("x", lambda a: a.astype(object)),
+         ("y", lambda a: None)],
+        ids=["str-x", "object-x", "none-y"],
+    )
+    def test_non_numeric_request_is_rejected_at_arrival(self, plane, convert):
+        """np.isfinite used to raise TypeError from process() on such a
+        plane, and every request of the trace was lost."""
+        requests = trace(count=6, seed=22)
+        bad_trace, bad = self._replaced(
+            requests, 2, **{plane: convert(getattr(requests[2], plane))}
+        )
+        report = make_service().process(bad_trace)
+        record = self._check_one_rejected(report, bad, f"{plane} has dtype")
+        assert record.batch_key == ("blocks", BLOCK, None)
+        self._assert_others_unmoved(report, bad_trace, bad)
+
+    @pytest.mark.parametrize(
+        "x_scale, y_scale, parts",
+        [(1e200, 1.0, "kernel, scores, residual"),
+         (1e150, 1e200, "kernel, scores, residual"),
+         (1.0, 1e154, "scores")],
+        ids=["x1e200", "x1e150-y1e200", "y1e154"],
+    )
+    def test_overflowing_request_is_rejected_at_dispatch(self, x_scale, y_scale, parts):
+        """Finite planes whose solve or l2 reduction overflows used to
+        complete, non-finite scores and all, and be cached."""
+        requests = trace(count=6, seed=23)
+        bad_trace, bad = self._replaced(
+            requests, 2, x=requests[2].x * x_scale, y=requests[2].y * y_scale
+        )
+        service = make_service(num_chips=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = service.process(bad_trace)
+            # Nothing was cached for it: the same request is refused again.
+            again = service.process([bad_trace[2]])
+        reason = f"the explanation holds non-finite values ({parts})"
+        record = self._check_one_rejected(report, bad, reason)
+        assert record.result is None
+        assert record.batch_key == ("blocks", BLOCK, None)
+        assert again.cache_hits == 0
+        assert [r.reject_reason for r in again.ledger.rejected] == [reason]
+        self._assert_others_unmoved(report, bad_trace, bad, num_chips=2)
+
+    def test_a_key_joins_the_idle_drain_only_once_enqueued(self):
+        """Arrival checks build the key's executor, but a key whose only
+        request is refused never reaches the batcher or the autopilot."""
+        requests = trace(count=6, seed=25)
+        x = requests[3].x.copy()
+        x[0, 0] = np.nan
+        requests, _ = self._replaced(requests, 3, x=x, granularity="columns")
+        controller = BatchController()
+        service = make_service(controller=controller)
+        report = service.process(requests)
+        assert report.rejected_count == 1
+        columns = ("columns", None, None)
+        assert columns in [key.as_tuple() for key in service._executors]
+        policies = [key.as_tuple() for key in controller.policies()]
+        assert policies == [("blocks", BLOCK, None)]
+
+    def test_check_pair_runs_once_per_request_with_a_key(self, check_pair_calls):
+        """At arrival, for cache hits too, and never again at dispatch."""
+        requests, _ = self._replaced(
+            trace(count=30, seed=24, repeat_fraction=0.3), 4, granularity="pixels"
+        )
+        service = make_service()
+        report = service.process(requests)
+        assert report.cache_hits > 0
+        assert report.completed_count == 29
+        assert len(check_pair_calls) == 29
+        assert set(check_pair_calls) == set(service._executors.values())
 
     def test_zero_bin_request_is_rejected_at_eps_zero(self):
         """At eps=0 a constant x used to complete with NaN scores."""
