@@ -272,14 +272,21 @@ class TpuBackend(Device):
         )
 
     def _record_kernel_spectra(self, batch: int, m: int, n: int, spec=None) -> None:
-        """One ``fft2_kernel_batch`` record for the fused spectrum batch."""
-        factor = self.complex_matmul_real_products
-        macs = factor * batch * (m * m * n + m * n * n)
-        self.stats.record(
-            "fft2_kernel_batch",
-            self.kernel_spectrum_batch_seconds(batch, m, n, precision=spec),
-            macs=macs,
+        """One ``fft2_kernel_batch`` record for the fused spectrum batch.
+
+        Its row is priced once per batch size, shape and precision
+        (:meth:`~repro.hw.device.Device.ledger_template`).
+        """
+        template = self.ledger_template(
+            ("fft2_kernel_batch", batch, m, n, spec),
+            lambda: ((
+                "fft2_kernel_batch",
+                self.kernel_spectrum_batch_seconds(batch, m, n, precision=spec),
+                self.complex_matmul_real_products * batch * (m * m * n + m * n * n),
+                0,
+            ),),
         )
+        self.stats.record_rows(template, 1)
 
     def _record_batch_conv(self, batch: int, m: int, n: int, spec=None) -> None:
         """One ``conv2d_batch`` record for the fused program.
@@ -291,14 +298,19 @@ class TpuBackend(Device):
         trip for the whole plan (one dispatch, one infeed of the fp32
         batch -- at the quantized storage width when ``spec`` is set --
         one outfeed of the fp64 results) -- in contrast with the loop
-        path's one round trip *per mask*.
+        path's one round trip *per mask*.  The ``conv2d_batch`` row is
+        priced once per batch size, shape and precision.
         """
-        factor = self.complex_matmul_real_products
-        macs = 2 * factor * batch * (m * m * n + m * n * n)
-        self.stats.record(
-            "conv2d_batch", self.batch_conv_seconds(batch, m, n, precision=spec),
-            macs=macs,
+        template = self.ledger_template(
+            ("conv2d_batch", batch, m, n, spec),
+            lambda: ((
+                "conv2d_batch",
+                self.batch_conv_seconds(batch, m, n, precision=spec),
+                2 * self.complex_matmul_real_products * batch * (m * m * n + m * n * n),
+                0,
+            ),),
         )
+        self.stats.record_rows(template, 1)
         if not self.in_program:
             infeed_bytes = batch * m * n * infeed_bytes_per_element(spec)
             outfeed_bytes = batch * m * n * 8

@@ -143,8 +143,8 @@ device's modeled HBM (:attr:`~repro.hw.device
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -175,7 +175,7 @@ from repro.fft.convolution import (
 from repro.fft.fft import rfft
 from repro.fft.spectra import kernel_spectrum
 from repro.hw.device import Device, shard_slices
-from repro.hw.pod import PodWaveStats, TpuPod, check_hbm_bytes, check_num_chips
+from repro.hw.pod import PodWaveStats, TpuPod, check_hbm_bytes, check_num_chips, is_count
 from repro.hw.quantize import resolve_precision
 from repro.obs.tracer import tracer
 
@@ -238,12 +238,44 @@ def wave_dtype_key(x, y) -> tuple[np.dtype, np.dtype, np.dtype]:
     np.float64)).dtype``: float32, integer and float64 operands have
     float64 width, and a complex128 one too, so a real-``x`` pair with
     a complex ``y`` keys like a complex pair and shares its wave.
+    ``x`` and ``y`` are arrays or dtypes; the key depends on their
+    dtypes alone and is built once per pair of dtypes.
     """
+    return _dtype_key(_dtype_of(x), _dtype_of(y))
 
-    def width(a):
-        return np.finfo(np.result_type(a, np.float64)).dtype
+
+def _dtype_of(a) -> np.dtype:
+    return a.dtype if isinstance(a, np.ndarray) else np.result_type(a)
+
+
+@functools.lru_cache(maxsize=256)
+def _dtype_key(x: np.dtype, y: np.dtype) -> tuple[np.dtype, np.dtype, np.dtype]:
+    def width(dtype):
+        return np.finfo(np.result_type(dtype, np.float64)).dtype
 
     return np.result_type(x, y, np.float64), width(x), width(y)
+
+
+#: The key of pairs whose ``x``, ``y`` and stack are all float64.
+_FLOAT64_KEY = (np.dtype(np.float64),) * 3
+
+
+def _once_per_value(values, normalize) -> list:
+    """``[normalize(v) for v in values]``, calling ``normalize`` once per
+    distinct hashable value: a wave's pairs mostly share one shape and
+    one dtype key, already in normal form."""
+    done = {}
+    out = []
+    for value in values:
+        try:
+            normal = done.get(value)
+        except TypeError:  # unhashable: normalize it every time
+            out.append(normalize(value))
+            continue
+        if normal is None:
+            normal = done[value] = normalize(value)
+        out.append(normal)
+    return out
 
 
 def wave_row_map(mask_counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -256,12 +288,43 @@ def wave_row_map(mask_counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pair's position in the wave (also the row's kernel); ``row_slot``,
     the mask index within the pair, or the pair's mask count on its
     residual row; and ``is_mask``.
+
+    A pair's rows depend only on its own mask count and the rows before
+    it, so the map of a wave is a prefix of the map of any wider wave
+    whose counts start the same: the first ``P * (s + 1)`` rows of
+    ``wave_row_map([s] * Q)`` are ``wave_row_map([s] * P)`` for every
+    ``P <= Q``, which is how a :class:`_PlanLayout` serves every wave of
+    its plan from the widest one's arrays.
     """
     counts = np.asarray(mask_counts, dtype=np.intp)
     sizes = counts + 1
     row_pair = np.repeat(np.arange(counts.size), sizes)
     row_slot = np.arange(row_pair.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     return row_pair, row_slot, row_slot < counts[row_pair]
+
+
+def _fit_residuals(preds: np.ndarray, y_stack: np.ndarray) -> np.ndarray:
+    """Each plane's fit residual, the RMS of ``|pred - y|``.
+
+    ``sqrt(mean(|pred - y|^2))``, except where that overflows -- its
+    squares pass the float range once the error passes about 1e154 --
+    while ``pred - y`` is finite: there the RMS is taken of the plane
+    divided by its largest ``|pred - y|`` and multiplied back, so a
+    finite fit error has a finite residual.  Every residual the plain
+    formula gets finite keeps its bits.
+    """
+    delta = np.abs(preds - y_stack)
+    residuals = np.sqrt(np.mean(delta**2, axis=(-2, -1)))
+    overflowed = np.flatnonzero(~np.isfinite(residuals))
+    if overflowed.size:
+        planes = delta[overflowed]
+        finite = np.isfinite(planes).all(axis=(-2, -1))
+        planes, overflowed = planes[finite], overflowed[finite]
+        peaks = planes.max(axis=(-2, -1), keepdims=True)
+        residuals[overflowed] = peaks[:, 0, 0] * np.sqrt(
+            np.mean((planes / peaks) ** 2, axis=(-2, -1))
+        )
+    return residuals
 
 
 def _span_start(device: Device) -> float | None:
@@ -279,6 +342,67 @@ def _fleet_span(name: str, device: Device, start: float | None, args: dict) -> N
         name, "fleet", tracer.origin + start, device.trace_seconds - start,
         pid, _FLEET_TID, args,
     )
+
+
+class _PlanLayout:
+    """What every wave of one plan reads of the plan and its plane shape.
+
+    An executor scores every pair of a plane shape with one plan
+    (:meth:`FleetExecutor.plan_for`; ``None`` for ``elements``), so each
+    wave of that shape lays out the same ``s + 1`` rows per pair: ``s =
+    num_masks`` mask rows, then the residual row.  Built once per
+    executor and shape, at the first wave, with the code each wave ran
+    before, and read-only after:
+
+    * the row map (:func:`wave_row_map`), the residual rows and the
+      pair bases of the widest wave seen; a wave of ``P`` pairs reads
+      their first ``P * (s + 1)`` rows, ``P`` residual rows and ``P``
+      bases (:meth:`rows`), so the arrays grow only with a wider wave;
+    * ``rows_per_chunk``, the window a wave streams at;
+    * ``score_plan``, the plan its masks score with by linearity (the
+      one-cell plan for ``elements``), ``window_floats``, the default
+      chunk's window, and ``by_linearity``, whether an ``l2`` wave of
+      float64 pairs at exact precision scores that way (see
+      :meth:`FleetExecutor._compute_wave`).
+    """
+
+    def __init__(self, executor: "FleetExecutor", plan: MaskSpec | None, shape) -> None:
+        self.plan = plan
+        self.num_masks = 0 if plan is None else plan.num_masks
+        self.rows_per_chunk = effective_chunk_rows(
+            shape, executor.chunk_rows, executor.effective_stack_bytes,
+            what="streamed wave chunk",
+        )
+        # The default chunk, not chunk_rows, decides the path, so that
+        # scores never depend on the chunk size.
+        self.window_floats = (
+            effective_chunk_rows(shape, None, executor.effective_stack_bytes)
+            * shape[0] * shape[1]
+        )
+        self.score_plan = MaskSpec.elements(shape) if plan is None else plan
+        self.by_linearity = (
+            executor.reduction == "l2"
+            and self.score_plan.cells_per_mask ** 2 <= self.window_floats
+        )
+        self._pairs = 0
+
+    def rows(self, pairs: int) -> tuple:
+        """``(row_pair, row_slot, is_mask, residual_rows, pair_base)`` of a
+        ``pairs``-pair wave: read-only views and a list of first rows."""
+        if pairs > self._pairs:
+            row_map = wave_row_map([self.num_masks] * pairs)
+            row_map += (np.flatnonzero(~row_map[2]),)
+            for array in row_map:
+                array.setflags(write=False)
+            self._row_map = row_map
+            self._pair_base = list(range(0, pairs * (self.num_masks + 1), self.num_masks + 1))
+            self._pairs = pairs
+        row_pair, row_slot, is_mask, residual_rows = self._row_map
+        size = pairs * (self.num_masks + 1)
+        return (
+            row_pair[:size], row_slot[:size], is_mask[:size], residual_rows[:pairs],
+            self._pair_base[:pairs],
+        )
 
 
 @dataclass(frozen=True)
@@ -351,7 +475,7 @@ class FleetSchedule:
         ulp.  float32, integer and float64 operands all have float64
         width and share waves.
         """
-        plane_shapes = [tuple(int(v) for v in shape) for shape in plane_shapes]
+        plane_shapes = _once_per_value(plane_shapes, lambda shape: tuple(int(v) for v in shape))
         mask_counts = [int(count) for count in mask_counts]
         if len(plane_shapes) != len(mask_counts):
             raise ValueError(
@@ -367,11 +491,11 @@ class FleetSchedule:
             dtypes = [np.float64] * len(plane_shapes)
         # One spelling per key: np.float64, "float64" and np.dtype("f8")
         # hash differently.  An invalid dtype raises here.
-        dtypes = [
-            tuple(np.dtype(part) for part in key) if isinstance(key, tuple)
-            else wave_dtype_key(key, key)
-            for key in dtypes
-        ]
+        dtypes = _once_per_value(
+            dtypes,
+            lambda key: tuple(np.dtype(part) for part in key) if isinstance(key, tuple)
+            else wave_dtype_key(key, key),
+        )
         if len(dtypes) != len(plane_shapes):
             raise ValueError(
                 f"{len(plane_shapes)} plane shapes for {len(dtypes)} dtypes"
@@ -397,7 +521,7 @@ class FleetSchedule:
         return cls(waves=tuple(waves))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PairResult:
     """Explanation artifacts for one pair of a fleet run."""
 
@@ -405,8 +529,14 @@ class PairResult:
     scores: np.ndarray
     residual: float
 
+    def __init__(self, kernel: np.ndarray, scores: np.ndarray, residual: float) -> None:
+        # Made once per pair.  A frozen dataclass's generated __init__
+        # sets each field through object.__setattr__; one update of the
+        # instance dict costs about half as much, and the class stays frozen.
+        self.__dict__.update(kernel=kernel, scores=scores, residual=residual)
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, init=False)
 class CheckedPair:
     """A pair :meth:`FleetExecutor.check_pair` accepted; unpacks as ``(x, y)``.
 
@@ -421,6 +551,10 @@ class CheckedPair:
     plan: MaskSpec | None
     executor: FleetExecutor = field(repr=False)
 
+    def __init__(self, x, y, y_plane, plan, executor) -> None:
+        # Made once per request; see PairResult.__init__.
+        self.__dict__.update(x=x, y=y, y_plane=y_plane, plan=plan, executor=executor)
+
     def __iter__(self):
         return iter((self.x, self.y))
 
@@ -434,7 +568,7 @@ class _WaveNumbers:
     ``elements`` pair scored by linearity (``None`` for the others),
     ``preds`` each pair's residual prediction and ``residuals`` its fit
     residual; ``pair_base`` and ``pair_rows`` are each pair's first row
-    and row count.
+    and row count, and ``layout`` the wave's :class:`_PlanLayout`.
     """
 
     indices: tuple[int, ...]
@@ -446,6 +580,7 @@ class _WaveNumbers:
     residuals: np.ndarray
     pair_base: list
     pair_rows: list
+    layout: _PlanLayout
 
 
 @dataclass(frozen=True)
@@ -489,8 +624,9 @@ class FleetExecutor:
     precisions reject the ``elements`` granularity, whose linearity
     fast path quantization breaks.  ``num_chips``, ``hbm_bytes``,
     ``max_pairs_per_wave``, ``chunk_rows`` and ``max_stack_bytes`` must
-    be at least 1 when given (the first two integers); any other value
-    raises ``ValueError`` here rather than at the first dispatch.
+    be integers of at least 1 (not ``bool``) when given
+    (:func:`~repro.hw.pod.is_count`); any other value raises
+    ``ValueError`` here rather than at the first dispatch.
 
     Execution per wave: one host pass (:meth:`_compute_wave`) -- one
     stacked Eq. 4 solve yields every pair's kernel, then all pairs'
@@ -552,8 +688,10 @@ class FleetExecutor:
             ("chunk_rows", chunk_rows),
             ("max_stack_bytes", max_stack_bytes),
         ):
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if value is not None and not is_count(value):
+                raise ValueError(
+                    f"{name} must be positive: None or an integer >= 1, got {value!r}"
+                )
         self.precision = resolve_precision(precision)
         check_precision_granularity(self.precision, granularity)
         check_eps(eps)
@@ -593,6 +731,8 @@ class FleetExecutor:
         self.max_pairs_per_wave = max_pairs_per_wave
         self.chunk_rows = chunk_rows
         self._plans: dict[tuple, MaskSpec | None] = {}  # plan_for's memo
+        self._layouts: dict[tuple, _PlanLayout] = {}  # _layout's memo
+        self._fills: dict = {}  # _fill_for's memo
 
     # ------------------------------------------------------------------
     # Planning
@@ -636,10 +776,21 @@ class FleetExecutor:
             )
         return self._plans[shape]
 
+    def _layout(self, shape) -> _PlanLayout:
+        """The :class:`_PlanLayout` of :meth:`plan_for`'s plan for ``shape``,
+        built at the first wave of that shape."""
+        layout = self._layouts.get(shape)
+        if layout is None:
+            layout = self._layouts[shape] = _PlanLayout(self, self._plans[shape], shape)
+        return layout
+
     def schedule(self, pairs) -> FleetSchedule:
         """Wave-plan a fleet without executing it, checking its pairs as
         :meth:`run` does (empty fleets plan empty)."""
-        pairs = self._checked_pairs(pairs)
+        return self._schedule(self._checked_pairs(pairs))
+
+    def _schedule(self, pairs: list[CheckedPair]) -> FleetSchedule:
+        """The waves of pairs :meth:`_checked_pairs` returned."""
         return FleetSchedule.plan(
             [pair.x.shape for pair in pairs],
             [0 if pair.plan is None else pair.plan.num_masks for pair in pairs],
@@ -671,7 +822,7 @@ class FleetExecutor:
                     f"{name} has dtype {plane.dtype}, not bool, integer, floating or complex"
                 )
         for name, plane in (("x", x), ("y", y)):
-            if not np.isfinite(plane).all():
+            if np.count_nonzero(np.isfinite(plane)) != plane.size:
                 raise ValueError(f"{name} holds non-finite values")
         try:
             y_plane = self._lifter.lift_outputs(y, 1, x.shape)[0]
@@ -729,7 +880,7 @@ class FleetExecutor:
         pairs = self._checked_pairs(pairs)
         if not pairs:
             return FleetRun(results=(), schedule=FleetSchedule(waves=()))
-        schedule = self.schedule(pairs)
+        schedule = self._schedule(pairs)
         if tracer.enabled:
             pid = tracer.pid_for(self.device)
             tracer.set_thread_name(pid, _FLEET_TID, "fleet")
@@ -765,16 +916,23 @@ class FleetExecutor:
     def _check_wave(numbers, results, problems: dict) -> None:
         """Name each pair of an assembled wave whose explanation is not finite.
 
-        One pass over the wave's kernels, scores (``elements`` scores made
-        at assembly included) and residuals: an Eq. 4 solve or reduction
-        that overflows leaves only numpy's ``RuntimeWarning``.
+        One pass over the wave's kernels, scores and residuals: an Eq. 4
+        solve or reduction that overflows leaves only numpy's
+        ``RuntimeWarning``.  A pair's scores are its mask rows of the
+        wave's flat scores; ``elements`` scores, made apart from them,
+        are read from the results.
         """
         indices = numbers.indices
+        if numbers.layout.plan is None:
+            scores = np.stack([results[i].scores for i in indices])
+        else:
+            s = numbers.layout.num_masks
+            scores = numbers.scores.reshape(len(indices), s + 1)[:, :s]
         finite = {
             name: np.isfinite(part).reshape(len(indices), -1).all(axis=1)
             for name, part in (
                 ("kernel", numbers.kernels),
-                ("scores", np.stack([results[i].scores for i in indices])),
+                ("scores", scores),
                 ("residual", numbers.residuals),
             )
         }
@@ -800,30 +958,31 @@ class FleetExecutor:
         is scored with one reduction.
 
         An ``l2`` wave at exact precision whose pairs key as
-        ``(float64, float64, float64)`` (:meth:`_linearity_plans`)
+        ``(float64, float64, float64)`` (:func:`wave_dtype_key`)
         convolves only its residual rows that way; its masks, and the
         cells of an ``elements`` pair, are scored by
         :func:`~repro.core.interpretation.l2_scores_by_linearity` from
         those residuals, and the masks its guard flags are convolved
-        exactly after all (:meth:`_linearity_scores`).  Nothing is
-        priced here: every score depends on its own pair alone, so
-        however a placement splits the wave across chips, only the
-        ledger changes.
+        exactly after all (:meth:`_linearity_scores`).  A plan whose
+        ``s x s`` cell matrix would not fit the window memory of the
+        default chunk (``rows_per_chunk * M * N`` floats at
+        :data:`~repro.core.masking.DEFAULT_CHUNK_ROWS`, clamped to the
+        budget) keeps the whole wave on the exact path.  Everything
+        here that depends only on the plan and the plane shape -- the
+        row map, the chunk size, that path decision -- comes from the
+        plan's :class:`_PlanLayout`.  Nothing is priced here: every
+        score depends on its own pair alone, so however a placement
+        splits the wave across chips, only the ledger changes.
         """
         indices = wave.pair_indices
         members = [pairs[i] for i in indices]
+        layout = self._layout(wave.plane_shape)
         x_stack = np.stack([pair.x for pair in members])
         y_stack = np.stack([pair.y_plane for pair in members])
         kernels = _solve_stack(
             x_stack[:, np.newaxis], y_stack[:, np.newaxis], self.eps, device_chain=True
         )
-        wave_plans = [pair.plan for pair in members]
-        counts = [0 if plan is None else plan.num_masks for plan in wave_plans]
-        row_pair, row_slot, is_mask = wave_row_map(counts)
-        rows_per_chunk = effective_chunk_rows(
-            wave.plane_shape, self.chunk_rows, self.effective_stack_bytes,
-            what="streamed wave chunk",
-        )
+        row_pair, row_slot, is_mask, residual_rows, pair_base = layout.rows(len(members))
         sources, fills = self._fill_sources(x_stack, [pair.x for pair in members])
         spec = self.precision
         shared = None
@@ -833,18 +992,19 @@ class FleetExecutor:
         ):
             half = kernel_spectrum(kernels, real=True, precision=spec).array
             shared = _bin_major_rows(sources, real=True), half
-        score_plans = self._linearity_plans(wave, pairs, wave_plans, shared)
+        by_linearity = (
+            layout.by_linearity and shared is not None
+            and wave_dtype_key(members[0].x, members[0].y) == _FLOAT64_KEY
+        )
         # With the masks scored by linearity only the residual rows are
         # convolved; otherwise every row of the wave is.
-        convolved_rows = (
-            np.arange(row_pair.size) if score_plans is None
-            else np.flatnonzero(~is_mask)
-        )
+        convolved_rows = residual_rows if by_linearity else np.arange(row_pair.size)
         scores = np.empty(row_pair.size)
         preds = []
         for convolved, rows in self._convolve_rows(
-            sources, fills, kernels, wave_plans, shared, row_pair[convolved_rows],
-            row_slot[convolved_rows], is_mask[convolved_rows], rows_per_chunk,
+            sources, fills, kernels, [layout.plan] * len(members), shared,
+            row_pair[convolved_rows], row_slot[convolved_rows], is_mask[convolved_rows],
+            layout.rows_per_chunk,
         ):
             rows = convolved_rows[rows]
             scores[rows] = reduce_batch(
@@ -852,20 +1012,17 @@ class FleetExecutor:
             )
             preds.append(convolved[~is_mask[rows]])
         preds = np.concatenate(preds)
-        pair_rows = [count + 1 for count in counts]
-        pair_base = [0, *accumulate(pair_rows)][:-1]
         element_scores = [None] * len(indices)
-        if score_plans is not None:
+        if by_linearity:
             flat = self._linearity_scores(
-                wave, sources, fills, kernels, y_stack, preds, score_plans, shared,
-                rows_per_chunk,
+                wave, layout, sources, fills, kernels, y_stack, preds, shared,
             )
-            for local, (plan, pair_scores) in enumerate(zip(wave_plans, flat)):
-                if plan is None:
-                    element_scores[local] = score_plans[local].reshape_scores(pair_scores)
+            for local, pair_scores in enumerate(flat):
+                if layout.plan is None:
+                    element_scores[local] = layout.score_plan.reshape_scores(pair_scores)
                 else:
                     base = pair_base[local]
-                    scores[base : base + plan.num_masks] = pair_scores
+                    scores[base : base + layout.num_masks] = pair_scores
         return _WaveNumbers(
             indices=indices,
             plane_shape=wave.plane_shape,
@@ -873,46 +1030,14 @@ class FleetExecutor:
             scores=scores,
             element_scores=element_scores,
             preds=preds,
-            residuals=np.sqrt(np.mean(np.abs(preds - y_stack) ** 2, axis=(-2, -1))),
-            pair_rows=pair_rows,
+            residuals=_fit_residuals(preds, y_stack),
+            pair_rows=[layout.num_masks + 1] * len(indices),
             pair_base=pair_base,
+            layout=layout,
         )
 
-    def _linearity_plans(self, wave, pairs, wave_plans, shared) -> list | None:
-        """The plans a wave's masks score by linearity with, or ``None``.
-
-        :func:`~repro.core.interpretation.l2_scores_by_linearity` scores
-        ``l2`` waves at exact precision whose pairs key as ``(float64,
-        float64, float64)`` (:func:`wave_dtype_key`); an ``elements`` pair
-        scores its one-cell masks there too.  A plan whose ``s x s``
-        cell matrix would not fit the window memory of the default chunk
-        (``rows_per_chunk * M * N`` floats at
-        :data:`~repro.core.masking.DEFAULT_CHUNK_ROWS`, clamped to the
-        budget) keeps the whole wave on the exact path; the default
-        chunk, not ``chunk_rows``, so that scores never depend on the
-        chunk size.
-        """
-        first = pairs[wave.pair_indices[0]]
-        if (
-            self.reduction != "l2" or shared is None
-            or wave_dtype_key(first.x, first.y) != (np.dtype(np.float64),) * 3
-        ):
-            return None
-        shape = wave.plane_shape
-        plans = [MaskSpec.elements(shape) if plan is None else plan for plan in wave_plans]
-        window = self._default_window_floats(shape)
-        if any(plan.cells_per_mask ** 2 > window for plan in plans):
-            return None
-        return plans
-
-    def _default_window_floats(self, shape) -> int:
-        """Floats in a window of the default chunk, clamped to the budget."""
-        rows = effective_chunk_rows(shape, None, self.effective_stack_bytes)
-        return rows * shape[0] * shape[1]
-
     def _linearity_scores(
-        self, wave, sources, fills, kernels, y_stack, preds, score_plans, shared,
-        rows_per_chunk,
+        self, wave, layout, sources, fills, kernels, y_stack, preds, shared,
     ) -> list:
         """Each pair's flat l2 mask scores, by linearity, guard applied.
 
@@ -921,9 +1046,9 @@ class FleetExecutor:
         are convolved exactly here, as their rows would be on the exact
         path, and a ``fleet.rescore`` instant records how many there were.
         """
+        score_plans = [layout.score_plan] * len(wave.pair_indices)
         scores, rescore = l2_scores_by_linearity(
-            sources, fills, y_stack - preds, shared[1], score_plans,
-            self._default_window_floats(wave.plane_shape),
+            sources, fills, y_stack - preds, shared[1], score_plans, layout.window_floats,
         )
         row_pair = np.repeat(
             np.arange(len(rescore)), [np.count_nonzero(flags) for flags in rescore]
@@ -933,7 +1058,7 @@ class FleetExecutor:
         row_slot = np.concatenate([np.flatnonzero(flags) for flags in rescore])
         for convolved, rows in self._convolve_rows(
             sources, fills, kernels, score_plans, shared, row_pair, row_slot,
-            np.ones(row_pair.size, bool), rows_per_chunk,
+            np.ones(row_pair.size, bool), layout.rows_per_chunk,
         ):
             exact = reduce_batch(y_stack[row_pair[rows]] - convolved, "l2")
             for local, slot, score in zip(row_pair[rows], row_slot[rows], exact):
@@ -983,10 +1108,18 @@ class FleetExecutor:
         fill_value, x)`` gives that pair, so a float32 pair fills with
         the float32-rounded value.
         """
-        fills = np.array(
-            [np.result_type(x, self.fill_value).type(self.fill_value) for x in xs]
-        )
+        fills = np.array([self._fill_for(x.dtype) for x in xs])
         return x_stack.astype(np.result_type(x_stack, fills), copy=False), fills
+
+    def _fill_for(self, dtype: np.dtype):
+        """``fill_value`` as a scalar of the dtype ``np.where`` gives a
+        ``dtype`` plane, made once per dtype."""
+        fill = self._fills.get(dtype)
+        if fill is None:
+            fill = self._fills[dtype] = np.result_type(dtype, self.fill_value).type(
+                self.fill_value
+            )
+        return fill
 
     @staticmethod
     def _band_windows(
@@ -996,17 +1129,22 @@ class FleetExecutor:
 
         Yields ``(window, patches)``: ``window`` is the slice of rows,
         and each patch ``(local, band_rows, values)`` covers the window's
-        mask rows of one distinct plan (normally one per window) --
+        mask rows of one plan object (one per window in a fleet wave) --
         their window positions, the ``(rows, height)`` plane rows each
         mask occludes (:meth:`~repro.core.masking.MaskSpec.bands_at`)
         and those rows of the pair's ``x`` with the masked columns set
         to the pair's fill.  Rows outside a band, and residual rows,
         are the pair's ``x`` unchanged.
         """
-        distinct = list(dict.fromkeys(plan for plan in plans if plan is not None))
-        plan_of = np.array(
-            [-1 if plan is None else distinct.index(plan) for plan in plans]
-        )
+        # Pairs sharing a plan object share its patches, so a fleet
+        # wave, whose pairs all carry one plan, has one per window.
+        number_of: dict = {}
+        distinct = []
+        for plan in plans:
+            if plan is not None and id(plan) not in number_of:
+                number_of[id(plan)] = len(distinct)
+                distinct.append(plan)
+        plan_of = np.array([-1 if plan is None else number_of[id(plan)] for plan in plans])
         row_plan = np.where(is_mask, plan_of[row_pair], -1)
         for lo in range(0, row_pair.size, rows_per_chunk):
             window = slice(lo, min(lo + rows_per_chunk, row_pair.size))
@@ -1103,21 +1241,22 @@ class FleetExecutor:
         start = _span_start(device)
         positions = range(len(numbers.indices))[share]
         m, n = numbers.plane_shape
+        layout = numbers.layout
         for local in positions:
             pair = pairs[numbers.indices[local]]
             scores = numbers.element_scores[local]
             if scores is not None:
                 # The ledger row element_scores_from_base records.
                 device.account_elementwise(m * n, flops_per_element=2.0, count=m * n)
-            elif pair.plan is None:
+            elif layout.plan is None:
                 scores = self._element_scores(
                     pair.x, numbers.kernels[local], pair.y_plane, numbers.preds[local],
                     device,
                 )
             else:
                 base = numbers.pair_base[local]
-                scores = pair.plan.reshape_scores(
-                    numbers.scores[base : base + numbers.pair_rows[local] - 1]
+                scores = numbers.scores[base : base + layout.num_masks].reshape(
+                    layout.plan.output_shape
                 )
             results[numbers.indices[local]] = PairResult(
                 kernel=numbers.kernels[local], scores=scores,

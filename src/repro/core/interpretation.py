@@ -41,6 +41,8 @@ accounted on CPU/GPU/TPU backends (Table II).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.core.masking import REDUCTIONS, MaskSpec, reduce_batch, score_plan
@@ -213,10 +215,13 @@ def l2_scores_by_linearity(
 
     Every plan needs ``s * s <= max_floats``: the ``s x s`` matrices
     are gathered for batches of pairs holding at most ``max_floats``
-    values.  A mask's score depends only on its own pair's planes (one
-    matrix product per pair, elementwise products, sums along
-    contiguous rows), so its bits do not depend on the other pairs of
-    the wave or on ``max_floats``.
+    values, each batch's ``d``, ``c`` and ``G`` through the plan's flat
+    cell and offset indices, which are built once per plan
+    (:func:`_linearity_geometry`); pairs share a batch when they share
+    a plan object, as every pair of a fleet wave does.  A mask's score
+    depends only on its own pair's planes (one matrix product per pair,
+    elementwise products, sums along contiguous rows), so its bits do
+    not depend on the other pairs of the wave or on ``max_floats``.
 
     Returns ``(scores, rescore)``: for each pair, its flat float64
     scores and bool flags in mask order.
@@ -236,22 +241,21 @@ def l2_scores_by_linearity(
     gains = np.max(np.abs(kernel_spectra), axis=(-2, -1))
     scores = [None] * num_pairs
     rescore = [None] * num_pairs
-    for plan in dict.fromkeys(plans):
-        cells = plan.cells_at(np.arange(plan.num_masks))
+    groups: dict = {}  # the pairs of each plan object, in pair order
+    for p, plan in enumerate(plans):
+        groups.setdefault(id(plan), (plan, []))[1].append(p)
+    for plan, group in groups.values():
+        cells, offsets, eps = _linearity_geometry(plan)
         size = cells.shape[1]
-        row, col = np.divmod(cells[0], n)
-        offsets = (row - row[:, np.newaxis]) % m * n + (col - col[:, np.newaxis]) % n
-        eps = np.finfo(np.float64).eps / 2 * (2 * size + 10 * np.log2(m * n) + 24)
-        group = [p for p, other in enumerate(plans) if other == plan]
         step = max(1, max_floats // (size * size))
         for lo in range(0, len(group), step):
-            pairs = np.array(group[lo : lo + step])[:, np.newaxis, np.newaxis]
-            d = sources[pairs, cells] - fills[pairs]
-            cross = np.sum(correlations[pairs, cells] * d, axis=-1)
+            pair = np.array(group[lo : lo + step])
+            d = np.take(sources[pair], cells, axis=1) - fills[pair, np.newaxis, np.newaxis]
+            cross = np.sum(np.take(correlations[pair], cells, axis=1) * d, axis=-1)
             quadratic = np.sum(
-                np.matmul(d, autocorrelations[pairs, offsets]) * d, axis=-1
+                np.matmul(d, np.take(autocorrelations[pair], offsets, axis=1)) * d, axis=-1
             )
-            pair = pairs[:, 0]
+            pair = pair[:, np.newaxis]
             squares = energies[pair] + 2.0 * cross + quadratic
             scale = (norms[pair] + gains[pair] * np.sum(np.abs(d), axis=-1)) ** 2
             flagged = squares < eps / L2_SQUARE_TOLERANCE * scale
@@ -259,6 +263,28 @@ def l2_scores_by_linearity(
             for k, p in enumerate(pair[:, 0]):
                 scores[p], rescore[p] = values[k], flagged[k]
     return scores, rescore
+
+
+@functools.lru_cache(maxsize=16)
+def _linearity_geometry(plan: MaskSpec) -> tuple:
+    """What :func:`l2_scores_by_linearity` reads of ``plan``, built once per plan.
+
+    ``(cells, offsets, eps)``: every mask's flat cell indices
+    (:meth:`~repro.core.masking.MaskSpec.cells_at`, ``(num_masks, s)``),
+    the ``(s, s)`` flat offsets ``q_b - q_a`` between the first mask's
+    cells, wrapped on the plane, at which ``G`` reads the
+    autocorrelation, and the guard's ``eps``.  The arrays are read-only:
+    every wave of the plan shares them.
+    """
+    m, n = plan.plane_shape
+    cells = plan.cells_at(np.arange(plan.num_masks))
+    size = cells.shape[1]
+    row, col = np.divmod(cells[0], n)
+    offsets = (row - row[:, np.newaxis]) % m * n + (col - col[:, np.newaxis]) % n
+    eps = np.finfo(np.float64).eps / 2 * (2 * size + 10 * np.log2(m * n) + 24)
+    cells.setflags(write=False)
+    offsets.setflags(write=False)
+    return cells, offsets, eps
 
 
 def mask_contribution(

@@ -37,6 +37,7 @@ mask -- the batching-for-efficiency argument of the TPU follow-up paper
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -235,7 +236,7 @@ class MaskSpec:
         bh, bw = self.block_shape
         return self.plane_shape[0] // bh, self.plane_shape[1] // bw
 
-    @property
+    @functools.cached_property
     def output_shape(self) -> tuple[int, ...]:
         m, n = self.plane_shape
         if self.granularity == "elements":
@@ -246,7 +247,7 @@ class MaskSpec:
             return (n,)
         return (m,)
 
-    @property
+    @functools.cached_property
     def num_masks(self) -> int:
         return math.prod(self.output_shape)
 

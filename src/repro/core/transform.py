@@ -205,25 +205,30 @@ def _record_solve(device: Device, kernels: int, pairs: int, m: int, n: int) -> N
     The rows, in order, that ``device.fft2``/``conjugate``/``hadamard``/
     ``ifft2`` write: per pair two transforms, a conjugate and two
     products; per kernel the eps add, the division and the inverse.
+    One kernel's rows are a template the device builds once per
+    ``(pairs, m, n)`` from its cost hooks (:meth:`~repro.hw.device
+    .Device.ledger_template`), and the ledger replays it ``kernels``
+    times (:meth:`~repro.hw.device.DeviceStats.record_rows`), which
+    leaves every bit as one ``record`` call per row would.
     """
-    transform = device.fft2_seconds(m, n)
-    macs = device.complex_matmul_real_products * (m * m * n + m * n * n)
-    conjugate = device.elementwise_seconds(m * n, flops_per_element=0.5)
+    template = device.ledger_template(
+        ("solve", pairs, m, n), lambda: _solve_rows(device, pairs, m, n)
+    )
+    device.stats.record_rows(template, kernels)
+
+
+def _solve_rows(device: Device, pairs: int, m: int, n: int) -> tuple:
+    """One kernel's Eq. 4 ledger rows from ``pairs`` pairs, in record order."""
+    transform = device._transform_row("fft2", m, n)
+    conjugate = ("conjugate", device.elementwise_seconds(m * n, flops_per_element=0.5), 0, 0)
     mul, add, div = (
-        device.elementwise_seconds(m * n, flops_per_element=_COMPLEX_HADAMARD_FLOPS[op])
+        (f"hadamard_{op}",
+         device.elementwise_seconds(m * n, flops_per_element=_COMPLEX_HADAMARD_FLOPS[op]),
+         0, 0)
         for op in ("mul", "add", "div")
     )
-    record = device.stats.record
-    for _ in range(kernels):
-        for _ in range(pairs):
-            record("fft2", transform, macs=macs)
-            record("fft2", transform, macs=macs)
-            record("conjugate", conjugate)
-            record("hadamard_mul", mul)
-            record("hadamard_mul", mul)
-        record("hadamard_add", add)
-        record("hadamard_div", div)
-        record("ifft2", transform, macs=macs)
+    per_pair = (transform, transform, conjugate, mul, mul)
+    return per_pair * pairs + (add, div, device._transform_row("ifft2", m, n))
 
 
 def frequency_solve(

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import abc
 import contextlib
+import functools
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -124,6 +125,54 @@ def pipelined_elapsed_seconds(stages) -> float:
     return elapsed + stages[-1].epilogue
 
 
+#: Template rows one ``np.add.accumulate`` of :meth:`DeviceStats.record_rows`
+#: spans at most, so a replay's scratch memory stays a few hundred KB
+#: however many times it repeats a template.
+_REPLAY_BLOCK_ROWS = 4096
+
+#: Replays of at most this many rows record them one at a time: there a
+#: ``record`` call per row costs less than the accumulate's fixed cost
+#: and the layout it derives on a template's first replay.
+_REPLAY_LOOP_ROWS = 16
+
+
+class LedgerTemplate:
+    """Ledger rows that :meth:`DeviceStats.record_rows` replays as a unit.
+
+    ``rows`` is a tuple of ``(op, seconds, macs, bytes_moved)`` rows in
+    record order; construction raises ``ValueError`` on a negative row.
+    """
+
+    def __init__(self, rows) -> None:
+        self.rows = tuple(rows)
+        for op, seconds, _, _ in self.rows:
+            if seconds < 0:
+                raise ValueError(f"negative simulated time for {op!r}")
+
+    @functools.cached_property
+    def replay(self) -> tuple:
+        """What every replay reads, derived on the first one.
+
+        ``(ops, counts, seconds, macs, bytes_moved)``: the distinct ops
+        in first-seen order; each op's row count; a read-only
+        ``(1 + len(ops), len(rows))`` array whose first line holds every
+        row's seconds and line ``1 + k`` op ``k``'s seconds (zeros
+        elsewhere); and one pass's integer MAC and byte totals.  A
+        template replayed only in runs of at most
+        :data:`_REPLAY_LOOP_ROWS` rows never builds it.
+        """
+        ops = tuple(dict.fromkeys(op for op, *_ in self.rows))
+        seconds = np.zeros((1 + len(ops), len(self.rows)))
+        for column, (op, value, _, _) in enumerate(self.rows):
+            seconds[0, column] = seconds[1 + ops.index(op), column] = value
+        seconds.setflags(write=False)
+        counts = Counter(op for op, *_ in self.rows)
+        return (
+            ops, tuple(counts[op] for op in ops), seconds,
+            sum(row[2] for row in self.rows), sum(row[3] for row in self.rows),
+        )
+
+
 class _PipelineLedger:
     """Stages observed inside one :meth:`Device.pipeline` scope."""
 
@@ -156,6 +205,46 @@ class DeviceStats:
         self.bytes_moved += bytes_moved
         self.op_counts[op] += 1
         self.op_seconds[op] = self.op_seconds.get(op, 0.0) + seconds
+
+    def record_rows(self, template: LedgerTemplate, times: int) -> None:
+        """Apply a :class:`LedgerTemplate`'s rows ``times`` times, in order.
+
+        The ledger ends exactly as ``times`` passes of one
+        :meth:`record` call per row would leave it, and a replay of at
+        most :data:`_REPLAY_LOOP_ROWS` rows is just that.  Past it,
+        :attr:`seconds` and each op's :attr:`op_seconds` advance through
+        ``np.add.accumulate`` over the running value and the repeated
+        rows, in blocks of at most :data:`_REPLAY_BLOCK_ROWS` rows that
+        each start from the last block's final column -- the same float
+        additions in the same order, because accumulate adds strictly
+        left to right (an op's rows sit among zeros, and adding 0.0
+        leaves a value's bits alone) -- and counts, MACs and bytes
+        advance as integers.
+        """
+        if times < 0:
+            raise ValueError(f"cannot replay a template {times} times")
+        if times * len(template.rows) <= _REPLAY_LOOP_ROWS:
+            for _ in range(times):
+                for row in template.rows:
+                    self.record(*row)
+            return
+        ops, counts, seconds, macs, moved = template.replay
+        lines, width = seconds.shape
+        block = min(times, max(1, _REPLAY_BLOCK_ROWS // width))
+        running = np.empty((lines, 1 + width * block))
+        running[:, 1:].reshape(lines, block, width)[...] = seconds[:, np.newaxis]
+        carry = [self.seconds, *(self.op_seconds.get(op, 0.0) for op in ops)]
+        for done in range(0, times, block):
+            running[:, 0] = carry
+            end = 1 + width * min(block, times - done)
+            carry = np.add.accumulate(running[:, :end], axis=1)[:, -1]
+        final = carry.tolist()
+        self.seconds = final[0]
+        self.macs += macs * times
+        self.bytes_moved += moved * times
+        for op, count, value in zip(ops, counts, final[1:]):
+            self.op_counts[op] += count * times
+            self.op_seconds[op] = value
 
     def credit(self, op: str, seconds: float) -> None:
         """Subtract overlapped time from the ledger, leaving an audit row.
@@ -202,6 +291,7 @@ class Device(abc.ABC):
         self.stats = DeviceStats()
         self._program_depth = 0
         self._pipeline: _PipelineLedger | None = None
+        self._templates: dict = {}  # ledger_template's memo
         #: Simulated seconds this device's trace lane has advanced past
         #: what :attr:`stats` currently holds -- harvested ledgers and
         #: overlap credits move the base forward so span positions stay
@@ -226,6 +316,21 @@ class Device(abc.ABC):
         self._trace_base += harvested.seconds
         self.stats = DeviceStats()
         return harvested
+
+    def ledger_template(self, key: tuple, rows) -> LedgerTemplate:
+        """The ledger template ``key`` names on this device, built once.
+
+        ``rows()`` gives its ``(op, seconds, macs, bytes_moved)`` rows
+        from the cost hooks on the first call for ``key``; every later
+        call returns that :class:`LedgerTemplate`, for
+        :meth:`DeviceStats.record_rows` to replay.  A key names
+        everything the rows depend on besides the device's
+        configuration, which does not change after construction.
+        """
+        template = self._templates.get(key)
+        if template is None:
+            template = self._templates[key] = LedgerTemplate(rows())
+        return template
 
     # ------------------------------------------------------------------
     # Cost hooks every backend must provide (simulated seconds)
@@ -535,10 +640,12 @@ class Device(abc.ABC):
         used when the functional result comes from the shared host hot
         path instead of composing the device ops directly.
         """
+        self.stats.record(*self._transform_row(name, m, n))
+
+    def _transform_row(self, op: str, m: int, n: int) -> tuple:
+        """The ``(op, seconds, macs, bytes_moved)`` row of one 2-D transform."""
         factor = self.complex_matmul_real_products
-        self.stats.record(
-            name, self.fft2_seconds(m, n), macs=factor * (m * m * n + m * n * n)
-        )
+        return op, self.fft2_seconds(m, n), factor * (m * m * n + m * n * n), 0
 
     def ifft2(self, x: np.ndarray) -> np.ndarray:
         """Inverse 2-D DFT; same cost structure as :meth:`fft2`."""
@@ -722,11 +829,10 @@ class Device(abc.ABC):
         to :meth:`kernel_spectrum_batch_seconds` (``spec`` is ignored
         here, matching that hook's eager semantics).
         """
-        transform_seconds = self.fft2_seconds(m, n)
-        factor = self.complex_matmul_real_products
-        transform_macs = factor * (m * m * n + m * n * n)
-        for _ in range(batch):
-            self.stats.record("fft2_kernel", transform_seconds, macs=transform_macs)
+        template = self.ledger_template(
+            ("fft2_kernel", m, n), lambda: (self._transform_row("fft2_kernel", m, n),)
+        )
+        self.stats.record_rows(template, batch)
 
     def _record_batch_conv(self, batch: int, m: int, n: int, spec=None) -> None:
         """Eager ledger for one batched convolution (CPU/GPU semantics).
@@ -737,14 +843,16 @@ class Device(abc.ABC):
         amortized by the caller.  The recorded seconds sum exactly to
         :meth:`batch_conv_seconds` (``spec`` ignored, eager semantics).
         """
-        transform_seconds = self.fft2_seconds(m, n)
-        hadamard_seconds = self.elementwise_seconds(m * n, flops_per_element=4.0)
-        factor = self.complex_matmul_real_products
-        transform_macs = factor * (m * m * n + m * n * n)
-        for _ in range(batch):
-            self.stats.record("fft2_batch", transform_seconds, macs=transform_macs)
-            self.stats.record("hadamard_mul_batch", hadamard_seconds)
-            self.stats.record("ifft2_batch", transform_seconds, macs=transform_macs)
+        template = self.ledger_template(
+            ("batch_conv", m, n),
+            lambda: (
+                self._transform_row("fft2_batch", m, n),
+                ("hadamard_mul_batch",
+                 self.elementwise_seconds(m * n, flops_per_element=4.0), 0, 0),
+                self._transform_row("ifft2_batch", m, n),
+            ),
+        )
+        self.stats.record_rows(template, batch)
 
     # ------------------------------------------------------------------
     # Cost-only accounting (large workloads, e.g. Table I training time)

@@ -37,6 +37,7 @@ numerics on randomized shapes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -108,8 +109,13 @@ def _tile_count(total: int, tile: int) -> int:
     return max(1, math.ceil(total / tile))
 
 
+@functools.lru_cache(maxsize=1024)
 def matmul_cycles(m: int, k: int, n: int, config: MxuConfig) -> MxuStats:
     """Closed-form cycle count for an ``m x k @ k x n`` product.
+
+    A pure function of its small hashable arguments, computed once per
+    distinct product: the TPU cost hooks price the same few shapes over
+    and over.
 
     Per weight tile ``(kt, nt)``: the tile's weights load in ``rows``
     cycles (hidden behind the previous tile's streaming when ``m`` covers

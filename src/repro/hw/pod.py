@@ -72,24 +72,34 @@ from repro.hw.interconnect import Interconnect, InterconnectConfig
 from repro.obs.tracer import tracer
 
 
-def check_num_chips(num_chips) -> int:
-    """``num_chips`` as an ``int``; ``ValueError`` unless an integer >= 1.
+def is_count(value) -> bool:
+    """Whether ``value`` is an integer >= 1 that is not a ``bool``.
 
-    The one chip-count check of every pod constructor: ``int()`` alone
-    would turn 2.7 chips into a 2-chip pod without an error.
+    The one rule of every count option -- chips, HBM bytes, pairs per
+    wave, chunk rows, stack bytes, batch pairs: ``int()`` alone would
+    turn 2.7 into 2, a comparison would let 2.5 through to fail at the
+    first use, and ``True`` is an ``Integral`` that would run as 1.
     """
-    if not (isinstance(num_chips, numbers.Integral) and num_chips >= 1):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
+
+def check_num_chips(num_chips) -> int:
+    """``num_chips`` as an ``int``; ``ValueError`` unless :func:`is_count`.
+
+    The one chip-count check of every pod constructor.
+    """
+    if not is_count(num_chips):
         raise ValueError(f"num_chips must be an integer >= 1, got {num_chips!r}")
     return int(num_chips)
 
 
 def check_hbm_bytes(hbm_bytes) -> int | None:
-    """``hbm_bytes`` as an ``int``; ``ValueError`` unless ``None`` or an
-    integer >= 1.  The one HBM-budget check: ``int()`` alone would turn
-    2.7 bytes into 2, and an error would name the truncated value."""
+    """``hbm_bytes`` as an ``int``; ``ValueError`` unless ``None`` or
+    :func:`is_count`.  The one HBM-budget check, whose error names the
+    value passed, not a truncated one."""
     if hbm_bytes is None:
         return None
-    if not (isinstance(hbm_bytes, numbers.Integral) and hbm_bytes >= 1):
+    if not is_count(hbm_bytes):
         raise ValueError(
             f"hbm_bytes must be None or an integer >= 1, got {hbm_bytes!r}"
         )

@@ -48,6 +48,7 @@ import math
 from dataclasses import dataclass
 
 from repro.core.fleet import CheckedPair
+from repro.hw.pod import is_count
 from repro.serve.workload import Request
 
 
@@ -63,7 +64,7 @@ class BatchKey:
         return (self.granularity, self.block_shape, self.precision)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QueuedRequest:
     """A pending request plus everything resolved at arrival, including
     the :class:`~repro.core.fleet.CheckedPair` its dispatch runs as is."""
@@ -73,6 +74,13 @@ class QueuedRequest:
     feed_nbytes: int  # host-link bytes of (x, y) at the key's precision
     pair: CheckedPair
     digest: str | None  # content digest, for cache fill after dispatch
+
+    def __init__(self, request, enqueue_time, feed_nbytes, pair, digest) -> None:
+        # Made once per queued request; see repro.core.fleet.PairResult.__init__.
+        self.__dict__.update(
+            request=request, enqueue_time=enqueue_time, feed_nbytes=feed_nbytes,
+            pair=pair, digest=digest,
+        )
 
 
 class MicroBatcher:
@@ -89,9 +97,9 @@ class MicroBatcher:
             raise ValueError(
                 f"max_wait_seconds cannot be negative, got {max_wait_seconds}"
             )
-        if max_batch_pairs <= 0:
+        if not is_count(max_batch_pairs):
             raise ValueError(
-                f"max_batch_pairs must be positive, got {max_batch_pairs}"
+                f"max_batch_pairs must be positive: an integer >= 1, got {max_batch_pairs!r}"
             )
         if weights is not None:
             for key, weight in weights.items():
@@ -168,12 +176,11 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     def next_deadline(self) -> float:
         """When the oldest pending request's max-wait expires (inf if idle)."""
-        deadlines = [
-            queue[0].enqueue_time + self.policy_for(key)[0]
-            for key, queue in self._queues.items()
-            if queue
-        ]
-        return min(deadlines) if deadlines else math.inf
+        deadline = math.inf
+        for key, queue in self._queues.items():
+            if queue:
+                deadline = min(deadline, queue[0].enqueue_time + self.policy_for(key)[0])
+        return deadline
 
     def _dispatch_order(self, keys: list[BatchKey]) -> list[BatchKey]:
         """Least served credit first, first-seen order breaking ties."""
@@ -198,7 +205,7 @@ class MicroBatcher:
             due = queue[0].enqueue_time + max_wait <= now
             if full or due:
                 ripe.append(key)
-        return self._dispatch_order(ripe)
+        return self._dispatch_order(ripe) if len(ripe) > 1 else ripe
 
     def drain_keys(self) -> list[BatchKey]:
         """Every key with pending requests, in weighted fair order.

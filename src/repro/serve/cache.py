@@ -76,26 +76,53 @@ def explanation_digest(
     different embeddings must not collide).  Byte-equal inputs under
     the same config collide by construction; anything else (a different
     fill value, a different precision, one flipped input bit) lands
-    elsewhere.
+    elsewhere.  The same as :func:`planes_digest` of the planes and
+    :func:`explanation_config`'s bytes.
     """
+    return planes_digest(
+        x, y,
+        explanation_config(
+            granularity, block_shape, precision_name, eps, reduction, fill_value,
+            embedding_strategy,
+        ),
+    )
+
+
+def explanation_config(
+    granularity: str,
+    block_shape: tuple[int, int] | None,
+    precision_name: str | None,
+    eps: float,
+    reduction: str,
+    fill_value: float,
+    embedding_strategy: str = "identity",
+) -> bytes:
+    """The scoring configuration's bytes, which a digest hashes after the
+    planes: the ``repr`` of the configuration tuple.  A service builds
+    them once per batch key."""
+    return repr(
+        (
+            granularity,
+            None if block_shape is None else tuple(block_shape),
+            precision_name,
+            float(eps),
+            reduction,
+            float(fill_value),
+            embedding_strategy,
+        )
+    ).encode()
+
+
+def planes_digest(x: np.ndarray, y: np.ndarray, config: bytes) -> str:
+    """SHA-256 over ``x``'s and ``y``'s dtype, shape and value bytes, then
+    ``config`` (:func:`explanation_config`): the recipe of
+    :func:`explanation_digest`."""
     digest = hashlib.sha256()
     for plane in (x, y):
         plane = np.ascontiguousarray(np.asarray(plane))
         digest.update(_plane_tag(plane.dtype, plane.shape))
         digest.update(value_buffer(plane))  # no copy unless longdouble padding
-    digest.update(
-        repr(
-            (
-                granularity,
-                None if block_shape is None else tuple(block_shape),
-                precision_name,
-                float(eps),
-                reduction,
-                float(fill_value),
-                embedding_strategy,
-            )
-        ).encode()
-    )
+    digest.update(config)
     return digest.hexdigest()
 
 

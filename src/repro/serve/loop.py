@@ -59,7 +59,8 @@ from repro.serve.cache import (
     DEFAULT_CACHE_BYTES,
     DigestMemo,
     ExplanationCache,
-    explanation_digest,
+    explanation_config,
+    planes_digest,
 )
 from repro.serve.clock import SimulatedClock
 from repro.serve.controller import BatchController
@@ -222,6 +223,7 @@ class ExplanationService:
         self._key_memo: dict = {}
         self._spec_memo: dict = {}
         self._digest_memo = DigestMemo()
+        self._digest_configs: dict[BatchKey, bytes] = {}
         # Lifetime observability counters (across process() calls) and
         # the weak metrics-registry hookup: registering never extends
         # the service's lifetime, and a dead service drops out of
@@ -379,14 +381,12 @@ class ExplanationService:
         return self._spec_memo[precision_name]
 
     def _digest(self, request: Request, key: BatchKey) -> str:
-        """Content digest, memoized by plane identity for warm replay."""
-        return self._digest_memo.lookup(
-            request.x,
-            request.y,
-            key.as_tuple(),
-            lambda: explanation_digest(
-                request.x,
-                request.y,
+        """Content digest (:func:`~repro.serve.cache.explanation_digest`),
+        memoized by plane identity and configuration for warm replay; the
+        configuration's bytes are built once per key."""
+        config = self._digest_configs.get(key)
+        if config is None:
+            config = self._digest_configs[key] = explanation_config(
                 granularity=key.granularity,
                 block_shape=key.block_shape,
                 precision_name=key.precision,
@@ -394,7 +394,9 @@ class ExplanationService:
                 reduction=self.reduction,
                 fill_value=self.fill_value,
                 embedding_strategy=self.embedding.strategy,
-            ),
+            )
+        return self._digest_memo.lookup(
+            request.x, request.y, config, lambda: planes_digest(request.x, request.y, config)
         )
 
     # ------------------------------------------------------------------

@@ -25,7 +25,7 @@ from repro.hw.device import DeviceStats
 STATUSES = ("completed", "rejected")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RequestRecord:
     """One request's lifecycle, timestamped by the simulated clock.
 
@@ -51,11 +51,29 @@ class RequestRecord:
     reject_reason: str | None = None
     result: object = None
 
-    def __post_init__(self) -> None:
-        if self.status not in STATUSES:
-            raise ValueError(
-                f"unknown status {self.status!r}; expected one of {STATUSES}"
-            )
+    def __init__(
+        self,
+        request_id: int,
+        arrival_time: float,
+        status: str,
+        batch_key: tuple = (),
+        enqueue_time: float | None = None,
+        dispatch_time: float | None = None,
+        completion_time: float | None = None,
+        dispatch_index: int | None = None,
+        cache_hit: bool = False,
+        reject_reason: str | None = None,
+        result: object = None,
+    ) -> None:
+        if status not in STATUSES:
+            raise ValueError(f"unknown status {status!r}; expected one of {STATUSES}")
+        # Made once per request; see repro.core.fleet.PairResult.__init__.
+        self.__dict__.update(
+            request_id=request_id, arrival_time=arrival_time, status=status,
+            batch_key=batch_key, enqueue_time=enqueue_time, dispatch_time=dispatch_time,
+            completion_time=completion_time, dispatch_index=dispatch_index,
+            cache_hit=cache_hit, reject_reason=reject_reason, result=result,
+        )
 
     @property
     def latency(self) -> float | None:

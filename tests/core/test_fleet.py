@@ -1,5 +1,6 @@
 """Fleet-scale wave fusion: schedule planning, slice tables, execution."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -424,14 +425,36 @@ class TestNonFiniteExplanations:
         assert clean.problems == {}
         assert_same_explanations([run.results[0], *run.results[2:]], clean.results)
 
-    def test_an_overflowing_residual_alone_is_caught(self):
-        """At l1 the scores of y*1e200 stay finite, but the residual's
-        squares overflow."""
+    @pytest.mark.parametrize("scale", [1e200, 1e250, 1e300])
+    def test_a_residual_whose_squares_overflow_stays_finite(self, scale):
+        """At l1 the scores of y*1e200 stay finite, and so does the
+        residual, though its squares overflow: it is the RMS of the
+        plane scaled by its peak, as in the reference."""
         pairs = planted_pairs(3)
-        pairs[1] = (pairs[1][0], pairs[1][1] * 1e200)
+        pairs[1] = (pairs[1][0], pairs[1][1] * scale)
+        options = dict(granularity="columns", reduction="l1")
         with np.errstate(over="ignore"):
-            run = FleetExecutor(CpuDevice(), granularity="columns", reduction="l1").run(pairs)
-        assert run.problems == {1: "the explanation holds non-finite values (residual)"}
+            run = FleetExecutor(CpuDevice(), **options).run(pairs)
+            expected = reference.explain_all(pairs, device=CpuDevice(), **options)
+        assert run.problems == {}
+        # Above 1e155 its square would pass the float range.
+        assert 1e155 < run.results[1].residual < np.inf
+        reference.assert_matches(run.results, expected, pairs, **options)
+
+    def test_each_pairs_mask_rows_are_its_scores(self):
+        """The check reads each pair's mask rows of the wave's flat
+        scores: a NaN in pair 1's first mask row names pair 1, and one in
+        pair 0's residual row, which is no score, names no pair."""
+        executor = FleetExecutor(CpuDevice(), granularity="columns")
+        pairs = executor._checked_pairs(planted_pairs(2))
+        (wave,) = executor.schedule(pairs).waves
+        numbers = executor._compute_wave(wave, pairs)
+        masks = numbers.layout.num_masks
+        scores = numbers.scores.copy()
+        scores[masks] = scores[masks + 1] = np.nan
+        problems = {}
+        FleetExecutor._check_wave(dataclasses.replace(numbers, scores=scores), [], problems)
+        assert problems == {1: "the explanation holds non-finite values (scores)"}
 
     def test_elements_scores_made_at_assembly_are_checked(self, monkeypatch):
         """A complex y keeps elements off the l2 scorer: its scores are
@@ -912,6 +935,18 @@ class TestOptionValidation:
     def test_bad_option_rejected_at_construction(self, builder, options, message):
         with pytest.raises(ValueError, match=message):
             self.BUILDERS[builder](**options)
+
+    @pytest.mark.parametrize("value", [True, 2.5, 0, "2"], ids=repr)
+    @pytest.mark.parametrize("option", [
+        "max_pairs_per_wave", "chunk_rows", "max_stack_bytes", "num_chips", "hbm_bytes",
+    ])
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_a_count_option_is_an_integer_of_at_least_one(self, builder, option, value):
+        """``True`` used to run as 1, 2.5 to build and then raise
+        ``TypeError`` at the first dispatch, and "2" to raise ``TypeError``
+        here: each is a ``ValueError`` naming the value now."""
+        with pytest.raises(ValueError, match=f"{option} must be .* got {value!r}"):
+            self.BUILDERS[builder](**{option: value})
 
     @pytest.mark.parametrize("builder", sorted(BUILDERS))
     def test_none_and_integer_options_build(self, builder):

@@ -66,7 +66,7 @@ POD_BUILDERS = {
 
 
 class TestChipCount:
-    @pytest.mark.parametrize("num_chips", (2.7, 3.9, 2.0, 0, -1, "2"))
+    @pytest.mark.parametrize("num_chips", (2.7, 3.9, 2.0, 0, -1, "2", True))
     @pytest.mark.parametrize("builder", sorted(POD_BUILDERS))
     def test_anything_but_an_integer_of_at_least_one_raises(self, builder, num_chips):
         with pytest.raises(ValueError, match="num_chips must be an integer >= 1"):
@@ -98,13 +98,13 @@ HBM_BUILDERS = {
 
 
 class TestHbmBudget:
-    @pytest.mark.parametrize("hbm_bytes", (2.7, 0.5, 0, -1, "2"))
+    @pytest.mark.parametrize("hbm_bytes", (2.7, 0.5, 0, -1, "2", True))
     @pytest.mark.parametrize("builder", sorted(HBM_BUILDERS))
     def test_anything_but_none_or_an_integer_of_at_least_one_raises(
         self, builder, hbm_bytes
     ):
-        """The error names the value passed: 2.7 used to run as 2, and
-        0.5 on a pod to raise "got 0"."""
+        """The error names the value passed: 2.7 used to run as 2,
+        0.5 on a pod to raise "got 0", and True to build a 1-byte budget."""
         message = f"hbm_bytes must be None or an integer >= 1, got {hbm_bytes!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             HBM_BUILDERS[builder](hbm_bytes)

@@ -158,7 +158,12 @@ def explain(
         predicted = fft_circular_convolve2d(x, kernel, precision=spec)
     else:
         predicted = device.conv2d_circular(x, kernel, precision=spec)
-    residual = float(np.sqrt(np.mean(np.abs(predicted - y_plane) ** 2)))
+    delta = np.abs(predicted - y_plane)
+    residual = float(np.sqrt(np.mean(delta**2)))
+    if not np.isfinite(residual) and np.isfinite(delta).all():
+        # The squares overflowed: the RMS of the plane scaled by its peak.
+        peak = delta.max()
+        residual = float(peak * np.sqrt(np.mean((delta / peak) ** 2)))
     return Explanation(kernel, scores, residual)
 
 

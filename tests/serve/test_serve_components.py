@@ -1,10 +1,13 @@
 """Unit tests for the serving-layer components (clock, workload, cache,
 admission, batcher) -- the pieces the event loop composes."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
-from repro.core.fleet import PairResult
+from repro.core.fleet import CheckedPair, PairResult
 from repro.serve import (
     AdmissionController,
     BatchKey,
@@ -19,6 +22,7 @@ from repro.serve import (
     poisson_requests,
     result_nbytes,
 )
+from repro.serve.metrics import RequestRecord
 
 
 class TestSimulatedClock:
@@ -462,3 +466,49 @@ class TestMicroBatcher:
             MicroBatcher(max_batch_pairs=0)
         with pytest.raises(ValueError):
             MicroBatcher(weights={KEY: 0.0})
+
+    @pytest.mark.parametrize("value", [True, 2.5, 0, "2"], ids=repr)
+    def test_max_batch_pairs_is_an_integer_of_at_least_one(self, value):
+        """``True`` used to batch as 1 and 2.5 as 2."""
+        with pytest.raises(ValueError, match=f"max_batch_pairs must be .* got {value!r}"):
+            MicroBatcher(max_batch_pairs=value)
+        assert MicroBatcher(max_batch_pairs=np.int64(3)).max_batch_pairs == 3
+
+
+class TestFrozenRecords:
+    """The per-request records keep the generated dataclass contract
+    with their own ``__init__``: same parameters and defaults as the
+    fields, frozen, equal and ``replace``-able."""
+
+    RECORDS = {
+        "PairResult": (PairResult, dict(kernel=np.ones(2), scores=np.ones(2), residual=0.5)),
+        "CheckedPair": (CheckedPair, dict(
+            x=np.ones(2), y=np.ones(2), y_plane=np.ones(2), plan=None, executor=None,
+        )),
+        "QueuedRequest": (QueuedRequest, dict(
+            request=None, enqueue_time=1.0, feed_nbytes=8, pair=None, digest="d",
+        )),
+        "RequestRecord": (RequestRecord, dict(
+            request_id=3, arrival_time=0.5, status="completed", completion_time=0.75,
+        )),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_init_matches_the_fields(self, name):
+        cls, values = self.RECORDS[name]
+        parameters = list(inspect.signature(cls).parameters.values())
+        fields = dataclasses.fields(cls)
+        assert [p.name for p in parameters] == [f.name for f in fields]
+        for parameter, field in zip(parameters, fields):
+            default = inspect.Parameter.empty if field.default is dataclasses.MISSING else field.default
+            assert parameter.default == default
+        record = cls(**values)
+        for key, value in values.items():
+            assert getattr(record, key) is value
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, fields[0].name, None)
+        assert dataclasses.replace(record).__dict__.keys() == record.__dict__.keys()
+
+    def test_a_record_still_checks_its_status(self):
+        with pytest.raises(ValueError, match="unknown status 'lost'"):
+            RequestRecord(1, 0.0, "lost")
