@@ -5,7 +5,8 @@ seconds from the cost model.  This one times the host itself: real
 ``time.perf_counter`` wall-clock for the numpy hot path that every
 simulated backend ultimately runs -- real-input convolutions through
 half-spectrum ``rfft2``/``irfft2`` transforms, kernel spectra from the
-process-level content-addressed cache.
+process-level content-addressed cache (``score_plan``) or, for a fleet
+wave's fresh kernels, transformed by the wave itself.
 
 Three workloads cover the stack: a single-pair ``score_plan`` (one
 mask plan, one kernel), a 100-pair :class:`FleetExecutor` fleet on
@@ -15,8 +16,9 @@ dominates), and a serve replay driving Poisson traffic through
 
 Contracts asserted (pytest, and by the ``--quick`` CI smoke):
 
-* a warm kernel-spectrum cache records **zero** kernel re-transforms
-  when the same fleet runs again (repeated-shape waves hit the cache);
+* a fleet run leaves the kernel-spectrum cache **unchanged** -- no
+  lookup, no store, no transform: a wave's kernels are solved fresh and
+  never repeat, so its waves transform them without the cache;
 * streamed scoring at any chunk size stays **bit-identical** to the
   looped reference (``tests/reference.py``), one masked convolution per
   feature.
@@ -138,16 +140,15 @@ def _time_workloads(pairs, serve=True, repeats=REPEATS):
 # ----------------------------------------------------------------------
 
 
-def test_warm_cache_records_zero_kernel_retransforms():
-    """Repeated-shape waves: re-running the same fleet against a warm
-    kernel-spectrum cache must not transform a single kernel again."""
+def test_fleet_runs_leave_the_kernel_spectrum_cache_unchanged():
+    """A fleet run, and a repeat of it, neither reads nor fills the
+    kernel-spectrum cache: every counter and entry stays as it was."""
     pairs = fleet_pairs(CONTRACT_PAIRS)
     clear_kernel_spectrum_cache()
-    fleet_executor().run(pairs)
-    warm_start = kernel_spectrum_cache_info()["kernel_transforms"]
+    before = kernel_spectrum_cache_info()
     run = fleet_executor().run(pairs)
-    warm_delta = kernel_spectrum_cache_info()["kernel_transforms"] - warm_start
-    assert warm_delta == 0
+    fleet_executor().run(pairs)
+    assert kernel_spectrum_cache_info() == before
     assert len(run.results) == CONTRACT_PAIRS
 
 
@@ -168,7 +169,7 @@ def test_streamed_loop_parity_on_real_path():
 # ----------------------------------------------------------------------
 
 
-def _report(timings, cache_info, warm_delta) -> str:
+def _report(timings, cache_info, fleet_changed_cache) -> str:
     lines = [
         "HOST WALL-CLOCK HOT PATH (time.perf_counter seconds, best of N; "
         "real = rFFT + spectrum cache)",
@@ -179,8 +180,8 @@ def _report(timings, cache_info, warm_delta) -> str:
     lines.append(
         f"kernel-spectrum cache: {cache_info['entries']} entries, "
         f"{cache_info['hits']} hits / {cache_info['misses']} misses, "
-        f"{cache_info['kernel_transforms']} transforms, "
-        f"{warm_delta} re-transforms on the warm repeat"
+        f"{cache_info['kernel_transforms']} transforms; "
+        f"changed by a fleet run: {'yes' if fleet_changed_cache else 'no'}"
     )
     return "\n".join(lines)
 
@@ -193,27 +194,24 @@ def _measure(quick: bool):
     timings = _time_workloads(pairs, serve=not quick, repeats=repeats)
     timings["fleet"]["pairs"] = count
 
-    # Warm-cache contract: prime the cache with one fleet pass (later
-    # workloads cleared it), then count kernel transforms a repeated
-    # identical fleet adds -- repeated-shape waves must add none.
+    # Cache contract: a fleet run and its repeat must leave the cache's
+    # counters and entries as the timed workloads left them.
+    before = kernel_spectrum_cache_info()
     fleet_executor().run(pairs)
-    warm_start = kernel_spectrum_cache_info()["kernel_transforms"]
     fleet_executor().run(pairs)
-    warm_delta = (
-        kernel_spectrum_cache_info()["kernel_transforms"] - warm_start
-    )
-    return timings, kernel_spectrum_cache_info(), warm_delta
+    cache_info = kernel_spectrum_cache_info()
+    return timings, cache_info, cache_info != before
 
 
 def _smoke(quick: bool, json_path: Path | None) -> int:
-    timings, cache_info, warm_delta = _measure(quick)
-    print(_report(timings, cache_info, warm_delta))
+    timings, cache_info, fleet_changed_cache = _measure(quick)
+    print(_report(timings, cache_info, fleet_changed_cache))
 
     failures = 0
-    if warm_delta != 0:
+    if fleet_changed_cache:
         print(
-            f"FAIL: warm kernel-spectrum cache re-transformed {warm_delta} "
-            "kernels on a repeated-shape fleet (expected 0)",
+            "FAIL: a fleet run changed the kernel-spectrum cache "
+            "(expected no lookup, store or transform)",
             file=sys.stderr,
         )
         failures += 1
@@ -234,9 +232,9 @@ def _smoke(quick: bool, json_path: Path | None) -> int:
             "plane_shape": list(SHAPE),
             "workloads": timings,
             "kernel_spectrum_cache": cache_info,
-            "warm_repeat_kernel_retransforms": warm_delta,
+            "fleet_runs_changed_cache": fleet_changed_cache,
             "contracts": {
-                "warm_retransforms_expected": 0,
+                "fleet_runs_leave_cache_unchanged": True,
                 "dispatch_parity": "streamed == looped reference (bit-identical)",
             },
         }

@@ -4,7 +4,11 @@ Runs a workload of ``benchmarks/perf/workloads.py`` the way the
 benchmark times it -- fresh program objects per rep, the
 kernel-spectrum cache cleared, only ``workload.execute`` profiled --
 and samples the Python stack on ``SIGPROF`` (``signal.setitimer`` with
-``ITIMER_PROF``, so samples follow the process's CPU time)::
+``ITIMER_PROF``, so samples follow the process's CPU time).  The timer
+is armed once for the whole run and only samples taken inside
+``execute`` are kept, so a rep shorter than the timer's tick is sampled
+in proportion to its CPU time (re-arming the timer per rep would
+restart the tick each time and rarely sample such a rep)::
 
     PYTHONPATH=src python benchmarks/profile_host.py --workload serve-ladder --reps 25
 
@@ -26,6 +30,7 @@ delivered between bytecodes of the main thread, unbiased by either.
 """
 
 import argparse
+import contextlib
 import gc
 import os
 import signal
@@ -46,18 +51,34 @@ if __name__ == "__main__":
 
 
 class StackSampler:
-    """Collects the main thread's Python stack on every ``SIGPROF``.
+    """Collects the main thread's Python stack on ``SIGPROF``.
 
     Each sample is a tuple of ``(module, qualified name)`` frames,
-    innermost first.  Use as a context manager around the code to
-    profile; the timer and the handler are restored on exit.
+    innermost first.  Use as a context manager around the whole run: it
+    arms the timer on entry and restores the timer and the handler on
+    exit.  Only samples taken inside :meth:`profiled` are kept, and only
+    the CPU time spent there is counted.
     """
 
     def __init__(self) -> None:
         self.samples: list[tuple] = []
         self.cpu_seconds = 0.0
+        self._active = False
+
+    @contextlib.contextmanager
+    def profiled(self):
+        """Keep the samples taken, and count the CPU time spent, inside."""
+        start = time.process_time()
+        self._active = True
+        try:
+            yield
+        finally:
+            self._active = False
+            self.cpu_seconds += time.process_time() - start
 
     def _handler(self, signum, frame) -> None:
+        if not self._active:
+            return
         stack = []
         while frame is not None:
             code = frame.f_code
@@ -68,13 +89,11 @@ class StackSampler:
 
     def __enter__(self):
         self._previous = signal.signal(signal.SIGPROF, self._handler)
-        self._start = time.process_time()
         signal.setitimer(signal.ITIMER_PROF, INTERVAL, INTERVAL)
         return self
 
     def __exit__(self, *exc) -> None:
         signal.setitimer(signal.ITIMER_PROF, 0.0, 0.0)
-        self.cpu_seconds += time.process_time() - self._start
         signal.signal(signal.SIGPROF, self._previous)
 
 
@@ -147,14 +166,14 @@ def main(argv=None) -> int:
     by_name = {w.name: w for w in (workloads.SMOKE_WORKLOADS if args.smoke else workloads.WORKLOADS)}
     workload = by_name[args.workload]
     workload.execute(workload.build(), workload.inputs(0))  # warm-up, not sampled
-    sampler = StackSampler()
-    for rep in range(args.reps):
-        inputs = workload.inputs(rep)
-        state = workload.build()
-        clear_kernel_spectrum_cache()
-        gc.collect()
-        with sampler:
-            workload.execute(state, inputs)
+    with StackSampler() as sampler:
+        for rep in range(args.reps):
+            inputs = workload.inputs(rep)
+            state = workload.build()
+            clear_kernel_spectrum_cache()
+            gc.collect()
+            with sampler.profiled():
+                workload.execute(state, inputs)
     report(sampler, args.reps, args.top)
     return 0
 

@@ -56,11 +56,13 @@ each line on its own (so a row's transform is the same whether it is
 computed alone or in a stack, and an unmasked row's is its pair's) and
 per-row reductions are plane-local.  **l2 by linearity.**  An ``l2``
 wave of real float64 pairs at exact precision convolves only its
-residual rows and scores every mask in closed form
+pairs' unmasked planes, in one batched rFFT round trip outside the
+windows, and scores every mask in closed form
 (:func:`~repro.core.interpretation.l2_scores_by_linearity`: two planes
 per pair, ``O(s^2)`` per mask of ``s`` cells); a mask whose terms
-cancel goes back to one exact convolution.  Those scores match the
-loop within 1e-9 of the pair's largest score instead of bit for bit.
+cancel goes back to one exact convolution in a window.  Those scores
+match the loop within 1e-9 of the pair's largest score instead of bit
+for bit.
 Either way a score depends only on its own pair, so fusion, row
 sharing, streaming, pipelining, placement and tracing change only the
 cost ledger, never the numbers -- and the ledger still prices one
@@ -173,7 +175,7 @@ from repro.fft.convolution import (
     fft_circular_convolve2d_chunks,
 )
 from repro.fft.fft import rfft
-from repro.fft.spectra import kernel_spectrum
+from repro.fft.fft2d import irfft2_batch, rfft2_batch
 from repro.hw.device import Device, shard_slices
 from repro.hw.pod import PodWaveStats, TpuPod, check_hbm_bytes, check_num_chips, is_count
 from repro.hw.quantize import resolve_precision
@@ -354,10 +356,12 @@ class _PlanLayout:
     executor and shape, at the first wave, with the code each wave ran
     before, and read-only after:
 
-    * the row map (:func:`wave_row_map`), the residual rows and the
-      pair bases of the widest wave seen; a wave of ``P`` pairs reads
-      their first ``P * (s + 1)`` rows, ``P`` residual rows and ``P``
-      bases (:meth:`rows`), so the arrays grow only with a wider wave;
+    * the row map (:func:`wave_row_map`) and the residual rows of the
+      widest wave seen, built at the first wave that needs them (the
+      exact path: a linearity wave reads only :meth:`pair_base`); a
+      wave of ``P`` pairs reads their first ``P * (s + 1)`` rows and
+      ``P`` residual rows (:meth:`rows`), so the arrays grow only with a
+      wider wave;
     * ``rows_per_chunk``, the window a wave streams at;
     * ``score_plan``, the plan its masks score with by linearity (the
       one-cell plan for ``elements``), ``window_floats``, the default
@@ -386,6 +390,11 @@ class _PlanLayout:
         )
         self._pairs = 0
 
+    def pair_base(self, pairs: int) -> list:
+        """The first row of each pair of a ``pairs``-pair wave."""
+        step = self.num_masks + 1
+        return list(range(0, pairs * step, step))
+
     def rows(self, pairs: int) -> tuple:
         """``(row_pair, row_slot, is_mask, residual_rows, pair_base)`` of a
         ``pairs``-pair wave: read-only views and a list of first rows."""
@@ -395,13 +404,12 @@ class _PlanLayout:
             for array in row_map:
                 array.setflags(write=False)
             self._row_map = row_map
-            self._pair_base = list(range(0, pairs * (self.num_masks + 1), self.num_masks + 1))
             self._pairs = pairs
         row_pair, row_slot, is_mask, residual_rows = self._row_map
         size = pairs * (self.num_masks + 1)
         return (
             row_pair[:size], row_slot[:size], is_mask[:size], residual_rows[:pairs],
-            self._pair_base[:pairs],
+            self.pair_base(pairs),
         )
 
 
@@ -563,8 +571,9 @@ class CheckedPair:
 class _WaveNumbers:
     """One wave's host results, which every pricing target reads.
 
-    ``scores`` holds one score per row of the wave's row map (residual
-    rows included), ``element_scores`` the score grid of each
+    ``scores`` holds one score per row of the wave's row map (the
+    linearity pass leaves the residual rows NaN, since no score is read
+    there), ``element_scores`` the score grid of each
     ``elements`` pair scored by linearity (``None`` for the others),
     ``preds`` each pair's residual prediction and ``residuals`` its fit
     residual; ``pair_base`` and ``pair_rows`` are each pair's first row
@@ -943,86 +952,102 @@ class FleetExecutor:
     def _compute_wave(self, wave: WavePlan, pairs) -> _WaveNumbers:
         """Every number of one wave, computed once on the host.
 
-        One stacked Eq. 4 solve gives every pair's kernel; then the
-        wave's whole row space -- each pair's masked variants followed
-        by its unmasked residual plane, as :func:`wave_row_map` lays it
-        out -- is convolved in ``rows_per_chunk`` windows that may span
-        pairs.  A real wave at exact precision (``None``, fp32 or fp64)
-        transforms each pair's rows once and builds every window's row
-        spectra from them (:meth:`_row_shared_stream`); quantized and
-        complex waves stream spatial windows (:meth:`_masked_chunks`)
-        through :func:`~repro.fft.convolution.fft_circular_convolve2d_chunks`.
-        Both end in the same convolution tail
-        (:func:`~repro.fft.convolution._convolve_row_spectra`: bin-major
-        row spectra in, C-order planes out), and each convolved window
-        is scored with one reduction.
+        One stacked Eq. 4 solve gives every pair's kernel
+        (:func:`~repro.core.transform._solve_stack`: two 2-D transforms
+        when ``x`` and ``y`` promote alike).  Then one of two passes:
 
-        An ``l2`` wave at exact precision whose pairs key as
-        ``(float64, float64, float64)`` (:func:`wave_dtype_key`)
-        convolves only its residual rows that way; its masks, and the
-        cells of an ``elements`` pair, are scored by
-        :func:`~repro.core.interpretation.l2_scores_by_linearity` from
-        those residuals, and the masks its guard flags are convolved
-        exactly after all (:meth:`_linearity_scores`).  A plan whose
-        ``s x s`` cell matrix would not fit the window memory of the
-        default chunk (``rows_per_chunk * M * N`` floats at
-        :data:`~repro.core.masking.DEFAULT_CHUNK_ROWS`, clamped to the
-        budget) keeps the whole wave on the exact path.  Everything
+        * **The linearity wave**: an ``l2`` wave at exact precision whose
+          pairs key as ``(float64, float64, float64)``
+          (:func:`wave_dtype_key`) and whose plan's ``s x s`` cell matrix
+          fits the window memory of the default chunk
+          (``_PlanLayout.by_linearity``).  Its only convolutions are the
+          pairs' unmasked planes (their residual rows): one
+          :func:`~repro.fft.fft2d.rfft2_batch` over the stacked ``[x;
+          K]`` gives both half spectra, and one ``irfft2_batch`` of
+          their product (``x``'s spectrum the first operand) the
+          predictions.  Its masks, and the cells of an ``elements`` pair,
+          are scored from those residuals by
+          :func:`~repro.core.interpretation.l2_scores_by_linearity` (two
+          more transforms), and only the masks its guard flags go
+          through the windows below (:meth:`_linearity_scores`).  Six
+          2-D transforms a wave, twelve ``numpy.fft`` calls, when the
+          guard flags nothing.
+        * **The exact path**, every other wave: its whole row space --
+          each pair's masked variants followed by its unmasked residual
+          plane, as :func:`wave_row_map` lays it out -- is convolved in
+          ``rows_per_chunk`` windows that may span pairs
+          (:meth:`_convolve_rows`) and each window scored with one
+          reduction.  A real wave at exact precision (``None``, fp32 or
+          fp64) transforms each pair's rows once and builds every
+          window's row spectra from them (:meth:`_row_shared_stream`),
+          its kernels' half spectra from one ``rfft2_batch``; quantized
+          and complex waves stream spatial windows
+          (:meth:`_masked_chunks`) through
+          :func:`~repro.fft.convolution.fft_circular_convolve2d_chunks`.
+          Both end in the same convolution tail
+          (:func:`~repro.fft.convolution._convolve_row_spectra`:
+          bin-major row spectra in, C-order planes out).
+
+        Every line of every transform is transformed on its own, so the
+        two passes give the same predictions bit for bit.  Everything
         here that depends only on the plan and the plane shape -- the
-        row map, the chunk size, that path decision -- comes from the
+        row map, the chunk size, the path decision -- comes from the
         plan's :class:`_PlanLayout`.  Nothing is priced here: every
         score depends on its own pair alone, so however a placement
         splits the wave across chips, only the ledger changes.
         """
         indices = wave.pair_indices
         members = [pairs[i] for i in indices]
+        num_pairs = len(members)
         layout = self._layout(wave.plane_shape)
         x_stack = np.stack([pair.x for pair in members])
         y_stack = np.stack([pair.y_plane for pair in members])
         kernels = _solve_stack(
             x_stack[:, np.newaxis], y_stack[:, np.newaxis], self.eps, device_chain=True
         )
-        row_pair, row_slot, is_mask, residual_rows, pair_base = layout.rows(len(members))
         sources, fills = self._fill_sources(x_stack, [pair.x for pair in members])
         spec = self.precision
-        shared = None
-        if (
+        exact_real = (
             np.isrealobj(sources) and np.isrealobj(kernels)
             and (spec is None or spec.is_exact)
-        ):
-            half = kernel_spectrum(kernels, real=True, precision=spec).array
-            shared = _bin_major_rows(sources, real=True), half
-        by_linearity = (
-            layout.by_linearity and shared is not None
-            and wave_dtype_key(members[0].x, members[0].y) == _FLOAT64_KEY
         )
-        # With the masks scored by linearity only the residual rows are
-        # convolved; otherwise every row of the wave is.
-        convolved_rows = residual_rows if by_linearity else np.arange(row_pair.size)
-        scores = np.empty(row_pair.size)
-        preds = []
-        for convolved, rows in self._convolve_rows(
-            sources, fills, kernels, [layout.plan] * len(members), shared,
-            row_pair[convolved_rows], row_slot[convolved_rows], is_mask[convolved_rows],
-            layout.rows_per_chunk,
+        element_scores = [None] * num_pairs
+        if (
+            exact_real and layout.by_linearity
+            and wave_dtype_key(members[0].x, members[0].y) == _FLOAT64_KEY
         ):
-            rows = convolved_rows[rows]
-            scores[rows] = reduce_batch(
-                y_stack[row_pair[rows]] - convolved, self.reduction
+            spectra = rfft2_batch(np.concatenate([sources, kernels]))
+            kernel_spectra = spectra[num_pairs:]
+            preds = irfft2_batch(spectra[:num_pairs] * kernel_spectra, n=sources.shape[-1])
+            mask_scores = self._linearity_scores(
+                wave, layout, sources, fills, kernels, kernel_spectra, y_stack, preds,
             )
-            preds.append(convolved[~is_mask[rows]])
-        preds = np.concatenate(preds)
-        element_scores = [None] * len(indices)
-        if by_linearity:
-            flat = self._linearity_scores(
-                wave, layout, sources, fills, kernels, y_stack, preds, shared,
-            )
-            for local, pair_scores in enumerate(flat):
-                if layout.plan is None:
-                    element_scores[local] = layout.score_plan.reshape_scores(pair_scores)
-                else:
-                    base = pair_base[local]
-                    scores[base : base + layout.num_masks] = pair_scores
+            scores = np.full(num_pairs * (layout.num_masks + 1), np.nan)
+            if layout.plan is None:
+                element_scores = list(
+                    mask_scores.reshape(num_pairs, *layout.score_plan.output_shape)
+                )
+            else:
+                scores.reshape(num_pairs, -1)[:, : layout.num_masks] = mask_scores
+        else:
+            shared = None
+            if exact_real:
+                # The kernel-spectrum cache's miss path, without its
+                # digest: fleet kernels never repeat.
+                half = rfft2_batch(kernels)
+                if spec is not None:
+                    half = spec.apply(half)
+                shared = _bin_major_rows(sources, real=True), half
+            row_pair, row_slot, is_mask, _, _ = layout.rows(num_pairs)
+            scores = np.empty(row_pair.size)
+            preds = []
+            for convolved, rows in self._convolve_rows(
+                sources, fills, kernels, [layout.plan] * num_pairs, shared,
+                row_pair, row_slot, is_mask, layout.rows_per_chunk,
+            ):
+                scores[rows] = reduce_batch(y_stack[row_pair[rows]] - convolved, self.reduction)
+                preds.append(convolved[~is_mask[rows]])
+            preds = np.concatenate(preds)
         return _WaveNumbers(
             indices=indices,
             plane_shape=wave.plane_shape,
@@ -1031,38 +1056,37 @@ class FleetExecutor:
             element_scores=element_scores,
             preds=preds,
             residuals=_fit_residuals(preds, y_stack),
-            pair_rows=[layout.num_masks + 1] * len(indices),
-            pair_base=pair_base,
+            pair_rows=[layout.num_masks + 1] * num_pairs,
+            pair_base=layout.pair_base(num_pairs),
             layout=layout,
         )
 
     def _linearity_scores(
-        self, wave, layout, sources, fills, kernels, y_stack, preds, shared,
-    ) -> list:
-        """Each pair's flat l2 mask scores, by linearity, guard applied.
+        self, wave, layout, sources, fills, kernels, kernel_spectra, y_stack, preds,
+    ) -> np.ndarray:
+        """The wave's ``(pairs, masks)`` l2 scores, by linearity, guard applied.
 
         Masks the guard of
         :func:`~repro.core.interpretation.l2_scores_by_linearity` flags
         are convolved exactly here, as their rows would be on the exact
-        path, and a ``fleet.rescore`` instant records how many there were.
+        path (each pair's rows transformed once, for these masks alone),
+        and a ``fleet.rescore`` instant records how many there were.
         """
         score_plans = [layout.score_plan] * len(wave.pair_indices)
         scores, rescore = l2_scores_by_linearity(
-            sources, fills, y_stack - preds, shared[1], score_plans, layout.window_floats,
+            sources, fills, y_stack - preds, kernel_spectra, score_plans, layout.window_floats,
         )
-        row_pair = np.repeat(
-            np.arange(len(rescore)), [np.count_nonzero(flags) for flags in rescore]
-        )
+        row_pair, row_slot = np.nonzero(rescore)
         if not row_pair.size:
             return scores
-        row_slot = np.concatenate([np.flatnonzero(flags) for flags in rescore])
+        shared = _bin_major_rows(sources, real=True), kernel_spectra
         for convolved, rows in self._convolve_rows(
             sources, fills, kernels, score_plans, shared, row_pair, row_slot,
             np.ones(row_pair.size, bool), layout.rows_per_chunk,
         ):
-            exact = reduce_batch(y_stack[row_pair[rows]] - convolved, "l2")
-            for local, slot, score in zip(row_pair[rows], row_slot[rows], exact):
-                scores[local][slot] = score
+            scores[row_pair[rows], row_slot[rows]] = reduce_batch(
+                y_stack[row_pair[rows]] - convolved, "l2"
+            )
         if tracer.enabled:
             pid = tracer.pid_for(self.device)
             tracer.set_thread_name(pid, _FLEET_TID, "fleet")

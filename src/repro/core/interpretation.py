@@ -170,7 +170,7 @@ def l2_scores_by_linearity(
     kernel_spectra: np.ndarray,
     plans,
     max_floats: int,
-) -> tuple[list, list]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Eq. 5's l2 score of every mask of a wave of pairs, by linearity.
 
     Pair ``p`` has the real input plane ``X = sources[p]``, the fill
@@ -187,11 +187,12 @@ def l2_scores_by_linearity(
     ``q``), and ``G[a, b] = A[q_b - q_a]`` read from the autocorrelation
     ``A = K (*) K`` (``sum_t K[t] K[t + q]``) once per plan, since every
     mask of a plan is the first one moved
-    (:meth:`~repro.core.masking.MaskSpec.cells_at`).  The wave pays one
-    batched rFFT round trip for every pair's ``c``
-    (``irfft2(rfft2(r) conj(F(K)))``) and one inverse transform for its
-    ``A`` (``irfft2(|F(K)|^2)``); a mask then costs ``O(s^2)`` operations
-    instead of a convolution.
+    (:meth:`~repro.core.masking.MaskSpec.cells_at`).  The wave pays two
+    2-D transforms in all: one ``rfft2_batch`` of the residuals, and one
+    ``irfft2_batch`` of every pair's ``F(r) conj(F(K))`` stacked on its
+    ``|F(K)|^2``, which gives ``c`` and ``A`` at once (each line is
+    transformed on its own, so stacking changes no bits).  A mask then
+    costs ``O(s^2)`` operations instead of a convolution.
 
     **The guard.**  With ``u = 2**-53``, ``L = log2(M N)``, ``kappa =
     max |F(K)|`` (the norm of convolving by ``K``), ``||d||_1 = sum |d_a|``
@@ -213,34 +214,33 @@ def l2_scores_by_linearity(
     below it and is kept.  ``r`` carries its own convolution's rounding,
     as every exact masked residual does; that error is not amplified.
 
-    Every plan needs ``s * s <= max_floats``: the ``s x s`` matrices
-    are gathered for batches of pairs holding at most ``max_floats``
-    values, each batch's ``d``, ``c`` and ``G`` through the plan's flat
-    cell and offset indices, which are built once per plan
-    (:func:`_linearity_geometry`); pairs share a batch when they share
-    a plan object, as every pair of a fleet wave does.  A mask's score
-    depends only on its own pair's planes (one matrix product per pair,
-    elementwise products, sums along contiguous rows), so its bits do
-    not depend on the other pairs of the wave or on ``max_floats``.
+    Every plan has the same number of masks and needs ``s * s <=
+    max_floats``: the ``s x s`` matrices are gathered for batches of
+    pairs holding at most ``max_floats`` values, each batch's ``d``,
+    ``c`` and ``G`` through the plan's flat cell and offset indices,
+    which are built once per plan (:func:`_linearity_geometry`); pairs
+    share a batch when they share a plan object, as every pair of a
+    fleet wave does.  A mask's score depends only on its own pair's
+    planes (one matrix product per pair, elementwise products, sums
+    along contiguous rows), so its bits do not depend on the other
+    pairs of the wave or on ``max_floats``.
 
-    Returns ``(scores, rescore)``: for each pair, its flat float64
-    scores and bool flags in mask order.
+    Returns ``(scores, rescore)``: ``(pairs, masks)`` arrays of float64
+    scores and bool flags, a row per pair in mask order.
     """
     residuals = np.asarray(residuals, dtype=np.float64)
     num_pairs, m, n = residuals.shape
     sources = np.asarray(sources, dtype=np.float64).reshape(num_pairs, -1)
     fills = np.asarray(fills, dtype=np.float64)
-    correlations = irfft2_batch(
-        rfft2_batch(residuals) * np.conj(kernel_spectra), n=n
-    ).reshape(num_pairs, -1)
-    autocorrelations = irfft2_batch(np.abs(kernel_spectra) ** 2, n=n).reshape(
-        num_pairs, -1
-    )
-    energies = np.sum(np.square(residuals), axis=(-2, -1))
+    magnitudes = np.abs(kernel_spectra)
+    correlations, autocorrelations = irfft2_batch(
+        np.concatenate([rfft2_batch(residuals) * np.conj(kernel_spectra), magnitudes**2]), n=n
+    ).reshape(2, num_pairs, -1)
+    energies = np.square(residuals).sum(axis=(-2, -1))
     norms = np.sqrt(energies)
-    gains = np.max(np.abs(kernel_spectra), axis=(-2, -1))
-    scores = [None] * num_pairs
-    rescore = [None] * num_pairs
+    gains = magnitudes.max(axis=(-2, -1))
+    scores = np.empty((num_pairs, plans[0].num_masks))
+    rescore = np.empty(scores.shape, bool)
     groups: dict = {}  # the pairs of each plan object, in pair order
     for p, plan in enumerate(plans):
         groups.setdefault(id(plan), (plan, []))[1].append(p)
@@ -251,17 +251,15 @@ def l2_scores_by_linearity(
         for lo in range(0, len(group), step):
             pair = np.array(group[lo : lo + step])
             d = np.take(sources[pair], cells, axis=1) - fills[pair, np.newaxis, np.newaxis]
-            cross = np.sum(np.take(correlations[pair], cells, axis=1) * d, axis=-1)
-            quadratic = np.sum(
-                np.matmul(d, np.take(autocorrelations[pair], offsets, axis=1)) * d, axis=-1
-            )
+            cross = (np.take(correlations[pair], cells, axis=1) * d).sum(axis=-1)
+            quadratic = (
+                np.matmul(d, np.take(autocorrelations[pair], offsets, axis=1)) * d
+            ).sum(axis=-1)
             pair = pair[:, np.newaxis]
             squares = energies[pair] + 2.0 * cross + quadratic
-            scale = (norms[pair] + gains[pair] * np.sum(np.abs(d), axis=-1)) ** 2
-            flagged = squares < eps / L2_SQUARE_TOLERANCE * scale
-            values = np.sqrt(np.maximum(squares, 0.0))
-            for k, p in enumerate(pair[:, 0]):
-                scores[p], rescore[p] = values[k], flagged[k]
+            scale = (norms[pair] + gains[pair] * np.abs(d).sum(axis=-1)) ** 2
+            rescore[pair[:, 0]] = squares < eps / L2_SQUARE_TOLERANCE * scale
+            scores[pair[:, 0]] = np.sqrt(np.maximum(squares, 0.0))
     return scores, rescore
 
 

@@ -272,14 +272,25 @@ def _solve_stack(x_stack, y_stack, eps: float, device_chain: bool) -> np.ndarray
     """The ``(P, M, N)`` kernels of a ``(P, B, M, N)`` stack, computed unpriced.
 
     ``device_chain`` selects a device's arithmetic (complex denominator
-    and eps plane) over the pure-numpy form.  The fleet calls this once
-    per wave and prices each chip's share with :func:`_record_solve`.
+    and eps) over the pure-numpy form.  The fleet calls this once per
+    wave and prices each chip's share with :func:`_record_solve`.
+
+    ``x`` and ``y`` go through one :func:`~repro.fft.fft2d.fft2_batch`
+    call when they promote to the same dtype (two calls otherwise, so a
+    longdouble ``x`` never widens a float64 ``y``) and the kernels
+    through one ``ifft2_batch``: two 2-D transforms, four ``numpy.fft``
+    calls, for a float64 wave.  ``numpy.fft`` transforms each line on
+    its own, so stacking changes no bits.
     """
     all_real = np.isrealobj(x_stack) and np.isrealobj(y_stack)
     kernels, pairs, m, n = x_stack.shape
 
-    x_hat = fft2_batch(x_stack)
-    y_hat = fft2_batch(y_stack)
+    dtype = np.result_type(x_stack, np.float64)
+    if dtype == np.result_type(y_stack, np.float64):
+        spectra = fft2_batch(np.concatenate([x_stack, y_stack], dtype=dtype))
+        x_hat, y_hat = spectra[:kernels], spectra[kernels:]
+    else:
+        x_hat, y_hat = fft2_batch(x_stack), fft2_batch(y_stack)
     if not device_chain:
         numerator = np.zeros((kernels, m, n), dtype=np.complex128)
         denominator = np.zeros((kernels, m, n), dtype=np.float64)
@@ -290,23 +301,24 @@ def _solve_stack(x_stack, y_stack, eps: float, device_chain: bool) -> np.ndarray
             _check_zero_bins(denominator)
         kernel_hat = numerator / (denominator + eps)
     else:
-        # The device's chain: complex denominator and eps plane, each sum
-        # in its promoted dtype and updated in place (zeros + product, in
-        # pair order), so only a few stacks are live at once.
-        numerator = np.zeros(
-            (kernels, m, n), dtype=np.result_type(np.complex128, x_hat.dtype, y_hat.dtype)
-        )
-        denominator = np.zeros(
-            (kernels, m, n), dtype=np.result_type(np.complex128, x_hat.dtype)
-        )
-        for b in range(pairs):
+        # The device's chain: complex denominator and eps, each sum in its
+        # promoted dtype and updated in place, in pair order, so only a
+        # few stacks are live at once.  A sum starts as its first product
+        # plus +0.0, which is what adding it to a zero plane gives, -0.0
+        # parts included.
+        x_conj = np.conj(x_hat[:, 0])
+        numerator = y_hat[:, 0] * x_conj
+        denominator = x_hat[:, 0] * x_conj
+        numerator += 0.0
+        denominator += 0.0
+        for b in range(1, pairs):
             x_conj = np.conj(x_hat[:, b])
             numerator += y_hat[:, b] * x_conj
             denominator += x_hat[:, b] * x_conj
         del x_hat, y_hat, x_conj
         if eps == 0:
             _check_zero_bins(denominator)
-        denominator += np.full(denominator.shape, eps, dtype=np.complex128)
+        denominator += np.complex128(eps)
         kernel_hat = np.divide(numerator, denominator, out=numerator)
     kernel = ifft2_batch(kernel_hat)
 

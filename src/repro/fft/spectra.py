@@ -5,11 +5,21 @@ product.  The batched engine amortizes that transform *within* one call,
 and the serve-layer :class:`~repro.serve.cache.ExplanationCache` catches
 repeated *requests* -- but nothing below them caught repeated *kernels*:
 a per-mask ``conv2d_circular`` sweep re-transforms the same kernel once
-per mask, and replayed fleet waves re-transform every kernel stack per
-run.  This module closes that gap with one process-wide cache of kernel
-spectra, keyed by **content digest + spectrum kind + precision**
+per mask.  This module closes that gap with one process-wide cache of
+kernel spectra, keyed by **content digest + spectrum kind + precision**
 (SHA-256 over the kernel's dtype, shape and raw bytes), so byte-equal
 kernels share one transform however they arrive.
+
+Its callers are the convolutions of :mod:`repro.fft.convolution`:
+:func:`~repro.fft.convolution.fft_circular_convolve2d` (one plane: the
+device's ``conv2d_circular``, the distiller's predictions, the looped
+interpretation helpers) and
+:func:`~repro.fft.convolution.fft_circular_convolve2d_chunks` (a stream
+of planes: :func:`~repro.core.masking.score_plan`, the device's batched
+convolutions, and the quantized and complex fleet waves).  Real fleet
+waves at exact precision transform their kernels themselves: a wave's
+kernels are solved fresh and never repeat, so digesting them would buy
+no hit.
 
 Entries are raw (unquantized) spectra plus, per requested precision, the
 quantized variant derived from the raw entry -- a quantized lookup never

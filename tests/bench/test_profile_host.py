@@ -30,6 +30,25 @@ def test_profiles_the_smoke_serve_ladder():
         assert any(row.endswith("repro.serve.loop.ExplanationService.process") for row in rows)
 
 
+def test_samples_short_reps_at_the_timer_rate():
+    """A smoke ``pod-strong`` rep takes about a millisecond, shorter than
+    a kernel tick: the timer runs across reps, so their samples still
+    come at the tick rate (one per 1-10 ms of CPU time), not once in a
+    while."""
+    completed = subprocess.run(
+        [sys.executable, str(TOOL), "--workload", "pod-strong", "--smoke", "--reps", "300",
+         "--top", "1"],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert completed.returncode == 0, completed.stderr
+    header = completed.stdout.splitlines()[0]
+    found = re.fullmatch(r"(\d+) samples over 300 reps, ([\d.]+) CPU s \(one per .* ms\)", header)
+    assert found, header
+    samples, cpu_seconds = int(found.group(1)), float(found.group(2))
+    assert samples >= 1 and 1e3 * cpu_seconds / samples <= 20.0, header
+
+
 def test_rejects_a_bad_rep_count():
     completed = subprocess.run(
         [sys.executable, str(TOOL), "--workload", "serve-ladder", "--reps", "0"],
