@@ -21,18 +21,14 @@ one infeed and one batched convolution per *wave* of pairs:
   windows of at most ``chunk_rows`` rows, so peak host memory is
   ``O(chunk_rows * M * N)`` plus a few planes per pair (its residual;
   on the ``l2`` path below, its correlation and autocorrelation too)
-  regardless of how many masks a wave fuses.  A mask changes only a band of rows
-  (:meth:`~repro.core.masking.MaskSpec.bands_at`), and the 2-D
-  transform is row transforms then column transforms (Sec. III-C,
-  Eq. 7-8), so a real wave at exact precision transforms each pair's
-  rows once and builds every window's row spectra from them,
-  transforming only the band rows each mask touches; quantized and
-  complex waves patch the bands into spatial windows and stream them
-  whole.  Either way a window's spectra are held **bin-major**
-  (``(bins, rows, M)``: for each bin of the row transform, every
-  plane's column contiguous), so its column transforms and Hadamard
-  product run as one call over contiguous lines, and the convolved
-  planes come back C-order.
+  regardless of how many masks a wave fuses.  A window holds its rows'
+  ``x`` planes with each mask's band of occluded rows
+  (:meth:`~repro.core.masking.MaskSpec.bands_at`) patched in, and
+  streams through
+  :func:`~repro.fft.convolution.fft_circular_convolve2d_chunks`, the
+  one windowed convolution (row transforms then column transforms,
+  Sec. III-C, Eq. 7-8, on **bin-major** spectra: for each bin of the
+  row transform, every plane's column contiguous).
 
 Every wave is **computed once on the host, whatever its placement,
 and then priced**: each pricing target (the device itself on one chip;
@@ -63,9 +59,9 @@ per pair, ``O(s^2)`` per mask of ``s`` cells); a mask whose terms
 cancel goes back to one exact convolution in a window.  Those scores
 match the loop within 1e-9 of the pair's largest score instead of bit
 for bit.
-Either way a score depends only on its own pair, so fusion, row
-sharing, streaming, pipelining, placement and tracing change only the
-cost ledger, never the numbers -- and the ledger still prices one
+Either way a score depends only on its own pair, so fusion,
+streaming, pipelining, placement and tracing change only the cost
+ledger, never the numbers -- and the ledger still prices one
 convolution per mask, whichever way the host computed the scores.
 
 **Precision model.**  The executor's ``precision`` axis (default
@@ -79,10 +75,9 @@ datapath; the Eq. 4 *solves* stay exact, so kernels are
 precision-independent).  Because the rounding is strictly per-plane,
 wave-fused scores and residuals remain bit-identical to one masked
 convolution per feature *at the same precision*; a quantized wave
-streams whole masked planes (only exact real waves share row
-transforms), streams its infeed at the spec's storage width (1
-byte/element for int8) and is priced by the MXU cycle hooks at the
-spec's rate -- the accuracy-vs-speed trade-off
+streams its infeed at the spec's storage width (1 byte/element for
+int8) and is priced by the MXU cycle hooks at the spec's rate -- the
+accuracy-vs-speed trade-off
 ``benchmarks/bench_fleet_interpretation.py`` reports per precision.
 
 **Pod sharding.**  ``num_chips=K`` (or handing a
@@ -168,14 +163,9 @@ from repro.core.transform import (
     check_eps,
     spectrum_problem,
 )
-from repro.fft.convolution import (
-    _bin_major,
-    _bin_major_rows,
-    _convolve_row_spectra,
-    fft_circular_convolve2d_chunks,
-)
-from repro.fft.fft import rfft
+from repro.fft.convolution import fft_circular_convolve2d_chunks
 from repro.fft.fft2d import irfft2_batch, rfft2_batch
+from repro.fft.spectra import KernelSpectrum
 from repro.hw.device import Device, shard_slices
 from repro.hw.pod import PodWaveStats, TpuPod, check_hbm_bytes, check_num_chips, is_count
 from repro.hw.quantize import resolve_precision
@@ -356,12 +346,11 @@ class _PlanLayout:
     executor and shape, at the first wave, with the code each wave ran
     before, and read-only after:
 
-    * the row map (:func:`wave_row_map`) and the residual rows of the
-      widest wave seen, built at the first wave that needs them (the
-      exact path: a linearity wave reads only :meth:`pair_base`); a
-      wave of ``P`` pairs reads their first ``P * (s + 1)`` rows and
-      ``P`` residual rows (:meth:`rows`), so the arrays grow only with a
-      wider wave;
+    * the row map (:func:`wave_row_map`) of the widest wave seen, built
+      at the first wave that needs it (the exact path: a linearity wave
+      reads only :meth:`pair_base`); a wave of ``P`` pairs reads its
+      first ``P * (s + 1)`` rows (:meth:`rows`), so the arrays grow only
+      with a wider wave;
     * ``rows_per_chunk``, the window a wave streams at;
     * ``score_plan``, the plan its masks score with by linearity (the
       one-cell plan for ``elements``), ``window_floats``, the default
@@ -396,21 +385,15 @@ class _PlanLayout:
         return list(range(0, pairs * step, step))
 
     def rows(self, pairs: int) -> tuple:
-        """``(row_pair, row_slot, is_mask, residual_rows, pair_base)`` of a
-        ``pairs``-pair wave: read-only views and a list of first rows."""
+        """``(row_pair, row_slot, is_mask)`` of a ``pairs``-pair wave, as
+        read-only views."""
         if pairs > self._pairs:
-            row_map = wave_row_map([self.num_masks] * pairs)
-            row_map += (np.flatnonzero(~row_map[2]),)
-            for array in row_map:
+            self._row_map = wave_row_map([self.num_masks] * pairs)
+            for array in self._row_map:
                 array.setflags(write=False)
-            self._row_map = row_map
             self._pairs = pairs
-        row_pair, row_slot, is_mask, residual_rows = self._row_map
         size = pairs * (self.num_masks + 1)
-        return (
-            row_pair[:size], row_slot[:size], is_mask[:size], residual_rows[:pairs],
-            self.pair_base(pairs),
-        )
+        return tuple(array[:size] for array in self._row_map)
 
 
 @dataclass(frozen=True)
@@ -643,12 +626,11 @@ class FleetExecutor:
     per-row kernels in windows of the fused row space that may span
     several pairs, each window built from its masks' row bands and
     reduced to scores at once, so neither the bool mask stack nor the
-    masked float stack ever exists in full.  A real wave at exact
-    precision reuses each pair's row transforms and transforms only the
-    rows its masks touch; every window runs its column stage on
-    bin-major spectra.  An ``l2`` wave of float64 pairs at exact
-    precision convolves only its residual rows and scores its masks by
-    linearity (see the module docstring).  Then the wave is priced: one
+    masked float stack ever exists in full; every window streams
+    through :func:`~repro.fft.convolution.fft_circular_convolve2d_chunks`.
+    An ``l2`` wave of float64 pairs at exact precision convolves only
+    its residual rows and scores its masks by linearity (see the module
+    docstring).  Then the wave is priced: one
     ``device.program`` scope per pricing target, whose infeed is its
     pairs' data and whose outfeed their score planes
     (:meth:`_price_share`); the ledger prices one convolution per mask
@@ -974,19 +956,12 @@ class FleetExecutor:
           guard flags nothing.
         * **The exact path**, every other wave: its whole row space --
           each pair's masked variants followed by its unmasked residual
-          plane, as :func:`wave_row_map` lays it out -- is convolved in
-          ``rows_per_chunk`` windows that may span pairs
-          (:meth:`_convolve_rows`) and each window scored with one
-          reduction.  A real wave at exact precision (``None``, fp32 or
-          fp64) transforms each pair's rows once and builds every
-          window's row spectra from them (:meth:`_row_shared_stream`),
-          its kernels' half spectra from one ``rfft2_batch``; quantized
-          and complex waves stream spatial windows
-          (:meth:`_masked_chunks`) through
-          :func:`~repro.fft.convolution.fft_circular_convolve2d_chunks`.
-          Both end in the same convolution tail
-          (:func:`~repro.fft.convolution._convolve_row_spectra`:
-          bin-major row spectra in, C-order planes out).
+          plane, as :func:`wave_row_map` lays it out -- streams as
+          masked planes in ``rows_per_chunk`` windows that may span
+          pairs (:meth:`_masked_windows`) through
+          :func:`~repro.fft.convolution.fft_circular_convolve2d_chunks`
+          (:meth:`_convolve_rows`), and each window is scored with one
+          reduction.
 
         Every line of every transform is transformed on its own, so the
         two passes give the same predictions bit for bit.  Everything
@@ -1007,13 +982,10 @@ class FleetExecutor:
         )
         sources, fills = self._fill_sources(x_stack, [pair.x for pair in members])
         spec = self.precision
-        exact_real = (
-            np.isrealobj(sources) and np.isrealobj(kernels)
-            and (spec is None or spec.is_exact)
-        )
         element_scores = [None] * num_pairs
         if (
-            exact_real and layout.by_linearity
+            layout.by_linearity and (spec is None or spec.is_exact)
+            and np.isrealobj(sources) and np.isrealobj(kernels)
             and wave_dtype_key(members[0].x, members[0].y) == _FLOAT64_KEY
         ):
             spectra = rfft2_batch(np.concatenate([sources, kernels]))
@@ -1030,20 +1002,12 @@ class FleetExecutor:
             else:
                 scores.reshape(num_pairs, -1)[:, : layout.num_masks] = mask_scores
         else:
-            shared = None
-            if exact_real:
-                # The kernel-spectrum cache's miss path, without its
-                # digest: fleet kernels never repeat.
-                half = rfft2_batch(kernels)
-                if spec is not None:
-                    half = spec.apply(half)
-                shared = _bin_major_rows(sources, real=True), half
-            row_pair, row_slot, is_mask, _, _ = layout.rows(num_pairs)
+            row_pair, row_slot, is_mask = layout.rows(num_pairs)
             scores = np.empty(row_pair.size)
             preds = []
             for convolved, rows in self._convolve_rows(
-                sources, fills, kernels, [layout.plan] * num_pairs, shared,
-                row_pair, row_slot, is_mask, layout.rows_per_chunk,
+                sources, fills, kernels, layout.plan, row_pair, row_slot, is_mask,
+                layout.rows_per_chunk,
             ):
                 scores[rows] = reduce_batch(y_stack[row_pair[rows]] - convolved, self.reduction)
                 preds.append(convolved[~is_mask[rows]])
@@ -1069,19 +1033,17 @@ class FleetExecutor:
         Masks the guard of
         :func:`~repro.core.interpretation.l2_scores_by_linearity` flags
         are convolved exactly here, as their rows would be on the exact
-        path (each pair's rows transformed once, for these masks alone),
-        and a ``fleet.rescore`` instant records how many there were.
+        path, and a ``fleet.rescore`` instant records how many there were.
         """
-        score_plans = [layout.score_plan] * len(wave.pair_indices)
         scores, rescore = l2_scores_by_linearity(
-            sources, fills, y_stack - preds, kernel_spectra, score_plans, layout.window_floats,
+            sources, fills, y_stack - preds, kernel_spectra, layout.score_plan,
+            layout.window_floats,
         )
         row_pair, row_slot = np.nonzero(rescore)
         if not row_pair.size:
             return scores
-        shared = _bin_major_rows(sources, real=True), kernel_spectra
         for convolved, rows in self._convolve_rows(
-            sources, fills, kernels, score_plans, shared, row_pair, row_slot,
+            sources, fills, kernels, layout.score_plan, row_pair, row_slot,
             np.ones(row_pair.size, bool), layout.rows_per_chunk,
         ):
             scores[row_pair[rows], row_slot[rows]] = reduce_batch(
@@ -1098,30 +1060,28 @@ class FleetExecutor:
         return scores
 
     def _convolve_rows(
-        self, sources, fills, kernels, plans, shared, row_pair, row_slot, is_mask,
-        rows_per_chunk,
+        self, sources, fills, kernels, plan, row_pair, row_slot, is_mask, rows_per_chunk,
     ):
         """Convolve the rows a row map names, in windows: ``(convolved, rows)``.
 
         ``row_pair``, ``row_slot`` and ``is_mask`` describe the rows as
         :func:`wave_row_map` does (any subset of a wave's rows, in any
-        order), and ``rows`` is the slice of them a window covers.  A
-        row-sharing wave (``shared`` holds its bin-major row spectra and
-        its kernels' half spectra) finishes the windows in reused
-        buffers; any other streams spatial windows through
-        :func:`~repro.fft.convolution.fft_circular_convolve2d_chunks`.
+        order), and ``rows`` is the slice of them a window covers.  The
+        masked planes (:meth:`_masked_windows`) stream through
+        :func:`~repro.fft.convolution.fft_circular_convolve2d_chunks`;
+        real kernels hand it their half spectra, so the stream never
+        looks them up in the kernel-spectrum cache: fleet kernels are
+        solved fresh and never repeat.
         """
-        bands = self._band_windows(
-            sources, fills, plans, row_pair, row_slot, is_mask, rows_per_chunk
-        )
-        if shared is not None:
-            yield from self._row_shared_stream(
-                *shared, sources.shape[-1], bands, row_pair, rows_per_chunk
-            )
-            return
+        half = None
+        if np.isrealobj(kernels):
+            half = KernelSpectrum(rfft2_batch(kernels), "half", kernels.shape[-2:])
         for convolved, rows in fft_circular_convolve2d_chunks(
-            self._masked_chunks(sources, bands, row_pair), kernels,
-            row_kernel=row_pair, num_rows=row_pair.size, precision=self.precision,
+            self._masked_windows(
+                sources, fills, plan, row_pair, row_slot, is_mask, rows_per_chunk
+            ),
+            kernels, kernel_spectrum=half, row_kernel=row_pair,
+            num_rows=row_pair.size, precision=self.precision,
         ):
             yield convolved, slice(rows.start, rows.stop)
 
@@ -1146,107 +1106,29 @@ class FleetExecutor:
         return fill
 
     @staticmethod
-    def _band_windows(
-        sources, fills, plans, row_pair, row_slot, is_mask, rows_per_chunk
-    ):
-        """The wave's row space as ``rows_per_chunk`` windows of row bands.
+    def _masked_windows(sources, fills, plan, row_pair, row_slot, is_mask, rows_per_chunk):
+        """The rows a row map names as masked planes, ``rows_per_chunk`` at a time.
 
-        Yields ``(window, patches)``: ``window`` is the slice of rows,
-        and each patch ``(local, band_rows, values)`` covers the window's
-        mask rows of one plan object (one per window in a fleet wave) --
-        their window positions, the ``(rows, height)`` plane rows each
-        mask occludes (:meth:`~repro.core.masking.MaskSpec.bands_at`)
-        and those rows of the pair's ``x`` with the masked columns set
-        to the pair's fill.  Rows outside a band, and residual rows,
-        are the pair's ``x`` unchanged.
+        Yields ``(planes, rows)``, ``rows`` the ``range`` of row-map
+        positions a window covers.  A mask row is its pair's ``x`` with
+        the band of plane rows the mask occludes
+        (:meth:`~repro.core.masking.MaskSpec.bands_at` of ``plan``, the
+        one plan every pair of a wave carries) set to the pair's fill on
+        the masked columns; a residual row is the pair's ``x`` unchanged.
         """
-        # Pairs sharing a plan object share its patches, so a fleet
-        # wave, whose pairs all carry one plan, has one per window.
-        number_of: dict = {}
-        distinct = []
-        for plan in plans:
-            if plan is not None and id(plan) not in number_of:
-                number_of[id(plan)] = len(distinct)
-                distinct.append(plan)
-        plan_of = np.array([-1 if plan is None else number_of[id(plan)] for plan in plans])
-        row_plan = np.where(is_mask, plan_of[row_pair], -1)
         for lo in range(0, row_pair.size, rows_per_chunk):
-            window = slice(lo, min(lo + rows_per_chunk, row_pair.size))
-            patches = []
-            for number, plan in enumerate(distinct):
-                local = np.flatnonzero(row_plan[window] == number)
-                if local.size:
-                    start, height, cols = plan.bands_at(row_slot[window][local])
-                    band_rows = start[:, np.newaxis] + np.arange(height)
-                    pairs = row_pair[window][local]
-                    values = sources[pairs[:, np.newaxis], band_rows]
-                    np.copyto(values, fills[pairs, np.newaxis, np.newaxis], where=cols)
-                    patches.append((local, band_rows, values))
-            yield window, patches
-
-    @staticmethod
-    def _masked_chunks(sources, bands, row_pair):
-        """Spatial windows: each row's ``x`` plane with its band patched in."""
-        for window, patches in bands:
-            planes = sources[row_pair[window]]
-            for local, band_rows, values in patches:
-                planes[local[:, np.newaxis], band_rows] = values
-            yield planes, range(window.start, window.stop)
-
-    @classmethod
-    def _row_shared_stream(cls, base, half, n, bands, row_pair, rows_per_chunk):
-        """A row-sharing wave's convolved windows, as ``(convolved, rows)``.
-
-        ``base`` holds each pair's rows transformed once and ``half`` its
-        kernel's half spectrum (``(pairs, M, N // 2 + 1)``); each
-        window's row spectra are built from ``base`` (:meth:`_row_spectra`),
-        and the rest of the convolution runs in place in buffers
-        allocated once per call; ``convolved`` is overwritten by the next
-        window.  The row spectra, the kernel spectra and the window
-        buffers are bin-major, ``(bins, rows, M)``, the layout
-        :func:`~repro.fft.convolution._convolve_row_spectra` takes; the
-        convolved windows are C-order ``(rows, M, n)`` planes.
-        """
-        half = _bin_major(half)
-        m = base.shape[-1]
-        width = min(rows_per_chunk, row_pair.size)
-        spectra = np.empty((base.shape[0], width, m), base.dtype)
-        kernel_rows = np.empty(spectra.shape, half.dtype)
-        out = np.empty((width, m, n), np.finfo(np.result_type(base, half)).dtype)
-        for window_spectra, window in cls._row_spectra(base, bands, row_pair, spectra):
-            rows = window_spectra.shape[1]
-            convolved = _convolve_row_spectra(
-                window_spectra, half, row_pair[window], n, out=out[:rows],
-                kernel_rows=kernel_rows[:, :rows],
-            )
-            yield convolved, window
-
-    @staticmethod
-    def _row_spectra(base, bands, row_pair, buffer):
-        """Bin-major row-stage spectra of each window, from shared ones.
-
-        ``base`` holds each pair's rows transformed once, bin-major
-        ``(bins, pairs, M)``.  A window gathers its rows' pair spectra
-        into the first columns of ``buffer`` (``(bins, width, M)``,
-        reused across windows) and overwrites only each mask's band rows
-        with the transform of its masked band.
-        Yields ``(spectra, window)``, with ``spectra`` the window's
-        ``(bins, rows, M)`` slice of ``buffer``, overwritten by the next
-        window.  Bit-identical to transforming the masked planes' rows:
-        a row's transform depends on that row alone.
-        """
-        for window, patches in bands:
+            rows = range(lo, min(lo + rows_per_chunk, row_pair.size))
+            window = slice(lo, rows.stop)
             pairs = row_pair[window]
-            spectra = buffer[:, : pairs.size]
-            # mode="clip" (the indices are valid) keeps take from
-            # buffering a contiguous output.
-            np.take(base, pairs, axis=1, out=spectra, mode="clip")
-            # Band rows land through the (rows, M, bins) view: numpy
-            # scatters faster with the indexed axes first.
-            rows_view = spectra.transpose(1, 2, 0)
-            for local, band_rows, values in patches:
-                rows_view[local[:, np.newaxis], band_rows] = rfft(values, axis=-1)
-            yield spectra, window
+            planes = sources[pairs]
+            local = np.flatnonzero(is_mask[window])
+            if local.size:
+                start, height, cols = plan.bands_at(row_slot[window][local])
+                band = local[:, np.newaxis], start[:, np.newaxis] + np.arange(height)
+                values = planes[band]
+                np.copyto(values, fills[pairs[local], np.newaxis, np.newaxis], where=cols)
+                planes[band] = values
+            yield planes, rows
 
     def _price_solve(self, device: Device, num_pairs: int, m: int, n: int) -> None:
         """Ledger rows of ``num_pairs`` Eq. 4 solves, in a ``fleet.solve`` span."""

@@ -168,15 +168,15 @@ def l2_scores_by_linearity(
     fills: np.ndarray,
     residuals: np.ndarray,
     kernel_spectra: np.ndarray,
-    plans,
+    plan: MaskSpec,
     max_floats: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eq. 5's l2 score of every mask of a wave of pairs, by linearity.
 
     Pair ``p`` has the real input plane ``X = sources[p]``, the fill
     ``fills[p]``, the half spectrum ``kernel_spectra[p]`` of its real
-    kernel ``K`` and the residual ``r = residuals[p] = Y - X (*) K``; its
-    masks are those of ``plans[p]``.  Masking ``s`` cells subtracts
+    kernel ``K`` and the residual ``r = residuals[p] = Y - X (*) K``; every
+    pair's masks are those of ``plan``.  Masking ``s`` cells subtracts
     ``D = X - fill`` on them (0 elsewhere), and convolution is linear,
     so the masked residual is ``r + D (*) K`` and its squared norm is
 
@@ -214,16 +214,14 @@ def l2_scores_by_linearity(
     below it and is kept.  ``r`` carries its own convolution's rounding,
     as every exact masked residual does; that error is not amplified.
 
-    Every plan has the same number of masks and needs ``s * s <=
-    max_floats``: the ``s x s`` matrices are gathered for batches of
-    pairs holding at most ``max_floats`` values, each batch's ``d``,
-    ``c`` and ``G`` through the plan's flat cell and offset indices,
-    which are built once per plan (:func:`_linearity_geometry`); pairs
-    share a batch when they share a plan object, as every pair of a
-    fleet wave does.  A mask's score depends only on its own pair's
-    planes (one matrix product per pair, elementwise products, sums
-    along contiguous rows), so its bits do not depend on the other
-    pairs of the wave or on ``max_floats``.
+    The plan needs ``s * s <= max_floats``: the ``s x s`` matrices are
+    gathered for batches of consecutive pairs holding at most
+    ``max_floats`` values, each batch's ``d``, ``c`` and ``G`` through
+    the plan's flat cell and offset indices, which are built once per
+    plan (:func:`_linearity_geometry`).  A mask's score depends only on
+    its own pair's planes (one matrix product per pair, elementwise
+    products, sums along contiguous rows), so its bits do not depend on
+    the other pairs of the wave or on ``max_floats``.
 
     Returns ``(scores, rescore)``: ``(pairs, masks)`` arrays of float64
     scores and bool flags, a row per pair in mask order.
@@ -239,27 +237,24 @@ def l2_scores_by_linearity(
     energies = np.square(residuals).sum(axis=(-2, -1))
     norms = np.sqrt(energies)
     gains = magnitudes.max(axis=(-2, -1))
-    scores = np.empty((num_pairs, plans[0].num_masks))
+    scores = np.empty((num_pairs, plan.num_masks))
     rescore = np.empty(scores.shape, bool)
-    groups: dict = {}  # the pairs of each plan object, in pair order
-    for p, plan in enumerate(plans):
-        groups.setdefault(id(plan), (plan, []))[1].append(p)
-    for plan, group in groups.values():
-        cells, offsets, eps = _linearity_geometry(plan)
-        size = cells.shape[1]
-        step = max(1, max_floats // (size * size))
-        for lo in range(0, len(group), step):
-            pair = np.array(group[lo : lo + step])
-            d = np.take(sources[pair], cells, axis=1) - fills[pair, np.newaxis, np.newaxis]
-            cross = (np.take(correlations[pair], cells, axis=1) * d).sum(axis=-1)
-            quadratic = (
-                np.matmul(d, np.take(autocorrelations[pair], offsets, axis=1)) * d
-            ).sum(axis=-1)
-            pair = pair[:, np.newaxis]
-            squares = energies[pair] + 2.0 * cross + quadratic
-            scale = (norms[pair] + gains[pair] * np.abs(d).sum(axis=-1)) ** 2
-            rescore[pair[:, 0]] = squares < eps / L2_SQUARE_TOLERANCE * scale
-            scores[pair[:, 0]] = np.sqrt(np.maximum(squares, 0.0))
+    cells, offsets, eps = _linearity_geometry(plan)
+    size = cells.shape[1]
+    step = max(1, max_floats // (size * size))
+    for lo in range(0, num_pairs, step):
+        batch = slice(lo, lo + step)
+        d = np.take(sources[batch], cells, axis=1) - fills[batch, np.newaxis, np.newaxis]
+        cross = (np.take(correlations[batch], cells, axis=1) * d).sum(axis=-1)
+        quadratic = (
+            np.matmul(d, np.take(autocorrelations[batch], offsets, axis=1)) * d
+        ).sum(axis=-1)
+        squares = energies[batch, np.newaxis] + 2.0 * cross + quadratic
+        scale = (
+            norms[batch, np.newaxis] + gains[batch, np.newaxis] * np.abs(d).sum(axis=-1)
+        ) ** 2
+        rescore[batch] = squares < eps / L2_SQUARE_TOLERANCE * scale
+        scores[batch] = np.sqrt(np.maximum(squares, 0.0))
     return scores, rescore
 
 

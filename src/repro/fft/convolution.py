@@ -13,9 +13,9 @@ provides:
   by an *iterator* of ``(chunk, row_range)`` slices, against kernels
   whose spectra are computed exactly once, so peak memory is
   ``O(chunk_rows * M * N)`` regardless of batch size (the path of
-  :class:`~repro.core.masking.MaskSpec` scoring and of int8 and complex
-  fleet waves); its per-window tail after the row transforms is one
-  helper that the fleet's row-shared windows reuse;
+  :class:`~repro.core.masking.MaskSpec` scoring and of every fleet
+  window: each wave the l2 linearity pass does not score, and each
+  mask its guard hands back);
 * linear convolution via zero-padding to a circular one, for callers who
   need aperiodic behaviour.
 
@@ -34,9 +34,11 @@ the **half-spectrum real path** (:func:`repro.fft.fft2d.rfft2_batch`
 / :func:`~repro.fft.fft2d.irfft2_batch`): Hermitian symmetry means only
 ``N//2 + 1`` of the ``N`` spectrum columns are computed, stored and
 multiplied, roughly halving host transform work and memory.  Complex
-operands take the full complex path.  Kernel spectra come from the process-level
-content-addressed cache (:mod:`repro.fft.spectra`), so byte-equal
-kernels are transformed once per process, not once per call.
+operands take the full complex path.  Real kernel spectra come from the
+process-level content-addressed cache (:mod:`repro.fft.spectra`), so
+byte-equal kernels are transformed once per process, not once per call
+-- unless the caller hands in spectra of its own, as a fleet wave does
+for the kernels it has just solved.
 
 Every FFT-convolution entry point additionally accepts an optional
 ``precision`` -- a :class:`repro.hw.quantize.PrecisionSpec` (duck-typed
@@ -178,20 +180,18 @@ def fft_circular_convolve2d(
 def _validate_batch_kernel(
     k: np.ndarray,
     row_kernel: np.ndarray | None,
-    kernel_spectrum: np.ndarray | None,
+    kernel_spectrum: KernelSpectrum | None,
     num_rows: int | None,
     name: str,
-) -> tuple[np.ndarray, bool, np.ndarray | None, np.ndarray | None]:
+) -> tuple[np.ndarray, bool, np.ndarray | None]:
     """Kernel/row-map validation for streamed batches.
 
-    Returns ``(k, multi_kernel, row_kernel, kernel_spectrum)`` with the
-    row map cast to ``intp`` and the spectrum shape-checked (``None``
-    when the caller must compute it).  ``kernel_spectrum`` may be a raw
-    full-spectrum ndarray (legacy form, shape must equal ``k.shape``) or
-    a :class:`~repro.fft.spectra.KernelSpectrum` of either kind covering
-    the same planes.  ``num_rows`` is the batch length the row map must
-    cover; ``None`` skips that check (streamed callers of unknown length
-    validate per chunk instead).
+    Returns ``(k, multi_kernel, row_kernel)`` with the row map cast to
+    ``intp``, after checking that ``kernel_spectrum``, when given, is a
+    raw :class:`~repro.fft.spectra.KernelSpectrum` of either kind
+    covering the same planes.  ``num_rows`` is the batch length the row
+    map must cover; ``None`` skips that check (streamed callers of
+    unknown length validate per chunk instead).
     """
     multi_kernel = k.ndim == 3
     if not multi_kernel:
@@ -220,7 +220,12 @@ def _validate_batch_kernel(
             )
     elif row_kernel is not None:
         raise ValueError("row_kernel requires a (P, M, N) kernel stack")
-    if isinstance(kernel_spectrum, KernelSpectrum):
+    if kernel_spectrum is not None:
+        if (
+            not isinstance(kernel_spectrum, KernelSpectrum)
+            or kernel_spectrum.precision_name is not None
+        ):
+            raise ValueError("kernel_spectrum must be a raw KernelSpectrum or None")
         if kernel_spectrum.plane_shape != k.shape[-2:]:
             raise ValueError(
                 f"kernel spectrum covers {kernel_spectrum.plane_shape} planes, "
@@ -231,14 +236,7 @@ def _validate_batch_kernel(
                 f"kernel spectrum stack shape {kernel_spectrum.array.shape[:-2]} "
                 f"does not match kernel stack shape {k.shape[:-2]}"
             )
-    elif kernel_spectrum is not None:
-        kernel_spectrum = np.asarray(kernel_spectrum)
-        if kernel_spectrum.shape != k.shape:
-            raise ValueError(
-                f"kernel_spectrum shape {kernel_spectrum.shape} does not match "
-                f"kernel of shape {k.shape}"
-            )
-    return k, multi_kernel, row_kernel, kernel_spectrum
+    return k, multi_kernel, row_kernel
 
 
 def _bin_major(planes: np.ndarray) -> np.ndarray:
@@ -258,13 +256,11 @@ def _bin_major_rows(planes: np.ndarray, real: bool) -> np.ndarray:
     return spectra
 
 
-def _convolve_row_spectra(
+def _convolve_bin_major(
     row_spectra: np.ndarray,
     kernel_spectrum: np.ndarray,
     row_kernel: np.ndarray | None,
     n: int | None,
-    out: np.ndarray | None = None,
-    kernel_rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """Finish a batch of convolutions whose row transforms are done.
 
@@ -277,14 +273,12 @@ def _convolve_row_spectra(
     inverse column FFT each run as one call over contiguous lines.  The
     inverse row transform -- ``irfft`` to ``n`` columns, or ``ifft``
     when ``n`` is ``None`` -- reads the buffer through a ``(rows, M,
-    bins)`` view and writes C-order ``(rows, M, N)`` planes into
-    ``out`` (a new C-order array when ``None``).
+    bins)`` view and writes new C-order ``(rows, M, N)`` planes.
 
     The column stages run in place in ``row_spectra``, in the window's
-    own transform dtype.  Each row's kernel spectrum is gathered into
-    ``kernel_rows`` (a ``(bins, rows, M)`` buffer of the kernel
-    spectrum's dtype, or a new array) -- or broadcast, when every row
-    maps to the same kernel -- and the product lands in
+    own transform dtype.  Each row's kernel spectrum is gathered -- or
+    broadcast, when every row maps to the same kernel -- and the
+    product lands in
     ``row_spectra`` unless it widens (a complex128 window against a
     clongdouble kernel spectrum): then it gets its own array, since
     running the column stage in the wider dtype would change bits.
@@ -301,11 +295,7 @@ def _convolve_row_spectra(
         # it instead of copying it once per row.
         kernel = kernel_spectrum[:, row_kernel[0], np.newaxis]
     else:
-        # mode="clip" (the row map is valid) keeps take from buffering
-        # its output.
-        kernel = np.take(
-            kernel_spectrum, row_kernel, axis=1, out=kernel_rows, mode="clip"
-        )
+        kernel = np.take(kernel_spectrum, row_kernel, axis=1)
     product = (
         row_spectra
         if np.result_type(row_spectra, kernel_spectrum) == row_spectra.dtype
@@ -314,13 +304,12 @@ def _convolve_row_spectra(
     product = np.multiply(row_spectra, kernel, out=product)
     ifft(product, axis=-1, out=product)
     lines = product.transpose(1, 2, 0)
-    if out is None:
-        # C-order planes: numpy.fft would lay a new result out like its
-        # bin-major input.
-        out = np.empty(
-            (*lines.shape[:-1], lines.shape[-1] if n is None else n),
-            product.dtype if n is None else np.finfo(product.dtype).dtype,
-        )
+    # C-order planes: numpy.fft would lay a new result out like its
+    # bin-major input.
+    out = np.empty(
+        (*lines.shape[:-1], lines.shape[-1] if n is None else n),
+        product.dtype if n is None else np.finfo(product.dtype).dtype,
+    )
     if n is None:
         return ifft(lines, axis=-1, out=out)
     return irfft(lines, n=n, axis=-1, out=out)
@@ -329,7 +318,7 @@ def _convolve_row_spectra(
 def fft_circular_convolve2d_chunks(
     chunks,
     k: np.ndarray,
-    kernel_spectrum: np.ndarray | None = None,
+    kernel_spectrum: KernelSpectrum | None = None,
     row_kernel: np.ndarray | None = None,
     num_rows: int | None = None,
     precision=None,
@@ -351,9 +340,11 @@ def fft_circular_convolve2d_chunks(
     ``row_kernel`` maps each row to the kernel plane it convolves
     against -- the cross-pair wave form, where the rows of many pairs
     fuse into one batch but each pair keeps its own distilled kernel.
-    Kernel spectra are computed exactly once up front (or reused when
-    ``kernel_spectrum`` is supplied); each output plane is bit-identical
-    to :func:`fft_circular_convolve2d` on the corresponding planes.
+    Kernel spectra are computed exactly once up front, or handed in as
+    ``kernel_spectrum``: a raw :class:`~repro.fft.spectra.KernelSpectrum`
+    of ``k`` (the fleet passes its fresh kernels' half spectra, which it
+    never looks up in the cache); each output plane is bit-identical to
+    :func:`fft_circular_convolve2d` on the corresponding planes.
 
     Real kernels use cached half spectra and the rFFT chunk transform;
     a complex chunk arriving under a half
@@ -363,46 +354,27 @@ def fft_circular_convolve2d_chunks(
     Each chunk's row stage (``rfft``, or ``fft`` on the full path) runs
     here, written straight into a bin-major ``(bins, rows, M)`` buffer
     through a ``(rows, M, bins)`` view, against kernel spectra moved to
-    bin-major once per stream; :func:`_convolve_row_spectra` then runs
+    bin-major once per stream; :func:`_convolve_bin_major` then runs
     the rest -- column FFT, per-row Hadamard, inverse column FFT,
     inverse row transform -- into a fresh C-order output per chunk,
-    since callers keep the chunks they receive.  The fleet's row-shared
-    windows (:meth:`repro.core.fleet.FleetExecutor._compute_wave`) build
-    their bin-major row stage from shared row spectra and end in the
-    same helper, in buffers reused across windows.
+    since callers keep the chunks they receive.
 
     ``precision`` (an optional :class:`~repro.hw.quantize.PrecisionSpec`)
     rounds every incoming data chunk plane-by-plane in the spatial
     domain and the kernel spectra per plane/component up front; since
     both roundings are per-plane, chunk boundaries still never change
     bits and the quantized stream matches quantized one-plane execution
-    exactly.  A supplied ``kernel_spectrum`` ndarray must be
-    the *raw* (unquantized) full spectrum -- the spec is applied here,
-    exactly once; a supplied :class:`~repro.fft.spectra.KernelSpectrum`
-    may be raw (quantized here the same way) or already quantized, in
-    which case its ``precision_name`` must match ``precision``.
+    exactly.  A supplied ``kernel_spectrum`` is rounded here the same
+    way, exactly once, which is why it must be raw.
     """
     k = np.asarray(k)
-    k, multi_kernel, row_kernel, kernel_spectrum = _validate_batch_kernel(
+    k, multi_kernel, row_kernel = _validate_batch_kernel(
         k, row_kernel, kernel_spectrum, num_rows, "fft_circular_convolve2d_chunks"
     )
     real_kernel = np.isrealobj(k)
-    if isinstance(kernel_spectrum, KernelSpectrum):
+    if kernel_spectrum is not None:
         spec_kind = kernel_spectrum.kind
         spec_array = kernel_spectrum.array
-        if kernel_spectrum.precision_name is not None:
-            wanted = None if precision is None else str(precision.name)
-            if kernel_spectrum.precision_name != wanted:
-                raise ValueError(
-                    f"kernel spectrum quantized as "
-                    f"{kernel_spectrum.precision_name!r} cannot serve a "
-                    f"{wanted!r}-precision convolution"
-                )
-        elif precision is not None:
-            spec_array = precision.apply(spec_array)
-    elif kernel_spectrum is not None:
-        spec_kind = "full"
-        spec_array = kernel_spectrum
         if precision is not None:
             spec_array = precision.apply(spec_array)
     elif real_kernel:
@@ -462,7 +434,7 @@ def fft_circular_convolve2d_chunks(
         else:
             spec, n = _full_spectrum(), None
         # A fresh output per chunk: callers keep the chunks they receive.
-        convolved = _convolve_row_spectra(
+        convolved = _convolve_bin_major(
             _bin_major_rows(chunk, real=half_path), spec, row_map, n
         )
         yield (convolved.real if real_chunk and not half_path else convolved), rows

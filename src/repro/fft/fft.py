@@ -13,8 +13,8 @@ here returns complex128 (or float64 from :func:`irfft`).
 
 All four take an optional ``out=`` array of the result's shape and
 dtype (``numpy.fft``'s own ``out``, numpy 2.0 and later).  It may be
-the input itself, or a strided view: the convolution tail reuses its
-buffers across windows and writes row spectra straight into bin-major
+the input itself, or a strided view: the convolution tail transforms
+its columns in place and writes row spectra straight into bin-major
 buffers through a transposed view, with the same bits as a freshly
 allocated result.
 

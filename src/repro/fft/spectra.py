@@ -15,11 +15,11 @@ Its callers are the convolutions of :mod:`repro.fft.convolution`:
 device's ``conv2d_circular``, the distiller's predictions, the looped
 interpretation helpers) and
 :func:`~repro.fft.convolution.fft_circular_convolve2d_chunks` (a stream
-of planes: :func:`~repro.core.masking.score_plan`, the device's batched
-convolutions, and the quantized and complex fleet waves).  Real fleet
-waves at exact precision transform their kernels themselves: a wave's
-kernels are solved fresh and never repeat, so digesting them would buy
-no hit.
+of planes: :func:`~repro.core.masking.score_plan` and the device's
+batched convolutions).  No fleet wave uses it: a wave's kernels are
+solved fresh and never repeat, so digesting them would buy no hit, and
+the wave transforms them itself -- handing real kernels' half spectra
+to the stream as a raw :class:`KernelSpectrum`.
 
 Entries are raw (unquantized) spectra plus, per requested precision, the
 quantized variant derived from the raw entry -- a quantized lookup never

@@ -783,7 +783,7 @@ class Device(abc.ABC):
         num_rows = int(num_rows)
         if num_rows <= 0:
             raise ValueError(f"num_rows must be positive, got {num_rows}")
-        kernel, _, row_kernel, _ = _validate_batch_kernel(
+        kernel, _, row_kernel = _validate_batch_kernel(
             kernel, row_kernel, None, num_rows, "conv2d_circular_batch_chunks"
         )
         m, n = kernel.shape[-2], kernel.shape[-1]

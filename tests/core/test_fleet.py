@@ -21,7 +21,7 @@ from repro.core.fleet import wave_dtype_key, wave_row_map
 from repro.core.interpretation import feature_contributions, l2_scores_by_linearity
 from repro.core.masking import DEFAULT_CHUNK_ROWS
 from repro.core.transform import OutputEmbedding, frequency_solve
-from repro.fft import fft, fft_circular_convolve2d, rfft, rfft2_batch
+from repro.fft import fft_circular_convolve2d, kernel_spectrum_cache_info, rfft2_batch
 from repro.hw.cpu import CpuDevice
 from repro.hw.pod import TpuPod
 from repro.obs.tracer import tracer
@@ -40,6 +40,19 @@ def assert_same_explanations(results, expected):
         np.testing.assert_array_equal(a.scores, b.scores)
         np.testing.assert_array_equal(a.kernel, b.kernel)
         assert a.residual == b.residual
+
+
+def planted_cancellation():
+    """``(x, kernel, y)`` with ``y = x_masked (*) kernel``, ``x_masked``
+    being ``x`` with its 4x4 block (1, 2) zeroed: that block's l2 score
+    is 0, and its three linearity terms cancel."""
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((16, 16))
+    x[0, 0] += 20.0
+    kernel = rng.standard_normal((16, 16))
+    masked = x.copy()
+    masked[4:8, 8:12] = 0.0
+    return x, kernel, fft_circular_convolve2d(masked, kernel)
 
 
 def planted_pairs(count, shape=(8, 8), seed=0):
@@ -233,20 +246,19 @@ class TestFleetExecutorEquivalence:
         )
         xs = [x for x, _ in planted_pairs(4)]
         xs[1] = xs[1].astype(np.float32)
-        plans = [executor.plan_for(x) for x in xs]
-        row_pair, row_slot, is_mask = wave_row_map([plan.num_masks for plan in plans])
+        plan = executor.plan_for(xs[0])
+        row_pair, row_slot, is_mask = wave_row_map([plan.num_masks] * len(xs))
         sources, fills = executor._fill_sources(np.stack(xs), xs)
-        bands = executor._band_windows(
-            sources, fills, plans, row_pair, row_slot, is_mask, rows_per_chunk=8
-        )
-        chunks = list(executor._masked_chunks(sources, bands, row_pair))
+        chunks = list(executor._masked_windows(
+            sources, fills, plan, row_pair, row_slot, is_mask, rows_per_chunk=8
+        ))
         assert [rows for _, rows in chunks] == [range(0, 8), range(8, 16), range(16, 20)]
         per_pair = [
             np.concatenate([
                 *(masked for masked, _ in plan.apply_chunks(x, fill_value=0.1)),
                 x[np.newaxis],
             ])
-            for x, plan in zip(xs, plans)
+            for x in xs
         ]
         np.testing.assert_array_equal(
             np.concatenate([chunk for chunk, _ in chunks]), np.concatenate(per_pair)
@@ -591,47 +603,36 @@ class TestComplexOperands:
         assert_same_explanations(executor.run(pairs).results, expected)
 
 
-class TestRowSharedWindows:
-    """A real wave's bin-major windows, built from each pair's row
-    spectra plus the transforms of only the rows a mask touches, equal
-    the transforms of the materialized masked planes bit for bit."""
+class TestMaskedWindows:
+    """A wave's windows -- each row's ``x`` plane with its mask's band of
+    occluded rows patched in -- equal the materialized ``np.where(mask,
+    fill, x)`` planes bit for bit, a float32 pair's included."""
 
-    PLAN_SETS = {
-        "blocks": [MaskSpec.blocks((8, 8), (2, 2))] * 3,
-        "rows": [MaskSpec.rows((8, 8))] * 3,
-        "columns": [MaskSpec.columns((8, 8))] * 3,
-        "mixed": [
-            MaskSpec.blocks((8, 8), (2, 2)), MaskSpec.blocks((8, 8), (4, 4)),
-            MaskSpec.columns((8, 8)), MaskSpec.rows((8, 8)),
-        ],
-        "odd": [
-            MaskSpec.blocks((9, 7), (3, 7)), MaskSpec.columns((9, 7)),
-            MaskSpec.rows((9, 7)),
-        ],
+    PLANS = {
+        "blocks 2x2": MaskSpec.blocks((8, 8), (2, 2)),
+        "blocks 4x4": MaskSpec.blocks((8, 8), (4, 4)),
+        "rows": MaskSpec.rows((8, 8)),
+        "columns": MaskSpec.columns((8, 8)),
+        "odd blocks 3x7": MaskSpec.blocks((9, 7), (3, 7)),
+        "odd rows": MaskSpec.rows((9, 7)),
+        "odd columns": MaskSpec.columns((9, 7)),
     }
 
     @pytest.mark.parametrize("fill_value", [0.0, 0.1, -2.5])
-    @pytest.mark.parametrize("plans", list(PLAN_SETS), ids=str)
-    def test_window_equals_rfft2_of_masked_planes(self, plans, fill_value):
-        plans = self.PLAN_SETS[plans]
+    @pytest.mark.parametrize("plan", list(PLANS), ids=str)
+    def test_windows_equal_the_masked_planes(self, plan, fill_value):
+        plan = self.PLANS[plan]
         executor = FleetExecutor(CpuDevice(), granularity="rows", fill_value=fill_value)
-        xs = [x for x, _ in planted_pairs(len(plans), shape=plans[0].plane_shape)]
+        xs = [x for x, _ in planted_pairs(3, shape=plan.plane_shape)]
         xs[1] = xs[1].astype(np.float32)
-        row_pair, row_slot, is_mask = wave_row_map([plan.num_masks for plan in plans])
+        row_pair, row_slot, is_mask = wave_row_map([plan.num_masks] * len(xs))
         sources, fills = executor._fill_sources(np.stack(xs), xs)
-        bands = executor._band_windows(
-            sources, fills, plans, row_pair, row_slot, is_mask, rows_per_chunk=7
-        )
-        m, n = plans[0].plane_shape
-        base = np.empty((n // 2 + 1, len(xs), m), complex)
-        rfft(sources, axis=-1, out=base.transpose(1, 2, 0))
-        buffer = np.empty((n // 2 + 1, 7, m), complex)
-        windows = [
-            spectra.copy()
-            for spectra, _ in executor._row_spectra(base, bands, row_pair, buffer)
+        windows = list(executor._masked_windows(
+            sources, fills, plan, row_pair, row_slot, is_mask, rows_per_chunk=7
+        ))
+        assert [rows for _, rows in windows] == [
+            range(lo, min(lo + 7, row_pair.size)) for lo in range(0, row_pair.size, 7)
         ]
-        widths = [window.shape[1] for window in windows]
-        assert widths[:-1] == [7] * (len(windows) - 1) and 0 < widths[-1] <= 7
         planes = np.concatenate([
             np.stack([
                 *(np.where(mask, fill_value, x) for _, mask in reference.masks(
@@ -639,18 +640,16 @@ class TestRowSharedWindows:
                 )),
                 x,
             ])
-            for x, plan in zip(xs, plans)
+            for x in xs
         ])
-        row_spectra = np.concatenate(windows, axis=1)  # (bins, rows, M)
-        rows_last = np.moveaxis(row_spectra, 0, -1)
-        assert rows_last.tobytes() == rfft(planes, axis=-1).tobytes()
-        columns = np.moveaxis(fft(row_spectra, axis=-1), 0, -1)
-        assert columns.tobytes() == rfft2_batch(planes).tobytes()
+        streamed = np.concatenate([window for window, _ in windows])
+        assert streamed.dtype == planes.dtype
+        assert streamed.tobytes() == planes.tobytes()
 
 
 class TestSpatialWaves:
-    """Quantized and complex waves stream spatial windows; exact real
-    waves share their pairs' row spectra.  Both match the reference."""
+    """Real float64 l2 waves at exact precision take the linearity pass;
+    every other wave streams its windows.  Both match the reference."""
 
     @pytest.mark.parametrize("precision,complex_pairs,streams", [
         (None, False, False),
@@ -684,6 +683,44 @@ class TestSpatialWaves:
         assert bool(calls) == streams
         expected = reference.explain_all(pairs, device=CpuDevice(), **options)
         reference.assert_matches(run.results, expected, pairs, **options)
+
+
+class TestFleetLeavesKernelSpectrumCache:
+    """No fleet wave looks its kernels up in the kernel-spectrum cache:
+    they are solved fresh and never repeat, so a wave that convolves
+    windows hands the stream its kernels' half spectra itself."""
+
+    @pytest.mark.parametrize("num_chips", [None, 2], ids=["cpu", "data-pod"])
+    @pytest.mark.parametrize("granularity,block_shape", [
+        ("blocks", (2, 2)), ("rows", None), ("columns", None),
+    ])
+    @pytest.mark.parametrize("precision", [None, "fp32", "bf16", "int8"])
+    @pytest.mark.parametrize("reduction", ["l1", "mean_abs", "max_abs"])
+    def test_windowed_waves(self, reduction, precision, granularity, block_shape, num_chips):
+        pairs = planted_pairs(3)
+        device = CpuDevice() if num_chips is None else small_backend()
+        executor = FleetExecutor(
+            device, granularity=granularity, block_shape=block_shape, eps=1e-8,
+            reduction=reduction, precision=precision, num_chips=num_chips, chunk_rows=5,
+        )
+        before = kernel_spectrum_cache_info()
+        executor.run(pairs)
+        assert kernel_spectrum_cache_info() == before
+
+    def test_l2_wave_whose_guard_rescores(self, monkeypatch):
+        x, kernel, y = planted_cancellation()
+        monkeypatch.setattr(
+            fleet, "_solve_stack", lambda *args, **kwargs: kernel[np.newaxis]
+        )
+        executor = FleetExecutor(CpuDevice(), granularity="blocks", block_shape=(4, 4))
+        before = kernel_spectrum_cache_info()
+        tracer.clear()
+        with tracer.tracing():
+            executor.run([(x, y)])
+        rescores = [event for event in tracer.events if event.name == "fleet.rescore"]
+        tracer.clear()
+        assert len(rescores) == 1
+        assert kernel_spectrum_cache_info() == before
 
 
 class TestElementsFillValue:
@@ -779,17 +816,11 @@ class TestL2ByLinearity:
         terms cancel (unguarded it reads 9.5e-7, 3.3e-9 of the largest
         score), so the guard hands it to one masked convolution, which
         reads 0.0, and a ``fleet.rescore`` instant counts it."""
-        rng = np.random.default_rng(8)
-        x = rng.standard_normal((16, 16))
-        x[0, 0] += 20.0
-        kernel = rng.standard_normal((16, 16))
-        masked = x.copy()
-        masked[4:8, 8:12] = 0.0
-        y = fft_circular_convolve2d(masked, kernel)
+        x, kernel, y = planted_cancellation()
         residual = y - fft_circular_convolve2d(x, kernel)
         _, rescore = l2_scores_by_linearity(
             x[np.newaxis], np.zeros(1), residual[np.newaxis],
-            rfft2_batch(kernel[np.newaxis]), [MaskSpec.blocks((16, 16), (4, 4))],
+            rfft2_batch(kernel[np.newaxis]), MaskSpec.blocks((16, 16), (4, 4)),
             DEFAULT_CHUNK_ROWS * 16 * 16,
         )
         assert np.flatnonzero(rescore[0]).tolist() == [6]

@@ -263,8 +263,7 @@ class TestReadOnlyCaches:
         pairs = planted_interpretation_pairs(3, shape=(4, 4), seed=1)
         executor = FleetExecutor(CpuDevice(), granularity=granularity, block_shape=block_shape)
         executor.run(pairs)
-        row_pair, row_slot, is_mask, residual_rows, _ = executor._layout((4, 4)).rows(3)
-        for array in (row_pair, row_slot, is_mask, residual_rows):
+        for array in executor._layout((4, 4)).rows(3):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
@@ -287,9 +286,10 @@ class TestPlanLayoutRows:
         executor.run(pairs)
         layout = executor._layout((4, 4))
         for count in (3, 1, 6, 2, 6, 5):
-            row_pair, row_slot, is_mask, residual_rows, pair_base = layout.rows(count)
+            rows = layout.rows(count)
             expected = wave_row_map([layout.num_masks] * count)
-            for got, want in zip((row_pair, row_slot, is_mask), expected):
+            assert len(rows) == len(expected) == 3
+            for got, want in zip(rows, expected):
                 np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(residual_rows, np.flatnonzero(~expected[2]))
+            pair_base = layout.pair_base(count)
             assert pair_base == [index * (layout.num_masks + 1) for index in range(count)]

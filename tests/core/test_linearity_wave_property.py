@@ -104,7 +104,7 @@ def test_each_pair_gets_its_own_arithmetic_bit_for_bit(config):
         np.testing.assert_array_equal(numbers.preds[p], prediction)
         (scores,), (flagged,) = l2_scores_by_linearity(
             x[np.newaxis], np.array([fill]), (y - prediction)[np.newaxis],
-            rfft2_batch(kernel[np.newaxis]), [plan], layout.window_floats,
+            rfft2_batch(kernel[np.newaxis]), plan, layout.window_floats,
         )
         for mask in np.flatnonzero(flagged):
             masked = np.where(plan.masks_at(np.array([mask]))[0], fill, x)

@@ -33,7 +33,7 @@ from repro.core import (
 from repro.fft import fft, fft_circular_convolve2d, ifft, irfft2_batch, rfft, rfft2_batch
 from repro.fft.convolution import (
     _bin_major,
-    _convolve_row_spectra,
+    _convolve_bin_major,
     fft_circular_convolve2d_chunks,
 )
 from repro.fft.spectra import value_buffer
@@ -273,7 +273,7 @@ class TestChunkedConvolution:
         for kernel in (half.astype(np.clongdouble), half):
             window = _bin_major(rfft(planes, axis=-1))
             columns = fft(window, axis=-1)
-            convolved = _convolve_row_spectra(window, _bin_major(kernel), row_map, 6)
+            convolved = _convolve_bin_major(window, _bin_major(kernel), row_map, 6)
             product = rfft2_batch(planes) * kernel[row_map]
             expected = irfft2_batch(product, n=6)
             assert convolved.dtype == expected.dtype == np.finfo(kernel.dtype).dtype

@@ -15,9 +15,10 @@ from repro.fft import (
     linear_convolve,
     linear_convolve2d,
 )
-from repro.fft.convolution import _bin_major, _convolve_row_spectra
+from repro.fft.convolution import _bin_major, _convolve_bin_major
 from repro.fft.fft import fft, rfft
 from repro.fft.fft2d import fft2_batch, ifft2_batch, irfft2_batch, rfft2_batch
+from repro.fft.spectra import KernelSpectrum
 from repro.hw import CpuDevice
 
 
@@ -223,19 +224,6 @@ class TestBatchedCircular2D:
             convolve_batch(stack, kernel),
         )
 
-    def test_precomputed_raw_full_spectrum_matches_complex_path(self):
-        """The legacy raw-ndarray spectrum form still runs the full
-        complex path and matches it bit for bit (complex-typed planes
-        take that path too)."""
-        rng = np.random.default_rng(3)
-        stack = rng.standard_normal((4, 8, 8))
-        kernel = rng.standard_normal((8, 8))
-        with_raw = convolve_batch(
-            stack, kernel, kernel_spectrum=fft2(kernel)
-        )
-        complex_path = convolve_batch(stack.astype(np.complex128), kernel)
-        np.testing.assert_array_equal(with_raw, complex_path.real)
-
     def test_complex_inputs_stay_complex(self):
         rng = np.random.default_rng(4)
         stack = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
@@ -366,7 +354,22 @@ class TestRealPathRouting:
                 streamed[rows.start : rows.stop] = convolved
             np.testing.assert_array_equal(streamed, dense)
 
-    def test_quantized_spectrum_precision_mismatch_raises(self):
+    def test_raw_spectrum_is_quantized_like_the_cached_one(self):
+        """A raw spectrum handed in at ``int8`` is rounded by the stream
+        once, exactly as the cache rounds the spectrum it computes."""
+        from repro.hw.quantize import resolve_precision
+
+        rng = np.random.default_rng(15)
+        stack = rng.standard_normal((2, 8, 8))
+        k = rng.standard_normal((8, 8))
+        spec = resolve_precision("int8")
+        raw = KernelSpectrum(rfft2_batch(k), "half", k.shape)
+        np.testing.assert_array_equal(
+            convolve_batch(stack, k, kernel_spectrum=raw, precision=spec),
+            convolve_batch(stack, k, precision=spec),
+        )
+
+    def test_spectrum_other_than_a_raw_kernel_spectrum_raises(self):
         from repro.fft import kernel_spectrum
         from repro.hw.quantize import resolve_precision
 
@@ -374,24 +377,9 @@ class TestRealPathRouting:
         stack = rng.standard_normal((2, 8, 8))
         k = rng.standard_normal((8, 8))
         quantized = kernel_spectrum(k, real=True, precision=resolve_precision("int8"))
-        with pytest.raises(ValueError, match="quantized as"):
-            convolve_batch(stack, k, kernel_spectrum=quantized)
-
-    def test_quantized_spectrum_matching_precision_reused(self):
-        from repro.fft import kernel_spectrum
-        from repro.hw.quantize import resolve_precision
-
-        rng = np.random.default_rng(15)
-        stack = rng.standard_normal((2, 8, 8))
-        k = rng.standard_normal((8, 8))
-        spec = resolve_precision("int8")
-        quantized = kernel_spectrum(k, real=True, precision=spec)
-        np.testing.assert_array_equal(
-            convolve_batch(
-                stack, k, kernel_spectrum=quantized, precision=spec
-            ),
-            convolve_batch(stack, k, precision=spec),
-        )
+        for spectrum in (fft2(k), quantized):
+            with pytest.raises(ValueError, match="raw KernelSpectrum"):
+                convolve_batch(stack, k, kernel_spectrum=spectrum)
 
 
 class TestBinMajorTail:
@@ -431,17 +419,9 @@ class TestBinMajorTail:
         expected = irfft2_batch(rfft2_batch(planes) * rows_half, n=n)
         width = 8 if case == "partial window" else 5
         window = self.window(rfft(planes, axis=-1), width)
-        kernel_rows = np.empty((n // 2 + 1, width, m), complex)[:, :5]
-        out = np.empty((width, m, n))[:5]
-        convolved = _convolve_row_spectra(
-            window, _bin_major(half), row_map, n, out=out, kernel_rows=kernel_rows
-        )
-        assert convolved is out and convolved.flags.c_contiguous
+        convolved = _convolve_bin_major(window, _bin_major(half), row_map, n)
+        assert convolved.flags.c_contiguous
         assert convolved.tobytes() == expected.tobytes()
-        fresh = _convolve_row_spectra(
-            self.window(rfft(planes, axis=-1), width), _bin_major(half), row_map, n
-        )
-        assert fresh.flags.c_contiguous and fresh.tobytes() == expected.tobytes()
 
     def test_full_path_equals_the_2d_round_trip(self):
         rng = np.random.default_rng(12)
@@ -450,6 +430,6 @@ class TestBinMajorTail:
         row_map = np.array([1, 0, 0, 2, 1])
         expected = ifft2_batch(fft2_batch(planes) * full[row_map])
         window = self.window(fft(planes, axis=-1), 7)
-        convolved = _convolve_row_spectra(window, _bin_major(full), row_map, None)
+        convolved = _convolve_bin_major(window, _bin_major(full), row_map, None)
         assert convolved.flags.c_contiguous
         assert convolved.tobytes() == expected.tobytes()
