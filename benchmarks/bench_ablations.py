@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the repository's design choices.
 
 Not in the paper -- these isolate each mechanism's contribution so the
 speedup story is explainable rather than monolithic:
@@ -352,7 +352,7 @@ class TestLibraryFftThreat:
     """Threat-to-validity probe: the paper deploys its matmul-form
     algorithm on the CPU/GPU baselines.  Repricing those baselines with
     O(n log n) library FFTs shrinks the TPU's interpretation advantage
-    substantially -- reported honestly in EXPERIMENTS.md."""
+    substantially, and the tests below assert how far."""
 
     def test_library_fft_is_much_faster_baseline(self):
         from repro.hw import CpuConfig, CpuDevice
@@ -400,8 +400,8 @@ class TestEnergyFootprint:
     burns TDP for the elapsed time -- pessimistic for a 128-core slice
     that idles through host round trips) and *active-compute* (silicon
     burns TDP only while computing).  The paper's claim holds under
-    active-compute accounting; the reserved-fleet numbers are reported
-    in EXPERIMENTS.md as the honest counterpoint."""
+    active-compute accounting; the reserved-fleet test below keeps the
+    counterpoint visible."""
 
     def test_tpu_wins_under_active_compute_accounting(self):
         from repro.bench.workloads import (

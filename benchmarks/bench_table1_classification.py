@@ -2,8 +2,7 @@
 
 Regenerates both rows of the paper's Table I: simulated training and
 testing time per 10 epochs on CPU / GPU / TPU, plus real accuracy from
-training the CI-scale model variants.  The shape contract asserted here
-(per DESIGN.md):
+training the CI-scale model variants.  The shape contract asserted here:
 
 * ordering CPU > GPU > TPU on both train and test time;
 * TPU-vs-CPU speedup in the ~40-70x band (paper: 65x / 44.5x);

@@ -14,7 +14,7 @@ Quick start::
     distiller.fit(x, y)                    # K = F^-1(F(Y)/F(X))
     scores = feature_contributions(x, distiller.kernel_, y)
 
-Package map (see DESIGN.md for the full inventory):
+Package map (the README's repository map has the full inventory):
 
 ==================  ====================================================
 ``repro.fft``       Fourier substrate (numpy.fft host transforms,
@@ -28,7 +28,7 @@ Package map (see DESIGN.md for the full inventory):
                     training loop, FLOP census
 ``repro.data``      synthetic CIFAR-100-like images and MIRAI-style
                     malware trace tables with planted ground truth
-``repro.baselines`` occlusion, gradient x input, iterative surrogate
+``repro.baselines`` black-box occlusion and gradient x input
 ``repro.bench``     harness regenerating every table and figure
 ==================  ====================================================
 
@@ -91,7 +91,6 @@ EXPORTS = {
     "core.transform": ("OutputEmbedding", "frequency_solve"),
     "hw.cpu": ("CpuDevice",),
     "hw.gpu": ("GpuDevice",),
-    "hw.perf": ("speedup",),
     "hw.tpu": ("TpuChip",),
     "hw.tpu_core": ("TpuCore",),
 }

@@ -1,9 +1,7 @@
 """Baseline explainers used for correctness cross-checks and cost contrast.
 
 * :mod:`repro.baselines.occlusion` -- black-box block/column occlusion;
-* :mod:`repro.baselines.gradient`  -- white-box gradient x input;
-* :mod:`repro.baselines.surrogate` -- the iterative optimization-based
-  surrogate the paper's closed-form solve is measured against.
+* :mod:`repro.baselines.gradient`  -- white-box gradient x input.
 """
 
 from repro import lazy_exports
@@ -15,7 +13,6 @@ EXPORTS = {
         "occlusion_plan_saliency",
         "occlusion_saliency",
     ),
-    "surrogate": ("LinearSurrogateExplainer", "SurrogateConfig", "SurrogateResult"),
 }
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, EXPORTS)

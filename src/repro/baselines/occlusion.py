@@ -4,7 +4,7 @@ Model-agnostic baseline used to validate the distilled explainer: zero a
 block of the input, query the *black-box model itself* (not the
 distilled kernel), and score the block by the change in the model's
 output.  On inputs with planted evidence both explainers must agree on
-the top block -- a cross-check the test suite and EXPERIMENTS.md use.
+the top block -- a cross-check the test suite makes.
 
 The masked variants come from the same
 :class:`~repro.core.masking.MaskSpec` the distilled engine batches on
@@ -47,11 +47,13 @@ def occlusion_plan_saliency(
         raise ValueError(
             f"plan plane {plan.plane_shape} does not match input of shape {x.shape}"
         )
-    baseline = np.asarray(model(x), dtype=np.float64)
-    scores = np.zeros(plan.num_masks)
     # One plane at a time: the opaque model is queried sequentially, so
     # generating more than one masked variant ahead would buy nothing.
-    for occluded, rows in plan.apply_chunks(x, fill_value=fill_value, chunk_rows=1):
+    # The chunks validate the fill before the model is first queried.
+    chunks = plan.apply_chunks(x, fill_value=fill_value, chunk_rows=1)
+    baseline = np.asarray(model(x), dtype=np.float64)
+    scores = np.zeros(plan.num_masks)
+    for occluded, rows in chunks:
         delta = np.asarray(model(occluded[0]), dtype=np.float64) - baseline
         scores[rows.start] = _norm(delta, reduction)
     return plan.reshape_scores(scores)

@@ -11,8 +11,8 @@ CLI::
     python -m repro.bench.harness figure6
     python -m repro.bench.harness all
 
-All times are *simulated seconds* from the device cost models (see
-DESIGN.md "Fidelity contract"); accuracies come from really training the
+All times are *simulated seconds* from the device cost models;
+accuracies come from really training the
 CI-scale model variants on the synthetic datasets.
 """
 

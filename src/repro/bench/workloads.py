@@ -9,8 +9,8 @@ Defines, as data plus cost arithmetic, the three timed experiments:
 * **Figure 4** -- scalability: one 2-D Fourier transform at growing
   matrix sizes on all three devices.
 
-Time semantics (see DESIGN.md "Fidelity contract"): all numbers are
-*simulated seconds* from the device cost models.
+Time semantics: all numbers are *simulated seconds* from the device
+cost models.
 
 Execution-model assumptions, mirroring the paper's setup:
 

@@ -48,10 +48,8 @@ EXPORTS = {
     "interpretation": (
         "block_contributions",
         "column_contributions",
-        "contribution_matrix",
         "element_scores_from_base",
         "feature_contributions",
-        "mask_contribution",
         "normalize_scores",
         "row_contributions",
         "top_k_features",
@@ -74,14 +72,7 @@ EXPORTS = {
         "partition_cores",
     ),
     "pipeline": ("ExplanationPipeline", "InterpretationRun"),
-    "quality": (
-        "deletion_auc",
-        "deletion_curve",
-        "dominance_margin",
-        "rank_agreement",
-        "top_k_recall",
-    ),
-    "transform": ("OutputEmbedding", "frequency_solve", "spectrum_condition"),
+    "transform": ("OutputEmbedding", "frequency_solve"),
 }
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, EXPORTS)

@@ -99,10 +99,10 @@ class TpuBackend(Device):
 
         Pod replication (:func:`repro.hw.pod.clone_device`) calls this:
         the clone shares the immutable chip config but nothing mutable
-        -- its ledger, cores and event counters start clean, and it
-        builds no cores.  ``hbm_bytes`` overrides the clone's aggregate
-        HBM capacity (split evenly across its cores), the per-chip
-        capacity knob of heterogeneous pod construction.
+        -- its ledger and cores start clean, and it builds no cores.
+        ``hbm_bytes`` overrides the clone's aggregate HBM capacity (split
+        evenly across its cores), the per-chip capacity knob of
+        heterogeneous pod construction.
         """
         trace = self.chip.trace
         config = self.chip.config
@@ -340,17 +340,6 @@ class TpuBackend(Device):
                 self.transfer_seconds(outfeed_bytes),
                 bytes_moved=outfeed_bytes,
             )
-
-    def _credit_overlap(self, seconds: float) -> None:
-        """Pipeline credit lands on the chip event ledger too.
-
-        The device ledger gets the standard negative ``infeed_overlap``
-        row; mirroring it as a chip event keeps the per-event audit
-        trail (``chip.event_count``) able to distinguish a pipelined
-        fleet run from a serial one without consulting device stats.
-        """
-        super()._credit_overlap(seconds)
-        self.chip.infeed_overlap_seconds(seconds)
 
     def energy_joules(self, seconds: float) -> float:
         """Chip energy at per-core TDP across all cores."""

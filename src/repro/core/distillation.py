@@ -38,7 +38,8 @@ class ConvolutionDistiller:
     eps:
         Wiener regularizer added to the input power spectrum.  ``0``
         reproduces the paper's Eq. 4 verbatim (and will amplify noise on
-        near-singular spectra -- see ``transform.spectrum_condition``);
+        near-singular spectra, whose power ``|F(x)|^2`` nears zero in
+        some bin);
         a negative or non-finite value raises ``ValueError``.
     embedding:
         :class:`OutputEmbedding` used to lift vector outputs onto the
@@ -168,10 +169,6 @@ class ConvolutionDistiller:
             return fft_circular_convolve2d(x, kernel, precision=self.precision)
         result = self.device.conv2d_circular(x, kernel, precision=self.precision)
         return result
-
-    def predict_classes(self, x: np.ndarray, classes: int) -> np.ndarray:
-        """Predict and project back to a class-score vector."""
-        return self.embedding.project(self.predict(x), classes)
 
     def residual(self, inputs, outputs) -> float:
         """Root-mean-square fit residual over the given pairs.

@@ -152,6 +152,7 @@ from repro.core.masking import (
     GRANULARITIES,
     MaskSpec,
     REDUCTIONS,
+    check_fill_value,
     check_stack_budget,
     effective_chunk_rows,
     reduce_batch,
@@ -605,7 +606,9 @@ class FleetExecutor:
     selects the mask family, ``block_shape`` the tile size for
     ``blocks``, ``eps``/``embedding`` configure the distillation solve
     (a negative or non-finite ``eps`` raises here, see
-    :func:`check_eps`), ``reduction``/``fill_value`` the Eq. 5 scoring.
+    :func:`check_eps`), ``reduction``/``fill_value`` the Eq. 5 scoring
+    (a fill that is not a finite real number raises here, see
+    :func:`~repro.core.masking.check_fill_value`).
     ``max_stack_bytes`` bounds the streamed *chunk* (and must hold at
     least one plane; ``None`` disables the guard); ``max_pairs_per_wave`` optionally caps
     wave width, and ``chunk_rows`` sets how many masked planes stream
@@ -671,6 +674,7 @@ class FleetExecutor:
             raise ValueError(
                 f"unknown placement {placement!r}; expected one of {PLACEMENTS}"
             )
+        check_fill_value(fill_value)
         if num_chips is not None:
             num_chips = check_num_chips(num_chips)
         hbm_bytes = check_hbm_bytes(hbm_bytes)

@@ -10,7 +10,6 @@ The paper reduces the resulting matrix to a scalar weight per feature
 (Figure 5 colours blocks of an image; Figure 6 weights clock-cycle
 columns of a trace table).  This module provides:
 
-* :func:`contribution_matrix` -- Eq. 5 verbatim for one feature;
 * :func:`feature_contributions` -- scalar scores for *every* element,
   with a fast path exploiting convolution linearity:
   ``Y - X'(*)K = (Y - X(*)K) + x_i * roll(K, i)``, so all features share
@@ -45,7 +44,13 @@ import functools
 
 import numpy as np
 
-from repro.core.masking import REDUCTIONS, MaskSpec, reduce_batch, score_plan
+from repro.core.masking import (
+    REDUCTIONS,
+    MaskSpec,
+    check_fill_value,
+    reduce_batch,
+    score_plan,
+)
 from repro.fft.convolution import fft_circular_convolve2d
 from repro.fft.fft2d import irfft2_batch, rfft2_batch
 from repro.hw.device import Device
@@ -61,38 +66,12 @@ def _reduce(matrix: np.ndarray, reduction: str) -> float:
     return float(reduce_batch(np.asarray(matrix)[np.newaxis], reduction)[0])
 
 
-def _convolve(x: np.ndarray, kernel: np.ndarray, device: Device | None) -> np.ndarray:
-    if device is None:
-        return fft_circular_convolve2d(x, kernel)
-    return device.conv2d_circular(x, kernel)
-
-
 def _check_operands(x: np.ndarray, kernel: np.ndarray, y: np.ndarray) -> None:
     if x.shape != kernel.shape or x.shape != y.shape:
         raise ValueError(
             "input, kernel and output must share one shape, got "
             f"{x.shape}, {kernel.shape}, {y.shape}"
         )
-
-
-def contribution_matrix(
-    x: np.ndarray,
-    kernel: np.ndarray,
-    y: np.ndarray,
-    feature: tuple[int, int],
-    device: Device | None = None,
-) -> np.ndarray:
-    """Eq. 5 for one feature: ``Y - X' (*) K`` with ``X'[feature] = 0``."""
-    x = np.asarray(x)
-    kernel = np.asarray(kernel)
-    y = np.asarray(y)
-    _check_operands(x, kernel, y)
-    i, j = feature
-    if not (0 <= i < x.shape[0] and 0 <= j < x.shape[1]):
-        raise IndexError(f"feature {feature} outside input of shape {x.shape}")
-    masked = x.copy()
-    masked[i, j] = 0.0
-    return y - _convolve(masked, kernel, device)
 
 
 def feature_contributions(
@@ -118,7 +97,10 @@ def feature_contributions(
         raise ValueError(
             f"unknown reduction {reduction!r}; expected one of {REDUCTIONS}"
         )
-    base = y - _convolve(x, kernel, device)
+    if device is None:
+        base = y - fft_circular_convolve2d(x, kernel)
+    else:
+        base = y - device.conv2d_circular(x, kernel)
     return element_scores_from_base(x, kernel, base, reduction=reduction, device=device)
 
 
@@ -150,6 +132,7 @@ def element_scores_from_base(
         raise ValueError(
             f"unknown reduction {reduction!r}; expected one of {REDUCTIONS}"
         )
+    check_fill_value(fill_value)
     m, n = x.shape
     if device is not None:
         # The fast path's per-feature adds are elementwise VPU work.
@@ -278,34 +261,6 @@ def _linearity_geometry(plan: MaskSpec) -> tuple:
     cells.setflags(write=False)
     offsets.setflags(write=False)
     return cells, offsets, eps
-
-
-def mask_contribution(
-    x: np.ndarray,
-    kernel: np.ndarray,
-    y: np.ndarray,
-    mask: np.ndarray,
-    reduction: str = "l2",
-    device: Device | None = None,
-    fill_value: float = 0.0,
-) -> float:
-    """Contribution of an arbitrary feature set masked at once.
-
-    ``fill_value`` is the baseline the masked features are replaced
-    with: 0.0 reproduces Eq. 5 verbatim; the input's mean is the
-    standard occlusion-literature baseline and removes the DC term that
-    otherwise dominates on non-centred data (bright images).  One mask
-    is one convolution, run directly.
-    """
-    x = np.asarray(x)
-    kernel = np.asarray(kernel)
-    y = np.asarray(y)
-    _check_operands(x, kernel, y)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != x.shape:
-        raise ValueError(f"mask shape {mask.shape} does not match input {x.shape}")
-    delta = y - _convolve(np.where(mask, fill_value, x), kernel, device)
-    return _reduce(delta, reduction)
 
 
 def block_contributions(

@@ -99,6 +99,27 @@ def check_stack_budget(
     )
 
 
+def check_fill_value(fill_value) -> None:
+    """Reject an occlusion fill that is not a finite real number.
+
+    The single home of the rule, called where a fill enters:
+    :class:`~repro.core.fleet.FleetExecutor` at construction (so also
+    the service), :meth:`MaskSpec.apply_chunks` (so also
+    :func:`score_plan`, the contribution entry points and the occlusion
+    baselines) and
+    :func:`~repro.core.interpretation.element_scores_from_base`.  A
+    complex fill would make a real pair's masked planes complex, and a
+    NaN or infinite one would score every mask non-finite; a ``bool``
+    is a flag, not a fill.  A valid fill is used as given, bits and all.
+    """
+    if (
+        isinstance(fill_value, bool)
+        or not isinstance(fill_value, (int, float, np.integer, np.floating))
+        or not math.isfinite(fill_value)
+    ):
+        raise ValueError(f"fill_value must be a finite real number, got {fill_value!r}")
+
+
 def _check_window(start: int, stop: int | None, num_masks: int) -> tuple[int, int]:
     """Validate a ``[start, stop)`` mask-row window against a plan."""
     start = int(start)
@@ -369,15 +390,17 @@ class MaskSpec:
 
         ``fill_value`` replaces the occluded features: 0.0 is Eq. 5
         verbatim; the input mean is the occlusion-literature baseline.
-        Validates eagerly (a bad input shape raises at the call, not at
-        first iteration); ``start``/``stop`` window the generated rows
-        exactly as in :meth:`iter_chunks`.
+        Validates eagerly (a bad input shape or a fill that is not a
+        finite real number raises at the call, not at first iteration);
+        ``start``/``stop`` window the generated rows exactly as in
+        :meth:`iter_chunks`.
         """
         x = np.asarray(x)
         if x.shape != self.plane_shape:
             raise ValueError(
                 f"input shape {x.shape} does not match plan plane {self.plane_shape}"
             )
+        check_fill_value(fill_value)
         start, stop = _check_window(start, stop, self.num_masks)
 
         def _generate():

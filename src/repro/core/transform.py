@@ -9,7 +9,7 @@ is a single circular-convolution kernel ``K`` satisfying ``X (*) K = Y``
 i.e. two forward transforms, one Hadamard division, one inverse
 transform -- all of which a TPU evaluates as dense matrix products.
 
-Two practical extensions (documented in DESIGN.md section 5):
+Two practical extensions:
 
 * **Regularization.**  ``F(X)`` can be arbitrarily small, so the raw
   Eq. 4 division is numerically explosive.  We solve the least-squares
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.fft.fft2d import fft2, fft2_batch, ifft2_batch
+from repro.fft.fft2d import fft2_batch, ifft2_batch
 from repro.hw.device import _COMPLEX_HADAMARD_FLOPS, Device
 
 _STRATEGIES = ("identity", "spatial", "onehot-row", "tile")
@@ -144,39 +144,6 @@ class OutputEmbedding:
             stop = start + band if c < classes - 1 else cells
             flat[start:stop] = y[c]
         return plane
-
-    def project(self, plane: np.ndarray, classes: int) -> np.ndarray:
-        """Read a class-score vector back out of an embedded plane.
-
-        The pseudo-inverse of :meth:`embed` (exact for planes produced by
-        ``embed``; an aggregation for arbitrary planes such as distilled
-        predictions).
-        """
-        plane = np.asarray(plane, dtype=np.float64)
-        if plane.ndim != 2:
-            raise ValueError(f"expected a matrix, got shape {plane.shape}")
-        if classes <= 0:
-            raise ValueError("class count must be positive")
-        if self.strategy == "identity":
-            raise ValueError("identity embedding has no class projection")
-        if self.strategy == "onehot-row":
-            return plane[0, :classes].copy()
-        if self.strategy == "tile":
-            flat = plane.reshape(-1)
-            scores = np.zeros(classes)
-            for c in range(classes):
-                scores[c] = flat[c::classes].mean()
-            return scores
-        cells = plane.size
-        band = cells // classes
-        flat = plane.reshape(-1)
-        scores = np.zeros(classes)
-        for c in range(classes):
-            start = c * band
-            stop = start + band if c < classes - 1 else cells
-            scores[c] = flat[start:stop].mean()
-        return scores
-
 
 def _normalize_batch(arrays, name: str) -> np.ndarray:
     batch = np.asarray(arrays)
@@ -325,20 +292,3 @@ def _solve_stack(x_stack, y_stack, eps: float, device_chain: bool) -> np.ndarray
     if all_real:
         kernel = np.ascontiguousarray(kernel.real)
     return kernel
-
-
-def spectrum_condition(inputs, eps: float = 0.0) -> float:
-    """Conditioning diagnostic: max/min of the regularized denominator.
-
-    Large values mean Eq. 4's division is ill-posed for this data and
-    regularization is doing real work; handy when choosing ``eps``.
-    """
-    x_batch = _normalize_batch(inputs, "inputs")
-    denominator = np.zeros(x_batch.shape[1:], dtype=np.float64)
-    for x in x_batch:
-        denominator += np.abs(fft2(x)) ** 2
-    denominator = denominator + eps
-    smallest = float(denominator.min())
-    if smallest == 0.0:
-        return float("inf")
-    return float(denominator.max()) / smallest

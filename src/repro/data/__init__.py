@@ -5,19 +5,16 @@
 * :mod:`repro.data.mirai` -- MIRAI-style register/clock-cycle trace
   tables with a planted ATTACK_VECTOR assignment cycle (the Figure 6
   ground truth);
-* :mod:`repro.data.loader` -- batching and preprocessing helpers.
-
-See DESIGN.md section 2 for why these substitutions preserve the
-behaviour the experiments measure.
+* :mod:`repro.data.loader` -- the channel-mean grayscale reduction
+  that turns an image into the single plane the distillation solves on.
 """
 
 from repro import lazy_exports
 
 EXPORTS = {
     "cifar": ("CifarLikeSpec", "SyntheticCifar100", "make_cat_image"),
-    "loader": ("normalize_images", "one_hot", "to_grayscale", "train_test_indices"),
+    "loader": ("to_grayscale",),
     "mirai": ("ATTACK_MODES", "MiraiTraceDataset", "MiraiTraceSpec"),
-    "windows": ("TraceWindow", "locate_cycle", "pad_trace", "sliding_windows"),
 }
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, EXPORTS)

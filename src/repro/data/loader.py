@@ -1,32 +1,8 @@
-"""Dataset utilities shared by training and benchmarking code."""
+"""Dataset preprocessing for the examples."""
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Integer labels -> one-hot rows."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ValueError(f"expected a label vector, got shape {labels.shape}")
-    if num_classes <= 0:
-        raise ValueError("class count must be positive")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ValueError("label outside class range")
-    encoded = np.zeros((labels.shape[0], num_classes))
-    encoded[np.arange(labels.shape[0]), labels] = 1.0
-    return encoded
-
-
-def normalize_images(images: np.ndarray) -> np.ndarray:
-    """Shift/scale image batches to zero mean, unit variance per channel."""
-    images = np.asarray(images, dtype=np.float64)
-    if images.ndim != 4:
-        raise ValueError(f"expected (batch, channels, H, W), got {images.shape}")
-    mean = images.mean(axis=(0, 2, 3), keepdims=True)
-    std = images.std(axis=(0, 2, 3), keepdims=True)
-    return (images - mean) / np.maximum(std, 1e-8)
 
 
 def to_grayscale(images: np.ndarray) -> np.ndarray:
@@ -39,17 +15,3 @@ def to_grayscale(images: np.ndarray) -> np.ndarray:
     if images.ndim != 4:
         raise ValueError(f"expected (batch, channels, H, W), got {images.shape}")
     return images.mean(axis=1)
-
-
-def train_test_indices(
-    count: int, test_fraction: float, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Shuffled disjoint train/test index split."""
-    if count <= 0:
-        raise ValueError("count must be positive")
-    if not 0 < test_fraction < 1:
-        raise ValueError(f"test fraction must be in (0, 1), got {test_fraction}")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(count)
-    cut = max(1, int(round(count * test_fraction)))
-    return order[cut:], order[:cut]

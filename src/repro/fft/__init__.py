@@ -16,13 +16,14 @@ whole Fourier stack:
   half-spectrum variants for real planes;
 * :mod:`repro.fft.spectra`    -- the process-level content-addressed
   kernel-spectrum cache (byte-budgeted, thread-safe);
-* :mod:`repro.fft.convolution` -- direct and FFT-based circular/linear
-  convolution, the bridge used by the convolution theorem (Eq. 3),
-  routing real operands through the half-spectrum hot path.
+* :mod:`repro.fft.convolution` -- FFT-based circular convolution, one
+  plane at a time or chunk-streamed, the bridge used by the convolution
+  theorem (Eq. 3), routing real operands through the half-spectrum hot
+  path.
 
 The test suite checks the transforms against the DFT definition
 (Eq. 10) through :mod:`repro.fft.dft_matrix`, which shares no code with
-``numpy.fft``.
+``numpy.fft``, and the convolutions against the direct circular sum.
 """
 
 from repro.fft.dft_matrix import (
@@ -55,13 +56,8 @@ from repro.fft.spectra import (
     kernel_spectrum_cache_info,
 )
 from repro.fft.convolution import (
-    circular_convolve,
-    circular_convolve2d,
-    fft_circular_convolve,
     fft_circular_convolve2d,
     fft_circular_convolve2d_chunks,
-    linear_convolve,
-    linear_convolve2d,
 )
 
 __all__ = [
@@ -91,11 +87,6 @@ __all__ = [
     "kernel_spectrum_cache",
     "kernel_spectrum_cache_info",
     "clear_kernel_spectrum_cache",
-    "circular_convolve",
-    "circular_convolve2d",
-    "fft_circular_convolve",
     "fft_circular_convolve2d",
     "fft_circular_convolve2d_chunks",
-    "linear_convolve",
-    "linear_convolve2d",
 ]

@@ -1,23 +1,20 @@
-"""Circular and linear convolution, direct and via the convolution theorem.
+"""Circular convolution via the convolution theorem.
 
 The distilled model of the paper is the circular convolution
 ``X (*) K = Y`` (Eq. 2); its closed-form solve uses the discrete
 convolution theorem ``F(X (*) K) = F(X) o F(K)`` (Eq. 3).  This module
 provides:
 
-* direct (quadratic / quartic) convolution -- the unambiguous reference
-  definition, used by tests and small inputs;
-* FFT-based convolution -- the fast path whose agreement with the direct
-  form *is* the convolution theorem, asserted by property tests;
+* FFT-based convolution of one plane -- the fast path whose agreement
+  with the direct circular sum (the tests' oracle) *is* the convolution
+  theorem, asserted by property tests;
 * chunk-streamed batched FFT convolution -- a stack of inputs, driven
   by an *iterator* of ``(chunk, row_range)`` slices, against kernels
   whose spectra are computed exactly once, so peak memory is
   ``O(chunk_rows * M * N)`` regardless of batch size (the path of
   :class:`~repro.core.masking.MaskSpec` scoring and of every fleet
   window: each wave the l2 linearity pass does not score, and each
-  mask its guard hands back);
-* linear convolution via zero-padding to a circular one, for callers who
-  need aperiodic behaviour.
+  mask its guard hands back).
 
 Chunk boundaries never change bits: ``numpy.fft`` transforms each line
 independently, and the per-row Hadamard products are plane-local, so
@@ -61,15 +58,6 @@ from repro.fft.fft2d import fft2, fft2_batch, ifft2, irfft2_batch, rfft2_batch
 from repro.fft.spectra import KernelSpectrum
 
 
-def _as_1d(x: np.ndarray, name: str) -> np.ndarray:
-    array = np.asarray(x)
-    if array.ndim != 1:
-        raise ValueError(f"{name} expects a 1-D array, got shape {array.shape}")
-    if array.shape[0] == 0:
-        raise ValueError(f"{name} of an empty array is undefined")
-    return array
-
-
 def _as_2d(x: np.ndarray, name: str) -> np.ndarray:
     array = np.asarray(x)
     if array.ndim != 2:
@@ -77,64 +65,6 @@ def _as_2d(x: np.ndarray, name: str) -> np.ndarray:
     if 0 in array.shape:
         raise ValueError(f"{name} of an empty matrix is undefined")
     return array
-
-
-def circular_convolve(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Direct circular convolution of two equal-length 1-D arrays.
-
-    ``out[i] = sum_j x[j] * k[(i - j) mod n]``.
-    """
-    x = _as_1d(x, "circular_convolve")
-    k = _as_1d(k, "circular_convolve")
-    if x.shape != k.shape:
-        raise ValueError(
-            f"circular convolution needs equal lengths, got {x.shape} and {k.shape}"
-        )
-    n = x.shape[0]
-    result_dtype = np.result_type(x.dtype, k.dtype, np.float64)
-    out = np.zeros(n, dtype=result_dtype)
-    for shift in range(n):
-        out += x[shift] * np.roll(k, shift)
-    return out
-
-
-def circular_convolve2d(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Direct 2-D circular convolution of two equal-shape matrices.
-
-    ``out[i, j] = sum_{p, q} x[p, q] * k[(i - p) mod M, (j - q) mod N]``.
-    Quartic cost; intended for tests and small inputs.
-    """
-    x = _as_2d(x, "circular_convolve2d")
-    k = _as_2d(k, "circular_convolve2d")
-    if x.shape != k.shape:
-        raise ValueError(
-            f"2-D circular convolution needs equal shapes, got {x.shape} and {k.shape}"
-        )
-    m, n = x.shape
-    result_dtype = np.result_type(x.dtype, k.dtype, np.float64)
-    out = np.zeros((m, n), dtype=result_dtype)
-    for p in range(m):
-        for q in range(n):
-            value = x[p, q]
-            if value == 0:
-                continue
-            out += value * np.roll(np.roll(k, p, axis=0), q, axis=1)
-    return out
-
-
-def fft_circular_convolve(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """1-D circular convolution via the convolution theorem."""
-    x = _as_1d(x, "fft_circular_convolve")
-    k = _as_1d(k, "fft_circular_convolve")
-    if x.shape != k.shape:
-        raise ValueError(
-            f"circular convolution needs equal lengths, got {x.shape} and {k.shape}"
-        )
-    spectrum = fft(x) * fft(k)
-    result = ifft(spectrum)
-    if np.isrealobj(x) and np.isrealobj(k):
-        return result.real
-    return result
 
 
 def fft_circular_convolve2d(
@@ -443,30 +373,3 @@ def fft_circular_convolve2d_chunks(
             f"chunk stream ended at row {next_row}, expected {num_rows} rows"
         )
 
-
-def linear_convolve(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Full linear convolution of 1-D arrays (output length ``len(x)+len(k)-1``).
-
-    Implemented by zero-padding both operands to a common length and
-    reusing the circular fast path.
-    """
-    x = _as_1d(x, "linear_convolve")
-    k = _as_1d(k, "linear_convolve")
-    out_len = x.shape[0] + k.shape[0] - 1
-    x_pad = np.zeros(out_len, dtype=np.result_type(x.dtype, np.float64))
-    k_pad = np.zeros(out_len, dtype=np.result_type(k.dtype, np.float64))
-    x_pad[: x.shape[0]] = x
-    k_pad[: k.shape[0]] = k
-    return fft_circular_convolve(x_pad, k_pad)
-
-
-def linear_convolve2d(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Full linear convolution of 2-D arrays via padded circular convolution."""
-    x = _as_2d(x, "linear_convolve2d")
-    k = _as_2d(k, "linear_convolve2d")
-    out_shape = (x.shape[0] + k.shape[0] - 1, x.shape[1] + k.shape[1] - 1)
-    x_pad = np.zeros(out_shape, dtype=np.result_type(x.dtype, np.float64))
-    k_pad = np.zeros(out_shape, dtype=np.result_type(k.dtype, np.float64))
-    x_pad[: x.shape[0], : x.shape[1]] = x
-    k_pad[: k.shape[0], : k.shape[1]] = k
-    return fft_circular_convolve2d(x_pad, k_pad)

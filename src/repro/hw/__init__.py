@@ -51,14 +51,6 @@ EXPORTS = {
         "unified_buffer_spec",
     ),
     "mxu": ("Mxu", "MxuConfig", "MxuStats", "matmul_cycles", "streaming_cycles"),
-    "perf": (
-        "AmdahlBreakdown",
-        "format_stats",
-        "matmul_operational_intensity",
-        "operational_intensity",
-        "roofline_attainable_flops",
-        "speedup",
-    ),
     "pod": ("PodWaveStats", "TpuPod", "clone_device"),
     "quantize": (
         "BF16",

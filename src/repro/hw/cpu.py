@@ -32,7 +32,7 @@ class CpuConfig:
     # Sustained fraction of peak under the paper's Python/PyTorch driver
     # (~28 GFLOP/s effective).  Calibrated jointly with the GPU/TPU
     # defaults so the three-way Table I/II and Figure 4 ratios land in
-    # the paper's reported bands -- see EXPERIMENTS.md "Calibration".
+    # the paper's reported bands, which the harness prints beside them.
     efficiency: float = 0.040
     memory_bandwidth_bytes_per_sec: float = 40e9
     op_overhead_sec: float = 2e-6  # per-op framework dispatch

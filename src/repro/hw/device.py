@@ -565,14 +565,11 @@ class Device(abc.ABC):
                         {"seconds": savings},
                     )
             if savings > 0:
-                self._credit_overlap(savings)
-
-    def _credit_overlap(self, seconds: float) -> None:
-        """Apply the pipeline overlap credit (backends may extend)."""
-        self.stats.credit("infeed_overlap", seconds)
-        # Keep the trace lane monotone: the credit rewinds the ledger,
-        # not the timeline -- spans already sit at their true positions.
-        self._trace_base += seconds
+                self.stats.credit("infeed_overlap", savings)
+                # Keep the trace lane monotone: the credit rewinds the
+                # ledger, not the timeline -- spans already sit at their
+                # true positions.
+                self._trace_base += savings
 
     def _begin_program(self, infeed_bytes: int) -> None:
         """Cost of entering a program scope (override for launch semantics)."""

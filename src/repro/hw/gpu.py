@@ -28,7 +28,7 @@ class GpuConfig:
     # Sustained fraction of peak under eager-mode fp32 PyTorch (~76
     # GFLOP/s effective, i.e. ~2.7x the CPU -- the paper's own Table I
     # shows CPU/GPU of only 2-3x at these workload sizes).  Calibrated
-    # jointly with the CPU/TPU defaults; see EXPERIMENTS.md.
+    # jointly with the CPU/TPU defaults.
     efficiency: float = 0.0092
     memory_bandwidth_bytes_per_sec: float = 320e9
     kernel_launch_sec: float = 1.0e-5

@@ -110,14 +110,6 @@ class Interconnect:
         transfer = steps * nbytes_per_core / self.config.link_bandwidth_bytes_per_sec
         return transfer + steps * self.config.link_latency_sec
 
-    def broadcast_seconds(self, nbytes: int, num_cores: int) -> float:
-        """Cost of sending one payload from a root to all cores (pipelined ring)."""
-        self._check(nbytes, num_cores)
-        if num_cores == 1 or nbytes == 0:
-            return 0.0
-        transfer = nbytes / self.config.link_bandwidth_bytes_per_sec
-        return transfer + (num_cores - 1) * self.config.link_latency_sec
-
     def broadcast_stream_seconds(
         self, nbytes_each: int, num_messages: int, num_cores: int
     ) -> float:
@@ -127,8 +119,9 @@ class Interconnect:
         placement: the root emits one small payload per solved kernel
         and the messages ride the same pipelined ring, so the
         ``(p-1)``-hop pipeline fill is paid once for the whole stream
-        while every message still pays its bandwidth term.  Equals
-        :meth:`broadcast_seconds` for a single message.
+        while every message still pays its bandwidth term.  A single
+        message is one pipelined-ring broadcast: its bytes over the link
+        bandwidth plus ``p-1`` hop latencies.
         """
         self._check(nbytes_each, num_cores)
         if num_messages < 0:
@@ -139,13 +132,3 @@ class Interconnect:
             num_messages * nbytes_each / self.config.link_bandwidth_bytes_per_sec
         )
         return transfer + (num_cores - 1) * self.config.link_latency_sec
-
-    def point_to_point_seconds(self, nbytes: int) -> float:
-        """Cost of one direct core-to-core transfer."""
-        self._check(nbytes, 1)
-        if nbytes == 0:
-            return 0.0
-        return (
-            nbytes / self.config.link_bandwidth_bytes_per_sec
-            + self.config.link_latency_sec
-        )

@@ -10,9 +10,13 @@ and precision, the vector unit and the clock alone.
 
 :class:`TpuChip` aggregates ``num_cores`` cores (the paper's experiments
 use a 128-core TPUv2 slice) behind a host link with a per-launch
-dispatch latency, plus a ring interconnect implementing
-``cross_replica_sum`` for the reassembly steps of Algorithm 1.  Pricing
-reads only the chip's configuration; the cycle-level cores
+dispatch latency, plus a ring interconnect pricing
+``cross_replica_sum`` for the reassembly steps of Algorithm 1.  The
+chip records nothing itself: :class:`~repro.core.backend.TpuBackend`'s
+device ledger holds every dispatch, infeed, outfeed and overlap credit,
+and the :class:`~repro.core.decomposition.StageTiming` of an executed
+Algorithm 1 holds each reassembly.  Pricing reads only the chip's
+configuration; the cycle-level cores
 (:class:`repro.hw.tpu_core.TpuCore`, each with its own MXU, memories and
 ISA scheduler) are built on the first read of :attr:`TpuChip.cores`,
 by callers that execute on them.
@@ -103,8 +107,7 @@ class TpuChipConfig:
     # bandwidth and a 26 ms program-dispatch round trip.  These two
     # overheads -- not MXU throughput -- bound the measured speedups at
     # the paper's workload sizes (its own numbers imply the same), and
-    # they are calibrated jointly with the CPU/GPU defaults; see
-    # EXPERIMENTS.md "Calibration".
+    # they are calibrated jointly with the CPU/GPU defaults.
     host_bandwidth_bytes_per_sec: float = 0.6e9
     dispatch_latency_sec: float = 26e-3
 
@@ -123,9 +126,11 @@ class TpuChip:
     Not itself a :class:`Device`: op-level sharding policy (Algorithm 1,
     block-matmul parallelism) is the paper's contribution and lives in
     ``repro.core``.  The chip supplies the mechanisms those policies
-    need: per-core execution, dispatch/infeed/outfeed accounting, and
-    cross-replica reductions.  Prices come from :attr:`config`; the
-    cores exist only once :attr:`cores` is read.
+    need: per-core execution and the price of a cross-replica
+    reduction.  It keeps no ledger of its own: the device ledger of the
+    :class:`~repro.core.backend.TpuBackend` that wraps it records every
+    dispatch, transfer and overlap credit.  Prices come from
+    :attr:`config`; the cores exist only once :attr:`cores` is read.
     """
 
     def __init__(self, config: TpuChipConfig | None = None, trace: bool = False) -> None:
@@ -133,8 +138,6 @@ class TpuChip:
         self.trace = trace
         self._cores: list | None = None
         self.interconnect = Interconnect(self.config.interconnect)
-        self.stats_seconds = 0.0
-        self.event_log: list[tuple[str, float]] = []
 
     @property
     def num_cores(self) -> int:
@@ -156,89 +159,12 @@ class TpuChip:
             ]
         return self._cores
 
-    def _record(self, event: str, seconds: float) -> float:
-        self.stats_seconds += seconds
-        self.event_log.append((event, seconds))
-        return seconds
-
-    def dispatch(self) -> float:
-        """One host->device program launch (round trip)."""
-        return self._record("dispatch", self.config.dispatch_latency_sec)
-
-    def infeed_seconds(self, nbytes: int) -> float:
-        """Stream input bytes from host to chip."""
-        if nbytes < 0:
-            raise ValueError("cannot transfer a negative byte count")
-        return self._record(
-            "infeed", nbytes / self.config.host_bandwidth_bytes_per_sec
-        )
-
-    def outfeed_seconds(self, nbytes: int) -> float:
-        """Stream result bytes from chip to host."""
-        if nbytes < 0:
-            raise ValueError("cannot transfer a negative byte count")
-        return self._record(
-            "outfeed", nbytes / self.config.host_bandwidth_bytes_per_sec
-        )
-
-    def infeed_overlap_seconds(self, seconds: float) -> float:
-        """Credit host-link time hidden by double-buffered infeed.
-
-        The chip's infeed queue holds the next program's data while the
-        current one computes (the overlapped-infeed discipline the paper
-        leans on to amortize the Colab host link), so a pipelined
-        driver can hide part of each dispatch + infeed under the
-        previous wave's compute.  Recorded as a *negative* event so the
-        chip ledger shows the hidden time explicitly --
-        ``event_count("infeed_overlap")`` audits how many pipeline
-        scopes credited it -- while every dispatch/infeed/outfeed event
-        stays exactly as serial execution logged it.
-        """
-        if seconds < 0:
-            raise ValueError("cannot credit a negative overlap")
-        return self._record("infeed_overlap", -seconds)
-
     def cross_replica_sum_seconds(self, nbytes: int, num_cores: int | None = None) -> float:
         """The paper's ``tf.cross_replica_sum`` reassembly barrier."""
         cores = self.num_cores if num_cores is None else num_cores
-        return self._record(
-            "cross_replica_sum",
-            self.interconnect.all_reduce_seconds(nbytes, cores),
-        )
-
-    def all_gather_seconds(self, nbytes_per_core: int, num_cores: int | None = None) -> float:
-        """Concatenate per-core shards onto every core (stage handoff)."""
-        cores = self.num_cores if num_cores is None else num_cores
-        return self._record(
-            "all_gather",
-            self.interconnect.all_gather_seconds(nbytes_per_core, cores),
-        )
-
-    def event_count(self, event: str) -> int:
-        """Occurrences of one event kind (``dispatch``, ``infeed``, ...)
-        in the chip ledger.
-
-        The per-event audit trail behind fleet-scale claims: a wave-fused
-        run should show one dispatch per *wave* where per-pair execution
-        shows at least one per pair.
-        """
-        return sum(1 for name, _ in self.event_log if name == event)
+        return self.interconnect.all_reduce_seconds(nbytes, cores)
 
     def reset(self) -> None:
-        """Clear chip-level and per-core ledgers."""
-        self.stats_seconds = 0.0
-        self.event_log.clear()
+        """Clear the per-core ledgers of the cores built so far."""
         for core in self._cores or ():
             core.reset_stats()
-
-    def total_core_seconds(self) -> float:
-        """Sum of busy time across cores (not elapsed time)."""
-        if self._cores is None:
-            return 0.0
-        return sum(core.stats.seconds for core in self._cores)
-
-    def max_core_seconds(self) -> float:
-        """Elapsed compute time of the slowest core (the parallel critical path)."""
-        if not self._cores:
-            return 0.0
-        return max(core.stats.seconds for core in self._cores)

@@ -7,8 +7,7 @@ that turns batch economics into goodput under live load:
 * :mod:`repro.serve.clock`      -- deterministic simulated time (no
   wall-clock sleeps anywhere on the request path);
 * :mod:`repro.serve.workload`   -- :class:`Request` plus seeded Poisson
-  and bursty arrival processes (and :func:`merge_traces` for
-  multi-tenant mixes);
+  and bursty arrival processes;
 * :mod:`repro.serve.batcher`    -- dynamic micro-batching per
   ``(granularity, block_shape, precision)`` key under a
   max-wait/max-batch policy, with weighted-fair dispatch across keys;
@@ -55,7 +54,7 @@ EXPORTS = {
     "controller": ("BatchController", "nearest_rank_percentile"),
     "loop": ("ExplanationService",),
     "metrics": ("LatencyLedger", "RequestRecord", "ServiceReport"),
-    "workload": ("Request", "bursty_requests", "merge_traces", "poisson_requests"),
+    "workload": ("Request", "bursty_requests", "poisson_requests"),
 }
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, EXPORTS)

@@ -21,7 +21,7 @@ bit-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -170,28 +170,3 @@ def bursty_requests(
         arrivals, rng, shape, seed, repeat_fraction,
         granularity, block_shape, precision, precisions,
     )
-
-
-def merge_traces(*traces) -> list[Request]:
-    """Interleave several traces into one multi-tenant arrival stream.
-
-    Requests are ordered by ``(arrival_time, trace position)`` --
-    ties broken by the order the traces were passed, then within a
-    trace by its own order -- and renumbered with fresh sequential
-    ``request_id``\\ s (the service requires ids to disambiguate
-    results; two independent traces both start at id 0).  Each
-    request's planes and batch-key overrides ride along untouched, so
-    merging a hot single-key trace with sparse other-key traces builds
-    the fairness stress case directly.
-    """
-    tagged = []
-    for trace_index, trace in enumerate(traces):
-        for position, request in enumerate(trace):
-            tagged.append(
-                (request.arrival_time, trace_index, position, request)
-            )
-    tagged.sort(key=lambda item: item[:3])
-    return [
-        replace(request, request_id=new_id)
-        for new_id, (_, _, _, request) in enumerate(tagged)
-    ]

@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from repro.baselines import (
-    LinearSurrogateExplainer,
-    SurrogateConfig,
     gradient_input_saliency,
     occlusion_column_saliency,
     occlusion_saliency,
     saliency_block_grid,
 )
 from repro.fft import fft_circular_convolve2d
-from repro.hw import CpuDevice
 
 
 def planted_linear_model(shape=(8, 8), seed=0, hot=(4, 5), strength=10.0):
@@ -131,62 +128,3 @@ class TestGradientSaliency:
         with pytest.raises(ValueError):
             saliency_block_grid(np.ones((8, 8)), (3, 3))
 
-
-class TestSurrogate:
-    def test_recovers_planted_feature(self):
-        model, hot = planted_linear_model(shape=(4, 4), hot=(2, 1), strength=5.0)
-        explainer = LinearSurrogateExplainer(
-            SurrogateConfig(num_perturbations=150, iterations=200), seed=0
-        )
-        result = explainer.explain(model, np.ones((4, 4)))
-        top = np.unravel_index(np.argmax(result.weights), (4, 4))
-        assert top == hot
-        assert result.converged
-
-    def test_loss_decreases(self):
-        model, _ = planted_linear_model(shape=(4, 4), hot=(2, 1))
-        explainer = LinearSurrogateExplainer(seed=1)
-        result = explainer.explain(model, np.ones((4, 4)))
-        assert result.losses[-1] < result.losses[0]
-
-    def test_device_accounting(self):
-        model, _ = planted_linear_model(shape=(4, 4), hot=(2, 1))
-        device = CpuDevice()
-        config = SurrogateConfig(num_perturbations=50, iterations=10)
-        LinearSurrogateExplainer(config, seed=2).explain(
-            model, np.ones((4, 4)), device=device
-        )
-        assert device.stats.op_counts["matmul_accounted"] == 20  # 2 per iteration
-
-    def test_fit_cost_scales_with_iterations(self):
-        device = CpuDevice()
-        few = LinearSurrogateExplainer(
-            SurrogateConfig(iterations=10)
-        ).fit_cost_seconds(1024, device)
-        many = LinearSurrogateExplainer(
-            SurrogateConfig(iterations=1000)
-        ).fit_cost_seconds(1024, device)
-        assert many == pytest.approx(100 * few)
-
-    def test_surrogate_slower_than_closed_form_on_cpu(self):
-        """The paper's premise: iterative optimization costs far more
-        than the one-pass Fourier solve for the same feature plane."""
-        device = CpuDevice()
-        features = 1024 * 1024  # a 1024x1024 plane
-        iterative = LinearSurrogateExplainer(
-            SurrogateConfig(num_perturbations=200, iterations=300)
-        ).fit_cost_seconds(features, device)
-        closed_form = 3 * device.fft2_seconds(1024, 1024)
-        assert iterative > closed_form
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SurrogateConfig(num_perturbations=0)
-        with pytest.raises(ValueError):
-            SurrogateConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            SurrogateConfig(mask_probability=0.0)
-        explainer = LinearSurrogateExplainer()
-        model, _ = planted_linear_model()
-        with pytest.raises(ValueError):
-            explainer.explain(model, np.ones(4))

@@ -45,17 +45,16 @@ class TestFit:
             eps=1e-8, embedding=OutputEmbedding("spatial")
         ).fit(xs, logits)
         assert distiller.kernel_.shape == (8, 8)
-        scores = distiller.predict_classes(xs[0], classes=4)
-        assert scores.shape == (4,)
+        assert distiller.predict(xs[0]).shape == (8, 8)
 
     def test_single_pair_single_vector(self):
         x = conditioned((4, 4), 6)
         logits = np.array([1.0, -1.0])
         distiller = ConvolutionDistiller(eps=1e-8).fit(x, logits)
-        # Perfect fit is possible with one pair: prediction matches the
-        # embedded plane, so projected scores match the logits.
+        # Perfect fit is possible with one pair: the prediction matches
+        # the embedded plane.
         np.testing.assert_allclose(
-            distiller.predict_classes(x, classes=2), logits, atol=1e-5
+            distiller.predict(x), OutputEmbedding().embed(logits, (4, 4)), atol=1e-5
         )
 
     def test_frequency_kernel_property(self):

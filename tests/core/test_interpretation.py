@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from repro.core import (
     block_contributions,
     column_contributions,
-    contribution_matrix,
     feature_contributions,
-    mask_contribution,
     normalize_scores,
     row_contributions,
     score_plan,
@@ -29,33 +27,6 @@ def fitted_setup(shape=(8, 8), seed=0):
     kernel = rng.standard_normal(shape)
     y = fft_circular_convolve2d(x, kernel)
     return x, kernel, y
-
-
-class TestContributionMatrix:
-    def test_equation_five_verbatim(self):
-        x, kernel, y = fitted_setup()
-        masked = x.copy()
-        masked[2, 3] = 0.0
-        expected = y - fft_circular_convolve2d(masked, kernel)
-        np.testing.assert_allclose(
-            contribution_matrix(x, kernel, y, (2, 3)), expected, atol=1e-10
-        )
-
-    def test_zero_feature_contributes_nothing(self):
-        x, kernel, y = fitted_setup(seed=1)
-        x[4, 4] = 0.0
-        y = fft_circular_convolve2d(x, kernel)
-        delta = contribution_matrix(x, kernel, y, (4, 4))
-        np.testing.assert_allclose(delta, np.zeros_like(delta), atol=1e-10)
-
-    def test_out_of_range_feature_rejected(self):
-        x, kernel, y = fitted_setup(seed=2)
-        with pytest.raises(IndexError):
-            contribution_matrix(x, kernel, y, (99, 0))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            contribution_matrix(np.ones((4, 4)), np.ones((4, 4)), np.ones((5, 5)), (0, 0))
 
 
 class TestFeatureContributions:
@@ -101,22 +72,6 @@ class TestFeatureContributions:
 
 
 class TestMaskAndAggregates:
-    def test_mask_contribution_matches_manual(self):
-        x, kernel, y = fitted_setup(seed=9)
-        mask = np.zeros_like(x, dtype=bool)
-        mask[0:2, 0:2] = True
-        masked = x.copy()
-        masked[0:2, 0:2] = 0.0
-        expected = np.sqrt(
-            np.sum((y - fft_circular_convolve2d(masked, kernel)) ** 2)
-        )
-        assert mask_contribution(x, kernel, y, mask) == pytest.approx(expected)
-
-    def test_mask_shape_mismatch_rejected(self):
-        x, kernel, y = fitted_setup(seed=10)
-        with pytest.raises(ValueError):
-            mask_contribution(x, kernel, y, np.zeros((2, 2), dtype=bool))
-
     def test_block_grid_shape(self):
         x, kernel, y = fitted_setup(shape=(8, 8), seed=11)
         grid = block_contributions(x, kernel, y, block_shape=(2, 2))
@@ -240,14 +195,13 @@ class TestBatchedEntryPoints:
             atol=1e-8,
         )
 
-    def test_mask_contribution_batched_with_fill(self):
+    def test_block_contributions_with_fill_match_the_reference(self):
         x, kernel, y = fitted_setup(seed=24)
-        mask = np.zeros_like(x, dtype=bool)
-        mask[2:4, 6:8] = True  # block (1, 3) of a 2x2 grid
         fill = float(x.mean())
-        single = mask_contribution(x, kernel, y, mask, fill_value=fill)
-        batched = block_contributions(x, kernel, y, (2, 2), fill_value=fill)
-        assert single == batched[1, 3]
+        np.testing.assert_array_equal(
+            block_contributions(x, kernel, y, (2, 2), fill_value=fill),
+            reference.occlusion_scores(x, kernel, y, "blocks", (2, 2), fill_value=fill),
+        )
 
     def test_batched_amortizes_kernel_transform(self):
         device = CpuDevice()

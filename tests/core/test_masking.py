@@ -1,5 +1,7 @@
 """Batched occlusion engine: mask plan semantics and batched == the looped reference."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -521,3 +523,80 @@ class TestStackBudget:
         # A budget of one plane streams one mask at a time, unchanged.
         scores = score_plan(x, kernel, y, plan, max_stack_bytes=plane_bytes)
         np.testing.assert_array_equal(scores, looped(x, kernel, y, plan))
+
+
+#: One of each kind of fill that is not a finite real number: complex
+#: (even with a zero imaginary part), NaN, +-inf, and non-numbers.
+BAD_FILLS = (1j, np.complex128(0.5), np.nan, np.inf, -np.inf, "0.0", None, True)
+
+
+def _fill_entry_points():
+    """Each place a fill enters, as ``name -> call(fill_value)``."""
+    from repro.baselines import (
+        occlusion_column_saliency,
+        occlusion_plan_saliency,
+        occlusion_saliency,
+    )
+    from repro.core import (
+        block_contributions,
+        column_contributions,
+        element_scores_from_base,
+        row_contributions,
+    )
+    from repro.serve import ExplanationService
+
+    x, kernel, y = fitted_setup()
+    plan = MaskSpec.columns(x.shape)
+
+    def model(plane):
+        raise AssertionError("the model was queried before the fill was checked")
+
+    return {
+        "FleetExecutor": lambda fill: FleetExecutor(
+            CpuDevice(), granularity="columns", fill_value=fill
+        ),
+        "ExplanationService": lambda fill: ExplanationService(
+            CpuDevice(), granularity="columns", fill_value=fill, metrics_name=None
+        ),
+        "apply_chunks": lambda fill: plan.apply_chunks(x, fill_value=fill),
+        "score_plan": lambda fill: score_plan(x, kernel, y, plan, fill_value=fill),
+        "block_contributions": lambda fill: block_contributions(
+            x, kernel, y, (2, 2), fill_value=fill
+        ),
+        "column_contributions": lambda fill: column_contributions(
+            x, kernel, y, fill_value=fill
+        ),
+        "row_contributions": lambda fill: row_contributions(x, kernel, y, fill_value=fill),
+        "element_scores_from_base": lambda fill: element_scores_from_base(
+            x, kernel, y - fft_circular_convolve2d(x, kernel), fill_value=fill
+        ),
+        "occlusion_plan_saliency": lambda fill: occlusion_plan_saliency(
+            model, x, plan, fill_value=fill
+        ),
+        "occlusion_saliency": lambda fill: occlusion_saliency(
+            model, x, (2, 2), fill_value=fill
+        ),
+        "occlusion_column_saliency": lambda fill: occlusion_column_saliency(
+            model, x, fill_value=fill
+        ),
+    }
+
+
+class TestFillValueCheck:
+    @pytest.mark.parametrize("entry", sorted(_fill_entry_points()))
+    def test_entry_point_refuses_every_bad_fill_naming_it(self, entry):
+        call = _fill_entry_points()[entry]
+        for fill in BAD_FILLS:
+            with pytest.raises(ValueError, match=re.escape(f"got {fill!r}")):
+                call(fill)
+
+    def test_finite_real_fills_pass_unchanged(self):
+        from repro.core.masking import check_fill_value
+
+        x, kernel, y = fitted_setup()
+        plan = MaskSpec.blocks(x.shape, (2, 2))
+        for fill in (0, 0.0, 0.1, 0.37, -2.5, np.float32(0.5), np.int64(-3)):
+            check_fill_value(fill)
+            chunk, _ = next(plan.apply_chunks(x, fill_value=fill))
+            assert (chunk[0][:2, :2] == fill).all()
+            assert chunk.dtype == np.result_type(x, fill)

@@ -407,14 +407,6 @@ class TestPipelinedExecution:
             sum(run.stats.op_seconds.values()), rel=1e-12
         )
 
-    def test_tpu_chip_ledger_records_overlap_event(self):
-        backend = small_backend()
-        executor = FleetExecutor(
-            backend, granularity="columns", max_pairs_per_wave=2
-        )
-        executor.run(planted_pairs(6))
-        assert backend.chip.event_count("infeed_overlap") == 1
-
     def test_pipeline_scopes_do_not_nest(self):
         device = CpuDevice()
         with device.pipeline():

@@ -10,10 +10,7 @@ from repro.data import (
     MiraiTraceSpec,
     SyntheticCifar100,
     make_cat_image,
-    normalize_images,
-    one_hot,
     to_grayscale,
-    train_test_indices,
 )
 
 
@@ -185,40 +182,12 @@ class TestMiraiTraces:
 
 
 class TestLoaderHelpers:
-    def test_one_hot(self):
-        encoded = one_hot(np.array([0, 2]), 3)
-        np.testing.assert_array_equal(encoded, [[1, 0, 0], [0, 0, 1]])
-
-    def test_one_hot_validation(self):
-        with pytest.raises(ValueError):
-            one_hot(np.array([3]), 3)
-        with pytest.raises(ValueError):
-            one_hot(np.ones((2, 2)), 3)
-
-    def test_normalize_images(self):
-        rng = np.random.default_rng(0)
-        images = rng.uniform(0, 255, size=(8, 3, 4, 4))
-        normalized = normalize_images(images)
-        np.testing.assert_allclose(normalized.mean(axis=(0, 2, 3)), 0.0, atol=1e-10)
-        np.testing.assert_allclose(normalized.std(axis=(0, 2, 3)), 1.0, atol=1e-10)
-
     def test_to_grayscale(self):
         images = np.ones((2, 3, 4, 4))
         gray = to_grayscale(images)
         assert gray.shape == (2, 4, 4)
         np.testing.assert_allclose(gray, 1.0)
 
-    def test_train_test_indices_disjoint(self):
-        train, test = train_test_indices(100, 0.2, seed=0)
-        assert len(train) == 80 and len(test) == 20
-        assert set(train).isdisjoint(set(test))
-
-    def test_loader_validation(self):
-        with pytest.raises(ValueError):
-            train_test_indices(0, 0.5)
-        with pytest.raises(ValueError):
-            train_test_indices(10, 1.5)
+    def test_to_grayscale_validation(self):
         with pytest.raises(ValueError):
             to_grayscale(np.ones((3, 4, 4)))
-        with pytest.raises(ValueError):
-            normalize_images(np.ones((3, 4)))

@@ -60,7 +60,7 @@ class TestFunctionalAcrossBackends:
         np.testing.assert_allclose(device.ifft2(device.fft2(x)), x, atol=1e-8)
 
     def test_conv2d_circular_matches_direct(self, name, factory):
-        from repro.fft import circular_convolve2d
+        from tests.fft.convolution_oracle import circular_convolve2d
 
         device = factory()
         rng = np.random.default_rng(4)
@@ -212,16 +212,6 @@ class TestTpuChip:
         assert chip.num_cores == 4
         assert len(chip.cores) == 4
 
-    def test_dispatch_and_feeds_accumulate(self):
-        chip = TpuChip(TpuChipConfig(num_cores=2, dispatch_latency_sec=0.01,
-                                     host_bandwidth_bytes_per_sec=1000.0))
-        chip.dispatch()
-        chip.infeed_seconds(500)
-        chip.outfeed_seconds(250)
-        assert chip.stats_seconds == pytest.approx(0.01 + 0.5 + 0.25)
-        events = [name for name, _ in chip.event_log]
-        assert events == ["dispatch", "infeed", "outfeed"]
-
     def test_cross_replica_sum_uses_all_cores_by_default(self):
         chip = TpuChip(TpuChipConfig(num_cores=8))
         t_all = chip.cross_replica_sum_seconds(1 << 20)
@@ -229,27 +219,12 @@ class TestTpuChip:
         t_two = chip.cross_replica_sum_seconds(1 << 20, num_cores=2)
         assert t_all != t_two
 
-    def test_reset_clears_everything(self):
+    def test_reset_clears_the_core_ledgers(self):
         chip = TpuChip(TpuChipConfig(num_cores=2))
-        chip.dispatch()
         chip.cores[0].matmul(np.ones((4, 4)), np.ones((4, 4)))
+        assert chip.cores[0].stats.seconds > 0.0
         chip.reset()
-        assert chip.stats_seconds == 0.0
-        assert chip.total_core_seconds() == 0.0
-        assert chip.event_log == []
-
-    def test_core_second_aggregates(self):
-        chip = TpuChip(TpuChipConfig(num_cores=2))
-        chip.cores[0].matmul(np.ones((4, 4)), np.ones((4, 4)))
-        assert chip.max_core_seconds() == chip.cores[0].stats.seconds
-        assert chip.total_core_seconds() == chip.cores[0].stats.seconds
-
-    def test_negative_feed_rejected(self):
-        chip = TpuChip(TpuChipConfig(num_cores=1))
-        with pytest.raises(ValueError):
-            chip.infeed_seconds(-1)
-        with pytest.raises(ValueError):
-            chip.outfeed_seconds(-1)
+        assert [core.stats.seconds for core in chip.cores] == [0.0, 0.0]
 
     def test_invalid_chip_config(self):
         with pytest.raises(ValueError):

@@ -102,21 +102,18 @@ class TestOtherCollectives:
         times = [f.all_gather_seconds(nbytes, 8) for nbytes in (0, 10, 100, 1000)]
         assert times == sorted(times) and times[-1] > times[0]
 
-    def test_broadcast_monotone_in_bytes_and_cores(self):
+    def test_broadcast_stream_monotone_in_bytes_and_cores(self):
         f = fabric(bandwidth=10.0, latency=1e-4)
-        assert f.broadcast_seconds(100, 8) > f.broadcast_seconds(10, 8)
-        assert f.broadcast_seconds(100, 8) > f.broadcast_seconds(100, 4)
-        assert f.broadcast_seconds(100, 1) == 0.0
-        assert f.broadcast_seconds(0, 8) == 0.0
+        assert f.broadcast_stream_seconds(100, 1, 8) > f.broadcast_stream_seconds(10, 1, 8)
+        assert f.broadcast_stream_seconds(100, 1, 8) > f.broadcast_stream_seconds(100, 1, 4)
+        assert f.broadcast_stream_seconds(100, 1, 1) == 0.0
+        assert f.broadcast_stream_seconds(0, 1, 8) == 0.0
+        assert f.broadcast_stream_seconds(100, 0, 8) == 0.0
 
-    def test_broadcast_pipeline(self):
-        t = fabric(bandwidth=100.0, latency=0.01).broadcast_seconds(200, 4)
-        assert t == pytest.approx(2.0 + 3 * 0.01)
-
-    def test_point_to_point(self):
-        t = fabric(bandwidth=100.0, latency=0.5).point_to_point_seconds(100)
-        assert t == pytest.approx(0.5 + 1.0)
-        assert fabric().point_to_point_seconds(0) == 0.0
+    def test_broadcast_stream_pays_the_pipeline_fill_once(self):
+        f = fabric(bandwidth=100.0, latency=0.01)
+        assert f.broadcast_stream_seconds(200, 1, 4) == pytest.approx(2.0 + 3 * 0.01)
+        assert f.broadcast_stream_seconds(200, 3, 4) == pytest.approx(6.0 + 3 * 0.01)
 
 
 class TestConfigValidation:

@@ -28,9 +28,9 @@ from repro.serve import (
     Request,
     RequestRecord,
     bursty_requests,
-    merge_traces,
     poisson_requests,
 )
+from tests.serve.traces import merge_traces
 
 SHAPE = (16, 16)
 BLOCK = (4, 4)

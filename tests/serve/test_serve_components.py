@@ -18,11 +18,11 @@ from repro.serve import (
     SimulatedClock,
     bursty_requests,
     explanation_digest,
-    merge_traces,
     poisson_requests,
     result_nbytes,
 )
 from repro.serve.metrics import RequestRecord
+from tests.serve.traces import merge_traces
 
 
 class TestSimulatedClock:

@@ -46,7 +46,6 @@ UNUSED_BY_BENCHMARK = (
     "repro.bench.harness",
     "repro.bench.report",
     "repro.core.decomposition",
-    "repro.core.quality",
     "repro.core.parallel",
     "repro.core.pipeline",
     "repro.hw.compiler",
@@ -54,7 +53,6 @@ UNUSED_BY_BENCHMARK = (
     "repro.hw.gpu",
     "repro.hw.isa",
     "repro.hw.memory",
-    "repro.hw.perf",
     "repro.hw.systolic",
     "repro.hw.tpu_core",
     "repro.hw.trace",
