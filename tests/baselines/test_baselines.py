@@ -6,9 +6,11 @@ import pytest
 from repro.baselines import (
     gradient_input_saliency,
     occlusion_column_saliency,
+    occlusion_plan_saliency,
     occlusion_saliency,
     saliency_block_grid,
 )
+from repro.core.masking import MaskSpec
 from repro.fft import fft_circular_convolve2d
 
 
@@ -60,6 +62,31 @@ class TestOcclusion:
             occlusion_saliency(model, np.ones((8, 8)), (3, 3))
         with pytest.raises(ValueError):
             occlusion_column_saliency(model, np.ones(8))
+
+    def test_plan_saliency_rejects_a_vector_or_a_plan_for_another_plane(self):
+        model, _ = planted_linear_model()
+        calls = []
+
+        def counted(x):
+            calls.append(None)
+            return model(x)
+
+        with pytest.raises(ValueError, match="expected a matrix input"):
+            occlusion_plan_saliency(counted, np.ones(8), MaskSpec.columns((8, 8)))
+        with pytest.raises(ValueError, match=r"plan plane \(4, 4\) does not match"):
+            occlusion_plan_saliency(counted, np.ones((8, 8)), MaskSpec.columns((4, 4)))
+        assert calls == []  # refused before the model is queried
+
+    def test_plan_saliency_scores_in_the_plan_grid(self):
+        model, hot = planted_linear_model()
+        x = np.ones((8, 8))
+        rows = occlusion_plan_saliency(model, x, MaskSpec.rows((8, 8)))
+        assert rows.shape == (8,)
+        assert int(np.argmax(rows)) == hot[0]
+        np.testing.assert_array_equal(
+            occlusion_plan_saliency(model, x, MaskSpec.columns((8, 8))),
+            occlusion_column_saliency(model, x),
+        )
 
     def test_agreement_with_distilled_explainer(self):
         """Both explainers must surface the same planted block."""
@@ -127,4 +154,16 @@ class TestGradientSaliency:
         np.testing.assert_allclose(grid, np.full((2, 2), 32.0))
         with pytest.raises(ValueError):
             saliency_block_grid(np.ones((8, 8)), (3, 3))
+
+    def test_block_grid_needs_a_plane_or_a_channel_stack(self):
+        with pytest.raises(ValueError, match="expected a 2-D or 3-D saliency map"):
+            saliency_block_grid(np.ones(8), (2, 2))
+        with pytest.raises(ValueError, match="expected a 2-D or 3-D saliency map"):
+            saliency_block_grid(np.ones((1, 2, 8, 8)), (2, 2))
+
+    def test_model_must_return_class_logits(self):
+        from repro.nn import ReLU, Sequential
+
+        with pytest.raises(ValueError, match=r"model output must be \(batch, classes\)"):
+            gradient_input_saliency(Sequential([ReLU()]), np.ones((1, 4, 4)))
 

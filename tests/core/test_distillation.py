@@ -65,6 +65,18 @@ class TestFit:
             distiller.frequency_kernel_, fft2_matmul(distiller.kernel_), atol=1e-8
         )
 
+    def test_device_prediction_matches_the_host_path(self):
+        x = conditioned((8, 8), 12)
+        y = np.random.default_rng(13).standard_normal((8, 8))
+        device = CpuDevice()
+        distiller = ConvolutionDistiller(device=device, eps=1e-8).fit(x, y)
+        device.reset_stats()
+        np.testing.assert_array_equal(
+            distiller.predict(x), fft_circular_convolve2d(x, distiller.kernel_)
+        )
+        assert device.stats.op_counts["ifft2"] == 1  # one accounted convolution
+        assert device.stats.seconds > 0
+
     def test_device_accumulates_time(self):
         device = CpuDevice()
         x = conditioned((8, 8), 9)
@@ -81,6 +93,17 @@ class TestValidation:
             _ = distiller.kernel_
         with pytest.raises(NotFittedError):
             distiller.predict(np.ones((4, 4)))
+
+    def test_lift_outputs_before_fit_needs_an_explicit_shape(self):
+        distiller = ConvolutionDistiller()
+        with pytest.raises(NotFittedError, match="pass an explicit shape"):
+            distiller.lift_outputs(np.ones((4, 4)))
+        lifted = distiller.lift_outputs(np.arange(16.0).reshape(4, 4), shape=(4, 4))
+        np.testing.assert_array_equal(lifted, np.arange(16.0).reshape(1, 4, 4))
+
+    def test_empty_input_batch_rejected(self):
+        with pytest.raises(ValueError, match="inputs batch is empty"):
+            ConvolutionDistiller().fit(np.ones((0, 4, 4)), np.ones((0, 4, 4)))
 
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):

@@ -309,6 +309,20 @@ class TestHbmCapacity:
         assert tight.effective_stack_bytes == 2048
         assert_identical(reference, tight.run(pairs))
 
+    def test_stack_budget_falls_back_to_the_capacity(self):
+        from repro.hw import CpuDevice
+
+        def budget(device, **options):
+            return FleetExecutor(
+                device, granularity="rows", **options
+            ).effective_stack_bytes
+
+        assert budget(CpuDevice(), max_stack_bytes=None) is None
+        assert budget(CpuDevice(), max_stack_bytes=1024) == 1024
+        assert budget(backend(), max_stack_bytes=None, hbm_bytes=4096) == 4096
+        assert budget(backend(), max_stack_bytes=1024, hbm_bytes=4096) == 1024
+        assert budget(backend(), max_stack_bytes=None) == backend().hbm_capacity_bytes
+
     def test_plan_rejects_plane_exceeding_capacity(self):
         executor = FleetExecutor(
             backend(), granularity="rows", num_chips=2, hbm_bytes=256

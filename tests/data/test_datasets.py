@@ -92,6 +92,20 @@ class TestSyntheticCifar:
         with pytest.raises(ValueError):
             dataset.batch(3, labels=np.array([0, 1]))
 
+    def test_spec_rejects_an_empty_image_or_negative_noise(self):
+        with pytest.raises(ValueError, match="invalid image geometry"):
+            CifarLikeSpec(image_size=0)
+        with pytest.raises(ValueError, match="invalid image geometry"):
+            CifarLikeSpec(channels=0)
+        with pytest.raises(ValueError, match="noise level cannot be negative"):
+            CifarLikeSpec(noise_level=-0.1)
+
+    def test_num_classes_follows_the_spec(self):
+        dataset = SyntheticCifar100(CifarLikeSpec(num_classes=5), seed=1)
+        assert dataset.num_classes == 5
+        _, labels = dataset.batch(10)
+        assert set(labels.tolist()) == set(range(5))
+
 
 class TestMakeCatImage:
     def test_shape_and_blocks(self):
@@ -179,6 +193,25 @@ class TestMiraiTraces:
             MiraiTraceSpec(registers=0)
         with pytest.raises(ValueError):
             MiraiTraceSpec(attack_register=10, registers=4)
+
+    def test_spec_rejects_negative_signal_strengths(self):
+        with pytest.raises(ValueError, match="signal strengths cannot be negative"):
+            MiraiTraceSpec(noise_level=-0.1)
+        with pytest.raises(ValueError, match="signal strengths cannot be negative"):
+            MiraiTraceSpec(reaction_strength=-0.1)
+        with pytest.raises(ValueError, match="reacting register count cannot be negative"):
+            MiraiTraceSpec(reacting_registers=-1)
+
+    def test_batch_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="count must be positive"):
+            MiraiTraceDataset().batch(0)
+
+    def test_as_images_needs_a_batch_of_traces(self):
+        dataset = MiraiTraceDataset()
+        trace, _ = dataset.sample(True, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"expected \(batch, registers, cycles\)"):
+            dataset.as_images(trace)
+        assert dataset.as_images(trace[np.newaxis]).dtype == np.float32
 
 
 class TestLoaderHelpers:

@@ -54,6 +54,12 @@ class TestCircular2D:
         with pytest.raises(ValueError):
             fft_circular_convolve2d(np.ones((2, 3)), np.ones((3, 2)))
 
+    def test_vectors_and_empty_planes_raise(self):
+        with pytest.raises(ValueError, match="expects a 2-D array, got shape \\(4,\\)"):
+            fft_circular_convolve2d(np.ones(4), np.ones(4))
+        with pytest.raises(ValueError, match="of an empty matrix is undefined"):
+            fft_circular_convolve2d(np.ones((0, 3)), np.ones((0, 3)))
+
 
 class TestProperties:
     @given(
@@ -200,6 +206,35 @@ class TestMultiKernelBatch:
             convolve_batch(stack, kernels, row_kernel=[0, 1, 2])
         with pytest.raises(ValueError):  # empty kernel stack
             convolve_batch(stack, np.ones((0, 4, 4)), row_kernel=[0, 0, 0])
+
+    def test_row_map_must_be_flat(self):
+        stack = np.ones((4, 4, 4))
+        with pytest.raises(ValueError, match="must be a flat row map"):
+            convolve_batch(stack, np.ones((2, 4, 4)), row_kernel=[[0, 1], [1, 0]])
+
+    def test_stream_past_the_row_map_raises_at_the_chunk(self):
+        rng = np.random.default_rng(8)
+        stack = rng.standard_normal((5, 4, 4))
+        kernels = rng.standard_normal((2, 4, 4))
+        chunks = iter([(stack[:3], range(0, 3)), (stack[3:], range(3, 5))])
+        stream = fft_circular_convolve2d_chunks(chunks, kernels, row_kernel=[0, 1, 0])
+        first, rows = next(stream)
+        assert rows == range(0, 3)
+        np.testing.assert_array_equal(
+            first[1], fft_circular_convolve2d(stack[1], kernels[1])
+        )
+        with pytest.raises(ValueError, match="overrun the 3-row row_kernel map"):
+            next(stream)
+
+    def test_spectrum_must_cover_the_kernel_planes_and_stack(self):
+        stack = np.ones((3, 4, 4))
+        kernels = np.ones((2, 4, 4))
+        wrong_plane = KernelSpectrum(rfft2_batch(np.ones((2, 8, 8))), "half", (8, 8))
+        with pytest.raises(ValueError, match=r"covers \(8, 8\) planes"):
+            convolve_batch(stack, kernels, row_kernel=[0, 1, 0], kernel_spectrum=wrong_plane)
+        wrong_stack = KernelSpectrum(rfft2_batch(np.ones((3, 4, 4))), "half", (4, 4))
+        with pytest.raises(ValueError, match="does not match kernel stack shape"):
+            convolve_batch(stack, kernels, row_kernel=[0, 1, 0], kernel_spectrum=wrong_stack)
 
 
 class TestRealPathRouting:

@@ -193,6 +193,29 @@ class TestEviction:
         assert cache.put(("big", "full", None), np.zeros((8, 8), dtype=complex)) is False
         assert len(cache) == 0
 
+    def test_storing_a_held_key_refreshes_it_without_a_second_copy(self):
+        plane = np.zeros((8, 8))
+        entry_bytes = rfft2_batch(plane).nbytes
+        cache = KernelSpectrumCache(max_bytes=2 * entry_bytes)
+        cache.put(("a", "half", None), rfft2_batch(plane))
+        cache.put(("b", "half", None), rfft2_batch(plane + 1))
+        assert cache.put(("a", "half", None), rfft2_batch(plane)) is True
+        assert cache.info()["current_bytes"] == 2 * entry_bytes
+        cache.put(("c", "half", None), rfft2_batch(plane + 2))  # evicts "b"
+        assert cache.get(("a", "half", None)) is not None
+        assert cache.get(("b", "half", None)) is None
+
+    def test_repr_reports_entries_bytes_and_counters(self):
+        plane = np.zeros((8, 8))
+        cache = KernelSpectrumCache(max_bytes=1 << 20)
+        cache.put(("a", "half", None), rfft2_batch(plane))
+        cache.get(("a", "half", None))
+        cache.get(("b", "half", None))
+        assert repr(cache) == (
+            f"<KernelSpectrumCache 1 entries, {rfft2_batch(plane).nbytes}/{1 << 20} "
+            "bytes, 1 hits / 1 misses / 0 transforms>"
+        )
+
     def test_rejects_non_positive_budget(self):
         with pytest.raises(ValueError):
             KernelSpectrumCache(max_bytes=0)

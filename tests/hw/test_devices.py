@@ -106,6 +106,39 @@ class TestFunctionalAcrossBackends:
         with pytest.raises(ValueError):
             device.fft2(np.ones(3))
 
+    def test_scale_multiplies_in_one_elementwise_pass(self, name, factory):
+        device = factory()
+        a = np.arange(6.0).reshape(2, 3)
+        np.testing.assert_array_equal(device.scale(a, 2.5), a * 2.5)
+        assert device.stats.op_counts["scale"] == 1
+        assert device.stats.op_seconds["scale"] == device.elementwise_seconds(6)
+
+    def test_matrix_operations_reject_other_ranks(self, name, factory):
+        device = factory()
+        with pytest.raises(ValueError, match="matmul expects 2-D operands"):
+            device.matmul(np.ones(3), np.ones((3, 3)))
+        with pytest.raises(ValueError, match="ifft2 expects a matrix"):
+            device.ifft2(np.ones(3))
+        with pytest.raises(ValueError, match="operands must share a shape"):
+            device.conv2d_circular(np.ones((2, 2)), np.ones((3, 3)))
+        with pytest.raises(ValueError, match="fft2 expects a matrix"):
+            device.conv2d_circular(np.ones(4), np.ones(4))
+        assert not device.stats.op_counts
+
+    def test_eager_kernel_stack_pays_one_transform_per_kernel(self, name, factory):
+        device = factory()
+        assert device.kernel_spectrum_batch_seconds(3, 8, 8) == 3 * device.fft2_seconds(8, 8)
+        with pytest.raises(ValueError, match="batch must be positive"):
+            device.kernel_spectrum_batch_seconds(0, 8, 8)
+
+    def test_chunk_stream_rejects_a_kernel_that_is_not_a_plane_or_stack(
+        self, name, factory
+    ):
+        device = factory()
+        with pytest.raises(ValueError, match=r"expects a \(M, N\) or \(P, M, N\) kernel"):
+            device.conv2d_circular_batch_chunks(iter(()), np.ones(4), num_rows=1)
+        assert not device.stats.op_counts
+
     def test_account_only_paths(self, name, factory):
         device = factory()
         seconds = device.account_matmul(64, 64, 64, count=3)
@@ -166,6 +199,24 @@ class TestTimingOrder:
         cpu = CpuDevice()
         assert cpu.energy_joules(2.0) == pytest.approx(2.0 * cpu.config.tdp_watts)
 
+    def test_gpu_energy_model(self):
+        gpu = GpuDevice()
+        assert gpu.energy_joules(2.0) == pytest.approx(2.0 * gpu.config.tdp_watts)
+
+    def test_cpu_config_rejects_a_bandwidth_or_overhead_it_cannot_price(self):
+        with pytest.raises(ValueError, match="memory bandwidth must be positive"):
+            CpuConfig(memory_bandwidth_bytes_per_sec=0.0)
+        with pytest.raises(ValueError, match="op overhead cannot be negative"):
+            CpuConfig(op_overhead_sec=-1e-6)
+
+    def test_gpu_config_rejects_a_bad_clock_or_bandwidth(self):
+        with pytest.raises(ValueError, match="clock and core count must be positive"):
+            GpuConfig(clock_hz=0.0)
+        with pytest.raises(ValueError, match="clock and core count must be positive"):
+            GpuConfig(cuda_cores=0)
+        with pytest.raises(ValueError, match="memory bandwidth must be positive"):
+            GpuConfig(memory_bandwidth_bytes_per_sec=-1.0)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             CpuConfig(efficiency=0.0)
@@ -205,6 +256,25 @@ class TestTpuCore:
         core.matmul(np.ones((32, 8)), np.ones((8, 8)))
         assert 0.0 < core.utilization() <= 1.0
 
+    def test_idle_core_reports_zero_utilization(self):
+        core = tiny_tpu_core()
+        assert core.utilization() == 0.0
+        core.matmul(np.ones((8, 8)), np.ones((8, 8)))
+        core.reset_stats()
+        assert core.utilization() == 0.0
+
+    def test_core_energy_model(self):
+        core = tiny_tpu_core()
+        assert core.energy_joules(2.0) == pytest.approx(2.0 * core.config.tdp_watts)
+
+    def test_core_config_rejects_a_bad_clock_or_vector_unit(self):
+        with pytest.raises(ValueError, match="clock must be positive"):
+            TpuCoreConfig(clock_hz=0.0)
+        with pytest.raises(ValueError, match="VPU geometry must be positive"):
+            TpuCoreConfig(vpu_lanes=0)
+        with pytest.raises(ValueError, match="VPU geometry must be positive"):
+            TpuCoreConfig(vpu_ops_per_lane_per_cycle=0.0)
+
 
 class TestTpuChip:
     def test_chip_has_configured_cores(self):
@@ -231,6 +301,10 @@ class TestTpuChip:
             TpuChipConfig(num_cores=0)
         with pytest.raises(ValueError):
             TpuChipConfig(dispatch_latency_sec=-1.0)
+
+    def test_chip_config_rejects_a_host_link_without_bandwidth(self):
+        with pytest.raises(ValueError, match="host bandwidth must be positive"):
+            TpuChipConfig(host_bandwidth_bytes_per_sec=0.0)
 
     @pytest.mark.parametrize("value", [0, -1])
     @pytest.mark.parametrize("field, message", [

@@ -115,6 +115,15 @@ class TestOtherCollectives:
         assert f.broadcast_stream_seconds(200, 1, 4) == pytest.approx(2.0 + 3 * 0.01)
         assert f.broadcast_stream_seconds(200, 3, 4) == pytest.approx(6.0 + 3 * 0.01)
 
+    def test_broadcast_stream_rejects_negative_counts(self):
+        f = fabric()
+        with pytest.raises(ValueError, match="message count cannot be negative"):
+            f.broadcast_stream_seconds(100, -1, 4)
+        with pytest.raises(ValueError, match="payload cannot be negative"):
+            f.broadcast_stream_seconds(-1, 1, 4)
+        with pytest.raises(ValueError, match="need at least one core"):
+            f.broadcast_stream_seconds(100, 1, 0)
+
 
 class TestConfigValidation:
     def test_bad_bandwidth(self):

@@ -103,6 +103,17 @@ class TestCycleModel:
         assert u_big > u_small
         assert u_big <= 1.0
 
+    def test_total_cycles_and_idle_utilization(self):
+        from repro.hw.mxu import MxuStats
+
+        config = MxuConfig(rows=8, cols=8, precision="int8")
+        stats = matmul_cycles(4, 16, 16, config)
+        assert stats.total_cycles == stats.cycles
+        idle = MxuStats(
+            cycles=0, weight_load_cycles=0, hidden_weight_load_cycles=0, tiles=0, macs=0
+        )
+        assert idle.utilization(config) == 0.0
+
     def test_paper_mxu_peak(self):
         config = MxuConfig()  # 256x256 int8
         assert config.macs_per_cycle == 65536

@@ -56,6 +56,15 @@ class TestCloneDevice:
         with pytest.raises(TypeError):
             clone_device(Bare())
 
+    def test_capacity_override_needs_a_clone_that_takes_it(self):
+        class FixedClone:
+            def clone(self):
+                return FixedClone()
+
+        assert isinstance(clone_device(FixedClone()), FixedClone)
+        with pytest.raises(TypeError, match="FixedClone.clone\\(\\) does not take hbm_bytes"):
+            clone_device(FixedClone(), hbm_bytes=1 << 20)
+
 
 #: The pod constructors that take a chip count (``FleetExecutor``, the
 #: third, is checked with the other fleet options in tests/core/test_fleet.py).
@@ -147,6 +156,12 @@ class TestPodConstruction:
         with pytest.raises(TypeError):
             TpuPod([object()])
 
+    def test_one_hbm_budget_per_chip(self):
+        with pytest.raises(ValueError, match="1 hbm_bytes entries for 2 chips"):
+            TpuPod([small_backend(), small_backend()], hbm_bytes=[1 << 20])
+        with pytest.raises(ValueError, match="3 hbm_bytes entries for 2 chips"):
+            TpuPod([small_backend(), small_backend()], hbm_bytes=[1 << 20] * 3)
+
     def test_interconnect_config_accepted(self):
         config = InterconnectConfig(topology="torus2d")
         pod = TpuPod([small_backend()], interconnect=config)
@@ -233,6 +248,18 @@ class TestPodAsDevice:
         assert pod.matmul_seconds(8, 8, 8) == root.matmul_seconds(8, 8, 8)
         assert pod.fft2_seconds(8, 8) == root.fft2_seconds(8, 8)
         assert pod.transfer_seconds(1000) == root.transfer_seconds(1000)
+
+    def test_elementwise_and_batched_transforms_price_like_root(self):
+        pod = make_tpu_pod(2, num_cores=4)
+        root = small_backend()
+        assert pod.elementwise_seconds(1000, 2.0) == root.elementwise_seconds(1000, 2.0)
+        for precision in (None, "int8"):
+            assert pod.batch_conv_seconds(5, 8, 8, precision=precision) == (
+                root.batch_conv_seconds(5, 8, 8, precision=precision)
+            )
+            assert pod.kernel_spectrum_batch_seconds(3, 8, 8, precision=precision) == (
+                root.kernel_spectrum_batch_seconds(3, 8, 8, precision=precision)
+            )
 
     def test_functional_ops_work(self):
         pod = make_tpu_pod(2, num_cores=4)

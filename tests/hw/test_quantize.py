@@ -50,6 +50,13 @@ class TestQuantizeRoundTrip:
         assert q.values.max() == 127
         assert q.values.min() == -127
 
+    def test_qmax_is_the_largest_symmetric_integer(self):
+        x = np.linspace(-2.0, 3.0, 11)
+        for bits, qmax in ((4, 7), (8, 127), (16, 32767)):
+            q = quantize(x, bits=bits)
+            assert q.qmax == qmax
+            assert np.abs(q.values).max() == qmax
+
     def test_int8_storage_dtype(self):
         q = quantize(np.ones(5), bits=8)
         assert q.values.dtype == np.int8

@@ -77,6 +77,18 @@ class TestTiming:
         long = SystolicArray(rows=8, cols=8).matmul(rng.standard_normal((64, 8)), weights)
         assert long.utilization > short.utilization
 
+    def test_total_cycles_add_the_weight_load(self):
+        from repro.hw.systolic import SystolicResult
+
+        result = SystolicArray(rows=4, cols=3).matmul(np.ones((5, 4)), np.ones((4, 3)))
+        assert result.weight_load_cycles == 4
+        assert result.total_cycles == streaming_cycles(5, 4, 3) + 4
+        empty = SystolicResult(
+            output=np.zeros((0, 3)), cycles=0, weight_load_cycles=0,
+            active_pe_cycles=0, total_pe_cycles=0,
+        )
+        assert empty.utilization == 0.0
+
     def test_num_pes_matches_paper_mxu(self):
         assert SystolicArray(rows=256, cols=256).num_pes == 65536
 

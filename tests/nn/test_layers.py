@@ -10,6 +10,7 @@ from repro.nn import (
     Dropout,
     Flatten,
     GlobalAvgPool,
+    Layer,
     MaxPool2d,
     ReLU,
 )
@@ -80,6 +81,24 @@ class TestConv2d:
         numeric = numeric_gradient(loss, conv.weights.copy())
         np.testing.assert_allclose(analytic, numeric, atol=1e-4)
 
+    def test_unpadded_input_gradient_matches_numeric(self):
+        rng = np.random.default_rng(11)
+        conv = Conv2d(2, 2, kernel_size=3, stride=1, padding=0, rng=rng)
+        x = rng.standard_normal((1, 2, 5, 5))
+
+        def loss(x_in):
+            return float(np.sum(conv.forward(x_in, training=True) ** 2))
+
+        analytic = conv.backward(2.0 * conv.forward(x, training=True))
+        assert analytic.shape == x.shape
+        numeric = numeric_gradient(loss, x.copy())
+        np.testing.assert_allclose(analytic, numeric, atol=1e-4)
+
+    def test_kernel_larger_than_the_padded_input_rejected(self):
+        conv = Conv2d(1, 1, kernel_size=5, padding=1)
+        with pytest.raises(ValueError, match="does not fit input 2x2"):
+            conv.forward(np.ones((1, 1, 2, 2)))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Conv2d(0, 1)
@@ -131,6 +150,20 @@ class TestDense:
         dense = Dense(3, 2)
         with pytest.raises(ValueError):
             dense.forward(np.ones((2, 4)))
+
+    def test_gradients_are_the_last_backward_products(self):
+        rng = np.random.default_rng(12)
+        dense = Dense(3, 2, rng=rng)
+        x = rng.standard_normal((4, 3))
+        grad = rng.standard_normal((4, 2))
+        dense.forward(x, training=True)
+        dense.backward(grad)
+        grad_weights, grad_bias = dense.gradients()
+        np.testing.assert_allclose(grad_weights, x.T @ grad, atol=1e-12)
+        np.testing.assert_allclose(grad_bias, grad.sum(axis=0), atol=1e-12)
+        assert [g.shape for g in dense.gradients()] == [
+            p.shape for p in dense.parameters()
+        ]
 
 
 class TestActivationsAndPools:
@@ -222,6 +255,21 @@ class TestBatchNorm:
         with pytest.raises(ValueError):
             BatchNorm2d(2).forward(np.ones((1, 3, 2, 2)))
 
+    def test_gradients_are_the_last_backward_products(self):
+        rng = np.random.default_rng(13)
+        bn = BatchNorm2d(2)
+        x = rng.standard_normal((3, 2, 2, 2))
+        grad = rng.standard_normal(x.shape)
+        # gamma = 1 and beta = 0 at construction, so the output is the
+        # normalized batch itself.
+        normalized = bn.forward(x, training=True)
+        bn.backward(grad)
+        grad_gamma, grad_beta = bn.gradients()
+        np.testing.assert_allclose(
+            grad_gamma, (grad * normalized).sum(axis=(0, 2, 3)), atol=1e-12
+        )
+        np.testing.assert_allclose(grad_beta, grad.sum(axis=(0, 2, 3)), atol=1e-12)
+
 
 class TestDropout:
     def test_inference_is_identity(self):
@@ -245,3 +293,51 @@ class TestDropout:
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
             Dropout(1.0)
+
+    def test_backward_after_inference_passes_the_gradient_through(self):
+        dropout = Dropout(0.5, rng=np.random.default_rng(14))
+        dropout.forward(np.ones((4, 4)), training=True)
+        dropout.forward(np.ones((4, 4)), training=False)
+        grad = np.arange(16.0).reshape(4, 4)
+        np.testing.assert_array_equal(dropout.backward(grad), grad)
+
+
+class TestLayerProtocol:
+    def test_base_layer_has_no_passes_and_no_parameters(self):
+        layer = Layer()
+        assert layer.parameters() == [] and layer.gradients() == []
+        with pytest.raises(NotImplementedError):
+            layer.forward(np.ones(2))
+        with pytest.raises(NotImplementedError):
+            layer.backward(np.ones(2))
+
+    def test_call_forwards_the_training_flag(self):
+        x = np.array([[-1.0, 2.0]])
+        relu = ReLU()
+        np.testing.assert_array_equal(relu(x), [[0.0, 2.0]])
+        with pytest.raises(RuntimeError):
+            relu.backward(np.ones_like(x))  # an inference call caches nothing
+        relu(x, training=True)
+        np.testing.assert_array_equal(relu.backward(np.ones_like(x)), [[0.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "make, shape",
+        [
+            (lambda: Dense(3, 2), (2, 3)),
+            (ReLU, (2, 3)),
+            (lambda: BatchNorm2d(2), (1, 2, 4, 4)),
+            (MaxPool2d, (1, 2, 4, 4)),
+            (GlobalAvgPool, (1, 2, 4, 4)),
+            (Flatten, (1, 2, 4, 4)),
+        ],
+        ids=["Dense", "ReLU", "BatchNorm2d", "MaxPool2d", "GlobalAvgPool", "Flatten"],
+    )
+    def test_backward_after_only_an_inference_forward_raises(self, make, shape):
+        layer = make()
+        out = layer.forward(np.ones(shape), training=False)
+        with pytest.raises(RuntimeError, match="backward before forward"):
+            layer.backward(np.ones_like(out))
+
+    def test_maxpool_size_must_be_positive(self):
+        with pytest.raises(ValueError, match="pool size must be positive"):
+            MaxPool2d(0)

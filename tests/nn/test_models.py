@@ -5,12 +5,15 @@ import pytest
 
 from repro.nn import (
     Dense,
+    Flatten,
+    Layer,
     ReLU,
     ResidualBlock,
     Sequential,
     build_resnet,
     build_vgg,
     conv_bn_relu,
+    input_bytes_per_sample,
     model_census,
     resnet50,
     resnet_scaled,
@@ -104,6 +107,21 @@ class TestResidualBlock:
         with pytest.raises(ValueError):
             block.forward(rng.standard_normal((1, 2, 4, 4)))
 
+    def test_projection_gradients_follow_the_main_branch(self):
+        rng = np.random.default_rng(9)
+        main = Sequential(conv_bn_relu(2, 4, rng=rng, relu=False))
+        projection = Sequential(
+            conv_bn_relu(2, 4, kernel_size=1, padding=0, rng=rng, relu=False)
+        )
+        block = ResidualBlock(main, projection)
+        out = block.forward(rng.standard_normal((1, 2, 4, 4)), training=True)
+        block.backward(np.ones_like(out))
+        grads = block.gradients()
+        expected = main.gradients() + projection.gradients()
+        assert len(grads) == len(expected) == len(block.parameters())
+        assert all(g is e for g, e in zip(grads, expected))
+        assert [g.shape for g in grads] == [p.shape for p in block.parameters()]
+
 
 class TestBuilders:
     def test_scaled_vgg_forward_shape(self):
@@ -150,6 +168,16 @@ class TestBuilders:
         with pytest.raises(ValueError):
             build_resnet(blocks=(1, -1))
 
+    def test_resnet_width_must_be_positive(self):
+        with pytest.raises(ValueError, match="width_mult must be positive"):
+            build_resnet(blocks=(1,), width_mult=0.0)
+
+    def test_vgg_input_size_and_class_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="input size and class count"):
+            build_vgg([8, "M"], input_size=0)
+        with pytest.raises(ValueError, match="input size and class count"):
+            build_vgg([8, "M"], input_size=8, num_classes=0)
+
 
 class TestCensus:
     def test_vgg_census_macs_match_known_scale(self):
@@ -189,3 +217,28 @@ class TestCensus:
     def test_non_square_input_rejected(self):
         with pytest.raises(ValueError):
             model_census(vgg19_scaled(), (3, 32, 16))
+
+    def test_forward_flops_are_two_per_mac_plus_the_elementwise_passes(self):
+        census = model_census(Sequential([Flatten(), Dense(4, 3), ReLU()]), (4, 1, 1))
+        assert census.forward_macs == 12
+        assert census.elementwise_elements == 3
+        assert census.forward_flops == 2 * 12 + 3
+
+    def test_layer_op_count_adds_one_elementwise_kernel(self):
+        dense_only = model_census(Sequential([Dense(4, 3)]), (4, 1, 1))
+        assert dense_only.elementwise_elements == 0
+        assert dense_only.layer_op_count == 2
+        vgg = model_census(vgg19_scaled(), (3, 32, 32))
+        assert vgg.layer_op_count == len(vgg.matmuls) + 1
+
+    def test_unknown_layer_type_rejected(self):
+        class Identity(Layer):
+            def forward(self, x, training=False):
+                return x
+
+        with pytest.raises(TypeError, match="does not know layer type Identity"):
+            model_census(Sequential([Identity()]), (1, 4, 4))
+
+    def test_input_bytes_per_sample(self):
+        assert input_bytes_per_sample((3, 32, 32)) == 3 * 32 * 32 * 4
+        assert input_bytes_per_sample((1, 8, 8), bytes_per_value=2) == 128

@@ -6,10 +6,13 @@ import pytest
 from repro.nn import (
     Adam,
     Dense,
+    EpochMetrics,
+    Optimizer,
     ReLU,
     SGD,
     Sequential,
     Trainer,
+    TrainingHistory,
     accuracy,
     cross_entropy,
     minibatches,
@@ -78,6 +81,14 @@ class TestLosses:
         with pytest.raises(ValueError):
             accuracy(np.ones(3), np.ones(3))
 
+    def test_softmax_rejects_logits_that_are_not_a_matrix(self):
+        with pytest.raises(ValueError, match=r"expected \(batch, classes\) logits"):
+            softmax(np.ones(3))
+
+    def test_cross_entropy_rejects_logits_that_are_not_a_matrix(self):
+        with pytest.raises(ValueError, match=r"expected \(batch, classes\) logits"):
+            cross_entropy(np.ones((2, 3, 1)), np.array([0, 1]))
+
 
 class TestOptimizers:
     def quadratic_setup(self):
@@ -129,6 +140,21 @@ class TestOptimizers:
         with pytest.raises(ValueError):
             optimizer.step([])
 
+    def test_sgd_momentum_must_lie_in_the_unit_interval(self):
+        for momentum in (1.0, -0.1):
+            with pytest.raises(ValueError, match="momentum must be in"):
+                SGD([np.ones(2)], lr=0.1, momentum=momentum)
+
+    def test_sgd_rejects_negative_weight_decay(self):
+        with pytest.raises(ValueError, match="weight decay cannot be negative"):
+            SGD([np.ones(2)], lr=0.1, weight_decay=-1e-4)
+
+    def test_base_optimizer_has_no_update_rule(self):
+        param = np.ones(2)
+        with pytest.raises(NotImplementedError):
+            Optimizer([param], lr=0.1).step([np.ones(2)])
+        np.testing.assert_array_equal(param, np.ones(2))
+
 
 class TestMinibatches:
     def test_covers_dataset(self):
@@ -150,6 +176,27 @@ class TestMinibatches:
             list(minibatches(np.ones((3, 1)), np.ones(4), 2))
         with pytest.raises(ValueError):
             list(minibatches(np.ones((3, 1)), np.ones(3), 0))
+
+
+class TestTrainingHistory:
+    def test_empty_history_has_no_final_accuracy(self):
+        history = TrainingHistory()
+        with pytest.raises(ValueError, match="no epochs recorded"):
+            history.final_train_accuracy
+        with pytest.raises(ValueError, match="no epochs recorded"):
+            history.final_test_accuracy
+        assert history.best_test_accuracy is None
+
+    def test_final_accuracies_come_from_the_last_epoch(self):
+        history = TrainingHistory(
+            [
+                EpochMetrics(0, train_loss=1.0, train_accuracy=0.5, test_accuracy=0.7),
+                EpochMetrics(1, train_loss=0.5, train_accuracy=0.8, test_accuracy=0.6),
+            ]
+        )
+        assert history.final_train_accuracy == 0.8
+        assert history.final_test_accuracy == 0.6
+        assert history.best_test_accuracy == 0.7
 
 
 class TestTrainer:

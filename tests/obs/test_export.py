@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import FleetExecutor, TpuBackend, make_tpu_chip
+from repro.hw.pod import PodWaveStats
 from repro.obs.export import (
     US_PER_SECOND,
     chrome_trace_events,
@@ -133,6 +134,39 @@ class TestValidatorCatchesProblems:
         ]}
         assert any("flow 9" in p for p in validate_chrome_trace(doc))
 
+    def test_flags_an_event_buffer_that_is_not_a_list(self):
+        assert validate_chrome_trace({"traceEvents": {}}) == [
+            "'traceEvents' must be a list"
+        ]
+
+    def test_flags_events_that_are_not_dicts(self):
+        assert validate_chrome_trace({"traceEvents": [1, "x"]}) == [
+            "event 0: not a dict",
+            "event 1: not a dict",
+        ]
+
+    def test_flags_metadata_without_a_payload(self):
+        doc = {"traceEvents": [
+            {"ph": "M", "name": "process_name", "pid": 1, "tid": 0, "args": {}},
+            {"ph": "M", "name": "process_sort_index", "pid": 1, "tid": 0,
+             "args": {"sort_index": 1}},
+        ]}
+        assert validate_chrome_trace(doc) == [
+            "event 0: metadata event without a payload"
+        ]
+
+    def test_flags_flow_events_without_an_id(self):
+        doc = {"traceEvents": [
+            {"ph": "f", "name": "credit", "pid": 0, "tid": 0, "ts": 1.0},
+        ]}
+        assert validate_chrome_trace(doc) == ["event 0: flow event without an id"]
+
+    def test_flags_finishes_without_a_start(self):
+        doc = {"traceEvents": [
+            {"ph": "f", "name": "credit", "pid": 0, "tid": 0, "ts": 1.0, "id": 4},
+        ]}
+        assert validate_chrome_trace(doc) == ["flow 4: 1 finishes without a start"]
+
 
 class TestLaneStructure:
     def test_timestamps_monotone_per_device_program_lane(self):
@@ -202,3 +236,22 @@ class TestAsciiRenderers:
 
     def test_format_wave_timeline_empty(self):
         assert format_wave_timeline([]) == "(no waves logged)"
+
+    def test_format_wave_timeline_rejects_bad_width(self):
+        with pytest.raises(ValueError, match="plot width must be positive"):
+            format_wave_timeline([], width=0)
+
+    def test_format_wave_timeline_names_every_collective_and_skips_idle_chips(self):
+        wave = PodWaveStats(
+            wave_index=0, placement="data", num_pairs=2, num_rows=8,
+            active_chips=1, chip_seconds=(2e-3, 0.0),
+            scatter_seconds=1e-4, broadcast_seconds=2e-4, gather_seconds=3e-4,
+            infeed_seconds=(5e-4, 0.0), outfeed_seconds=(5e-4, 0.0),
+        )
+        lines = format_wave_timeline([wave], width=8).splitlines()
+        assert [line.split("|")[0].strip() for line in lines if "|" in line] == [
+            "chip  0"
+        ]
+        assert "|==####--| in   0.500 comp   1.000 out   0.500 ms" in lines[1]
+        assert lines[2] == "  scatter 0.100 ms  broadcast 0.200 ms  gather 0.300 ms"
+        assert lines[-1].startswith("(1 waves;")

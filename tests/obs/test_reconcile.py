@@ -181,3 +181,27 @@ class TestServeTraceLanes:
         }
         assert lanes == {0: "requests", 1: "dispatch", 2: "controller"}
         assert {event.tid for event in tracer.events if event.pid == 0} <= set(lanes)
+
+    def test_each_shed_request_marks_one_instant_on_the_request_lane(self):
+        service = ExplanationService(
+            TpuBackend(make_tpu_chip(num_cores=8)),
+            granularity="blocks", block_shape=BLOCK,
+            admission=AdmissionController(max_queue_depth=2),
+            metrics_name=None,
+        )
+        trace = bursty_requests(
+            count=6, burst_size=6, burst_gap=1.0, seed=4, shape=PLANE,
+        )
+        tracer.enable()
+        report = service.process(trace)
+        tracer.disable()
+        sheds = [e for e in tracer.events if e.name == "admission_shed"]
+        assert {e.args["id"] for e in sheds} == {
+            r.request_id for r in report.ledger.rejected
+        }
+        assert len(sheds) == report.rejected_count == 4
+        for event in sheds:
+            assert (event.ph, event.category, event.pid, event.tid, event.dur) == (
+                "i", "serve", 0, 0, 0.0,
+            )
+            assert "queue depth" in event.args["reason"]

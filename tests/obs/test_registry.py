@@ -53,6 +53,14 @@ class TestRegistryMechanics:
         registry.reset()
         assert registry.snapshot() == {"src": {"a": 0}}
 
+    def test_sources_are_sorted_names_and_repr_lists_them(self):
+        registry = MetricsRegistry()
+        registry.register("zeta", lambda: {})
+        registry.register(7, lambda: {})  # names are stored as strings
+        registry.register("alpha", lambda: {})
+        assert registry.sources() == ["7", "alpha", "zeta"]
+        assert repr(registry) == "<MetricsRegistry ['7', 'alpha', 'zeta']>"
+
     def test_unregister(self):
         registry = MetricsRegistry()
         registry.register("src", lambda: {})

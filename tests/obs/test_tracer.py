@@ -111,6 +111,14 @@ class TestIdentity:
 
 
 class TestViews:
+    def test_repr_reports_state_and_event_count(self):
+        trace = Tracer()
+        assert repr(trace) == "<Tracer disabled, 0 events>"
+        trace.enable()
+        trace.complete("a", "c", 0.0, 1.0)
+        trace.instant("b", "c", 0.5)
+        assert repr(trace) == "<Tracer enabled, 2 events>"
+
     def test_spans_filters_by_category(self):
         tracer.enable()
         tracer.complete("a", "pod", 0.0, 1.0)

@@ -207,6 +207,18 @@ class TestControlLaw:
         with pytest.raises(ValueError):
             BatchController(headroom=0.0)
 
+    def test_wait_seconds_cannot_be_negative(self):
+        with pytest.raises(ValueError, match="wait seconds cannot be negative"):
+            BatchController(base_wait_seconds=-0.01)
+        with pytest.raises(ValueError, match="wait seconds cannot be negative"):
+            BatchController(min_wait_seconds=-0.001)
+
+    def test_batch_pairs_must_be_positive(self):
+        with pytest.raises(ValueError, match="batch pairs must be positive"):
+            BatchController(base_batch_pairs=0)
+        with pytest.raises(ValueError, match="batch pairs must be positive"):
+            BatchController(min_batch_pairs=0)
+
 
 # ----------------------------------------------------------------------
 # The autopilot acceptance sweep

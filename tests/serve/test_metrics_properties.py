@@ -10,6 +10,7 @@ percent of the observations are less than or equal to it -- a linear
 scan, no ``ceil`` arithmetic to share a bug with the implementation.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -100,3 +101,32 @@ def test_percentile_is_an_observed_value_and_monotone(latencies):
         if previous is not None:
             assert value >= previous
         previous = value
+
+
+KEY = ("blocks", (4, 4), None)
+
+PERCENTILE_FUNCTIONS = {
+    "LatencyLedger.percentile": lambda latencies, p: ledger_of(latencies).percentile(p),
+    "LatencyLedger.percentile_for": lambda latencies, p: ledger_of(
+        latencies
+    ).percentile_for(KEY, p),
+    "nearest_rank_percentile": nearest_rank_percentile,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PERCENTILE_FUNCTIONS))
+def test_percentile_outside_the_half_open_range_is_rejected(name):
+    percentile = PERCENTILE_FUNCTIONS[name]
+    for p in (0.0, -5.0, 100.5):
+        with pytest.raises(ValueError, match=r"percentile must lie in \(0, 100\]"):
+            percentile([0.25, 0.5], p)
+    assert percentile([0.25, 0.5], 100.0) == 0.5
+
+
+def test_every_percentile_of_no_completions_is_zero():
+    ledger = LatencyLedger()
+    assert ledger.percentile(95.0) == 0.0
+    assert ledger.percentile_for(KEY, 95.0) == 0.0
+    assert nearest_rank_percentile([], 95.0) == 0.0
+    # A key with no completions reads zero even when other keys have some.
+    assert ledger_of([0.5]).percentile_for(("rows", None, None), 99.0) == 0.0

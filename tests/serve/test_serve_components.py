@@ -2,6 +2,7 @@
 admission, batcher) -- the pieces the event loop composes."""
 
 import dataclasses
+import gc
 import inspect
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.serve import (
     poisson_requests,
     result_nbytes,
 )
+from repro.serve.cache import DigestMemo
 from repro.serve.metrics import RequestRecord
 from tests.serve.traces import merge_traces
 
@@ -140,6 +142,48 @@ class TestWorkloads:
         assert poisson_requests(0, rate=1.0) == []
         assert merge_traces() == []
 
+    def test_bursty_rejects_a_negative_count_or_gap(self):
+        with pytest.raises(ValueError, match="count cannot be negative"):
+            bursty_requests(-1, burst_size=2, burst_gap=1.0)
+        with pytest.raises(ValueError, match="burst gap cannot be negative"):
+            bursty_requests(4, burst_size=2, burst_gap=-1.0)
+        assert bursty_requests(0, burst_size=2, burst_gap=1.0) == []
+
+
+class TestDigestMemo:
+    def test_computes_once_per_live_pair_and_config(self):
+        memo = DigestMemo()
+        x, y = np.ones((2, 2)), np.zeros((2, 2))
+        calls = []
+
+        def compute():
+            calls.append(None)
+            return f"digest {len(calls)}"
+
+        assert memo.lookup(x, y, "cfg", compute) == "digest 1"
+        assert memo.lookup(x, y, "cfg", compute) == "digest 1"
+        assert len(calls) == 1 and len(memo) == 1
+        assert memo.lookup(x, y, "other", compute) == "digest 2"
+        assert memo.lookup(x.copy(), y, "cfg", compute) == "digest 3"
+        assert len(calls) == 3
+
+    def test_forgets_a_pair_once_a_plane_is_collected(self):
+        memo = DigestMemo()
+        x, y = np.ones((2, 2)), np.zeros((2, 2))
+        memo.lookup(x, y, "cfg", lambda: "digest")
+        assert len(memo) == 1
+        del x
+        gc.collect()
+        assert len(memo) == 0
+
+    def test_planes_it_cannot_weakly_reference_are_recomputed(self):
+        memo = DigestMemo()
+        x, y = [[1.0]], [[2.0]]  # lists take no weak references
+        calls = []
+        for _ in range(2):
+            assert memo.lookup(x, y, "cfg", lambda: calls.append(None) or "d") == "d"
+        assert len(calls) == 2 and len(memo) == 0
+
 
 def _result(seed=0, shape=(4, 4)):
     rng = np.random.default_rng(seed)
@@ -151,6 +195,18 @@ def _result(seed=0, shape=(4, 4)):
 
 
 class TestExplanationCache:
+    def test_len_and_repr_track_entries_and_counters(self):
+        cache = ExplanationCache(max_bytes=1 << 20)
+        cache.put("a", _result(0))
+        cache.put("b", _result(1))
+        cache.get("a")
+        cache.get("missing")
+        assert len(cache) == 2 and "a" in cache and "missing" not in cache
+        assert repr(cache) == (
+            f"<ExplanationCache 2 entries, {cache.current_bytes}/{1 << 20} bytes, "
+            "1 hits / 1 misses / 0 evictions>"
+        )
+
     def test_roundtrip_returns_the_exact_stored_result(self):
         cache = ExplanationCache(max_bytes=1 << 20)
         result = _result()

@@ -197,6 +197,34 @@ class TestBackpressure:
         assert report.rejected_count == 7
         assert all("depth" in r.reject_reason for r in report.ledger.rejected)
 
+    def test_metrics_counters_count_sheds_by_bound(self):
+        service = make_service(
+            admission=AdmissionController(max_queue_depth=3),
+            cache_max_bytes=None,
+        )
+        service.process(bursty_requests(10, burst_size=10, burst_gap=1.0, shape=SHAPE))
+        counters = service.metrics_counters()
+        assert counters["admitted"] == 3
+        assert counters["shed"] == counters["shed_queue_depth"] == 7
+        assert counters["rejected"] == 7
+        assert not any(
+            name.startswith("shed_") and name != "shed_queue_depth"
+            for name in counters
+        )
+
+    def test_a_trace_with_no_completions_reports_zero_latency(self):
+        service = make_service(
+            admission=AdmissionController(max_queued_bytes=1),
+            cache_max_bytes=None,
+        )
+        report = service.process(
+            bursty_requests(4, burst_size=4, burst_gap=1.0, shape=SHAPE)
+        )
+        assert report.completed_count == 0 and report.rejected_count == 4
+        assert report.mean_latency == 0.0
+        assert report.p95 == 0.0 and report.p99 == 0.0
+        assert report.num_dispatches == 0
+
     def test_rejections_cost_no_device_time(self):
         service = make_service(
             admission=AdmissionController(max_queue_depth=1),

@@ -113,6 +113,16 @@ class TestHarnessSmoke:
         assert len(result.points) == 2
         assert "TPU/CPU" in format_figure4(result)
 
+    def test_figure4_speedup_reads_one_swept_size(self):
+        from repro.bench.harness import run_figure4
+
+        result = run_figure4(sizes=(64, 256))
+        small, large = result.points
+        assert result.speedup_vs_cpu(256) == large.cpu_seconds / large.tpu_seconds
+        assert result.speedup_vs_cpu(64) == small.cpu_seconds / small.tpu_seconds
+        with pytest.raises(KeyError, match="size 128 not in sweep"):
+            result.speedup_vs_cpu(128)
+
     def test_run_figure5(self):
         from repro.bench.harness import format_figure5, run_figure5
 
