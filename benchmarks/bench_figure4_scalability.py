@@ -18,6 +18,7 @@ from repro.bench.harness import format_figure4, run_figure4
 from repro.bench.workloads import FIGURE4_SIZES
 from repro.core.decomposition import DecomposedFourier
 from repro.core import make_tpu_chip
+from repro.core.backend import TpuBackend
 from repro.fft import fft2
 
 
@@ -67,8 +68,8 @@ def test_benchmark_figure4(benchmark):
 
 class TestDecompositionExecutesFaithfully:
     """Figure 4's timing model is backed by an executable Algorithm 1:
-    the sharded transform really runs on the simulated cores and merges
-    to the exact transform."""
+    the sharded transform really runs on the simulated cores, merges
+    to the exact transform, and reports the backend's price."""
 
     def test_sharded_execution_matches_direct(self, benchmark):
         chip = make_tpu_chip(num_cores=8, precision="fp32", mxu_rows=16, mxu_cols=16)
@@ -81,7 +82,7 @@ class TestDecompositionExecutesFaithfully:
 
         result, report = benchmark(run)
         np.testing.assert_allclose(result, fft2(x), atol=1e-6)
-        assert report.elapsed_seconds > 0
+        assert report.elapsed_seconds == TpuBackend(chip).fft2_seconds(64, 64)
 
     def test_core_sweep_strong_scaling(self):
         """Doubling cores keeps shrinking per-stage compute time."""
@@ -93,4 +94,8 @@ class TestDecompositionExecutesFaithfully:
             chip.reset()
             _, report = DecomposedFourier(chip, cores=cores).fft2(x)
             compute_times.append(report.compute_seconds)
+            priced = TpuBackend(make_tpu_chip(
+                num_cores=cores, precision="fp32", mxu_rows=16, mxu_cols=16
+            ))
+            assert report.elapsed_seconds == priced.fft2_seconds(128, 128)
         assert compute_times == sorted(compute_times, reverse=True)

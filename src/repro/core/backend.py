@@ -17,7 +17,7 @@ Every price is a function of the chip's configuration: the cost hooks
 read the closed-form core formulas on
 :class:`~repro.hw.tpu.TpuCoreConfig` (MXU geometry, precision, clock)
 with the core count and interconnect, so pricing builds none of the
-chip's cycle-level cores.
+chip's cores.
 
 Functionally, results carry the configured MXU precision (int8
 quantization or bf16 rounding) through the numeric hooks.
@@ -35,9 +35,7 @@ from repro.hw.interconnect import Interconnect, InterconnectConfig
 from repro.hw.mxu import Mxu, MxuConfig
 from repro.hw.pod import TpuPod, check_hbm_bytes, check_num_chips
 from repro.hw.quantize import infeed_bytes_per_element, resolve_precision
-from repro.hw.tpu import TpuChip, TpuChipConfig, TpuCoreConfig
-
-COMPLEX128_BYTES = 16
+from repro.hw.tpu import TpuChip, TpuChipConfig, TpuCoreConfig, fourier_stage_seconds
 
 
 def make_tpu_chip(
@@ -95,16 +93,16 @@ class TpuBackend(Device):
         super().__init__(name=f"tpu-chip-{self.chip.num_cores}c")
 
     def clone(self, hbm_bytes: int | None = None) -> "TpuBackend":
-        """A fresh backend around an identically configured chip.
+        """A fresh backend around a new chip of the same configuration.
 
-        Pod replication (:func:`repro.hw.pod.clone_device`) calls this:
-        the clone shares the immutable chip config but nothing mutable
-        -- its ledger and cores start clean, and it builds no cores.
+        Pod replication (:func:`repro.hw.pod.clone_device`) calls this.
+        A chip is its immutable configuration, which the clone shares,
+        so it prices as this backend does; nothing mutable is shared --
+        its ledger and cores start clean, and it builds no cores.
         ``hbm_bytes`` overrides the clone's aggregate HBM capacity (split
         evenly across its cores), the per-chip capacity knob of
         heterogeneous pod construction.
         """
-        trace = self.chip.trace
         config = self.chip.config
         hbm_bytes = check_hbm_bytes(hbm_bytes)
         if hbm_bytes is not None:
@@ -115,7 +113,7 @@ class TpuBackend(Device):
                     hbm_capacity_bytes=max(1, hbm_bytes // config.num_cores),
                 ),
             )
-        return TpuBackend(TpuChip(config, trace=trace))
+        return TpuBackend(TpuChip(config))
 
     @property
     def launch_latency_seconds(self) -> float:
@@ -163,25 +161,24 @@ class TpuBackend(Device):
 
         Stage one shards the ``m`` rows (each core multiplies its slice
         by ``W_n``); stage two shards the ``n`` columns against ``W_m``.
-        Each complex product costs ``complex_matmul_real_products`` real
-        MXU passes.
+        Each stage costs its slowest core, ``complex_matmul_real_products``
+        real MXU passes over its slice, plus its reassembly collective,
+        both from :func:`repro.hw.tpu.fourier_stage_seconds` -- the price
+        :class:`~repro.core.decomposition.DecomposedFourier` reports for
+        the executed schedule, bit for bit.
         """
         if m <= 0 or n <= 0:
             raise ValueError(f"cannot transform an empty {m}x{n} plane")
-        factor = self.complex_matmul_real_products
-        payload = m * n * COMPLEX128_BYTES
-
-        # Each stage is priced by its first shard, the longest of the
-        # balanced split (``shard_slices``): ``ceil(extent / cores)``.
-        core = self.chip.config.core
-        cores_rows = min(self.chip.num_cores, m)
-        stage_one = factor * core.matmul_seconds(-(-m // cores_rows), n, n)
-        stage_one += self.chip.interconnect.all_reduce_seconds(payload, cores_rows)
-
-        cores_cols = min(self.chip.num_cores, n)
-        stage_two = factor * core.matmul_seconds(m, m, -(-n // cores_cols))
-        stage_two += self.chip.interconnect.all_reduce_seconds(payload, cores_cols)
-        return stage_one + stage_two
+        seconds = 0.0
+        for axis in (0, 1):
+            per_core, reassembly = fourier_stage_seconds(
+                self.chip, m, n, axis, self.chip.num_cores,
+                self.complex_matmul_real_products,
+            )
+            # The first core's slice is the longest of the balanced split
+            # (``shard_slices``), so it is the stage's slowest core.
+            seconds += per_core[0] + reassembly
+        return seconds
 
     # ------------------------------------------------------------------
     # Numeric hooks: route through the MXU's precision mode

@@ -13,7 +13,10 @@ cross-replica exchange -- the paper's ``tf.cross_replica_sum`` step.
 :class:`repro.hw.tpu.TpuChip`: every shard really runs through its
 core's MXU (so precision effects are faithful) and elapsed time is the
 slowest core per stage plus the reassembly collective, mirroring
-Algorithm 1's structure.
+Algorithm 1's structure.  Each stage's seconds come from
+:func:`repro.hw.tpu.fourier_stage_seconds`, the price
+:meth:`repro.core.backend.TpuBackend.fft2_seconds` reads too, so a
+report's ``elapsed_seconds`` equals the backend's formula bit for bit.
 """
 
 from __future__ import annotations
@@ -24,9 +27,7 @@ import numpy as np
 
 from repro.fft.dft_matrix import dft_matrix, idft_matrix
 from repro.hw.device import shard_slices
-from repro.hw.tpu import TpuChip
-
-COMPLEX128_BYTES = 16
+from repro.hw.tpu import TpuChip, fourier_stage_seconds
 
 
 @dataclass(frozen=True)
@@ -87,66 +88,50 @@ class DecomposedFourier:
         transform_matrix: np.ndarray,
         axis: int,
     ) -> tuple[np.ndarray, StageTiming]:
-        """Run one sharded stage.
+        """Run one sharded stage, priced by :func:`fourier_stage_seconds`.
 
         ``axis=0``: shard rows, each core computes ``x_c @ W`` (row
         transforms).  ``axis=1``: shard columns, each core computes
         ``W @ x_c`` (column transforms).
         """
-        extent = operand.shape[axis]
-        cores = min(self.cores_used, extent)
-        slices = shard_slices(extent, cores)
-        pieces: list[np.ndarray] = []
-        per_core: list[float] = []
-        for core, piece_slice in zip(self.chip.cores[:cores], slices):
-            before = core.stats.seconds
+        cores = self.chip.cores
+        per_core, reassembly = fourier_stage_seconds(
+            self.chip, *operand.shape, axis, self.cores_used,
+            cores[0].complex_matmul_real_products,
+        )
+        slices = shard_slices(operand.shape[axis], len(per_core))
+        pieces = []
+        for core, piece in zip(cores, slices):
             if axis == 0:
-                shard = operand[piece_slice, :]
-                pieces.append(core.matmul(shard, transform_matrix))
+                pieces.append(core.matmul(operand[piece, :], transform_matrix))
             else:
-                shard = operand[:, piece_slice]
-                pieces.append(core.matmul(transform_matrix, shard))
-            per_core.append(core.stats.seconds - before)
-
-        merged = np.concatenate(pieces, axis=axis)
-        # Reassembly: every core contributes its shard to the full
-        # intermediate (the paper's cross-replica sum of partial matrices).
-        reassembly = self.chip.cross_replica_sum_seconds(
-            merged.size * COMPLEX128_BYTES, num_cores=cores
-        )
+                pieces.append(core.matmul(transform_matrix, operand[:, piece]))
         timing = StageTiming(
-            name=name,
-            per_core_seconds=tuple(per_core),
-            reassembly_seconds=reassembly,
+            name=name, per_core_seconds=per_core, reassembly_seconds=reassembly
         )
-        return merged, timing
+        return np.concatenate(pieces, axis=axis), timing
+
+    def _transform(
+        self, x: np.ndarray, matrix, name: str
+    ) -> tuple[np.ndarray, DecompositionReport]:
+        """Row stage against ``matrix(n)``, then column stage against ``matrix(m)``."""
+        x = np.asarray(x)
+        if x.ndim != 2:
+            raise ValueError(f"{name} expects a matrix, got shape {x.shape}")
+        m, n = x.shape
+        rows_done, stage_rows = self._stage("rows", x, matrix(n), axis=0)
+        result, stage_cols = self._stage("columns", rows_done, matrix(m), axis=1)
+        report = DecompositionReport(
+            shape=(m, n),
+            cores_used=self.cores_used,
+            stages=(stage_rows, stage_cols),
+        )
+        return result, report
 
     def fft2(self, x: np.ndarray) -> tuple[np.ndarray, DecompositionReport]:
         """Sharded forward 2-D DFT; returns the transform and its schedule."""
-        x = np.asarray(x)
-        if x.ndim != 2:
-            raise ValueError(f"fft2 expects a matrix, got shape {x.shape}")
-        m, n = x.shape
-        rows_done, stage_rows = self._stage("rows", x, dft_matrix(n), axis=0)
-        result, stage_cols = self._stage("columns", rows_done, dft_matrix(m), axis=1)
-        report = DecompositionReport(
-            shape=(m, n),
-            cores_used=self.cores_used,
-            stages=(stage_rows, stage_cols),
-        )
-        return result, report
+        return self._transform(x, dft_matrix, "fft2")
 
     def ifft2(self, x: np.ndarray) -> tuple[np.ndarray, DecompositionReport]:
         """Sharded inverse 2-D DFT."""
-        x = np.asarray(x)
-        if x.ndim != 2:
-            raise ValueError(f"ifft2 expects a matrix, got shape {x.shape}")
-        m, n = x.shape
-        rows_done, stage_rows = self._stage("rows", x, idft_matrix(n), axis=0)
-        result, stage_cols = self._stage("columns", rows_done, idft_matrix(m), axis=1)
-        report = DecompositionReport(
-            shape=(m, n),
-            cores_used=self.cores_used,
-            stages=(stage_rows, stage_cols),
-        )
-        return result, report
+        return self._transform(x, idft_matrix, "ifft2")

@@ -168,23 +168,19 @@ class _ChipView:
     """A restricted view of a chip exposing a subset of its cores.
 
     Duck-types the ``TpuChip`` surface that :class:`DecomposedFourier`
-    uses (``cores``, ``num_cores``, ``cross_replica_sum_seconds``) while
-    charging communication to the parent chip's ledger.
+    uses (``config``, ``cores``, ``num_cores``,
+    ``cross_replica_sum_seconds``), pricing communication with the
+    parent chip's interconnect.
     """
 
     def __init__(self, chip: TpuChip, core_ids: list[int]) -> None:
-        if not core_ids:
-            raise ValueError("a chip view needs at least one core")
-        for core_id in core_ids:
-            if not 0 <= core_id < chip.num_cores:
-                raise ValueError(f"core id {core_id} outside chip of {chip.num_cores}")
         self._chip = chip
+        self.config = chip.config
         self.cores = [chip.cores[i] for i in core_ids]
 
     @property
     def num_cores(self) -> int:
         return len(self.cores)
 
-    def cross_replica_sum_seconds(self, nbytes: int, num_cores: int | None = None) -> float:
-        cores = self.num_cores if num_cores is None else num_cores
-        return self._chip.cross_replica_sum_seconds(nbytes, num_cores=cores)
+    def cross_replica_sum_seconds(self, nbytes: int, num_cores: int) -> float:
+        return self._chip.cross_replica_sum_seconds(nbytes, num_cores=num_cores)

@@ -100,11 +100,7 @@ def fft_circular_convolve2d(
         kernel_spectrum = fft2(k)
         if precision is not None:
             kernel_spectrum = precision.apply(kernel_spectrum)
-    spectrum = fft2(x_in) * kernel_spectrum
-    result = ifft2(spectrum)
-    if np.isrealobj(x) and np.isrealobj(k):
-        return result.real
-    return result
+    return ifft2(fft2(x_in) * kernel_spectrum)
 
 
 def _validate_batch_kernel(

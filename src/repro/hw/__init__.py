@@ -7,13 +7,18 @@ the same algorithm (Section IV-A).  This package provides all three:
   configuration: the closed-form MXU cycle model of
   :mod:`repro.hw.mxu` on :class:`~repro.hw.tpu.TpuCoreConfig`, int8/bf16
   quantization (:mod:`repro.hw.quantize`) and a ring interconnect
-  (:mod:`repro.hw.interconnect`);
-* :class:`~repro.hw.tpu_core.TpuCore` -- one cycle-level core, built
-  when a caller reads :attr:`TpuChip.cores <repro.hw.tpu.TpuChip.cores>`:
-  a weight-stationary systolic array (:mod:`repro.hw.systolic`), a
-  small ISA with an overlap-aware scheduler (:mod:`repro.hw.isa`) and
-  the capacity and bandwidth specs of its memories
-  (:mod:`repro.hw.memory`);
+  (:mod:`repro.hw.interconnect`); an Algorithm 1 stage has one price,
+  :func:`~repro.hw.tpu.fourier_stage_seconds`;
+* :class:`~repro.hw.tpu_core.TpuCore` -- one core, built when a caller
+  reads :attr:`TpuChip.cores <repro.hw.tpu.TpuChip.cores>`: its own
+  :class:`~repro.hw.mxu.Mxu` (whose exact path drives the
+  weight-stationary systolic array of :mod:`repro.hw.systolic`) and the
+  capacity and bandwidth specs of its memories (:mod:`repro.hw.memory`),
+  priced by the same configuration formulas;
+* a small ISA with an overlap-aware scheduler (:mod:`repro.hw.isa`) and
+  a graph compiler that lowers onto it (:mod:`repro.hw.compiler`): the
+  instruction-level view the fused-versus-eager ablation and the
+  hardware inspection example price; no device prices through it;
 * :class:`~repro.hw.cpu.CpuDevice` -- the paper's baseline host CPU;
 * :class:`~repro.hw.gpu.GpuDevice` -- the paper's GTX 1080 comparator.
 
@@ -74,7 +79,7 @@ EXPORTS = {
         "to_bfloat16",
     ),
     "systolic": ("SystolicArray", "SystolicResult"),
-    "tpu": ("TpuChip", "TpuChipConfig", "TpuCoreConfig"),
+    "tpu": ("TpuChip", "TpuChipConfig", "TpuCoreConfig", "fourier_stage_seconds"),
     "tpu_core": ("TpuCore",),
     "trace": (
         "SystolicTrace",

@@ -92,8 +92,6 @@ class Interconnect:
 
     def _ring_phase(self, nbytes: float, cores: int) -> float:
         """One ring all-reduce phase among ``cores`` peers."""
-        if cores <= 1 or nbytes <= 0:
-            return 0.0
         steps = 2 * (cores - 1)
         transfer = steps * (nbytes / cores) / self.config.link_bandwidth_bytes_per_sec
         return transfer + steps * self.config.link_latency_sec

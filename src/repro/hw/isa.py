@@ -2,8 +2,8 @@
 
 The original TPU is a CISC coprocessor driven by a handful of
 instructions (Read_Host_Memory, Read_Weights, MatrixMultiply/Convolve,
-Activate, Write_Host_Memory).  We model that level of abstraction: the
-device front-end in :mod:`repro.hw.tpu_core` *lowers* every tensor operation
+Activate, Write_Host_Memory).  We model that level of abstraction:
+:func:`repro.hw.compiler.lower` *lowers* a graph of tensor operations
 into an instruction stream, and the :class:`Scheduler` prices the stream
 under an explicit overlap policy:
 

@@ -5,8 +5,8 @@ Matrix Multiply Unit (systolic array, Section II-A / Figure 1) fed from
 a unified buffer, with a vector unit for elementwise work and an HBM
 slice.  Its :meth:`~TpuCoreConfig.matmul_seconds` and
 :meth:`~TpuCoreConfig.elementwise_seconds` are the closed-form core
-prices the chip-level backend reads: they depend on the MXU geometry
-and precision, the vector unit and the clock alone.
+prices every TPU cost reads: they depend on the MXU geometry and
+precision, the vector unit and the clock alone.
 
 :class:`TpuChip` aggregates ``num_cores`` cores (the paper's experiments
 use a 128-core TPUv2 slice) behind a host link with a per-launch
@@ -16,15 +16,16 @@ chip records nothing itself: :class:`~repro.core.backend.TpuBackend`'s
 device ledger holds every dispatch, infeed, outfeed and overlap credit,
 and the :class:`~repro.core.decomposition.StageTiming` of an executed
 Algorithm 1 holds each reassembly.  Pricing reads only the chip's
-configuration; the cycle-level cores
-(:class:`repro.hw.tpu_core.TpuCore`, each with its own MXU, memories and
-ISA scheduler) are built on the first read of :attr:`TpuChip.cores`,
-by callers that execute on them.
+configuration; the cores (:class:`repro.hw.tpu_core.TpuCore`, each with
+its own MXU and memories, priced by the same formulas) are built on the
+first read of :attr:`TpuChip.cores`, by callers that execute on them.
 
 The chip intentionally does **not** implement the sharded 2-D FFT --
 that *is* the paper's contribution and lives in
 :mod:`repro.core.decomposition`, which drives the cores through this
-interface.
+interface.  Its price is :func:`fourier_stage_seconds`, the one price of
+an Algorithm 1 stage, which the executed decomposition and
+:meth:`~repro.core.backend.TpuBackend.fft2_seconds` both read.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ import numpy as np
 from repro.hw.interconnect import Interconnect, InterconnectConfig
 from repro.hw.mxu import MxuConfig, matmul_cycles
 from repro.hw.quantize import precision_spec
+
+COMPLEX128_BYTES = 16
 
 
 @dataclass(frozen=True)
@@ -49,8 +52,6 @@ class TpuCoreConfig:
     hbm_capacity_bytes: int = 8 * 1024**3  # 8 GiB
     hbm_bandwidth_bytes_per_sec: float = 300e9
     unified_buffer_bytes: int = 24 * 1024 * 1024
-    overlap_dma: bool = True
-    overlap_weight_load: bool = True
     tdp_watts: float = 40.0
 
     def __post_init__(self) -> None:
@@ -133,9 +134,8 @@ class TpuChip:
     :attr:`config`; the cores exist only once :attr:`cores` is read.
     """
 
-    def __init__(self, config: TpuChipConfig | None = None, trace: bool = False) -> None:
+    def __init__(self, config: TpuChipConfig | None = None) -> None:
         self.config = config or TpuChipConfig()
-        self.trace = trace
         self._cores: list | None = None
         self.interconnect = Interconnect(self.config.interconnect)
 
@@ -145,16 +145,16 @@ class TpuChip:
 
     @property
     def cores(self) -> list:
-        """The ``num_cores`` cycle-level cores, built on first read.
+        """The ``num_cores`` cores, built on first read.
 
-        Core ``i`` is a :class:`repro.hw.tpu_core.TpuCore` with id ``i``
-        and the chip's ``trace`` flag; later reads return the same list.
+        Core ``i`` is a :class:`repro.hw.tpu_core.TpuCore` with id ``i``;
+        later reads return the same list.
         """
         if self._cores is None:
             from repro.hw.tpu_core import TpuCore
 
             self._cores = [
-                TpuCore(self.config.core, core_id=i, trace=self.trace)
+                TpuCore(self.config.core, core_id=i)
                 for i in range(self.config.num_cores)
             ]
         return self._cores
@@ -168,3 +168,37 @@ class TpuChip:
         """Clear the per-core ledgers of the cores built so far."""
         for core in self._cores or ():
             core.reset_stats()
+
+
+def fourier_stage_seconds(
+    chip: TpuChip, m: int, n: int, axis: int, cores: int, real_products: int
+) -> tuple[tuple[float, ...], float]:
+    """The price of one sharded stage of Algorithm 1 on an ``m x n`` plane.
+
+    ``axis=0`` is the row stage: each of ``min(cores, m)`` cores
+    multiplies its share of the rows by ``W_n``.  ``axis=1`` is the
+    column stage: ``W_m`` times each core's share of the ``n`` columns.
+    Shares follow :func:`repro.hw.device.shard_slices` (the first
+    ``extent % shards`` cores take one extra line).
+
+    Returns each core's compute seconds, ``real_products`` real MXU
+    passes of :meth:`TpuCoreConfig.matmul_seconds` over its share, and
+    the stage's reassembly seconds, the cross-replica sum of the full
+    complex plane over the stage's cores.
+    :meth:`~repro.core.backend.TpuBackend.fft2_seconds` and
+    :class:`~repro.core.decomposition.DecomposedFourier` both price
+    with it, so the formula equals the executed schedule bit for bit.
+    """
+    extent = (m, n)[axis]
+    shards = min(cores, extent)
+    base, longer = divmod(extent, shards)
+    per_core: tuple[float, ...] = ()
+    for lines, count in ((base + 1, longer), (base, shards - longer)):
+        if count:
+            product = (lines, n, n) if axis == 0 else (m, m, lines)
+            seconds = real_products * chip.config.core.matmul_seconds(*product)
+            per_core += (seconds,) * count
+    reassembly = chip.cross_replica_sum_seconds(
+        m * n * COMPLEX128_BYTES, num_cores=shards
+    )
+    return per_core, reassembly

@@ -118,8 +118,6 @@ class MicroBatcher:
         self._key_bytes: dict[BatchKey, int] = {}
         self._order: dict[BatchKey, int] = {}  # first-seen key order
         self._served: dict[BatchKey, float] = {}  # weighted pairs dispatched
-        #: Non-empty dispatches per key (the metrics-registry surface).
-        self.dispatch_counts: dict[BatchKey, int] = {}
 
     # ------------------------------------------------------------------
     # Per-key policy
@@ -239,5 +237,4 @@ class MicroBatcher:
             self._served[key] = (
                 self._served.get(key, 0.0) + len(batch) / self.weight_for(key)
             )
-            self.dispatch_counts[key] = self.dispatch_counts.get(key, 0) + 1
         return batch

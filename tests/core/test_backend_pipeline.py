@@ -11,7 +11,7 @@ from repro.core import (
 )
 from repro.core.decomposition import shard_slices
 from repro.fft import fft2_matmul, fft_circular_convolve2d
-from repro.hw import CpuDevice, GpuDevice, TpuChip, TpuCore, TpuPod
+from repro.hw import CpuDevice, GpuDevice, TpuCore, TpuPod
 from tests import reference
 
 
@@ -245,16 +245,14 @@ class TestPricingFromConfiguration:
     def test_cores_are_built_on_first_read(self, monkeypatch):
         built = count_core_builds(monkeypatch)
         chip = make_tpu_chip(num_cores=3, precision="fp32")
-        traced = TpuChip(chip.config, trace=True)
         assert built == []
-        cores = traced.cores
+        cores = chip.cores
         assert len(built) == 3 and cores == built
         assert [core.core_id for core in cores] == [0, 1, 2]
-        assert all(isinstance(core, TpuCore) and core.trace_enabled for core in cores)
+        assert all(isinstance(core, TpuCore) for core in cores)
         assert all(core.config is chip.config.core for core in cores)
-        assert traced.cores is cores
+        assert chip.cores is cores
         assert len(built) == 3
-        assert not any(core.trace_enabled for core in chip.cores)
 
     def test_unbuilt_chip_prices_and_resets_without_building_a_core(self, monkeypatch):
         built = count_core_builds(monkeypatch)
@@ -263,15 +261,14 @@ class TestPricingFromConfiguration:
         chip.reset()
         assert built == []
 
-    @pytest.mark.parametrize("trace", [False, True])
-    def test_clone_carries_the_trace_flag_and_builds_no_core(self, monkeypatch, trace):
+    def test_clone_builds_no_core_and_carries_its_hbm_override(self, monkeypatch):
         built = count_core_builds(monkeypatch)
-        backend = TpuBackend(TpuChip(make_tpu_chip(num_cores=4).config, trace=trace))
-        for clone in (backend.clone(), backend.clone(hbm_bytes=1 << 20)):
-            assert clone.chip.trace is trace and clone.chip is not backend.chip
+        backend = TpuBackend(make_tpu_chip(num_cores=4))
+        plain, capped = backend.clone(), backend.clone(hbm_bytes=1 << 20)
+        assert plain.chip is not backend.chip and capped.chip is not backend.chip
+        assert plain.chip.config == backend.chip.config
         assert built == []
-        assert clone.chip.cores[0].trace_enabled is trace
-        assert clone.chip.cores[0].config.hbm_capacity_bytes == (1 << 20) // 4
+        assert capped.chip.cores[0].config.hbm_capacity_bytes == (1 << 20) // 4
 
 
 class TestExplanationPipeline:

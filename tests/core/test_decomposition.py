@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DecomposedFourier, make_tpu_chip, shard_slices
+from repro.core.backend import TpuBackend
 from repro.fft import fft2
+from repro.hw import InterconnectConfig
 
 
 def small_chip(num_cores=4, precision="fp32"):
@@ -132,6 +134,71 @@ class TestDecomposedTransform:
             DecomposedFourier(chip).fft2(np.ones(4))
         with pytest.raises(ValueError):
             DecomposedFourier(chip).ifft2(np.ones((2, 2, 2)))
+
+
+#: Square, odd, 1xN and Nx1 planes, wider and narrower than the chips.
+PRICED_SHAPES = [(16, 16), (64, 64), (100, 100), (9, 7), (13, 13), (1, 8), (8, 1)]
+
+
+class TestOnePrice:
+    """The executed schedule reports the backend's formula, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "cores, mxu, precision, topology",
+        [
+            (1, 8, "fp32", "ring"),
+            (1, 256, "int8", "torus2d"),
+            (2, 16, "bf16", "ring"),
+            (2, 8, "int8", "torus2d"),
+            (3, 256, "fp32", "ring"),
+            (3, 16, "bf16", "torus2d"),
+            (8, 16, "fp32", "ring"),
+            (8, 256, "bf16", "torus2d"),
+            (16, 8, "bf16", "ring"),
+            (16, 16, "int8", "torus2d"),
+            (128, 256, "bf16", "ring"),
+            (128, 8, "fp32", "torus2d"),
+        ],
+    )
+    def test_report_equals_fft2_seconds(self, cores, mxu, precision, topology):
+        chip = make_tpu_chip(
+            num_cores=cores, precision=precision, mxu_rows=mxu, mxu_cols=mxu,
+            interconnect=InterconnectConfig(topology=topology),
+        )
+        executor = DecomposedFourier(chip)
+        rng = np.random.default_rng(cores)
+        for shape in PRICED_SHAPES:
+            formula = TpuBackend(chip).fft2_seconds(*shape)
+            x = rng.standard_normal(shape)
+            for transform in (executor.fft2, executor.ifft2):
+                _, report = transform(x)
+                assert report.elapsed_seconds == formula, (shape, transform.__name__)
+
+    @pytest.mark.parametrize("cores", [1, 2, 3, 5, 8])
+    def test_a_core_subset_prices_like_a_smaller_chip(self, cores):
+        chip = make_tpu_chip(num_cores=8, precision="fp32", mxu_rows=16, mxu_cols=16)
+        smaller = TpuBackend(
+            make_tpu_chip(num_cores=cores, precision="fp32", mxu_rows=16, mxu_cols=16)
+        )
+        executor = DecomposedFourier(chip, cores=cores)
+        rng = np.random.default_rng(cores)
+        for shape in PRICED_SHAPES:
+            x = rng.standard_normal(shape)
+            for transform in (executor.fft2, executor.ifft2):
+                _, report = transform(x)
+                assert report.elapsed_seconds == smaller.fft2_seconds(*shape), shape
+
+    def test_each_core_ledger_holds_its_shard_price(self):
+        chip = make_tpu_chip(num_cores=3, precision="fp32", mxu_rows=8, mxu_cols=8)
+        x = np.random.default_rng(7).standard_normal((10, 7))
+        _, report = DecomposedFourier(chip).fft2(x)
+        rows, columns = report.stages
+        for core, row_seconds, column_seconds in zip(
+            chip.cores, rows.per_core_seconds, columns.per_core_seconds
+        ):
+            assert core.stats.seconds == row_seconds + column_seconds
+        assert [len(stage.per_core_seconds) for stage in report.stages] == [3, 3]
+        assert rows.per_core_seconds[0] > rows.per_core_seconds[2]
 
 
 class TestProperties:

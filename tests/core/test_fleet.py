@@ -133,6 +133,15 @@ class TestFleetSchedule:
         schedule = FleetSchedule.plan([(4, 4), (8, 8)], [1, 1])
         assert schedule.num_pairs == 2
 
+    def test_list_shapes_plan_like_tuple_shapes(self):
+        """An unhashable shape spelling is normalized, not refused."""
+        shapes = [[8, 8], (4, 4), np.array([8, 8]), [4, 4]]
+        listed = FleetSchedule.plan(shapes, [3, 1, 2, 1])
+        tupled = FleetSchedule.plan([(8, 8), (4, 4), (8, 8), (4, 4)], [3, 1, 2, 1])
+        assert listed == tupled
+        assert listed.waves[0].plane_shape == (8, 8)
+        assert [w.pair_indices for w in listed.waves] == [(0, 2), (1, 3)]
+
 
 class TestSliceTable:
     """The paper's reassembly table, as the wave row map's three arrays."""

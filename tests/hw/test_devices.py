@@ -240,17 +240,6 @@ class TestTpuCore:
             core.matmul(a, b), quantized_matmul(a, b, bits=8), atol=1e-12
         )
 
-    def test_trace_program_collects_instructions(self):
-        from repro.hw import Opcode
-
-        core = TpuCore(
-            TpuCoreConfig(mxu=MxuConfig(rows=8, cols=8, precision="fp32")), trace=True
-        )
-        core.matmul(np.ones((4, 16)), np.ones((16, 8)))
-        histogram = core.trace_program.opcode_histogram()
-        assert histogram[Opcode.MATMUL] == 2  # two k-tiles
-        assert histogram[Opcode.LOAD_WEIGHTS] == 2
-
     def test_utilization_bounded(self):
         core = tiny_tpu_core()
         core.matmul(np.ones((32, 8)), np.ones((8, 8)))

@@ -4,7 +4,7 @@ Satellite coverage: the registry mechanics (register/snapshot/reset,
 weak sources dropping with their owners), ``fft_plan_cache_info`` and
 the kernel-spectrum cache's registry surface, the serving
 layer's weak self-registration, controller decision logs, admission
-shed counters and per-key batcher dispatch counts.
+shed counters and the service's per-key dispatch counts.
 """
 
 import gc
@@ -34,7 +34,6 @@ from repro.serve import (
     bursty_requests,
 )
 from repro.serve.admission import AdmissionController as Admission
-from repro.serve.batcher import BatchKey, MicroBatcher, QueuedRequest
 from repro.serve.controller import ControllerDecision
 from repro.serve.workload import Request
 
@@ -270,19 +269,31 @@ class TestAdmissionCounters:
         }
 
 
-class TestBatcherDispatchCounts:
-    def test_pop_counts_nonempty_dispatches_per_key(self):
-        batcher = MicroBatcher(max_wait_seconds=0.0, max_batch_pairs=2)
-        key = BatchKey("blocks", BLOCK, None)
-        x = np.zeros(PLANE)
-        for i in range(3):
-            batcher.enqueue(key, QueuedRequest(
-                request=Request(
-                    request_id=i, arrival_time=0.0, x=x, y=x,
-                ),
-                enqueue_time=0.0, feed_nbytes=0, pair=None, digest=None,
-            ))
-        assert len(batcher.pop(key)) == 2
-        assert len(batcher.pop(key)) == 1
-        assert batcher.pop(key) == []  # empty pop: not a dispatch
-        assert batcher.dispatch_counts == {key: 2}
+class TestServiceDispatchCounts:
+    def test_nonempty_dispatches_count_per_key_and_idle_drains_add_nothing(self):
+        service = ExplanationService(
+            TpuBackend(make_tpu_chip(num_cores=8)), granularity="blocks",
+            block_shape=BLOCK, max_wait_seconds=1.0, max_batch_pairs=2,
+            cache=None, cache_max_bytes=None, metrics_name=None,
+        )
+        rng = np.random.default_rng(0)
+        requests = [
+            Request(
+                request_id=i, arrival_time=0.0,
+                x=rng.standard_normal(PLANE), y=rng.standard_normal(PLANE),
+            )
+            for i in range(3)
+        ]
+        label = ":".join(str(part) for part in service.batch_key(requests[0]).as_tuple())
+
+        def per_key():
+            counters = service.metrics_counters()
+            return {k: v for k, v in counters.items() if k.startswith("dispatches[")}
+
+        report = service.process(requests)  # ends with an idle drain
+        assert report.completed_count == 3
+        assert per_key() == {f"dispatches[{label}]": 2}  # two pairs, then one
+        assert service.metrics_counters()["dispatches"] == 2
+        service.process([])  # only the idle drain of the now-empty key
+        assert per_key() == {f"dispatches[{label}]": 2}
+        assert service.metrics_counters()["dispatches"] == 2
