@@ -48,7 +48,6 @@ EXPORTS = {
     "interpretation": (
         "block_contributions",
         "column_contributions",
-        "element_scores_from_base",
         "feature_contributions",
         "normalize_scores",
         "row_contributions",

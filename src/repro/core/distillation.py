@@ -34,7 +34,9 @@ class ConvolutionDistiller:
     device:
         Optional :class:`repro.hw.device.Device`; when given, all fit and
         predict arithmetic runs through it and accumulates simulated
-        time.  ``None`` uses the pure-numpy fast path (identical math).
+        time.  ``None`` runs the same arithmetic unpriced: the fitted
+        kernel has the same bits either way
+        (:func:`~repro.core.transform.frequency_solve`).
     eps:
         Wiener regularizer added to the input power spectrum.  ``0``
         reproduces the paper's Eq. 4 verbatim (and will amplify noise on

@@ -11,7 +11,9 @@ one infeed and one batched convolution per *wave* of pairs:
   to the stack budget -- only a plane too large for the budget to hold
   one row raises :class:`~repro.core.masking.MaskStackBudgetError`;
 * :class:`FleetExecutor` -- wave execution: a wave's lazy mask plans
-  (:class:`~repro.core.masking.MaskSpec`) stream, together with each
+  (:class:`~repro.core.masking.MaskSpec`; every granularity has one,
+  and ``elements`` is one-cell masks, the masks of ``blocks`` with
+  ``(1, 1)`` tiles, run and priced alike) stream, together with each
   pair's *unmasked* residual plane, through one conceptual
   ``(sum(num_masks_i) + P, M, N)`` cross-pair stack whose rows
   :func:`wave_row_map` maps back to ``(pair, mask)`` as three integer
@@ -146,7 +148,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.distillation import ConvolutionDistiller
-from repro.core.interpretation import element_scores_from_base, l2_scores_by_linearity
+from repro.core.interpretation import l2_scores_by_linearity
 from repro.core.masking import (
     DEFAULT_STACK_BUDGET_BYTES,
     GRANULARITIES,
@@ -200,27 +202,6 @@ def feed_bytes(arrays, spec) -> int:
         planes = 2 if np.iscomplexobj(a) else 1
         total += planes * a.size * spec.bytes_per_element
     return total
-
-
-def check_precision_granularity(spec, granularity: str) -> None:
-    """Reject lossy precisions for the ``elements`` granularity.
-
-    The single home of the rule :class:`FleetExecutor` enforces when it
-    is built and the online service applies to each request's batch
-    key: the elements granularity never convolves a masked plane -- it
-    scores by linearity, through
-    :func:`~repro.core.interpretation.l2_scores_by_linearity` at ``l2``
-    and :func:`~repro.core.interpretation.element_scores_from_base`
-    otherwise -- and both closed forms assume exact convolution
-    arithmetic, which per-plane quantization breaks, so only exact
-    specs (or ``None``) pass.
-    """
-    if spec is not None and not spec.is_exact and granularity == "elements":
-        raise ValueError(
-            "elements granularity scores through the linearity fast "
-            "path, which per-plane quantization breaks; use blocks/"
-            "columns/rows or an exact precision ('fp64'/'fp32')"
-        )
 
 
 def wave_dtype_key(x, y) -> tuple[np.dtype, np.dtype, np.dtype]:
@@ -341,11 +322,10 @@ class _PlanLayout:
     """What every wave of one plan reads of the plan and its plane shape.
 
     An executor scores every pair of a plane shape with one plan
-    (:meth:`FleetExecutor.plan_for`; ``None`` for ``elements``), so each
-    wave of that shape lays out the same ``s + 1`` rows per pair: ``s =
-    num_masks`` mask rows, then the residual row.  Built once per
-    executor and shape, at the first wave, with the code each wave ran
-    before, and read-only after:
+    (:meth:`FleetExecutor.plan_for`), so each wave of that shape lays
+    out the same ``s + 1`` rows per pair: ``s = num_masks`` mask rows,
+    then the residual row.  Built once per executor and shape, at the
+    first wave, with the code each wave ran before, and read-only after:
 
     * the row map (:func:`wave_row_map`) of the widest wave seen, built
       at the first wave that needs it (the exact path: a linearity wave
@@ -353,16 +333,15 @@ class _PlanLayout:
       first ``P * (s + 1)`` rows (:meth:`rows`), so the arrays grow only
       with a wider wave;
     * ``rows_per_chunk``, the window a wave streams at;
-    * ``score_plan``, the plan its masks score with by linearity (the
-      one-cell plan for ``elements``), ``window_floats``, the default
-      chunk's window, and ``by_linearity``, whether an ``l2`` wave of
-      float64 pairs at exact precision scores that way (see
+    * ``window_floats``, the default chunk's window, and
+      ``by_linearity``, whether an ``l2`` wave of float64 pairs at exact
+      precision scores its masks by linearity (see
       :meth:`FleetExecutor._compute_wave`).
     """
 
-    def __init__(self, executor: "FleetExecutor", plan: MaskSpec | None, shape) -> None:
+    def __init__(self, executor: "FleetExecutor", plan: MaskSpec, shape) -> None:
         self.plan = plan
-        self.num_masks = 0 if plan is None else plan.num_masks
+        self.num_masks = plan.num_masks
         self.rows_per_chunk = effective_chunk_rows(
             shape, executor.chunk_rows, executor.effective_stack_bytes,
             what="streamed wave chunk",
@@ -373,10 +352,8 @@ class _PlanLayout:
             effective_chunk_rows(shape, None, executor.effective_stack_bytes)
             * shape[0] * shape[1]
         )
-        self.score_plan = MaskSpec.elements(shape) if plan is None else plan
         self.by_linearity = (
-            executor.reduction == "l2"
-            and self.score_plan.cells_per_mask ** 2 <= self.window_floats
+            executor.reduction == "l2" and plan.cells_per_mask ** 2 <= self.window_floats
         )
         self._pairs = 0
 
@@ -441,16 +418,16 @@ class FleetSchedule:
         """Group pairs into waves.
 
         ``plane_shapes[i]`` is pair ``i``'s ``(M, N)`` plane;
-        ``mask_counts[i]`` the number of masks its plan contributes (0
-        for the ``elements`` fast path).  Every pair also contributes
-        one residual row.  Execution streams at most one budget-clamped
-        chunk at a time, so a wave's working set does not grow with the
-        pairs it fuses and bytes never close a wave: waves split only on
-        shape group and ``max_pairs_per_wave``.  A plane too large for
-        ``max_stack_bytes`` to hold even a single ``M x N`` float row
-        raises :class:`~repro.core.masking.MaskStackBudgetError` up
-        front.  An empty fleet plans to an empty schedule -- the service
-        layer's idle drain path.
+        ``mask_counts[i]`` the number of masks its plan contributes.
+        Every pair also contributes one residual row.  Execution streams
+        at most one budget-clamped chunk at a time, so a wave's working
+        set does not grow with the pairs it fuses and bytes never close a
+        wave: waves split only on shape group and ``max_pairs_per_wave``.
+        A plane too large for ``max_stack_bytes`` to hold even a single
+        ``M x N`` float row raises
+        :class:`~repro.core.masking.MaskStackBudgetError` up front.  An
+        empty fleet plans to an empty schedule -- the service layer's
+        idle drain path.
 
         ``dtypes[i]`` is pair ``i``'s dtype key, :func:`wave_dtype_key`
         of its ``(x, y)``; a bare dtype ``d`` stands for
@@ -540,7 +517,7 @@ class CheckedPair:
     x: np.ndarray
     y: np.ndarray
     y_plane: np.ndarray
-    plan: MaskSpec | None
+    plan: MaskSpec
     executor: FleetExecutor = field(repr=False)
 
     def __init__(self, x, y, y_plane, plan, executor) -> None:
@@ -557,18 +534,16 @@ class _WaveNumbers:
 
     ``scores`` holds one score per row of the wave's row map (the
     linearity pass leaves the residual rows NaN, since no score is read
-    there), ``element_scores`` the score grid of each
-    ``elements`` pair scored by linearity (``None`` for the others),
-    ``preds`` each pair's residual prediction and ``residuals`` its fit
-    residual; ``pair_base`` and ``pair_rows`` are each pair's first row
-    and row count, and ``layout`` the wave's :class:`_PlanLayout`.
+    there), ``preds`` each pair's residual prediction and ``residuals``
+    its fit residual; ``pair_base`` and ``pair_rows`` are each pair's
+    first row and row count, and ``layout`` the wave's
+    :class:`_PlanLayout`.
     """
 
     indices: tuple[int, ...]
     plane_shape: tuple[int, int]
     kernels: np.ndarray
     scores: np.ndarray
-    element_scores: list
     preds: np.ndarray
     residuals: np.ndarray
     pair_base: list
@@ -602,9 +577,9 @@ class FleetExecutor:
     :class:`~repro.hw.pod.TpuPod` device) resolves to the executing
     :attr:`device`: :class:`~repro.core.pipeline.ExplanationPipeline`
     and :class:`~repro.serve.loop.ExplanationService` build an executor
-    and run on its device.  ``granularity``
-    selects the mask family, ``block_shape`` the tile size for
-    ``blocks``, ``eps``/``embedding`` configure the distillation solve
+    and run on its device.  ``granularity`` selects the mask family
+    (:meth:`plan_for`), ``block_shape`` the tile size for ``blocks``,
+    ``eps``/``embedding`` configure the distillation solve
     (a negative or non-finite ``eps`` raises here, see
     :func:`check_eps`), ``reduction``/``fill_value`` the Eq. 5 scoring
     (a fill that is not a finite real number raises here, see
@@ -615,9 +590,8 @@ class FleetExecutor:
     per chunk (default
     :data:`~repro.core.masking.DEFAULT_CHUNK_ROWS`, clamped to the
     budget).  ``precision`` selects the numeric mode of each wave's
-    batched convolution (see the module docstring); quantizing
-    precisions reject the ``elements`` granularity, whose linearity
-    fast path quantization breaks.  ``num_chips``, ``hbm_bytes``,
+    batched convolution (see the module docstring), at every
+    granularity.  ``num_chips``, ``hbm_bytes``,
     ``max_pairs_per_wave``, ``chunk_rows`` and ``max_stack_bytes`` must
     be integers of at least 1 (not ``bool``) when given
     (:func:`~repro.hw.pod.is_count`); any other value raises
@@ -637,9 +611,7 @@ class FleetExecutor:
     ``device.program`` scope per pricing target, whose infeed is its
     pairs' data and whose outfeed their score planes
     (:meth:`_price_share`); the ledger prices one convolution per mask
-    row however the host scored it.  The ``elements`` granularity
-    contributes only its residual row and scores by linearity, with
-    ``fill_value`` as the occluded value.
+    row however the host scored it.
     """
 
     def __init__(
@@ -688,7 +660,6 @@ class FleetExecutor:
                     f"{name} must be positive: None or an integer >= 1, got {value!r}"
                 )
         self.precision = resolve_precision(precision)
-        check_precision_granularity(self.precision, granularity)
         check_eps(eps)
         # Pod resolution: an explicit TpuPod device wins; otherwise
         # num_chips > 1 replicates the given device into a fresh pod
@@ -725,7 +696,7 @@ class FleetExecutor:
         self.max_stack_bytes = max_stack_bytes
         self.max_pairs_per_wave = max_pairs_per_wave
         self.chunk_rows = chunk_rows
-        self._plans: dict[tuple, MaskSpec | None] = {}  # plan_for's memo
+        self._plans: dict[tuple, MaskSpec] = {}  # plan_for's memo
         self._layouts: dict[tuple, _PlanLayout] = {}  # _layout's memo
         self._fills: dict = {}  # _fill_for's memo
 
@@ -751,23 +722,21 @@ class FleetExecutor:
             return capacity
         return min(self.max_stack_bytes, capacity)
 
-    def plan_for(self, x: np.ndarray) -> MaskSpec | None:
+    def plan_for(self, x: np.ndarray) -> MaskSpec:
         """The lazy mask plan this executor scores ``x`` with.
 
-        ``None`` for the ``elements`` granularity (linearity fast path:
-        only the residual row).  Built once per plane shape and kept, so
-        every later pair of that shape gets the same
+        One mask per feature: a one-cell mask per element for
+        ``elements`` (:meth:`~repro.core.masking.MaskSpec.elements`, the
+        masks of ``blocks`` with ``(1, 1)`` tiles).  Built once per plane
+        shape and kept, so every later pair of that shape gets the same
         :class:`~repro.core.masking.MaskSpec` object.  Raises
         ``ValueError`` when the plan cannot build, e.g. a block shape
         that does not tile ``x``.
         """
         shape = np.shape(x)
         if shape not in self._plans:
-            self._plans[shape] = (
-                None if self.granularity == "elements"
-                else MaskSpec.for_granularity(
-                    self.granularity, shape, block_shape=self.block_shape
-                )
+            self._plans[shape] = MaskSpec.for_granularity(
+                self.granularity, shape, block_shape=self.block_shape
             )
         return self._plans[shape]
 
@@ -788,7 +757,7 @@ class FleetExecutor:
         """The waves of pairs :meth:`_checked_pairs` returned."""
         return FleetSchedule.plan(
             [pair.x.shape for pair in pairs],
-            [0 if pair.plan is None else pair.plan.num_masks for pair in pairs],
+            [pair.plan.num_masks for pair in pairs],
             max_stack_bytes=self.effective_stack_bytes,
             max_pairs_per_wave=self.max_pairs_per_wave,
             dtypes=[wave_dtype_key(pair.x, pair.y) for pair in pairs],
@@ -901,28 +870,24 @@ class FleetExecutor:
                 for wave in schedule.waves:
                     numbers = self._compute_wave(wave, pairs)
                     self._price_share(self.device, numbers, slice(None), pairs, results)
-                    self._check_wave(numbers, results, problems)
+                    self._check_wave(numbers, problems)
         return FleetRun(
             results=tuple(results), schedule=schedule,
             problems=dict(sorted(problems.items())),
         )
 
     @staticmethod
-    def _check_wave(numbers, results, problems: dict) -> None:
+    def _check_wave(numbers, problems: dict) -> None:
         """Name each pair of an assembled wave whose explanation is not finite.
 
         One pass over the wave's kernels, scores and residuals: an Eq. 4
         solve or reduction that overflows leaves only numpy's
         ``RuntimeWarning``.  A pair's scores are its mask rows of the
-        wave's flat scores; ``elements`` scores, made apart from them,
-        are read from the results.
+        wave's flat scores.
         """
         indices = numbers.indices
-        if numbers.layout.plan is None:
-            scores = np.stack([results[i].scores for i in indices])
-        else:
-            s = numbers.layout.num_masks
-            scores = numbers.scores.reshape(len(indices), s + 1)[:, :s]
+        s = numbers.layout.num_masks
+        scores = numbers.scores.reshape(len(indices), s + 1)[:, :s]
         finite = {
             name: np.isfinite(part).reshape(len(indices), -1).all(axis=1)
             for name, part in (
@@ -951,8 +916,7 @@ class FleetExecutor:
           :func:`~repro.fft.fft2d.rfft2_batch` over the stacked ``[x;
           K]`` gives both half spectra, and one ``irfft2_batch`` of
           their product (``x``'s spectrum the first operand) the
-          predictions.  Its masks, and the cells of an ``elements`` pair,
-          are scored from those residuals by
+          predictions.  Its masks are scored from those residuals by
           :func:`~repro.core.interpretation.l2_scores_by_linearity` (two
           more transforms), and only the masks its guard flags go
           through the windows below (:meth:`_linearity_scores`).  Six
@@ -981,12 +945,9 @@ class FleetExecutor:
         layout = self._layout(wave.plane_shape)
         x_stack = np.stack([pair.x for pair in members])
         y_stack = np.stack([pair.y_plane for pair in members])
-        kernels = _solve_stack(
-            x_stack[:, np.newaxis], y_stack[:, np.newaxis], self.eps, device_chain=True
-        )
+        kernels = _solve_stack(x_stack[:, np.newaxis], y_stack[:, np.newaxis], self.eps)
         sources, fills = self._fill_sources(x_stack, [pair.x for pair in members])
         spec = self.precision
-        element_scores = [None] * num_pairs
         if (
             layout.by_linearity and (spec is None or spec.is_exact)
             and np.isrealobj(sources) and np.isrealobj(kernels)
@@ -999,12 +960,7 @@ class FleetExecutor:
                 wave, layout, sources, fills, kernels, kernel_spectra, y_stack, preds,
             )
             scores = np.full(num_pairs * (layout.num_masks + 1), np.nan)
-            if layout.plan is None:
-                element_scores = list(
-                    mask_scores.reshape(num_pairs, *layout.score_plan.output_shape)
-                )
-            else:
-                scores.reshape(num_pairs, -1)[:, : layout.num_masks] = mask_scores
+            scores.reshape(num_pairs, -1)[:, : layout.num_masks] = mask_scores
         else:
             row_pair, row_slot, is_mask = layout.rows(num_pairs)
             scores = np.empty(row_pair.size)
@@ -1021,7 +977,6 @@ class FleetExecutor:
             plane_shape=wave.plane_shape,
             kernels=kernels,
             scores=scores,
-            element_scores=element_scores,
             preds=preds,
             residuals=_fit_residuals(preds, y_stack),
             pair_rows=[layout.num_masks + 1] * num_pairs,
@@ -1040,14 +995,14 @@ class FleetExecutor:
         path, and a ``fleet.rescore`` instant records how many there were.
         """
         scores, rescore = l2_scores_by_linearity(
-            sources, fills, y_stack - preds, kernel_spectra, layout.score_plan,
+            sources, fills, y_stack - preds, kernel_spectra, layout.plan,
             layout.window_floats,
         )
         row_pair, row_slot = np.nonzero(rescore)
         if not row_pair.size:
             return scores
         for convolved, rows in self._convolve_rows(
-            sources, fills, kernels, layout.score_plan, row_pair, row_slot,
+            sources, fills, kernels, layout.plan, row_pair, row_slot,
             np.ones(row_pair.size, bool), layout.rows_per_chunk,
         ):
             scores[row_pair[rows], row_slot[rows]] = reduce_batch(
@@ -1140,34 +1095,20 @@ class FleetExecutor:
         _record_solve(device, num_pairs, 1, m, n)
         _fleet_span("fleet.solve", device, start, {"pairs": num_pairs})
 
-    def _assemble_results(self, device, numbers, share: slice, pairs, results) -> None:
+    def _assemble_results(self, device, numbers, share: slice, results) -> None:
         """Reassembly of pairs ``share``: fold their scores and residuals.
 
         Each pair's scores are its slice of the wave's flat score
-        vector.  The ``elements`` granularity records its linearity fast
-        path on ``device``: as elementwise work when the wave already
-        scored it (at ``l2``), else by scoring it here.
+        vector, shaped as its plan's score grid.
         """
         start = _span_start(device)
         positions = range(len(numbers.indices))[share]
-        m, n = numbers.plane_shape
         layout = numbers.layout
         for local in positions:
-            pair = pairs[numbers.indices[local]]
-            scores = numbers.element_scores[local]
-            if scores is not None:
-                # The ledger row element_scores_from_base records.
-                device.account_elementwise(m * n, flops_per_element=2.0, count=m * n)
-            elif layout.plan is None:
-                scores = self._element_scores(
-                    pair.x, numbers.kernels[local], pair.y_plane, numbers.preds[local],
-                    device,
-                )
-            else:
-                base = numbers.pair_base[local]
-                scores = numbers.scores[base : base + layout.num_masks].reshape(
-                    layout.plan.output_shape
-                )
+            base = numbers.pair_base[local]
+            scores = numbers.scores[base : base + layout.num_masks].reshape(
+                layout.plan.output_shape
+            )
             results[numbers.indices[local]] = PairResult(
                 kernel=numbers.kernels[local], scores=scores,
                 residual=float(numbers.residuals[local]),
@@ -1196,7 +1137,7 @@ class FleetExecutor:
             self._price_solve(device, len(indices), m, n)
             device._record_kernel_spectra(len(indices), m, n, spec=self.precision)
             device._record_batch_conv(rows, m, n, spec=self.precision)
-            self._assemble_results(device, numbers, share, pairs, results)
+            self._assemble_results(device, numbers, share, results)
         _fleet_span("fleet.wave", device, start, {"pairs": len(indices), "rows": rows})
         return infeed, outfeed
 
@@ -1236,7 +1177,7 @@ class FleetExecutor:
                     **collectives,
                 )
             )
-            self._check_wave(numbers, results, problems)
+            self._check_wave(numbers, problems)
         pod.commit_run(wave_stats)
 
     def _price_data(self, pod, numbers, chips, pairs, results) -> dict:
@@ -1434,9 +1375,7 @@ class FleetExecutor:
             conv_seconds[chip] = device.batch_conv_seconds(
                 chip_rows[chip], m, n, precision=self.precision
             )
-        # Reassembly on the root (complex elements pairs may re-convolve
-        # eagerly there, as in single-chip execution).
-        self._assemble_results(root, numbers, slice(None), pairs, results)
+        self._assemble_results(root, numbers, slice(None), results)
         spectrum_bytes = m * n * COMPLEX_BYTES
         infeed_seconds = [0.0] * pod.num_chips
         outfeed_seconds = [0.0] * pod.num_chips
@@ -1465,27 +1404,4 @@ class FleetExecutor:
             outfeed_seconds=tuple(outfeed_seconds),
             solve_seconds=solve_seconds,
             gated_body_seconds=gated_body,
-        )
-
-    def _element_scores(self, x, kernel, y_plane, pred, device: Device) -> np.ndarray:
-        """Elements granularity: the linearity fast path's base residual.
-
-        :func:`~repro.core.interpretation.feature_contributions` casts
-        every operand to float64 *before* the base convolution.  For
-        real operands that cast is the identity, so the wave's fused
-        residual row ``pred`` -- computed from the original operands --
-        doubles as the base convolution bit-for-bit.  For complex
-        operands the cast is lossy (numpy discards the imaginary part,
-        with a ComplexWarning), so reusing the complex ``pred`` would
-        diverge from ``feature_contributions``; the cast operands are
-        re-convolved eagerly instead.
-        """
-        x64 = np.asarray(x, dtype=np.float64)
-        kernel64 = np.asarray(kernel, dtype=np.float64)
-        if np.iscomplexobj(x) or np.iscomplexobj(kernel) or np.iscomplexobj(y_plane):
-            pred = device.conv2d_circular(x64, kernel64)
-        base = np.asarray(y_plane, dtype=np.float64) - pred
-        return element_scores_from_base(
-            x64, kernel64, base, reduction=self.reduction, device=device,
-            fill_value=self.fill_value,
         )

@@ -10,13 +10,12 @@ The paper reduces the resulting matrix to a scalar weight per feature
 (Figure 5 colours blocks of an image; Figure 6 weights clock-cycle
 columns of a trace table).  This module provides:
 
-* :func:`feature_contributions` -- scalar scores for *every* element,
-  with a fast path exploiting convolution linearity:
+* :func:`feature_contributions` -- scalar scores for *every* element of
+  one pair, with a fast path exploiting convolution linearity:
   ``Y - X'(*)K = (Y - X(*)K) + x_i * roll(K, i)``, so all features share
-  one base residual and one kernel roll each -- no re-convolutions;
-* :func:`element_scores_from_base` -- that fast path's core, exposed
-  for callers that already hold the unmasked convolution (the
-  wave-fused fleet executor scores it as one more batch row);
+  one base residual and one kernel roll each -- no re-convolutions (the
+  fleet executor scores elements as one-cell masks instead, like every
+  other granularity);
 * :func:`l2_scores_by_linearity` -- the same linearity for the l2 score
   of *any* mask plan, in closed form: each pair needs one correlation
   plane and one autocorrelation plane, and a mask of ``s`` cells
@@ -44,13 +43,7 @@ import functools
 
 import numpy as np
 
-from repro.core.masking import (
-    REDUCTIONS,
-    MaskSpec,
-    check_fill_value,
-    reduce_batch,
-    score_plan,
-)
+from repro.core.masking import REDUCTIONS, MaskSpec, reduce_batch, score_plan
 from repro.fft.convolution import fft_circular_convolve2d
 from repro.fft.fft2d import irfft2_batch, rfft2_batch
 from repro.hw.device import Device
@@ -87,7 +80,9 @@ def feature_contributions(
     ``B = Y - X (*) K``, zeroing element ``(i, j)`` gives
     ``con(x_ij) = B + x_ij * roll(K, (i, j))`` -- one convolution total
     instead of one per feature (the literal per-feature Eq. 5 loop
-    agrees to rounding, asserted by tests).
+    agrees to rounding, asserted by tests).  When ``device`` is given,
+    the base convolution runs on it and the per-feature adds are
+    accounted as elementwise VPU work.
     """
     x = np.asarray(x, dtype=np.float64)
     kernel = np.asarray(kernel, dtype=np.float64)
@@ -97,52 +92,17 @@ def feature_contributions(
         raise ValueError(
             f"unknown reduction {reduction!r}; expected one of {REDUCTIONS}"
         )
+    m, n = x.shape
     if device is None:
         base = y - fft_circular_convolve2d(x, kernel)
     else:
         base = y - device.conv2d_circular(x, kernel)
-    return element_scores_from_base(x, kernel, base, reduction=reduction, device=device)
-
-
-def element_scores_from_base(
-    x: np.ndarray,
-    kernel: np.ndarray,
-    base: np.ndarray,
-    reduction: str = "l2",
-    device: Device | None = None,
-    fill_value: float = 0.0,
-) -> np.ndarray:
-    """Per-element scores from a precomputed base residual ``Y - X (*) K``.
-
-    The linearity fast path's core: replacing element ``(i, j)`` with
-    ``fill_value`` gives ``con(x_ij) = base + (x_ij - fill_value) *
-    roll(K, (i, j))`` (Eq. 5's zeroing at the default fill of 0), so
-    every feature shares the one convolution that produced ``base``.
-    Exposed separately so callers that already hold the unmasked
-    convolution -- the wave-fused fleet executor scores it as one more
-    batch row -- reuse it without a second convolution.  When
-    ``device`` is given, the per-feature adds are accounted as
-    elementwise VPU work.
-    """
-    x = np.asarray(x)
-    kernel = np.asarray(kernel)
-    base = np.asarray(base)
-    _check_operands(x, kernel, base)
-    if reduction not in REDUCTIONS:
-        raise ValueError(
-            f"unknown reduction {reduction!r}; expected one of {REDUCTIONS}"
-        )
-    check_fill_value(fill_value)
-    m, n = x.shape
-    if device is not None:
-        # The fast path's per-feature adds are elementwise VPU work.
         device.account_elementwise(m * n, flops_per_element=2.0, count=m * n)
     scores = np.zeros((m, n))
     for i in range(m):
         rolled_rows = np.roll(kernel, i, axis=0)
         for j in range(n):
-            delta = base + (x[i, j] - fill_value) * np.roll(rolled_rows, j, axis=1)
-            scores[i, j] = _reduce(delta, reduction)
+            scores[i, j] = _reduce(base + x[i, j] * np.roll(rolled_rows, j, axis=1), reduction)
     return scores
 
 

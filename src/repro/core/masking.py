@@ -104,10 +104,9 @@ def check_fill_value(fill_value) -> None:
 
     The single home of the rule, called where a fill enters:
     :class:`~repro.core.fleet.FleetExecutor` at construction (so also
-    the service), :meth:`MaskSpec.apply_chunks` (so also
+    the service) and :meth:`MaskSpec.apply_chunks` (so also
     :func:`score_plan`, the contribution entry points and the occlusion
-    baselines) and
-    :func:`~repro.core.interpretation.element_scores_from_base`.  A
+    baselines).  A
     complex fill would make a real pair's masked planes complex, and a
     NaN or infinite one would score every mask non-finite; a ``bool``
     is a flag, not a fill.  A valid fill is used as given, bits and all.

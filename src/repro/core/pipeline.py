@@ -104,8 +104,7 @@ class ExplanationPipeline:
         Masked planes quantize per plane and kernel spectra per
         component inside the batched convolution; scores match one
         masked convolution per feature at the same precision bit for
-        bit.  Quantizing precisions reject the ``elements``
-        granularity (its linearity fast path assumes exact arithmetic).
+        bit.  Every granularity runs at every precision.
     num_chips, placement, interconnect, hbm_bytes:
         Pod scaling: ``num_chips=K > 1`` replicates
         ``device`` into a :class:`~repro.hw.pod.TpuPod` of K clones

@@ -211,11 +211,12 @@ def frequency_solve(
     ``(P, B, M, N)`` stacks of ``P`` independent batches, returning the
     ``(P, M, N)`` stack of their kernels.  The whole stack goes through
     each transform at once, and every step is per plane, so kernel ``p``
-    is bit-identical to solving batch ``p`` alone.  When ``device`` is
-    given, the solve is priced on it (accumulating simulated time) as
-    the per-op chain of transforms and Hadamard operations -- see
-    :func:`_record_solve`; otherwise the pure-numpy form (real
-    denominator) is used.  At ``eps = 0`` a denominator with an exact
+    is bit-identical to solving batch ``p`` alone.  The arithmetic is
+    one device's chain (:func:`_solve_stack`), so the kernels carry the
+    same bits with or without a ``device``; when one is given, the
+    solve is also priced on it (accumulating simulated time) as the
+    per-op chain of transforms and Hadamard operations -- see
+    :func:`_record_solve`.  At ``eps = 0`` a denominator with an exact
     zero bin raises ``ValueError`` naming the first such kernel (see
     :func:`spectrum_problem`).
 
@@ -229,18 +230,22 @@ def frequency_solve(
             f"inputs and outputs must align, got {x_stack.shape} vs {y_stack.shape}"
         )
     check_eps(eps)
-    kernel = _solve_stack(x_stack, y_stack, eps, device_chain=device is not None)
+    kernel = _solve_stack(x_stack, y_stack, eps)
     if device is not None:
         _record_solve(device, *x_stack.shape)
     return kernel if inputs.ndim == 4 else kernel[0]
 
 
-def _solve_stack(x_stack, y_stack, eps: float, device_chain: bool) -> np.ndarray:
+def _solve_stack(x_stack, y_stack, eps: float) -> np.ndarray:
     """The ``(P, M, N)`` kernels of a ``(P, B, M, N)`` stack, computed unpriced.
 
-    ``device_chain`` selects a device's arithmetic (complex denominator
-    and eps) over the pure-numpy form.  The fleet calls this once per
-    wave and prices each chip's share with :func:`_record_solve`.
+    The arithmetic of a device's op chain (``tests/reference.solve``):
+    complex numerator and denominator, each sum in its promoted dtype
+    and updated in place, in pair order, so only a few stacks are live
+    at once; then the complex ``eps`` added in place and the division.
+    :func:`frequency_solve` calls this with or without a device, and the
+    fleet once per wave, pricing each chip's share with
+    :func:`_record_solve`.
 
     ``x`` and ``y`` go through one :func:`~repro.fft.fft2d.fft2_batch`
     call when they promote to the same dtype (two calls otherwise, so a
@@ -250,7 +255,7 @@ def _solve_stack(x_stack, y_stack, eps: float, device_chain: bool) -> np.ndarray
     its own, so stacking changes no bits.
     """
     all_real = np.isrealobj(x_stack) and np.isrealobj(y_stack)
-    kernels, pairs, m, n = x_stack.shape
+    kernels, pairs = x_stack.shape[:2]
 
     dtype = np.result_type(x_stack, np.float64)
     if dtype == np.result_type(y_stack, np.float64):
@@ -258,36 +263,22 @@ def _solve_stack(x_stack, y_stack, eps: float, device_chain: bool) -> np.ndarray
         x_hat, y_hat = spectra[:kernels], spectra[kernels:]
     else:
         x_hat, y_hat = fft2_batch(x_stack), fft2_batch(y_stack)
-    if not device_chain:
-        numerator = np.zeros((kernels, m, n), dtype=np.complex128)
-        denominator = np.zeros((kernels, m, n), dtype=np.float64)
-        for b in range(pairs):
-            numerator += y_hat[:, b] * np.conj(x_hat[:, b])
-            denominator += np.abs(x_hat[:, b]) ** 2
-        if eps == 0:
-            _check_zero_bins(denominator)
-        kernel_hat = numerator / (denominator + eps)
-    else:
-        # The device's chain: complex denominator and eps, each sum in its
-        # promoted dtype and updated in place, in pair order, so only a
-        # few stacks are live at once.  A sum starts as its first product
-        # plus +0.0, which is what adding it to a zero plane gives, -0.0
-        # parts included.
-        x_conj = np.conj(x_hat[:, 0])
-        numerator = y_hat[:, 0] * x_conj
-        denominator = x_hat[:, 0] * x_conj
-        numerator += 0.0
-        denominator += 0.0
-        for b in range(1, pairs):
-            x_conj = np.conj(x_hat[:, b])
-            numerator += y_hat[:, b] * x_conj
-            denominator += x_hat[:, b] * x_conj
-        del x_hat, y_hat, x_conj
-        if eps == 0:
-            _check_zero_bins(denominator)
-        denominator += np.complex128(eps)
-        kernel_hat = np.divide(numerator, denominator, out=numerator)
-    kernel = ifft2_batch(kernel_hat)
+    # A sum starts as its first product plus +0.0, which is what adding
+    # it to a zero plane gives, -0.0 parts included.
+    x_conj = np.conj(x_hat[:, 0])
+    numerator = y_hat[:, 0] * x_conj
+    denominator = x_hat[:, 0] * x_conj
+    numerator += 0.0
+    denominator += 0.0
+    for b in range(1, pairs):
+        x_conj = np.conj(x_hat[:, b])
+        numerator += y_hat[:, b] * x_conj
+        denominator += x_hat[:, b] * x_conj
+    del x_hat, y_hat, x_conj
+    if eps == 0:
+        _check_zero_bins(denominator)
+    denominator += np.complex128(eps)
+    kernel = ifft2_batch(np.divide(numerator, denominator, out=numerator))
 
     if all_real:
         kernel = np.ascontiguousarray(kernel.real)

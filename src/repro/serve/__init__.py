@@ -51,9 +51,14 @@ EXPORTS = {
         "plan_capacity",
     ),
     "clock": ("SimulatedClock",),
-    "controller": ("BatchController", "nearest_rank_percentile"),
+    "controller": ("BatchController",),
     "loop": ("ExplanationService",),
-    "metrics": ("LatencyLedger", "RequestRecord", "ServiceReport"),
+    "metrics": (
+        "LatencyLedger",
+        "RequestRecord",
+        "ServiceReport",
+        "nearest_rank_percentile",
+    ),
     "workload": ("Request", "bursty_requests", "poisson_requests"),
 }
 

@@ -27,9 +27,10 @@ and steers that key's policy toward a configurable p95 target:
   (clamped to ``min_batch_pairs``).
 * **max wait, AIMD against the p95 estimate** -- the controller keeps
   a sliding window of recent latencies per key and estimates
-  nearest-rank p95 exactly as :class:`~repro.serve.metrics
-  .LatencyLedger` reports it.  Over target with the *window* component
-  dominant: multiplicative decrease (the wait is the latency).  Over
+  nearest-rank p95 with the function
+  :class:`~repro.serve.metrics.LatencyLedger` reports it with
+  (:func:`~repro.serve.metrics.nearest_rank_percentile`).  Over target
+  with the *window* component dominant: multiplicative decrease (the wait is the latency).  Over
   target with the *queue* component dominant and the batch not full:
   additive increase (requests queue because dispatches are too
   frequent to amortize -- coalescing harder sheds launch overhead).
@@ -50,20 +51,10 @@ completed records.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 
-
-def nearest_rank_percentile(latencies, p: float) -> float:
-    """Nearest-rank percentile (the ledger's definition; 0 when empty)."""
-    if not 0 < p <= 100:
-        raise ValueError(f"percentile must lie in (0, 100], got {p}")
-    ordered = sorted(latencies)
-    if not ordered:
-        return 0.0
-    rank = max(1, math.ceil(p / 100.0 * len(ordered)))
-    return ordered[rank - 1]
+from repro.serve.metrics import nearest_rank_percentile
 
 
 @dataclass

@@ -41,12 +41,7 @@ any wave, or answered from cache -- batching and caching change only
 
 from __future__ import annotations
 
-from repro.core.fleet import (
-    GRANULARITIES,
-    FleetExecutor,
-    check_precision_granularity,
-    feed_bytes,
-)
+from repro.core.fleet import GRANULARITIES, FleetExecutor, feed_bytes
 from repro.core.masking import DEFAULT_STACK_BUDGET_BYTES
 from repro.core.transform import OutputEmbedding
 from repro.hw.device import Device
@@ -285,9 +280,9 @@ class ExplanationService:
         validates each distinct triple once, not once per request (an
         unhashable override simply skips the memo).  Raises
         ``ValueError`` when the overrides cannot resolve: an unknown
-        granularity or precision, ``blocks`` without a block shape of
-        integers, or ``elements`` at a lossy precision; :meth:`process`
-        rejects such a request at arrival.
+        granularity or precision, or ``blocks`` without a block shape of
+        integers; :meth:`process` rejects such a request at arrival.
+        Every granularity runs at every precision.
         """
         token: tuple | None
         try:
@@ -337,7 +332,6 @@ class ExplanationService:
         spec = resolve_precision(
             request.precision if request.precision is not None else self.precision
         )
-        check_precision_granularity(spec, granularity)
         return BatchKey(
             granularity=granularity,
             block_shape=block_shape,

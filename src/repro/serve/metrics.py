@@ -25,6 +25,19 @@ from repro.hw.device import DeviceStats
 STATUSES = ("completed", "rejected")
 
 
+def nearest_rank_percentile(latencies, p: float) -> float:
+    """Nearest-rank percentile of ``latencies`` (0 when empty), so the
+    value is one actually observed: the ledger's and the controller's
+    one definition."""
+    if not 0 < p <= 100:
+        raise ValueError(f"percentile must lie in (0, 100], got {p}")
+    ordered = sorted(latencies)
+    if not ordered:
+        return 0.0
+    rank = max(1, math.ceil(p / 100.0 * len(ordered)))
+    return ordered[rank - 1]
+
+
 @dataclass(frozen=True, init=False)
 class RequestRecord:
     """One request's lifecycle, timestamped by the simulated clock.
@@ -127,13 +140,7 @@ class LatencyLedger:
 
     def percentile_for(self, batch_key: tuple, p: float) -> float:
         """Nearest-rank percentile over one batch key's completions."""
-        if not 0 < p <= 100:
-            raise ValueError(f"percentile must lie in (0, 100], got {p}")
-        latencies = self.latencies_for(batch_key)
-        if not latencies:
-            return 0.0
-        rank = max(1, math.ceil(p / 100.0 * len(latencies)))
-        return latencies[rank - 1]
+        return nearest_rank_percentile(self.latencies_for(batch_key), p)
 
     def batch_keys(self) -> list[tuple]:
         """Every batch key on the ledger, in first-appearance order."""
@@ -148,13 +155,7 @@ class LatencyLedger:
     # ------------------------------------------------------------------
     def percentile(self, p: float) -> float:
         """Nearest-rank percentile of completed latencies (0 when none)."""
-        if not 0 < p <= 100:
-            raise ValueError(f"percentile must lie in (0, 100], got {p}")
-        latencies = self.latencies()
-        if not latencies:
-            return 0.0
-        rank = max(1, math.ceil(p / 100.0 * len(latencies)))
-        return latencies[rank - 1]
+        return nearest_rank_percentile(self.latencies(), p)
 
     def signature(self) -> tuple:
         """The ledger as plain tuples: the determinism contract.

@@ -1,7 +1,7 @@
 """Fleet-scale wave fusion: schedule planning, slice tables, execution."""
 
 import dataclasses
-import warnings
+import itertools
 
 import numpy as np
 import pytest
@@ -18,8 +18,8 @@ from repro.core import (
 from repro.core import fleet
 from repro.core.distillation import ConvolutionDistiller
 from repro.core.fleet import wave_dtype_key, wave_row_map
-from repro.core.interpretation import feature_contributions, l2_scores_by_linearity
-from repro.core.masking import DEFAULT_CHUNK_ROWS
+from repro.core.interpretation import l2_scores_by_linearity
+from repro.core.masking import DEFAULT_CHUNK_ROWS, REDUCTIONS
 from repro.core.transform import OutputEmbedding, frequency_solve
 from repro.fft import fft_circular_convolve2d, kernel_spectrum_cache_info, rfft2_batch
 from repro.hw.cpu import CpuDevice
@@ -382,7 +382,11 @@ class TestPairContract:
         assert executor.plan_for(np.zeros((8, 8))) is plan
         assert executor.plan_for(np.ones((4, 4))) is not plan
         assert executor.check_pair(*planted_pairs(1)[0]).plan is plan
-        assert FleetExecutor(CpuDevice(), granularity="elements").plan_for(np.ones((8, 8))) is None
+        elements = FleetExecutor(CpuDevice(), granularity="elements")
+        plan = elements.plan_for(np.ones((8, 8)))
+        assert plan == MaskSpec.elements((8, 8))
+        assert elements.plan_for(np.zeros((8, 8))) is plan
+        assert elements.check_pair(*planted_pairs(1)[0]).plan is plan
 
     def test_own_checked_pairs_run_without_a_second_check(self, check_pair_calls):
         pairs = planted_pairs(3)
@@ -474,29 +478,23 @@ class TestNonFiniteExplanations:
         scores = numbers.scores.copy()
         scores[masks] = scores[masks + 1] = np.nan
         problems = {}
-        FleetExecutor._check_wave(dataclasses.replace(numbers, scores=scores), [], problems)
+        FleetExecutor._check_wave(dataclasses.replace(numbers, scores=scores), problems)
         assert problems == {1: "the explanation holds non-finite values (scores)"}
 
-    def test_elements_scores_made_at_assembly_are_checked(self, monkeypatch):
-        """A complex y keeps elements off the l2 scorer: its scores are
-        made at assembly, and only they overflow."""
-        assembled = []
-        element_scores = fleet.FleetExecutor._element_scores
-
-        def spied(self, x, *args):
-            assembled.append(x)
-            return element_scores(self, x, *args)
-
-        monkeypatch.setattr(fleet.FleetExecutor, "_element_scores", spied)
-        pairs = planted_pairs(3)
-        pairs[1] = (pairs[1][0], pairs[1][1] * 1e154 + 0j)
-        with warnings.catch_warnings():
-            # The fast path casts complex operands to float64 (numpy's
-            # ComplexWarning), and the cast pair overflows.
-            warnings.simplefilter("ignore")
-            run = FleetExecutor(CpuDevice(), granularity="elements").run(pairs)
-        assert [x is pairs[1][0] for x in assembled] == [True]
-        assert run.problems == {1: "the explanation holds non-finite values (scores)"}
+    def test_elements_pair_whose_scores_overflow_is_named(self):
+        """An elements pair whose one-cell scores overflow is named, and
+        its wave mates score as they do alone: real pairs (scored by
+        linearity) and complex ones (one convolution per cell)."""
+        executor = FleetExecutor(CpuDevice(), granularity="elements")
+        for lift in (1.0, 1.0 + 0j):
+            pairs = [(x, y * lift) for x, y in planted_pairs(3)]
+            pairs[1] = (pairs[1][0], pairs[1][1] * 1e154)
+            with np.errstate(over="ignore", invalid="ignore"):
+                run = executor.run(pairs)
+            assert run.schedule.num_waves == 1
+            assert run.problems == {1: "the explanation holds non-finite values (scores)"}
+            alone = executor.run([pairs[0], pairs[2]])
+            assert_same_explanations([run.results[0], run.results[2]], alone.results)
 
     def test_pipeline_raises_naming_the_first_such_pair(self):
         pairs = planted_pairs(4)
@@ -556,27 +554,12 @@ class TestComplexOperands:
     ])
     def test_complex_pairs_wave_equals_pair(self, granularity, kwargs):
         pairs = self._complex_pairs()
-        with warnings.catch_warnings():
-            # The elements fast path casts complex operands to float64
-            # (numpy ComplexWarning), in the wave and in
-            # feature_contributions alike; equivalence is what this
-            # test asserts.
-            warnings.simplefilter("ignore")
-            run = ExplanationPipeline(
-                CpuDevice(), granularity=granularity, eps=1e-8, **kwargs,
-            ).run(pairs)
-            if granularity == "elements":
-                expected = []
-                for x, y in pairs:
-                    (pair,) = reference.explain_all(
-                        [(x, y)], device=CpuDevice(), granularity="columns", eps=1e-8
-                    )
-                    scores = feature_contributions(x, pair.kernel, y, device=CpuDevice())
-                    expected.append(reference.Explanation(pair.kernel, scores, pair.residual))
-            else:
-                expected = reference.explain_all(
-                    pairs, device=CpuDevice(), granularity=granularity, eps=1e-8
-                )
+        run = ExplanationPipeline(
+            CpuDevice(), granularity=granularity, eps=1e-8, **kwargs,
+        ).run(pairs)
+        expected = reference.explain_all(
+            pairs, device=CpuDevice(), granularity=granularity, eps=1e-8
+        )
         assert_same_explanations(run.explanations, expected)
 
     def test_real_and_complex_pairs_never_share_a_wave(self):
@@ -732,8 +715,57 @@ class TestFleetLeavesKernelSpectrumCache:
         assert kernel_spectrum_cache_info() == before
 
 
+class TestElementsAreOneCellBlocks:
+    """``elements`` is ``blocks`` with ``(1, 1)`` tiles: the same masks
+    down the same path, so the same scores, kernels, residuals and
+    ledgers, bit for bit, on every device, placement, reduction,
+    precision and pair dtype."""
+
+    DEVICES = {
+        "cpu": lambda: dict(device=CpuDevice()),
+        "tpu": lambda: dict(device=small_backend()),
+        "pod-data": lambda: dict(device=small_backend(), num_chips=2, placement="data"),
+        "pod-chunk": lambda: dict(device=small_backend(), num_chips=2, placement="chunk"),
+        "pod-wave": lambda: dict(device=small_backend(), num_chips=2, placement="wave"),
+    }
+
+    @staticmethod
+    def _pairs(shape, dtype):
+        pairs = planted_pairs(3, shape=shape, seed=41)
+        if dtype == "complex128":
+            return [(x, y + 0.5j * np.roll(y, 1)) for x, y in pairs]
+        return [(x.astype(dtype), y.astype(dtype)) for x, y in pairs]
+
+    @staticmethod
+    def _ledger(device):
+        if isinstance(device, TpuPod):
+            return device.stats, device.chip_stats, device.collective_log, device.commit_log
+        return device.stats
+
+    @pytest.mark.parametrize("shape", [(6, 6), (5, 7)], ids=["square", "odd"])
+    @pytest.mark.parametrize("device", sorted(DEVICES))
+    def test_elements_equal_one_cell_blocks(self, device, shape):
+        for reduction, precision, dtype in itertools.product(
+            REDUCTIONS, [None, "fp32", "bf16", "int8"], ["float64", "float32", "complex128"]
+        ):
+            pairs = self._pairs(shape, dtype)
+            outcomes = []
+            for options in (
+                dict(granularity="elements"), dict(granularity="blocks", block_shape=(1, 1))
+            ):
+                executor = FleetExecutor(
+                    reduction=reduction, precision=precision, max_pairs_per_wave=2,
+                    **self.DEVICES[device](), **options,
+                )
+                outcomes.append((executor.run(pairs), self._ledger(executor.device)))
+            (elements, elements_ledger), (blocks, blocks_ledger) = outcomes
+            assert_same_explanations(elements.results, blocks.results)
+            assert elements.problems == blocks.problems == {}
+            assert elements_ledger == blocks_ledger
+
+
 class TestElementsFillValue:
-    """The ``elements`` fast path replaces each element with ``fill_value``."""
+    """An ``elements`` fleet replaces each element with ``fill_value``."""
 
     @pytest.mark.parametrize("fill_value", [0.5, -2.0])
     def test_scores_match_reference(self, fill_value):
@@ -893,27 +925,20 @@ class TestL2ByLinearity:
         assert_same_explanations(run.results, expected)
 
     def test_elements_score_through_the_l2_scorer(self, monkeypatch):
-        """``elements`` at l2 takes the scorer instead of the per-element
-        loop, and keeps that loop's elementwise ledger row."""
+        """``elements`` at l2 scores its one-cell plan with the scorer and
+        at l1 convolves every cell; the ledger prices one convolution per
+        cell either way, so the two runs' ledgers are equal."""
         calls = self._spy(monkeypatch)
-        looped = []
-        element_scores = fleet.FleetExecutor._element_scores
-
-        def spied(self, *args):
-            looped.append(args)
-            return element_scores(self, *args)
-
-        monkeypatch.setattr(fleet.FleetExecutor, "_element_scores", spied)
         pairs = planted_pairs(2)
         stats = {}
         for reduction in ("l2", "l1"):
             device = small_backend()
             FleetExecutor(device, granularity="elements", reduction=reduction).run(pairs)
             stats[reduction] = device.take_stats()
-        assert len(calls) == 1 and len(looped) == 2  # the l1 run's pairs
+            assert [args[4] for args in calls] == [MaskSpec.elements((8, 8))]
         assert stats["l2"].op_counts == stats["l1"].op_counts
         assert stats["l2"].op_seconds == stats["l1"].op_seconds
-        assert stats["l2"].op_counts["elementwise_accounted"] == 2
+        assert "elementwise_accounted" not in stats["l2"].op_counts
 
 
 class TestEpsValidation:

@@ -67,19 +67,10 @@ class TestFeatureContributions:
         with pytest.raises(ValueError, match="must share one shape"):
             feature_contributions(x, kernel[:, :3], y)
 
-    def test_scores_from_base_validate_like_the_full_entry_point(self):
-        from repro.core.interpretation import element_scores_from_base
-
+    def test_unknown_reduction_is_named(self):
         x, kernel, y = fitted_setup(shape=(4, 4), seed=10)
-        base = y - fft_circular_convolve2d(x, kernel)
-        np.testing.assert_array_equal(
-            element_scores_from_base(x, kernel, base),
-            feature_contributions(x, kernel, y),
-        )
-        with pytest.raises(ValueError, match="must share one shape"):
-            element_scores_from_base(x, kernel, base[:2])
         with pytest.raises(ValueError, match="unknown reduction 'median'"):
-            element_scores_from_base(x, kernel, base, reduction="median")
+            feature_contributions(x, kernel, y, reduction="median")
 
     def test_device_timing_accounted(self):
         device = CpuDevice()

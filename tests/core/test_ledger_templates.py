@@ -100,7 +100,7 @@ def configurations(draw):
         placement=draw(st.sampled_from(["data", "chunk", "wave"])),
         granularity=granularity,
         block_shape=block_shape,
-        precision=draw(st.sampled_from(exact if granularity == "elements" else exact + ["int8", "bf16"])),
+        precision=draw(st.sampled_from(exact + ["int8", "bf16"])),
         reduction=draw(st.sampled_from(["l1", "l2"])),
         complex_y=draw(st.booleans()),
         max_pairs_per_wave=draw(st.sampled_from([None, 1, 2, 3])),
@@ -142,9 +142,6 @@ def run_bits(run, device):
     return result_bits(run), ledger_bits(device)
 
 
-# The elements path casts a complex ``y`` to float64 (numpy's
-# ComplexWarning) in every run alike; the runs' equality is the test.
-@pytest.mark.filterwarnings("ignore:Casting complex values to real")
 @settings(deadline=None)
 @given(configurations())
 def test_warm_cold_and_per_row_pricing_agree_bit_for_bit(config):

@@ -540,7 +540,6 @@ def _fill_entry_points():
     from repro.core import (
         block_contributions,
         column_contributions,
-        element_scores_from_base,
         row_contributions,
     )
     from repro.serve import ExplanationService
@@ -567,9 +566,6 @@ def _fill_entry_points():
             x, kernel, y, fill_value=fill
         ),
         "row_contributions": lambda fill: row_contributions(x, kernel, y, fill_value=fill),
-        "element_scores_from_base": lambda fill: element_scores_from_base(
-            x, kernel, y - fft_circular_convolve2d(x, kernel), fill_value=fill
-        ),
         "occlusion_plan_saliency": lambda fill: occlusion_plan_saliency(
             model, x, plan, fill_value=fill
         ),

@@ -59,7 +59,7 @@ def configurations(draw):
             draw(st.sampled_from(divisors(shape[1]))),
         )
     exact = [None, "fp64"]
-    precision = draw(st.sampled_from(exact if granularity == "elements" else exact + ["bf16", "int8"]))
+    precision = draw(st.sampled_from(exact + ["bf16", "int8"]))
     return dict(
         shape=shape,
         granularity=granularity,

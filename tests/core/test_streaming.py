@@ -614,13 +614,22 @@ class TestQuantizedStreaming:
             seconds[name] = run.simulated_seconds
         assert seconds["int8"] < seconds["fp64"]
 
-    def test_quantizing_precision_rejects_elements_granularity(self):
-        with pytest.raises(ValueError, match="linearity"):
-            ExplanationPipeline(
-                small_backend(), granularity="elements", precision="int8"
-            )
-        with pytest.raises(ValueError, match="linearity"):
-            FleetExecutor(small_backend(), granularity="elements", precision="bf16")
+    def test_quantizing_precisions_score_elements_as_one_cell_blocks(self):
+        """``elements`` at int8 and bf16 builds, and scores, prices and
+        fits bit for bit like ``blocks`` with ``(1, 1)`` tiles."""
+        pairs = planted_pairs(2, seed=15)
+        for precision in ("int8", "bf16"):
+            runs = [
+                ExplanationPipeline(
+                    small_backend(), eps=1e-8, precision=precision, **options
+                ).run(pairs)
+                for options in (
+                    dict(granularity="elements"),
+                    dict(granularity="blocks", block_shape=(1, 1)),
+                )
+            ]
+            assert_same_explanations(runs[0].explanations, runs[1].explanations)
+            assert runs[0].stats == runs[1].stats
 
     def test_unknown_precision_rejected_with_vocabulary(self):
         with pytest.raises(ValueError, match="int8"):

@@ -118,6 +118,35 @@ class TestExactRecovery:
             frequency_solve(np.ones(4), np.ones(4))
 
 
+class TestOneArithmetic:
+    """Eq. 4 has one arithmetic: a solve without a device computes the
+    device chain's numbers (complex denominator, eps added in place),
+    bit for bit."""
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-6, 0.3])
+    @pytest.mark.parametrize("pairs", [1, 3])
+    @pytest.mark.parametrize("shape", [(8, 8), (9, 7), (16, 16)])
+    def test_device_less_solve_equals_the_device_chain(self, shape, pairs, eps):
+        xs = np.stack([well_conditioned_input(shape, seed) for seed in range(pairs)])
+        ys = np.random.default_rng(pairs).standard_normal((pairs, *shape))
+        kernel = frequency_solve(xs, ys, eps=eps)
+        np.testing.assert_array_equal(
+            kernel, frequency_solve(xs, ys, eps=eps, device=CpuDevice())
+        )
+        np.testing.assert_array_equal(kernel, reference.solve(xs, ys, eps, CpuDevice()))
+
+    def test_complex_pair(self):
+        rng = np.random.default_rng(5)
+        x = well_conditioned_input((6, 5), seed=6) + 1j * rng.standard_normal((6, 5))
+        y = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+        kernel = frequency_solve(x, y, eps=1e-6)
+        assert np.iscomplexobj(kernel)
+        np.testing.assert_array_equal(
+            kernel, frequency_solve(x, y, eps=1e-6, device=CpuDevice())
+        )
+        np.testing.assert_array_equal(kernel, reference.solve([x], [y], 1e-6, CpuDevice()))
+
+
 class TestStackedSolve:
     """One solve over a ``(P, B, M, N)`` stack: ``P`` kernels from ``B`` pairs each."""
 

@@ -181,17 +181,15 @@ def explain_all(pairs, device=None, **options):
     return explanations
 
 
-def by_linearity(x, y, granularity, reduction="l2", precision=None):
+def by_linearity(x, y, reduction="l2", precision=None):
     """Whether the fleet scores ``(x, y)`` by linearity, not one convolution per mask.
 
-    ``elements`` plans always are; other plans are at the ``l2``
+    Every granularity's plan is, ``elements`` included, at the ``l2``
     reduction and an exact precision when the pair keys as ``(float64,
     float64, float64)`` (:func:`repro.core.fleet.wave_dtype_key`).  (A
     plan too wide for the fleet's window memory is convolved anyway,
     which meets the tolerance trivially.)
     """
-    if granularity == "elements":
-        return True
     spec = resolve_precision(precision)
     return (
         reduction == "l2" and (spec is None or spec.is_exact)
@@ -205,9 +203,7 @@ def relative_error(actual, expected):
     return np.max(np.abs(actual - expected)) / scale if scale else np.max(np.abs(actual))
 
 
-def assert_matches(
-    results, expected, pairs, granularity, reduction="l2", precision=None, **_
-):
+def assert_matches(results, expected, pairs, reduction="l2", precision=None, **_):
     """Fleet ``results`` for ``pairs`` match this loop's ``expected``.
 
     Kernels and residuals bit for bit; scores bit for bit, or within
@@ -219,7 +215,7 @@ def assert_matches(
         np.testing.assert_array_equal(result.kernel, want.kernel)
         assert result.residual == want.residual
         assert result.scores.shape == want.scores.shape
-        if by_linearity(np.asarray(x), np.asarray(y), granularity, reduction, precision):
+        if by_linearity(np.asarray(x), np.asarray(y), reduction, precision):
             assert relative_error(result.scores, want.scores) <= SCORE_TOLERANCE
         else:
             np.testing.assert_array_equal(result.scores, want.scores)

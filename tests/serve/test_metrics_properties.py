@@ -1,8 +1,8 @@
 """Property tests pinning the ledger's nearest-rank percentiles.
 
 The existing suite spot-checks fixed ledgers; these tests pin
-:meth:`LatencyLedger.percentile` (and the controller's twin,
-:func:`nearest_rank_percentile`) against a brute-force reference over
+:meth:`LatencyLedger.percentile` (and :func:`nearest_rank_percentile`,
+which it and the controller call) against a brute-force reference over
 hypothesis-generated latency sets.  The reference is deliberately
 definition-shaped rather than formula-shaped: the nearest-rank p-th
 percentile is the *smallest observed value* for which at least ``p``
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serve import LatencyLedger, RequestRecord
-from repro.serve.controller import nearest_rank_percentile
+from repro.serve.metrics import nearest_rank_percentile
 
 latency_lists = st.lists(
     st.floats(

@@ -414,12 +414,28 @@ class TestRequestValidation:
         assert record.batch_key == ()
         assert report.ledger.batch_keys() == [("blocks", BLOCK, None)]
 
-    def test_lossy_precision_rejects_elements_granularity(self):
-        requests, bad = self._replaced(
+    def test_elements_at_a_lossy_precision_completes_under_its_own_key(self):
+        """An ``elements`` request at int8 is one-cell masks at int8: it
+        completes under its own batch key, bit for bit as a solo executor
+        run, and its co-requests complete unmoved."""
+        requests, odd = self._replaced(
             trace(count=6, seed=16), 4, granularity="elements", precision="int8"
         )
         report = make_service().process(requests)
-        assert self._check_one_rejected(report, bad, "linearity").batch_key == ()
+        records = {record.request_id: record for record in report.ledger.records}
+        assert [record.status for record in records.values()] == ["completed"] * 6
+        assert records[odd].batch_key == ("elements", None, "int8")
+        (solo,) = FleetExecutor(
+            small_backend(), granularity="elements", eps=1e-8, precision="int8"
+        ).run([(requests[4].x, requests[4].y)]).results
+        served = report.results_by_id()
+        clean = make_service().process([r for r in requests if r.request_id != odd])
+        expected = {**clean.results_by_id(), odd: solo}
+        assert served.keys() == expected.keys()
+        for request_id, result in expected.items():
+            np.testing.assert_array_equal(served[request_id].scores, result.scores)
+            np.testing.assert_array_equal(served[request_id].kernel, result.kernel)
+            assert served[request_id].residual == result.residual
 
     @pytest.mark.parametrize(
         "overrides, reason",
