@@ -1,12 +1,12 @@
-"""Host wall-clock hot path: real-input rFFT + kernel-spectrum cache.
+"""Host wall-clock hot path: real-input rFFT, kernel spectra per call.
 
 Every other benchmark in this directory reports *simulated* device
 seconds from the cost model.  This one times the host itself: real
 ``time.perf_counter`` wall-clock for the numpy hot path that every
 simulated backend ultimately runs -- real-input convolutions through
-half-spectrum ``rfft2``/``irfft2`` transforms, kernel spectra from the
-process-level content-addressed cache (``score_plan``) or, for a fleet
-wave's fresh kernels, transformed by the wave itself.
+half-spectrum ``rfft2``/``irfft2`` transforms, each call's real kernels
+transformed once by the call itself (``score_plan`` and a fleet wave
+alike), never looked up in the process-level kernel-spectrum cache.
 
 Three workloads cover the stack: a single-pair ``score_plan`` (one
 mask plan, one kernel), a 100-pair :class:`FleetExecutor` fleet on
@@ -98,10 +98,8 @@ def serve_service():
 
 
 def _best_of(fn, repeats=REPEATS):
-    """Min-of-N wall-clock; the first (untimed) call warms the caches.
-
-    That is the kernel-spectrum cache and ``numpy.fft``'s own plan cache.
-    """
+    """Min-of-N wall-clock; the first (untimed) call warms ``numpy.fft``'s
+    own plan cache (no workload reads the kernel-spectrum cache)."""
     fn()
     best = float("inf")
     for _ in range(repeats):
@@ -172,7 +170,7 @@ def test_streamed_loop_parity_on_real_path():
 def _report(timings, cache_info, fleet_changed_cache) -> str:
     lines = [
         "HOST WALL-CLOCK HOT PATH (time.perf_counter seconds, best of N; "
-        "real = rFFT + spectrum cache)",
+        "real = rFFT, kernel spectra per call)",
         f"{'workload':>12s} {'real(s)':>9s}",
     ]
     for name, row in timings.items():

@@ -97,11 +97,15 @@ class TpuBackend(Device):
 
         Pod replication (:func:`repro.hw.pod.clone_device`) calls this.
         A chip is its immutable configuration, which the clone shares,
-        so it prices as this backend does; nothing mutable is shared --
-        its ledger and cores start clean, and it builds no cores.
+        so it prices as this backend does; its ledger and cores start
+        clean, and it builds no cores.  It also shares this backend's
+        ledger templates (:meth:`~repro.hw.device.Device.ledger_template`):
+        a template key names everything its rows depend on besides the
+        configuration, so the chips of a pod price each template once.
         ``hbm_bytes`` overrides the clone's aggregate HBM capacity (split
         evenly across its cores), the per-chip capacity knob of
-        heterogeneous pod construction.
+        heterogeneous pod construction; such a clone has another
+        configuration and keeps templates of its own.
         """
         config = self.chip.config
         hbm_bytes = check_hbm_bytes(hbm_bytes)
@@ -113,7 +117,10 @@ class TpuBackend(Device):
                     hbm_capacity_bytes=max(1, hbm_bytes // config.num_cores),
                 ),
             )
-        return TpuBackend(TpuChip(config))
+        clone = TpuBackend(TpuChip(config))
+        if hbm_bytes is None:
+            clone._templates = self._templates
+        return clone
 
     @property
     def launch_latency_seconds(self) -> float:

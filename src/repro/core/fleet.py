@@ -25,12 +25,14 @@ one infeed and one batched convolution per *wave* of pairs:
   on the ``l2`` path below, its correlation and autocorrelation too)
   regardless of how many masks a wave fuses.  A window holds its rows'
   ``x`` planes with each mask's band of occluded rows
-  (:meth:`~repro.core.masking.MaskSpec.bands_at`) patched in, and
-  streams through
-  :func:`~repro.fft.convolution.fft_circular_convolve2d_chunks`, the
-  one windowed convolution (row transforms then column transforms,
-  Sec. III-C, Eq. 7-8, on **bin-major** spectra: for each bin of the
-  row transform, every plane's column contiguous).
+  (:meth:`~repro.core.masking.MaskSpec.bands_at`) patched in, built by
+  :func:`~repro.core.masking.masked_windows`, the one builder of masked
+  planes, and streams through
+  :func:`~repro.core.masking.convolve_windows`, the one windowed
+  convolution (row transforms then column transforms, Sec. III-C,
+  Eq. 7-8, on **bin-major** spectra: for each bin of the row
+  transform, every plane's column contiguous), which
+  :func:`~repro.core.masking.score_plan` runs for one pair.
 
 Every wave is **computed once on the host, whatever its placement,
 and then priced**: each pricing target (the device itself on one chip;
@@ -156,7 +158,10 @@ from repro.core.masking import (
     REDUCTIONS,
     check_fill_value,
     check_stack_budget,
+    convolve_windows,
     effective_chunk_rows,
+    fill_for,
+    fill_sources,
     reduce_batch,
 )
 from repro.core.transform import (
@@ -166,9 +171,7 @@ from repro.core.transform import (
     check_eps,
     spectrum_problem,
 )
-from repro.fft.convolution import fft_circular_convolve2d_chunks
 from repro.fft.fft2d import irfft2_batch, rfft2_batch
-from repro.fft.spectra import KernelSpectrum
 from repro.hw.device import Device, shard_slices
 from repro.hw.pod import PodWaveStats, TpuPod, check_hbm_bytes, check_num_chips, is_count
 from repro.hw.quantize import resolve_precision
@@ -604,7 +607,7 @@ class FleetExecutor:
     several pairs, each window built from its masks' row bands and
     reduced to scores at once, so neither the bool mask stack nor the
     masked float stack ever exists in full; every window streams
-    through :func:`~repro.fft.convolution.fft_circular_convolve2d_chunks`.
+    through :func:`~repro.core.masking.convolve_windows`.
     An ``l2`` wave of float64 pairs at exact precision convolves only
     its residual rows and scores its masks by linearity (see the module
     docstring).  Then the wave is priced: one
@@ -926,10 +929,8 @@ class FleetExecutor:
           each pair's masked variants followed by its unmasked residual
           plane, as :func:`wave_row_map` lays it out -- streams as
           masked planes in ``rows_per_chunk`` windows that may span
-          pairs (:meth:`_masked_windows`) through
-          :func:`~repro.fft.convolution.fft_circular_convolve2d_chunks`
-          (:meth:`_convolve_rows`), and each window is scored with one
-          reduction.
+          pairs through :func:`~repro.core.masking.convolve_windows`,
+          and each window is scored with one reduction.
 
         Every line of every transform is transformed on its own, so the
         two passes give the same predictions bit for bit.  Everything
@@ -946,7 +947,7 @@ class FleetExecutor:
         x_stack = np.stack([pair.x for pair in members])
         y_stack = np.stack([pair.y_plane for pair in members])
         kernels = _solve_stack(x_stack[:, np.newaxis], y_stack[:, np.newaxis], self.eps)
-        sources, fills = self._fill_sources(x_stack, [pair.x for pair in members])
+        sources, fills = fill_sources(x_stack, [self._fill_for(pair.x.dtype) for pair in members])
         spec = self.precision
         if (
             layout.by_linearity and (spec is None or spec.is_exact)
@@ -965,9 +966,9 @@ class FleetExecutor:
             row_pair, row_slot, is_mask = layout.rows(num_pairs)
             scores = np.empty(row_pair.size)
             preds = []
-            for convolved, rows in self._convolve_rows(
+            for convolved, rows in convolve_windows(
                 sources, fills, kernels, layout.plan, row_pair, row_slot, is_mask,
-                layout.rows_per_chunk,
+                layout.rows_per_chunk, self.precision,
             ):
                 scores[rows] = reduce_batch(y_stack[row_pair[rows]] - convolved, self.reduction)
                 preds.append(convolved[~is_mask[rows]])
@@ -1001,9 +1002,9 @@ class FleetExecutor:
         row_pair, row_slot = np.nonzero(rescore)
         if not row_pair.size:
             return scores
-        for convolved, rows in self._convolve_rows(
+        for convolved, rows in convolve_windows(
             sources, fills, kernels, layout.plan, row_pair, row_slot,
-            np.ones(row_pair.size, bool), layout.rows_per_chunk,
+            np.ones(row_pair.size, bool), layout.rows_per_chunk, self.precision,
         ):
             scores[row_pair[rows], row_slot[rows]] = reduce_batch(
                 y_stack[row_pair[rows]] - convolved, "l2"
@@ -1018,76 +1019,13 @@ class FleetExecutor:
             )
         return scores
 
-    def _convolve_rows(
-        self, sources, fills, kernels, plan, row_pair, row_slot, is_mask, rows_per_chunk,
-    ):
-        """Convolve the rows a row map names, in windows: ``(convolved, rows)``.
-
-        ``row_pair``, ``row_slot`` and ``is_mask`` describe the rows as
-        :func:`wave_row_map` does (any subset of a wave's rows, in any
-        order), and ``rows`` is the slice of them a window covers.  The
-        masked planes (:meth:`_masked_windows`) stream through
-        :func:`~repro.fft.convolution.fft_circular_convolve2d_chunks`;
-        real kernels hand it their half spectra, so the stream never
-        looks them up in the kernel-spectrum cache: fleet kernels are
-        solved fresh and never repeat.
-        """
-        half = None
-        if np.isrealobj(kernels):
-            half = KernelSpectrum(rfft2_batch(kernels), "half", kernels.shape[-2:])
-        for convolved, rows in fft_circular_convolve2d_chunks(
-            self._masked_windows(
-                sources, fills, plan, row_pair, row_slot, is_mask, rows_per_chunk
-            ),
-            kernels, kernel_spectrum=half, row_kernel=row_pair,
-            num_rows=row_pair.size, precision=self.precision,
-        ):
-            yield convolved, slice(rows.start, rows.stop)
-
-    def _fill_sources(self, x_stack, xs) -> tuple[np.ndarray, np.ndarray]:
-        """The wave's ``x`` stack in the dtype its fills need, and the fills.
-
-        Each pair's fill is taken in the dtype ``np.where(mask,
-        fill_value, x)`` gives that pair, so a float32 pair fills with
-        the float32-rounded value.
-        """
-        fills = np.array([self._fill_for(x.dtype) for x in xs])
-        return x_stack.astype(np.result_type(x_stack, fills), copy=False), fills
-
     def _fill_for(self, dtype: np.dtype):
-        """``fill_value`` as a scalar of the dtype ``np.where`` gives a
+        """:func:`~repro.core.masking.fill_for` of ``fill_value`` for a
         ``dtype`` plane, made once per dtype."""
         fill = self._fills.get(dtype)
         if fill is None:
-            fill = self._fills[dtype] = np.result_type(dtype, self.fill_value).type(
-                self.fill_value
-            )
+            fill = self._fills[dtype] = fill_for(dtype, self.fill_value)
         return fill
-
-    @staticmethod
-    def _masked_windows(sources, fills, plan, row_pair, row_slot, is_mask, rows_per_chunk):
-        """The rows a row map names as masked planes, ``rows_per_chunk`` at a time.
-
-        Yields ``(planes, rows)``, ``rows`` the ``range`` of row-map
-        positions a window covers.  A mask row is its pair's ``x`` with
-        the band of plane rows the mask occludes
-        (:meth:`~repro.core.masking.MaskSpec.bands_at` of ``plan``, the
-        one plan every pair of a wave carries) set to the pair's fill on
-        the masked columns; a residual row is the pair's ``x`` unchanged.
-        """
-        for lo in range(0, row_pair.size, rows_per_chunk):
-            rows = range(lo, min(lo + rows_per_chunk, row_pair.size))
-            window = slice(lo, rows.stop)
-            pairs = row_pair[window]
-            planes = sources[pairs]
-            local = np.flatnonzero(is_mask[window])
-            if local.size:
-                start, height, cols = plan.bands_at(row_slot[window][local])
-                band = local[:, np.newaxis], start[:, np.newaxis] + np.arange(height)
-                values = planes[band]
-                np.copyto(values, fills[pairs[local], np.newaxis, np.newaxis], where=cols)
-                planes[band] = values
-            yield planes, rows
 
     def _price_solve(self, device: Device, num_pairs: int, m: int, n: int) -> None:
         """Ledger rows of ``num_pairs`` Eq. 4 solves, in a ``fleet.solve`` span."""

@@ -31,10 +31,13 @@ Every occlusion entry point routes through the batched engine of
 :class:`~repro.core.masking.MaskSpec` scored as one conceptual
 ``(num_masks, M, N)`` batch with the kernel spectrum computed once --
 generated, convolved and reduced ``chunk_rows`` planes at a time, so
-peak memory is ``O(chunk_rows * M * N)`` on any plane size.
+peak memory is ``O(chunk_rows * M * N)`` on any plane size
+(:func:`~repro.core.masking.score_plan`, one pair through the fleet's
+windows).
 
-All entry points accept an optional device so interpretation time can be
-accounted on CPU/GPU/TPU backends (Table II).
+The entry points compute on the host and price nothing: simulated
+interpretation time (Table II) is the fleet's, through
+:class:`~repro.core.pipeline.ExplanationPipeline` on a device.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ import numpy as np
 from repro.core.masking import REDUCTIONS, MaskSpec, reduce_batch, score_plan
 from repro.fft.convolution import fft_circular_convolve2d
 from repro.fft.fft2d import irfft2_batch, rfft2_batch
-from repro.hw.device import Device
 
 #: Relative error :func:`l2_scores_by_linearity` allows in a score's
 #: square (so about half of it in the score) before it hands the mask
@@ -72,7 +74,6 @@ def feature_contributions(
     kernel: np.ndarray,
     y: np.ndarray,
     reduction: str = "l2",
-    device: Device | None = None,
 ) -> np.ndarray:
     """Scalar contribution score for every input element.
 
@@ -80,9 +81,7 @@ def feature_contributions(
     ``B = Y - X (*) K``, zeroing element ``(i, j)`` gives
     ``con(x_ij) = B + x_ij * roll(K, (i, j))`` -- one convolution total
     instead of one per feature (the literal per-feature Eq. 5 loop
-    agrees to rounding, asserted by tests).  When ``device`` is given,
-    the base convolution runs on it and the per-feature adds are
-    accounted as elementwise VPU work.
+    agrees to rounding, asserted by tests).
     """
     x = np.asarray(x, dtype=np.float64)
     kernel = np.asarray(kernel, dtype=np.float64)
@@ -93,11 +92,7 @@ def feature_contributions(
             f"unknown reduction {reduction!r}; expected one of {REDUCTIONS}"
         )
     m, n = x.shape
-    if device is None:
-        base = y - fft_circular_convolve2d(x, kernel)
-    else:
-        base = y - device.conv2d_circular(x, kernel)
-        device.account_elementwise(m * n, flops_per_element=2.0, count=m * n)
+    base = y - fft_circular_convolve2d(x, kernel)
     scores = np.zeros((m, n))
     for i in range(m):
         rolled_rows = np.roll(kernel, i, axis=0)
@@ -229,7 +224,6 @@ def block_contributions(
     y: np.ndarray,
     block_shape: tuple[int, int],
     reduction: str = "l2",
-    device: Device | None = None,
     fill_value: float = 0.0,
     chunk_rows: int | None = None,
 ) -> np.ndarray:
@@ -248,8 +242,7 @@ def block_contributions(
     plan = MaskSpec.blocks(x.shape, block_shape)
     return score_plan(
         x, kernel, y, plan,
-        reduction=reduction, device=device, fill_value=fill_value,
-        chunk_rows=chunk_rows,
+        reduction=reduction, fill_value=fill_value, chunk_rows=chunk_rows,
     )
 
 
@@ -258,7 +251,6 @@ def column_contributions(
     kernel: np.ndarray,
     y: np.ndarray,
     reduction: str = "l2",
-    device: Device | None = None,
     fill_value: float = 0.0,
     chunk_rows: int | None = None,
 ) -> np.ndarray:
@@ -268,8 +260,7 @@ def column_contributions(
     plan = MaskSpec.columns(x.shape)
     return score_plan(
         x, np.asarray(kernel), np.asarray(y), plan,
-        reduction=reduction, device=device, fill_value=fill_value,
-        chunk_rows=chunk_rows,
+        reduction=reduction, fill_value=fill_value, chunk_rows=chunk_rows,
     )
 
 
@@ -278,7 +269,6 @@ def row_contributions(
     kernel: np.ndarray,
     y: np.ndarray,
     reduction: str = "l2",
-    device: Device | None = None,
     fill_value: float = 0.0,
     chunk_rows: int | None = None,
 ) -> np.ndarray:
@@ -288,8 +278,7 @@ def row_contributions(
     plan = MaskSpec.rows(x.shape)
     return score_plan(
         x, np.asarray(kernel), np.asarray(y), plan,
-        reduction=reduction, device=device, fill_value=fill_value,
-        chunk_rows=chunk_rows,
+        reduction=reduction, fill_value=fill_value, chunk_rows=chunk_rows,
     )
 
 

@@ -6,23 +6,25 @@ occlusion differ *only* in which features each mask covers, so one
 engine serves all four:
 
 * :class:`MaskSpec` -- a mask plan as a compact descriptor
-  (granularity + plane + block shape, a few ints) whose
-  :meth:`MaskSpec.iter_chunks` generates ``(bool_chunk, row_range)``
-  slices on demand, so neither the ``(num_masks, M, N)`` bool stack nor
-  the masked float stack is ever materialized;
-* :func:`score_plan` -- Eq. 5 for every mask of a plan at once: masked
-  variants are generated, convolved against a kernel spectrum computed
-  exactly once, and reduced ``chunk_rows`` planes at a time, so peak
-  memory is ``O(chunk_rows * M * N)`` however many masks the plan
-  describes and the stack budget bounds only the chunk;
-* :meth:`MaskSpec.bands_at` -- the one definition of a mask: mask
-  ``i`` of every granularity occludes a band of whole rows at a fixed
-  set of columns, returned for any mask indices as ``(start, height,
-  cols)``.  :meth:`MaskSpec.masks_at` expands bands into bool masks in
-  one broadcast (the generator behind both items above), and a fleet
-  wave (:mod:`repro.core.fleet`) patches only the band rows of its
-  pairs' planes, so its row transforms cover just the rows a mask
-  touches.
+  (granularity + plane + block shape, a few ints);
+  :meth:`MaskSpec.bands_at` is the one definition of a mask: mask ``i``
+  of every granularity occludes a band of whole rows at a fixed set of
+  columns, returned for any mask indices as ``(start, height, cols)``;
+* :func:`masked_windows` -- the one builder of masked planes: the rows
+  of a row map (:func:`~repro.core.fleet.wave_row_map`; one pair's
+  masks are the one-pair map) as each pair's plane with its mask's band
+  patched to the pair's fill, ``rows_per_chunk`` planes at a time, so
+  neither a bool mask stack nor the masked float stack is ever
+  materialized;
+* :func:`convolve_windows` -- the one exact windowed convolution: those
+  windows streamed through
+  :func:`~repro.fft.convolution.fft_circular_convolve2d_chunks` against
+  per-pair kernels whose spectra are computed once per call.  A fleet
+  wave (:mod:`repro.core.fleet`) convolves its exact rows through it;
+* :func:`score_plan` -- Eq. 5 for every mask of one pair's plan: its
+  windows convolved and reduced ``chunk_rows`` planes at a time, so
+  peak memory is ``O(chunk_rows * M * N)`` however many masks the plan
+  describes and the stack budget bounds only the chunk.
 
 Chunk boundaries never change bits: the batched FFT kernels are
 plane-independent and per-row reductions plane-local, so scores equal
@@ -45,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.fft.convolution import fft_circular_convolve2d_chunks
-from repro.hw.device import Device
+from repro.fft.fft2d import rfft2_batch
+from repro.fft.spectra import KernelSpectrum
 
 REDUCTIONS = ("l2", "l1", "mean_abs", "max_abs")
 
@@ -104,12 +107,12 @@ def check_fill_value(fill_value) -> None:
 
     The single home of the rule, called where a fill enters:
     :class:`~repro.core.fleet.FleetExecutor` at construction (so also
-    the service) and :meth:`MaskSpec.apply_chunks` (so also
-    :func:`score_plan`, the contribution entry points and the occlusion
-    baselines).  A
-    complex fill would make a real pair's masked planes complex, and a
-    NaN or infinite one would score every mask non-finite; a ``bool``
-    is a flag, not a fill.  A valid fill is used as given, bits and all.
+    the service), :func:`score_plan` (so also the contribution entry
+    points) and :meth:`MaskSpec.apply_chunks` (so also the occlusion
+    baselines).  A complex fill would make a real pair's masked planes
+    complex, and a NaN or infinite one would score every mask
+    non-finite; a ``bool`` is a flag, not a fill.  A valid fill is used
+    as given, bits and all.
     """
     if (
         isinstance(fill_value, bool)
@@ -119,16 +122,37 @@ def check_fill_value(fill_value) -> None:
         raise ValueError(f"fill_value must be a finite real number, got {fill_value!r}")
 
 
-def _check_window(start: int, stop: int | None, num_masks: int) -> tuple[int, int]:
-    """Validate a ``[start, stop)`` mask-row window against a plan."""
-    start = int(start)
-    stop = num_masks if stop is None else int(stop)
-    if not 0 <= start <= stop <= num_masks:
-        raise ValueError(
-            f"mask window [{start}, {stop}) does not fit a plan of "
-            f"{num_masks} masks"
-        )
-    return start, stop
+def fill_for(dtype: np.dtype, fill_value):
+    """``fill_value`` as a scalar of the dtype ``np.where(mask, fill_value,
+    x)`` gives an ``x`` of ``dtype``.
+
+    The one home of the fill-dtype rule: a float32 plane fills with the
+    float32-rounded value, an integer plane with a float fill becomes a
+    float64 one.  The fleet keeps it per dtype; :func:`score_plan` and
+    :meth:`MaskSpec.apply_chunks` take it for their one plane.
+    """
+    return np.result_type(dtype, fill_value).type(fill_value)
+
+
+def fill_sources(planes: np.ndarray, fills) -> tuple[np.ndarray, np.ndarray]:
+    """A ``(P, M, N)`` stack in the dtype its per-plane fills need, and the fills.
+
+    ``fills[p]`` is plane ``p``'s :func:`fill_for`; the stack is cast to
+    the dtype its planes and fills share, which is what
+    :func:`masked_windows` patches into.
+    """
+    fills = np.array(fills)
+    return planes.astype(np.result_type(planes, fills), copy=False), fills
+
+
+def _one_pair(x: np.ndarray, fill_value, num_masks: int) -> tuple:
+    """Plane ``x`` and its masks as :func:`masked_windows` takes a wave:
+    ``(sources, fills, row_pair, row_slot, is_mask)`` of a one-pair stack
+    whose every row is a mask.  Refuses a bad fill (:func:`check_fill_value`)."""
+    check_fill_value(fill_value)
+    sources, fills = fill_sources(x[np.newaxis], [fill_for(x.dtype, fill_value)])
+    slots = np.arange(num_masks)
+    return sources, fills, np.zeros_like(slots), slots, np.ones(num_masks, bool)
 
 
 def _check_plane(shape: tuple[int, int]) -> tuple[int, int]:
@@ -170,7 +194,7 @@ class MaskSpec:
     """A mask plan: the four paper granularities as a descriptor.
 
     A spec stores only ``(granularity, plane_shape, block_shape)`` and
-    *generates* mask rows on demand through :meth:`iter_chunks`.
+    *generates* masks on demand through :meth:`bands_at`.
     Element, block, column and row occlusion are all structured (mask
     ``i`` is a deterministic function of ``i``), so nothing about the
     stack needs to exist ahead of time.
@@ -346,67 +370,29 @@ class MaskSpec:
             return np.zeros_like(index), index
         return index, np.zeros_like(index)  # rows
 
-    def masks_at(self, index) -> np.ndarray:
-        """The ``(len(index), M, N)`` bool masks of mask numbers ``index``.
-
-        Each mask is its :meth:`bands_at` band of rows crossed with its
-        columns, built for the whole stack in one broadcast.
-        """
-        start, height, cols = self.bands_at(index)
-        row = np.arange(self.plane_shape[0])[:, np.newaxis]
-        first = start[:, np.newaxis, np.newaxis]
-        return (row >= first) & (row < first + height) & cols
-
-    def iter_chunks(
-        self,
-        chunk_rows: int = DEFAULT_CHUNK_ROWS,
-        start: int = 0,
-        stop: int | None = None,
-    ):
-        """Yield ``(bool_chunk, row_range)`` slices, generated on demand.
-
-        Each chunk is a freshly built ``(rows, M, N)`` bool array
-        (:meth:`masks_at`) covering masks ``row_range``, so peak mask
-        memory is ``O(chunk_rows * M * N)`` however many masks the spec
-        describes.  ``start``/``stop`` generate only a window of rows
-        (a window costs only its own rows); yielded ranges stay global.
-        """
-        chunk_rows = _check_chunk_rows(chunk_rows)
-        window_start, window_stop = _check_window(start, stop, self.num_masks)
-        for lo in range(window_start, window_stop, chunk_rows):
-            hi = min(lo + chunk_rows, window_stop)
-            yield self.masks_at(np.arange(lo, hi)), range(lo, hi)
-
     def apply_chunks(
         self,
         x: np.ndarray,
         fill_value: float = 0.0,
         chunk_rows: int = DEFAULT_CHUNK_ROWS,
-        start: int = 0,
-        stop: int | None = None,
     ):
         """Yield ``(masked_chunk, row_range)``: masked input variants.
 
         ``fill_value`` replaces the occluded features: 0.0 is Eq. 5
         verbatim; the input mean is the occlusion-literature baseline.
-        Validates eagerly (a bad input shape or a fill that is not a
-        finite real number raises at the call, not at first iteration);
-        ``start``/``stop`` window the generated rows exactly as in
-        :meth:`iter_chunks`.
+        The chunks are :func:`masked_windows` of ``x`` alone, each the
+        planes ``np.where(mask, fill_value, x)`` gives.  Validates
+        eagerly (a bad input shape, a fill that is not a finite real
+        number or a ``chunk_rows`` below 1 raises at the call, not at
+        first iteration).
         """
         x = np.asarray(x)
         if x.shape != self.plane_shape:
             raise ValueError(
                 f"input shape {x.shape} does not match plan plane {self.plane_shape}"
             )
-        check_fill_value(fill_value)
-        start, stop = _check_window(start, stop, self.num_masks)
-
-        def _generate():
-            for chunk, rows in self.iter_chunks(chunk_rows, start=start, stop=stop):
-                yield np.where(chunk, fill_value, x[np.newaxis]), rows
-
-        return _generate()
+        sources, fills, *row_map = _one_pair(x, fill_value, self.num_masks)
+        return masked_windows(sources, fills, self, *row_map, _check_chunk_rows(chunk_rows))
 
     def reshape_scores(self, flat_scores: np.ndarray) -> np.ndarray:
         """Fold the flat per-mask score vector into the output grid."""
@@ -443,13 +429,68 @@ def effective_chunk_rows(
     return max(1, min(rows, max_stack_bytes // plane_bytes))
 
 
+def masked_windows(sources, fills, plan, row_pair, row_slot, is_mask, rows_per_chunk):
+    """The rows a row map names as masked planes, ``rows_per_chunk`` at a time.
+
+    ``row_pair``, ``row_slot`` and ``is_mask`` describe the rows as
+    :func:`~repro.core.fleet.wave_row_map` does (any subset of a wave's
+    rows, in any order).  Yields ``(planes, rows)``, ``rows`` the
+    ``range`` of row-map positions a window covers.  A mask row is its
+    pair's plane of ``sources`` with the band of plane rows the mask
+    occludes (:meth:`MaskSpec.bands_at` of ``plan``, the one plan every
+    pair carries) set to the pair's fill on the masked columns; a
+    residual row is the pair's plane unchanged.  With ``sources`` and
+    ``fills`` from :func:`fill_sources`, a mask row equals
+    ``np.where(mask, fill_value, x)`` bit for bit.
+    """
+    for lo in range(0, row_pair.size, rows_per_chunk):
+        rows = range(lo, min(lo + rows_per_chunk, row_pair.size))
+        window = slice(lo, rows.stop)
+        pairs = row_pair[window]
+        planes = sources[pairs]
+        local = np.flatnonzero(is_mask[window])
+        if local.size:
+            start, height, cols = plan.bands_at(row_slot[window][local])
+            band = local[:, np.newaxis], start[:, np.newaxis] + np.arange(height)
+            values = planes[band]
+            np.copyto(values, fills[pairs[local], np.newaxis, np.newaxis], where=cols)
+            planes[band] = values
+        yield planes, rows
+
+
+def convolve_windows(
+    sources, fills, kernels, plan, row_pair, row_slot, is_mask, rows_per_chunk, precision,
+):
+    """Convolve the rows a row map names, in windows: ``(convolved, rows)``.
+
+    The :func:`masked_windows` of the rows stream through
+    :func:`~repro.fft.convolution.fft_circular_convolve2d_chunks`, row
+    ``i`` against ``kernels[row_pair[i]]``, at ``precision`` (a
+    :class:`~repro.hw.quantize.PrecisionSpec` or ``None``); ``rows`` is
+    the slice of the row map a window covers.  Real kernels hand the
+    stream their half spectra, transformed once per call, so real
+    windows never look them up in the kernel-spectrum cache (a fleet's
+    kernels are solved fresh and never repeat); complex windows under a
+    real kernel fetch its full spectrum from the cache, and complex
+    kernels are transformed by the stream.
+    """
+    half = None
+    if np.isrealobj(kernels):
+        half = KernelSpectrum(rfft2_batch(kernels), "half", kernels.shape[-2:])
+    for convolved, rows in fft_circular_convolve2d_chunks(
+        masked_windows(sources, fills, plan, row_pair, row_slot, is_mask, rows_per_chunk),
+        kernels, kernel_spectrum=half, row_kernel=row_pair,
+        num_rows=row_pair.size, precision=precision,
+    ):
+        yield convolved, slice(rows.start, rows.stop)
+
+
 def score_plan(
     x: np.ndarray,
     kernel: np.ndarray,
     y: np.ndarray,
     plan: MaskSpec,
     reduction: str = "l2",
-    device: Device | None = None,
     fill_value: float = 0.0,
     max_stack_bytes: int | None = None,
     chunk_rows: int | None = None,
@@ -457,13 +498,12 @@ def score_plan(
 ) -> np.ndarray:
     """Eq. 5 scores for every mask of ``plan``, in the plan's output grid.
 
-    Masked variants are generated, convolved and reduced ``chunk_rows``
-    planes at a time (default :data:`DEFAULT_CHUNK_ROWS`, clamped so a
-    chunk fits ``max_stack_bytes``; ``None`` disables the budget): the
-    kernel spectrum is computed exactly once, and on compiled backends
-    the plan costs one dispatch instead of one host round trip per mask.
-    Peak memory is ``O(chunk_rows * M * N)`` regardless of
-    ``num_masks``.
+    One pair's masks through :func:`convolve_windows`, as a fleet wave's
+    exact rows go: masked variants are generated, convolved and reduced
+    ``chunk_rows`` planes at a time (default :data:`DEFAULT_CHUNK_ROWS`,
+    clamped so a chunk fits ``max_stack_bytes``; ``None`` disables the
+    budget), and the kernel spectrum is computed exactly once.  Peak
+    memory is ``O(chunk_rows * M * N)`` regardless of ``num_masks``.
 
     ``precision`` (a name or :class:`~repro.hw.quantize.PrecisionSpec`)
     quantizes each masked plane spatially and the kernel spectrum per
@@ -491,17 +531,10 @@ def score_plan(
             f"unknown reduction {reduction!r}; expected one of {REDUCTIONS}"
         )
     rows_per_chunk = effective_chunk_rows(plan.plane_shape, chunk_rows, max_stack_bytes)
-    chunks = plan.apply_chunks(x, fill_value=fill_value, chunk_rows=rows_per_chunk)
-    if device is None:
-        convolved_chunks = fft_circular_convolve2d_chunks(
-            chunks, kernel, num_rows=plan.num_masks, precision=spec
-        )
-    else:
-        convolved_chunks = device.conv2d_circular_batch_chunks(
-            chunks, kernel, num_rows=plan.num_masks, precision=spec
-        )
+    sources, fills, *row_map = _one_pair(x, fill_value, plan.num_masks)
     scores = np.empty(plan.num_masks)
-    for convolved, rows in convolved_chunks:
-        deltas = y[np.newaxis] - convolved
-        scores[rows.start : rows.stop] = reduce_batch(deltas, reduction)
+    for convolved, rows in convolve_windows(
+        sources, fills, kernel[np.newaxis], plan, *row_map, rows_per_chunk, spec
+    ):
+        scores[rows] = reduce_batch(y - convolved, reduction)
     return plan.reshape_scores(scores)

@@ -12,9 +12,10 @@ provides:
   by an *iterator* of ``(chunk, row_range)`` slices, against kernels
   whose spectra are computed exactly once, so peak memory is
   ``O(chunk_rows * M * N)`` regardless of batch size (the path of
-  :class:`~repro.core.masking.MaskSpec` scoring and of every fleet
-  window: each wave the l2 linearity pass does not score, and each
-  mask its guard hands back).
+  :func:`~repro.core.masking.convolve_windows`: one pair's mask plan
+  scored by :func:`~repro.core.masking.score_plan`, each fleet wave the
+  l2 linearity pass does not score, and each mask its guard hands
+  back).
 
 Chunk boundaries never change bits: ``numpy.fft`` transforms each line
 independently, and the per-row Hadamard products are plane-local, so
@@ -34,8 +35,9 @@ multiplied, roughly halving host transform work and memory.  Complex
 operands take the full complex path.  Real kernel spectra come from the
 process-level content-addressed cache (:mod:`repro.fft.spectra`), so
 byte-equal kernels are transformed once per process, not once per call
--- unless the caller hands in spectra of its own, as a fleet wave does
-for the kernels it has just solved.
+-- unless the caller hands in half spectra of its own, as
+:func:`~repro.core.masking.convolve_windows` does for every real
+kernel it convolves.
 
 Every FFT-convolution entry point additionally accepts an optional
 ``precision`` -- a :class:`repro.hw.quantize.PrecisionSpec` (duck-typed
@@ -268,9 +270,10 @@ def fft_circular_convolve2d_chunks(
     fuse into one batch but each pair keeps its own distilled kernel.
     Kernel spectra are computed exactly once up front, or handed in as
     ``kernel_spectrum``: a raw :class:`~repro.fft.spectra.KernelSpectrum`
-    of ``k`` (the fleet passes its fresh kernels' half spectra, which it
-    never looks up in the cache); each output plane is bit-identical to
-    :func:`fft_circular_convolve2d` on the corresponding planes.
+    of ``k`` (:func:`~repro.core.masking.convolve_windows` passes its
+    real kernels' half spectra, which it never looks up in the cache);
+    each output plane is bit-identical to :func:`fft_circular_convolve2d`
+    on the corresponding planes.
 
     Real kernels use cached half spectra and the rFFT chunk transform;
     a complex chunk arriving under a half

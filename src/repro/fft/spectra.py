@@ -15,11 +15,13 @@ Its callers are the convolutions of :mod:`repro.fft.convolution`:
 device's ``conv2d_circular``, the distiller's predictions, the looped
 interpretation helpers) and
 :func:`~repro.fft.convolution.fft_circular_convolve2d_chunks` (a stream
-of planes: :func:`~repro.core.masking.score_plan` and the device's
-batched convolutions).  No fleet wave uses it: a wave's kernels are
-solved fresh and never repeat, so digesting them would buy no hit, and
-the wave transforms them itself -- handing real kernels' half spectra
-to the stream as a raw :class:`KernelSpectrum`.
+of planes: the device's batched convolutions, and the full spectrum of
+a real kernel under complex planes).  Neither a fleet wave nor
+:func:`~repro.core.masking.score_plan` looks up a real plane's kernel:
+:func:`~repro.core.masking.convolve_windows` transforms its kernels
+itself, once per call, and hands their half spectra to the stream as a
+raw :class:`KernelSpectrum` (a wave's kernels are solved fresh and
+never repeat, so digesting them would buy no hit).
 
 Entries are raw (unquantized) spectra plus, per requested precision, the
 quantized variant derived from the raw entry -- a quantized lookup never

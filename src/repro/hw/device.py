@@ -13,9 +13,8 @@ itself is irrelevant and never mixed in.
 
 Backends implement the ``_*_seconds`` cost hooks and may override the
 ``_*_compute`` numeric hooks; the base class provides the operation
-bookkeeping, composite ops (FFT-form convolution, chunk-streamed
-batched convolution) and cost-only variants used by large workload
-sweeps where materializing results is pointless.
+bookkeeping and composite ops (FFT-form convolution, chunk-streamed
+batched convolution).
 
 Two program-level scopes model launch structure: :meth:`Device.program`
 brackets one dispatched program (infeed / compute / outfeed), and
@@ -325,7 +324,9 @@ class Device(abc.ABC):
         call returns that :class:`LedgerTemplate`, for
         :meth:`DeviceStats.record_rows` to replay.  A key names
         everything the rows depend on besides the device's
-        configuration, which does not change after construction.
+        configuration, which does not change after construction, so
+        devices of one configuration may share the memo (a
+        :meth:`~repro.core.backend.TpuBackend.clone` does).
         """
         template = self._templates.get(key)
         if template is None:
@@ -739,10 +740,10 @@ class Device(abc.ABC):
         """Circular convolution of a streamed stack against shared kernels.
 
         ``chunks`` yields ``(chunk, row_range)`` slices of a conceptual
-        ``(num_rows, M, N)`` stack that is never materialized -- the
-        lazy-mask-plan execution of scoring and fleet waves; convolved
-        chunks are yielded back in order, so peak memory is one chunk
-        regardless of ``num_rows``.
+        ``(num_rows, M, N)`` stack that is never materialized (say,
+        :meth:`~repro.core.masking.MaskSpec.apply_chunks` of a plan);
+        convolved chunks are yielded back in order, so peak memory is one
+        chunk regardless of ``num_rows``.
 
         ``kernel`` is one ``(M, N)`` plane shared by every row (a single
         pair's mask plan) or a ``(P, M, N)`` stack with ``row_kernel``
@@ -850,28 +851,6 @@ class Device(abc.ABC):
             ),
         )
         self.stats.record_rows(template, batch)
-
-    # ------------------------------------------------------------------
-    # Cost-only accounting (large workloads, e.g. Table I training time)
-    # ------------------------------------------------------------------
-    def account_matmul(self, m: int, k: int, n: int, count: int = 1, complex_ops: bool = False) -> float:
-        """Record the cost of ``count`` matmuls without executing them."""
-        factor = self.complex_matmul_real_products if complex_ops else 1
-        seconds = count * factor * self.matmul_seconds(m, k, n)
-        self.stats.record("matmul_accounted", seconds, macs=count * factor * m * k * n)
-        return seconds
-
-    def account_elementwise(self, elements: int, flops_per_element: float = 1.0, count: int = 1) -> float:
-        """Record the cost of ``count`` elementwise kernels without executing."""
-        seconds = count * self.elementwise_seconds(elements, flops_per_element)
-        self.stats.record("elementwise_accounted", seconds)
-        return seconds
-
-    def account_transfer(self, nbytes: int, count: int = 1) -> float:
-        """Record the cost of ``count`` host transfers without executing."""
-        seconds = count * self.transfer_seconds(nbytes)
-        self.stats.record("transfer_accounted", seconds, bytes_moved=count * nbytes)
-        return seconds
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"

@@ -124,7 +124,7 @@ class TpuChipConfig:
 class TpuChip:
     """A collection of TPU cores plus the fabric joining them.
 
-    Not itself a :class:`Device`: op-level sharding policy (Algorithm 1,
+    Not itself a :class:`~repro.hw.device.Device`: op-level sharding policy (Algorithm 1,
     block-matmul parallelism) is the paper's contribution and lives in
     ``repro.core``.  The chip supplies the mechanisms those policies
     need: per-core execution and the price of a cross-replica

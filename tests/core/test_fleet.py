@@ -15,11 +15,11 @@ from repro.core import (
     TpuBackend,
     make_tpu_chip,
 )
-from repro.core import fleet
+from repro.core import fleet, masking
 from repro.core.distillation import ConvolutionDistiller
 from repro.core.fleet import wave_dtype_key, wave_row_map
 from repro.core.interpretation import l2_scores_by_linearity
-from repro.core.masking import DEFAULT_CHUNK_ROWS, REDUCTIONS
+from repro.core.masking import DEFAULT_CHUNK_ROWS, REDUCTIONS, fill_sources, masked_windows
 from repro.core.transform import OutputEmbedding, frequency_solve
 from repro.fft import fft_circular_convolve2d, kernel_spectrum_cache_info, rfft2_batch
 from repro.hw.cpu import CpuDevice
@@ -257,8 +257,8 @@ class TestFleetExecutorEquivalence:
         xs[1] = xs[1].astype(np.float32)
         plan = executor.plan_for(xs[0])
         row_pair, row_slot, is_mask = wave_row_map([plan.num_masks] * len(xs))
-        sources, fills = executor._fill_sources(np.stack(xs), xs)
-        chunks = list(executor._masked_windows(
+        sources, fills = fill_sources(np.stack(xs), [executor._fill_for(x.dtype) for x in xs])
+        chunks = list(masked_windows(
             sources, fills, plan, row_pair, row_slot, is_mask, rows_per_chunk=8
         ))
         assert [rows for _, rows in chunks] == [range(0, 8), range(8, 16), range(16, 20)]
@@ -618,8 +618,8 @@ class TestMaskedWindows:
         xs = [x for x, _ in planted_pairs(3, shape=plan.plane_shape)]
         xs[1] = xs[1].astype(np.float32)
         row_pair, row_slot, is_mask = wave_row_map([plan.num_masks] * len(xs))
-        sources, fills = executor._fill_sources(np.stack(xs), xs)
-        windows = list(executor._masked_windows(
+        sources, fills = fill_sources(np.stack(xs), [executor._fill_for(x.dtype) for x in xs])
+        windows = list(masked_windows(
             sources, fills, plan, row_pair, row_slot, is_mask, rows_per_chunk=7
         ))
         assert [rows for _, rows in windows] == [
@@ -655,13 +655,13 @@ class TestSpatialWaves:
         self, monkeypatch, precision, complex_pairs, streams
     ):
         calls = []
-        stream = fleet.fft_circular_convolve2d_chunks
+        stream = masking.fft_circular_convolve2d_chunks
 
         def counted(*args, **kwargs):
             calls.append(args)
             return stream(*args, **kwargs)
 
-        monkeypatch.setattr(fleet, "fft_circular_convolve2d_chunks", counted)
+        monkeypatch.setattr(masking, "fft_circular_convolve2d_chunks", counted)
         pairs = planted_pairs(4)
         if complex_pairs:
             rng = np.random.default_rng(40)

@@ -239,6 +239,52 @@ class TestRecordRows:
         assert len(built) == 2
 
 
+class TestClonesShareTemplates:
+    """A clone of one configuration shares its source's templates, so the
+    chips of :meth:`TpuPod.like` price each template once, with the bits
+    of chips that each price their own; an HBM override keeps its own."""
+
+    CHIP = dict(num_cores=4, precision="fp32", mxu_rows=8, mxu_cols=8)
+
+    @staticmethod
+    def run_pod(pod, placement):
+        pairs = planted_interpretation_pairs(6, shape=(8, 8), seed=4)
+        run = FleetExecutor(
+            pod, granularity="blocks", block_shape=(2, 2), eps=1e-8, placement=placement,
+            max_pairs_per_wave=2,
+        ).run(pairs)
+        return result_bits(run), ledger_bits(pod)
+
+    @pytest.mark.parametrize("placement", ["data", "chunk", "wave"])
+    def test_a_like_pod_builds_each_template_once(self, monkeypatch, placement):
+        import repro.hw.device as device_module
+
+        built = []
+
+        class CountedTemplate(LedgerTemplate):
+            def __init__(self, rows):
+                built.append(rows)
+                super().__init__(rows)
+
+        monkeypatch.setattr(device_module, "LedgerTemplate", CountedTemplate)
+        source = TpuBackend(make_tpu_chip(**self.CHIP))
+        shared = TpuPod.like(source, 8)
+        assert all(chip._templates is source._templates for chip in shared.devices)
+        shared_bits = self.run_pod(shared, placement)
+        assert len(built) == len(source._templates) > 0
+        cold = TpuPod([TpuBackend(make_tpu_chip(**self.CHIP)) for _ in range(8)])
+        assert self.run_pod(cold, placement) == shared_bits
+        assert len(built) > 2 * len(source._templates)
+
+    def test_an_hbm_override_keeps_its_own_templates(self):
+        source = TpuBackend(make_tpu_chip(**self.CHIP))
+        assert source.clone()._templates is source._templates
+        assert source.clone(hbm_bytes=2**20)._templates is not source._templates
+        pod = TpuPod.like(source, 2, hbm_bytes=2**20)
+        owners = {id(chip._templates) for chip in pod.devices}
+        assert len(owners) == 2 and id(source._templates) not in owners
+
+
 class TestReadOnlyCaches:
     """Every array a template, geometry or layout shares raises on write."""
 

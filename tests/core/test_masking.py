@@ -16,8 +16,9 @@ from repro.core import (
     score_plan,
 )
 from repro.core.fleet import wave_row_map
+from repro.core.masking import DEFAULT_CHUNK_ROWS, fill_for, fill_sources, masked_windows
 from repro.core.pipeline import ExplanationPipeline
-from repro.fft import fft_circular_convolve2d
+from repro.fft import fft_circular_convolve2d, kernel_spectrum_cache_info
 from repro.hw import CpuDevice, GpuDevice
 from tests import reference
 
@@ -45,8 +46,31 @@ PLANS = [
 ]
 
 
+def expand_bands(plan, index):
+    """The bool masks ``index`` of ``plan``, each its
+    :meth:`MaskSpec.bands_at` band of rows times its columns."""
+    start, height, cols = plan.bands_at(index)
+    masks = np.zeros((start.size, *plan.plane_shape), dtype=bool)
+    for i, row in enumerate(start):
+        masks[i, row : row + height] = cols[i]
+    return masks
+
+
 def all_masks(plan):
-    return np.concatenate([chunk for chunk, _ in plan.iter_chunks()])
+    return expand_bands(plan, np.arange(plan.num_masks))
+
+
+def device_scores(device, x, kernel, y, plan, chunk_rows=DEFAULT_CHUNK_ROWS, precision=None):
+    """Eq. 5's l2 scores on ``device``: ``plan``'s
+    :meth:`MaskSpec.apply_chunks` through its
+    :meth:`~repro.hw.device.Device.conv2d_circular_batch_chunks`."""
+    scores = np.empty(plan.num_masks)
+    for convolved, rows in device.conv2d_circular_batch_chunks(
+        plan.apply_chunks(x, chunk_rows=chunk_rows), kernel,
+        num_rows=plan.num_masks, precision=precision,
+    ):
+        scores[rows.start : rows.stop] = reduce_batch(y - convolved, "l2")
+    return plan.reshape_scores(scores)
 
 
 def looped(x, kernel, y, plan, device=None, **options):
@@ -100,8 +124,8 @@ class TestMaskPlanConstruction:
             MaskSpec.blocks((8, 8), (0, 2))
         with pytest.raises(ValueError):
             MaskSpec.rows((0, 4))
-        with pytest.raises(ValueError):
-            list(MaskSpec.rows((4, 4)).iter_chunks(start=2, stop=9))
+        with pytest.raises(ValueError, match="mask indices"):
+            MaskSpec.rows((4, 4)).bands_at(np.arange(2, 9))
 
     def test_apply_fills_masked_features(self):
         plan = MaskSpec.columns((2, 3))
@@ -128,19 +152,31 @@ class TestMaskPlanConstruction:
         ],
         ids=lambda plan: f"{plan.granularity}{plan.block_shape or ''}",
     )
-    def test_masks_at_any_indices_match_the_definition(self, plan):
-        """The vectorized builder equals each mask built from its
-        definition, for indices in any order and with repeats."""
+    def test_windows_at_any_indices_match_the_definition(self, plan):
+        """The one builder of masked planes equals each mask built from
+        its definition, for indices in any order and with repeats."""
         defined = [mask for _, mask in reference.masks(
             plan.granularity, plan.plane_shape, plan.block_shape
         )]
+        x = np.arange(float(np.prod(plan.plane_shape))).reshape(plan.plane_shape)
+        sources, fills = fill_sources(x[np.newaxis], [fill_for(x.dtype, -1.5)])
+
+        def windows(index):
+            index = np.asarray(index, dtype=np.intp)
+            return list(masked_windows(
+                sources, fills, plan, np.zeros_like(index), index,
+                np.ones(index.size, bool), 3,
+            ))
+
         index = np.array([plan.num_masks - 1, 0, plan.num_masks // 2, 0])
-        built = plan.masks_at(index)
-        assert built.dtype == bool and built.shape == (4, *plan.plane_shape)
-        np.testing.assert_array_equal(built, np.stack([defined[i] for i in index]))
-        assert plan.masks_at([]).shape == (0, *plan.plane_shape)
+        built = np.concatenate([planes for planes, _ in windows(index)])
+        assert built.dtype == x.dtype and built.shape == (4, *plan.plane_shape)
+        np.testing.assert_array_equal(
+            built, np.stack([np.where(defined[i], -1.5, x) for i in index])
+        )
+        assert windows([]) == []
         with pytest.raises(ValueError, match="mask indices"):
-            plan.masks_at([plan.num_masks])
+            windows([plan.num_masks])
 
     @pytest.mark.parametrize(
         "plan",
@@ -159,9 +195,8 @@ class TestMaskPlanConstruction:
     )
     def test_bands_reproduce_masks_and_the_definition(self, plan):
         """Each mask is its band of rows times its column set: expanding
-        the bands gives ``masks_at`` and the reference masks, for
-        indices in any order and with repeats, and no mask reaches a
-        row outside its band."""
+        the bands gives the reference masks, for indices in any order
+        and with repeats, and no mask reaches a row outside its band."""
         defined = [mask for _, mask in reference.masks(
             plan.granularity, plan.plane_shape, plan.block_shape
         )]
@@ -174,11 +209,8 @@ class TestMaskPlanConstruction:
         m, n = plan.plane_shape
         assert cols.dtype == bool and cols.shape == (index.size, 1, n)
         assert 1 <= height <= m and ((start >= 0) & (start + height <= m)).all()
-        expanded = np.zeros((index.size, m, n), dtype=bool)
-        for i, row in enumerate(start):
-            expanded[i, row : row + height] = cols[i]
+        expanded = expand_bands(plan, index)
         np.testing.assert_array_equal(expanded, np.stack([defined[i] for i in index]))
-        np.testing.assert_array_equal(plan.masks_at(index), expanded)
         empty_start, _, empty_cols = plan.bands_at([])
         assert empty_start.shape == (0,) and empty_cols.shape == (0, 1, n)
         with pytest.raises(ValueError, match="mask indices"):
@@ -269,7 +301,7 @@ class TestBatchedEqualsLooped:
         x, kernel, y = fitted_setup(seed=6)
         plan = MaskSpec.rows(x.shape)
         pure = score_plan(x, kernel, y, plan)
-        on_cpu = score_plan(x, kernel, y, plan, device=CpuDevice())
+        on_cpu = device_scores(CpuDevice(), x, kernel, y, plan)
         np.testing.assert_array_equal(pure, on_cpu)
 
     def test_validation(self):
@@ -281,6 +313,76 @@ class TestBatchedEqualsLooped:
             score_plan(x, kernel, np.ones((4, 4)), plan)
         with pytest.raises(ValueError):
             score_plan(x, kernel, y, MaskSpec.columns((4, 4)))
+
+
+class TestOneBuilder:
+    """``score_plan``, ``apply_chunks`` and a fleet's windows build their
+    masked planes with one builder, so each equals the materialized
+    ``np.where(mask, fill, x)`` planes with ``==``, dtype included."""
+
+    @pytest.mark.parametrize("fill_value", [0.0, 0.1, -2.5, 3, np.float32(0.7)], ids=repr)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int32, np.complex128])
+    def test_planes_and_scores_equal_the_masked_planes(self, dtype, fill_value):
+        rng = np.random.default_rng(31)
+        plan = MaskSpec.blocks((6, 10), (3, 5))
+        x = (4 * rng.standard_normal(plan.plane_shape)).astype(dtype)
+        if dtype == np.complex128:
+            x += 1j * rng.standard_normal(plan.plane_shape)
+        kernel = rng.standard_normal(plan.plane_shape)
+        y = fft_circular_convolve2d(x, kernel)
+        masks = [mask for _, mask in reference.masks("blocks", plan.plane_shape, (3, 5))]
+        expected = np.stack([np.where(mask, fill_value, x) for mask in masks])
+
+        chunks = list(plan.apply_chunks(x, fill_value, 3))
+        assert [rows for _, rows in chunks] == [range(0, 3), range(3, 4)]
+        planes = np.concatenate([chunk for chunk, _ in chunks])
+        assert planes.dtype == expected.dtype and planes.tobytes() == expected.tobytes()
+
+        executor = FleetExecutor(CpuDevice(), granularity="rows", fill_value=fill_value)
+        row_pair, row_slot, is_mask = wave_row_map([plan.num_masks] * 2)
+        sources, fills = fill_sources(
+            np.stack([x, x]), [executor._fill_for(x.dtype)] * 2
+        )
+        windows = np.concatenate([planes for planes, _ in masked_windows(
+            sources, fills, plan, row_pair, row_slot, is_mask, 3
+        )])
+        stacked = np.concatenate([expected, x[np.newaxis]] * 2)
+        assert windows.dtype == stacked.dtype and windows.tobytes() == stacked.tobytes()
+
+        for reduction in ("l2", "l1"):
+            scores = score_plan(x, kernel, y, plan, reduction=reduction, fill_value=fill_value)
+            looped_scores = reference.occlusion_scores(
+                x, kernel, y, "blocks", (3, 5), reduction=reduction, fill_value=fill_value
+            )
+            assert scores.tobytes() == looped_scores.tobytes()
+
+
+class TestScorePlanLeavesKernelSpectrumCache:
+    """``score_plan`` of real planes transforms its kernel itself, as a
+    fleet wave does, so it neither reads nor fills the kernel-spectrum
+    cache; complex planes under a real kernel still take the full
+    spectrum from it."""
+
+    @pytest.mark.parametrize("precision", [None, "bf16", "int8"])
+    @pytest.mark.parametrize("name,make_plan", PLANS)
+    def test_real_planes(self, name, make_plan, precision):
+        x, kernel, y = fitted_setup(seed=12)
+        plan = make_plan(x.shape)
+        before = kernel_spectrum_cache_info()
+        scores = score_plan(x, kernel, y, plan, precision=precision)
+        assert kernel_spectrum_cache_info() == before
+        np.testing.assert_array_equal(
+            scores, looped(x, kernel, y, plan, precision=precision)
+        )
+
+    def test_complex_planes_read_the_full_spectrum(self):
+        x, kernel, y = fitted_setup(seed=13)
+        x = x + 1j * np.ones_like(x)
+        plan = MaskSpec.columns(x.shape)
+        before = kernel_spectrum_cache_info()
+        score_plan(x, kernel, y, plan)
+        after = kernel_spectrum_cache_info()
+        assert after["hits"] + after["misses"] == before["hits"] + before["misses"] + 1
 
 
 def convolve_stack(device, stack, kernel, row_kernel=None):
@@ -301,14 +403,14 @@ class TestBatchedDeviceAccounting:
         x, kernel, y = fitted_setup()
         for device in (CpuDevice(), GpuDevice(), small_backend()):
             plan = MaskSpec.blocks(x.shape, (2, 2))
-            score_plan(x, kernel, y, plan, device=device)
+            device_scores(device, x, kernel, y, plan)
             assert device.stats.op_counts["fft2"] == 1
 
     def test_cpu_and_gpu_record_per_op_batch_entries(self):
         x, kernel, y = fitted_setup(seed=1)
         plan = MaskSpec.blocks(x.shape, (2, 2))
         for device in (CpuDevice(), GpuDevice()):
-            score_plan(x, kernel, y, plan, device=device)
+            device_scores(device, x, kernel, y, plan)
             counts = device.stats.op_counts
             assert counts["fft2_batch"] == plan.num_masks
             assert counts["ifft2_batch"] == plan.num_masks
@@ -319,7 +421,7 @@ class TestBatchedDeviceAccounting:
         x, kernel, y = fitted_setup(seed=2)
         backend = small_backend()
         plan = MaskSpec.columns(x.shape)
-        score_plan(x, kernel, y, plan, device=backend)
+        device_scores(backend, x, kernel, y, plan)
         counts = backend.stats.op_counts
         assert counts["dispatch"] == 1
         assert counts["conv2d_batch"] == 1
@@ -331,7 +433,7 @@ class TestBatchedDeviceAccounting:
         backend = small_backend()
         plan = MaskSpec.columns(x.shape)
         with backend.program(infeed_bytes=x.nbytes):
-            score_plan(x, kernel, y, plan, device=backend)
+            device_scores(backend, x, kernel, y, plan)
         counts = backend.stats.op_counts
         assert counts["dispatch"] == 1  # the program's own dispatch only
         assert counts["conv2d_batch"] == 1
@@ -350,7 +452,7 @@ class TestBatchedDeviceAccounting:
             looped_device = device_factory()
             looped(x, kernel, y, plan, device=looped_device)
             batched_device = device_factory()
-            score_plan(x, kernel, y, plan, device=batched_device)
+            device_scores(batched_device, x, kernel, y, plan)
             assert batched_device.stats.seconds < looped_device.stats.seconds
 
     def test_batch_conv_seconds_validation(self):

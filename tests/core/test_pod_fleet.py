@@ -19,7 +19,7 @@ from repro.core import (
     make_tpu_chip,
     make_tpu_pod,
 )
-from repro.core.masking import MaskSpec, MaskStackBudgetError
+from repro.core.masking import MaskStackBudgetError
 from repro.hw.device import pipelined_elapsed_seconds
 from repro.hw.pod import HostLink, TpuPod, clone_device
 
@@ -453,36 +453,3 @@ class TestServicePod:
         assert isinstance(service.device, TpuPod)
         assert service.device is pipeline.device
         assert service.placement == "chunk"
-
-
-class TestWindowedChunks:
-    """Windowed mask generation: apply_chunks over a ``[start, stop)`` window."""
-
-    def test_window_identity(self):
-        spec = MaskSpec.for_granularity("rows", PLANE)
-        x = np.arange(64.0).reshape(PLANE)
-        full = list(spec.apply_chunks(x, fill_value=0.0, chunk_rows=3))
-        lo, hi = 2, 7
-        windowed = list(
-            spec.apply_chunks(x, fill_value=0.0, chunk_rows=3, start=lo, stop=hi)
-        )
-        dense_full = np.concatenate([chunk for chunk, _ in full])
-        dense_window = np.concatenate([chunk for chunk, _ in windowed])
-        assert np.array_equal(dense_window, dense_full[lo:hi])
-        covered = [r for _, rows in windowed for r in rows]
-        assert covered == list(range(lo, hi))
-
-    def test_window_validation(self):
-        spec = MaskSpec.for_granularity("rows", PLANE)
-        x = np.zeros(PLANE)
-        with pytest.raises(ValueError):
-            list(spec.apply_chunks(x, chunk_rows=3, start=-1))
-        with pytest.raises(ValueError):
-            list(spec.apply_chunks(x, chunk_rows=3, start=5, stop=4))
-        with pytest.raises(ValueError):
-            list(spec.apply_chunks(x, chunk_rows=3, stop=spec.num_masks + 1))
-
-    def test_empty_window(self):
-        spec = MaskSpec.for_granularity("rows", PLANE)
-        x = np.zeros(PLANE)
-        assert list(spec.apply_chunks(x, chunk_rows=3, start=4, stop=4)) == []

@@ -28,6 +28,7 @@ from repro.core import (
     TpuBackend,
     effective_chunk_rows,
     make_tpu_chip,
+    reduce_batch,
     score_plan,
 )
 from repro.fft import fft, fft_circular_convolve2d, ifft, irfft2_batch, rfft, rfft2_batch
@@ -74,6 +75,19 @@ def looped(x, kernel, y, spec, **options):
     )
 
 
+def device_scores(device, x, kernel, y, spec, chunk_rows=DEFAULT_CHUNK_ROWS, precision=None):
+    """Eq. 5's l2 scores on ``device``: ``spec``'s
+    :meth:`MaskSpec.apply_chunks` through its
+    :meth:`~repro.hw.device.Device.conv2d_circular_batch_chunks`."""
+    scores = np.empty(spec.num_masks)
+    for convolved, rows in device.conv2d_circular_batch_chunks(
+        spec.apply_chunks(x, chunk_rows=chunk_rows), kernel,
+        num_rows=spec.num_masks, precision=precision,
+    ):
+        scores[rows.start : rows.stop] = reduce_batch(y - convolved, "l2")
+    return spec.reshape_scores(scores)
+
+
 def convolve_stack(stack, kernel, row_kernel=None):
     """The whole stack as one chunk (the unchunked batch)."""
     (convolved, _), = fft_circular_convolve2d_chunks(
@@ -108,10 +122,12 @@ class TestMaskSpecGeneration:
         self, name, make_spec, chunk_rows
     ):
         spec = make_spec((6, 8))
-        dense = np.stack(
-            [mask for _, mask in reference.masks(name, (6, 8), spec.block_shape)]
-        )
-        chunks = list(spec.iter_chunks(chunk_rows))
+        x = np.arange(48.0).reshape(6, 8)
+        dense = np.stack([
+            np.where(mask, -1.0, x)
+            for _, mask in reference.masks(name, (6, 8), spec.block_shape)
+        ])
+        chunks = list(spec.apply_chunks(x, -1.0, chunk_rows))
         np.testing.assert_array_equal(
             np.concatenate([chunk for chunk, _ in chunks]), dense
         )
@@ -158,7 +174,7 @@ class TestMaskSpecGeneration:
         with pytest.raises(ValueError):
             MaskSpec.columns((0, 4))
         with pytest.raises(ValueError):
-            list(MaskSpec.columns((4, 4)).iter_chunks(0))
+            MaskSpec.columns((4, 4)).apply_chunks(np.ones((4, 4)), chunk_rows=0)
         with pytest.raises(ValueError):
             list(MaskSpec.rows((4, 4)).apply_chunks(np.ones((5, 5))))
 
@@ -193,11 +209,9 @@ class TestStreamedScoringEquivalence:
         x, kernel, y = fitted_setup(seed=5)
         spec = MaskSpec.columns(x.shape)
         dense_device = device_factory()
-        dense = score_plan(
-            x, kernel, y, spec, device=dense_device, chunk_rows=spec.num_masks
-        )
+        dense = device_scores(dense_device, x, kernel, y, spec, chunk_rows=spec.num_masks)
         streamed_device = device_factory()
-        streamed = score_plan(x, kernel, y, spec, device=streamed_device, chunk_rows=3)
+        streamed = device_scores(streamed_device, x, kernel, y, spec, chunk_rows=3)
         np.testing.assert_array_equal(streamed, dense)
         assert streamed_device.stats.op_counts == dense_device.stats.op_counts
         assert streamed_device.stats.seconds == dense_device.stats.seconds
@@ -530,7 +544,7 @@ class TestQuantizedStreaming:
         spec = MaskSpec.blocks(x.shape, (2, 2))
         no_device = score_plan(x, kernel, y, spec, precision="int8")
         np.testing.assert_array_equal(
-            score_plan(x, kernel, y, spec, device=device_factory(), precision="int8"),
+            device_scores(device_factory(), x, kernel, y, spec, precision="int8"),
             no_device,
         )
         np.testing.assert_array_equal(

@@ -139,14 +139,6 @@ class TestFunctionalAcrossBackends:
             device.conv2d_circular_batch_chunks(iter(()), np.ones(4), num_rows=1)
         assert not device.stats.op_counts
 
-    def test_account_only_paths(self, name, factory):
-        device = factory()
-        seconds = device.account_matmul(64, 64, 64, count=3)
-        assert seconds > 0
-        assert device.stats.op_counts["matmul_accounted"] == 1
-        assert device.account_elementwise(1000, count=2) > 0
-        assert device.account_transfer(10_000) > 0
-
 
 class TestDeviceStats:
     def test_merge(self):

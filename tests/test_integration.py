@@ -6,6 +6,7 @@ import pytest
 from repro import (
     ConvolutionDistiller,
     CpuDevice,
+    ExplanationPipeline,
     GpuDevice,
     TpuBackend,
     block_contributions,
@@ -55,12 +56,13 @@ class TestFullStackExplanation:
     )
     def test_planted_block_recovered_on_every_device(self, scenario, device_factory):
         x, y, _ = scenario
-        device = device_factory()
-        distiller = ConvolutionDistiller(device=device, eps=1e-9).fit(x, y)
-        grid = block_contributions(x, distiller.kernel_, y, (4, 4), device=device)
+        run = ExplanationPipeline(
+            device_factory(), granularity="blocks", block_shape=(4, 4), eps=1e-9
+        ).run([(x, y)])
+        grid = run.explanations[0].scores
         assert top_k_features(grid, 1) == [(1, 2)]
         assert dominance_margin(grid) > 2.0
-        assert device.stats.seconds > 0
+        assert run.simulated_seconds > 0
 
     def test_devices_agree_on_rankings(self, scenario):
         x, y, _ = scenario
