@@ -72,7 +72,8 @@ class TestQuantizedBatchAblation:
     bf16 waves must be cheaper than fp32/fp64 waves with the *same*
     launch structure, quantization error must respect the documented
     bound, and batched quantization must add no error over the looped
-    reference at the same precision (bit-identical scores)."""
+    reference at the same precision, given the wave's kernels
+    (bit-identical scores)."""
 
     SHAPE = (16, 16)
     BLOCK = (4, 4)
@@ -114,6 +115,7 @@ class TestQuantizedBatchAblation:
         int8_loop = reference.explain_all(
             self._pairs(), device=self._backend(), granularity="blocks",
             block_shape=self.BLOCK, eps=1e-8, precision="int8",
+            kernels=[explanation.kernel for explanation in int8_wave.explanations],
         )
         for a, b in zip(int8_wave.explanations, int8_loop):
             np.testing.assert_array_equal(a.scores, b.scores)

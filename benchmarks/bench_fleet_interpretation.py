@@ -21,8 +21,9 @@ A second report covers the **precision axis**
 the executed wave-pipelined seconds per precision on the full-size TPU,
 the simulated speedup over fp64 waves, and the executed quantization
 error of batched scores -- which is asserted equal to the looped
-reference's at the same precision bit for bit (batching adds no error)
-and within the documented ``quantized_conv_error_bound``.
+reference's at the same precision, run with the fleet's kernels, bit
+for bit (batching adds no error) and within the documented
+``quantized_conv_error_bound``.
 
 Shape contracts asserted (also run by CI via the ``--quick`` smoke
 mode, plus ``--pipelined`` for the overlap contract): wave-fused TPU
@@ -132,14 +133,25 @@ def _run(pairs, device=None, granularity="blocks", block_shape=BLOCK, **kwargs):
     return pipeline.run(pairs)
 
 
-def _looped(pairs, device=None, granularity="blocks", block_shape=BLOCK, precision=None):
-    """The looped reference on ``device``: ``(explanations, ledger)``."""
+def _looped(
+    pairs, device=None, granularity="blocks", block_shape=BLOCK, precision=None, kernels=None,
+):
+    """The looped reference on ``device``: ``(explanations, ledger)``.
+
+    Given ``kernels`` (a fleet run's), each pair is interpreted with its
+    kernel and not solved, so the ledger lacks the solves.
+    """
     device = device or small_backend()
     explanations = reference.explain_all(
         pairs, device=device, granularity=granularity, block_shape=block_shape,
-        eps=1e-8, precision=precision,
+        eps=1e-8, precision=precision, kernels=kernels,
     )
     return explanations, device.take_stats()
+
+
+def _kernels(run):
+    """The kernels of a pipeline run, one per pair."""
+    return [explanation.kernel for explanation in run.explanations]
 
 
 def _traced_stages(run_fleet):
@@ -183,7 +195,7 @@ def test_scores_bit_identical_across_fusion():
         assert a.residual == b.residual
     looped, _ = _looped(pairs)
     reference.assert_matches(
-        wave.explanations, looped, pairs, granularity="blocks", block_shape=BLOCK
+        wave.explanations, looped, pairs, granularity="blocks", block_shape=BLOCK, eps=1e-8
     )
 
 
@@ -223,7 +235,8 @@ def test_pipelined_waves_beat_serial_waves():
         assert a.residual == b.residual
     looped, _ = _looped(pairs, device=CpuDevice())
     reference.assert_matches(
-        pipelined.explanations, looped, pairs, granularity="blocks", block_shape=BLOCK
+        pipelined.explanations, looped, pairs, granularity="blocks", block_shape=BLOCK,
+        eps=1e-8,
     )
 
 
@@ -234,7 +247,7 @@ class TestQuantizedFleetContracts:
         pairs = planted_pairs(6, seed=5)
         for precision in ("int8", "bf16"):
             wave = _run(pairs, precision=precision)
-            looped, _ = _looped(pairs, precision=precision)
+            looped, _ = _looped(pairs, precision=precision, kernels=_kernels(wave))
             for a, b in zip(wave.explanations, looped):
                 np.testing.assert_array_equal(a.scores, b.scores)
                 assert a.residual == b.residual
@@ -737,7 +750,9 @@ def _precision_report(fleet_sizes=FLEET_SIZES) -> str:
                 batched_err = loop_err = 0.0
                 if name not in ("fp64", "fp32"):
                     quantized = _run(error_pairs, precision=name, **options)
-                    looped, _ = _looped(error_pairs, precision=name, **options)
+                    looped, _ = _looped(
+                        error_pairs, precision=name, kernels=_kernels(quantized), **options
+                    )
                     batched_err = _max_score_error(quantized.explanations, exact)
                     loop_err = _max_score_error(looped, exact)
                 lines.append(
@@ -754,7 +769,8 @@ def _quantized_smoke() -> int:
 
     Executes a 10-pair fleet at int8 against the exact (unquantized
     legacy-priced) run and exits non-zero unless int8 batched scores
-    equal the int8 looped reference bit for bit, the int8 batched error
+    equal the int8 looped reference, run with the fleet's kernels, bit
+    for bit, the int8 batched error
     stays within the documented ``quantized_conv_error_bound``, and the
     dispatch/op structure matches the exact run exactly.
     """
@@ -762,7 +778,7 @@ def _quantized_smoke() -> int:
 
     pairs = planted_pairs(10, seed=3)
     error, int8, exact = _quantized_error(pairs, "int8")
-    looped, _ = _looped(pairs, precision="int8")
+    looped, _ = _looped(pairs, precision="int8", kernels=_kernels(int8))
     # The bound is per pair: each pair's error must respect *its own*
     # documented bound (a fleet-wide max-vs-max comparison could mask a
     # single pair's violation behind another pair's looser bound).
@@ -785,7 +801,7 @@ def _quantized_smoke() -> int:
         if not np.array_equal(a.scores, b.scores):
             print(
                 "FAIL: int8 batched scores must equal the int8 looped "
-                "reference bit for bit",
+                "reference with the fleet's kernels bit for bit",
                 file=sys.stderr,
             )
             return 1

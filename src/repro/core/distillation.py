@@ -52,8 +52,10 @@ class ConvolutionDistiller:
         model's *inference* convolutions (:meth:`predict`,
         :meth:`residual`): the input plane quantizes spatially and the
         kernel spectrum per component, exactly as the batched
-        interpretation path does -- so per-pair residuals match
-        wave-fused residuals bit for bit at every precision.  The
+        interpretation path does -- so per-pair residuals match the
+        residuals of wave-fused windows bit for bit at every precision
+        (an ``l2`` linearity wave's within the bound of
+        :func:`~repro.core.fleet._fit_residuals`).  The
         closed-form *solve* always runs exact (int8 FFTs would destroy
         it); kernels are precision-independent.
     """

@@ -24,10 +24,10 @@ one infeed and one batched convolution per *wave* of pairs:
   ``O(chunk_rows * M * N)`` plus a few planes per pair (its residual;
   on the ``l2`` path below, its correlation and autocorrelation too)
   regardless of how many masks a wave fuses.  A window holds its rows'
-  ``x`` planes with each mask's band of occluded rows
-  (:meth:`~repro.core.masking.MaskSpec.bands_at`) patched in, built by
-  :func:`~repro.core.masking.masked_windows`, the one builder of masked
-  planes, and streams through
+  ``x`` planes with each mask's cells
+  (:meth:`~repro.core.masking.MaskSpec.cells_at`) set to the fill, built
+  by :func:`~repro.core.masking.masked_windows`, the one builder of
+  masked planes, and streams through
   :func:`~repro.core.masking.convolve_windows`, the one windowed
   convolution (row transforms then column transforms, Sec. III-C,
   Eq. 7-8, on **bin-major** spectra: for each bin of the row
@@ -50,19 +50,24 @@ the full-duplex link; the last outfeed is charged in full) and the
 hidden host-link time is credited back as a negative ``infeed_overlap``
 ledger row.  A single-wave fleet pays exactly its serial cost.
 
-Kernels and residuals equal the per-pair loop bit for bit, and so do
-scores off the ``l2`` path below: the batched FFT kernels transform
-each line on its own (so a row's transform is the same whether it is
+A real pair's kernel is solved on half spectra, so it matches the
+literal per-pair loop (``tests/reference.py``) within the derived bound
+of :func:`~repro.core.transform._solve_stack`, not bit for bit; a
+complex pair's matches it bit for bit.  Given the wave's kernel, scores
+and residuals off the ``l2`` path below equal the per-pair loop run
+with that kernel bit for bit: the batched FFT kernels transform each
+line on its own (so a row's transform is the same whether it is
 computed alone or in a stack, and an unmasked row's is its pair's) and
 per-row reductions are plane-local.  **l2 by linearity.**  An ``l2``
-wave of real float64 pairs at exact precision convolves only its
-pairs' unmasked planes, in one batched rFFT round trip outside the
-windows, and scores every mask in closed form
-(:func:`~repro.core.interpretation.l2_scores_by_linearity`: two planes
-per pair, ``O(s^2)`` per mask of ``s`` cells); a mask whose terms
-cancel goes back to one exact convolution in a window.  Those scores
-match the loop within 1e-9 of the pair's largest score instead of bit
-for bit.
+wave of real float64 pairs at exact precision convolves nothing: the
+solve's half spectra give each pair's residual spectrum, one inverse
+transform gives its residual, correlation and autocorrelation planes,
+and every mask is scored in closed form
+(:func:`~repro.core.interpretation.l2_scores_by_linearity`: ``O(s^2)``
+per mask of ``s`` cells); a mask whose terms cancel goes back to one
+exact convolution in a window.  Those scores match the loop within
+1e-9 of the pair's largest score, and the residuals within the bound
+of :func:`_fit_residuals`, instead of bit for bit.
 Either way a score depends only on its own pair, so fusion,
 streaming, pipelining, placement and tracing change only the cost
 ledger, never the numbers -- and the ledger still prices one
@@ -167,11 +172,12 @@ from repro.core.masking import (
 from repro.core.transform import (
     OutputEmbedding,
     _record_solve,
+    _solve_spectra,
     _solve_stack,
     check_eps,
     spectrum_problem,
 )
-from repro.fft.fft2d import irfft2_batch, rfft2_batch
+from repro.fft.fft2d import irfft2_batch
 from repro.hw.device import Device, shard_slices
 from repro.hw.pod import PodWaveStats, TpuPod, check_hbm_bytes, check_num_chips, is_count
 from repro.hw.quantize import resolve_precision
@@ -280,17 +286,31 @@ def wave_row_map(mask_counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return row_pair, row_slot, row_slot < counts[row_pair]
 
 
-def _fit_residuals(preds: np.ndarray, y_stack: np.ndarray) -> np.ndarray:
-    """Each plane's fit residual, the RMS of ``|pred - y|``.
+def _fit_residuals(planes: np.ndarray) -> np.ndarray:
+    """Each residual plane's fit residual, the RMS of ``|y - pred|``.
 
-    ``sqrt(mean(|pred - y|^2))``, except where that overflows -- its
+    ``sqrt(mean(|y - pred|^2))``, except where that overflows -- its
     squares pass the float range once the error passes about 1e154 --
-    while ``pred - y`` is finite: there the RMS is taken of the plane
-    divided by its largest ``|pred - y|`` and multiplied back, so a
+    while ``y - pred`` is finite: there the RMS is taken of the plane
+    divided by its largest ``|y - pred|`` and multiplied back, so a
     finite fit error has a finite residual.  Every residual the plain
     formula gets finite keeps its bits.
+
+    The exact path hands in ``y - pred``, ``pred`` the pair's unmasked
+    row of the windows, so its residual is the per-pair loop's with the
+    wave's kernel, bit for bit.  The linearity wave hands in ``r``, the
+    inverse of its spectral ``F(r) = F(y) - F(x) F(K)``
+    (:meth:`FleetExecutor._compute_wave`).  Both planes differ from the
+    exact ``y - x (*) K`` by at most ``psi = (2 phi + 4 u) (||y|| + kappa
+    ||x||) + phi max |F(x)| ||K||`` in norm (``u = 2**-53``, ``phi = 5
+    log2(M N) u``, ``kappa = max |F(K)|``; see
+    :func:`~repro.core.interpretation.l2_scores_by_linearity`), and the
+    RMS's squares, pairwise sum, mean and root add a relative ``(log2(M
+    N) / 2 + 12) u``.  So a linearity residual is within ``2 psi /
+    sqrt(M N) + (log2(M N) + 24) u RMS`` of the loop's with the same
+    kernel (``tests/reference.residual_bound``).
     """
-    delta = np.abs(preds - y_stack)
+    delta = np.abs(planes)
     residuals = np.sqrt(np.mean(delta**2, axis=(-2, -1)))
     overflowed = np.flatnonzero(~np.isfinite(residuals))
     if overflowed.size:
@@ -302,6 +322,37 @@ def _fit_residuals(preds: np.ndarray, y_stack: np.ndarray) -> np.ndarray:
             np.mean((planes / peaks) ** 2, axis=(-2, -1))
         )
     return residuals
+
+
+def _linearity_planes(x_stack, y_stack, eps: float) -> tuple:
+    """What a linearity wave reads, from its pairs' ``(P, M, N)`` planes.
+
+    The Eq. 4 half spectra of ``x``, ``y`` and ``K``
+    (:func:`~repro.core.transform._solve_spectra`), then one
+    :func:`~repro.fft.fft2d.irfft2_batch` of the stacked ``[F(K); F(r);
+    F(r) conj(F(K)); |F(K)|^2]``, ``F(r) = F(y) - F(x) F(K)``: returns
+    ``(kernels, residuals, correlations, autocorrelations, gains)``, the
+    inverse's ``(P, M, N)`` planes (views into one stack) and each
+    pair's ``max |F(K)|``;
+    :func:`~repro.core.interpretation.l2_scores_by_linearity` reads all
+    but the kernels.  The solve's spectra are dropped before the inverse,
+    so the wave holds at most the stack and its inverse.  Each product
+    is a ufunc call with its operands in that order, so no temporary is
+    reused in place with its operands swapped, which would change bits
+    with the wave's size.
+    """
+    x_hat, y_hat, kernel_hat = _solve_spectra(
+        x_stack[:, np.newaxis], y_stack[:, np.newaxis], eps
+    )
+    spectra = np.empty((4, *kernel_hat.shape), kernel_hat.dtype)
+    spectra[0] = kernel_hat
+    np.multiply(x_hat[:, 0], kernel_hat, out=spectra[1])
+    np.subtract(y_hat[:, 0], spectra[1], out=spectra[1])
+    del x_hat, y_hat, kernel_hat
+    np.multiply(spectra[1], np.conj(spectra[0]), out=spectra[2])
+    magnitudes = np.abs(spectra[0])
+    np.square(magnitudes, out=spectra[3])
+    return (*irfft2_batch(spectra, n=x_stack.shape[-1]), magnitudes.max(axis=(-2, -1)))
 
 
 def _span_start(device: Device) -> float | None:
@@ -537,17 +588,15 @@ class _WaveNumbers:
 
     ``scores`` holds one score per row of the wave's row map (the
     linearity pass leaves the residual rows NaN, since no score is read
-    there), ``preds`` each pair's residual prediction and ``residuals``
-    its fit residual; ``pair_base`` and ``pair_rows`` are each pair's
-    first row and row count, and ``layout`` the wave's
-    :class:`_PlanLayout`.
+    there) and ``residuals`` each pair's fit residual; ``pair_base`` and
+    ``pair_rows`` are each pair's first row and row count, and
+    ``layout`` the wave's :class:`_PlanLayout`.
     """
 
     indices: tuple[int, ...]
     plane_shape: tuple[int, int]
     kernels: np.ndarray
     scores: np.ndarray
-    preds: np.ndarray
     residuals: np.ndarray
     pair_base: list
     pair_rows: list
@@ -604,7 +653,7 @@ class FleetExecutor:
     stacked Eq. 4 solve yields every pair's kernel, then all pairs'
     masked variants and unmasked residual planes are convolved with
     per-row kernels in windows of the fused row space that may span
-    several pairs, each window built from its masks' row bands and
+    several pairs, each window built from its masks' cells and
     reduced to scores at once, so neither the bool mask stack nor the
     masked float stack ever exists in full; every window streams
     through :func:`~repro.core.masking.convolve_windows`.
@@ -797,7 +846,7 @@ class FleetExecutor:
             raise ValueError(
                 f"y of shape {y.shape} cannot lift onto x's {x.shape} plane: {error}"
             ) from None
-        problem = spectrum_problem(x, self.eps)
+        problem = spectrum_problem(x, y_plane, self.eps)
         if problem is not None:
             raise ValueError(problem)
         return CheckedPair(x, y, y_plane, plan, self)
@@ -906,25 +955,27 @@ class FleetExecutor:
     def _compute_wave(self, wave: WavePlan, pairs) -> _WaveNumbers:
         """Every number of one wave, computed once on the host.
 
-        One stacked Eq. 4 solve gives every pair's kernel
-        (:func:`~repro.core.transform._solve_stack`: two 2-D transforms
-        when ``x`` and ``y`` promote alike).  Then one of two passes:
+        One stacked Eq. 4 solve gives every pair's kernel, on half
+        spectra for real pairs (:func:`~repro.core.transform._solve_stack`).
+        Then one of two passes:
 
         * **The linearity wave**: an ``l2`` wave at exact precision whose
           pairs key as ``(float64, float64, float64)``
           (:func:`wave_dtype_key`) and whose plan's ``s x s`` cell matrix
           fits the window memory of the default chunk
-          (``_PlanLayout.by_linearity``).  Its only convolutions are the
-          pairs' unmasked planes (their residual rows): one
-          :func:`~repro.fft.fft2d.rfft2_batch` over the stacked ``[x;
-          K]`` gives both half spectra, and one ``irfft2_batch`` of
-          their product (``x``'s spectrum the first operand) the
-          predictions.  Its masks are scored from those residuals by
-          :func:`~repro.core.interpretation.l2_scores_by_linearity` (two
-          more transforms), and only the masks its guard flags go
-          through the windows below (:meth:`_linearity_scores`).  Six
-          2-D transforms a wave, twelve ``numpy.fft`` calls, when the
-          guard flags nothing.
+          (``_PlanLayout.by_linearity``).  It keeps the solve's half
+          spectra (:func:`~repro.core.transform._solve_spectra`: one
+          ``rfft2_batch`` of the stacked ``[x; y]``) and transforms
+          nothing else forward: ``F(r) = F(y) - F(x) F(K)`` is the
+          residual's spectrum, and one
+          :func:`~repro.fft.fft2d.irfft2_batch` of the stacked ``[F(K);
+          F(r); F(r) conj(F(K)); |F(K)|^2]`` gives the kernels, the
+          residual planes, the correlations and the autocorrelations.
+          :func:`~repro.core.interpretation.l2_scores_by_linearity`
+          scores the masks from those planes, and only the masks its
+          guard flags go through the windows below
+          (:meth:`_linearity_scores`).  Two 2-D transforms a wave, four
+          ``numpy.fft`` calls, when the guard flags nothing.
         * **The exact path**, every other wave: its whole row space --
           each pair's masked variants followed by its unmasked residual
           plane, as :func:`wave_row_map` lays it out -- streams as
@@ -932,13 +983,18 @@ class FleetExecutor:
           pairs through :func:`~repro.core.masking.convolve_windows`,
           and each window is scored with one reduction.
 
-        Every line of every transform is transformed on its own, so the
-        two passes give the same predictions bit for bit.  Everything
-        here that depends only on the plan and the plane shape -- the
-        row map, the chunk size, the path decision -- comes from the
-        plan's :class:`_PlanLayout`.  Nothing is priced here: every
-        score depends on its own pair alone, so however a placement
-        splits the wave across chips, only the ledger changes.
+        Both passes return the same kernels bit for bit (each line of
+        each transform is transformed on its own, so a kernel's lines
+        are the same in the solve's inverse and in the four-plane one);
+        the linearity wave copies them out of its four-plane stack, so
+        that a result holds only its kernel.  Fit residuals differ in
+        the last bits between the passes (:func:`_fit_residuals`).
+        Everything here that depends
+        only on the plan and the plane shape -- the row map, the chunk
+        size, the path decision -- comes from the plan's
+        :class:`_PlanLayout`.  Nothing is priced here: every score
+        depends on its own pair alone, so however a placement splits the
+        wave across chips, only the ledger changes.
         """
         indices = wave.pair_indices
         members = [pairs[i] for i in indices]
@@ -946,58 +1002,55 @@ class FleetExecutor:
         layout = self._layout(wave.plane_shape)
         x_stack = np.stack([pair.x for pair in members])
         y_stack = np.stack([pair.y_plane for pair in members])
-        kernels = _solve_stack(x_stack[:, np.newaxis], y_stack[:, np.newaxis], self.eps)
         sources, fills = fill_sources(x_stack, [self._fill_for(pair.x.dtype) for pair in members])
         spec = self.precision
         if (
             layout.by_linearity and (spec is None or spec.is_exact)
-            and np.isrealobj(sources) and np.isrealobj(kernels)
             and wave_dtype_key(members[0].x, members[0].y) == _FLOAT64_KEY
         ):
-            spectra = rfft2_batch(np.concatenate([sources, kernels]))
-            kernel_spectra = spectra[num_pairs:]
-            preds = irfft2_batch(spectra[:num_pairs] * kernel_spectra, n=sources.shape[-1])
+            kernels, *scored = _linearity_planes(x_stack, y_stack, self.eps)
             mask_scores = self._linearity_scores(
-                wave, layout, sources, fills, kernels, kernel_spectra, y_stack, preds,
+                wave, layout, sources, fills, kernels, y_stack, scored
             )
+            kernels, planes = kernels.copy(), scored[0]
             scores = np.full(num_pairs * (layout.num_masks + 1), np.nan)
             scores.reshape(num_pairs, -1)[:, : layout.num_masks] = mask_scores
         else:
+            kernels = _solve_stack(x_stack[:, np.newaxis], y_stack[:, np.newaxis], self.eps)
             row_pair, row_slot, is_mask = layout.rows(num_pairs)
             scores = np.empty(row_pair.size)
-            preds = []
+            planes = []
             for convolved, rows in convolve_windows(
                 sources, fills, kernels, layout.plan, row_pair, row_slot, is_mask,
                 layout.rows_per_chunk, self.precision,
             ):
-                scores[rows] = reduce_batch(y_stack[row_pair[rows]] - convolved, self.reduction)
-                preds.append(convolved[~is_mask[rows]])
-            preds = np.concatenate(preds)
+                deltas = y_stack[row_pair[rows]] - convolved
+                scores[rows] = reduce_batch(deltas, self.reduction)
+                planes.append(deltas[~is_mask[rows]])
+            planes = np.concatenate(planes)
         return _WaveNumbers(
             indices=indices,
             plane_shape=wave.plane_shape,
             kernels=kernels,
             scores=scores,
-            preds=preds,
-            residuals=_fit_residuals(preds, y_stack),
+            residuals=_fit_residuals(planes),
             pair_rows=[layout.num_masks + 1] * num_pairs,
             pair_base=layout.pair_base(num_pairs),
             layout=layout,
         )
 
-    def _linearity_scores(
-        self, wave, layout, sources, fills, kernels, kernel_spectra, y_stack, preds,
-    ) -> np.ndarray:
+    def _linearity_scores(self, wave, layout, sources, fills, kernels, y_stack, scored):
         """The wave's ``(pairs, masks)`` l2 scores, by linearity, guard applied.
 
-        Masks the guard of
-        :func:`~repro.core.interpretation.l2_scores_by_linearity` flags
-        are convolved exactly here, as their rows would be on the exact
-        path, and a ``fleet.rescore`` instant records how many there were.
+        ``scored`` are the residuals, correlations, autocorrelations and
+        gains of :func:`_linearity_planes`, which
+        :func:`~repro.core.interpretation.l2_scores_by_linearity` reads.
+        Masks its guard flags are convolved exactly here with the wave's
+        ``kernels``, as their rows would be on the exact path, and a
+        ``fleet.rescore`` instant records how many there were.
         """
         scores, rescore = l2_scores_by_linearity(
-            sources, fills, y_stack - preds, kernel_spectra, layout.plan,
-            layout.window_floats,
+            sources, fills, *scored, layout.plan, layout.window_floats,
         )
         row_pair, row_slot = np.nonzero(rescore)
         if not row_pair.size:

@@ -17,8 +17,8 @@ columns of a trace table).  This module provides:
   fleet executor scores elements as one-cell masks instead, like every
   other granularity);
 * :func:`l2_scores_by_linearity` -- the same linearity for the l2 score
-  of *any* mask plan, in closed form: each pair needs one correlation
-  plane and one autocorrelation plane, and a mask of ``s`` cells
+  of *any* mask plan, in closed form: each pair needs its residual,
+  correlation and autocorrelation planes, and a mask of ``s`` cells
   ``O(s^2)`` arithmetic, with a guard that hands back every mask whose
   sum cancels (the fleet executor's l2 path);
 * :func:`block_contributions` -- Figure 5's block occlusion on images;
@@ -48,7 +48,6 @@ import numpy as np
 
 from repro.core.masking import REDUCTIONS, MaskSpec, reduce_batch, score_plan
 from repro.fft.convolution import fft_circular_convolve2d
-from repro.fft.fft2d import irfft2_batch, rfft2_batch
 
 #: Relative error :func:`l2_scores_by_linearity` allows in a score's
 #: square (so about half of it in the score) before it hands the mask
@@ -105,52 +104,84 @@ def l2_scores_by_linearity(
     sources: np.ndarray,
     fills: np.ndarray,
     residuals: np.ndarray,
-    kernel_spectra: np.ndarray,
+    correlations: np.ndarray,
+    autocorrelations: np.ndarray,
+    gains: np.ndarray,
     plan: MaskSpec,
     max_floats: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eq. 5's l2 score of every mask of a wave of pairs, by linearity.
 
     Pair ``p`` has the real input plane ``X = sources[p]``, the fill
-    ``fills[p]``, the half spectrum ``kernel_spectra[p]`` of its real
-    kernel ``K`` and the residual ``r = residuals[p] = Y - X (*) K``; every
-    pair's masks are those of ``plan``.  Masking ``s`` cells subtracts
-    ``D = X - fill`` on them (0 elsewhere), and convolution is linear,
-    so the masked residual is ``r + D (*) K`` and its squared norm is
+    ``fills[p]`` and a real kernel ``K``.  The wave's one inverse
+    transform (``repro.core.fleet._linearity_planes``) made its other
+    planes from the pair's half spectra: the residual ``r =
+    residuals[p]``, the
+    inverse of ``F(r) = F(Y) - F(X) F(K)``; the correlation
+    ``correlations[p]``, the inverse of ``F(r) conj(F(K))`` (``sum_t r[t]
+    K[t - q]`` at cell ``q``); and the autocorrelation
+    ``autocorrelations[p]``, the inverse of ``|F(K)|^2`` (``A[q] = sum_t
+    K[t] K[t + q]``).  ``gains[p]`` is ``kappa = max |F(K)|``, the norm
+    of convolving by ``K``.  Every pair's masks are those of ``plan``.
+    Masking ``s`` cells subtracts ``D = X - fill`` on them (0
+    elsewhere), and convolution is linear, so the masked residual is ``r
+    + D (*) K`` and its squared norm is
 
         score^2 = ||r||^2 + 2 c . d + d^T G d,
 
     with ``d`` the mask's ``s`` values of ``D``, ``c`` its values of the
-    correlation plane ``r (*) K`` (``sum_t r[t] K[t - q]`` at cell
-    ``q``), and ``G[a, b] = A[q_b - q_a]`` read from the autocorrelation
-    ``A = K (*) K`` (``sum_t K[t] K[t + q]``) once per plan, since every
-    mask of a plan is the first one moved
-    (:meth:`~repro.core.masking.MaskSpec.cells_at`).  The wave pays two
-    2-D transforms in all: one ``rfft2_batch`` of the residuals, and one
-    ``irfft2_batch`` of every pair's ``F(r) conj(F(K))`` stacked on its
-    ``|F(K)|^2``, which gives ``c`` and ``A`` at once (each line is
-    transformed on its own, so stacking changes no bits).  A mask then
-    costs ``O(s^2)`` operations instead of a convolution.
+    correlation, and ``G[a, b] = A[q_b - q_a]`` read from the
+    autocorrelation once per plan, since every mask of a plan is the
+    first one moved (:meth:`~repro.core.masking.MaskSpec.cells_at`).  No
+    transform runs here: a mask costs ``O(s^2)`` operations instead of a
+    convolution.
 
-    **The guard.**  With ``u = 2**-53``, ``L = log2(M N)``, ``kappa =
-    max |F(K)|`` (the norm of convolving by ``K``), ``||d||_1 = sum |d_a|``
-    and ``S = (||r|| + kappa ||d||_1)^2``, the three terms are bounded by
-    three parts of ``S``: ``||r||^2``; ``2 |c . d| <= 2 kappa ||r||
-    ||d||_1`` (as ``|c_a| <= ||c|| <= kappa ||r||``); and ``|d|^T |G| |d|
-    <= kappa^2 ||d||_1^2`` (as ``|A[q]| <= A[0] <= kappa^2``).  Their
-    rounding, to first order: ``(L + 20) u`` on the pairwise sum
-    ``||r||^2``; ``(s + 1) u`` on the dot product and ``2 s u`` on the
-    quadratic form; ``u`` per value of ``d``; at most ``(10 L + 3) u`` of
-    ``kappa ||r||`` in ``c`` and of ``kappa^2`` in ``A``, the normwise
-    error of an FFT round trip; and ``2 u`` for the two final adds.  So
-    the computed square is off by at most ``eps S`` with ``eps = u (2 s +
-    10 L + 24)``.  Where the square is at least ``eps S /``
+    **The guard.**  Let ``rho`` be the exact inverse of the computed
+    ``F(r)``: the residual the wave's spectra hold, from which ``r``,
+    ``c`` and ``||r||^2`` all come.  Let ``K`` be the kernel the wave
+    returns, the inverse of the computed ``F(K)``, which an exact rescore
+    convolves.  Take ``u = 2**-53``, ``L = log2(M N)``, ``phi = 5 L u``
+    the normwise error of one 2-D transform, ``||d||_1 = sum |d_a|`` and
+    ``S = (||rho|| + kappa ||d||_1)^2``.  The exact square ``||rho + D (*)
+    K||^2`` has three terms bounded by three parts of ``S``:
+    ``||rho||^2``; ``2 |c . d| <= 2 kappa ||rho|| ||d||_1`` (as ``|c_a|
+    <= ||c|| <= kappa ||rho||``); and ``|d|^T |G| |d| <= kappa^2
+    ||d||_1^2`` (as ``|A[q]| <= A[0] <= kappa^2``).  Their errors, to
+    first order:
+
+    * ``||r||^2``: ``r`` is ``rho`` plus one inverse's rounding, ``phi
+      ||rho||``, and the pairwise sum adds ``(L + 20) u``; together
+      ``(11 L + 20) u ||rho||^2``.
+    * ``2 c . d``: ``c`` reads ``F(K)`` where the rescore convolves
+      ``K``, and that round trip moves ``K`` by at most ``phi kappa``.
+      With the product's ``3 u`` and the inverse's ``phi``, a value of
+      ``c`` is off by at most ``(2 phi + 3 u) kappa ||rho||``.  The dot
+      product adds ``(s + 1) u`` and each value of ``d`` ``u``; together
+      ``2 (10 L + s + 5) u kappa ||rho|| ||d||_1``.
+    * ``d^T G d``: ``|F(K)|^2`` adds ``3 u``, the inverse ``phi`` and the
+      round trip ``2 phi`` (``K (*) K`` against the inverse of
+      ``|F(K)|^2``), so a value of ``A`` is off by at most ``(3 phi + 3
+      u) kappa^2``.  The quadratic form adds ``2 s u`` and ``d`` ``2 u``;
+      together ``(15 L + 2 s + 5) u kappa^2 ||d||_1^2``.
+    * The two final adds: ``2 u S``.
+
+    So the computed square is off by at most ``eps S``, with ``eps = u
+    (2 s + 15 L + 22)``.  Where the square is at least ``eps S /``
     :data:`L2_SQUARE_TOLERANCE`, that error is at most the tolerance
     times the square, and the score's relative error at most half of it.
     A mask below that threshold -- its terms cancelled -- is flagged in
     ``rescore`` for an exact convolution.  A NaN square never compares
-    below it and is kept.  ``r`` carries its own convolution's rounding,
-    as every exact masked residual does; that error is not amplified.
+    below it and is kept.
+
+    ``rho`` itself differs from the exact ``Y - X (*) K`` by the rounding
+    of forming ``F(r)``: the transforms of ``X`` and ``Y``, the product,
+    the subtraction and the kernel's round trip, together at most ``(2
+    phi + 4 u) (||Y|| + kappa ||X||) + phi max |F(X)| ||K||`` in norm.
+    Every exact masked residual, ``Y`` minus one convolution of the
+    masked plane by ``K``, carries a rounding of the same form and size
+    (two forward transforms, the product, the inverse and the
+    subtraction).  So a linearity score and its looped score each carry
+    one such error, and the guard does not amplify it.
 
     The plan needs ``s * s <= max_floats``: the ``s x s`` matrices are
     gathered for batches of consecutive pairs holding at most
@@ -164,17 +195,13 @@ def l2_scores_by_linearity(
     Returns ``(scores, rescore)``: ``(pairs, masks)`` arrays of float64
     scores and bool flags, a row per pair in mask order.
     """
-    residuals = np.asarray(residuals, dtype=np.float64)
-    num_pairs, m, n = residuals.shape
+    num_pairs = len(residuals)
     sources = np.asarray(sources, dtype=np.float64).reshape(num_pairs, -1)
     fills = np.asarray(fills, dtype=np.float64)
-    magnitudes = np.abs(kernel_spectra)
-    correlations, autocorrelations = irfft2_batch(
-        np.concatenate([rfft2_batch(residuals) * np.conj(kernel_spectra), magnitudes**2]), n=n
-    ).reshape(2, num_pairs, -1)
+    correlations = correlations.reshape(num_pairs, -1)
+    autocorrelations = autocorrelations.reshape(num_pairs, -1)
     energies = np.square(residuals).sum(axis=(-2, -1))
     norms = np.sqrt(energies)
-    gains = magnitudes.max(axis=(-2, -1))
     scores = np.empty((num_pairs, plan.num_masks))
     rescore = np.empty(scores.shape, bool)
     cells, offsets, eps = _linearity_geometry(plan)
@@ -212,7 +239,7 @@ def _linearity_geometry(plan: MaskSpec) -> tuple:
     size = cells.shape[1]
     row, col = np.divmod(cells[0], n)
     offsets = (row - row[:, np.newaxis]) % m * n + (col - col[:, np.newaxis]) % n
-    eps = np.finfo(np.float64).eps / 2 * (2 * size + 10 * np.log2(m * n) + 24)
+    eps = np.finfo(np.float64).eps / 2 * (2 * size + 15 * np.log2(m * n) + 22)
     cells.setflags(write=False)
     offsets.setflags(write=False)
     return cells, offsets, eps

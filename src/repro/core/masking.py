@@ -7,13 +7,13 @@ engine serves all four:
 
 * :class:`MaskSpec` -- a mask plan as a compact descriptor
   (granularity + plane + block shape, a few ints);
-  :meth:`MaskSpec.bands_at` is the one definition of a mask: mask ``i``
-  of every granularity occludes a band of whole rows at a fixed set of
-  columns, returned for any mask indices as ``(start, height, cols)``;
+  :meth:`MaskSpec.cells_at` is the one definition of a mask: mask ``i``
+  of every granularity occludes a rectangle of cells, the first mask's
+  moved, returned for any mask indices as flat plane indices;
 * :func:`masked_windows` -- the one builder of masked planes: the rows
   of a row map (:func:`~repro.core.fleet.wave_row_map`; one pair's
-  masks are the one-pair map) as each pair's plane with its mask's band
-  patched to the pair's fill, ``rows_per_chunk`` planes at a time, so
+  masks are the one-pair map) as each pair's plane with its mask's
+  cells set to the pair's fill, ``rows_per_chunk`` planes at a time, so
   neither a bool mask stack nor the masked float stack is ever
   materialized;
 * :func:`convolve_windows` -- the one exact windowed convolution: those
@@ -194,7 +194,7 @@ class MaskSpec:
     """A mask plan: the four paper granularities as a descriptor.
 
     A spec stores only ``(granularity, plane_shape, block_shape)`` and
-    *generates* masks on demand through :meth:`bands_at`.
+    *generates* masks on demand through :meth:`cells_at`.
     Element, block, column and row occlusion are all structured (mask
     ``i`` is a deterministic function of ``i``), so nothing about the
     stack needs to exist ahead of time.
@@ -318,32 +318,15 @@ class MaskSpec:
     # ------------------------------------------------------------------
     # Generation
     # ------------------------------------------------------------------
-    def bands_at(self, index) -> tuple[np.ndarray, int, np.ndarray]:
-        """Masks ``index`` in factored form: ``(start, height, cols)``.
-
-        Every granularity's mask ``i`` occludes a band of whole rows,
-        ``start[i] : start[i] + height``, at a fixed set of columns,
-        ``cols[i, 0]`` (``cols`` is a ``(len(index), 1, N)`` bool
-        array): ``blocks`` give ``bh`` rows times a ``bw``-wide stripe,
-        ``rows`` one row times every column, ``columns`` all ``M`` rows
-        times one column, ``elements`` one row times one column.  Rows
-        outside the band are untouched, which is what lets a fleet wave
-        transform only the rows a mask changes.  Any integer indices, in
-        any order or repeated.
-        """
-        start, first = self._band_origins(index)
-        height, width = self._band_shape
-        first = first[:, np.newaxis, np.newaxis]
-        column = np.arange(self.plane_shape[1])
-        return start, height, (column >= first) & (column < first + width)
-
     def cells_at(self, index) -> np.ndarray:
         """Flat plane indices of the cells masks ``index`` occlude.
 
-        A ``(len(index), cells_per_mask)`` array: each mask's
-        :meth:`bands_at` rectangle, row by row.  Every mask is the same
-        rectangle moved, so the offsets between its cells are the same
-        for all of them.
+        A ``(len(index), cells_per_mask)`` array: each mask's rectangle,
+        row by row.  ``blocks`` occlude a ``block_shape`` tile, ``rows``
+        one row, ``columns`` one column and ``elements`` one cell.  Every
+        mask is the same rectangle moved, so the offsets between its
+        cells are the same for all of them.  Any integer indices, in any
+        order or repeated.
         """
         start, first = self._band_origins(index)
         height, width = self._band_shape
@@ -436,12 +419,12 @@ def masked_windows(sources, fills, plan, row_pair, row_slot, is_mask, rows_per_c
     :func:`~repro.core.fleet.wave_row_map` does (any subset of a wave's
     rows, in any order).  Yields ``(planes, rows)``, ``rows`` the
     ``range`` of row-map positions a window covers.  A mask row is its
-    pair's plane of ``sources`` with the band of plane rows the mask
-    occludes (:meth:`MaskSpec.bands_at` of ``plan``, the one plan every
-    pair carries) set to the pair's fill on the masked columns; a
-    residual row is the pair's plane unchanged.  With ``sources`` and
-    ``fills`` from :func:`fill_sources`, a mask row equals
-    ``np.where(mask, fill_value, x)`` bit for bit.
+    pair's plane of ``sources`` with the cells the mask occludes
+    (:meth:`MaskSpec.cells_at` of ``plan``, the one plan every pair
+    carries) set to the pair's fill; a residual row is the pair's plane
+    unchanged.  Only those cells are written, into the window's flat
+    planes.  With ``sources`` and ``fills`` from :func:`fill_sources`, a
+    mask row equals ``np.where(mask, fill_value, x)`` bit for bit.
     """
     for lo in range(0, row_pair.size, rows_per_chunk):
         rows = range(lo, min(lo + rows_per_chunk, row_pair.size))
@@ -450,11 +433,10 @@ def masked_windows(sources, fills, plan, row_pair, row_slot, is_mask, rows_per_c
         planes = sources[pairs]
         local = np.flatnonzero(is_mask[window])
         if local.size:
-            start, height, cols = plan.bands_at(row_slot[window][local])
-            band = local[:, np.newaxis], start[:, np.newaxis] + np.arange(height)
-            values = planes[band]
-            np.copyto(values, fills[pairs[local], np.newaxis, np.newaxis], where=cols)
-            planes[band] = values
+            cells = plan.cells_at(row_slot[window][local])
+            planes.reshape(len(planes), -1)[local[:, np.newaxis], cells] = (
+                fills[pairs[local], np.newaxis]
+            )
         yield planes, rows
 
 

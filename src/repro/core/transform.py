@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.fft.fft2d import fft2_batch, ifft2_batch
+from repro.fft.fft2d import fft2_batch, ifft2_batch, irfft2_batch, rfft2_batch
 from repro.hw.device import _COMPLEX_HADAMARD_FLOPS, Device
 
 _STRATEGIES = ("identity", "spatial", "onehot-row", "tile")
@@ -56,19 +56,28 @@ def check_eps(eps) -> None:
 _ZERO_BIN = "the spectrum of x has a zero bin, where Eq. 4 divides by zero at eps=0"
 
 
-def spectrum_problem(x, eps: float) -> str | None:
-    """Why Eq. 4 cannot solve for the plane ``x`` at ``eps``, or ``None``.
+def spectrum_problem(x, y, eps: float) -> str | None:
+    """Why Eq. 4 cannot solve for the pair ``(x, y)`` at ``eps``, or ``None``.
 
     The solve divides by ``X conj(X) + eps``, ``X`` the 2-D spectrum of
     ``x``; at ``eps = 0`` a bin where that product is exactly 0 gives a
     NaN or infinite kernel with only a ``RuntimeWarning``.  An all-zero
     or a constant ``x`` has such bins.  ``FleetExecutor.check_pair`` asks
-    before any work, and only at ``eps = 0`` does this transform ``x``.
+    before any work, and only at ``eps = 0`` does this transform ``x``,
+    with the solve's own transform (the half spectrum when ``x`` and
+    ``y`` are both real, see :func:`_solve_spectra`), so it reads the
+    bins the solve's :func:`_check_zero_bins` reads.
     """
     if eps != 0:
         return None
-    x_hat = fft2_batch(x)
-    return None if (x_hat * np.conj(x_hat)).all() else _ZERO_BIN
+    x_hat = (rfft2_batch if _on_half_spectra(x, y) else fft2_batch)(x)
+    x_conj = np.conj(x_hat)
+    return None if (x_hat * x_conj).all() else _ZERO_BIN
+
+
+def _on_half_spectra(x, y) -> bool:
+    """Whether Eq. 4 solves ``(x, y)`` on half spectra: both are real."""
+    return np.isrealobj(x) and np.isrealobj(y)
 
 
 def _check_zero_bins(denominator) -> None:
@@ -212,10 +221,13 @@ def frequency_solve(
     ``(P, M, N)`` stack of their kernels.  The whole stack goes through
     each transform at once, and every step is per plane, so kernel ``p``
     is bit-identical to solving batch ``p`` alone.  The arithmetic is
-    one device's chain (:func:`_solve_stack`), so the kernels carry the
-    same bits with or without a ``device``; when one is given, the
-    solve is also priced on it (accumulating simulated time) as the
-    per-op chain of transforms and Hadamard operations -- see
+    one (:func:`_solve_stack`: the device chain's, on half spectra when
+    every operand is real), so the kernels carry the same bits with or
+    without a ``device``; a real pair's kernel is within
+    :func:`_solve_stack`'s bound of the literal full-spectrum chain, not
+    bit for bit.  When a device is given, the solve is also priced on it
+    (accumulating simulated time) as the paper's full-spectrum per-op
+    chain of transforms and Hadamard operations -- see
     :func:`_record_solve`.  At ``eps = 0`` a denominator with an exact
     zero bin raises ``ValueError`` naming the first such kernel (see
     :func:`spectrum_problem`).
@@ -239,30 +251,81 @@ def frequency_solve(
 def _solve_stack(x_stack, y_stack, eps: float) -> np.ndarray:
     """The ``(P, M, N)`` kernels of a ``(P, B, M, N)`` stack, computed unpriced.
 
-    The arithmetic of a device's op chain (``tests/reference.solve``):
-    complex numerator and denominator, each sum in its promoted dtype
-    and updated in place, in pair order, so only a few stacks are live
-    at once; then the complex ``eps`` added in place and the division.
+    The kernel spectra of :func:`_solve_spectra`, inverted by one
+    :func:`~repro.fft.fft2d.irfft2_batch` call for real pairs (one
+    ``ifft2_batch`` for complex ones, whose kernels stay complex): two
+    2-D transforms, four ``numpy.fft`` calls, a float64 stack.
     :func:`frequency_solve` calls this with or without a device, and the
-    fleet once per wave, pricing each chip's share with
-    :func:`_record_solve`.
+    fleet once per wave that is not scored by linearity (its linearity
+    wave inverts :func:`_solve_spectra` itself), pricing each chip's
+    share with :func:`_record_solve`.  ``numpy.fft`` transforms each
+    line on its own, so stacking changes no bits.
 
-    ``x`` and ``y`` go through one :func:`~repro.fft.fft2d.fft2_batch`
-    call when they promote to the same dtype (two calls otherwise, so a
-    longdouble ``x`` never widens a float64 ``y``) and the kernels
-    through one ``ifft2_batch``: two 2-D transforms, four ``numpy.fft``
-    calls, for a float64 wave.  ``numpy.fft`` transforms each line on
-    its own, so stacking changes no bits.
+    **The kernel bound.**  A complex pair's kernel is the literal
+    full-spectrum chain's (``tests/reference.solve``) bit for bit.  A
+    real pair's is not: it is solved on half spectra.  Both solves are
+    within this bound of the exact kernel ``K``.  Take ``u = 2**-53``,
+    ``L = log2(M N)`` and ``phi = 5 L u``, the normwise error of one 2-D
+    transform (``||F~(v) - F(v)|| <= phi ||F(v)||``; for a half spectrum,
+    of its Hermitian extension).  Take kernel ``p``'s ``B`` pairs' exact
+    spectra ``X_b``, ``Y_b``, its denominator ``D = sum_b |X_b|^2 + eps``
+    and ``F(K) = sum_b Y_b conj(X_b) / D``.  To first order:
+
+    * the forward transforms' errors ``dX_b``, ``dY_b`` move bin ``w`` of
+      ``F(K)`` by at most ``sum_b [|dY_b| |X_b| + |dX_b| (|Y_b| + 2
+      |F(K)| |X_b|)] / D``, so its norm by at most ``phi sqrt(M N)
+      sigma``, with the pairs' spectral conditioning
+
+          sigma = sum_b (||y_b|| max_w |X_b| / D
+                         + ||x_b|| max_w (|Y_b| + 2 |F(K)| |X_b|) / D);
+
+    * the products, the ``B`` sums, the eps add and the division move it
+      by at most ``(B + 8) u (sum_b |Y_b| |X_b| / D + |F(K)|)`` a bin, so
+      its norm by ``(B + 8) u sqrt(M N) (sigma + ||K||)``;
+    * the inverse adds ``phi ||K||``.  ``irfft2_batch`` drops the
+      imaginary parts of the self-conjugate bins, a projection onto
+      Hermitian spectra, which ``F(K)`` is, so it adds no error.
+
+    By Parseval, the computed kernel ``K~`` has
+
+        ||K~ - K|| <= (phi + (B + 8) u) (sigma + ||K||).
+
+    ``sigma`` grows as ``D``'s smallest bins shrink: for one pair at
+    ``eps = 0``, ``sigma`` is at most about ``4 max |F(K)| max|X| /
+    min|X|``.  So the half-spectrum kernel and the literal reference's
+    differ by at most twice the bound, ``tests/reference.kernel_bound``,
+    which the tests assert (measured: within ``1e-15`` of ``max |K|``,
+    over a hundred times below the bound).
     """
-    all_real = np.isrealobj(x_stack) and np.isrealobj(y_stack)
-    kernels, pairs = x_stack.shape[:2]
+    kernel_spectra = _solve_spectra(x_stack, y_stack, eps)[2]
+    if _on_half_spectra(x_stack, y_stack):
+        return irfft2_batch(kernel_spectra, n=x_stack.shape[-1])
+    return ifft2_batch(kernel_spectra)
 
+
+def _solve_spectra(x_stack, y_stack, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eq. 4 on the spectra of a ``(P, B, M, N)`` stack: ``(F(x), F(y), F(K))``.
+
+    Half spectra (``(..., M, N//2 + 1)``, from
+    :func:`~repro.fft.fft2d.rfft2_batch`) when ``x`` and ``y`` are both
+    real: every spectrum Eq. 4 forms is then Hermitian, so the half
+    carries it all.  Full ``fft2_batch`` spectra otherwise.  ``x`` and
+    ``y`` go through one transform call when they promote to the same
+    dtype (two calls otherwise, so a longdouble ``x`` never widens a
+    float64 ``y``).  On those bins, the arithmetic of a device's op chain
+    (``tests/reference.solve``): complex numerator and denominator, each
+    sum in its promoted dtype and updated in place, in pair order, then
+    the complex ``eps`` added in place and the division.  ``F(x)`` and
+    ``F(y)`` are ``(P, B, M, bins)``, ``F(K)`` is ``(P, M, bins)``.
+    """
+    transform = rfft2_batch if _on_half_spectra(x_stack, y_stack) else fft2_batch
+    kernels, pairs = x_stack.shape[:2]
     dtype = np.result_type(x_stack, np.float64)
     if dtype == np.result_type(y_stack, np.float64):
-        spectra = fft2_batch(np.concatenate([x_stack, y_stack], dtype=dtype))
+        spectra = transform(np.concatenate([x_stack, y_stack], dtype=dtype))
         x_hat, y_hat = spectra[:kernels], spectra[kernels:]
     else:
-        x_hat, y_hat = fft2_batch(x_stack), fft2_batch(y_stack)
+        x_hat, y_hat = transform(x_stack), transform(y_stack)
     # A sum starts as its first product plus +0.0, which is what adding
     # it to a zero plane gives, -0.0 parts included.
     x_conj = np.conj(x_hat[:, 0])
@@ -274,12 +337,8 @@ def _solve_stack(x_stack, y_stack, eps: float) -> np.ndarray:
         x_conj = np.conj(x_hat[:, b])
         numerator += y_hat[:, b] * x_conj
         denominator += x_hat[:, b] * x_conj
-    del x_hat, y_hat, x_conj
+    del x_conj
     if eps == 0:
         _check_zero_bins(denominator)
     denominator += np.complex128(eps)
-    kernel = ifft2_batch(np.divide(numerator, denominator, out=numerator))
-
-    if all_real:
-        kernel = np.ascontiguousarray(kernel.real)
-    return kernel
+    return x_hat, y_hat, np.divide(numerator, denominator, out=numerator)

@@ -21,7 +21,12 @@ from repro.core.fleet import wave_dtype_key, wave_row_map
 from repro.core.interpretation import l2_scores_by_linearity
 from repro.core.masking import DEFAULT_CHUNK_ROWS, REDUCTIONS, fill_sources, masked_windows
 from repro.core.transform import OutputEmbedding, frequency_solve
-from repro.fft import fft_circular_convolve2d, kernel_spectrum_cache_info, rfft2_batch
+from repro.fft import (
+    fft_circular_convolve2d,
+    irfft2_batch,
+    kernel_spectrum_cache_info,
+    rfft2_batch,
+)
 from repro.hw.cpu import CpuDevice
 from repro.hw.pod import TpuPod
 from repro.obs.tracer import tracer
@@ -43,16 +48,31 @@ def assert_same_explanations(results, expected):
 
 
 def planted_cancellation():
-    """``(x, kernel, y)`` with ``y = x_masked (*) kernel``, ``x_masked``
-    being ``x`` with its 4x4 block (1, 2) zeroed: that block's l2 score
-    is 0, and its three linearity terms cancel."""
+    """``(x, kernel, y, spectrum)`` with ``y = x_masked (*) kernel``,
+    ``x_masked`` being ``x`` with its 4x4 block (1, 2) zeroed: that
+    block's l2 score is 0, and its three linearity terms cancel.  The
+    kernel is the inverse of the half spectrum ``spectrum``, which
+    :func:`plant_kernel` plants."""
     rng = np.random.default_rng(8)
     x = rng.standard_normal((16, 16))
     x[0, 0] += 20.0
-    kernel = rng.standard_normal((16, 16))
+    spectrum = rfft2_batch(rng.standard_normal((1, 16, 16)))
+    kernel = irfft2_batch(spectrum, n=16)[0]
     masked = x.copy()
     masked[4:8, 8:12] = 0.0
-    return x, kernel, fft_circular_convolve2d(masked, kernel)
+    return x, kernel, fft_circular_convolve2d(masked, kernel), spectrum
+
+
+def plant_kernel(monkeypatch, spectrum):
+    """Make every one-pair wave's Eq. 4 solve give the kernel spectrum
+    ``spectrum`` (Eq. 4 would fit its own)."""
+    solve_spectra = fleet._solve_spectra
+
+    def planted(x_stack, y_stack, eps):
+        x_hat, y_hat, _ = solve_spectra(x_stack, y_stack, eps)
+        return x_hat, y_hat, spectrum
+
+    monkeypatch.setattr(fleet, "_solve_spectra", planted)
 
 
 def planted_pairs(count, shape=(8, 8), seed=0):
@@ -409,6 +429,52 @@ class TestPairContract:
         assert check_pair_calls == [other, executor, executor]
         assert not device.stats.op_counts
 
+    @staticmethod
+    def zero_bin_planes():
+        """Planes whose spectra have exact zero bins, or none, or -- the
+        odd-width constant and the rank-one plane -- zero bins on one of
+        the full and the half transform only."""
+        rng = np.random.default_rng(3)
+        i, j = np.indices((6, 8))
+        return {
+            "zeros": np.zeros((6, 8)),
+            "constant": np.full((6, 8), 0.1),
+            "checkerboard": (-1.0) ** (i + j),
+            "nyquist-only": 0.3 * (-1.0) ** j,
+            "odd-width-constant": np.full((7, 7), 2 / 3),
+            "rank-one": np.outer(np.random.default_rng(7).standard_normal(5), np.full(7, 0.1)),
+            "odd-width": rng.standard_normal((5, 7)),
+            "random": rng.standard_normal((6, 8)),
+            "underflowing": 1e-170 * rng.standard_normal((6, 8)),
+        }
+
+    @pytest.mark.parametrize("operands", ["real", "complex", "real-x-complex-y"])
+    @pytest.mark.parametrize("kind", sorted(zero_bin_planes.__func__()))
+    def test_check_refuses_exactly_what_the_solve_refuses(self, kind, operands):
+        """At eps=0 ``check_pair`` transforms ``x`` as the solve does (the
+        half spectrum of a real pair, the full one otherwise), so it
+        refuses a plane exactly when ``frequency_solve`` raises."""
+        x = self.zero_bin_planes()[kind]
+        y = np.random.default_rng(4).standard_normal(x.shape)
+        if operands == "complex":
+            x = x * (1 + 0.5j)
+        if operands != "real":
+            y = y * (1 - 0.25j)
+        executor = FleetExecutor(CpuDevice(), granularity="columns", eps=0.0)
+        try:
+            executor.check_pair(x, y)
+            refused = False
+        except ValueError as error:
+            assert "zero bin" in str(error)
+            refused = True
+        try:
+            frequency_solve(x, y, eps=0.0)
+            raised = False
+        except ValueError as error:
+            assert "zero bin" in str(error)
+            raised = True
+        assert refused == raised
+
     @pytest.mark.parametrize("dtype", [str, object])
     def test_non_numeric_x_raises_naming_the_pair_before_any_work(self, dtype):
         """np.isfinite used to raise TypeError on such a plane."""
@@ -461,10 +527,10 @@ class TestNonFiniteExplanations:
         with np.errstate(over="ignore"):
             run = FleetExecutor(CpuDevice(), **options).run(pairs)
             expected = reference.explain_all(pairs, device=CpuDevice(), **options)
+            reference.assert_matches(run.results, expected, pairs, **options)
         assert run.problems == {}
         # Above 1e155 its square would pass the float range.
         assert 1e155 < run.results[1].residual < np.inf
-        reference.assert_matches(run.results, expected, pairs, **options)
 
     def test_each_pairs_mask_rows_are_its_scores(self):
         """The check reads each pair's mask rows of the wave's flat
@@ -700,10 +766,8 @@ class TestFleetLeavesKernelSpectrumCache:
         assert kernel_spectrum_cache_info() == before
 
     def test_l2_wave_whose_guard_rescores(self, monkeypatch):
-        x, kernel, y = planted_cancellation()
-        monkeypatch.setattr(
-            fleet, "_solve_stack", lambda *args, **kwargs: kernel[np.newaxis]
-        )
+        x, _, y, spectrum = planted_cancellation()
+        plant_kernel(monkeypatch, spectrum)
         executor = FleetExecutor(CpuDevice(), granularity="blocks", block_shape=(4, 4))
         before = kernel_spectrum_cache_info()
         tracer.clear()
@@ -854,21 +918,18 @@ class TestL2ByLinearity:
 
     def test_planted_cancellation_is_rescored_exactly(self, monkeypatch):
         """``y = x_masked (*) K`` for block (1, 2): that block's three
-        terms cancel (unguarded it reads 9.5e-7, 3.3e-9 of the largest
+        terms cancel (unguarded it reads 6.7e-7, 2.3e-9 of the largest
         score), so the guard hands it to one masked convolution, which
         reads 0.0, and a ``fleet.rescore`` instant counts it."""
-        x, kernel, y = planted_cancellation()
-        residual = y - fft_circular_convolve2d(x, kernel)
+        x, kernel, y, spectrum = planted_cancellation()
+        # Plant the kernel the wave scores with (Eq. 4 would fit its own).
+        plant_kernel(monkeypatch, spectrum)
+        _, *planes = fleet._linearity_planes(x[np.newaxis], y[np.newaxis], 1e-6)
         _, rescore = l2_scores_by_linearity(
-            x[np.newaxis], np.zeros(1), residual[np.newaxis],
-            rfft2_batch(kernel[np.newaxis]), MaskSpec.blocks((16, 16), (4, 4)),
+            x[np.newaxis], np.zeros(1), *planes, MaskSpec.blocks((16, 16), (4, 4)),
             DEFAULT_CHUNK_ROWS * 16 * 16,
         )
         assert np.flatnonzero(rescore[0]).tolist() == [6]
-        # Plant the kernel the wave scores with (Eq. 4 would fit its own).
-        monkeypatch.setattr(
-            fleet, "_solve_stack", lambda *args, **kwargs: kernel[np.newaxis]
-        )
         tracer.clear()
         with tracer.tracing():
             run = FleetExecutor(CpuDevice(), granularity="blocks", block_shape=(4, 4)).run(
@@ -900,10 +961,12 @@ class TestL2ByLinearity:
         ).run(pairs)
         assert bool(calls) == linear
         expected = reference.explain_all(pairs, device=CpuDevice(), **options)
-        if linear:
-            reference.assert_matches(run.results, expected, pairs, **options)
-        else:
-            assert_same_explanations(run.results, expected)
+        reference.assert_matches(run.results, expected, pairs, **options)
+        if not linear:
+            looped = reference.explain_all(
+                pairs, kernels=[result.kernel for result in run.results], **options
+            )
+            assert_same_explanations(run.results, looped)
 
     @pytest.mark.parametrize("reduction,precision,dtype", [
         ("l1", None, np.float64),
@@ -922,7 +985,49 @@ class TestL2ByLinearity:
         run = FleetExecutor(CpuDevice(), **options).run(pairs)
         assert not calls
         expected = reference.explain_all(pairs, device=CpuDevice(), **options)
-        assert_same_explanations(run.results, expected)
+        reference.assert_matches(run.results, expected, pairs, **options)
+
+    @pytest.mark.parametrize("label,options,calls", [
+        # rfft and fft of [x; y], then ifft and irfft of the four planes
+        # (twelve calls when the solve took full transforms and the
+        # scorer transformed the residuals again).
+        ("l2-float64", dict(granularity="columns"), 4),
+        ("l2-float64-blocks", dict(granularity="blocks", block_shape=(2, 2)), 4),
+        ("l2-complex", dict(granularity="columns"), 12),
+        ("l1-float64", dict(granularity="columns", reduction="l1"), 10),
+        ("l1-float64-chunked", dict(granularity="columns", reduction="l1", chunk_rows=3), 42),
+        ("l1-complex-chunked", dict(granularity="columns", reduction="l1", chunk_rows=3), 44),
+    ])
+    def test_numpy_fft_calls_a_wave_makes(self, monkeypatch, label, options, calls):
+        """A float64 l2 linearity wave makes four ``numpy.fft`` calls;
+        complex and exact waves make as many as before the solve moved
+        to half spectra."""
+        pairs = planted_pairs(3)
+        if "complex" in label:
+            pairs = [(x * (1 + 0.5j), y) for x, y in pairs]
+        made = []
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            def counted(*args, _transform=getattr(np.fft, name), **kwargs):
+                made.append(_transform)
+                return _transform(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        run = FleetExecutor(CpuDevice(), **options).run(pairs)
+        assert run.num_waves == 1
+        assert len(made) == calls
+
+    def test_wave_past_numpys_temporary_elision_matches_one_pair_waves(self):
+        """A 16-pair wave of 64x64 planes stacks 540 KB of each spectrum,
+        past the 256 KB above which numpy reuses a temporary operand in
+        place (which moves a complex product's bits); each pair still
+        gets its one-pair wave's numbers.  An eps near ``|F(x)|^2`` leaves
+        a residual, so the correlation term counts in every score."""
+        pairs = planted_pairs(16, shape=(64, 64))
+        options = dict(granularity="columns", eps=1e5)
+        wave = FleetExecutor(CpuDevice(), **options).run(pairs)
+        alone = FleetExecutor(CpuDevice(), max_pairs_per_wave=1, **options).run(pairs)
+        assert (wave.num_waves, alone.num_waves) == (1, 16)
+        assert_same_explanations(wave.results, alone.results)
 
     def test_elements_score_through_the_l2_scorer(self, monkeypatch):
         """``elements`` at l2 scores its one-cell plan with the scorer and
@@ -935,7 +1040,7 @@ class TestL2ByLinearity:
             device = small_backend()
             FleetExecutor(device, granularity="elements", reduction=reduction).run(pairs)
             stats[reduction] = device.take_stats()
-            assert [args[4] for args in calls] == [MaskSpec.elements((8, 8))]
+            assert [args[6] for args in calls] == [MaskSpec.elements((8, 8))]
         assert stats["l2"].op_counts == stats["l1"].op_counts
         assert stats["l2"].op_seconds == stats["l1"].op_seconds
         assert "elementwise_accounted" not in stats["l2"].op_counts

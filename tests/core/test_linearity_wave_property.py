@@ -1,19 +1,16 @@
 """Property test: the fleet's l2 linearity wave, bit for bit, pair by pair.
 
 An ``l2`` wave of float64 pairs at exact precision is one straight-line
-host pass (``FleetExecutor._compute_wave``): a stacked Eq. 4 solve, one
-batched rFFT round trip for the pairs' unmasked planes and the l2
-scorer.  Stacking only merges lines into fewer ``numpy.fft`` calls, so
-every pair must get exactly the numbers of its own per-pair arithmetic:
-
-* its kernel is :func:`~repro.core.transform.frequency_solve` of the pair
-  alone on a device;
-* its prediction is :func:`~repro.fft.convolution.fft_circular_convolve2d`
-  of ``x`` and that kernel;
-* its scores are :func:`~repro.core.interpretation.l2_scores_by_linearity`
-  fed that pair alone -- ``rfft2_batch`` of its kernel and its residual
-  ``y - prediction`` -- except the masks that scorer's guard flags, which
-  score as the exact masked convolution.
+host pass (``FleetExecutor._compute_wave``): a stacked Eq. 4 solve on
+half spectra, one batched inverse transform of the pairs' kernel,
+residual, correlation and autocorrelation spectra, and the l2 scorer.
+Stacking only merges lines into fewer ``numpy.fft`` calls, and every
+other step is per plane, so every pair must get exactly the numbers of
+its own one-pair wave -- kernel, scores and residual -- and its kernel
+must be :func:`~repro.core.transform.frequency_solve` of the pair alone
+on a device.  Against the literal per-pair loop (:mod:`tests.reference`)
+kernels and residuals hold within the derived bounds and scores within
+the linearity tolerance (:func:`tests.reference.assert_matches`).
 
 Hypothesis draws power-of-two, odd, prime and 1xN planes, every
 granularity (with blocks small enough that the wave scores by
@@ -30,11 +27,8 @@ from hypothesis import strategies as st
 from repro.bench.workloads import planted_interpretation_pairs
 from repro.core.backend import TpuBackend, make_tpu_chip
 from repro.core.fleet import FleetExecutor
-from repro.core.interpretation import l2_scores_by_linearity
-from repro.core.masking import DEFAULT_CHUNK_ROWS, MaskSpec, reduce_batch
+from repro.core.masking import DEFAULT_CHUNK_ROWS
 from repro.core.transform import frequency_solve
-from repro.fft.convolution import fft_circular_convolve2d
-from repro.fft.fft2d import rfft2_batch
 from repro.hw.cpu import CpuDevice
 from tests import reference
 
@@ -83,36 +77,25 @@ def test_each_pair_gets_its_own_arithmetic_bit_for_bit(config):
     )
     if config["eps"] == 0.0:
         pairs = [(x + 3.0, y) for x, y in pairs]
+    options = dict(
+        granularity=config["granularity"], block_shape=config["block_shape"],
+        eps=config["eps"], fill_value=config["fill_value"],
+    )
     executor = FleetExecutor(
         TpuBackend(make_tpu_chip(num_cores=4, precision="fp32", mxu_rows=8, mxu_cols=8)),
-        granularity=config["granularity"], block_shape=config["block_shape"],
-        eps=config["eps"], fill_value=config["fill_value"], num_chips=config["num_chips"],
+        num_chips=config["num_chips"], **options,
     )
     checked = executor._checked_pairs(pairs)
-    (wave,) = executor.schedule(checked).waves
-    numbers = executor._compute_wave(wave, checked)
-    layout = executor._layout(config["shape"])
-    assert layout.by_linearity
+    assert executor.schedule(checked).num_waves == 1
+    assert executor._layout(config["shape"]).by_linearity
     run = executor.run(checked)
-    plan = MaskSpec.for_granularity(
-        config["granularity"], config["shape"], block_shape=config["block_shape"]
-    )
-    masks = [mask for _, mask in reference.masks(
-        config["granularity"], config["shape"], config["block_shape"]
-    )]
-    fill = np.float64(config["fill_value"])
-    for p, ((x, y), result) in enumerate(zip(pairs, run.results)):
+    for (x, y), pair, result in zip(pairs, checked, run.results):
         kernel = frequency_solve(x, y, config["eps"], device=CpuDevice())
         np.testing.assert_array_equal(result.kernel, kernel)
-        prediction = fft_circular_convolve2d(x, kernel)
-        np.testing.assert_array_equal(numbers.preds[p], prediction)
-        (scores,), (flagged,) = l2_scores_by_linearity(
-            x[np.newaxis], np.array([fill]), (y - prediction)[np.newaxis],
-            rfft2_batch(kernel[np.newaxis]), plan, layout.window_floats,
-        )
-        for mask in np.flatnonzero(flagged):
-            masked = np.where(masks[mask], fill, x)
-            scores[mask] = reduce_batch(
-                (y - fft_circular_convolve2d(masked, kernel))[np.newaxis], "l2"
-            )[0]
-        np.testing.assert_array_equal(result.scores.ravel(), scores)
+        (alone,) = executor.run([pair]).results
+        np.testing.assert_array_equal(result.kernel, alone.kernel)
+        np.testing.assert_array_equal(result.scores, alone.scores)
+        assert result.residual == alone.residual
+    reference.assert_matches(
+        run.results, reference.explain_all(pairs, **options), pairs, **options
+    )

@@ -46,18 +46,17 @@ PLANS = [
 ]
 
 
-def expand_bands(plan, index):
-    """The bool masks ``index`` of ``plan``, each its
-    :meth:`MaskSpec.bands_at` band of rows times its columns."""
-    start, height, cols = plan.bands_at(index)
-    masks = np.zeros((start.size, *plan.plane_shape), dtype=bool)
-    for i, row in enumerate(start):
-        masks[i, row : row + height] = cols[i]
-    return masks
+def expand_cells(plan, index):
+    """The bool masks ``index`` of ``plan``, each set on its
+    :meth:`MaskSpec.cells_at` cells."""
+    cells = plan.cells_at(index)
+    masks = np.zeros((len(cells), plan.plane_shape[0] * plan.plane_shape[1]), dtype=bool)
+    masks[np.arange(len(cells))[:, np.newaxis], cells] = True
+    return masks.reshape(len(cells), *plan.plane_shape)
 
 
 def all_masks(plan):
-    return expand_bands(plan, np.arange(plan.num_masks))
+    return expand_cells(plan, np.arange(plan.num_masks))
 
 
 def device_scores(device, x, kernel, y, plan, chunk_rows=DEFAULT_CHUNK_ROWS, precision=None):
@@ -125,7 +124,7 @@ class TestMaskPlanConstruction:
         with pytest.raises(ValueError):
             MaskSpec.rows((0, 4))
         with pytest.raises(ValueError, match="mask indices"):
-            MaskSpec.rows((4, 4)).bands_at(np.arange(2, 9))
+            MaskSpec.rows((4, 4)).cells_at(np.arange(2, 9))
 
     def test_apply_fills_masked_features(self):
         plan = MaskSpec.columns((2, 3))
@@ -193,10 +192,11 @@ class TestMaskPlanConstruction:
         ],
         ids=lambda plan: f"{plan.granularity}{plan.block_shape or ''}{plan.plane_shape}",
     )
-    def test_bands_reproduce_masks_and_the_definition(self, plan):
-        """Each mask is its band of rows times its column set: expanding
-        the bands gives the reference masks, for indices in any order
-        and with repeats, and no mask reaches a row outside its band."""
+    def test_cells_reproduce_masks_and_the_definition(self, plan):
+        """Each mask is a rectangle of cells, the first mask's moved:
+        expanding the cells gives the reference masks, for indices in
+        any order and with repeats, and every mask's cells are distinct
+        cells of the plane."""
         defined = [mask for _, mask in reference.masks(
             plan.granularity, plan.plane_shape, plan.block_shape
         )]
@@ -205,16 +205,19 @@ class TestMaskPlanConstruction:
             [plan.num_masks - 1, 0, plan.num_masks // 2, 0],
             rng.integers(0, plan.num_masks, 6),
         ])
-        start, height, cols = plan.bands_at(index)
+        cells = plan.cells_at(index)
         m, n = plan.plane_shape
-        assert cols.dtype == bool and cols.shape == (index.size, 1, n)
-        assert 1 <= height <= m and ((start >= 0) & (start + height <= m)).all()
-        expanded = expand_bands(plan, index)
+        assert cells.shape == (index.size, plan.cells_per_mask)
+        assert ((cells >= 0) & (cells < m * n)).all()
+        assert all(np.unique(row).size == row.size for row in cells)
+        np.testing.assert_array_equal(
+            cells - cells[:, :1], np.broadcast_to(cells[:1] - cells[0, 0], cells.shape)
+        )
+        expanded = expand_cells(plan, index)
         np.testing.assert_array_equal(expanded, np.stack([defined[i] for i in index]))
-        empty_start, _, empty_cols = plan.bands_at([])
-        assert empty_start.shape == (0,) and empty_cols.shape == (0, 1, n)
+        assert plan.cells_at([]).shape == (0, plan.cells_per_mask)
         with pytest.raises(ValueError, match="mask indices"):
-            plan.bands_at([-1])
+            plan.cells_at([-1])
 
     def test_reshape_scores_round_trip(self):
         plan = MaskSpec.blocks((4, 4), (2, 2))

@@ -119,9 +119,10 @@ class TestExactRecovery:
 
 
 class TestOneArithmetic:
-    """Eq. 4 has one arithmetic: a solve without a device computes the
-    device chain's numbers (complex denominator, eps added in place),
-    bit for bit."""
+    """Eq. 4 has one arithmetic: a solve without a device computes what
+    a solve with one does, bit for bit -- the device chain's numbers
+    (complex denominator, eps added in place), on half spectra for real
+    pairs, within the derived bound of the literal full-spectrum chain."""
 
     @pytest.mark.parametrize("eps", [0.0, 1e-6, 0.3])
     @pytest.mark.parametrize("pairs", [1, 3])
@@ -133,7 +134,8 @@ class TestOneArithmetic:
         np.testing.assert_array_equal(
             kernel, frequency_solve(xs, ys, eps=eps, device=CpuDevice())
         )
-        np.testing.assert_array_equal(kernel, reference.solve(xs, ys, eps, CpuDevice()))
+        literal = reference.solve(xs, ys, eps, CpuDevice())
+        assert reference.norm(kernel - literal) <= reference.kernel_bound(xs, ys, eps)
 
     def test_complex_pair(self):
         rng = np.random.default_rng(5)
@@ -162,7 +164,8 @@ class TestStackedSolve:
     @pytest.mark.parametrize("kernels,pairs", [(3, 1), (1, 3)])
     @pytest.mark.parametrize("device", sorted(DEVICES))
     def test_matches_reference_loop(self, device, kernels, pairs, shape):
-        """Kernels bit for bit, and exactly the ledger of the per-op loop."""
+        """Kernels within the derived bound, and exactly the ledger of the
+        per-op loop."""
         rng = np.random.default_rng(10 * kernels + pairs)
         xs = rng.standard_normal((kernels, pairs, *shape))
         ys = rng.standard_normal((kernels, pairs, *shape))
@@ -170,7 +173,8 @@ class TestStackedSolve:
         stacked = frequency_solve(xs, ys, eps=1e-6, device=stacked_device)
         looped = [reference.solve(x, y, 1e-6, looped_device) for x, y in zip(xs, ys)]
         assert stacked.shape == (kernels, *shape)
-        np.testing.assert_array_equal(stacked, np.stack(looped))
+        for kernel, literal, x, y in zip(stacked, looped, xs, ys):
+            assert reference.norm(kernel - literal) <= reference.kernel_bound(x, y, 1e-6)
         got, want = stacked_device.stats, looped_device.stats
         assert (got.seconds, got.macs, got.bytes_moved) == (
             want.seconds, want.macs, want.bytes_moved
